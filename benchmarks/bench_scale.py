@@ -18,6 +18,10 @@ Scenarios (deterministic seeds):
   largest.
 * ``allocate_*_5k`` / ``allocate_*_10k`` — fast-path scale-out points
   (the quadratic reference is only timed here under ``--full``).
+* ``coat_2k`` / ``coat_2k_day`` — the COAT baseline packing 2000 VMs
+  over one slot (12 samples) and over a day-ahead window (288
+  samples): preallocated in-place pattern matrices vs the kept seed
+  loop.  The plans must match exactly, else the bench exits non-zero.
 * ``forecast_day_400`` — batched vs scalar day-ahead prediction for
   400 VMs x 2 resources.
 * ``simulate_week_120`` — the full pipeline (prediction, EPACT
@@ -280,6 +284,39 @@ def bench_allocations(results, full):
         2,
     )
     record(results, "allocate_2d_2k_day", fast, seed)
+
+
+def bench_coat(results):
+    """COAT packing: in-place pattern matrices vs the kept seed loop.
+
+    Both sides must produce the same plans and forced placements, else
+    the bench exits non-zero.
+    """
+    from repro.baselines.coat import _allocate_reference
+    from repro.core.types import AllocationContext
+
+    power = ntc_server_power_model()
+    for name, n_samples in (("coat_2k", 12), ("coat_2k_day", 288)):
+        ctx = AllocationContext(
+            pred_cpu=patterns(2000, n_samples=n_samples, seed=2),
+            pred_mem=patterns(2000, n_samples=n_samples, seed=3, scale=5.0),
+            power_model=power,
+            max_servers=2000,
+            qos_floor_ghz=np.full(2000, 1.2),
+        )
+        fast = CoatPolicy().allocate(ctx)
+        ref = _allocate_reference(CoatPolicy(), ctx)
+        if [p.vm_ids for p in fast.plans] != [p.vm_ids for p in ref.plans] or (
+            fast.forced_placements != ref.forced_placements
+        ):
+            print(f"BENCH CONTRACT FAILED: {name} plans differ from the seed loop")
+            sys.exit(1)
+        fast_s, seed_s = best_of_pair(
+            lambda: CoatPolicy().allocate(ctx),
+            lambda: _allocate_reference(CoatPolicy(), ctx),
+            3,
+        )
+        record(results, name, fast_s, seed_s)
 
 
 def bench_forecasting(results):
@@ -968,6 +1005,8 @@ def main():
     results = {}
     print("allocation scale-out:")
     bench_allocations(results, args.full)
+    print("COAT packing (2k VMs):")
+    bench_coat(results)
     print("day-ahead forecasting:")
     bench_forecasting(results)
     print("full simulation:")

@@ -76,15 +76,22 @@ def pearson_many(candidates: np.ndarray, target: np.ndarray) -> np.ndarray:
             f"expected (n, k) candidates and (k,) target, got "
             f"{c.shape} and {t.shape}"
         )
-    t_centered = t - t.mean()
-    t_norm = np.linalg.norm(t_centered)
+    # ``mean`` and ``np.linalg.norm`` written out as the arithmetic NumPy
+    # runs for them (a sum over the count; sqrt of a dot product or of a
+    # row sum of squares): the same bits without their per-call overhead.
+    n = t.shape[0]
+    t_centered = t - np.add.reduce(t) / n
+    t_norm = np.sqrt(t_centered @ t_centered)
     if t_norm < _EPS:
         return np.zeros(c.shape[0])
-    c_centered = c - c.mean(axis=1, keepdims=True)
-    c_norms = np.linalg.norm(c_centered, axis=1)
-    safe = np.where(c_norms < _EPS, 1.0, c_norms)
+    c_centered = c - np.add.reduce(c, axis=1, keepdims=True) / n
+    c_norms = np.sqrt(np.add.reduce(c_centered * c_centered, axis=1))
+    flat = c_norms < _EPS
+    if not flat.any():
+        return (c_centered @ t_centered) / (c_norms * t_norm)
+    safe = np.where(flat, 1.0, c_norms)
     corr = (c_centered @ t_centered) / (safe * t_norm)
-    corr[c_norms < _EPS] = 0.0
+    corr[flat] = 0.0
     return corr
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -132,6 +132,64 @@ class TestVectorized:
             pearson_many(np.ones((2, 3)), np.ones(4))
         with pytest.raises(DomainError):
             euclidean_distance_many(np.ones(3), np.ones(3))
+
+
+def seed_pearson_many(candidates, target):
+    """``pearson_many`` as first written, with ``mean`` and ``norm``."""
+    c = np.asarray(candidates, dtype=float)
+    t = np.asarray(target, dtype=float)
+    t_centered = t - t.mean()
+    t_norm = np.linalg.norm(t_centered)
+    if t_norm < 1.0e-12:
+        return np.zeros(c.shape[0])
+    c_centered = c - c.mean(axis=1, keepdims=True)
+    c_norms = np.linalg.norm(c_centered, axis=1)
+    safe = np.where(c_norms < 1.0e-12, 1.0, c_norms)
+    corr = (c_centered @ t_centered) / (safe * t_norm)
+    corr[c_norms < 1.0e-12] = 0.0
+    return corr
+
+
+@st.composite
+def pearson_inputs(draw):
+    """Candidate rows and a target, some of them constant or varying
+    below the zero-variance cutoff."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.sampled_from([1, 2, 3, 12, 288]))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    elements = st.floats(-100, 100, width=32)
+    rows = draw(arrays(dtype, (n, k), elements=elements))
+    target = draw(arrays(dtype, k, elements=elements))
+    flat = draw(arrays(bool, n))
+    ramp = draw(st.sampled_from([0.0, 1.0e-16])) * np.arange(k)
+    rows[flat] = rows[flat, :1] + ramp
+    if draw(st.booleans()):
+        target[:] = target[0]
+    return rows, target
+
+
+class TestPearsonManyBitExact:
+    """``pearson_many`` must equal the seed formula bit for bit: COAT, the
+    ``allocate_1d`` reference and ``merit_scores`` in the ``allocate_2d``
+    reference compare its values to pick winners."""
+
+    @given(pearson_inputs())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_seed_formula(self, inputs):
+        rows, target = inputs
+        np.testing.assert_array_equal(
+            pearson_many(rows, target), seed_pearson_many(rows, target)
+        )
+
+    def test_matches_seed_formula_random_fleets(self):
+        rng = np.random.default_rng(7)
+        for n, k in [(1, 12), (40, 12), (300, 12), (200, 288)]:
+            rows = rng.uniform(0.0, 100.0, size=(n, k))
+            rows[::5] = rows[::5, :1]
+            target = rng.uniform(0.0, 30.0, size=k)
+            np.testing.assert_array_equal(
+                pearson_many(rows, target), seed_pearson_many(rows, target)
+            )
 
 
 class TestDegenerateAndMismatched:

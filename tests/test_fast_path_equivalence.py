@@ -11,9 +11,11 @@ pair loop everywhere.
 import numpy as np
 import pytest
 
+from repro.baselines import CoatOptPolicy, CoatPolicy, FfdPolicy
+from repro.baselines.coat import _allocate_reference as _coat_reference
 from repro.core.alloc1d import allocate_1d
 from repro.core.alloc2d import allocate_2d
-from repro.core.types import Allocation, ServerPlan
+from repro.core.types import Allocation, AllocationContext, ServerPlan
 from repro.core.workspace import AllocationWorkspace, validate_vm_order
 from repro.dcsim.engine import (
     MigrationCounter,
@@ -157,6 +159,122 @@ class TestAllocate2dEquivalence:
         fast, _ = allocate_2d(cpu, mem, 8, cap_cpu_pct=60.0, fast=True)
         ref, _ = allocate_2d(cpu, mem, 8, cap_cpu_pct=60.0, fast=False)
         assert plans_equal(fast, ref)
+
+
+COAT_POLICIES = {
+    "COAT": CoatPolicy,
+    "COAT-OPT": CoatOptPolicy,
+    "FFD": FfdPolicy,
+    "COAT-55-70": lambda: CoatPolicy(cap_cpu_pct=55.0, cap_mem_pct=70.0),
+}
+
+
+def coat_ctx(ntc_power, cpu, mem, max_servers=None):
+    return AllocationContext(
+        pred_cpu=cpu,
+        pred_mem=mem,
+        power_model=ntc_power,
+        max_servers=max_servers or cpu.shape[0],
+        qos_floor_ghz=np.full(cpu.shape[0], 1.2),
+    )
+
+
+def assert_coat_matches_reference(make_policy, ctx):
+    """The in-place packing loop against the kept seed loop."""
+    fast = make_policy().allocate(ctx)
+    ref = _coat_reference(make_policy(), ctx)
+    assert plans_equal(fast.plans, ref.plans)
+    assert fast.forced_placements == ref.forced_placements
+    assert fast.f_opt_ghz == ref.f_opt_ghz
+    assert fast.violation_cap_pct == ref.violation_cap_pct
+    return fast
+
+
+@pytest.mark.parametrize("policy", sorted(COAT_POLICIES))
+class TestCoatEquivalence:
+    """COAT, COAT-OPT and FFD pack exactly like the seed loop."""
+
+    @pytest.mark.parametrize("n_vms", [1, 2, 50, 300])
+    def test_matches_reference_random(self, ntc_power, policy, n_vms):
+        cpu = make_patterns(n_vms, seed=n_vms + 3, scale=30.0)
+        mem = make_patterns(n_vms, seed=n_vms + 300, scale=10.0)
+        assert_coat_matches_reference(
+            COAT_POLICIES[policy], coat_ctx(ntc_power, cpu, mem)
+        )
+
+    def test_matches_reference_constant_patterns(self, ntc_power, policy):
+        """Shapeless patterns: Pearson is 0 for every server, so the
+        first fitting candidate wins, exactly as in plain first fit."""
+        levels = np.random.default_rng(19).uniform(4.0, 40.0, size=(60, 1))
+        cpu = np.repeat(levels, 12, axis=1)
+        mem = np.full((60, 12), 3.0)
+        ctx = coat_ctx(ntc_power, cpu, mem)
+        fast = assert_coat_matches_reference(COAT_POLICIES[policy], ctx)
+        caps = fast.plans[0]
+        first_fit = CoatPolicy(
+            caps.cap_cpu_pct, caps.cap_mem_pct, correlation_aware=False
+        )
+        assert plans_equal(fast.plans, _coat_reference(first_fit, ctx).plans)
+
+    def test_matches_reference_mixed_flat_rows(self, ntc_power, policy):
+        """Some servers stay flat while others vary: the zero-variance
+        mask is applied to part of the candidate rows."""
+        cpu = make_patterns(80, seed=20, scale=30.0)
+        cpu[::3] = cpu[::3, :1]
+        mem = make_patterns(80, seed=21, scale=10.0)
+        assert_coat_matches_reference(
+            COAT_POLICIES[policy], coat_ctx(ntc_power, cpu, mem)
+        )
+
+    def test_matches_reference_max_servers_exhaustion(
+        self, ntc_power, policy
+    ):
+        cpu = make_patterns(120, seed=22, scale=30.0)
+        mem = make_patterns(120, seed=23, scale=10.0)
+        fast = assert_coat_matches_reference(
+            COAT_POLICIES[policy], coat_ctx(ntc_power, cpu, mem, 4)
+        )
+        assert fast.forced_placements > 0
+        assert len(fast.plans) == 4
+
+    def test_matches_reference_memory_bound(self, ntc_power, policy):
+        cpu = make_patterns(60, seed=24, scale=2.0)
+        mem = make_patterns(60, seed=25, scale=30.0)
+        assert_coat_matches_reference(
+            COAT_POLICIES[policy], coat_ctx(ntc_power, cpu, mem)
+        )
+
+    def test_matches_reference_day_window(self, ntc_power, policy):
+        """Day-ahead window width (288 samples), COAT-OPT's cadence."""
+        cpu = make_patterns(60, n_samples=288, seed=26, scale=30.0)
+        mem = make_patterns(60, n_samples=288, seed=27, scale=10.0)
+        assert_coat_matches_reference(
+            COAT_POLICIES[policy], coat_ctx(ntc_power, cpu, mem)
+        )
+
+    @pytest.mark.parametrize("n_samples", [12, 288])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_reference_near_ties(
+        self, ntc_power, policy, dtype, n_samples
+    ):
+        """Every VM shares one CPU shape (up to sign), so all candidates
+        correlate at +-1 and the last bit decides the winner.  With
+        float32 predictions the reference upcasts every row to float64
+        before summing or centering it: centering a VM row in float32,
+        or keeping float32 patterns, changes these plans."""
+        gen = np.random.default_rng(3)
+        t = np.linspace(0, 2 * np.pi, n_samples)[None, :]
+        sign = gen.choice([-1.0, 1.0], size=(150, 1))
+        cpu = gen.uniform(3.0, 30.0, size=(150, 1)) * (
+            1.0 + 0.3 * sign * np.sin(t)
+        )
+        mem = gen.uniform(1.0, 10.0, size=(150, 1)) * (
+            1.0 + 0.3 * np.cos(t)
+        )
+        assert_coat_matches_reference(
+            COAT_POLICIES[policy],
+            coat_ctx(ntc_power, cpu.astype(dtype), mem.astype(dtype)),
+        )
 
 
 class TestOrderValidation:

@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import CoatOptPolicy, CoatPolicy, FfdPolicy
+from repro.baselines.coat import _allocate_reference as _coat_reference
 from repro.core.alloc1d import allocate_1d
 from repro.core.governor import DvfsGovernor
+from repro.core.types import AllocationContext
 from repro.dcsim.engine import count_migrations
 from repro.perf.workload import ALL_MEMORY_CLASSES
 from repro.power.datacenter import DataCenterPowerAnalysis
@@ -127,6 +130,47 @@ class TestAllocationInvariants:
 
         lower = math.ceil(cpu.sum(axis=0).max() / cap - 1e-9)
         assert len(plans) >= lower
+
+    @given(
+        st.integers(1, 40),
+        st.sampled_from([1, 12, 288]),
+        st.integers(1, 6),
+        st.sampled_from([CoatPolicy, CoatOptPolicy, FfdPolicy]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_coat_partition_caps_and_reference(
+        self, ntc_power, n_vms, width, max_servers, make, seed
+    ):
+        rng = np.random.default_rng(seed)
+        cpu = rng.uniform(1.0, 45.0, size=(n_vms, width))
+        mem = rng.uniform(1.0, 30.0, size=(n_vms, width))
+        flat = rng.random(n_vms) < 0.3
+        cpu[flat] = cpu[flat, :1]
+        mem[flat] = mem[flat, :1]
+        ctx = AllocationContext(
+            cpu, mem, ntc_power, max_servers, np.full(n_vms, 1.2)
+        )
+        allocation = make().allocate(ctx)
+        reference = _coat_reference(make(), ctx)
+        assert [p.vm_ids for p in allocation.plans] == [
+            p.vm_ids for p in reference.plans
+        ]
+        assert allocation.forced_placements == reference.forced_placements
+
+        placed = sorted(v for p in allocation.plans for v in p.vm_ids)
+        assert placed == list(range(n_vms))
+        if allocation.forced_placements == 0:
+            for plan in allocation.plans:
+                if len(plan.vm_ids) > 1:
+                    assert (
+                        cpu[plan.vm_ids].sum(axis=0).max()
+                        <= plan.cap_cpu_pct + 1e-9
+                    )
+                    assert (
+                        mem[plan.vm_ids].sum(axis=0).max()
+                        <= plan.cap_mem_pct + 1e-9
+                    )
 
 
 class TestMigrationInvariants:
