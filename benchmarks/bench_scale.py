@@ -28,30 +28,19 @@ Scenarios (deterministic seeds):
   allocation, power accounting) on reduced-scale traces, plus the
   batched-vs-scalar total-energy relative difference as an equivalence
   witness.
-* ``simulate_week_batch_120`` — window-batched vs per-slot accounting
-  on the reduced week with a day-ahead (24-slot window) policy and a
-  pre-warmed shared predictor: the engine-side comparison the
-  ``window_batch`` fast path is about.
 * ``run_policies_3pol_120`` — the three-policy comparison (the Fig. 4-6
   workload shape) over shared predictions; with ``--jobs N`` the same
   scenario is also timed through the process-pool fan-out (wall-clock
   gains require >1 CPU; the result records both).
 * ``cloud_churn_120`` — the online cloud subsystem on the
   ``diurnal-burst`` churn scenario (120 VMs, arrivals/departures over
-  two evaluated days): window-batched vs per-slot accounting with a
-  day-ahead 24-slot-window policy, plus the ONLINE-REACTIVE policy's
-  fast-path time.
-* ``epact_1slot_120`` — horizon-concatenated (super-batch) vs
-  per-window accounting on EPACT's 1-slot reallocation windows, the
-  degenerate case that turns window batching back into per-slot work.
-  The EPACT allocation stream is recorded once and replayed into both
-  engines (:class:`ReplayPolicy`), so the scenario times the
-  accounting loop the super-batch is about, not the (identical)
-  allocator work.
+  two evaluated days) with a day-ahead 24-slot-window policy, plus the
+  ONLINE-REACTIVE policy's time.
 * ``hybrid_120`` — the heterogeneous-fleet engine on the
-  ``hybrid-50/50`` NTC/conventional mix: super-batched per-(chunk,
-  model) accounting vs the per-pool per-slot reference, with the
-  fleet-aware EPACT allocation stream replayed into both engines.
+  ``hybrid-50/50`` NTC/conventional mix (per-(slot, model) accounting),
+  with the fleet-aware EPACT allocation stream recorded once and
+  replayed (:class:`ReplayPolicy`), so the scenario times the engine,
+  not the allocator.
 * ``faults_120`` — the fault layer's zero-event overhead: the same
   replayed EPACT week with a zero-event ``FaultSchedule`` threaded
   through the engine vs no schedule at all.  The recorded
@@ -81,9 +70,7 @@ Scenarios (deterministic seeds):
   :func:`repro.serve.serve` over a clean replay feed vs the batch
   engine on the true traces.  Asserted, not just recorded:
   ``energy_rel_diff`` must be exactly 0.0 (the decision stream is
-  observation, not perturbation), else the bench exits non-zero.  Also
-  records the incremental Hannan-Rissanen refresh vs the daily full
-  re-fit (``incremental_speedup``).
+  observation, not perturbation), else the bench exits non-zero.
 
 Each scenario records the fast time, reference time (where tractable)
 and their speedup into ``BENCH_<rev>.json``; ``--baseline`` prints the
@@ -354,38 +341,13 @@ def bench_simulation(results):
     print(f"    batched-vs-scalar total energy rel diff: {rel:.2e}")
 
 
-def bench_window_batch(results, jobs):
-    """Window-batched engine and multi-policy scenarios (PR 2)."""
+def bench_run_policies(results, jobs):
+    """The three paper policies over shared predictions (Fig. 4-6 shape)."""
     dataset = default_dataset(n_vms=120, n_days=9, seed=2018)
     predictor = DayAheadPredictor(dataset)
     for day in range(7, dataset.n_days):
         predictor.forecast_day(day)
 
-    # Engine-side comparison: day-ahead windows (COAT, 24-slot windows)
-    # accounted as whole batches vs slot by slot; the predictor is
-    # pre-warmed so only the engine is timed.
-    def run_engine(window_batch):
-        sim = DataCenterSimulation(
-            dataset,
-            predictor,
-            CoatPolicy(),
-            max_servers=80,
-            window_batch=window_batch,
-        )
-        return sum(r.energy_j for r in sim.run().records)
-
-    # The warm-up pair doubles as the equivalence witness.
-    energy_batch = run_engine(True)
-    energy_slot = run_engine(False)
-    fast, seed = best_of_pair(
-        lambda: run_engine(True), lambda: run_engine(False), 3
-    )
-    record(results, "simulate_week_batch_120", fast, seed)
-    rel = abs(energy_batch - energy_slot) / max(abs(energy_slot), 1e-12)
-    results["simulate_week_batch_120"]["energy_rel_diff"] = rel
-    print(f"    window-batch-vs-per-slot energy rel diff: {rel:.2e}")
-
-    # Scenario layer: the three paper policies over shared predictions.
     def run_three(n_jobs):
         return run_policies(
             dataset,
@@ -409,43 +371,6 @@ def bench_window_batch(results, jobs):
         )
 
 
-def bench_superbatch(results):
-    """Horizon-concatenated accounting on 1-slot windows (PR 4)."""
-    dataset = default_dataset(n_vms=120, n_days=9, seed=2018)
-    predictor = DayAheadPredictor(dataset)
-    for day in range(7, dataset.n_days):
-        predictor.forecast_day(day)
-
-    replay = ReplayPolicy(EpactPolicy())
-    # One power model across runs: its table construction is identical
-    # per-simulation setup cost, not the accounting loop under test.
-    power = ntc_server_power_model()
-
-    def run(superbatch):
-        replay.rewind()
-        sim = DataCenterSimulation(
-            dataset,
-            predictor,
-            replay,
-            power_model=power,
-            max_servers=80,
-            superbatch=superbatch,
-        )
-        return sum(r.energy_j for r in sim.run().records)
-
-    # The warm-up pair records the allocation stream once and doubles
-    # as the equivalence witness.
-    energy_super = run(True)
-    energy_window = run(False)
-    fast, seed = best_of_pair(
-        lambda: run(True), lambda: run(False), 5
-    )
-    record(results, "epact_1slot_120", fast, seed)
-    rel = abs(energy_super - energy_window) / max(abs(energy_window), 1e-12)
-    results["epact_1slot_120"]["energy_rel_diff"] = rel
-    print(f"    superbatch-vs-per-window energy rel diff: {rel:.2e}")
-
-
 def bench_hybrid(results):
     """Heterogeneous-fleet accounting on the hybrid-50/50 mix (PR 5)."""
     dataset = default_dataset(n_vms=120, n_days=9, seed=2018)
@@ -456,29 +381,14 @@ def bench_hybrid(results):
     fleet = get_fleet("hybrid-50/50", total_servers=40)
     replay = ReplayPolicy(FleetEpactPolicy())
 
-    def run(window_batch):
+    def run():
         replay.rewind()
-        sim = DataCenterSimulation(
-            dataset,
-            predictor,
-            replay,
-            fleet=fleet,
-            window_batch=window_batch,
-        )
+        sim = DataCenterSimulation(dataset, predictor, replay, fleet=fleet)
         return sum(r.energy_j for r in sim.run().records)
 
-    # The warm-up pair records the allocation stream once and doubles
-    # as the equivalence witness (per-(chunk, model) super-batch vs the
-    # per-pool per-slot reference).
-    energy_super = run(True)
-    energy_slot = run(False)
-    fast, seed = best_of_pair(
-        lambda: run(True), lambda: run(False), 3
-    )
-    record(results, "hybrid_120", fast, seed)
-    rel = abs(energy_super - energy_slot) / max(abs(energy_slot), 1e-12)
-    results["hybrid_120"]["energy_rel_diff"] = rel
-    print(f"    hybrid superbatch-vs-per-slot energy rel diff: {rel:.2e}")
+    # The warm-up run records the allocation stream once.
+    run()
+    record(results, "hybrid_120", best_of(run, 3), None)
 
 
 def bench_faults(results):
@@ -716,20 +626,15 @@ def bench_telemetry(results):
 
 
 def bench_serve(results):
-    """Service loop: clean-replay identity, incremental-refresh speedup.
+    """Service loop: clean-replay identity.
 
     Drives the zero-churn 120-VM week through the ``repro-serve``
     operator loop (:func:`repro.serve.serve` draining ``windows()``
     over a clean replay feed) against the batch engine on the true
     traces — the decision stream must not change the answer, so the
     recorded ``energy_rel_diff`` is required to be exactly 0.0 and the
-    bench exits non-zero otherwise.  Also times the incremental
-    Hannan-Rissanen refresh (:class:`IncrementalDayAheadForecaster`,
-    ``refit_every_days=7``) against the daily full re-fit
-    (``refit_every_days=1``) over the forecastable days and records
-    the ``incremental_speedup``.
+    bench exits non-zero otherwise.
     """
-    from repro.serve import IncrementalDayAheadForecaster
     from repro.serve.service import ServeConfig, serve
 
     config = ServeConfig(
@@ -781,25 +686,6 @@ def bench_serve(results):
         )
         sys.exit(1)
 
-    def forecast_all(refit_every):
-        inc = IncrementalDayAheadForecaster(
-            dataset, refit_every_days=refit_every
-        )
-        for day in range(7, dataset.n_days):
-            inc.forecast_day(day)
-
-    inc_s, refit_s = best_of_pair(
-        lambda: forecast_all(7), lambda: forecast_all(1), 3
-    )
-    speedup = round(refit_s / inc_s, 2)
-    results["serve_replay_120"]["incremental_s"] = round(inc_s, 4)
-    results["serve_replay_120"]["daily_refit_s"] = round(refit_s, 4)
-    results["serve_replay_120"]["incremental_speedup"] = speedup
-    print(
-        f"    incremental refresh {inc_s:8.3f}s vs daily re-fit "
-        f"{refit_s:8.3f}s  ({speedup:.2f}x)"
-    )
-
 
 def bench_cloud(results):
     """Online cloud churn scenario (PR 3)."""
@@ -810,7 +696,7 @@ def bench_cloud(results):
     for day in range(7, dataset.n_days):
         predictor.forecast_day(day)
 
-    def run(window_batch, policy):
+    def run(policy):
         sim = CloudSimulation(
             dataset,
             predictor,
@@ -818,29 +704,14 @@ def bench_cloud(results):
             schedule,
             max_servers=120,
             n_slots=48,
-            window_batch=window_batch,
         )
         return sum(r.energy_j for r in sim.run().records)
 
-    def day_ahead():
-        return CoatPolicy(reallocation_period_slots=24)
-
-    # The warm-up pair doubles as the equivalence witness.
-    energy_batch = run(True, day_ahead())
-    energy_slot = run(False, day_ahead())
-    fast, seed = best_of_pair(
-        lambda: run(True, day_ahead()),
-        lambda: run(False, day_ahead()),
-        3,
-    )
-    record(results, "cloud_churn_120", fast, seed)
-    rel = abs(energy_batch - energy_slot) / max(abs(energy_slot), 1e-12)
-    results["cloud_churn_120"]["energy_rel_diff"] = rel
-    print(f"    window-batch-vs-per-slot energy rel diff: {rel:.2e}")
-
-    online = best_of(lambda: run(True, OnlineReactivePolicy()), 3)
+    fast = best_of(lambda: run(CoatPolicy(reallocation_period_slots=24)), 3)
+    record(results, "cloud_churn_120", fast, None)
+    online = best_of(lambda: run(OnlineReactivePolicy()), 3)
     results["cloud_churn_120"]["online_reactive_s"] = round(online, 4)
-    print(f"    ONLINE-REACTIVE fast path: {online:8.3f}s")
+    print(f"    ONLINE-REACTIVE: {online:8.3f}s")
 
 
 def record(results, name, fast_s, seed_s):
@@ -1011,10 +882,8 @@ def main():
     bench_forecasting(results)
     print("full simulation:")
     bench_simulation(results)
-    print("window-batched engine / scenario layer:")
-    bench_window_batch(results, args.jobs)
-    print("horizon-concatenated accounting:")
-    bench_superbatch(results)
+    print("scenario layer (three policies):")
+    bench_run_policies(results, args.jobs)
     print("heterogeneous fleet:")
     bench_hybrid(results)
     print("fault layer (zero-event overhead):")
@@ -1025,7 +894,7 @@ def main():
     bench_cloud(results)
     print("telemetry layer (streaming overhead):")
     bench_telemetry(results)
-    print("service loop (serve replay + incremental forecasts):")
+    print("service loop (serve replay):")
     bench_serve(results)
     print("sharded allocation (5k VMs):")
     bench_sharded(results)

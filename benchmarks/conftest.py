@@ -17,22 +17,6 @@ from repro.power import ntc_server_power_model
 from repro.traces import default_dataset
 
 
-def pytest_configure(config):
-    """Register the ``smokebench`` marker (single registry).
-
-    This conftest is loaded by every invocation that can collect the
-    marker's users (the root `pytest` run, `pytest benchmarks/` and the
-    `-c benchmarks/bench.ini` harness run), so the marker is defined in
-    exactly one place — the duplicated ``markers`` ini sections used to
-    let the root and benchmark configurations drift.
-    """
-    config.addinivalue_line(
-        "markers",
-        "smokebench: timing smoke checks comparing fast paths to their"
-        " references",
-    )
-
-
 @pytest.fixture(scope="session")
 def bench_dataset():
     """Reduced-scale evaluation traces shared by the DC benchmarks."""

@@ -16,14 +16,13 @@ The package is organized by substrate (see DESIGN.md):
 * :mod:`repro.cloud` — online cloud simulation (VM churn, reactive
   consolidation, scenario registry, SLA metrics, degraded-telemetry
   streaming)
-* :mod:`repro.serve` — live-operator service mode (incremental
-  forecasts, collector adapters, the ``repro-serve`` decision stream)
+* :mod:`repro.serve` — live-operator service mode (collector
+  adapters, the ``repro-serve`` decision stream)
 * :mod:`repro.experiments` — one module per paper table/figure
 
 ``from repro import ...`` is the documented import path for the
 supported surface below (engines, configs, policies, runners, serve
-entry points); moved names keep working through deprecation-warning
-shims at their old locations.
+entry points).
 
 Quick start::
 
@@ -54,13 +53,14 @@ from .core import (
     EpactPolicy,
     OnlinePolicy,
 )
-from .cloud.streaming import StreamingCloudSimulation, WindowDecision
+from .cloud.streaming import StreamingCloudSimulation
 from .dcsim import (
     CloudSimulation,
     DataCenterSimulation,
     SimulationConfig,
     SimulationResult,
     StreamingConfig,
+    WindowDecision,
     inspect_slot,
     run_cloud_policies,
     run_geo_policies,
@@ -86,7 +86,6 @@ from .power import (
     ntc_psu,
     ntc_server_power_model,
 )
-from .serve import IncrementalDayAheadForecaster
 from .serve.service import ServeConfig, serve
 from .traces import (
     ClusterTraceGenerator,
@@ -120,7 +119,6 @@ __all__ = [
     "FfdPolicy",
     "ForecastError",
     "GeneratorConfig",
-    "IncrementalDayAheadForecaster",
     "InfeasibleError",
     "LoadBalancePolicy",
     "MemoryClass",

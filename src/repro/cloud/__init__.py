@@ -7,9 +7,8 @@ decisions are made online under SLA pressure.  It ties together
 
 * the lifecycle substrate (:mod:`repro.traces.lifecycle`) — seeded
   Poisson/heavy-tailed arrival, departure and resize schedules;
-* the churn-aware engine (:mod:`repro.dcsim.cloud`) — window-batched
-  accounting over time-varying active sets, bit-identical to the
-  per-slot reference;
+* the churn-aware engine (:mod:`repro.dcsim.cloud`) — the engine's
+  window loop over time-varying active sets;
 * the online policies (:mod:`repro.baselines.online`) — placement on
   arrival plus threshold-/forecast-driven reactive consolidation,
   comparable head-to-head with the paper's day-ahead EPACT;
@@ -41,6 +40,7 @@ Quick start::
 from ..baselines.online import OnlineBestFitPolicy, OnlineReactivePolicy
 from ..core.online import CloudAllocationContext, OnlinePolicy
 from ..dcsim.cloud import CloudSimulation, run_cloud_policies
+from ..dcsim.engine import WindowDecision
 from ..serve.adapters import poll_with_retry
 from ..traces.lifecycle import (
     ChurnConfig,
@@ -85,11 +85,7 @@ from .telemetry import (
     list_telemetry_scenarios,
     zero_telemetry_faults,
 )
-from .streaming import (
-    StreamingCloudSimulation,
-    WindowDecision,
-    run_streaming_policies,
-)
+from .streaming import StreamingCloudSimulation, run_streaming_policies
 
 __all__ = [
     "FAULT_SCENARIOS",

@@ -86,11 +86,11 @@ class SlaSummary:
 def summarize(result: SimulationResult) -> SlaSummary:
     """Condense a cloud run into an SLA summary.
 
-    The per-VM-slot rates need the population series only the cloud
-    engine tracks; for a fixed-population
-    :class:`~repro.dcsim.engine.DataCenterSimulation` run (every
-    ``n_active_vms`` zero) those fields come back ``NaN`` — rendered as
-    ``n/a`` by :func:`sla_table` — rather than a silently wrong 0.
+    The per-VM-slot rates divide by the population series
+    (``n_active_vms``, filled by every engine); records without one
+    (every ``n_active_vms`` zero) report those fields as ``NaN`` —
+    rendered as ``n/a`` by :func:`sla_table` — rather than a silently
+    wrong 0.
     """
     server_samples = int(
         result.active_servers_per_slot.sum() * SAMPLES_PER_SLOT

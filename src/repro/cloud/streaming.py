@@ -2,10 +2,10 @@
 
 :class:`StreamingCloudSimulation` turns the batch
 :class:`~repro.dcsim.cloud.CloudSimulation` into the windowed driver
-ROADMAP item 2 asks for: instead of planning from the pre-known trace
-week, every allocation window first *ingests* — each collector is
-polled once per elapsed slot (bounded retry/backoff,
-:func:`~repro.cloud.telemetry.poll_with_retry`), deliveries pass the
+of an operator: instead of planning from the pre-known trace week,
+every allocation window first *ingests* — each collector is polled
+once per elapsed slot (bounded retry/backoff,
+:func:`~repro.serve.adapters.poll_with_retry`), deliveries pass the
 imputation/quality stage (:class:`~repro.cloud.telemetry.TelemetryIngest`)
 — and then *decides* from whatever rung of the forecast-staleness
 fallback ladder (:class:`~repro.cloud.telemetry.ForecastLadder`) the
@@ -26,31 +26,26 @@ runs on the true traces, so the energy/SLA cost of flying blind is
 measured, not assumed.  With lossless telemetry every input is
 bit-identical to the batch engine's, which is the equivalence the
 telemetry test-suite asserts (and a ``telemetry=None`` run uses the
-caller's predictor directly, exercising only the windowed driver).
+caller's predictor directly).
 
-The windowed driver also brings **checkpoint/resume**: accounting is
-eager (``superbatch`` is forced off), so at any window boundary the
-complete run state — records so far, policy, previous placement,
-collector cursors, ingest buffers, ladder cache — is a picklable
-snapshot.  A run resumed from a snapshot is bit-identical to the
-uninterrupted run, because nothing downstream of the snapshot consults
-a clock or an unseeded RNG.
+The class runs the engine's single window loop
+(:meth:`~repro.dcsim.engine.DataCenterSimulation.windows`) and only
+fills in its hooks: ingest and the forecast ladder before each
+decision, the blind-freeze allocation, the telemetry record fields
+and **checkpoint/resume** after each window.  Accounting is per slot
+and eager, so at any window boundary the complete run state — the
+loop state (records so far, previous placement), policy, collector
+cursors, ingest buffers, ladder cache — is a picklable snapshot.  A
+run resumed from a snapshot is bit-identical to the uninterrupted run,
+because nothing downstream of the snapshot consults a clock or an
+unseeded RNG.
 
-Two service-mode extensions (PR 10) ride on the same loop:
-
-* **live collectors** — ``collectors=`` accepts any sequence of
-  :class:`~repro.serve.adapters.CollectorAdapter` implementations
-  (synthetic push, HTTP feed, ...) in place of the replay
-  ``telemetry=`` schedule; poll/timeout/retry semantics are unchanged.
-* **incremental forecasts** — ``incremental_forecasts=True`` swaps the
-  ladder's internal batch predictor for the
-  :class:`~repro.serve.incremental.IncrementalDayAheadForecaster`,
-  which refreshes the Hannan-Rissanen fit day-over-day instead of
-  re-fitting from scratch (full re-fit kept callable as the oracle).
-
-:meth:`StreamingCloudSimulation.windows` exposes the loop one decision
-at a time for operator front ends (``repro.serve.service``); ``run()``
-simply drains it.
+``collectors=`` accepts any sequence of live
+:class:`~repro.serve.adapters.CollectorAdapter` implementations
+(synthetic push, HTTP feed, ...) in place of the replay ``telemetry=``
+schedule; poll/timeout/retry semantics are unchanged.  ``windows()``
+exposes the loop one :class:`~repro.dcsim.engine.WindowDecision` at a
+time for operator front ends (``repro.serve.service``).
 """
 
 from __future__ import annotations
@@ -58,81 +53,27 @@ from __future__ import annotations
 import copy
 import os
 import pickle
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.online import OnlinePolicy
 from ..core.types import Allocation, AllocationPolicy, ServerPlan
 from ..errors import ConfigurationError
 from ..serve.adapters import CollectorAdapter, poll_with_retry
-from ..serve.incremental import IncrementalDayAheadForecaster
 from ..traces.dataset import TraceDataset
 from ..traces.lifecycle import LifecycleSchedule
 from ..units import SAMPLES_PER_SLOT, SLOTS_PER_DAY
 from ..dcsim.cloud import CloudSimulation
-from ..dcsim.engine import count_migrations
-from ..dcsim.metrics import SimulationResult, SlotRecord
+from ..dcsim.engine import _LoopState, _Observation
+from ..dcsim.metrics import SimulationResult
 from .telemetry import (
+    RUNG_BLIND,
     RUNG_STALE,
     ForecastLadder,
     TelemetryFaultSchedule,
     TelemetryIngest,
     TraceCollector,
 )
-
-
-@dataclass(frozen=True)
-class WindowDecision:
-    """One allocation window's decision, as seen by an operator.
-
-    Yielded by :meth:`StreamingCloudSimulation.windows` after the
-    window has been planned *and* accounted — every field is final.
-    This is the payload the ``repro.serve`` service loop turns into
-    ``decision_*`` tracer events.
-
-    Attributes:
-        slot: first slot of the window.
-        n_window: window length in slots.
-        case: the engine case chosen (``"blind-freeze"`` on the
-            reactive-only rung; ``""`` for an empty cloud).
-        rung: the forecast ladder rung this window planned from
-            (``None`` when the telemetry layer is disabled or the
-            cloud is empty — no ladder consultation happened).
-        blind: the window froze the previous placement.
-        stale: the window planned from an aged forecast.
-        n_active_vms: VMs active in the window.
-        arrivals: VMs that arrived at the window boundary.
-        departures: VMs that departed at the window boundary.
-        migrations: VM moves relative to the previous placement.
-        active_servers: servers powered on.
-        forced_placements: placements that violated the policy's
-            preferred packing (capacity pressure).
-        collectors_down: collectors dark at the window's first slot.
-        imputed_samples: imputed samples in the last observed slot.
-        energy_j: total energy accounted to the window.
-        violations: SLA violation count accounted to the window.
-        checkpointed: a run snapshot was taken at this boundary.
-    """
-
-    slot: int
-    n_window: int
-    case: str
-    rung: Optional[str]
-    blind: bool
-    stale: bool
-    n_active_vms: int
-    arrivals: int
-    departures: int
-    migrations: int
-    active_servers: int
-    forced_placements: int
-    collectors_down: int
-    imputed_samples: int
-    energy_j: float
-    violations: int
-    checkpointed: bool
 
 
 class _LadderPredictor:
@@ -184,7 +125,7 @@ class StreamingCloudSimulation(CloudSimulation):
     batch :class:`~repro.dcsim.cloud.CloudSimulation` supports — churn,
     resizes, heterogeneous fleets, infrastructure faults — runs
     unchanged underneath; this class only swaps where the *decision
-    inputs* come from and accounts the windows as they arrive.
+    inputs* come from and checkpoints between windows.
 
     Args:
         dataset: true utilization traces (accounting ground truth, and
@@ -225,17 +166,7 @@ class StreamingCloudSimulation(CloudSimulation):
             retry/backoff loop the replay collectors use.  Mutually
             exclusive with ``telemetry`` (replay builds its own
             :class:`~repro.cloud.telemetry.TraceCollector` set).
-        incremental_forecasts: route the ladder's fresh rung through
-            the :class:`~repro.serve.incremental.IncrementalDayAheadForecaster`
-            (day-over-day Hannan-Rissanen refresh) instead of the full
-            daily re-fit.  Requires a telemetry stream (``telemetry=``
-            or ``collectors=``).
-        refit_every_days: incremental mode's epoch length — a full
-            oracle re-fit at least this often (see the forecaster).
-        **kwargs: forwarded to the batch engine.  ``superbatch`` is
-            forced off — streaming accounts windows eagerly so a
-            checkpoint never holds deferred accounting (the accounting
-            tiers are bit-identical, so results do not change).
+        **kwargs: forwarded to the batch engine.
     """
 
     _ENGINE_NAME = "streaming"
@@ -257,11 +188,8 @@ class StreamingCloudSimulation(CloudSimulation):
         checkpoint_every_slots: Optional[int] = None,
         checkpoint_path: Optional[str] = None,
         collectors: Optional[Sequence[CollectorAdapter]] = None,
-        incremental_forecasts: bool = False,
-        refit_every_days: int = 7,
         **kwargs,
     ):
-        kwargs["superbatch"] = False
         super().__init__(dataset, predictor, policy, schedule, **kwargs)
         if blind_after_slots < 1:
             raise ConfigurationError(
@@ -289,13 +217,6 @@ class StreamingCloudSimulation(CloudSimulation):
                 "TraceCollector set, a live feed brings its own "
                 "adapters"
             )
-        if incremental_forecasts and telemetry is None and collectors is None:
-            raise ConfigurationError(
-                "incremental_forecasts requires a telemetry stream "
-                "(telemetry= or collectors=): without one the engine "
-                "plans from the caller's batch predictor, which has "
-                "nothing to update day-over-day"
-            )
         self._telemetry = telemetry
         self._blind_after = int(blind_after_slots)
         self._poll_retries = int(poll_retries)
@@ -307,7 +228,7 @@ class StreamingCloudSimulation(CloudSimulation):
         #: checkpoint boundary); pass one to :meth:`restore`.
         self.checkpoints: List[dict] = []
         self._resume_state: Optional[dict] = None
-        self._result: Optional[SimulationResult] = None
+        self._next_ckpt = 0
 
         self._collectors: List[CollectorAdapter] = []
         self._ingest: Optional[TelemetryIngest] = None
@@ -346,15 +267,6 @@ class StreamingCloudSimulation(CloudSimulation):
         self._ingest = TelemetryIngest(
             dataset, cold_start_util_pct=cold_start_util_pct
         )
-        ladder_predictor = None
-        if incremental_forecasts:
-            ladder_predictor = IncrementalDayAheadForecaster(
-                self._ingest.observed_dataset,
-                history_days=getattr(predictor, "history_days", 7),
-                factory=getattr(predictor, "_factory", None),
-                clip_range=getattr(predictor, "_clip", (0.0, 100.0)),
-                refit_every_days=refit_every_days,
-            )
         self._ladder = ForecastLadder(
             self._ingest,
             history_days=getattr(predictor, "history_days", 7),
@@ -362,7 +274,6 @@ class StreamingCloudSimulation(CloudSimulation):
             staleness_budget_slots=staleness_budget_slots,
             factory=getattr(predictor, "_factory", None),
             clip_range=getattr(predictor, "_clip", (0.0, 100.0)),
-            predictor=ladder_predictor,
         )
         self._ladder.tracer = self._tracer
         # The engine plans through the ladder from here on; the user's
@@ -479,7 +390,110 @@ class StreamingCloudSimulation(CloudSimulation):
             shed_vm_ids=[],
         )
 
+    # -- loop hooks ----------------------------------------------------
+
+    def _observe(
+        self, slot: int, n_window: int, active: np.ndarray, state
+    ) -> _Observation:
+        """Ingest up to ``slot``, then pick the window's ladder rung."""
+        stream = self._ingest is not None
+        if stream:
+            self._ingest_to(slot)
+        # A live feed has no fault schedule to consult; dropout shows
+        # up as timeouts (poll_retry events), not here.
+        down = (
+            tuple(
+                self._telemetry.down_collectors(s)
+                for s in range(slot, slot + n_window)
+            )
+            if self._telemetry is not None
+            else ()
+        )
+        if not (stream and active.size):
+            return _Observation(down=down)
+        self._ladder_begin(slot)
+        imputed = 0
+        if slot >= 1:
+            imputed = self._ingest.missing_count(
+                active,
+                (slot - 1) * SAMPLES_PER_SLOT,
+                slot * SAMPLES_PER_SLOT,
+            )
+        # Reactive-only rung: the stream has been dark for longer than
+        # the blind budget and there is a placement to freeze.
+        blind = (
+            state.prev_alloc is not None
+            and slot - self._ingest.newest_delivery_slot
+            > self._blind_after
+        )
+        rung = RUNG_BLIND if blind else self._window_rung
+        if self._tracer.enabled:
+            self._tracer.emit(
+                "telemetry_window",
+                slot=slot,
+                rung=rung,
+                imputed_samples=imputed,
+                collectors_down=down[0] if down else 0,
+                blind=blind,
+            )
+        return _Observation(
+            rung=rung,
+            blind=blind,
+            stale=not blind and self._window_rung == RUNG_STALE,
+            imputed=imputed,
+            down=down,
+        )
+
+    def _decide(
+        self, slot, n_window, active, scale, fault, obs, state
+    ) -> Allocation:
+        if obs.blind:
+            return self._blind_allocation(
+                state.prev_alloc, state.prev_active, active
+            )
+        return super()._decide(
+            slot, n_window, active, scale, fault, obs, state
+        )
+
+    def _begin_run(self) -> _LoopState:
+        """A fresh loop state, or the one a :meth:`restore` armed."""
+        resume, self._resume_state = self._resume_state, None
+        self.checkpoints = []
+        if resume is None:
+            state = super()._begin_run()
+        else:
+            self._apply_state(resume)
+            state = resume["loop"].copy()
+        if self._ckpt_every is not None:
+            self._next_ckpt = self._following_checkpoint(state.slot)
+        return state
+
+    def _after_window(self, state: _LoopState) -> bool:
+        """Snapshot the run at the first boundary past each cadence."""
+        if self._ckpt_every is None or state.slot < self._next_ckpt:
+            return False
+        snapshot = self._snapshot(state)
+        self.checkpoints.append(snapshot)
+        if self._ckpt_path is not None:
+            self._write_checkpoint(snapshot)
+        if self._tracer.enabled:
+            self._tracer.emit(
+                "checkpoint",
+                slot=state.slot,
+                n_records=len(state.records),
+                persisted=self._ckpt_path is not None,
+            )
+        self._next_ckpt = self._following_checkpoint(state.slot)
+        return True
+
     # -- checkpoint/resume ---------------------------------------------
+
+    def _following_checkpoint(self, slot: int) -> int:
+        """The first checkpoint cadence multiple after ``slot``."""
+        every = self._ckpt_every
+        return self._start_slot + every * (
+            (slot - self._start_slot) // every + 1
+        )
 
     def restore(self, source) -> None:
         """Arm the next :meth:`run` to resume from a snapshot.
@@ -493,27 +507,10 @@ class StreamingCloudSimulation(CloudSimulation):
                 source = pickle.load(fh)
         self._resume_state = source
 
-    def _snapshot(
-        self,
-        next_slot: int,
-        records: List[SlotRecord],
-        prev_active,
-        prev_alloc,
-        prev_ids,
-        prev_map,
-        prev_pools,
-        prev_fw,
-    ) -> dict:
+    def _snapshot(self, state: _LoopState) -> dict:
         stream = self._ingest is not None
         return {
-            "next_slot": int(next_slot),
-            "records": list(records),
-            "prev_active": None if prev_active is None else prev_active.copy(),
-            "prev_alloc": copy.deepcopy(prev_alloc),
-            "prev_ids": None if prev_ids is None else prev_ids.copy(),
-            "prev_map": None if prev_map is None else prev_map.copy(),
-            "prev_pools": None if prev_pools is None else prev_pools.copy(),
-            "prev_fw": prev_fw,
+            "loop": state.copy(),
             "policy": copy.deepcopy(self._policy),
             "ingested_until": self._ingested_until,
             "collectors": (
@@ -545,308 +542,6 @@ class StreamingCloudSimulation(CloudSimulation):
                 collector.restore(cstate)
             self._ingest.restore(state["ingest"])
             self._ladder.restore(state["ladder"])
-
-    # -- the windowed driver -------------------------------------------
-
-    @property
-    def result(self) -> SimulationResult:
-        """The last completed run's result.
-
-        Available after :meth:`run` returns or after a
-        :meth:`windows` generator has been exhausted.
-        """
-        if self._result is None:
-            raise ConfigurationError(
-                "no completed run: the result is available after run() "
-                "returns or the windows() generator is exhausted"
-            )
-        return self._result
-
-    def run(self) -> SimulationResult:
-        """Stream the horizon: ingest, decide, account, checkpoint."""
-        for _ in self.windows():
-            pass
-        return self.result
-
-    def windows(self) -> Iterator[WindowDecision]:
-        """Stream the horizon one allocation window at a time.
-
-        Yields a final (planned *and* accounted) :class:`WindowDecision`
-        per window — the operator-facing form of the loop :meth:`run`
-        drains.  Checkpoints are taken at the same boundaries, so a
-        consumer may stop mid-stream and resume later.  When the
-        generator is exhausted the full :class:`SimulationResult` is
-        available on :attr:`result`.
-        """
-        stream = self._ingest is not None
-        resume = self._resume_state
-        self._resume_state = None
-        self.checkpoints = []
-        self._result = None
-        if resume is not None:
-            self._apply_state(resume)
-            records: List[SlotRecord] = list(resume["records"])
-            slot = int(resume["next_slot"])
-            prev_active = resume["prev_active"]
-            prev_alloc = copy.deepcopy(resume["prev_alloc"])
-            prev_ids = resume["prev_ids"]
-            prev_map = resume["prev_map"]
-            prev_pools = resume["prev_pools"]
-            prev_fw = resume["prev_fw"]
-        else:
-            if isinstance(self._policy, OnlinePolicy):
-                self._policy.reset()
-            records = []
-            slot = self._start_slot
-            prev_active = prev_alloc = None
-            prev_ids = prev_map = prev_pools = prev_fw = None
-
-        self._trace_run_start()
-        period = max(1, int(self._policy.reallocation_period_slots))
-        sched = self._schedule
-        end = self._start_slot + self._n_slots
-        if self._ckpt_every is not None:
-            every = self._ckpt_every
-            next_ckpt = (
-                self._start_slot
-                + every * ((slot - self._start_slot) // every + 1)
-            )
-        while slot < end:
-            active = sched.active_ids(slot)
-            n_window = min(
-                period, end - slot, max(1, sched.next_change(slot) - slot)
-            )
-            fw = None
-            if self._faults is not None:
-                n_window = min(
-                    n_window,
-                    max(1, self._faults.next_change(slot) - slot),
-                )
-                fw = self._fault_window(slot)
-            if stream:
-                self._ingest_to(slot)
-            arrivals = departures = 0
-            if prev_ids is not None:
-                arrivals = int(
-                    np.setdiff1d(active, prev_ids, assume_unique=True).size
-                )
-                departures = int(
-                    np.setdiff1d(prev_ids, active, assume_unique=True).size
-                )
-
-            blind = False
-            imputed = 0
-            stale = False
-            if self._telemetry is not None:
-                down = [
-                    self._telemetry.down_collectors(s)
-                    for s in range(slot, slot + n_window)
-                ]
-            else:
-                # A live feed has no fault schedule to consult; dropout
-                # shows up as timeouts (poll_retry events), not here.
-                down = [0] * n_window
-
-            if active.size == 0:
-                # Empty cloud: every server off, nothing to place.
-                window_records = [
-                    SlotRecord(
-                        slot_index=s,
-                        case="",
-                        n_active_servers=0,
-                        violations=0,
-                        forced_placements=0,
-                        energy_j=0.0,
-                        mean_freq_ghz=0.0,
-                        f_opt_ghz=0.0,
-                        n_failed_servers=fw.n_failed if fw else 0,
-                    )
-                    for s in range(slot, slot + n_window)
-                ]
-                n_active_vms = 0
-                migrations = 0
-                case = ""
-                active_servers = forced = 0
-                prev_ids = active
-                prev_map = np.empty(0, dtype=int)
-                prev_pools = None
-                prev_active = active
-                prev_alloc = None
-            else:
-                if stream:
-                    self._ladder_begin(slot)
-                    stale = self._window_rung == RUNG_STALE
-                    if slot >= 1:
-                        imputed = self._ingest.missing_count(
-                            active,
-                            (slot - 1) * SAMPLES_PER_SLOT,
-                            slot * SAMPLES_PER_SLOT,
-                        )
-                    # Reactive-only rung: the stream has been dark for
-                    # longer than the blind budget and there is a
-                    # placement to freeze.
-                    blind = (
-                        prev_alloc is not None
-                        and slot - self._ingest.newest_delivery_slot
-                        > self._blind_after
-                    )
-                scale = sched.scale_at(slot)
-                scale_loc = (
-                    None
-                    if scale is None
-                    else (scale[0][active], scale[1][active])
-                )
-                if stream and self._tracer.enabled:
-                    self._tracer.emit(
-                        "telemetry_window",
-                        slot=slot,
-                        rung=(
-                            "reactive-only" if blind else self._window_rung
-                        ),
-                        imputed_samples=imputed,
-                        collectors_down=down[0],
-                        blind=blind,
-                    )
-                if blind:
-                    allocation = self._blind_allocation(
-                        prev_alloc, prev_active, active
-                    )
-                    stale = False
-                else:
-                    ctx = self._cloud_context(
-                        slot, n_window, active, scale_loc, fw
-                    )
-                    with self._metrics.phase("policy"):
-                        allocation = self._policy.allocate(ctx)
-                with self._metrics.phase("allocate"):
-                    acct = self._prepare_allocation(
-                        allocation,
-                        vm_rows=active,
-                        scale=scale_loc,
-                        fault=fw,
-                        fault_boundary=fw != prev_fw,
-                    )
-                migrations = 0
-                if prev_ids is not None and prev_ids.size:
-                    common, ia, ib = np.intersect1d(
-                        prev_ids,
-                        acct.vm_rows,
-                        assume_unique=True,
-                        return_indices=True,
-                    )
-                    if common.size:
-                        migrations = count_migrations(
-                            prev_map[ia],
-                            acct.vm2srv[ib],
-                            previous_pools=prev_pools,
-                            new_pools=acct.pool_idx,
-                        )
-                self._trace_window(
-                    slot,
-                    n_window,
-                    allocation,
-                    acct,
-                    migrations,
-                    n_active_vms=int(active.size),
-                    arrivals=arrivals,
-                    departures=departures,
-                )
-                with self._metrics.phase("account"):
-                    if self._window_batch:
-                        window_records = self._account_window(
-                            slot, n_window, allocation, acct, migrations
-                        )
-                    else:
-                        window_records = [
-                            self._account_slot(
-                                s,
-                                allocation,
-                                acct,
-                                migrations if s == slot else 0,
-                            )
-                            for s in range(slot, slot + n_window)
-                        ]
-                n_active_vms = int(active.size)
-                case = allocation.case
-                active_servers = window_records[0].n_active_servers
-                forced = window_records[0].forced_placements
-                prev_ids = acct.vm_rows
-                prev_map = acct.vm2srv
-                prev_pools = acct.pool_idx
-                prev_active = active
-                prev_alloc = allocation
-            records.extend(
-                replace(
-                    rec,
-                    n_active_vms=n_active_vms,
-                    arrivals=arrivals if i == 0 else 0,
-                    departures=departures if i == 0 else 0,
-                    collectors_down=down[i],
-                    imputed_samples=imputed if i == 0 else 0,
-                    stale_forecast=1 if stale and i == 0 else 0,
-                    blind_window=1 if blind and i == 0 else 0,
-                )
-                for i, rec in enumerate(window_records)
-            )
-            if fw != prev_fw:
-                self._trace_fault_transition(slot, fw)
-            prev_fw = fw
-            window_start = slot
-            slot += n_window
-            checkpointed = False
-            if self._ckpt_every is not None and slot >= next_ckpt:
-                state = self._snapshot(
-                    slot,
-                    records,
-                    prev_active,
-                    prev_alloc,
-                    prev_ids,
-                    prev_map,
-                    prev_pools,
-                    prev_fw,
-                )
-                self.checkpoints.append(state)
-                checkpointed = True
-                if self._ckpt_path is not None:
-                    self._write_checkpoint(state)
-                if self._tracer.enabled:
-                    self._tracer.emit(
-                        "checkpoint",
-                        slot=slot,
-                        n_records=len(records),
-                        persisted=self._ckpt_path is not None,
-                    )
-                next_ckpt = (
-                    self._start_slot
-                    + every * ((slot - self._start_slot) // every + 1)
-                )
-            yield WindowDecision(
-                slot=window_start,
-                n_window=n_window,
-                case=case,
-                rung=(
-                    ("reactive-only" if blind else self._window_rung)
-                    if stream and n_active_vms
-                    else None
-                ),
-                blind=blind,
-                stale=stale,
-                n_active_vms=n_active_vms,
-                arrivals=arrivals,
-                departures=departures,
-                migrations=migrations,
-                active_servers=active_servers,
-                forced_placements=forced,
-                collectors_down=down[0],
-                imputed_samples=imputed,
-                energy_j=float(sum(r.energy_j for r in window_records)),
-                violations=int(sum(r.violations for r in window_records)),
-                checkpointed=checkpointed,
-            )
-        result = SimulationResult(policy_name=self._policy.name)
-        result.records.extend(records)
-        self._result = result
-        self._trace_run_end(result)
 
 
 def _run_one_streaming_policy(

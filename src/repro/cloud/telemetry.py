@@ -23,7 +23,7 @@ and go entirely dark while a collector restarts.  This module provides
   pioneered — ``collector_id`` / ``poll`` / ``state`` / ``restore`` —
   is now :class:`repro.serve.adapters.CollectorAdapter`, home of the
   live (non-replay) adapters and of ``TelemetryBatch`` /
-  ``poll_with_retry`` (deprecation shims here re-export both);
+  ``poll_with_retry``;
 * :class:`TelemetryIngest` — the imputation/quality stage: delivered
   samples are validated (finite, within [0, 100]) into observation
   buffers; reads fill gaps by last-observation-carried-forward at
@@ -50,7 +50,6 @@ suite asserts bit-identity against runs without the telemetry layer.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -58,31 +57,9 @@ import numpy as np
 
 from ..errors import CollectorTimeoutError, ConfigurationError
 from ..forecast import DayAheadPredictor
-from ..serve.adapters import TelemetryBatch as _TelemetryBatch
+from ..serve.adapters import TelemetryBatch
 from ..traces.dataset import TraceDataset
 from ..units import SAMPLES_PER_DAY, SAMPLES_PER_SLOT, SLOTS_PER_DAY
-
-#: Names that moved to :mod:`repro.serve.adapters` when the collector
-#: protocol grew live (non-replay) implementations; module
-#: ``__getattr__`` below keeps the old import path working with a
-#: :class:`DeprecationWarning`.
-_MOVED_TO_SERVE = ("TelemetryBatch", "poll_with_retry")
-
-
-def __getattr__(name: str):
-    if name in _MOVED_TO_SERVE:
-        warnings.warn(
-            f"repro.cloud.telemetry.{name} moved to repro.serve.adapters"
-            f" — update the import; this shim will be removed",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from ..serve import adapters
-
-        return getattr(adapters, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
 
 #: (collector_id, start_slot, end_slot) — collector down for slots
 #: [start, end); polls during the window time out.
@@ -660,7 +637,7 @@ class TraceCollector:
         """This collector's id within the schedule."""
         return self._id
 
-    def poll(self, slot: int) -> "_TelemetryBatch":
+    def poll(self, slot: int) -> "TelemetryBatch":
         """Everything that became available by the poll at ``slot``.
 
         Raises:
@@ -681,7 +658,7 @@ class TraceCollector:
         hi = int(np.searchsorted(self._avail, slot, side="right"))
         self._cursor = max(lo, hi)
         self._last_success = max(self._last_success, int(slot))
-        return _TelemetryBatch(
+        return TelemetryBatch(
             vm_rows=self._vm_rows[lo : self._cursor],
             samples=self._samples[lo : self._cursor],
             cpu=self._cpu[lo : self._cursor],
@@ -749,7 +726,7 @@ class TelemetryIngest:
         #: (-1 until first delivery): the blind-window detector.
         self.newest_delivery_slot = -1
 
-    def ingest(self, batch: _TelemetryBatch) -> None:
+    def ingest(self, batch: TelemetryBatch) -> None:
         """Validate and store one poll's deliveries."""
         if batch.n_samples == 0:
             return
@@ -915,14 +892,6 @@ class ForecastLadder:
             default); pass the batch predictor's factory so clean
             telemetry reproduces its forecasts bit-exactly.
         clip_range: forecast clip range of the internal predictor.
-        predictor: optional pre-built predictor over
-            ``ingest.observed_dataset`` — e.g. the incremental
-            :class:`repro.serve.incremental.IncrementalDayAheadForecaster`
-            — used instead of constructing a
-            :class:`~repro.forecast.DayAheadPredictor` (``history_days``
-            is then taken from it; ``factory`` / ``clip_range`` are
-            ignored).  If it exposes ``state()`` / ``restore()``, its
-            rolling state rides the ladder's checkpoint snapshots.
     """
 
     def __init__(
@@ -933,7 +902,6 @@ class ForecastLadder:
         staleness_budget_slots: int = 3 * SLOTS_PER_DAY,
         factory=None,
         clip_range: Tuple[float, float] = (0.0, 100.0),
-        predictor=None,
     ) -> None:
         if not 0.0 <= max_imputed_frac <= 1.0:
             raise ConfigurationError(
@@ -951,19 +919,13 @@ class ForecastLadder:
         self._ingest = ingest
         self._max_imputed = float(max_imputed_frac)
         self._budget = int(staleness_budget_slots)
-        if predictor is not None:
-            self._predictor = predictor
-            self._history_days = int(
-                getattr(predictor, "history_days", history_days)
-            )
-        else:
-            self._history_days = int(history_days)
-            self._predictor = DayAheadPredictor(
-                ingest.observed_dataset,
-                history_days=history_days,
-                factory=factory,
-                clip_range=clip_range,
-            )
+        self._history_days = int(history_days)
+        self._predictor = DayAheadPredictor(
+            ingest.observed_dataset,
+            history_days=history_days,
+            factory=factory,
+            clip_range=clip_range,
+        )
         # day -> (rung, cpu_day, mem_day); arrays are None on the
         # "no usable forecast" rung.
         self._days: Dict[int, Tuple[str, object, object]] = {}
@@ -1004,20 +966,11 @@ class ForecastLadder:
     # -- checkpoint ----------------------------------------------------
 
     def state(self) -> Dict[str, object]:
-        """Snapshot of the day-decision cache.
-
-        When the predictor itself is stateful (the incremental
-        forecaster's rolling epoch), its snapshot rides along so a
-        resumed run refits exactly where the original would have.
-        """
-        state: Dict[str, object] = {
+        """Snapshot of the day-decision cache."""
+        return {
             "days": dict(self._days),
             "last_fresh_day": self._last_fresh_day,
         }
-        pred_state = getattr(self._predictor, "state", None)
-        if callable(pred_state):
-            state["predictor"] = pred_state()
-        return state
 
     def restore(self, state: Dict[str, object]) -> None:
         """Restore a :meth:`state` snapshot.
@@ -1028,8 +981,3 @@ class ForecastLadder:
         """
         self._days = dict(state["days"])
         self._last_fresh_day = int(state["last_fresh_day"])
-        pred_state = state.get("predictor")
-        if pred_state is not None:
-            restore = getattr(self._predictor, "restore", None)
-            if callable(restore):
-                restore(pred_state)

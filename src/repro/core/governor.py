@@ -47,18 +47,6 @@ class DvfsGovernor:
         idx = np.searchsorted(self._freqs, floors - _EPS, side="left")
         return np.clip(idx, 0, len(self._freqs) - 1)
 
-    def _demand_indices(self, util: np.ndarray) -> np.ndarray:
-        """Lowest OPP covering each element's demand (shared kernel).
-
-        The ``opp_indices*`` entry points differ only in shape checks
-        and the floor broadcast axis; the demand-to-OPP quantization
-        must stay byte-for-byte identical across them for the engine's
-        bit-identity guarantees, so it lives here once.
-        """
-        demand_ghz = util * self._f_max / 100.0
-        idx = np.searchsorted(self._freqs, demand_ghz - _EPS, side="left")
-        return np.clip(idx, 0, len(self._freqs) - 1)
-
     def opp_indices(
         self,
         cpu_util_pct: np.ndarray,
@@ -81,69 +69,11 @@ class DvfsGovernor:
         if np.asarray(floor_ghz).shape != (util.shape[0],):
             raise DomainError("floor_ghz must have one entry per server")
         floor_idx = self.floor_indices(np.asarray(floor_ghz))
-        return np.maximum(self._demand_indices(util), floor_idx[:, None])
-
-    def opp_indices_window(
-        self,
-        cpu_util_pct: np.ndarray,
-        floor_ghz: np.ndarray,
-    ) -> np.ndarray:
-        """Chosen OPP index per (slot, server, sample) of a window batch.
-
-        Elementwise identical to :meth:`opp_indices` applied slot by
-        slot; one call covers a whole allocation window.
-
-        Args:
-            cpu_util_pct: real aggregate utilization, shape
-                ``(n_slots, n_servers, n_samples)``.
-            floor_ghz: per-server QoS frequency floor, shape
-                ``(n_servers,)``.
-        """
-        util = np.asarray(cpu_util_pct, dtype=float)
-        if util.ndim != 3:
-            raise DomainError(
-                "cpu_util_pct must be 3-D (slots, servers, samples)"
-            )
-        if np.asarray(floor_ghz).shape != (util.shape[1],):
-            raise DomainError("floor_ghz must have one entry per server")
-        floor_idx = self.floor_indices(np.asarray(floor_ghz))
-        return np.maximum(
-            self._demand_indices(util), floor_idx[None, :, None]
-        )
-
-    def opp_indices_horizon(
-        self,
-        cpu_util_pct: np.ndarray,
-        floor_ghz: np.ndarray,
-    ) -> np.ndarray:
-        """Chosen OPP index per (slot, server, sample) with per-slot floors.
-
-        The horizon-concatenated engine stacks slots from *different*
-        allocations, whose server counts and QoS floors differ, into one
-        padded tensor; floors therefore arrive per (slot, server).
-        Elementwise identical to :meth:`opp_indices` applied slot by
-        slot with each slot's own floor vector.
-
-        Args:
-            cpu_util_pct: real aggregate utilization, shape
-                ``(n_slots, n_servers, n_samples)``.
-            floor_ghz: per-(slot, server) QoS frequency floor, shape
-                ``(n_slots, n_servers)``.
-        """
-        util = np.asarray(cpu_util_pct, dtype=float)
-        if util.ndim != 3:
-            raise DomainError(
-                "cpu_util_pct must be 3-D (slots, servers, samples)"
-            )
-        floors = np.asarray(floor_ghz, dtype=float)
-        if floors.shape != util.shape[:2]:
-            raise DomainError(
-                "floor_ghz must have one entry per (slot, server)"
-            )
-        floor_idx = self.floor_indices(floors)
-        return np.maximum(
-            self._demand_indices(util), floor_idx[:, :, None]
-        )
+        # Lowest OPP covering each sample's demand, raised to the floor.
+        demand_ghz = util * self._f_max / 100.0
+        idx = np.searchsorted(self._freqs, demand_ghz - _EPS, side="left")
+        idx = np.clip(idx, 0, len(self._freqs) - 1)
+        return np.maximum(idx, floor_idx[:, None])
 
     def fixed_indices(
         self, freq_ghz: float, shape: tuple[int, int]

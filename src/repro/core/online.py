@@ -85,11 +85,16 @@ class OnlinePolicy(AllocationPolicy):
     def require_cloud_context(
         ctx: AllocationContext,
     ) -> CloudAllocationContext:
-        """Narrow the context, with a helpful error outside the cloud."""
+        """Narrow the context, with a helpful error for direct callers.
+
+        Every engine passes a :class:`CloudAllocationContext`; only a
+        caller invoking ``allocate`` by hand can pass a plain one.
+        """
         if not isinstance(ctx, CloudAllocationContext):
             raise ConfigurationError(
-                "online policies need the cloud engine "
-                "(repro.dcsim.CloudSimulation); the fixed-population "
-                "DataCenterSimulation provides no VM identity"
+                "online policies need a CloudAllocationContext (VM "
+                "identity plus the previous slot's observations); the "
+                "simulation engines build one per window — a plain "
+                "AllocationContext carries neither"
             )
         return ctx

@@ -16,7 +16,7 @@ from .cloud import CloudSimulation, run_cloud_policies
 from .config import SimulationConfig, StreamingConfig
 from .engine import (
     DataCenterSimulation,
-    MigrationCounter,
+    WindowDecision,
     count_migrations,
     run_policies,
     shared_predictions,
@@ -46,7 +46,6 @@ from ..shard.geo import run_geo_policies  # noqa: E402
 __all__ = [
     "CloudSimulation",
     "DataCenterSimulation",
-    "MigrationCounter",
     "SimulationConfig",
     "SimulationResult",
     "StreamingConfig",
@@ -56,6 +55,7 @@ __all__ = [
     "SlotDetail",
     "SlotRecord",
     "VectorizedServerPower",
+    "WindowDecision",
     "inspect_slot",
     "active_server_reduction_pct",
     "comparison_table",

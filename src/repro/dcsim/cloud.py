@@ -1,8 +1,10 @@
 """Online cloud simulation: time-varying VM populations under churn.
 
-:class:`CloudSimulation` extends the Section VI-C engine to a cloud
+:class:`CloudSimulation` runs the Section VI-C engine over a cloud
 where VMs arrive, resize and depart mid-horizon (see
-:mod:`repro.traces.lifecycle`):
+:mod:`repro.traces.lifecycle`).  It only supplies the lifecycle
+schedule; the window loop of
+:meth:`~repro.dcsim.engine.DataCenterSimulation.windows` does the rest:
 
 * allocation windows are **cut at membership/resize boundaries** — a
   day-ahead policy's 24-slot window ends early when the population
@@ -12,38 +14,28 @@ where VMs arrive, resize and depart mid-horizon (see
   slot's observed utilization for reactive detectors), so the paper's
   day-ahead policies and the stateful online policies run head-to-head
   on identical information;
-* accounting reuses the engine's window-batched bincount scatter with
-  the membership rows as the scatter's VM set — bit-identical to the
-  per-slot reference (``window_batch=False``), which stays the oracle;
+* accounting scatters only the window's active rows, scaled by the
+  resize factors in force;
 * migrations are counted only over VMs present on *both* sides of a
   boundary (arrivals and departures are not migrations) and can be
   charged via ``migration_energy_j`` as in the base engine.
 
 With a zero-churn :func:`~repro.traces.lifecycle.fixed_schedule` the
-simulation reproduces the fixed-population
-:class:`~repro.dcsim.engine.DataCenterSimulation` results exactly — the
-equivalence the cloud test-suite asserts.
+simulation is exactly the fixed-population
+:class:`~repro.dcsim.engine.DataCenterSimulation` — the schedule that
+engine uses itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable
 
-import numpy as np
-
-from ..core.online import CloudAllocationContext, OnlinePolicy
 from ..core.types import AllocationPolicy
 from ..errors import ConfigurationError
 from ..traces.dataset import TraceDataset
 from ..traces.lifecycle import LifecycleSchedule
-from ..units import SAMPLES_PER_SLOT
-from .engine import (
-    DataCenterSimulation,
-    _WindowTask,
-    count_migrations,
-)
-from .metrics import SimulationResult, SlotRecord
+from .engine import DataCenterSimulation
+from .metrics import SimulationResult
 
 
 class CloudSimulation(DataCenterSimulation):
@@ -85,238 +77,6 @@ class CloudSimulation(DataCenterSimulation):
                 "lifecycle schedule does not cover the simulated horizon"
             )
         self._schedule = schedule
-
-    def run(self) -> SimulationResult:
-        """Simulate the horizon with the time-varying active set.
-
-        With ``superbatch`` (the default) the non-empty windows'
-        accounting is deferred into the engine's horizon-concatenated
-        super-batches — per-window membership rows and resize scales
-        feed the same padded scatter — and the per-window churn
-        metadata (active VMs, arrivals, departures) is stitched back
-        onto the records in horizon order afterwards.
-        """
-        if isinstance(self._policy, OnlinePolicy):
-            self._policy.reset()
-        result = SimulationResult(policy_name=self._policy.name)
-        self._trace_run_start()
-        period = max(1, int(self._policy.reallocation_period_slots))
-        sched = self._schedule
-        prev_ids: Optional[np.ndarray] = None
-        prev_map: Optional[np.ndarray] = None
-        prev_pools: Optional[np.ndarray] = None
-        prev_fw = None
-        # Per window: (n_active_vms, arrivals, departures, records);
-        # ``records is None`` marks a window deferred into ``tasks``.
-        windows: List[tuple] = []
-        tasks: List[_WindowTask] = []
-        slot = self._start_slot
-        end = self._start_slot + self._n_slots
-        while slot < end:
-            active = sched.active_ids(slot)
-            n_window = min(
-                period, end - slot, max(1, sched.next_change(slot) - slot)
-            )
-            fw = None
-            if self._faults is not None:
-                n_window = min(
-                    n_window,
-                    max(1, self._faults.next_change(slot) - slot),
-                )
-                fw = self._fault_window(slot)
-            arrivals = departures = 0
-            if prev_ids is not None:
-                arrivals = int(
-                    np.setdiff1d(active, prev_ids, assume_unique=True).size
-                )
-                departures = int(
-                    np.setdiff1d(prev_ids, active, assume_unique=True).size
-                )
-
-            if active.size == 0:
-                # Empty cloud: every server off, nothing to place.
-                records = [
-                    SlotRecord(
-                        slot_index=s,
-                        case="",
-                        n_active_servers=0,
-                        violations=0,
-                        forced_placements=0,
-                        energy_j=0.0,
-                        mean_freq_ghz=0.0,
-                        f_opt_ghz=0.0,
-                        n_failed_servers=fw.n_failed if fw else 0,
-                    )
-                    for s in range(slot, slot + n_window)
-                ]
-                windows.append((0, arrivals, departures, records))
-                prev_ids = active
-                prev_map = np.empty(0, dtype=int)
-                prev_pools = None
-            else:
-                scale = sched.scale_at(slot)
-                scale_loc = (
-                    None
-                    if scale is None
-                    else (scale[0][active], scale[1][active])
-                )
-                ctx = self._cloud_context(
-                    slot, n_window, active, scale_loc, fw
-                )
-                with self._metrics.phase("policy"):
-                    allocation = self._policy.allocate(ctx)
-                with self._metrics.phase("allocate"):
-                    acct = self._prepare_allocation(
-                        allocation,
-                        vm_rows=active,
-                        scale=scale_loc,
-                        fault=fw,
-                        fault_boundary=fw != prev_fw,
-                    )
-                migrations = 0
-                if prev_ids is not None and prev_ids.size:
-                    # Only VMs present on both sides of the boundary can
-                    # migrate; the membership change invalidates any
-                    # cached sort, so the stateless counter is used.
-                    # ``acct.vm_rows`` (not ``active``): VMs shed this
-                    # window have no server row in ``acct.vm2srv``.
-                    common, ia, ib = np.intersect1d(
-                        prev_ids,
-                        acct.vm_rows,
-                        assume_unique=True,
-                        return_indices=True,
-                    )
-                    if common.size:
-                        # Pool indices restrict matching to same-pool
-                        # server pairs on heterogeneous fleets (a VM
-                        # block landing on another platform migrated).
-                        migrations = count_migrations(
-                            prev_map[ia],
-                            acct.vm2srv[ib],
-                            previous_pools=prev_pools,
-                            new_pools=acct.pool_idx,
-                        )
-                self._trace_window(
-                    slot,
-                    n_window,
-                    allocation,
-                    acct,
-                    migrations,
-                    n_active_vms=int(active.size),
-                    arrivals=arrivals,
-                    departures=departures,
-                )
-                if self._superbatch:
-                    tasks.append(
-                        _WindowTask(
-                            slot, n_window, allocation, acct, migrations
-                        )
-                    )
-                    records = None
-                elif self._window_batch:
-                    with self._metrics.phase("account"):
-                        records = self._account_window(
-                            slot, n_window, allocation, acct, migrations
-                        )
-                else:
-                    with self._metrics.phase("account"):
-                        records = [
-                            self._account_slot(
-                                s,
-                                allocation,
-                                acct,
-                                migrations if s == slot else 0,
-                            )
-                            for s in range(slot, slot + n_window)
-                        ]
-                windows.append(
-                    (int(active.size), arrivals, departures, records)
-                )
-                # Shed VMs are excluded from acct.vm_rows (== active
-                # when nothing was shed), so migration counting at the
-                # next boundary only sees actually-placed VMs.
-                prev_ids = acct.vm_rows
-                prev_map = acct.vm2srv
-                prev_pools = acct.pool_idx
-            if fw != prev_fw:
-                self._trace_fault_transition(slot, fw)
-            prev_fw = fw
-            slot += n_window
-
-        with self._metrics.phase("account"):
-            deferred = iter(self._account_horizon(tasks) if tasks else [])
-            for n_active_vms, arrivals, departures, records in windows:
-                if records is None:
-                    records = next(deferred)
-                result.records.extend(
-                    replace(
-                        rec,
-                        n_active_vms=n_active_vms,
-                        arrivals=arrivals if i == 0 else 0,
-                        departures=departures if i == 0 else 0,
-                    )
-                    for i, rec in enumerate(records)
-                )
-        self._trace_run_end(result)
-        return result
-
-    # -- internals ----------------------------------------------------------
-
-    def _cloud_context(
-        self,
-        slot: int,
-        n_window: int,
-        active: np.ndarray,
-        scale_loc,
-        fault=None,
-    ) -> CloudAllocationContext:
-        """Window context restricted to the active VMs (global ids kept)."""
-        with self._metrics.phase("forecast"):
-            pred_cpu, pred_mem = self._window_predictions(
-                slot, slot + n_window, vm_rows=active, scale=scale_loc
-            )
-        last_cpu, last_mem = self._last_observed(slot, active)
-        max_servers = self._max_servers
-        fleet = self._fleet
-        if fault is not None:
-            max_servers = fault.available_servers
-            if fleet is not None:
-                fleet = self._reduced_fleet(fault.pool_available)
-        return CloudAllocationContext(
-            pred_cpu=pred_cpu,
-            pred_mem=pred_mem,
-            power_model=self._power,
-            max_servers=max_servers,
-            qos_floor_ghz=self._vm_floor_ghz[active],
-            fleet=fleet,
-            vm_ids=active,
-            last_cpu=last_cpu,
-            last_mem=last_mem,
-            faults=fault,
-        )
-
-    def _last_observed(self, slot: int, active: np.ndarray):
-        """Previous slot's actual utilization; NaN rows without history.
-
-        Scaled with the resize factors in force *during* that slot —
-        what a monitoring system would actually have recorded — not the
-        current window's factors.
-        """
-        prev = slot - 1
-        if prev < 0:
-            return None, None
-        lo = prev * SAMPLES_PER_SLOT
-        hi = lo + SAMPLES_PER_SLOT
-        last_cpu = self._dataset.cpu_pct[active, lo:hi].copy()
-        last_mem = self._dataset.mem_pct[active, lo:hi].copy()
-        scale_prev = self._schedule.scale_at(prev)
-        if scale_prev is not None:
-            last_cpu *= scale_prev[0][active][:, None]
-            last_mem *= scale_prev[1][active][:, None]
-        ran = self._schedule.active_mask(prev)[active]
-        last_cpu[~ran] = np.nan
-        last_mem[~ran] = np.nan
-        return last_cpu, last_mem
 
 
 def _run_one_cloud_policy(

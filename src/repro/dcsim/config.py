@@ -1,10 +1,9 @@
 """Unified simulation configuration object.
 
-Eight PRs of growth left :class:`~repro.dcsim.DataCenterSimulation`'s
-constructor with thirteen keyword arguments spanning four concerns
-(platform, horizon, engine paths, observability).  A
-:class:`SimulationConfig` groups them into one validated, frozen,
-reusable object:
+:class:`~repro.dcsim.DataCenterSimulation`'s constructor takes eleven
+keyword arguments spanning three concerns (platform, horizon,
+observability).  A :class:`SimulationConfig` groups them into one
+validated, frozen, reusable object:
 
 >>> config = SimulationConfig(max_servers=80, n_slots=24)
 >>> sim = DataCenterSimulation.from_config(dataset, predictor, policy,
@@ -50,9 +49,6 @@ class SimulationConfig:
         n_slots: horizon length in slots (default: rest of the traces).
         migration_energy_j: energy charged per migration.
         psu: optional PSU efficiency model.
-        window_batch: account windows as whole batches (fast path).
-        superbatch: concatenate windows across allocation boundaries
-            (fast path; implies ``window_batch``).
         fleet: heterogeneous fleet spec (mutually exclusive with
             ``power_model``/``max_servers``).
         faults: optional fault schedule.
@@ -67,8 +63,6 @@ class SimulationConfig:
     n_slots: Optional[int] = None
     migration_energy_j: float = 0.0
     psu: Optional[Any] = None
-    window_batch: bool = True
-    superbatch: bool = True
     fleet: Optional[FleetSpec] = None
     faults: Optional[Any] = None
     tracer: Optional[Any] = None
@@ -115,9 +109,8 @@ class StreamingConfig(SimulationConfig):
     Built for
     :meth:`~repro.cloud.streaming.StreamingCloudSimulation.from_config`
     (inherited from the engine base, so a config-built streaming run is
-    bit-identical to the keyword call).  ``superbatch`` is inherited but
-    irrelevant — the streaming engine forces it off either way.  The
-    ``sleep`` test hook stays a constructor-only argument.
+    bit-identical to the keyword call).  The ``sleep`` test hook stays a
+    constructor-only argument.
 
     Attributes:
         telemetry: replay degradation timeline
@@ -132,9 +125,6 @@ class StreamingConfig(SimulationConfig):
         poll_retries / poll_backoff_s: collector retry policy.
         checkpoint_every_slots / checkpoint_path: snapshot cadence and
             persistence target.
-        incremental_forecasts: day-over-day Hannan-Rissanen refresh
-            instead of the full daily re-fit.
-        refit_every_days: incremental mode's oracle re-fit cadence.
     """
 
     telemetry: Optional[Any] = None
@@ -147,8 +137,6 @@ class StreamingConfig(SimulationConfig):
     poll_backoff_s: float = 0.0
     checkpoint_every_slots: Optional[int] = None
     checkpoint_path: Optional[str] = None
-    incremental_forecasts: bool = False
-    refit_every_days: int = 7
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -194,20 +182,4 @@ class StreamingConfig(SimulationConfig):
                 "replay degradation schedule builds its own "
                 "TraceCollector set, a live feed brings its own "
                 "adapters"
-            )
-        if self.refit_every_days < 1:
-            raise ConfigurationError(
-                f"refit_every_days must be >= 1, got "
-                f"{self.refit_every_days}"
-            )
-        if (
-            self.incremental_forecasts
-            and self.telemetry is None
-            and self.collectors is None
-        ):
-            raise ConfigurationError(
-                "incremental_forecasts requires a telemetry stream "
-                "(telemetry= or collectors=): without one the engine "
-                "plans from the caller's batch predictor, which has "
-                "nothing to update day-over-day"
             )

@@ -1,73 +1,61 @@
 """Slot/sample data-center simulation engine (paper Section VI-C protocol).
 
-For every 1-hour slot of the evaluation horizon:
+One window loop, :meth:`DataCenterSimulation.windows`, runs every
+engine.  Per allocation window it
 
-1. the policy receives the shared day-ahead predictions for the slot and
-   produces an allocation (which VMs on which servers, caps, frequency
-   mode);
-2. for each of the slot's 12 five-minute samples, the engine aggregates
-   the *real* utilization per server, chooses frequencies (per-sample
-   governor or the policy's fixed frequency), accounts power through the
-   vectorized Section-IV model, and counts SLA violations (server-samples
-   whose real aggregate CPU exceeds the policy's cap, or whose memory
-   exceeds physical capacity).
+1. cuts the window at the policy's reallocation period (every slot for
+   EPACT, every 24 slots for the day-ahead consolidation baselines),
+   at every VM arrival, departure or resize and at every fault-state
+   change;
+2. hands the policy a
+   :class:`~repro.core.online.CloudAllocationContext` over the
+   window's active VMs (their day-ahead predictions, global ids and
+   the previous slot's observed utilization) and takes its allocation;
+3. counts migrations over the VMs placed on both sides of the window
+   boundary;
+4. accounts each of the window's slots: for every 5-minute sample it
+   aggregates the *real* utilization per server, chooses frequencies
+   (per-sample governor or the policy's fixed frequency), prices power
+   through the vectorized Section-IV model (plus the optional PSU
+   transform and fault-layer power cap), and counts SLA violations
+   (server-samples whose real aggregate CPU exceeds the policy's cap,
+   or whose memory exceeds physical capacity).
+
+A fixed population is the zero-churn
+:func:`~repro.traces.lifecycle.fixed_schedule`; the churn engine
+(:class:`~repro.dcsim.cloud.CloudSimulation`) supplies a real lifecycle
+schedule and the streaming engine
+(:class:`~repro.cloud.streaming.StreamingCloudSimulation`) hooks
+telemetry ingest, the forecast ladder, blind-window freezes and
+checkpoints into the same loop.
 
 Servers hosting no VM are powered off (0 W) — the server turn-off
 assumption shared by all compared policies.
 
-Fast-path accounting: everything that depends only on the allocation
-(VM->server map, active set, QoS floors, fixed OPP indices, scatter
-indices) is hoisted into a per-allocation :class:`_AllocationAccounting`
-and reused across the allocation's slots, and aggregation runs through
-``np.bincount`` — bit-identical to the seed's ``np.add.at`` scatter
-(both accumulate in input order) but a single C loop instead of the
-buffered ufunc.
-
-On top of that, accounting is **batched per allocation window** by
-default (``window_batch=True``): all of a window's real-trace slots are
-stacked into one ``(n_slots, n_servers, n_samples)`` tensor, aggregated
-with a single bincount scatter over flattened (slot, server, sample)
-bins, run through the governor and :class:`VectorizedServerPower` in one
-call, and the per-slot :class:`SlotRecord`s are emitted from the batched
-arrays.  Within each (slot, server, sample) bin the VMs accumulate in
-the same ascending order as the per-slot scatter and the per-slot
-reductions run over the same contiguous slices, so the results are
-bit-identical to the per-slot path — which ``window_batch=False`` keeps
-callable as the tested reference oracle.  ``count_migrations`` likewise
-sorts only the non-zero overlap pairs; ``_count_migrations_reference``
+Everything that depends only on the allocation (VM->server map, active
+set, QoS floors, fixed OPP indices, scatter indices) is hoisted into a
+per-allocation :class:`_AllocationAccounting` and reused across the
+allocation's slots, and aggregation runs through ``np.bincount`` —
+bit-identical to the seed's ``np.add.at`` scatter (both accumulate in
+input order) but a single C loop instead of the buffered ufunc.
+``count_migrations`` finds the non-zero overlap pairs with one sort of
+the VMs' (old, new) pair codes; ``_count_migrations_reference``
 preserves the seed's dense pair loop as the equivalence oracle.
-
-**Horizon-concatenated accounting** (``superbatch=True``, the default)
-goes one step further: consecutive accounting windows are concatenated
-*across allocation boundaries* into one ragged super-batch.  Policies
-that reallocate every slot (EPACT) degenerate window batching back into
-per-slot work — one scatter and one power evaluation per 1-slot window —
-so the super-batch pads every window's (slot, server, sample) bins to
-the horizon chunk's maximum server count and aggregates *all* windows
-with a single ``np.bincount`` scatter and a single
-:class:`VectorizedServerPower` evaluation.  Per-slot records are sliced
-back out of the padded tensors over exactly the per-window reduction
-ranges (padded servers carry zero utilization, an inactive mask and are
-excluded from every reduction by prefix slicing), so the results remain
-bit-identical to both the per-window and the per-slot oracles —
-``superbatch=False`` keeps the per-window path, ``window_batch=False``
-the per-slot one.  Super-batches are flushed in memory-bounded chunks
-(``_SUPERBATCH_MAX_CELLS`` caps both the padded server tensors and the
-VM-proportional scatter arrays).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+import copy
+from dataclasses import dataclass, field, replace as dc_replace
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..core.governor import DvfsGovernor
+from ..core.online import CloudAllocationContext, OnlinePolicy
 from ..core.types import (
     Allocation,
-    AllocationContext,
     AllocationPolicy,
     FaultWindow,
     FleetSpec,
@@ -79,21 +67,12 @@ from ..perf.simulator import PerformanceSimulator, traffic_coefficients
 from ..perf.workload import ALL_MEMORY_CLASSES
 from ..power.server_power import ServerPowerModel, ntc_server_power_model
 from ..traces.dataset import TraceDataset
+from ..traces.lifecycle import fixed_schedule
 from ..units import SAMPLE_PERIOD_S, SAMPLES_PER_SLOT, SLOTS_PER_DAY
 from .metrics import SimulationResult, SlotRecord
-from .power_tables import cached_tables
+from .power_tables import VectorizedServerPower, cached_tables
 
 _EPS = 1.0e-9
-
-# Cell budget per horizon-concatenated accounting flush.  A chunk
-# closes when either transient family would outgrow it: the padded
-# (slot, server, sample) tensors (times the memory-class count) or the
-# (VM, slot, sample) scatter index/weight arrays — the latter scale
-# with the fleet's VM count, which consolidating policies make much
-# larger than the server count.  2M float64 cells keeps each family
-# around ~50 MB at paper scale while still concatenating hundreds of
-# 1-slot windows per flush.
-_SUPERBATCH_MAX_CELLS = 2_000_000
 
 
 @lru_cache(maxsize=1)
@@ -107,6 +86,16 @@ def _default_perf() -> PerformanceSimulator:
     return PerformanceSimulator()
 
 
+class _Platform(NamedTuple):
+    """What prices one server model: governor, tables and curves."""
+
+    governor: DvfsGovernor
+    tables: VectorizedServerPower
+    f_max: float
+    stall_tab: np.ndarray
+    traffic_coeff: np.ndarray
+
+
 @dataclass(frozen=True)
 class _AllocationAccounting:
     """Invariants of one allocation, shared by all slots it covers.
@@ -116,32 +105,26 @@ class _AllocationAccounting:
         n_srv: number of planned servers.
         active: per-server "hosts at least one VM" mask.
         floors: per-server QoS frequency floor (max over hosted VMs).
-        opp_idx_fixed: fixed-frequency OPP indices, or ``None`` for
-            dynamic-governor policies.
+        fixed_opp: per-server pinned OPP index into that server's own
+            table (``-1`` = per-sample governor), or ``None`` when every
+            server follows the governor.  Fixed-frequency allocations
+            pin every server; ``"fixed-opt"`` pools of heterogeneous
+            fleets pin theirs.
         flat_idx: flattened (server, sample) bin index per (VM, sample)
             cell, for the bincount scatter.
-        class_flat: the same indices restricted to each memory class
-            (``None`` for classes with no VMs).
-        class_masks: per-memory-class VM masks over the covered VMs.
-        vm_rows: global dataset row per covered VM, or ``None`` when the
-            allocation covers the whole fleet (the fixed-population
-            engine).  The online cloud engine passes the window's active
-            VM ids here; all accounting then reads/aggregates only those
-            trace rows.
+        class_idx: flattened (memory class, server, sample) bin index
+            per (VM, sample) cell, for the per-class scatter.
+        vm_rows: global dataset row per covered VM; all accounting
+            reads/aggregates only those trace rows.
         scale_cpu: per-covered-VM CPU utilization factor (resizes), or
             ``None`` for unscaled traces.
         scale_mem: per-covered-VM memory utilization factor, or ``None``.
         pool_idx: per-server fleet pool index (heterogeneous engines
             only), or ``None`` for the homogeneous protocol.
-        pool_fixed_opp: per-server fixed OPP index into *that server's
-            own pool table* (``-1`` = per-sample governor); set for
-            fixed-frequency allocations and ``"fixed-opt"`` pools on
-            heterogeneous fleets, ``None`` otherwise.
         n_failed: servers down during this window (fault layer).
         cap_frac: fleet power budget fraction for this window (1.0 =
-            uncapped; the accounting tiers throttle samples whose fleet
-            power exceeds ``cap_frac`` times the nominal full-load
-            power).
+            uncapped; accounting throttles samples whose fleet power
+            exceeds ``cap_frac`` times the nominal full-load power).
         shed_vms: VMs the policy shed for this window (degraded
             operation; excluded from the covered VM set).
         fault_boundary: this window starts at a fault-state change, so
@@ -152,15 +135,13 @@ class _AllocationAccounting:
     n_srv: int
     active: np.ndarray
     floors: np.ndarray
-    opp_idx_fixed: Optional[np.ndarray]
+    fixed_opp: Optional[np.ndarray]
     flat_idx: np.ndarray
-    class_flat: List[Optional[np.ndarray]]
-    class_masks: List[np.ndarray]
-    vm_rows: Optional[np.ndarray] = None
+    class_idx: np.ndarray
+    vm_rows: np.ndarray
     scale_cpu: Optional[np.ndarray] = None
     scale_mem: Optional[np.ndarray] = None
     pool_idx: Optional[np.ndarray] = None
-    pool_fixed_opp: Optional[np.ndarray] = None
     n_failed: int = 0
     cap_frac: float = 1.0
     shed_vms: int = 0
@@ -168,14 +149,151 @@ class _AllocationAccounting:
 
 
 @dataclass(frozen=True)
-class _WindowTask:
-    """One accounting window deferred into a horizon super-batch."""
+class _SlotPricing:
+    """One slot priced per (server, sample), aligned with the plans.
 
-    first_slot: int
+    Attributes:
+        util: real aggregate CPU utilization.
+        mem_util: real aggregate memory utilization.
+        freqs: operating frequency.
+        power: server power after the PSU transform and the power cap
+            (0 for off servers).
+        violated: SLA violation mask (active servers only).
+        capped_samples: samples the fleet power cap throttled.
+    """
+
+    util: np.ndarray
+    mem_util: np.ndarray
+    freqs: np.ndarray
+    power: np.ndarray
+    violated: np.ndarray
+    capped_samples: int
+
+
+@dataclass(frozen=True)
+class WindowDecision:
+    """One allocation window's decision, as seen by an operator.
+
+    Yielded by :meth:`DataCenterSimulation.windows` after the window
+    has been planned *and* accounted — every field is final.  This is
+    the payload the ``repro.serve`` service loop turns into
+    ``decision_*`` tracer events.
+
+    Attributes:
+        slot: first slot of the window.
+        n_window: window length in slots.
+        case: the engine case chosen (``"blind-freeze"`` on the
+            reactive-only rung; ``""`` for an empty cloud).
+        rung: the forecast ladder rung this window planned from
+            (``None`` without a telemetry layer or for an empty cloud
+            — no ladder consultation happened).
+        blind: the window froze the previous placement.
+        stale: the window planned from an aged forecast.
+        n_active_vms: VMs active in the window.
+        arrivals: VMs that arrived at the window boundary.
+        departures: VMs that departed at the window boundary.
+        migrations: VM moves relative to the previous placement.
+        active_servers: servers powered on.
+        forced_placements: placements that violated the policy's
+            preferred packing (capacity pressure).
+        collectors_down: collectors dark at the window's first slot.
+        imputed_samples: imputed samples in the last observed slot.
+        energy_j: total energy accounted to the window.
+        violations: SLA violation count accounted to the window.
+        checkpointed: a run snapshot was taken at this boundary.
+    """
+
+    slot: int
     n_window: int
-    allocation: Allocation
-    acct: _AllocationAccounting
+    case: str
+    rung: Optional[str]
+    blind: bool
+    stale: bool
+    n_active_vms: int
+    arrivals: int
+    departures: int
     migrations: int
+    active_servers: int
+    forced_placements: int
+    collectors_down: int
+    imputed_samples: int
+    energy_j: float
+    violations: int
+    checkpointed: bool
+
+
+@dataclass(frozen=True)
+class _Observation:
+    """What a window's decision saw of the telemetry stream.
+
+    The batch engines observe nothing (the defaults); the streaming
+    engine fills it in before the decision.
+
+    Attributes:
+        rung: forecast ladder rung planned from, or ``None``.
+        blind: the previous placement is frozen (reactive-only rung).
+        stale: the decision re-used an aged forecast.
+        imputed: imputed samples in the last observed slot.
+        down: collectors down per slot of the window (empty = none).
+    """
+
+    rung: Optional[str] = None
+    blind: bool = False
+    stale: bool = False
+    imputed: int = 0
+    down: Tuple[int, ...] = ()
+
+
+_NO_OBSERVATION = _Observation()
+
+
+def _take_rows(arr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``arr[rows]`` for sorted unique ``rows`` — ``arr`` itself (no
+    copy) when ``rows`` is every row, as for a fixed population."""
+    return arr if rows.shape[0] == arr.shape[0] else arr[rows]
+
+
+def _copy_array(arr: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    return None if arr is None else arr.copy()
+
+
+@dataclass
+class _LoopState:
+    """What the window loop carries from one window to the next.
+
+    Attributes:
+        slot: first slot of the next window.
+        records: per-slot records accounted so far.
+        prev_rows: dataset rows placed by the previous window (shed VMs
+            excluded; empty after an empty-cloud window).
+        prev_map: their server indices.
+        prev_pools: per-server pool indices of the previous allocation.
+        prev_fw: the previous window's fault state.
+        prev_active: VMs active in the previous window.
+        prev_alloc: the previous window's allocation (``None`` after an
+            empty-cloud window).
+    """
+
+    slot: int
+    records: List[SlotRecord] = field(default_factory=list)
+    prev_rows: Optional[np.ndarray] = None
+    prev_map: Optional[np.ndarray] = None
+    prev_pools: Optional[np.ndarray] = None
+    prev_fw: Optional[FaultWindow] = None
+    prev_active: Optional[np.ndarray] = None
+    prev_alloc: Optional[Allocation] = None
+
+    def copy(self) -> "_LoopState":
+        """An independent copy (records list, arrays, allocation)."""
+        return dc_replace(
+            self,
+            records=list(self.records),
+            prev_rows=_copy_array(self.prev_rows),
+            prev_map=_copy_array(self.prev_map),
+            prev_pools=_copy_array(self.prev_pools),
+            prev_active=_copy_array(self.prev_active),
+            prev_alloc=copy.deepcopy(self.prev_alloc),
+        )
 
 
 class DataCenterSimulation:
@@ -203,16 +321,6 @@ class DataCenterSimulation:
         psu: optional per-server power-supply model; when given, energy
             is accounted at the wall plug (DC power plus conversion
             losses) instead of the DC side the paper models.
-        window_batch: account whole allocation windows at once (default)
-            instead of slot by slot.  Results are bit-identical; the
-            per-slot path remains the tested reference oracle.
-        superbatch: concatenate consecutive accounting windows across
-            allocation boundaries into horizon super-batches (default;
-            requires ``window_batch``).  Per-slot-reallocation policies
-            then aggregate with one scatter and one power evaluation per
-            chunk instead of one per allocation.  Results are
-            bit-identical; ``superbatch=False`` keeps the per-window
-            path as the intermediate oracle.
         fleet: heterogeneous fleet specification.  When given (mutually
             exclusive with ``power_model`` and ``max_servers``), the
             fleet's pool sizes define the total server count, every
@@ -220,7 +328,7 @@ class DataCenterSimulation:
             (model) index, and accounting evaluates each pool through
             its own cached :class:`VectorizedServerPower` tables,
             governor, QoS floors and stall/traffic curves — one
-            evaluation per (batch, model).  A single-pool fleet
+            evaluation per (slot, model).  A single-pool fleet
             reproduces the homogeneous engine bit-identically
             (``tests/test_hetero_equivalence.py``).
         faults: optional :class:`~repro.cloud.faults.FaultSchedule`
@@ -253,8 +361,6 @@ class DataCenterSimulation:
         n_slots: Optional[int] = None,
         migration_energy_j: float = 0.0,
         psu=None,
-        window_batch: bool = True,
-        superbatch: bool = True,
         fleet: Optional[FleetSpec] = None,
         faults=None,
         tracer=None,
@@ -268,12 +374,11 @@ class DataCenterSimulation:
             )
         self._migration_energy_j = migration_energy_j
         self._psu = psu
-        self._window_batch = window_batch
-        self._superbatch = superbatch and window_batch
         self._dataset = dataset
         self._predictor = predictor
         self._policy = policy
         self._fleet = fleet
+        self._result: Optional[SimulationResult] = None
         if fleet is not None:
             if power_model is not None:
                 raise ConfigurationError(
@@ -296,12 +401,8 @@ class DataCenterSimulation:
                 max_servers = 600
         self._perf = perf if perf is not None else _default_perf()
         self._max_servers = max_servers
-        self._tables = cached_tables(self._power)
-        spec = self._power.spec
-        self._governor = DvfsGovernor(spec.opps, spec.f_max_ghz)
-        self._f_max = spec.f_max_ghz
 
-        first = predictor.first_predictable_day * SLOTS_PER_DAY
+        first =predictor.first_predictable_day * SLOTS_PER_DAY
         self._start_slot = start_slot if start_slot is not None else first
         if self._start_slot < first:
             raise ConfigurationError(
@@ -314,6 +415,11 @@ class DataCenterSimulation:
             raise ConfigurationError(
                 f"n_slots must be in [1, {available}], got {self._n_slots}"
             )
+        # A fixed population is the zero-churn lifecycle; the churn
+        # engine replaces it with its own schedule.
+        self._schedule = fixed_schedule(
+            dataset.n_vms, self._start_slot, self._start_slot + self._n_slots
+        )
 
         self._faults = faults
         self._reduced_fleets: Dict[tuple, FleetSpec] = {}
@@ -346,21 +452,19 @@ class DataCenterSimulation:
                     )
             self._nominal_power_w = self._compute_nominal_power()
 
-        self._class_masks = self._build_class_masks()
+        self._vm_class = self._build_vm_classes()
         if fleet is not None:
-            # Per-pool state only; the homogeneous-path attributes
-            # alias pool 0's correctly calibrated tables (inspect_slot
-            # reads them) instead of rebuilding them with the
-            # hardcoded "ntc" platform against pool 0's OPP grid.
             self._build_pool_models(fleet)
-            self._stall_tab = self._pool_stall_tabs[0]
-            self._traffic_coeff = self._pool_traffic_coeff[0]
         else:
-            self._vm_floor_ghz = self._build_vm_floors()
-            self._stall_tab = self._build_stall_tables()
+            spec = self._power.spec
+            self._vm_floor_ghz = self._vm_floors_for(spec.opps, None)
             coeffs = traffic_coefficients(self._perf)
-            self._traffic_coeff = np.array(
-                [coeffs[mc] for mc in ALL_MEMORY_CLASSES]
+            self._platform = _Platform(
+                DvfsGovernor(spec.opps, spec.f_max_ghz),
+                cached_tables(self._power),
+                spec.f_max_ghz,
+                self._stall_tables_for(spec.opps, "ntc"),
+                np.array([coeffs[mc] for mc in ALL_MEMORY_CLASSES]),
             )
 
     @classmethod
@@ -390,15 +494,12 @@ class DataCenterSimulation:
 
     # -- precomputation -----------------------------------------------------
 
-    def _build_class_masks(self) -> List[np.ndarray]:
-        classes = self._dataset.mem_classes()
-        return [
-            np.array([c is mc for c in classes], dtype=bool)
-            for mc in ALL_MEMORY_CLASSES
-        ]
-
-    def _build_vm_floors(self) -> np.ndarray:
-        return self._vm_floors_for(self._power.spec.opps, None)
+    def _build_vm_classes(self) -> np.ndarray:
+        """Per-VM memory-class index into ``ALL_MEMORY_CLASSES``."""
+        return np.array(
+            [ALL_MEMORY_CLASSES.index(c) for c in self._dataset.mem_classes()],
+            dtype=np.int64,
+        )
 
     def _vm_floors_for(self, opps, qos_floor_ghz) -> np.ndarray:
         """Per-VM QoS frequency floor against one OPP table."""
@@ -408,9 +509,6 @@ class DataCenterSimulation:
         if qos_floor_ghz is not None:
             arr = np.maximum(arr, qos_floor_ghz)
         return arr
-
-    def _build_stall_tables(self) -> np.ndarray:
-        return self._stall_tables_for(self._power.spec.opps, "ntc")
 
     def _stall_tables_for(self, opps, platform: str) -> np.ndarray:
         """Per-(class, OPP) stall fractions for one platform's curves."""
@@ -423,37 +521,30 @@ class DataCenterSimulation:
         return table
 
     def _build_pool_models(self, fleet: FleetSpec) -> None:
-        """Per-pool tables, governors, floors and stall/traffic curves.
+        """Per-pool platforms, floors and pinning policy.
 
         Every pool gets its own cached :class:`VectorizedServerPower`
-        coefficients and :class:`DvfsGovernor`; the reference per-VM
-        floors (``self._vm_floor_ghz``, what the allocation context
-        reports) are pool 0's row so a single-pool fleet presents
-        policies the exact arrays the homogeneous engine would.
+        coefficients, :class:`DvfsGovernor` and stall/traffic curves;
+        the reference per-VM floors (``self._vm_floor_ghz``, what the
+        allocation context reports) are pool 0's row so a single-pool
+        fleet presents policies the exact arrays the homogeneous engine
+        would.
         """
-        self._pool_tables = [
-            cached_tables(pool.power_model) for pool in fleet.pools
-        ]
-        self._pool_governors = [
-            DvfsGovernor(pool.opps, pool.f_max_ghz)
-            for pool in fleet.pools
-        ]
-        self._pool_fmax = np.array(
-            [pool.f_max_ghz for pool in fleet.pools]
-        )
+        self._pool_platforms = []
+        for pool in fleet.pools:
+            coeffs = traffic_coefficients(self._perf, pool.perf_platform)
+            self._pool_platforms.append(
+                _Platform(
+                    DvfsGovernor(pool.opps, pool.f_max_ghz),
+                    cached_tables(pool.power_model),
+                    pool.f_max_ghz,
+                    self._stall_tables_for(pool.opps, pool.perf_platform),
+                    np.array([coeffs[mc] for mc in ALL_MEMORY_CLASSES]),
+                )
+            )
         self._pool_fmin = np.array(
             [pool.opps.f_min_ghz for pool in fleet.pools]
         )
-        self._pool_stall_tabs = [
-            self._stall_tables_for(pool.opps, pool.perf_platform)
-            for pool in fleet.pools
-        ]
-        self._pool_traffic_coeff = []
-        for pool in fleet.pools:
-            coeffs = traffic_coefficients(self._perf, pool.perf_platform)
-            self._pool_traffic_coeff.append(
-                np.array([coeffs[mc] for mc in ALL_MEMORY_CLASSES])
-            )
         self._pool_fixed_policy = np.array(
             [pool.opp_policy == "fixed-opt" for pool in fleet.pools]
         )
@@ -481,8 +572,8 @@ class DataCenterSimulation:
 
         Every server at full load at its pool's ``Fmax``, run through
         the PSU transform when wall-plug accounting is on — the same
-        per-server arithmetic the accounting tiers apply, so a cap of
-        1.0 can never throttle a physically realizable fleet.
+        per-server arithmetic accounting applies, so a cap of 1.0 can
+        never throttle a physically realizable fleet.
         """
         if self._fleet is not None:
             pools = [
@@ -490,7 +581,8 @@ class DataCenterSimulation:
                 for pool in self._fleet.pools
             ]
         else:
-            pools = [(self._max_servers, self._power, self._f_max)]
+            f_max = self._power.spec.f_max_ghz
+            pools = [(self._max_servers, self._power, f_max)]
         total = 0.0
         for count, model, f_max in pools:
             p = model.full_load_power_w(f_max)
@@ -564,105 +656,230 @@ class DataCenterSimulation:
         """Number of simulated slots."""
         return self._n_slots
 
-    def run(self) -> SimulationResult:
-        """Simulate all slots and return the per-slot records.
+    @property
+    def result(self) -> SimulationResult:
+        """The last completed run's result.
 
-        The policy is invoked at its own reallocation cadence (every slot
-        for EPACT, every 24 slots for the day-ahead consolidation
-        baselines); accounting always happens per slot.  Everything that
-        depends only on the allocation (VM->server map, active set, QoS
-        floors, fixed OPP indices, scatter indices) is computed once per
-        allocation and reused across its slots; with ``window_batch``
-        (the default) the window's slots are additionally accounted in
-        one batched pass.
+        Available after :meth:`run` returns or after a :meth:`windows`
+        generator has been exhausted.
         """
-        result = SimulationResult(policy_name=self._policy.name)
+        if self._result is None:
+            raise ConfigurationError(
+                "no completed run: the result is available after run() "
+                "returns or the windows() generator is exhausted"
+            )
+        return self._result
+
+    def run(self) -> SimulationResult:
+        """Simulate all slots and return the per-slot records."""
+        for _ in self.windows():
+            pass
+        return self.result
+
+    def windows(self) -> Iterator[WindowDecision]:
+        """Simulate the horizon one allocation window at a time.
+
+        Yields a final (planned *and* accounted) :class:`WindowDecision`
+        per window — the operator-facing form of the loop :meth:`run`
+        drains.  When the generator is exhausted the full
+        :class:`SimulationResult` is available on :attr:`result`.
+        """
+        state = self._begin_run()
+        self._result = None
         self._trace_run_start()
         period = max(1, int(self._policy.reallocation_period_slots))
-        counter = MigrationCounter()
-        # Windows under an active fault layer can shed VMs, so the maps
-        # no longer always cover the full population; migrations then
-        # run through the stateless intersect path over commonly-placed
-        # VMs.  The zero-event path keeps the cached counter exactly.
-        stateless = self._faults is not None and self._faults.has_events
-        all_rows: Optional[np.ndarray] = None
-        prev_rows = prev_map = prev_pools = None
-        prev_fw: Optional[FaultWindow] = None
-        tasks: List[_WindowTask] = []
-        slot = self._start_slot
         end = self._start_slot + self._n_slots
-        while slot < end:
-            n_window = min(period, end - slot)
-            fw = None
-            if self._faults is not None:
-                n_window = min(
-                    n_window,
-                    max(1, self._faults.next_change(slot) - slot),
-                )
-                fw = self._fault_window(slot)
-            allocation = self._allocate_window(slot, n_window, fw)
-            with self._metrics.phase("allocate"):
-                acct = self._prepare_allocation(
-                    allocation, fault=fw, fault_boundary=fw != prev_fw
-                )
-            if fw != prev_fw:
+        while state.slot < end:
+            slot = state.slot
+            active, scale = self._window_rows(slot)
+            n_window = self._window_length(slot, period)
+            fw = self._fault_window(slot)
+            fault_boundary = fw != state.prev_fw
+            if fault_boundary:
+                # The transition opens the window it applies to.
                 self._trace_fault_transition(slot, fw)
-            prev_fw = fw
-            if stateless:
-                if all_rows is None:
-                    all_rows = np.arange(self._dataset.n_vms)
-                rows = (
-                    acct.vm_rows if acct.vm_rows is not None else all_rows
+            n_active = int(active.size)
+            arrivals = departures = 0
+            if state.prev_rows is not None and not np.array_equal(
+                active, state.prev_rows
+            ):
+                arrivals = int(
+                    np.setdiff1d(
+                        active, state.prev_rows, assume_unique=True
+                    ).size
                 )
-                if prev_rows is None:
-                    migrations = 0
-                else:
-                    _, ia, ib = np.intersect1d(
-                        prev_rows,
-                        rows,
-                        assume_unique=True,
-                        return_indices=True,
-                    )
-                    migrations = count_migrations(
-                        prev_map[ia],
-                        acct.vm2srv[ib],
-                        previous_pools=prev_pools,
-                        new_pools=acct.pool_idx,
-                    )
-                prev_rows, prev_map = rows, acct.vm2srv
-                prev_pools = acct.pool_idx
-            else:
-                migrations = counter.update(acct.vm2srv, acct.pool_idx)
-            self._trace_window(slot, n_window, allocation, acct, migrations)
-            if self._superbatch:
-                tasks.append(
-                    _WindowTask(slot, n_window, allocation, acct, migrations)
+                departures = int(
+                    np.setdiff1d(
+                        state.prev_rows, active, assume_unique=True
+                    ).size
                 )
-            elif self._window_batch:
-                with self._metrics.phase("account"):
-                    result.records.extend(
-                        self._account_window(
-                            slot, n_window, allocation, acct, migrations
-                        )
+            obs = self._observe(slot, n_window, active, state)
+            first = dict(
+                arrivals=arrivals,
+                departures=departures,
+                imputed_samples=obs.imputed,
+                stale_forecast=int(obs.stale),
+                blind_window=int(obs.blind),
+            )
+            fields = [
+                dict(
+                    n_active_vms=n_active,
+                    collectors_down=obs.down[i] if obs.down else 0,
+                    **(first if i == 0 else {}),
+                )
+                for i in range(n_window)
+            ]
+            migrations = 0
+            if n_active:
+                allocation = self._decide(
+                    slot, n_window, active, scale, fw, obs, state
+                )
+                with self._metrics.phase("allocate"):
+                    acct = self._prepare_allocation(
+                        allocation,
+                        active,
+                        scale,
+                        fw,
+                        fault_boundary=fault_boundary,
                     )
-            else:
+                migrations = self._boundary_migrations(state, acct)
+                self._trace_window(
+                    slot,
+                    n_window,
+                    allocation,
+                    acct,
+                    migrations,
+                    n_active_vms=n_active,
+                    arrivals=arrivals,
+                    departures=departures,
+                )
                 with self._metrics.phase("account"):
-                    for s in range(slot, slot + n_window):
-                        result.records.append(
-                            self._account_slot(
-                                s,
-                                allocation,
-                                acct,
-                                migrations if s == slot else 0,
-                            )
+                    records = [
+                        self._account_slot(
+                            slot + i,
+                            allocation,
+                            acct,
+                            migrations if i == 0 else 0,
+                            **fields[i],
                         )
-            slot += n_window
-        if tasks:
-            with self._metrics.phase("account"):
-                for window_records in self._account_horizon(tasks):
-                    result.records.extend(window_records)
+                        for i in range(n_window)
+                    ]
+                state.prev_rows = acct.vm_rows
+                state.prev_map = acct.vm2srv
+                state.prev_pools = acct.pool_idx
+                state.prev_alloc = allocation
+            else:
+                # Empty cloud: every server off, nothing to place.
+                records = [
+                    SlotRecord(
+                        slot_index=slot + i,
+                        case="",
+                        n_active_servers=0,
+                        violations=0,
+                        forced_placements=0,
+                        energy_j=0.0,
+                        mean_freq_ghz=0.0,
+                        f_opt_ghz=0.0,
+                        n_failed_servers=fw.n_failed if fw else 0,
+                        **fields[i],
+                    )
+                    for i in range(n_window)
+                ]
+                state.prev_rows = active
+                state.prev_map = np.empty(0, dtype=int)
+                state.prev_pools = None
+                state.prev_alloc = None
+            state.prev_active = active
+            state.prev_fw = fw
+            state.records.extend(records)
+            state.slot = slot + n_window
+            checkpointed = self._after_window(state)
+            yield WindowDecision(
+                slot=slot,
+                n_window=n_window,
+                case=records[0].case,
+                rung=obs.rung,
+                blind=obs.blind,
+                stale=obs.stale,
+                n_active_vms=n_active,
+                arrivals=arrivals,
+                departures=departures,
+                migrations=migrations,
+                active_servers=records[0].n_active_servers,
+                forced_placements=records[0].forced_placements,
+                collectors_down=obs.down[0] if obs.down else 0,
+                imputed_samples=obs.imputed,
+                energy_j=float(sum(r.energy_j for r in records)),
+                violations=int(sum(r.violations for r in records)),
+                checkpointed=checkpointed,
+            )
+        result = SimulationResult(policy_name=self._policy.name)
+        result.records.extend(state.records)
+        self._result = result
         self._trace_run_end(result)
-        return result
+
+    @staticmethod
+    def _boundary_migrations(state: _LoopState, acct) -> int:
+        """Migrations at a window boundary.
+
+        Only VMs placed on both sides can migrate: arrivals, departures
+        and VMs shed on either side (absent from the placed rows)
+        cannot.  Pool indices restrict matching to same-pool server
+        pairs on heterogeneous fleets (a VM block landing on another
+        platform migrated).
+        """
+        if state.prev_rows is None or not state.prev_rows.size:
+            return 0
+        if np.array_equal(state.prev_rows, acct.vm_rows):
+            # The same placed VMs on both sides (no churn, nothing
+            # shed): the intersection is every row, in order.
+            return count_migrations(
+                state.prev_map,
+                acct.vm2srv,
+                previous_pools=state.prev_pools,
+                new_pools=acct.pool_idx,
+            )
+        common, ia, ib = np.intersect1d(
+            state.prev_rows,
+            acct.vm_rows,
+            assume_unique=True,
+            return_indices=True,
+        )
+        if not common.size:
+            return 0
+        return count_migrations(
+            state.prev_map[ia],
+            acct.vm2srv[ib],
+            previous_pools=state.prev_pools,
+            new_pools=acct.pool_idx,
+        )
+
+    # -- loop hooks ---------------------------------------------------------
+    #
+    # The streaming engine overrides these; the batch engines observe no
+    # telemetry, always ask the policy and never checkpoint.
+
+    def _begin_run(self) -> _LoopState:
+        """The loop state a run starts from."""
+        if isinstance(self._policy, OnlinePolicy):
+            self._policy.reset()
+        return _LoopState(slot=self._start_slot)
+
+    def _observe(
+        self, slot: int, n_window: int, active: np.ndarray, state
+    ) -> _Observation:
+        """What the window's decision sees of the telemetry stream."""
+        return _NO_OBSERVATION
+
+    def _decide(
+        self, slot, n_window, active, scale, fault, obs, state
+    ) -> Allocation:
+        """The window's allocation."""
+        return self._allocate_window(slot, n_window, active, scale, fault)
+
+    def _after_window(self, state: _LoopState) -> bool:
+        """Run after every window; returns whether it checkpointed."""
+        return False
 
     # -- tracing ------------------------------------------------------------
     #
@@ -674,7 +891,7 @@ class DataCenterSimulation:
     #: Tag carried by ``run_start`` events; subclasses override.
     _ENGINE_NAME = "fixed"
 
-    def _trace_run_start(self, n_vms: Optional[int] = None) -> None:
+    def _trace_run_start(self) -> None:
         tracer = self._tracer
         if not tracer.enabled:
             return
@@ -685,7 +902,7 @@ class DataCenterSimulation:
             start_slot=self._start_slot,
             n_slots=self._n_slots,
             n_servers=self._max_servers,
-            n_vms=self._dataset.n_vms if n_vms is None else n_vms,
+            n_vms=self._dataset.n_vms,
             n_pools=(
                 self._fleet.n_pools if self._fleet is not None else 1
             ),
@@ -764,23 +981,15 @@ class DataCenterSimulation:
         self,
         slot: int,
         end: int,
-        vm_rows: Optional[np.ndarray] = None,
+        vm_rows: np.ndarray,
         scale: Optional[tuple] = None,
     ):
-        """The window's predicted patterns, one hstacked pair.
-
-        Shared by the fixed-population context assembly and the cloud
-        engine's (rows/scale restricted) one, so both feed policies the
-        same arrays.
-        """
+        """The window's predicted patterns over ``vm_rows``, hstacked."""
         cpu_parts, mem_parts = [], []
         for s in range(slot, end):
             pred_cpu, pred_mem = self._predictor.predicted_slot(s)
-            if vm_rows is not None:
-                pred_cpu = pred_cpu[vm_rows]
-                pred_mem = pred_mem[vm_rows]
-            cpu_parts.append(pred_cpu)
-            mem_parts.append(pred_mem)
+            cpu_parts.append(_take_rows(pred_cpu, vm_rows))
+            mem_parts.append(_take_rows(pred_mem, vm_rows))
         pred_cpu = (
             np.hstack(cpu_parts) if len(cpu_parts) > 1 else cpu_parts[0]
         )
@@ -792,40 +1001,98 @@ class DataCenterSimulation:
             pred_mem = pred_mem * scale[1][:, None]
         return pred_cpu, pred_mem
 
+    def _window_length(self, slot: int, period: int) -> int:
+        """Slots in the window starting at ``slot``.
+
+        The policy's reallocation period, cut short at the horizon end
+        and at the next membership, resize or fault-state change.
+        """
+        end = self._start_slot + self._n_slots
+        n_window = min(
+            period,
+            end - slot,
+            max(1, self._schedule.next_change(slot) - slot),
+        )
+        if self._faults is not None:
+            n_window = min(
+                n_window, max(1, self._faults.next_change(slot) - slot)
+            )
+        return n_window
+
+    def _window_rows(self, slot: int):
+        """The VMs active at ``slot`` and their (cpu, mem) resize factors."""
+        active = self._schedule.active_ids(slot)
+        scale = self._schedule.scale_at(slot)
+        if scale is not None:
+            scale = (scale[0][active], scale[1][active])
+        return active, scale
+
     def _allocate_window(
         self,
         slot: int,
         n_window: int,
+        active: np.ndarray,
+        scale: Optional[tuple] = None,
         fault: Optional[FaultWindow] = None,
     ) -> Allocation:
-        """Ask the policy to pack against the window's predicted patterns.
+        """Ask the policy to pack the window's active VMs.
 
-        Under a fault window the policy sees the *available* capacity —
-        reduced ``max_servers`` and, on heterogeneous fleets, a reduced
+        The context covers only ``active`` (global ids kept, previous
+        slot's observed utilization attached).  Under a fault window
+        the policy sees the *available* capacity — reduced
+        ``max_servers`` and, on heterogeneous fleets, a reduced
         per-pool fleet — so every policy's existing packing (including
         ``force_place_remaining``) becomes its emergency re-placement:
         VMs of failed servers simply have nowhere else to go.
         """
-        end = slot + n_window
         with self._metrics.phase("forecast"):
-            pred_cpu, pred_mem = self._window_predictions(slot, end)
+            pred_cpu, pred_mem = self._window_predictions(
+                slot, slot + n_window, active, scale
+            )
+        last_cpu, last_mem = self._last_observed(slot, active)
         max_servers = self._max_servers
         fleet = self._fleet
         if fault is not None:
             max_servers = fault.available_servers
             if fleet is not None:
                 fleet = self._reduced_fleet(fault.pool_available)
-        ctx = AllocationContext(
+        ctx = CloudAllocationContext(
             pred_cpu=pred_cpu,
             pred_mem=pred_mem,
             power_model=self._power,
             max_servers=max_servers,
-            qos_floor_ghz=self._vm_floor_ghz,
+            qos_floor_ghz=_take_rows(self._vm_floor_ghz, active),
             fleet=fleet,
+            vm_ids=active,
+            last_cpu=last_cpu,
+            last_mem=last_mem,
             faults=fault,
         )
         with self._metrics.phase("policy"):
             return self._policy.allocate(ctx)
+
+    def _last_observed(self, slot: int, active: np.ndarray):
+        """Previous slot's actual utilization; NaN rows without history.
+
+        Scaled with the resize factors in force *during* that slot —
+        what a monitoring system would actually have recorded — not the
+        current window's factors.
+        """
+        prev = slot - 1
+        if prev < 0:
+            return None, None
+        lo = prev * SAMPLES_PER_SLOT
+        hi = lo + SAMPLES_PER_SLOT
+        last_cpu = _take_rows(self._dataset.cpu_pct[:, lo:hi], active).copy()
+        last_mem = _take_rows(self._dataset.mem_pct[:, lo:hi], active).copy()
+        scale_prev = self._schedule.scale_at(prev)
+        if scale_prev is not None:
+            last_cpu *= scale_prev[0][active][:, None]
+            last_mem *= scale_prev[1][active][:, None]
+        ran = self._schedule.active_mask(prev)[active]
+        last_cpu[~ran] = np.nan
+        last_mem[~ran] = np.nan
+        return last_cpu, last_mem
 
     def _prepare_allocation(
         self,
@@ -839,10 +1106,9 @@ class DataCenterSimulation:
 
         Args:
             allocation: the policy's placement for the window.
-            vm_rows: optional global dataset rows covered by the
-                allocation (the cloud engine's active VM set, in the
-                same order the allocation's local ids index).  ``None``
-                means the full fleet, exactly the seed behaviour.
+            vm_rows: global dataset rows covered by the allocation (the
+                window's active VMs, in the order the allocation's
+                local ids index); ``None`` means every dataset row.
             scale: optional ``(cpu, mem)`` per-covered-VM utilization
                 factors (resize events).
             fault: the window's fault state (``None`` = no active
@@ -850,9 +1116,8 @@ class DataCenterSimulation:
                 the per-slot fault metrics.
             fault_boundary: the window starts at a fault-state change.
         """
-        n_ctx = (
-            self._dataset.n_vms if vm_rows is None else int(vm_rows.shape[0])
-        )
+        if vm_rows is None:
+            vm_rows = np.arange(self._dataset.n_vms)
         vm2srv = None
         shed_vms = 0
         if allocation.shed_vm_ids:
@@ -863,7 +1128,9 @@ class DataCenterSimulation:
             shed = np.unique(
                 np.asarray(allocation.shed_vm_ids, dtype=int)
             )
-            mapping = allocation.vm_to_server(n_ctx, missing_ok=True)
+            mapping = allocation.vm_to_server(
+                int(vm_rows.shape[0]), missing_ok=True
+            )
             unplaced = np.flatnonzero(mapping < 0)
             if unplaced.shape != shed.shape or np.any(unplaced != shed):
                 raise ConfigurationError(
@@ -873,22 +1140,11 @@ class DataCenterSimulation:
                 )
             placed = mapping >= 0
             vm2srv = mapping[placed]
-            vm_rows = (
-                np.flatnonzero(placed)
-                if vm_rows is None
-                else vm_rows[placed]
-            )
+            vm_rows = vm_rows[placed]
             if scale is not None:
                 scale = (scale[0][placed], scale[1][placed])
             shed_vms = int(shed.size)
-        if vm_rows is None:
-            n_vms = self._dataset.n_vms
-            vm_floors = self._vm_floor_ghz
-            class_masks = self._class_masks
-        else:
-            n_vms = int(vm_rows.shape[0])
-            vm_floors = self._vm_floor_ghz[vm_rows]
-            class_masks = [mask[vm_rows] for mask in self._class_masks]
+        n_vms = int(vm_rows.shape[0])
         n_samples = SAMPLES_PER_SLOT
         if vm2srv is None:
             vm2srv = allocation.vm_to_server(n_vms)
@@ -897,46 +1153,34 @@ class DataCenterSimulation:
         active = np.array(
             [bool(plan.vm_ids) for plan in allocation.plans], dtype=bool
         )
+        planned = np.array(
+            [plan.planned_freq_ghz for plan in allocation.plans]
+        )
 
-        pool_idx = pool_fixed_opp = None
+        pool_idx = fixed_opp = None
         if self._fleet is None:
             # Per-server QoS frequency floor = max floor of hosted VMs.
             floors = np.full(n_srv, self._power.spec.opps.f_min_ghz)
-            np.maximum.at(floors, vm2srv, vm_floors)
-
-            if allocation.dynamic_governor:
-                opp_idx_fixed = None
-            else:
-                planned = np.array(
-                    [plan.planned_freq_ghz for plan in allocation.plans]
+            np.maximum.at(
+                floors, vm2srv, _take_rows(self._vm_floor_ghz, vm_rows)
+            )
+            if not allocation.dynamic_governor:
+                freqs = self._platform.governor.frequencies_ghz
+                fixed_opp = np.clip(
+                    np.searchsorted(freqs, planned - _EPS, side="left"),
+                    0,
+                    len(freqs) - 1,
                 )
-                idx = np.searchsorted(
-                    self._governor.frequencies_ghz,
-                    planned - _EPS,
-                    side="left",
-                )
-                idx = np.clip(
-                    idx, 0, len(self._governor.frequencies_ghz) - 1
-                )
-                opp_idx_fixed = np.repeat(idx[:, None], n_samples, axis=1)
         else:
-            opp_idx_fixed = None
             pool_idx = self._resolve_pool_idx(allocation, n_srv)
             # Per-server QoS floor against the *host pool's* table: each
             # VM's floor is looked up in its server's pool row.
-            vm_floor_by_pool = (
-                self._vm_floor_by_pool
-                if vm_rows is None
-                else self._vm_floor_by_pool[:, vm_rows]
-            )
             floors = self._pool_fmin[pool_idx].copy()
             if n_vms:
                 np.maximum.at(
                     floors,
                     vm2srv,
-                    vm_floor_by_pool[
-                        pool_idx[vm2srv], np.arange(n_vms)
-                    ],
+                    self._vm_floor_by_pool[pool_idx[vm2srv], vm_rows],
                 )
             # Servers pinned to a fixed frequency: fixed-cap allocations
             # pin every server, "fixed-opt" pools pin theirs even under
@@ -954,15 +1198,11 @@ class DataCenterSimulation:
                 else self._pool_fixed_policy[pool_idx]
             )
             if pinned.any():
-                pool_fixed_opp = np.full(n_srv, -1, dtype=int)
-                planned = np.array(
-                    [plan.planned_freq_ghz for plan in allocation.plans]
-                )
-                for m in range(self._fleet.n_pools):
+                fixed_opp = np.full(n_srv, -1, dtype=int)
+                for m, platform in enumerate(self._pool_platforms):
                     rows = np.flatnonzero((pool_idx == m) & pinned)
                     if rows.size:
-                        governor_m = self._pool_governors[m]
-                        freqs_m = governor_m.frequencies_ghz
+                        freqs_m = platform.governor.frequencies_ghz
                         pin_freq = planned[rows]
                         if allocation.dynamic_governor:
                             pin_freq = np.where(
@@ -980,9 +1220,11 @@ class DataCenterSimulation:
                         if allocation.dynamic_governor:
                             idx = np.maximum(
                                 idx,
-                                governor_m.floor_indices(floors[rows]),
+                                platform.governor.floor_indices(
+                                    floors[rows]
+                                ),
                             )
-                        pool_fixed_opp[rows] = idx
+                        fixed_opp[rows] = idx
 
         # Flattened (server, sample) bin per (VM, sample) cell: one
         # np.bincount scatter per slot replaces the much slower
@@ -990,27 +1232,27 @@ class DataCenterSimulation:
         flat_idx = (
             vm2srv[:, None] * n_samples + np.arange(n_samples)[None, :]
         ).ravel()
-        class_flat = [
-            flat_idx.reshape(n_vms, n_samples)[mask].ravel()
-            if mask.any()
-            else None
-            for mask in class_masks
-        ]
+        # The same cells binned per (memory class, server, sample): each
+        # bin still accumulates its VMs in row order.
+        class_idx = (
+            (_take_rows(self._vm_class, vm_rows) * (n_srv * n_samples))[
+                :, None
+            ]
+            + flat_idx.reshape(n_vms, n_samples)
+        ).ravel()
         scale_cpu, scale_mem = scale if scale is not None else (None, None)
         return _AllocationAccounting(
             vm2srv=vm2srv,
             n_srv=n_srv,
             active=active,
             floors=floors,
-            opp_idx_fixed=opp_idx_fixed,
+            fixed_opp=fixed_opp,
             flat_idx=flat_idx,
-            class_flat=class_flat,
-            class_masks=class_masks,
+            class_idx=class_idx,
             vm_rows=vm_rows,
             scale_cpu=scale_cpu,
             scale_mem=scale_mem,
             pool_idx=pool_idx,
-            pool_fixed_opp=pool_fixed_opp,
             n_failed=fault.n_failed if fault is not None else 0,
             cap_frac=fault.cap_frac if fault is not None else 1.0,
             shed_vms=shed_vms,
@@ -1057,66 +1299,31 @@ class DataCenterSimulation:
         pool_map: np.ndarray,
         fixed_opp: Optional[np.ndarray] = None,
     ) -> tuple:
-        """Per-(batch, model) governor + power evaluation.
+        """Per-model governor + power evaluation of one slot's servers.
 
-        The heterogeneous counterpart of the inline homogeneous blocks:
-        ``util`` has shape ``(..., n_samples)`` with arbitrary leading
-        (…, server) axes, and ``pool_map``/``floors``/``fixed_opp``
-        share the leading shape.  For each fleet pool the selected rows
-        run through *that pool's* governor, stall table, traffic
-        coefficients and cached :class:`VectorizedServerPower` in one
-        call — one evaluation per (batch, model), never per server.
-        Rows with pool ``-1`` (super-batch padding) stay zero; they are
-        excluded from every reduction by prefix slicing anyway.
-
-        All arithmetic is the same elementwise kernel the homogeneous
-        blocks use (shared ``DvfsGovernor._demand_indices``, the same
-        stall accumulation order, the same ``tensordot`` contraction),
-        so with a single-pool fleet the results are bit-identical to
-        the homogeneous engine.
+        ``util`` has shape ``(n_servers, n_samples)``;
+        ``pool_map``/``floors``/``fixed_opp`` are per server.  Each
+        fleet pool's rows run through *that pool's* platform in one
+        call — one evaluation per (slot, model), never per server.  A
+        fleet whose servers all sit in one pool evaluates the whole
+        matrix without the boolean-index copies, so a single-pool fleet
+        runs exactly the homogeneous arithmetic.
 
         Returns:
             ``(freqs_ghz, power_w)`` arrays shaped like ``util``.
         """
-        sps = util.shape[-1]
-        n_classes = util_by_class.shape[0]
-        # Whole-tensor selections (single-pool fleets — every mix
-        # sweep's homogeneous controls) evaluate through reshaped
-        # *views*, skipping the chunk-sized copies boolean indexing
-        # would make; only the small per-(…, server) floor/pin vectors
-        # are materialized.
-        for m in range(self._fleet.n_pools):
+        freqs = np.empty_like(util)
+        power = np.empty_like(util)
+        for m, platform in enumerate(self._pool_platforms):
             sel = pool_map == m
-            if not sel.any():
-                continue
             if sel.all():
-                fl = np.ascontiguousarray(
-                    np.broadcast_to(floors, pool_map.shape)
-                ).reshape(-1)
-                fx = (
-                    np.ascontiguousarray(
-                        np.broadcast_to(fixed_opp, pool_map.shape)
-                    ).reshape(-1)
-                    if fixed_opp is not None
-                    else None
+                return self._eval_platform(
+                    platform, util, floors, fixed_opp, util_by_class
                 )
-                f, p = self._eval_one_pool(
-                    m,
-                    util.reshape(-1, sps),
-                    fl,
-                    fx,
-                    util_by_class.reshape(n_classes, -1, sps),
-                )
-                return f.reshape(util.shape), p.reshape(util.shape)
-            break
-        freqs = np.zeros_like(util)
-        power = np.zeros_like(util)
-        for m in range(self._fleet.n_pools):
-            sel = pool_map == m
             if not sel.any():
                 continue
-            f, p = self._eval_one_pool(
-                m,
+            f, p = self._eval_platform(
+                platform,
                 util[sel],
                 floors[sel],
                 fixed_opp[sel] if fixed_opp is not None else None,
@@ -1126,19 +1333,18 @@ class DataCenterSimulation:
             power[sel] = p
         return freqs, power
 
-    def _eval_one_pool(
-        self,
-        m: int,
+    @staticmethod
+    def _eval_platform(
+        platform: _Platform,
         u: np.ndarray,
         fl: np.ndarray,
         fx: Optional[np.ndarray],
         ubc: np.ndarray,
     ) -> tuple:
-        """One pool's governor + power kernel over ``(rows, samples)``.
+        """One platform's governor + power kernel over ``(rows, samples)``.
 
-        The shared arithmetic of both :meth:`_eval_pools` routes; the
-        elementwise operations (and their order) match the homogeneous
-        blocks exactly, preserving the bit-identity guarantees.
+        ``fx`` pins rows to an OPP index (``-1`` = governor); ``None``
+        leaves every row to the per-sample governor.
         """
         # Pinned rows never read the governor's choice, so a fully
         # pinned selection (fixed-cap allocations) skips the whole
@@ -1148,102 +1354,65 @@ class DataCenterSimulation:
         if pinned is not None and pinned.all():
             idx = np.broadcast_to(fx[:, None], u.shape)
         else:
-            idx = self._pool_governors[m].opp_indices(u, fl)
+            idx = platform.governor.opp_indices(u, fl)
             if pinned is not None and pinned.any():
                 idx[pinned] = fx[pinned][:, None]
-        tables = self._pool_tables[m]
+        tables = platform.tables
         f = tables.freqs_ghz[idx]
-        busy = u * self._pool_fmax[m] / (100.0 * f)
+        # Work-conserving busy fraction: may exceed 1 when a fixed-cap
+        # policy is overrun; the excess is deferred work whose dynamic
+        # energy is still charged (see VectorizedServerPower.power_w).
+        busy = u * platform.f_max / (100.0 * f)
         stall_num = np.zeros_like(u)
-        stall_tab = self._pool_stall_tabs[m]
         for ci in range(ubc.shape[0]):
-            stall_num += ubc[ci] * stall_tab[ci][idx]
+            stall_num += ubc[ci] * platform.stall_tab[ci][idx]
         with np.errstate(divide="ignore", invalid="ignore"):
             stall = np.where(
                 u > _EPS, stall_num / np.maximum(u, _EPS), 0.0
             )
         traffic = np.tensordot(
-            self._pool_traffic_coeff[m], ubc, axes=([0], [0])
+            platform.traffic_coeff, ubc, axes=([0], [0])
         )
         return f, tables.power_w(idx, busy, stall, traffic)
 
-    def _account_slot(
-        self,
-        slot: int,
-        allocation: Allocation,
-        acct: "_AllocationAccounting",
-        migrations: int = 0,
-    ) -> SlotRecord:
+    def _price_slot(
+        self, slot: int, allocation: Allocation, acct: "_AllocationAccounting"
+    ) -> _SlotPricing:
+        """Price one slot per (server, sample): the accounting kernel."""
         n_srv = acct.n_srv
-        if acct.vm_rows is None:
-            real_cpu, real_mem = self._dataset.slot_slice(slot)
-        else:
-            lo = slot * SAMPLES_PER_SLOT
-            hi = lo + SAMPLES_PER_SLOT
-            real_cpu = self._dataset.cpu_pct[acct.vm_rows, lo:hi]
-            real_mem = self._dataset.mem_pct[acct.vm_rows, lo:hi]
+        lo = slot * SAMPLES_PER_SLOT
+        hi = lo + SAMPLES_PER_SLOT
+        real_cpu = _take_rows(self._dataset.cpu_pct[:, lo:hi], acct.vm_rows)
+        real_mem = _take_rows(self._dataset.mem_pct[:, lo:hi], acct.vm_rows)
         if acct.scale_cpu is not None:
             real_cpu = real_cpu * acct.scale_cpu[:, None]
             real_mem = real_mem * acct.scale_mem[:, None]
-        n_samples = real_cpu.shape[1]
+        n_samples = SAMPLES_PER_SLOT
         n_bins = n_srv * n_samples
 
         # np.bincount accumulates in input order, exactly like np.add.at,
         # but through a single C loop instead of the buffered ufunc.
+        cpu = real_cpu.ravel()
         util = np.bincount(
-            acct.flat_idx, weights=real_cpu.ravel(), minlength=n_bins
+            acct.flat_idx, weights=cpu, minlength=n_bins
         ).reshape(n_srv, n_samples)
         mem_util = np.bincount(
             acct.flat_idx, weights=real_mem.ravel(), minlength=n_bins
         ).reshape(n_srv, n_samples)
-
-        util_by_class = np.zeros((len(acct.class_masks), n_srv, n_samples))
-        for ci, mask in enumerate(acct.class_masks):
-            flat = acct.class_flat[ci]
-            if flat is not None:
-                util_by_class[ci] = np.bincount(
-                    flat, weights=real_cpu[mask].ravel(), minlength=n_bins
-                ).reshape(n_srv, n_samples)
+        n_classes = len(ALL_MEMORY_CLASSES)
+        util_by_class = np.bincount(
+            acct.class_idx, weights=cpu, minlength=n_classes * n_bins
+        ).reshape(n_classes, n_srv, n_samples)
 
         active = acct.active
-        floors = acct.floors
-
         if acct.pool_idx is not None:
             freqs, power = self._eval_pools(
-                util,
-                util_by_class,
-                floors,
-                acct.pool_idx,
-                acct.pool_fixed_opp,
+                util, util_by_class, acct.floors, acct.pool_idx, acct.fixed_opp
             )
         else:
-            if acct.opp_idx_fixed is None:
-                opp_idx = self._governor.opp_indices(util, floors)
-            else:
-                opp_idx = acct.opp_idx_fixed
-
-            freqs = self._tables.freqs_ghz[opp_idx]
-            # Work-conserving busy fraction: may exceed 1 when a
-            # fixed-cap policy is overrun; the excess is deferred work
-            # whose dynamic energy is still charged (see
-            # VectorizedServerPower.power_w).
-            busy = util * self._f_max / (100.0 * freqs)
-
-            stall_num = np.zeros_like(util)
-            for ci in range(util_by_class.shape[0]):
-                stall_num += (
-                    util_by_class[ci] * self._stall_tab[ci][opp_idx]
-                )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                stall = np.where(
-                    util > _EPS, stall_num / np.maximum(util, _EPS), 0.0
-                )
-
-            traffic = np.tensordot(
-                self._traffic_coeff, util_by_class, axes=([0], [0])
+            freqs, power = self._eval_platform(
+                self._platform, util, acct.floors, acct.fixed_opp, util_by_class
             )
-
-            power = self._tables.power_w(opp_idx, busy, stall, traffic)
         power = power * active[:, None]
         if self._psu is not None:
             # Vectorized quadratic PSU loss; fixed loss only for servers
@@ -1266,22 +1435,42 @@ class DataCenterSimulation:
             )
             capped_samples = int((scale_cap < 1.0).sum())
             power = power * scale_cap[None, :]
-        energy_j = float(power.sum() * SAMPLE_PERIOD_S)
-        energy_j += migrations * self._migration_energy_j
 
         cap = allocation.violation_cap_pct
         overutilized = (util > cap + _EPS) | (mem_util > 100.0 + _EPS)
-        violations = int((overutilized & active[:, None]).sum())
+        return _SlotPricing(
+            util=util,
+            mem_util=mem_util,
+            freqs=freqs,
+            power=power,
+            violated=overutilized & active[:, None],
+            capped_samples=capped_samples,
+        )
 
+    def _account_slot(
+        self,
+        slot: int,
+        allocation: Allocation,
+        acct: "_AllocationAccounting",
+        migrations: int = 0,
+        **fields,
+    ) -> SlotRecord:
+        """One slot's :class:`SlotRecord` (``fields``: churn/telemetry)."""
+        priced = self._price_slot(slot, allocation, acct)
+        energy_j = float(priced.power.sum() * SAMPLE_PERIOD_S)
+        energy_j += migrations * self._migration_energy_j
+        active = acct.active
         # Selecting active rows directly is bit-identical to the seed's
         # dense (server, sample) mask — both flatten the same elements in
         # row-major order — without materializing the mask.
-        mean_freq = float(freqs[active].mean()) if active.any() else 0.0
+        mean_freq = (
+            float(priced.freqs[active].mean()) if active.any() else 0.0
+        )
         return SlotRecord(
             slot_index=slot,
             case=allocation.case,
             n_active_servers=int(active.sum()),
-            violations=violations,
+            violations=int(priced.violated.sum()),
             forced_placements=allocation.forced_placements,
             energy_j=energy_j,
             mean_freq_ghz=mean_freq,
@@ -1289,531 +1478,12 @@ class DataCenterSimulation:
             migrations=migrations,
             shed_vms=acct.shed_vms,
             n_failed_servers=acct.n_failed,
-            capped_samples=capped_samples,
+            capped_samples=priced.capped_samples,
             fault_migrations=(
                 migrations if acct.fault_boundary else 0
             ),
+            **fields,
         )
-
-    def _account_window(
-        self,
-        first_slot: int,
-        n_window: int,
-        allocation: Allocation,
-        acct: "_AllocationAccounting",
-        migrations: int,
-    ) -> List[SlotRecord]:
-        """Account a whole allocation window in one batched pass.
-
-        Stacks the window's real-trace slots into ``(n_window, n_servers,
-        n_samples)`` tensors, aggregates them with a single bincount
-        scatter over flattened (slot, server, sample) bins and evaluates
-        governor, stall, traffic and power for the whole window at once.
-        Every per-slot quantity is reduced over the same contiguous slice
-        in the same element order as :meth:`_account_slot`, so the
-        emitted records are bit-identical to the per-slot reference.
-        """
-        n_srv = acct.n_srv
-        sps = SAMPLES_PER_SLOT
-        lo = first_slot * sps
-        hi = (first_slot + n_window) * sps
-        if acct.vm_rows is None:
-            n_vms = self._dataset.n_vms
-            real_cpu = self._dataset.cpu_pct[:, lo:hi]
-            real_mem = self._dataset.mem_pct[:, lo:hi]
-        else:
-            n_vms = int(acct.vm_rows.shape[0])
-            real_cpu = self._dataset.cpu_pct[acct.vm_rows, lo:hi]
-            real_mem = self._dataset.mem_pct[acct.vm_rows, lo:hi]
-        if acct.scale_cpu is not None:
-            # Scaling before the per-slot reshape applies the same
-            # elementwise multiply the per-slot path performs, keeping
-            # the scatter inputs (hence all sums) bit-identical.
-            real_cpu = real_cpu * acct.scale_cpu[:, None]
-            real_mem = real_mem * acct.scale_mem[:, None]
-        real_cpu = real_cpu.reshape(n_vms, n_window, sps)
-        real_mem = real_mem.reshape(n_vms, n_window, sps)
-        n_bins = n_window * n_srv * sps
-
-        # Flattened (slot, server, sample) bin per (VM, slot, sample)
-        # cell.  Raveling in (VM, slot, sample) order keeps the VMs of
-        # every bin in ascending order — the same accumulation order as
-        # the per-slot scatter, hence bit-identical sums.
-        flat = (
-            acct.flat_idx.reshape(n_vms, 1, sps)
-            + (np.arange(n_window) * (n_srv * sps))[None, :, None]
-        )
-        util = np.bincount(
-            flat.ravel(), weights=real_cpu.ravel(), minlength=n_bins
-        ).reshape(n_window, n_srv, sps)
-        mem_util = np.bincount(
-            flat.ravel(), weights=real_mem.ravel(), minlength=n_bins
-        ).reshape(n_window, n_srv, sps)
-
-        util_by_class = np.zeros(
-            (len(acct.class_masks), n_window, n_srv, sps)
-        )
-        for ci, mask in enumerate(acct.class_masks):
-            if acct.class_flat[ci] is not None:
-                util_by_class[ci] = np.bincount(
-                    flat[mask].ravel(),
-                    weights=real_cpu[mask].ravel(),
-                    minlength=n_bins,
-                ).reshape(n_window, n_srv, sps)
-
-        active = acct.active
-        floors = acct.floors
-
-        if acct.pool_idx is not None:
-            shape = (n_window, n_srv)
-            freqs, power = self._eval_pools(
-                util,
-                util_by_class,
-                np.broadcast_to(floors[None], shape),
-                np.broadcast_to(acct.pool_idx[None], shape),
-                (
-                    np.broadcast_to(acct.pool_fixed_opp[None], shape)
-                    if acct.pool_fixed_opp is not None
-                    else None
-                ),
-            )
-        else:
-            if acct.opp_idx_fixed is None:
-                opp_idx = self._governor.opp_indices_window(util, floors)
-            else:
-                opp_idx = np.broadcast_to(
-                    acct.opp_idx_fixed[None], (n_window, n_srv, sps)
-                )
-
-            freqs = self._tables.freqs_ghz[opp_idx]
-            busy = util * self._f_max / (100.0 * freqs)
-
-            stall_num = np.zeros_like(util)
-            for ci in range(util_by_class.shape[0]):
-                stall_num += (
-                    util_by_class[ci] * self._stall_tab[ci][opp_idx]
-                )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                stall = np.where(
-                    util > _EPS, stall_num / np.maximum(util, _EPS), 0.0
-                )
-
-            traffic = np.tensordot(
-                self._traffic_coeff, util_by_class, axes=([0], [0])
-            )
-
-            power = self._tables.power_w(opp_idx, busy, stall, traffic)
-        power = power * active[None, :, None]
-        if self._psu is not None:
-            power = (
-                power
-                + self._psu.loss_fixed_w * active[None, :, None]
-                + self._psu.loss_prop * power
-                + self._psu.loss_sq_per_w * power**2
-            )
-
-        capped = np.zeros(n_window, dtype=int)
-        if acct.cap_frac < 1.0:
-            # Same per-sample throttle as the per-slot oracle, batched
-            # over the window: the reduction axis (servers) has the
-            # same length and order, so the budgets agree bit-exactly.
-            budget = self._nominal_power_w * acct.cap_frac
-            fleet_w = power.sum(axis=1)
-            scale_cap = np.minimum(
-                1.0, budget / np.maximum(fleet_w, _EPS)
-            )
-            capped = (scale_cap < 1.0).sum(axis=1)
-            power = power * scale_cap[:, None, :]
-
-        cap = allocation.violation_cap_pct
-        overutilized = (util > cap + _EPS) | (mem_util > 100.0 + _EPS)
-        violations = (overutilized & active[None, :, None]).sum(axis=(1, 2))
-
-        n_active = int(active.sum())
-        any_active = bool(active.any())
-        records: List[SlotRecord] = []
-        for w in range(n_window):
-            energy_j = float(power[w].sum() * SAMPLE_PERIOD_S)
-            if w == 0:
-                energy_j += migrations * self._migration_energy_j
-            mean_freq = (
-                float(freqs[w][active].mean()) if any_active else 0.0
-            )
-            records.append(
-                SlotRecord(
-                    slot_index=first_slot + w,
-                    case=allocation.case,
-                    n_active_servers=n_active,
-                    violations=int(violations[w]),
-                    forced_placements=allocation.forced_placements,
-                    energy_j=energy_j,
-                    mean_freq_ghz=mean_freq,
-                    f_opt_ghz=allocation.f_opt_ghz or 0.0,
-                    migrations=migrations if w == 0 else 0,
-                    shed_vms=acct.shed_vms,
-                    n_failed_servers=acct.n_failed,
-                    capped_samples=int(capped[w]),
-                    fault_migrations=(
-                        migrations
-                        if w == 0 and acct.fault_boundary
-                        else 0
-                    ),
-                )
-            )
-        return records
-
-    def _account_horizon(
-        self, tasks: List["_WindowTask"]
-    ) -> List[List[SlotRecord]]:
-        """Account deferred windows in memory-bounded super-batches.
-
-        Windows are flushed in order and never split across chunks; a
-        chunk closes when adding the next window would push either
-        transient family — padded (slot, server, sample) cells times
-        the class count, or (VM, slot, sample) scatter cells — past
-        ``_SUPERBATCH_MAX_CELLS`` (a single oversized window still
-        forms its own chunk — that is exactly the per-window batch the
-        PR 2 path already handles).  Returns one record list per task,
-        in task order.
-        """
-        sps = SAMPLES_PER_SLOT
-        n_classes = len(self._class_masks)
-        out: List[List[SlotRecord]] = []
-        chunk: List[_WindowTask] = []
-        n_slots = 0
-        max_srv = 0
-        vm_cells = 0
-        for task in tasks:
-            n_vms = (
-                self._dataset.n_vms
-                if task.acct.vm_rows is None
-                else int(task.acct.vm_rows.shape[0])
-            )
-            task_vm_cells = n_vms * task.n_window * sps
-            new_srv = max(max_srv, task.acct.n_srv)
-            new_slots = n_slots + task.n_window
-            if chunk and (
-                new_slots * new_srv * sps * n_classes
-                > _SUPERBATCH_MAX_CELLS
-                or vm_cells + task_vm_cells > _SUPERBATCH_MAX_CELLS
-            ):
-                out.extend(self._account_superbatch(chunk))
-                chunk = []
-                new_srv = task.acct.n_srv
-                new_slots = task.n_window
-                vm_cells = 0
-            chunk.append(task)
-            n_slots = new_slots
-            max_srv = new_srv
-            vm_cells += task_vm_cells
-        if chunk:
-            out.extend(self._account_superbatch(chunk))
-        return out
-
-    def _account_superbatch(
-        self, tasks: List["_WindowTask"]
-    ) -> List[List[SlotRecord]]:
-        """Account several windows (distinct allocations) in one pass.
-
-        Every window's (slot, server, sample) bins are padded to the
-        chunk's maximum server count, so the whole chunk aggregates with
-        a single ``np.bincount`` scatter per quantity and one
-        :class:`VectorizedServerPower` evaluation.  Padded servers carry
-        zero utilization, the QoS floor ``f_min`` and an inactive mask;
-        every per-slot reduction (energy, violations, mean frequency)
-        slices the window's own server prefix — the same contiguous
-        ranges, in the same element order, as :meth:`_account_window` —
-        so the emitted records are bit-identical to the per-window path
-        (and therefore to the per-slot reference).
-        """
-        sps = SAMPLES_PER_SLOT
-        n_classes = len(self._class_masks)
-        n_total = sum(t.n_window for t in tasks)
-        n_srv_max = max(t.acct.n_srv for t in tasks)
-        slot_bins = n_srv_max * sps
-        n_bins = n_total * slot_bins
-
-        floors = np.full(
-            (n_total, n_srv_max), self._power.spec.opps.f_min_ghz
-        )
-        active = np.zeros((n_total, n_srv_max), dtype=bool)
-        caps = np.empty(n_total)
-        fixed: List[tuple] = []
-        # Heterogeneous fleets carry a model-index tensor parallel to
-        # the padded (slot, server) bins: -1 marks padding, everything
-        # else selects the pool whose tables evaluate that server row.
-        # Single-pool fleets pad with pool 0 instead — padded rows are
-        # zero-utilization and excluded from every reduction anyway
-        # (exactly how the homogeneous path treats them), and an
-        # all-pool-0 map lets _eval_pools take its copy-free
-        # whole-tensor route.
-        pool_map = fixed_map = None
-        if self._fleet is not None:
-            pad_pool = 0 if self._fleet.single_pool else -1
-            pool_map = np.full((n_total, n_srv_max), pad_pool, dtype=int)
-        off = 0
-        for task in tasks:
-            acct = task.acct
-            floors[off : off + task.n_window, : acct.n_srv] = acct.floors[
-                None, :
-            ]
-            active[off : off + task.n_window, : acct.n_srv] = acct.active[
-                None, :
-            ]
-            caps[off : off + task.n_window] = (
-                task.allocation.violation_cap_pct
-            )
-            if acct.opp_idx_fixed is not None:
-                fixed.append((off, task.n_window, acct))
-            if pool_map is not None:
-                pool_map[off : off + task.n_window, : acct.n_srv] = (
-                    acct.pool_idx[None, :]
-                )
-                if acct.pool_fixed_opp is not None:
-                    if fixed_map is None:
-                        fixed_map = np.full(
-                            (n_total, n_srv_max), -1, dtype=int
-                        )
-                    fixed_map[
-                        off : off + task.n_window, : acct.n_srv
-                    ] = acct.pool_fixed_opp[None, :]
-            off += task.n_window
-
-        # Two scatter-assembly routes.  Fixed-population chunks (the
-        # base engine: full fleet, no resizes, consecutive slots) build
-        # one chunk-wide index tensor against one contiguous trace
-        # slice; the general route (cloud membership rows / resize
-        # scales) assembles per task.  Either way every bin receives
-        # only its own window's VMs in ascending-VM order — the
-        # per-slot scatter's accumulation order — so sums stay
-        # bit-identical.
-        plain = all(
-            t.acct.vm_rows is None and t.acct.scale_cpu is None
-            for t in tasks
-        ) and all(
-            tasks[i].first_slot + tasks[i].n_window
-            == tasks[i + 1].first_slot
-            for i in range(len(tasks) - 1)
-        )
-        if plain:
-            n_vms = self._dataset.n_vms
-            lo = tasks[0].first_slot * sps
-            hi = lo + n_total * sps
-            real_cpu = self._dataset.cpu_pct[:, lo:hi]
-            real_mem = self._dataset.mem_pct[:, lo:hi]
-            # Per-(VM, slot) server index, stacked over the chunk.
-            vm2srv = np.concatenate(
-                [
-                    np.broadcast_to(
-                        t.acct.vm2srv[:, None], (n_vms, t.n_window)
-                    )
-                    for t in tasks
-                ],
-                axis=1,
-            )
-            flat = (
-                vm2srv * sps + (np.arange(n_total) * slot_bins)[None, :]
-            )[:, :, None] + np.arange(sps)[None, None, :]
-            all_idx = flat.ravel()
-            util = np.bincount(
-                all_idx, weights=real_cpu.ravel(), minlength=n_bins
-            ).reshape(n_total, n_srv_max, sps)
-            mem_util = np.bincount(
-                all_idx, weights=real_mem.ravel(), minlength=n_bins
-            ).reshape(n_total, n_srv_max, sps)
-            util_by_class = np.zeros((n_classes, n_total, n_srv_max, sps))
-            for ci, mask in enumerate(self._class_masks):
-                if mask.any():
-                    util_by_class[ci] = np.bincount(
-                        flat[mask].ravel(),
-                        weights=real_cpu[mask].ravel(),
-                        minlength=n_bins,
-                    ).reshape(n_total, n_srv_max, sps)
-        else:
-            idx_parts: List[np.ndarray] = []
-            cpu_parts: List[np.ndarray] = []
-            mem_parts: List[np.ndarray] = []
-            class_idx: List[List[np.ndarray]] = [
-                [] for _ in range(n_classes)
-            ]
-            class_wts: List[List[np.ndarray]] = [
-                [] for _ in range(n_classes)
-            ]
-            off = 0
-            for task in tasks:
-                acct = task.acct
-                lo = task.first_slot * sps
-                hi = (task.first_slot + task.n_window) * sps
-                if acct.vm_rows is None:
-                    n_vms = self._dataset.n_vms
-                    real_cpu = self._dataset.cpu_pct[:, lo:hi]
-                    real_mem = self._dataset.mem_pct[:, lo:hi]
-                else:
-                    n_vms = int(acct.vm_rows.shape[0])
-                    real_cpu = self._dataset.cpu_pct[acct.vm_rows, lo:hi]
-                    real_mem = self._dataset.mem_pct[acct.vm_rows, lo:hi]
-                if acct.scale_cpu is not None:
-                    real_cpu = real_cpu * acct.scale_cpu[:, None]
-                    real_mem = real_mem * acct.scale_mem[:, None]
-                real_cpu = real_cpu.reshape(n_vms, task.n_window, sps)
-                real_mem = real_mem.reshape(n_vms, task.n_window, sps)
-
-                # acct.flat_idx already encodes server * sps + sample
-                # against the window's own server count; since every
-                # padded slot spans slot_bins >= n_srv * sps bins,
-                # adding the slot offset re-bases it into the chunk
-                # layout.
-                flat = (
-                    acct.flat_idx.reshape(n_vms, 1, sps)
-                    + ((off + np.arange(task.n_window)) * slot_bins)[
-                        None, :, None
-                    ]
-                )
-                idx_parts.append(flat.ravel())
-                cpu_parts.append(real_cpu.ravel())
-                mem_parts.append(real_mem.ravel())
-                for ci, mask in enumerate(acct.class_masks):
-                    if acct.class_flat[ci] is not None:
-                        class_idx[ci].append(flat[mask].ravel())
-                        class_wts[ci].append(real_cpu[mask].ravel())
-                off += task.n_window
-
-            all_idx = np.concatenate(idx_parts)
-            util = np.bincount(
-                all_idx,
-                weights=np.concatenate(cpu_parts),
-                minlength=n_bins,
-            ).reshape(n_total, n_srv_max, sps)
-            mem_util = np.bincount(
-                all_idx,
-                weights=np.concatenate(mem_parts),
-                minlength=n_bins,
-            ).reshape(n_total, n_srv_max, sps)
-            util_by_class = np.zeros((n_classes, n_total, n_srv_max, sps))
-            for ci in range(n_classes):
-                if class_idx[ci]:
-                    util_by_class[ci] = np.bincount(
-                        np.concatenate(class_idx[ci]),
-                        weights=np.concatenate(class_wts[ci]),
-                        minlength=n_bins,
-                    ).reshape(n_total, n_srv_max, sps)
-
-        if pool_map is not None:
-            # One governor + power evaluation per (chunk, model); the
-            # padded -1 rows stay zero and never enter a reduction.
-            freqs, power = self._eval_pools(
-                util, util_by_class, floors, pool_map, fixed_map
-            )
-        else:
-            # Dynamic-governor choice everywhere (padded servers get
-            # valid lowest-OPP indices), then fixed-frequency windows
-            # overwrite their own server prefix with the allocation's
-            # fixed indices.
-            opp_idx = self._governor.opp_indices_horizon(util, floors)
-            for off_t, n_window, acct in fixed:
-                opp_idx[off_t : off_t + n_window, : acct.n_srv] = (
-                    acct.opp_idx_fixed[None]
-                )
-
-            freqs = self._tables.freqs_ghz[opp_idx]
-            busy = util * self._f_max / (100.0 * freqs)
-
-            stall_num = np.zeros_like(util)
-            for ci in range(n_classes):
-                stall_num += (
-                    util_by_class[ci] * self._stall_tab[ci][opp_idx]
-                )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                stall = np.where(
-                    util > _EPS, stall_num / np.maximum(util, _EPS), 0.0
-                )
-
-            traffic = np.tensordot(
-                self._traffic_coeff, util_by_class, axes=([0], [0])
-            )
-
-            power = self._tables.power_w(opp_idx, busy, stall, traffic)
-        power = power * active[:, :, None]
-        if self._psu is not None:
-            power = (
-                power
-                + self._psu.loss_fixed_w * active[:, :, None]
-                + self._psu.loss_prop * power
-                + self._psu.loss_sq_per_w * power**2
-            )
-
-        capped = np.zeros(n_total, dtype=int)
-        if any(t.acct.cap_frac < 1.0 for t in tasks):
-            # Per-task throttle over each window's own server prefix:
-            # the fleet-power reduction runs over exactly n_srv rows
-            # (never the padding), the same axis length and order as
-            # the per-window tier, so the budgets and scales agree
-            # bit-exactly; uncapped windows are left untouched.
-            off = 0
-            for task in tasks:
-                if task.acct.cap_frac < 1.0:
-                    sl = slice(off, off + task.n_window)
-                    n_srv = task.acct.n_srv
-                    budget = (
-                        self._nominal_power_w * task.acct.cap_frac
-                    )
-                    fleet_w = power[sl, :n_srv].sum(axis=1)
-                    scale_cap = np.minimum(
-                        1.0, budget / np.maximum(fleet_w, _EPS)
-                    )
-                    capped[sl] = (scale_cap < 1.0).sum(axis=1)
-                    power[sl, :n_srv] = (
-                        power[sl, :n_srv] * scale_cap[:, None, :]
-                    )
-                off += task.n_window
-
-        overutilized = (util > caps[:, None, None] + _EPS) | (
-            mem_util > 100.0 + _EPS
-        )
-        violations = (overutilized & active[:, :, None]).sum(axis=(1, 2))
-
-        records: List[List[SlotRecord]] = []
-        off = 0
-        for task in tasks:
-            acct = task.acct
-            n_srv = acct.n_srv
-            n_active = int(acct.active.sum())
-            any_active = bool(acct.active.any())
-            window_records: List[SlotRecord] = []
-            for w in range(task.n_window):
-                t = off + w
-                energy_j = float(power[t, :n_srv].sum() * SAMPLE_PERIOD_S)
-                if w == 0:
-                    energy_j += task.migrations * self._migration_energy_j
-                mean_freq = (
-                    float(freqs[t, :n_srv][acct.active].mean())
-                    if any_active
-                    else 0.0
-                )
-                window_records.append(
-                    SlotRecord(
-                        slot_index=task.first_slot + w,
-                        case=task.allocation.case,
-                        n_active_servers=n_active,
-                        violations=int(violations[t]),
-                        forced_placements=task.allocation.forced_placements,
-                        energy_j=energy_j,
-                        mean_freq_ghz=mean_freq,
-                        f_opt_ghz=task.allocation.f_opt_ghz or 0.0,
-                        migrations=task.migrations if w == 0 else 0,
-                        shed_vms=acct.shed_vms,
-                        n_failed_servers=acct.n_failed,
-                        capped_samples=int(capped[t]),
-                        fault_migrations=(
-                            task.migrations
-                            if w == 0 and acct.fault_boundary
-                            else 0
-                        ),
-                    )
-                )
-            records.append(window_records)
-            off += task.n_window
-        return records
 
 
 def count_migrations(
@@ -1838,12 +1508,13 @@ def count_migrations(
     pairs are excluded from the matching.  Single-pool fleets filter
     nothing, preserving the homogeneous counts exactly.
 
-    The overlap histogram is built with one ``np.bincount`` over the
-    flattened (old, new) pair codes and only its non-zero entries (at
-    most one per VM) are sorted — the seed's Python double loop over the
-    dense ``n_old x n_new`` matrix made every reallocation quadratic in
-    the fleet size.  ``_count_migrations_reference`` preserves the seed
-    implementation as the equivalence oracle.
+    The non-zero overlaps (at most one per VM) come from one sort of the
+    flattened (old, new) pair codes, so time and memory scale with the
+    VM count — the seed's Python double loop over the dense
+    ``n_old x n_new`` matrix made every reallocation quadratic in the
+    fleet size, and a dense histogram of the codes would still allocate
+    ``n_old x n_new`` counters.  ``_count_migrations_reference``
+    preserves the seed implementation as the equivalence oracle.
     """
     if previous_map.shape != new_map.shape:
         raise ConfigurationError("assignment maps must cover the same VMs")
@@ -1851,11 +1522,11 @@ def count_migrations(
     if n_vms == 0:
         return 0
     n_new = int(new_map.max()) + 1
-    counts = np.bincount(previous_map * n_new + new_map)
-    nz = np.flatnonzero(counts)
-    overlap = counts[nz]
-    old_ids = nz // n_new
-    new_ids = nz % n_new
+    codes, overlap = np.unique(
+        previous_map * n_new + new_map, return_counts=True
+    )
+    old_ids = codes // n_new
+    new_ids = codes % n_new
     if previous_pools is not None and new_pools is not None:
         same = previous_pools[old_ids] == new_pools[new_ids]
         overlap = overlap[same]
@@ -1889,78 +1560,6 @@ def _greedy_kept(
             used_new.add(nw)
             kept += cnt
     return kept
-
-
-class MigrationCounter:
-    """Stateful :func:`count_migrations` over consecutive reallocations.
-
-    The engine counts migrations between every pair of consecutive
-    allocations, so the "old" map of each call is exactly the "new" map
-    of the previous one.  This counter carries that map's **sorted
-    grouping** (stable argsort + sorted copy) across calls: per
-    reallocation it only sorts combined (old, new) pair codes whose high
-    bits are already grouped by the cached order, run-length-encodes the
-    non-zero overlap pairs, and applies the same greedy matching as
-    :func:`count_migrations`.  Unlike the dense pair histogram, the work
-    never scales with ``n_old * n_new`` — only with the fleet size — and
-    the old map is never re-sorted.
-
-    Counts are identical to calling :func:`count_migrations` on each
-    consecutive map pair (same pair multiset, same greedy order);
-    ``_count_migrations_reference`` remains the seed oracle.
-    """
-
-    __slots__ = ("_order", "_sorted", "_n_vms", "_pools")
-
-    def __init__(self) -> None:
-        self._order: Optional[np.ndarray] = None
-        self._sorted: Optional[np.ndarray] = None
-        self._n_vms: Optional[int] = None
-        self._pools: Optional[np.ndarray] = None
-
-    def update(
-        self,
-        new_map: np.ndarray,
-        new_pools: Optional[np.ndarray] = None,
-    ) -> int:
-        """Count migrations vs the previous map, then adopt ``new_map``.
-
-        The first call primes the state and returns 0 (no previous
-        allocation to migrate from).  ``new_pools`` (per-server pool
-        indices, heterogeneous fleets) restricts the greedy matching to
-        same-pool server pairs, as in :func:`count_migrations`.
-        """
-        new_map = np.asarray(new_map)
-        if self._n_vms is not None and new_map.shape != (self._n_vms,):
-            raise ConfigurationError(
-                "assignment maps must cover the same VMs"
-            )
-        n_vms = int(new_map.shape[0])
-        migrations = 0
-        if self._order is not None and n_vms > 0:
-            n_new = int(new_map.max()) + 1
-            # High bits (old server) are pre-grouped by the cached sort;
-            # one sort of the combined codes yields contiguous pair runs.
-            codes = self._sorted * n_new + new_map[self._order]
-            codes.sort()
-            starts = np.concatenate(
-                ([0], np.flatnonzero(codes[1:] != codes[:-1]) + 1)
-            )
-            overlap = np.diff(np.concatenate((starts, [codes.shape[0]])))
-            uniq = codes[starts]
-            old_ids = uniq // n_new
-            new_ids = uniq % n_new
-            if self._pools is not None and new_pools is not None:
-                same = self._pools[old_ids] == new_pools[new_ids]
-                overlap = overlap[same]
-                old_ids = old_ids[same]
-                new_ids = new_ids[same]
-            migrations = n_vms - _greedy_kept(overlap, old_ids, new_ids)
-        self._n_vms = n_vms
-        self._order = np.argsort(new_map, kind="stable")
-        self._sorted = new_map[self._order]
-        self._pools = new_pools
-        return migrations
 
 
 def _count_migrations_reference(

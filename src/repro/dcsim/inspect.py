@@ -3,8 +3,8 @@
 The engine's :class:`~repro.dcsim.metrics.SlotRecord` aggregates each slot
 to a handful of numbers.  When debugging a policy (why did *this* server
 violate? which class mix drove that frequency?) you want the full
-(server, sample) matrices.  :func:`inspect_slot` runs exactly the engine's
-accounting for one slot and returns them.
+(server, sample) matrices.  :func:`inspect_slot` runs the engine's own
+accounting kernel for one slot and returns them.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ class SlotDetail:
         cpu_util_pct: real aggregate CPU utilization per server-sample.
         mem_util_pct: real aggregate memory utilization per server-sample.
         freq_ghz: operating frequency per server-sample.
-        power_w: server power per server-sample (0 for off servers).
+        power_w: server power per server-sample after the PSU transform
+            and any fault-layer power cap (0 for off servers).
         violated: boolean violation mask per server-sample.
     """
 
@@ -51,7 +52,11 @@ class SlotDetail:
 
     @property
     def energy_j(self) -> float:
-        """Slot energy implied by the power matrix."""
+        """Slot energy implied by the power matrix.
+
+        Equals the engine record's ``energy_j`` up to the per-migration
+        charge (``migration_energy_j``), which is not a power draw.
+        """
         return float(self.power_w.sum() * SAMPLE_PERIOD_S)
 
     @property
@@ -84,80 +89,31 @@ def inspect_slot(
 ) -> SlotDetail:
     """Run one slot through the engine's accounting and keep the detail.
 
-    Uses the same predictor, policy and power tables as
-    :meth:`DataCenterSimulation.run`, so the returned matrices aggregate
-    to exactly the record the full run would produce for this slot (when
-    the policy reallocates at this slot; for day-ahead policies the
-    allocation is recomputed for the window starting here).
+    Asks the policy for the window starting at ``slot_index`` — cut,
+    like the engine's, at the policy period and at the next membership
+    or fault change, over the slot's active VMs and fault state — then
+    prices the slot with the engine's own kernel, so the returned
+    matrices aggregate to exactly the record a run produces for this
+    slot whenever the run also starts a window here (for day-ahead
+    policies the allocation is recomputed for the window starting
+    here).
     """
-    period = max(1, int(simulation._policy.reallocation_period_slots))
-    allocation = simulation._allocate_window(slot_index, period)
-
-    n_vms = simulation._dataset.n_vms
-    vm2srv = allocation.vm_to_server(n_vms)
-    n_srv = len(allocation.plans)
-    real_cpu, real_mem = simulation._dataset.slot_slice(slot_index)
-    n_samples = real_cpu.shape[1]
-
-    util = np.zeros((n_srv, n_samples))
-    np.add.at(util, vm2srv, real_cpu)
-    mem_util = np.zeros((n_srv, n_samples))
-    np.add.at(mem_util, vm2srv, real_mem)
-
-    util_by_class = np.zeros(
-        (len(simulation._class_masks), n_srv, n_samples)
+    sim = simulation
+    period = max(1, int(sim._policy.reallocation_period_slots))
+    active, scale = sim._window_rows(slot_index)
+    fault = sim._fault_window(slot_index)
+    allocation = sim._allocate_window(
+        slot_index, sim._window_length(slot_index, period), active,
+        scale, fault,
     )
-    for ci, mask in enumerate(simulation._class_masks):
-        if mask.any():
-            np.add.at(util_by_class[ci], vm2srv[mask], real_cpu[mask])
-
-    # The engine's own per-allocation invariants (active set, QoS
-    # floors, fixed OPP pins, per-server pool indices on heterogeneous
-    # fleets), so the matrices below price every server with its own
-    # pool's tables — exactly like the full run.
-    acct = simulation._prepare_allocation(allocation)
-    active = acct.active
-    floors = acct.floors
-
-    if acct.pool_idx is not None:
-        freqs, power = simulation._eval_pools(
-            util, util_by_class, floors, acct.pool_idx,
-            acct.pool_fixed_opp,
-        )
-    else:
-        if acct.opp_idx_fixed is None:
-            opp_idx = simulation._governor.opp_indices(util, floors)
-        else:
-            opp_idx = acct.opp_idx_fixed
-
-        freqs = simulation._tables.freqs_ghz[opp_idx]
-        busy = util * simulation._f_max / (100.0 * freqs)
-        stall_num = np.zeros_like(util)
-        for ci in range(util_by_class.shape[0]):
-            stall_num += (
-                util_by_class[ci] * simulation._stall_tab[ci][opp_idx]
-            )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            stall = np.where(
-                util > 1e-9, stall_num / np.maximum(util, 1e-9), 0.0
-            )
-        traffic = np.tensordot(
-            simulation._traffic_coeff, util_by_class, axes=([0], [0])
-        )
-        power = simulation._tables.power_w(opp_idx, busy, stall, traffic)
-    power = power * active[:, None]
-
-    cap = allocation.violation_cap_pct
-    violated = (
-        (util > cap + 1e-9) | (mem_util > 100.0 + 1e-9)
-    ) & active[:, None]
-
+    acct = sim._prepare_allocation(allocation, active, scale, fault)
+    priced = sim._price_slot(slot_index, allocation, acct)
     return SlotDetail(
         slot_index=slot_index,
         allocation=allocation,
-        cpu_util_pct=util,
-        mem_util_pct=mem_util,
-        freq_ghz=freqs,
-        power_w=power,
-        violated=violated,
+        cpu_util_pct=priced.util,
+        mem_util_pct=priced.mem_util,
+        freq_ghz=priced.freqs,
+        power_w=priced.power,
+        violated=priced.violated,
     )

@@ -37,13 +37,13 @@ class SlotRecord:
             paper ignores migration cost; the engine counts it so the
             churn of dynamic policies is visible (and can optionally be
             charged, see ``DataCenterSimulation``).
-        n_active_vms: VMs running during the slot.  The fixed-population
-            engine leaves the default 0 ("not tracked"); the cloud
-            engine fills it per window.
-        arrivals: VMs that arrived at this slot's window boundary
-            (cloud engine only; 0 inside a window).
+        n_active_vms: VMs running during the slot.  Every engine fills
+            it per window; a fixed-population run records its whole VM
+            count (the fixed-population engine once left it 0).
+        arrivals: VMs that arrived at this slot's window boundary (0
+            inside a window and without churn).
         departures: VMs that departed at this slot's window boundary
-            (cloud engine only; 0 inside a window).
+            (0 inside a window and without churn).
         shed_vms: VMs shed into SLA debt this slot (degraded operation
             under faults: no surviving server could host them).
         n_failed_servers: servers down during this slot (fault layer).
@@ -157,7 +157,7 @@ class SimulationResult:
 
     @property
     def active_vms_per_slot(self) -> np.ndarray:
-        """Running VMs per slot (all zeros for fixed-population runs)."""
+        """Running VMs per slot."""
         return np.array([r.n_active_vms for r in self.records], dtype=int)
 
     @property

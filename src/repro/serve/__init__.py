@@ -11,10 +11,6 @@ migrate), packaged for operation rather than experimentation:
   :class:`~repro.serve.adapters.HttpCollector` and the
   :class:`~repro.serve.adapters.TelemetryFeedServer` that serves any
   backing collector over HTTP;
-* :mod:`~repro.serve.incremental` — the
-  :class:`~repro.serve.incremental.IncrementalDayAheadForecaster`:
-  day-over-day refresh of the Hannan-Rissanen normal equations (full
-  re-fit kept callable as the oracle);
 * :mod:`~repro.serve.service` — :class:`~repro.serve.service.ServeConfig`
   and the :func:`~repro.serve.service.serve` loop emitting
   ``decision_*`` tracer events per allocation window;
@@ -36,12 +32,10 @@ from .adapters import (
     TelemetryFeedServer,
     poll_with_retry,
 )
-from .incremental import IncrementalDayAheadForecaster
 
 __all__ = [
     "CollectorAdapter",
     "HttpCollector",
-    "IncrementalDayAheadForecaster",
     "POLICIES",
     "PushCollector",
     "ServeConfig",
@@ -65,7 +59,7 @@ _SERVICE_NAMES = {
 
 def __getattr__(name):
     # The service/CLI layer sits above the cloud engines; loading it
-    # lazily keeps `repro.serve.adapters`/`.incremental` importable
+    # lazily keeps `repro.serve.adapters` importable
     # from `repro.cloud` without a cycle.
     if name in _SERVICE_NAMES:
         from . import service

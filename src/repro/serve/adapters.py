@@ -9,9 +9,8 @@ poll/timeout/retry semantics unchanged:
 * ``poll(slot)`` returns a :class:`TelemetryBatch` of everything that
   became available by that poll, or raises
   :class:`~repro.errors.CollectorTimeoutError` while the feed is down;
-* :func:`poll_with_retry` (moved here from
-  :mod:`repro.cloud.telemetry`, which keeps a deprecation shim) wraps
-  any adapter in the bounded retry/backoff hardening pattern;
+* :func:`poll_with_retry` wraps any adapter in the bounded
+  retry/backoff hardening pattern;
 * ``state()`` / ``restore(state)`` snapshot the cursor for the
   engine's checkpoint/resume.
 

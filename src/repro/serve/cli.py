@@ -6,7 +6,6 @@ Usage (run as ``python -m repro.serve.cli``)::
     python -m repro.serve.cli --telemetry lossy-10pct --policy reactive
     python -m repro.serve.cli --out runs/serve       # decision stream
                                                      # to trace.jsonl
-    python -m repro.serve.cli --incremental --refit-every 7
     python -m repro.serve.cli --checkpoint ckpt.pkl --checkpoint-every 12
     python -m repro.serve.cli --checkpoint ckpt.pkl --resume
     python -m repro.serve.cli --mode live --demo-feed
@@ -144,21 +143,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--max-servers", type=int, default=24, metavar="N")
     parser.add_argument("--seed", type=int, default=2018, metavar="N")
     parser.add_argument(
-        "--incremental",
-        action="store_true",
-        help=(
-            "incremental day-over-day Hannan-Rissanen refresh instead "
-            "of the full daily re-fit"
-        ),
-    )
-    parser.add_argument(
-        "--refit-every",
-        type=int,
-        default=7,
-        metavar="DAYS",
-        help="incremental mode: full oracle re-fit cadence (default: 7)",
-    )
-    parser.add_argument(
         "--checkpoint",
         metavar="PATH",
         default=None,
@@ -228,8 +212,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             seed=args.seed,
             n_slots=args.n_slots,
             max_servers=args.max_servers,
-            incremental_forecasts=args.incremental,
-            refit_every_days=args.refit_every,
             checkpoint_every_slots=checkpoint_every,
             checkpoint_path=args.checkpoint,
         )
@@ -257,7 +239,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "n_vms": config.n_vms,
                 "n_days": config.n_days,
                 "n_slots": config.n_slots,
-                "incremental": config.incremental_forecasts,
             },
             seed=config.seed,
         )

@@ -5,7 +5,7 @@ monitor → forecast → place → migrate, once per allocation window —
 packaged as a callable service.  :func:`serve` builds a
 :class:`~repro.cloud.streaming.StreamingCloudSimulation` from a frozen
 :class:`ServeConfig`, drives its :meth:`windows` generator, and turns
-every :class:`~repro.cloud.streaming.WindowDecision` into ``decision_*``
+every :class:`~repro.dcsim.WindowDecision` into ``decision_*``
 events on the run tracer (schemas in
 :data:`repro.obs.tracer.EVENT_SCHEMAS`):
 
@@ -68,10 +68,6 @@ class ServeConfig:
         n_slots: evaluated slots (``None`` = everything after the
             forecaster's training window).
         max_servers: fleet bound.
-        incremental_forecasts: route the fresh rung through the
-            incremental Hannan-Rissanen refresh
-            (:class:`~repro.serve.incremental.IncrementalDayAheadForecaster`).
-        refit_every_days: incremental mode's full-re-fit epoch length.
         checkpoint_every_slots: window-boundary snapshot cadence
             (``None`` disables checkpointing).
         checkpoint_path: where the latest snapshot is persisted; also
@@ -86,8 +82,6 @@ class ServeConfig:
     seed: int = 2018
     n_slots: Optional[int] = None
     max_servers: int = 24
-    incremental_forecasts: bool = False
-    refit_every_days: int = 7
     checkpoint_every_slots: Optional[int] = None
     checkpoint_path: Optional[str] = None
 
@@ -108,11 +102,6 @@ class ServeConfig:
             raise ConfigurationError("n_slots must be >= 1")
         if self.max_servers < 1:
             raise ConfigurationError("max_servers must be >= 1")
-        if self.refit_every_days < 1:
-            raise ConfigurationError(
-                f"refit_every_days must be >= 1, got "
-                f"{self.refit_every_days}"
-            )
         if (
             self.checkpoint_every_slots is not None
             and self.checkpoint_every_slots < 1
@@ -158,8 +147,6 @@ def build_simulation(
     kwargs = dict(
         telemetry=telemetry,
         collectors=collectors,
-        incremental_forecasts=config.incremental_forecasts,
-        refit_every_days=config.refit_every_days,
         checkpoint_every_slots=config.checkpoint_every_slots,
         checkpoint_path=config.checkpoint_path,
         n_slots=config.n_slots,
@@ -237,7 +224,7 @@ def serve(
             ``config.checkpoint_path`` before streaming (bit-identical
             continuation).
         on_decision: optional callback invoked with every
-            :class:`~repro.cloud.streaming.WindowDecision` after its
+            :class:`~repro.dcsim.WindowDecision` after its
             events are emitted (operator hooks, progress displays).
 
     Returns:

@@ -1,14 +1,15 @@
-"""Cloud engine equivalences: zero churn, window batching, parallel runs.
+"""Cloud engine equivalences: zero churn, run semantics, parallel runs.
 
 The acceptance bar of the online subsystem:
 
 * a zero-churn cloud run reproduces the fixed-population engine
-  *exactly* (every seed record field, bit for bit);
-* the window-batched churn path is bit-identical to the kept per-slot
-  reference, across online and day-ahead policies, resizes, PSU and
-  migration-energy accounting;
+  *exactly* (every seed record field, bit for bit), online policies
+  included;
 * ``run_cloud_policies(jobs > 1)`` equals the serial run exactly;
 * repeated runs with fresh (or reset) policy instances are identical.
+
+Record-level regressions of the churn paths (resizes, PSU, migration
+energy, empty-cloud gaps) are pinned by ``tests/test_engine_golden.py``.
 """
 
 import numpy as np
@@ -26,10 +27,11 @@ from repro.cloud import (
     run_cloud_policies,
     summarize,
 )
-from repro.core import EpactPolicy
+from repro.core import AllocationContext, EpactPolicy
 from repro.dcsim import DataCenterSimulation
 from repro.errors import ConfigurationError
 from repro.forecast import DayAheadPredictor
+from repro.power.server_power import ntc_server_power_model
 from repro.traces import LifecycleSchedule, default_dataset
 
 SEED_FIELDS = (
@@ -65,7 +67,9 @@ def churn_setup():
 
 
 class TestZeroChurnEquivalence:
-    @pytest.mark.parametrize("policy_cls", [EpactPolicy, CoatPolicy])
+    @pytest.mark.parametrize(
+        "policy_cls", [EpactPolicy, CoatPolicy, OnlineReactivePolicy]
+    )
     def test_reproduces_fixed_population_exactly(
         self, small_dataset, arima_predictor, policy_cls
     ):
@@ -93,61 +97,6 @@ class TestZeroChurnEquivalence:
         assert all(
             r.n_active_vms == small_dataset.n_vms for r in cloud.records
         )
-
-
-class TestWindowBatchChurnEquivalence:
-    @pytest.mark.parametrize(
-        "policy_factory",
-        [
-            EpactPolicy,
-            OnlineBestFitPolicy,
-            OnlineReactivePolicy,
-            lambda: OnlineReactivePolicy(
-                signal="forecast", name="ONLINE-REACTIVE-F"
-            ),
-            lambda: CoatPolicy(reallocation_period_slots=24),
-        ],
-    )
-    def test_bit_identical_under_churn(self, churn_setup, policy_factory):
-        dataset, predictor, schedule = churn_setup
-        runs = [
-            CloudSimulation(
-                dataset,
-                predictor,
-                policy_factory(),
-                schedule,
-                max_servers=50,
-                n_slots=30,
-                window_batch=wb,
-            ).run()
-            for wb in (True, False)
-        ]
-        assert records_equal(runs[0].records, runs[1].records)
-
-    def test_bit_identical_with_resizes_psu_and_migration_energy(self):
-        from repro.power import ntc_psu
-
-        dataset, schedule = get_scenario("batch-latency").build(
-            n_vms=60, n_days=9, seed=21, n_slots=30
-        )
-        assert schedule.has_resizes
-        predictor = DayAheadPredictor(dataset)
-        runs = [
-            CloudSimulation(
-                dataset,
-                predictor,
-                OnlineReactivePolicy(),
-                schedule,
-                max_servers=60,
-                n_slots=30,
-                psu=ntc_psu(),
-                migration_energy_j=250.0,
-                window_batch=wb,
-            ).run()
-            for wb in (True, False)
-        ]
-        assert records_equal(runs[0].records, runs[1].records)
-        assert runs[0].total_migrations == runs[1].total_migrations
 
 
 class TestCloudRunSemantics:
@@ -228,18 +177,21 @@ class TestCloudRunSemantics:
         ).run()
         assert records_equal(first.records, second.records)
 
-    def test_online_policy_rejects_plain_engine(
-        self, small_dataset, arima_predictor
-    ):
-        sim = DataCenterSimulation(
-            small_dataset,
-            arima_predictor,
-            OnlineReactivePolicy(),
-            max_servers=40,
-            n_slots=2,
+    def test_online_policy_rejects_plain_context(self, small_dataset):
+        """Every engine hands policies a cloud context; only a direct
+        caller can pass a plain one, and gets a clear error."""
+        n = small_dataset.n_vms
+        ctx = AllocationContext(
+            pred_cpu=small_dataset.cpu_pct[:, :12],
+            pred_mem=small_dataset.mem_pct[:, :12],
+            power_model=ntc_server_power_model(),
+            max_servers=n,
+            qos_floor_ghz=np.zeros(n),
         )
-        with pytest.raises(ConfigurationError):
-            sim.run()
+        with pytest.raises(
+            ConfigurationError, match="CloudAllocationContext"
+        ):
+            OnlineReactivePolicy().allocate(ctx)
 
     def test_schedule_validation(self, small_dataset, arima_predictor):
         with pytest.raises(ConfigurationError):
@@ -327,19 +279,27 @@ class TestSlaSummary:
         assert s.energy_per_vm_slot_kj > 0.0
         assert s.total_arrivals >= 0 and s.total_departures >= 0
 
-    def test_fixed_population_rates_unavailable(
+    def test_fixed_population_rates_match_zero_churn(
         self, small_dataset, arima_predictor
     ):
-        """Per-VM-slot rates need the cloud engine's population series;
-        a fixed-population run reports them as NaN, not a silent 0."""
-        result = DataCenterSimulation(
-            small_dataset,
-            arima_predictor,
-            EpactPolicy(),
-            max_servers=40,
-            n_slots=2,
-        ).run()
-        s = summarize(result)
-        assert np.isnan(s.migrations_per_vm_slot)
-        assert np.isnan(s.energy_per_vm_slot_kj)
-        assert s.total_energy_mj > 0.0
+        """A fixed-population run records its population, so its
+        per-VM-slot rates equal the zero-churn cloud run's."""
+        kwargs = dict(max_servers=40, n_slots=2)
+        fixed = summarize(
+            DataCenterSimulation(
+                small_dataset, arima_predictor, EpactPolicy(), **kwargs
+            ).run()
+        )
+        cloud = summarize(
+            CloudSimulation(
+                small_dataset,
+                arima_predictor,
+                EpactPolicy(),
+                fixed_schedule(small_dataset.n_vms, 168, 170),
+                **kwargs,
+            ).run()
+        )
+        assert fixed.mean_active_vms == small_dataset.n_vms
+        assert fixed.energy_per_vm_slot_kj > 0.0
+        assert fixed.migrations_per_vm_slot == cloud.migrations_per_vm_slot
+        assert fixed.energy_per_vm_slot_kj == cloud.energy_per_vm_slot_kj

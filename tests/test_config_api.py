@@ -89,15 +89,12 @@ class TestConfigBitIdentity:
             FleetEpactPolicy(),
             fleet=fleet,
             n_slots=8,
-            window_batch=False,
         ).run()
         configured = DataCenterSimulation.from_config(
             dataset,
             predictor,
             FleetEpactPolicy(),
-            config=SimulationConfig(
-                fleet=fleet, n_slots=8, window_batch=False
-            ),
+            config=SimulationConfig(fleet=fleet, n_slots=8),
         ).run()
         assert records_equal(loose.records, configured.records)
 

@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 from repro.core.sizing import (
+    _search_case1,
+    _search_case1_reference,
     n_servers_cpu,
     n_servers_mem,
     peak_aggregate_pct,
     size_slot,
 )
 from repro.errors import DomainError
+from repro.power import conventional_server_power_model
+from repro.power.server_power import ntc_server_power_model
 
 
 def flat_patterns(n_vms, level_pct, n_samples=12):
@@ -138,3 +142,28 @@ class TestSizeSlot:
         chosen = dc_power(sizing.n_servers, sizing.f_opt_ghz)
         fmax_n = max(1, math.ceil(demand / 3.1))
         assert chosen <= dc_power(fmax_n, 3.1) + 1e-9
+
+
+class TestSizingSearchEquivalence:
+    @pytest.mark.parametrize(
+        "model_factory",
+        [ntc_server_power_model, conventional_server_power_model],
+    )
+    def test_fast_matches_reference_random(self, model_factory):
+        model = model_factory()
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            demand = float(rng.uniform(0.5, 4000.0))
+            n_mem = int(rng.integers(1, 300))
+            n_cpu = n_mem + int(rng.integers(0, 300))
+            assert _search_case1(
+                model, demand, n_mem, n_cpu, fast=True
+            ) == _search_case1_reference(model, demand, n_mem, n_cpu)
+
+    def test_saturation_branch(self):
+        """Demand beyond Fmax packing on n_cpu servers saturates."""
+        model = ntc_server_power_model()
+        f_max = model.spec.f_max_ghz
+        demand = 10.0 * f_max  # cannot be served by <= 4 servers
+        assert _search_case1(model, demand, 2, 4, fast=True) == (4, f_max)
+        assert _search_case1_reference(model, demand, 2, 4) == (4, f_max)

@@ -5,9 +5,13 @@ import pytest
 
 from repro.baselines import CoatOptPolicy, CoatPolicy
 from repro.core import EpactPolicy
-from repro.dcsim import DataCenterSimulation, run_policies
-from repro.errors import ConfigurationError
-from repro.forecast import PerfectPredictor
+from repro.dcsim import DataCenterSimulation, run_policies, shared_predictions
+from repro.errors import ConfigurationError, DomainError
+from repro.forecast import (
+    DayAheadPredictor,
+    PerfectPredictor,
+    PrecomputedPredictor,
+)
 
 
 @pytest.fixture(scope="module")
@@ -192,3 +196,85 @@ class TestDayAheadCadence:
         ).run()
         assert len(calls) == 6
         assert all(n == 12 for n in calls)
+
+
+def records_equal(a, b):
+    """Exact (bitwise for floats) equality of two record lists."""
+    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
+
+
+@pytest.fixture(scope="module")
+def eq_dataset():
+    from repro.traces import default_dataset
+
+    return default_dataset(n_vms=60, n_days=9, seed=77)
+
+
+@pytest.fixture(scope="module")
+def eq_predictor(eq_dataset):
+    predictor = DayAheadPredictor(eq_dataset)
+    for day in range(7, eq_dataset.n_days):
+        predictor.forecast_day(day)
+    return predictor
+
+
+class TestParallelRunPolicies:
+    def test_jobs_match_serial(self, eq_dataset, eq_predictor):
+        def policies():
+            return [EpactPolicy(), CoatPolicy(), CoatOptPolicy()]
+        serial = run_policies(
+            eq_dataset,
+            eq_predictor,
+            policies(),
+            max_servers=50,
+            n_slots=26,
+        )
+        parallel = run_policies(
+            eq_dataset,
+            eq_predictor,
+            policies(),
+            jobs=2,
+            max_servers=50,
+            n_slots=26,
+        )
+        assert list(serial) == list(parallel)
+        for name in serial:
+            assert records_equal(
+                serial[name].records, parallel[name].records
+            )
+
+    def test_jobs_one_stays_serial(self, eq_dataset, eq_predictor):
+        """jobs=1 must not spawn workers (no predictor freezing)."""
+        result = run_policies(
+            eq_dataset,
+            eq_predictor,
+            [EpactPolicy()],
+            jobs=1,
+            max_servers=50,
+            n_slots=24,
+        )
+        assert set(result) == {"EPACT"}
+
+
+class TestPrecomputedPredictor:
+    def test_matches_wrapped_predictor(self, eq_dataset, eq_predictor):
+        frozen = shared_predictions(eq_dataset, eq_predictor)
+        assert (
+            frozen.first_predictable_day
+            == eq_predictor.first_predictable_day
+        )
+        for day in range(7, eq_dataset.n_days):
+            for got, want in zip(
+                frozen.forecast_day(day), eq_predictor.forecast_day(day)
+            ):
+                np.testing.assert_array_equal(got, want)
+        slot = 7 * 24 + 5
+        for got, want in zip(
+            frozen.predicted_slot(slot), eq_predictor.predicted_slot(slot)
+        ):
+            np.testing.assert_array_equal(got, want)
+
+    def test_missing_day_raises(self):
+        predictor = PrecomputedPredictor({}, first_predictable_day=7)
+        with pytest.raises(DomainError):
+            predictor.forecast_day(7)

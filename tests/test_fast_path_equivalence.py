@@ -15,13 +15,14 @@ from repro.baselines import CoatOptPolicy, CoatPolicy, FfdPolicy
 from repro.baselines.coat import _allocate_reference as _coat_reference
 from repro.core.alloc1d import allocate_1d
 from repro.core.alloc2d import allocate_2d
-from repro.core.types import Allocation, AllocationContext, ServerPlan
-from repro.core.workspace import AllocationWorkspace, validate_vm_order
-from repro.dcsim.engine import (
-    MigrationCounter,
-    _count_migrations_reference,
-    count_migrations,
+from repro.core.types import (
+    Allocation,
+    AllocationContext,
+    ServerPlan,
+    force_place_remaining,
 )
+from repro.core.workspace import AllocationWorkspace, validate_vm_order
+from repro.dcsim.engine import _count_migrations_reference, count_migrations
 from repro.errors import ConfigurationError, DomainError
 from repro.forecast import DayAheadPredictor
 from repro.forecast.arima import ArimaModel, ArimaOrder
@@ -331,56 +332,19 @@ class TestCountMigrationsEquivalence:
         empty = np.array([], dtype=int)
         assert count_migrations(empty, empty) == 0
 
-
-class TestMigrationCounterEquivalence:
-    """The stateful counter must match the per-pair functions exactly
-    over whole reallocation sequences (the state reuse across calls is
-    pure bookkeeping, never a different answer)."""
-
-    def test_matches_pairwise_over_sequences(self):
+    def test_matches_reference_over_sequences(self):
+        """Consecutive reallocations of one population, as the engine
+        counts them window after window."""
         rng = np.random.default_rng(17)
         for trial in range(10):
             n_vms = int(rng.integers(1, 300))
-            counter = MigrationCounter()
-            prev = None
+            prev = rng.integers(0, int(rng.integers(1, 50)), size=n_vms)
             for step in range(8):
-                n_srv = int(rng.integers(1, 50))
-                new = rng.integers(0, n_srv, size=n_vms)
-                got = counter.update(new)
-                if prev is None:
-                    assert got == 0
-                else:
-                    assert got == count_migrations(prev, new)
-                    assert got == _count_migrations_reference(prev, new)
+                new = rng.integers(0, int(rng.integers(1, 50)), size=n_vms)
+                assert count_migrations(prev, new) == (
+                    _count_migrations_reference(prev, new)
+                ), f"mismatch on trial {trial}, step {step}"
                 prev = new
-
-    def test_identical_consecutive_maps(self):
-        counter = MigrationCounter()
-        arr = np.array([0, 1, 1, 2, 0])
-        assert counter.update(arr) == 0
-        assert counter.update(arr.copy()) == 0
-        relabeled = np.array([2, 0, 0, 1, 2])
-        assert counter.update(relabeled) == 0  # pure relabel
-
-    def test_shape_mismatch_raises(self):
-        from repro.errors import ConfigurationError
-
-        counter = MigrationCounter()
-        counter.update(np.array([0, 1]))
-        with pytest.raises(ConfigurationError):
-            counter.update(np.array([0, 1, 2]))
-
-    def test_engine_loop_equivalence(self):
-        """Feeding the counter the maps of an engine-like sequence gives
-        the same totals as stateless per-pair counting."""
-        rng = np.random.default_rng(23)
-        maps = [rng.integers(0, 12, size=80) for _ in range(12)]
-        counter = MigrationCounter()
-        stateful = [counter.update(m) for m in maps]
-        stateless = [0] + [
-            count_migrations(a, b) for a, b in zip(maps, maps[1:])
-        ]
-        assert stateful == stateless
 
 
 class TestVmToServerVectorized:
@@ -516,3 +480,46 @@ class TestBatchedForecastEquivalence:
                 np.random.default_rng(0).normal(size=(2, 50)),
                 ArimaOrder(p=1, d=1, q=0),
             )
+
+
+class TestForcePlaceEquivalence:
+    @staticmethod
+    def _seed_force_place(plans, vm_ids, pred_cpu):
+        """The seed dict-scan implementation, kept inline as the oracle."""
+        loads = {
+            idx: float(pred_cpu[plan.vm_ids].sum(axis=0).max())
+            if plan.vm_ids
+            else 0.0
+            for idx, plan in enumerate(plans)
+        }
+        for vm_id in vm_ids:
+            target = min(loads, key=lambda idx: loads[idx])
+            plans[target].vm_ids.append(vm_id)
+            loads[target] += float(pred_cpu[vm_id].max())
+        return len(vm_ids)
+
+    def test_matches_seed_scan(self):
+        rng = np.random.default_rng(4)
+        for trial in range(50):
+            n_vms = int(rng.integers(2, 60))
+            n_srv = int(rng.integers(1, 9))
+            pred = rng.uniform(0, 20, size=(n_vms, 12))
+            if trial % 3 == 0:
+                pred = np.round(pred)  # provoke exact load ties
+            order = rng.permutation(n_vms)
+            k = int(rng.integers(0, n_vms))
+
+            def build():
+                plans = [ServerPlan() for _ in range(n_srv)]
+                for i, vm in enumerate(order[:k]):
+                    plans[i % n_srv].vm_ids.append(int(vm))
+                return plans
+
+            rest = [int(v) for v in order[k:]]
+            fast_plans, ref_plans = build(), build()
+            n_fast = force_place_remaining(fast_plans, rest, pred)
+            n_ref = self._seed_force_place(ref_plans, rest, pred)
+            assert n_fast == n_ref
+            assert [p.vm_ids for p in fast_plans] == [
+                p.vm_ids for p in ref_plans
+            ]

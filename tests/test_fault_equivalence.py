@@ -4,9 +4,10 @@ The acceptance bar of the robustness PR:
 
 * a **zero-event** :class:`FaultSchedule` is bit-identical to running
   without one at all — fixed population, churn and heterogeneous-fleet
-  paths, every record field;
-* under real events the three accounting tiers (per-slot oracle,
-  window-batched, super-batched) stay bit-identical to each other;
+  paths, every record field (records under real events are pinned by
+  ``tests/test_engine_golden.py``);
+* a ``fault_transition`` event opens the window it applies to, in
+  every engine;
 * the event model is seeded and deterministic, the survivor rule
   holds, windows are cut at fault boundaries, power caps throttle
   mid-window, rack outages are correlated, and insufficient surviving
@@ -17,14 +18,12 @@ The acceptance bar of the robustness PR:
 
 import time
 
-import numpy as np
 import pytest
 
 from repro.baselines import OnlineReactivePolicy
 from repro.cloud import (
     CloudSimulation,
     fixed_schedule,
-    get_scenario,
     summarize,
 )
 from repro.cloud.faults import (
@@ -41,6 +40,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.faults import run_faults
 from repro.experiments.pool import FailedRun, run_tasks, split_failures
 from repro.forecast import DayAheadPredictor
+from repro.obs import RunTracer
 from repro.power.server_power import (
     conventional_server_power_model,
     ntc_server_power_model,
@@ -130,48 +130,49 @@ class TestZeroEventBitIdentity:
         assert records_equal(base.records, faulty.records)
 
 
-# -- tier equivalence under events ------------------------------------------
+# -- trace order -------------------------------------------------------------
 
 
-class TestTierEquivalenceUnderFaults:
-    @pytest.fixture(scope="class")
-    def schedule(self, ds):
-        return FaultSchedule(
+class TestFaultTraceOrder:
+    @pytest.mark.parametrize("engine", ["fixed", "churn"])
+    def test_transition_opens_its_window(self, ds, pred, engine):
+        """Each fault_transition is followed by the allocation_window of
+        the window it opens — same slot, nothing in between."""
+        faults = FaultSchedule(
             20,
             0,
             ds.n_slots,
-            server_outages=((2, 170, 176), (7, 173, 180), (19, 0, 300)),
+            server_outages=((2, 170, 176), (7, 173, 180)),
             cap_windows=((174, 182, 0.05),),
         )
-
-    @pytest.mark.parametrize(
-        "policy_cls", [EpactPolicy, OnlineReactivePolicy]
-    )
-    def test_three_tiers_identical(self, ds, pred, schedule, policy_cls):
-        sched = fixed_schedule(ds.n_vms, 168, 168 + 24)
-        runs = []
-        for tiers in (
-            dict(window_batch=False),
-            dict(superbatch=False),
-            dict(),
-        ):
-            runs.append(
-                CloudSimulation(
-                    ds,
-                    pred,
-                    policy_cls(),
-                    sched,
-                    max_servers=20,
-                    n_slots=24,
-                    faults=schedule,
-                    **tiers,
-                ).run()
+        tracer = RunTracer()
+        kwargs = dict(max_servers=20, n_slots=24, faults=faults, tracer=tracer)
+        if engine == "fixed":
+            DataCenterSimulation(ds, pred, EpactPolicy(), **kwargs).run()
+        else:
+            schedule = generate_lifecycle(
+                ds.n_vms,
+                168,
+                168 + 24,
+                config=ChurnConfig(initial_fraction=0.5),
+                seed=9,
             )
-        assert records_equal(runs[0].records, runs[1].records)
-        assert records_equal(runs[0].records, runs[2].records)
-        # The cap window actually throttled — the test is not vacuous.
-        assert runs[0].total_capped_samples > 0
-        assert runs[0].total_failed_server_slots > 0
+            CloudSimulation(
+                ds, pred, OnlineReactivePolicy(), schedule, **kwargs
+            ).run()
+        events = [
+            e
+            for e in tracer.events
+            if e["event"] in ("fault_transition", "allocation_window")
+        ]
+        transitions = [
+            i for i, e in enumerate(events) if e["event"] == "fault_transition"
+        ]
+        assert len(transitions) >= 4  # 170, 173, 174, 176, 180, 182
+        for i in transitions:
+            opened = events[i + 1]
+            assert opened["event"] == "allocation_window"
+            assert opened["slot"] == events[i]["slot"]
 
 
 # -- event semantics --------------------------------------------------------

@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.forecast.batch as batch_mod
 from repro.errors import ForecastError
+from repro.forecast import DayAheadPredictor
 from repro.forecast.arima import ArimaModel, ArimaOrder
+from repro.forecast.batch import (
+    BatchArmaFit,
+    batched_arma_fit,
+    batched_arma_forecast,
+)
+from repro.traces import default_dataset
 from repro.forecast.differencing import (
     difference,
     integrate,
@@ -177,3 +185,109 @@ class TestArimaFit:
         model = ArimaModel(ArimaOrder(p=1))
         fit = model.fit(x)
         assert fit.sigma2 == pytest.approx(4.0, rel=0.1)
+
+
+class TestCompanionArmaEquivalence:
+    def test_scalar_matches_recursion_on_default_traces(self):
+        """ArimaModel on the evaluation's traces: companion vs the kept
+        per-step recursion, the acceptance tolerance (1e-10)."""
+        dataset = default_dataset(n_vms=12, n_days=9, seed=31)
+        for vm in range(6):
+            for series in (
+                dataset.cpu_pct[vm, : 7 * 288],
+                dataset.mem_pct[vm, : 7 * 288],
+            ):
+                centered = series - series.mean()
+                model = ArimaModel(ArimaOrder(p=2, d=0, q=1))
+                model.fit(centered)
+                np.testing.assert_allclose(
+                    model.forecast(288),
+                    model.forecast(288, method="recursion"),
+                    atol=1.0e-10,
+                )
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            ArimaOrder(1, 0, 0),
+            ArimaOrder(0, 0, 2),
+            ArimaOrder(3, 0, 2),
+            ArimaOrder(2, 1, 1),
+            ArimaOrder(0, 1, 1),
+        ],
+    )
+    def test_scalar_order_edge_cases(self, order):
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            y = np.cumsum(rng.normal(0.0, 1.0, 500)) * 0.05 + 20.0
+            model = ArimaModel(order)
+            model.fit(y)
+            np.testing.assert_allclose(
+                model.forecast(100),
+                model.forecast(100, method="recursion"),
+                atol=1.0e-10,
+            )
+
+    def test_batched_matches_recursion(self):
+        rng = np.random.default_rng(9)
+        w = rng.normal(0.0, 1.0, size=(300, 2016))
+        w *= rng.uniform(0.1, 5.0, size=(300, 1))
+        fit = batched_arma_fit(w, ArimaOrder(2, 0, 1))
+        np.testing.assert_allclose(
+            batched_arma_forecast(fit, 288),
+            batched_arma_forecast(fit, 288, method="recursion"),
+            atol=1.0e-10,
+        )
+
+    def test_default_day_ahead_route(self, monkeypatch):
+        """The whole DayAheadPredictor default scenario: forcing the
+        recursion under the batched route changes nothing beyond
+        1e-10."""
+        dataset = default_dataset(n_vms=20, n_days=9, seed=13)
+        companion = DayAheadPredictor(dataset).forecast_day(7)
+        orig = batch_mod.batched_arma_forecast
+        monkeypatch.setattr(
+            batch_mod,
+            "batched_arma_forecast",
+            lambda fit, horizon: orig(fit, horizon, method="recursion"),
+        )
+        recursion = DayAheadPredictor(dataset).forecast_day(7)
+        for got, want in zip(companion, recursion):
+            np.testing.assert_allclose(got, want, atol=1.0e-10)
+
+    def test_nonfinite_rows_fall_back_to_recursion(self):
+        """An explosive AR row overflows the power train; the companion
+        route must hand exactly those rows to the recursion."""
+        order = ArimaOrder(1, 0, 0)
+        fit = BatchArmaFit(
+            order=order,
+            const=np.array([0.1, 0.0]),
+            ar=np.array([[0.5], [12.0]]),  # 12**288 overflows
+            ma=np.zeros((2, 0)),
+            w_tail=np.array([[1.0], [1.0]]),
+            e_tail=np.zeros((2, 1)),
+            ok=np.ones(2, dtype=bool),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            companion = batched_arma_forecast(fit, 300)
+            recursion = batched_arma_forecast(
+                fit, 300, method="recursion"
+            )
+        # Healthy row: tight agreement; explosive row: identical
+        # (it *is* the recursion's output, infs and all).
+        np.testing.assert_allclose(
+            companion[0], recursion[0], atol=1.0e-10
+        )
+        assert np.array_equal(companion[1], recursion[1])
+
+    def test_unknown_method_raises(self):
+        fit = batched_arma_fit(
+            np.random.default_rng(0).normal(size=(4, 300)),
+            ArimaOrder(2, 0, 1),
+        )
+        with pytest.raises(ForecastError):
+            batched_arma_forecast(fit, 10, method="nope")
+        model = ArimaModel(ArimaOrder(1, 0, 0))
+        model.fit(np.arange(50, dtype=float) % 7)
+        with pytest.raises(ForecastError):
+            model.forecast(10, method="nope")

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.cloud.faults import FaultSchedule
 from repro.core import EpactPolicy
 from repro.dcsim import DataCenterSimulation, inspect_slot
 from repro.errors import ConfigurationError
 from repro.forecast import PerfectPredictor
+from repro.power import ntc_psu
 from repro.traces import default_dataset, load_dataset, save_dataset
 from repro.units import SAMPLE_PERIOD_S
 
@@ -33,6 +35,29 @@ class TestInspectSlot:
             1 for plan in detail.allocation.plans if plan.vm_ids
         )
         assert active == record.n_active_servers
+
+    @pytest.mark.parametrize("layer", ["psu", "power-cap"])
+    def test_detail_matches_record_at_the_wall_and_capped(self, layer):
+        """The detail prices power like the engine: through the PSU
+        transform and the fault layer's power cap."""
+        dataset = default_dataset(n_vms=40, n_days=8, seed=3)
+        kwargs = dict(start_slot=24, n_slots=4, max_servers=40)
+        if layer == "psu":
+            kwargs["psu"] = ntc_psu()
+        else:
+            kwargs["faults"] = FaultSchedule(
+                40, 0, dataset.n_slots, cap_windows=((24, 28, 0.02),)
+            )
+        sim = DataCenterSimulation(
+            dataset, PerfectPredictor(dataset), EpactPolicy(), **kwargs
+        )
+        result = sim.run()
+        if layer == "power-cap":
+            assert result.total_capped_samples > 0
+        for record in result.records:
+            detail = inspect_slot(sim, record.slot_index)
+            assert detail.energy_j == record.energy_j
+            assert detail.total_violations == record.violations
 
     def test_shapes_aligned(self, sim_pair):
         sim, result = sim_pair

@@ -1,20 +1,16 @@
 """Service-mode equivalence suite (repro.serve).
 
-Four guarantees:
+Three guarantees:
 
-* the incremental Hannan-Rissanen refresh tracks the full re-fit
-  oracle within a documented tolerance (and is bit-identical at epoch
-  starts / with ``refit_every_days=1``);
 * a clean replay feed driven through the ``repro-serve`` loop is
   bit-identical to the batch :class:`~repro.dcsim.CloudSimulation`;
 * a run resumed from a mid-serve checkpoint equals the uninterrupted
-  run, incremental mode included;
+  run;
 * every ``decision_*`` event the service emits validates against
   :data:`repro.obs.tracer.EVENT_SCHEMAS`.
 
 Plus the collector adapters themselves: push semantics, dropout
-timeouts, the HTTP round-trip, and the deprecation shims for the names
-that moved out of ``repro.cloud.telemetry``.
+timeouts and the HTTP round-trip.
 """
 
 import itertools
@@ -32,29 +28,14 @@ from repro.cloud import (
 from repro.cloud.telemetry import TraceCollector
 from repro.core import EpactPolicy
 from repro.dcsim.config import StreamingConfig
-from repro.errors import (
-    CollectorTimeoutError,
-    ConfigurationError,
-    DomainError,
-)
+from repro.errors import CollectorTimeoutError, ConfigurationError
 from repro.forecast import DayAheadPredictor
 from repro.obs.tracer import RunTracer, validate_event
-from repro.serve import (
-    HttpCollector,
-    IncrementalDayAheadForecaster,
-    PushCollector,
-    TelemetryFeedServer,
-)
+from repro.serve import HttpCollector, PushCollector, TelemetryFeedServer
 from repro.serve.service import ServeConfig, build_simulation, serve
 from repro.traces import default_dataset
 from repro.traces.lifecycle import fixed_schedule
-from repro.units import SAMPLES_PER_DAY, SAMPLES_PER_SLOT
-
-#: Documented tolerance of the incremental refresh vs the oracle, in
-#: absolute utilization points (traces live on a 0-100 scale).  The
-#: frozen long-AR filter is the only approximation; everything else is
-#: recomputed exactly each day.
-INCREMENTAL_TOL_PCT = 2.0
+from repro.units import SAMPLES_PER_SLOT
 
 
 def records_equal(a, b):
@@ -63,81 +44,8 @@ def records_equal(a, b):
 
 
 @pytest.fixture(scope="module")
-def ds():
-    return default_dataset(n_vms=30, n_days=14, seed=77)
-
-
-@pytest.fixture(scope="module")
 def serve_config(tmp_path_factory):
     return ServeConfig(n_vms=40, n_days=9, seed=2018, n_slots=24)
-
-
-# -- incremental forecaster vs the oracle -----------------------------------
-
-
-class TestIncrementalForecaster:
-    def test_epoch_start_matches_batch_predictor(self, ds):
-        """A full-re-fit day is bit-identical to DayAheadPredictor."""
-        inc = IncrementalDayAheadForecaster(ds)
-        batch = DayAheadPredictor(ds)
-        cpu_i, mem_i = inc.forecast_day(7)
-        cpu_b, mem_b = batch.forecast_day(7)
-        np.testing.assert_array_equal(cpu_i, cpu_b)
-        np.testing.assert_array_equal(mem_i, mem_b)
-        assert inc.full_fit_count == 1 and inc.incremental_count == 0
-
-    def test_incremental_tracks_oracle(self, ds):
-        """Every epoch day stays within the documented tolerance."""
-        inc = IncrementalDayAheadForecaster(ds, refit_every_days=7)
-        worst = 0.0
-        for day in range(7, ds.n_days):
-            cpu_i, mem_i = inc.forecast_day(day)
-            cpu_o, mem_o = inc.oracle_forecast_day(day)
-            worst = max(
-                worst,
-                float(np.abs(cpu_i - cpu_o).max()),
-                float(np.abs(mem_i - mem_o).max()),
-            )
-        assert inc.incremental_count == ds.n_days - 8
-        assert worst < INCREMENTAL_TOL_PCT
-
-    def test_refit_every_1_is_the_oracle(self, ds):
-        """refit_every_days=1 degenerates to the daily full re-fit."""
-        inc = IncrementalDayAheadForecaster(ds, refit_every_days=1)
-        batch = DayAheadPredictor(ds)
-        for day in (7, 8, 9):
-            cpu_i, mem_i = inc.forecast_day(day)
-            cpu_b, mem_b = batch.forecast_day(day)
-            np.testing.assert_array_equal(cpu_i, cpu_b)
-            np.testing.assert_array_equal(mem_i, mem_b)
-        assert inc.incremental_count == 0
-
-    def test_non_consecutive_day_refits(self, ds):
-        inc = IncrementalDayAheadForecaster(ds)
-        inc.forecast_day(7)
-        inc.forecast_day(9)  # skipped day 8 -> new epoch
-        assert inc.full_fit_count == 2
-
-    def test_state_restore_round_trip(self, ds):
-        """A restored forecaster continues the epoch bit-identically."""
-        inc = IncrementalDayAheadForecaster(ds)
-        inc.forecast_day(7)
-        snapshot = inc.state()
-        expected = inc.forecast_day(8)
-        other = IncrementalDayAheadForecaster(ds)
-        other.restore(snapshot)
-        got = other.forecast_day(8)
-        np.testing.assert_array_equal(got[0], expected[0])
-        np.testing.assert_array_equal(got[1], expected[1])
-        assert other.incremental_count == 1
-
-    def test_validation(self, ds):
-        with pytest.raises(DomainError, match="history_days"):
-            IncrementalDayAheadForecaster(ds, history_days=1)
-        with pytest.raises(ConfigurationError, match="refit_every_days"):
-            IncrementalDayAheadForecaster(ds, refit_every_days=0)
-        with pytest.raises(DomainError, match="training window"):
-            IncrementalDayAheadForecaster(ds).forecast_day(3)
 
 
 # -- collector adapters -----------------------------------------------------
@@ -201,22 +109,6 @@ class TestHttpFeed:
             http.poll(1)
 
 
-class TestMovedNameShims:
-    def test_deprecation_warning_and_same_object(self):
-        import repro.cloud.telemetry as old
-        from repro.serve import adapters as new
-
-        for name in ("TelemetryBatch", "poll_with_retry"):
-            with pytest.warns(DeprecationWarning, match="repro.serve"):
-                assert getattr(old, name) is getattr(new, name)
-
-    def test_unknown_name_still_raises(self):
-        import repro.cloud.telemetry as old
-
-        with pytest.raises(AttributeError):
-            old.does_not_exist
-
-
 # -- serve replay vs the batch engine ---------------------------------------
 
 
@@ -263,27 +155,12 @@ class TestServeReplayEquivalence:
         live = serve(serve_config, collectors=[push])
         assert records_equal(live.records, replay.records)
 
-    def test_incremental_serve_runs_and_stays_close(self, serve_config):
-        config = serve_config.__class__(
-            **{
-                **serve_config.__dict__,
-                "incremental_forecasts": True,
-            }
-        )
-        incremental = serve(config)
-        exact = serve(serve_config)
-        assert len(incremental.records) == len(exact.records)
-        e_inc = sum(r.energy_j for r in incremental.records)
-        e_exact = sum(r.energy_j for r in exact.records)
-        assert abs(e_inc - e_exact) / e_exact < 0.05
-
     def test_checkpoint_resume_equals_uninterrupted(self, tmp_path):
         path = os.fspath(tmp_path / "serve.ckpt")
         config = ServeConfig(
             n_vms=24,
             n_days=9,
             n_slots=24,
-            incremental_forecasts=True,
             checkpoint_every_slots=8,
             checkpoint_path=path,
         )
@@ -368,12 +245,6 @@ class TestStreamingConfig:
             StreamingConfig(blind_after_slots=0)
         with pytest.raises(ConfigurationError, match="mutually exclusive"):
             StreamingConfig(telemetry=object(), collectors=[object()])
-        with pytest.raises(
-            ConfigurationError, match="incremental_forecasts"
-        ):
-            StreamingConfig(incremental_forecasts=True)
-        with pytest.raises(ConfigurationError, match="refit_every_days"):
-            StreamingConfig(refit_every_days=0)
         with pytest.raises(ConfigurationError, match="staleness"):
             StreamingConfig(staleness_budget_slots=3)
 
@@ -382,30 +253,12 @@ class TestStreamingConfig:
             ServeConfig(policy="nope")
         with pytest.raises(ConfigurationError, match="n_days"):
             ServeConfig(n_days=1)
-        with pytest.raises(ConfigurationError, match="refit_every_days"):
-            ServeConfig(refit_every_days=0)
 
 
 # -- engine-level validation ------------------------------------------------
 
 
 class TestStreamingEngineValidation:
-    def test_incremental_without_stream_rejected(self):
-        dataset = default_dataset(n_vms=10, n_days=9, seed=5)
-        schedule = fixed_schedule(dataset.n_vms, 0, dataset.n_slots)
-        with pytest.raises(
-            ConfigurationError, match="incremental_forecasts"
-        ):
-            StreamingCloudSimulation(
-                dataset,
-                DayAheadPredictor(dataset),
-                EpactPolicy(),
-                schedule,
-                incremental_forecasts=True,
-                max_servers=8,
-                n_slots=4,
-            )
-
     def test_telemetry_and_collectors_rejected(self):
         dataset = default_dataset(n_vms=10, n_days=9, seed=5)
         schedule = fixed_schedule(dataset.n_vms, 0, dataset.n_slots)
@@ -421,12 +274,3 @@ class TestStreamingEngineValidation:
                 n_slots=4,
             )
 
-
-# -- verify the forecast day shape contract ---------------------------------
-
-
-def test_forecast_day_shape(ds):
-    inc = IncrementalDayAheadForecaster(ds)
-    cpu, mem = inc.forecast_day(7)
-    assert cpu.shape == (ds.n_vms, SAMPLES_PER_DAY)
-    assert mem.shape == (ds.n_vms, SAMPLES_PER_DAY)
