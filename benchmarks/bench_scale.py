@@ -18,10 +18,14 @@ Scenarios (deterministic seeds):
   largest.
 * ``allocate_*_5k`` / ``allocate_*_10k`` — fast-path scale-out points
   (the quadratic reference is only timed here under ``--full``).
+* ``allocate_2d_shard_1250`` — one shard of a hyperscale region slot
+  (1,250 VMs of ``synthetic_dataset(10_000, seed=2018)``, slot 0,
+  8-way ``cluster_vms``) on ~176 servers: the shape of every
+  ``allocate_2d`` call in perfbench's ``hyperscale-20k``.
 * ``coat_2k`` / ``coat_2k_day`` — the COAT baseline packing 2000 VMs
   over one slot (12 samples) and over a day-ahead window (288
   samples): preallocated in-place pattern matrices vs the kept seed
-  loop.  The plans must match exactly, else the bench exits non-zero.
+  loop.
 * ``forecast_day_400`` — batched vs scalar day-ahead prediction for
   400 VMs x 2 resources.
 * ``simulate_week_120`` — the full pipeline (prediction, EPACT
@@ -72,6 +76,10 @@ Scenarios (deterministic seeds):
   ``energy_rel_diff`` must be exactly 0.0 (the decision stream is
   observation, not perturbation), else the bench exits non-zero.
 
+Every allocation scenario that times its reference also compares the
+plans and forced-placement counts of each timed pair; any difference
+exits non-zero.
+
 Each scenario records the fast time, reference time (where tractable)
 and their speedup into ``BENCH_<rev>.json``; ``--baseline`` prints the
 delta of every scenario against a previous JSON so regressions show up
@@ -98,8 +106,10 @@ from repro.core import EpactPolicy, FleetEpactPolicy
 from repro.core.alloc1d import allocate_1d
 from repro.core.alloc2d import allocate_2d
 from repro.dcsim.engine import DataCenterSimulation, run_policies
+from repro.experiments.hyperscale import synthetic_dataset
 from repro.forecast import DayAheadPredictor
 from repro.power.server_power import ntc_server_power_model
+from repro.shard import cluster_vms
 from repro.traces import default_dataset
 
 
@@ -158,22 +168,42 @@ def best_of(fn, repeats):
     return min(times)
 
 
-def best_of_pair(fast_fn, seed_fn, repeats):
+def best_of_pair(fast_fn, seed_fn, repeats, same=None):
     """Interleaved minimum wall times of the fast and reference paths.
 
     Alternating the two keeps thermal/steal-time conditions comparable —
     on throttled single-CPU boxes a back-to-back block of one variant
-    sees a systematically different machine than the other.
+    sees a systematically different machine than the other.  ``same``,
+    if given, is called with both sides' results after every pair.
     """
     fast_times, seed_times = [], []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        fast_fn()
+        fast = fast_fn()
         fast_times.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
-        seed_fn()
+        seed = seed_fn()
         seed_times.append(time.perf_counter() - t0)
+        if same is not None:
+            same(fast, seed)
     return min(fast_times), min(seed_times)
+
+
+def same_plans(name):
+    """A ``best_of_pair`` check: ``(plans, forced)`` results must agree.
+
+    Exits non-zero when the fast path's plans or forced-placement count
+    differ from the reference's.
+    """
+
+    def check(fast, seed):
+        if [p.vm_ids for p in fast[0]] != [p.vm_ids for p in seed[0]] or (
+            fast[1] != seed[1]
+        ):
+            print(f"BENCH CONTRACT FAILED: {name} plans differ from the seed loop")
+            sys.exit(1)
+
+    return check
 
 
 def git_rev():
@@ -221,6 +251,7 @@ def bench_allocations(results, full):
                 lambda: allocate_1d(cpu, mem, 60.0, fast=True),
                 lambda: allocate_1d(cpu, mem, 60.0, fast=False),
                 reps,
+                same_plans(f"allocate_1d_{tag}"),
             )
         else:
             fast = best_of(
@@ -240,6 +271,7 @@ def bench_allocations(results, full):
                     max_servers=bound, fast=False,
                 ),
                 reps,
+                same_plans(f"allocate_2d_{tag}_memdom"),
             )
         else:
             fast = best_of(
@@ -259,6 +291,7 @@ def bench_allocations(results, full):
         lambda: allocate_1d(cpu, mem, 60.0, fast=True),
         lambda: allocate_1d(cpu, mem, 60.0, fast=False),
         2,
+        same_plans("allocate_1d_2k_day"),
     )
     record(results, "allocate_1d_2k_day", fast, seed)
     fast, seed = best_of_pair(
@@ -269,8 +302,29 @@ def bench_allocations(results, full):
             cpu, mem, 400, 60.0, max_servers=800, fast=False
         ),
         2,
+        same_plans("allocate_2d_2k_day"),
     )
     record(results, "allocate_2d_2k_day", fast, seed)
+
+    # One shard of a hyperscale region slot, the shape of every
+    # allocate_2d call in perfbench's hyperscale-20k: most picks score
+    # every open server.
+    dataset = synthetic_dataset(10_000, seed=2018)
+    cpu = dataset.cpu_pct[:, :12]
+    mem = dataset.mem_pct[:, :12]
+    rows = cluster_vms(cpu, 8)[0]
+    cpu, mem = cpu[rows], mem[rows]
+    fast, seed = best_of_pair(
+        lambda: allocate_2d(
+            cpu, mem, 172, 54.84, 90.0, max_servers=250, fast=True
+        ),
+        lambda: allocate_2d(
+            cpu, mem, 172, 54.84, 90.0, max_servers=250, fast=False
+        ),
+        5,
+        same_plans("allocate_2d_shard_1250"),
+    )
+    record(results, "allocate_2d_shard_1250", fast, seed)
 
 
 def bench_coat(results):
@@ -291,17 +345,15 @@ def bench_coat(results):
             max_servers=2000,
             qos_floor_ghz=np.full(2000, 1.2),
         )
-        fast = CoatPolicy().allocate(ctx)
-        ref = _allocate_reference(CoatPolicy(), ctx)
-        if [p.vm_ids for p in fast.plans] != [p.vm_ids for p in ref.plans] or (
-            fast.forced_placements != ref.forced_placements
-        ):
-            print(f"BENCH CONTRACT FAILED: {name} plans differ from the seed loop")
-            sys.exit(1)
+        check = same_plans(name)
         fast_s, seed_s = best_of_pair(
             lambda: CoatPolicy().allocate(ctx),
             lambda: _allocate_reference(CoatPolicy(), ctx),
             3,
+            lambda fast, ref: check(
+                (fast.plans, fast.forced_placements),
+                (ref.plans, ref.forced_placements),
+            ),
         )
         record(results, name, fast_s, seed_s)
 

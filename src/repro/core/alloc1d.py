@@ -73,7 +73,6 @@ def allocate_1d(
     max_servers: Optional[int] = None,
     order: Optional[Sequence[int]] = None,
     fast: bool = True,
-    workspace: Optional[AllocationWorkspace] = None,
 ) -> Tuple[List[ServerPlan], int]:
     """Run Algorithm 1; returns the server plans and forced-placement count.
 
@@ -87,9 +86,6 @@ def allocate_1d(
         order: explicit allocation order (defaults to FFD).
         fast: use the incremental fast path (default); ``False`` runs the
             seed reference loop.
-        workspace: optional precomputed
-            :class:`~repro.core.workspace.AllocationWorkspace` for
-            ``(pred_cpu, pred_mem)``, reusable across calls.
     """
     if not (0.0 < cap_cpu_pct <= 100.0 + _EPS):
         raise DomainError(f"cap_cpu_pct must be in (0, 100], got {cap_cpu_pct}")
@@ -111,7 +107,6 @@ def allocate_1d(
             cap_mem_pct,
             max_servers,
             sequence,
-            workspace,
         )
     return _allocate_1d_reference(
         pred_cpu, pred_mem, cap_cpu_pct, cap_mem_pct, max_servers, sequence
@@ -125,7 +120,6 @@ def _allocate_1d_fast(
     cap_mem_pct: float,
     max_servers: Optional[int],
     sequence: np.ndarray,
-    workspace: Optional[AllocationWorkspace],
 ) -> Tuple[List[ServerPlan], int]:
     """Incremental Algorithm 1 (see module docstring).
 
@@ -138,11 +132,7 @@ def _allocate_1d_fast(
     shapeless-aggregate zero-phi rounds) match the reference pick for
     pick.
     """
-    ws = (
-        workspace
-        if workspace is not None
-        else AllocationWorkspace(pred_cpu, pred_mem)
-    )
+    ws = AllocationWorkspace(pred_cpu, pred_mem)
     cpu, mem = ws.cpu, ws.mem
     n_vms, n_samples = cpu.shape
     c_cent, c_norm, c_norm2 = ws.cpu_centered, ws.cpu_cnorm, ws.cpu_cnorm2

@@ -24,21 +24,33 @@ Two implementations share this contract:
 
 * the **fast path** (default) keeps per-server aggregates in preallocated
   arrays and maintains sums, squared norms and centered norms
-  incrementally.  Feasibility is pruned with peak/min bounds evaluated
-  for whole blocks of VMs at once (exact per-sample checks only run
-  inside the undecided band and for servers modified within the block)
-  and folded into **position-indexed penalties** — 0 for scoreable
-  servers, -inf for unfit ones and redundant empties — so candidate
-  assembly is one add + ``flatnonzero``/``argmax`` instead of boolean
-  masks and sorted inserts (the same treatment ``allocate_1d`` got).
-  Eq. 2 is evaluated only over fitting non-empty servers — all
-  empty servers tie at merit exactly 0, so one representative stands in
-  for them — using ``pearson(U, max(S)-S) == -pearson(U, S)`` and
-  ``Dist^2 = |Cap - U|^2 - 2 (Cap * sum(S) - dot(S, U)) + |S|^2``;
+  incrementally (a nearly flat aggregate's centered norm, where the
+  expanded form cancels to rounding noise, is recomputed directly, so
+  the zero-variance Pearson cutoff decides as in the reference).  VMs
+  are visited in blocks of 48.  Feasibility is
+  settled once per block against the block-entry state: peak/min bounds
+  sort every (VM, server) pair into fits, does not fit, or undecided,
+  and one gathered exact check settles the undecided pairs.  The result
+  is a (block, servers) penalty matrix, 0 or -inf.  A placement changes
+  one server, so the matrix stays exact for every server the block has
+  not touched; a touched server's column turns 0 ("unknown") and the
+  server is re-checked exactly only when it wins a VM's argmax — on a
+  failed re-check it is masked and the next maximum is taken.  Eq. 2 is
+  evaluated with ``pearson(U, max(S)-S) == -pearson(U, S)`` and
+  ``Dist^2 = |Cap - U|^2 - 2 (Cap * sum(S) - dot(S, U)) + |S|^2``, where
+  one ``matmul`` per pick gives ``dot(S, U - mean(U))`` for both
+  resources.  All empty servers tie at merit exactly 0, so one
+  representative (the lowest-indexed) stands in for them.  On hyperscale
+  shards most of the ~176 open servers fit a typical VM, and ~90% of
+  picks score every open server, letting the penalty row drop the unfit
+  ones; when fewer than 1/6 of the open servers are scoreable (fitting,
+  minus the redundant empties) — tight memory-dominant packing — only
+  those columns are gathered and scored;
 * the **reference path** (``fast=False``) is the seed's direct loop, kept
   as the equivalence oracle.  Merit terms are accumulated in a different
-  order on the fast path, so results can differ at float rounding
-  granularity when two servers' merits tie to ~1e-12 — see
+  order on the fast path (the dot products go through BLAS, whose
+  summation order depends on the build), so results can differ at float
+  rounding granularity when two servers' merits tie to ~1e-12 — see
   ``tests/test_fast_path_equivalence.py``.
 """
 
@@ -63,8 +75,12 @@ _CORR_EPS = 1.0e-12
 # this slack skip the exact per-sample check (the bounds are ~1 ulp tight,
 # the slack keeps the pruning bit-equivalent to the exact check).
 _BAND_SLACK = 1.0e-6
-# VMs per speculative batch in the fast path (see _allocate_2d_fast).
+# VMs per feasibility block in the fast path (see _allocate_2d_fast).
 _BLOCK = 48
+# The fast path's incremental squared centered norm carries a rounding
+# error of ~1e-16 * |S|^2 (measured on paper and hyperscale runs); below
+# this fraction of |S|^2 it is recomputed from the aggregate itself.
+_FLAT_RECHECK = 1.0e-6
 
 
 def merit_scores(
@@ -113,6 +129,18 @@ def _rowwise_pearson(rows: np.ndarray, target: np.ndarray) -> np.ndarray:
     return pearson_many(rows, target)
 
 
+def _complementary_cnorm2(served: np.ndarray) -> List[float]:
+    """Squared centered norms of ``max(S) - S`` for each row of ``served``.
+
+    Written as :func:`~repro.core.correlation.pearson_many` computes its
+    candidate norms, so a flat aggregate gets the same zero-variance
+    verdict as in the reference path.
+    """
+    com = served.max(axis=1, keepdims=True) - served
+    cen = com - np.add.reduce(com, axis=1, keepdims=True) / served.shape[1]
+    return np.add.reduce(cen * cen, axis=1).tolist()
+
+
 def allocate_2d(
     pred_cpu: np.ndarray,
     pred_mem: np.ndarray,
@@ -122,7 +150,6 @@ def allocate_2d(
     max_servers: Optional[int] = None,
     order: Optional[Sequence[int]] = None,
     fast: bool = True,
-    workspace: Optional[AllocationWorkspace] = None,
 ) -> Tuple[List[ServerPlan], int]:
     """Run Algorithm 2; returns server plans and forced-placement count.
 
@@ -140,9 +167,6 @@ def allocate_2d(
             (natural order), which is the default.
         fast: use the incremental fast path (default); ``False`` runs the
             seed reference loop.
-        workspace: optional precomputed
-            :class:`~repro.core.workspace.AllocationWorkspace` for
-            ``(pred_cpu, pred_mem)``, reusable across calls.
     """
     if n_servers < 1:
         raise DomainError("n_servers must be >= 1")
@@ -169,7 +193,6 @@ def allocate_2d(
             cap_mem_pct,
             fleet_bound,
             sequence,
-            workspace,
         )
     return _allocate_2d_reference(
         pred_cpu,
@@ -190,36 +213,31 @@ def _allocate_2d_fast(
     cap_mem_pct: float,
     fleet_bound: int,
     sequence: np.ndarray,
-    workspace: Optional[AllocationWorkspace],
 ) -> Tuple[List[ServerPlan], int]:
     """Incremental Algorithm 2 (see module docstring).
 
-    Structure: feasibility *bounds* are precomputed for blocks of VMs in
-    a few large ufuncs (each placement mutates exactly one server, so
-    block-entry bounds stay valid for every unmodified server and only
-    the handful of in-block modified servers are re-checked per VM).
-    The Eq. 2 merit is then evaluated only over the servers that fit,
-    from O(1)-per-server incremental state — matching the reference,
-    which also scores fitting servers only.  Under tight packing (the
-    memory-dominant regime this algorithm serves) the fitting set is a
-    small fraction of the fleet, making each pick nearly fleet-size
-    independent.
+    VMs are visited in blocks of ``_BLOCK``.  Feasibility is settled once
+    per block against the block-entry state, as a ``(block, servers)``
+    penalty matrix (0 = fits, -inf = does not).  A placement changes
+    exactly one server, so the matrix stays exact for every server the
+    block has not touched; a touched server's column is reset to 0
+    ("unknown") and re-checked only when that server wins a VM's
+    argmax.  A failed re-check masks it and the next maximum is taken,
+    which yields the reference's lowest-index fitting maximum.
     """
-    ws = (
-        workspace
-        if workspace is not None
-        else AllocationWorkspace(pred_cpu, pred_mem)
-    )
+    ws = AllocationWorkspace(pred_cpu, pred_mem)
     n_vms, k = ws.cpu.shape
-    two_k = 2 * k
     caps2 = np.array([cap_cpu_pct, cap_mem_pct])
     capscol = caps2[:, None]
     weights2 = caps2 / (cap_cpu_pct + cap_mem_pct)
 
     # Per-VM quantities stacked resource-first (0 = CPU, 1 = memory).
     patt = np.stack([ws.cpu, ws.mem], axis=1)  # (n_vms, 2, k)
-    patt_cat = patt.reshape(n_vms, two_k)
-    cent = np.stack([ws.cpu_centered, ws.mem_centered], axis=1)
+    # Centered patterns as (2, k, 1) columns: one matmul against the
+    # (2, servers, k) view of the served patterns gives dot(S, U -
+    # mean(U)) for both resources — the Pearson numerator and the
+    # distance cross term at once.
+    cent = np.stack([ws.cpu_centered, ws.mem_centered], axis=1)[..., None]
     v_cnorm = np.column_stack([ws.cpu_cnorm, ws.mem_cnorm])
     # -w_r / |U - mean(U)| (zero for shapeless VM patterns): folds the
     # Pearson sign, the Eq. 2 weight and the target norm into one per-VM
@@ -238,56 +256,62 @@ def _allocate_2d_fast(
     # Feasibility bounds: for any reals,
     #   max(peak(S)+min(U), min(S)+peak(U)) <= peak(S+U)
     #                                       <= peak(S)+peak(U),
-    # so one 6-row comparison classifies every server as surely-fitting,
-    # surely-not, or in the undecided band needing the exact per-sample
-    # check.  Rows: [peak+peak vs tight cap] x2, [peak+min vs loose] x2,
-    # [min+peak vs loose] x2.
+    # so comparing six server bounds [peak, peak, min] (x CPU, memory)
+    # with six per-VM thresholds classifies every server as surely
+    # fitting (both peak+peak rows under the tight cap), surely not (a
+    # peak+min or min+peak row over the loose cap) or undecided, which
+    # gets the exact per-sample check.  The thresholds are moved to the
+    # VM side (cap - bound(U)); the band slack dwarfs that rounding, so
+    # the classification stays sound.
     off6 = np.concatenate([v_peak, v_min, v_peak], axis=1)[:, :, None]
     loose = capscol + (_EPS + _BAND_SLACK)
     thr6 = np.concatenate([capscol - _BAND_SLACK, loose, loose], axis=0)
+    vm_thr6 = thr6[None] - off6  # (n_vms, 6, 1)
+    eps_col = capscol + _EPS
 
     plans = [
         ServerPlan(cap_cpu_pct=cap_cpu_pct, cap_mem_pct=cap_mem_pct)
         for _ in range(n_servers)
     ]
-    # Preallocated per-server state (grows logically via n_act):
-    #   served_cat — aggregate patterns, CPU and memory concatenated;
-    #   ssum/ssq   — aggregate sums and squared raw norms;
-    #   cnorm2     — squared centered norms; inv_snorm — 1/sqrt of it
-    #                (0 for shapeless aggregates = zero Pearson);
-    #   g          — ssq - 2*cap*ssum, the server part of Dist^2;
-    #   bounds6    — [peak_c, peak_m, peak_c, peak_m, min_c, min_m].
-    capacity = max(fleet_bound, n_servers)
-    served_cat = np.zeros((capacity, two_k))
-    ssq = np.zeros((2, capacity))
-    cnorm2 = np.zeros((2, capacity))
-    # Merit-kernel state, consolidated so the gather branch copies one
-    # array: rows [inv_snorm_c, inv_snorm_m, g_c, g_m, ssum_c, ssum_m].
-    mstate = np.zeros((6, capacity))
-    inv_snorm = mstate[0:2]
-    g = mstate[2:4]
-    ssum = mstate[4:6]
-    bounds6 = np.zeros((6, capacity))
-    is_mod = np.zeros(capacity, dtype=bool)
+    # Per-server state:
+    #   served  — aggregate patterns (fleet_bound, 2, k); its transpose
+    #             ``served_t`` (2, servers, k) is the matmul operand;
+    #   mstate  — merit-kernel rows [inv_snorm_c, inv_snorm_m, g_c, g_m,
+    #             ssum_c, ssum_m] over the open servers: inv_snorm is
+    #             1/|S - mean(S)| (0 for shapeless aggregates = zero
+    #             Pearson), g = |S|^2 - 2*cap*sum(S) the server part of
+    #             Dist^2.  Exactly n_act wide, so its row pairs are
+    #             contiguous; regrown when a server opens;
+    #   bounds6 — [peak_c, peak_m, peak_c, peak_m, min_c, min_m], as of
+    #             the current block's entry.
+    served = np.zeros((fleet_bound, 2, k))
+    served_t = served.transpose(1, 0, 2)
+    mstate = np.zeros((6, n_servers))
+    bounds6 = np.zeros((6, fleet_bound))
     # Empty servers all carry identical (zero) state: their Eq. 2 merit
-    # is exactly 0 for every VM and they fit or reject a VM identically.
-    # Only the lowest-indexed empty server therefore ever needs scoring —
-    # `empty_ptr` tracks it, and the merit kernel runs on the fitting
-    # non-empty servers plus that one representative.
-    nonempty = np.zeros(capacity, dtype=bool)
-    empty_ptr = 0
-    # Position-indexed scoreability penalty (the treatment allocate_1d's
-    # fast path got): 0 for servers the merit kernel may pick (non-empty
-    # or the representative empty), -inf for the redundant empties.  The
-    # per-VM feasibility penalty is added on top, so one argmax replaces
-    # the boolean mask / searchsorted-insert candidate assembly.
-    empty_pen = np.full(capacity, -np.inf)
+    # is exactly 0 for every VM and they fit or reject a VM identically,
+    # so only the lowest-indexed one — `empty_ptr`, the representative —
+    # is ever a candidate.  `empty_pen` is 0 for non-empty servers and
+    # the representative, -inf for the redundant empties.  Scoring every
+    # open server needs no such mask: a redundant empty ties the
+    # representative at merit 0 and loses the argmax on index.
+    empty_pen = np.full(fleet_bound, -np.inf)
     empty_pen[0] = 0.0
+    empty_ptr = 0
+    nonempty = [False] * fleet_bound
+    touched = [False] * fleet_bound
     n_act = n_servers
     unplaced: List[int] = []
 
-    # Python-float copies of the per-VM scalars: the per-placement state
-    # updates run ~5x faster outside numpy's small-array dispatch.
+    # Python-float mirrors of the per-server and per-VM scalars: the
+    # per-placement state updates run ~5x faster outside numpy's
+    # scalar dispatch.
+    ssum_c = [0.0] * fleet_bound
+    ssum_m = [0.0] * fleet_bound
+    ssq_c = [0.0] * fleet_bound
+    ssq_m = [0.0] * fleet_bound
+    cn2_c = [0.0] * fleet_bound
+    cn2_m = [0.0] * fleet_bound
     mean_l = v_mean.tolist()
     cnorm2_l = np.column_stack([ws.cpu_cnorm2, ws.mem_cnorm2]).tolist()
     sum_l = np.column_stack([ws.cpu_sum, ws.mem_sum]).tolist()
@@ -296,168 +320,164 @@ def _allocate_2d_fast(
 
     def place(vm: int, j: int, dc: float, dm: float) -> None:
         nonlocal empty_ptr
-        nonempty[j] = True
-        empty_pen[j] = 0.0  # non-empty servers are always scoreable
-        while empty_ptr < capacity and nonempty[empty_ptr]:
-            empty_ptr += 1
-        if empty_ptr < capacity:
-            empty_pen[empty_ptr] = 0.0  # the new representative empty
+        if not nonempty[j]:
+            nonempty[j] = True
+            empty_pen[j] = 0.0
+            if j == empty_ptr:
+                while empty_ptr < fleet_bound and nonempty[empty_ptr]:
+                    empty_ptr += 1
+                if empty_ptr < fleet_bound:
+                    empty_pen[empty_ptr] = 0.0
+        served[j] += patt[vm]
         mc, mm = mean_l[vm]
-        s0 = ssum[0, j]
-        s1 = ssum[1, j]
+        s0 = ssum_c[j]
+        s1 = ssum_m[j]
         draw_c = dc + mc * s0
         draw_m = dm + mm * s1
+        qc, qm = sq_l[vm]
+        q0 = ssq_c[j] + 2.0 * draw_c + qc
+        q1 = ssq_m[j] + 2.0 * draw_m + qm
+        ssq_c[j] = q0
+        ssq_m[j] = q1
         n2c, n2m = cnorm2_l[vm]
-        c0 = max(cnorm2[0, j] + 2.0 * dc + n2c, 0.0)
-        c1 = max(cnorm2[1, j] + 2.0 * dm + n2m, 0.0)
-        cnorm2[0, j] = c0
-        cnorm2[1, j] = c1
+        c0 = cn2_c[j] + 2.0 * dc + n2c
+        c1 = cn2_m[j] + 2.0 * dm + n2m
+        if c0 <= _FLAT_RECHECK * q0 or c1 <= _FLAT_RECHECK * q1:
+            # A (nearly) flat aggregate: the expanded norm has cancelled
+            # down to its rounding error, which can fall on either side
+            # of the zero-variance Pearson cutoff (two stacked constant
+            # VMs leave ~1e-12 here, not 0).  Recompute it directly.
+            c0, c1 = _complementary_cnorm2(served[j])
+        cn2_c[j] = c0
+        cn2_m[j] = c1
         r0 = math.sqrt(c0)
         r1 = math.sqrt(c1)
-        inv_snorm[0, j] = 1.0 / r0 if r0 >= _CORR_EPS else 0.0
-        inv_snorm[1, j] = 1.0 / r1 if r1 >= _CORR_EPS else 0.0
-        qc, qm = sq_l[vm]
-        q0 = ssq[0, j] + 2.0 * draw_c + qc
-        q1 = ssq[1, j] + 2.0 * draw_m + qm
-        ssq[0, j] = q0
-        ssq[1, j] = q1
         sc, sm = sum_l[vm]
         s0 += sc
         s1 += sm
-        ssum[0, j] = s0
-        ssum[1, j] = s1
-        g[0, j] = q0 - 2.0 * capc * s0
-        g[1, j] = q1 - 2.0 * capm * s1
-        row = served_cat[j]
-        row += patt_cat[vm]
-        r2 = row.reshape(2, k)
-        mx = r2.max(axis=1)
-        mn = r2.min(axis=1)
-        pc, pm = float(mx[0]), float(mx[1])
-        bounds6[0, j] = pc
-        bounds6[1, j] = pm
-        bounds6[2, j] = pc
-        bounds6[3, j] = pm
-        bounds6[4, j] = float(mn[0])
-        bounds6[5, j] = float(mn[1])
-        plans[j].vm_ids.append(int(vm))
+        ssum_c[j] = s0
+        ssum_m[j] = s1
+        mstate[0, j] = 1.0 / r0 if r0 >= _CORR_EPS else 0.0
+        mstate[1, j] = 1.0 / r1 if r1 >= _CORR_EPS else 0.0
+        mstate[2, j] = q0 - 2.0 * capc * s0
+        mstate[3, j] = q1 - 2.0 * capm * s1
+        mstate[4, j] = s0
+        mstate[5, j] = s1
+        plans[j].vm_ids.append(vm)
 
-    seq_list = [int(v) for v in sequence]
-    eps_caps = caps2 + _EPS
-    block = _BLOCK
-    for pos in range(0, len(seq_list), block):
-        blk = seq_list[pos : pos + block]
-        n_blk = len(blk)
+    seq_l = sequence.tolist()
+    ninf = -np.inf
+    n_view = -1
+    for pos in range(0, n_vms, _BLOCK):
+        blk = sequence[pos : pos + _BLOCK]
+        n_blk = blk.shape[0]
         base = n_act
-        # -- block precompute: feasibility penalties vs block-entry state.
-        # Position-indexed like allocate_1d's fast path: 0 marks a
-        # surely-fitting server, -inf a surely-unfit one; the undecided
-        # band is patched per VM after its exact check.
-        c6 = bounds6[:, :base] + off6[blk] <= thr6  # (n_blk, 6, base)
-        sure0 = c6[:, 0, :] & c6[:, 1, :]
-        may0 = c6[:, 2:, :].all(axis=1)
-        may0 &= ~sure0
-        pen0 = np.where(sure0, 0.0, -np.inf)
+        # -- feasibility once per block, against the block-entry state.
+        c6 = bounds6[:, :base] <= vm_thr6[blk]  # (n_blk, 6, base)
+        fit = c6[:, 0, :] & c6[:, 1, :]
+        band = c6[:, 2:, :].all(axis=1)
+        band &= ~fit
+        flat = np.flatnonzero(band)
+        if flat.size:
+            # The reference's exact test, S + U <= cap + eps at every
+            # sample, for all undecided (VM, server) pairs in one gather.
+            b_vm = flat // base
+            b_srv = flat - b_vm * base
+            agg = served[b_srv] + patt[blk[b_vm]]
+            ok = (agg <= eps_col).reshape(flat.size, -1).all(axis=1)
+            fit.flat[flat[ok]] = True
+        # Servers opened inside the block sit past `base`: touched from
+        # birth, their columns start (and stay) unknown.
+        pen = np.zeros((n_blk, min(fleet_bound, base + n_blk)))
+        np.copyto(pen[:, :base], ninf, where=~fit)
+        # Scoreable servers per VM at block entry (fitting, minus the
+        # redundant empties); plus the servers touched since, this is
+        # the estimate that picks the full-width or the gathered kernel.
+        n_score = np.count_nonzero(
+            fit & (empty_pen[:base] == 0.0), axis=1
+        ).tolist()
 
-        # -- sequential walk; only in-block modified servers re-checked --
-        modified: List[int] = []
+        touched_l: List[int] = []
         for i in range(n_blk):
-            vm = blk[i]
-            row_pen = np.full(n_act, -np.inf)
-            row_pen[:base] = pen0[i]
-            band = np.flatnonzero(may0[i])
-            if modified:
-                band = band[~is_mod[band]]
-                m_ids = np.array(modified, dtype=np.intp)
-                band = np.concatenate([band, m_ids])
-            if band.size:
-                aggb = served_cat[band] + patt_cat[vm]
-                row_pen[band] = np.where(
-                    (aggb.reshape(-1, 2, k).max(axis=2) <= eps_caps).all(
-                        axis=1
-                    ),
-                    0.0,
-                    -np.inf,
-                )
-            # Scoreable set = fitting servers with the redundant empties
-            # penalized away (every fitting empty ties the representative
-            # at merit exactly 0, and if any empty fits the lowest-index
-            # one — the representative — fits too).  Positions ascend, so
-            # argmax tie-breaks match the reference's lowest-index pick.
-            scoreable = row_pen + empty_pen[:n_act]
-            idx_eval = np.flatnonzero(scoreable == 0.0)
-            if idx_eval.size == 0:
+            vm = seq_l[pos + i]
+            if n_act != n_view:
+                n_view = n_act
+                s_view = served_t[:, :n_act]
+                wide_ms = (mstate[0:2], mstate[2:4], mstate[4:6])
+                e_view = empty_pen[:n_act]
+            row = pen[i, :n_act]
+            if 6 * (n_score[i] + len(touched_l)) >= n_act:
+                # Wide scoreable set: score every open server; the
+                # penalty row drops the unfit ones to -inf.
+                cols = None
+                sv = s_view
+                isn, gs, ss = wide_ms
+            else:
+                # Narrow: gather the scoreable columns (ascending, so
+                # argmax ties still break to the lowest server index).
+                cols = np.flatnonzero(row + e_view == 0.0)
+                sv = served_t[:, cols]
+                ms = mstate[:, cols]
+                isn, gs, ss = ms[0:2], ms[2:4], ms[4:6]
+            j = -1
+            if cols is None or cols.size:
+                dcm = np.matmul(sv, cent[vm])[:, :, 0]
+                um = dcm * isn
+                um *= vw[vm]
+                dm_ = dcm + dcm
+                dm_ += gs
+                dm_ += ss * k2[vm]
+                dm_ += a2[vm]
+                np.maximum(dm_, 0.0, out=dm_)
+                np.sqrt(dm_, out=dm_)
+                np.maximum(dm_, _DIST_FLOOR, out=dm_)
+                um /= dm_
+                merit = um[0] + um[1]
+                if cols is None:
+                    merit += row
+                while True:
+                    pick = int(merit.argmax())
+                    if merit[pick] == ninf:
+                        break
+                    cand = pick if cols is None else int(cols[pick])
+                    if not touched[cand] or (
+                        (served[cand] + patt[vm]) <= eps_col
+                    ).all():
+                        j = cand
+                        place(vm, j, float(dcm[0, pick]), float(dcm[1, pick]))
+                        break
+                    # A touched server that no longer fits: mask it and
+                    # take the next maximum.
+                    merit[pick] = ninf
+            if j < 0:
                 # No server fits (the representative stands in for all
                 # empties, so this covers the whole fleet).
-                if n_act < fleet_bound:
-                    plans.append(
-                        ServerPlan(
-                            cap_cpu_pct=cap_cpu_pct, cap_mem_pct=cap_mem_pct
-                        )
-                    )
-                    j = n_act
-                    n_act += 1
-                    place(vm, j, 0.0, 0.0)
-                    is_mod[j] = True
-                    modified.append(j)
-                else:
+                if n_act >= fleet_bound:
                     unplaced.append(vm)
-                continue
-            if 6 * idx_eval.size >= n_act:
-                # Wide evaluation set: run the phi/Dist kernel on the
-                # contiguous views; adding the penalty vector replaces
-                # the boolean-mask assembly (finite + 0.0 is unchanged,
-                # everything else drops to -inf).
-                dcm = np.einsum(
-                    "srk,rk->rs",
-                    served_cat[:n_act].reshape(n_act, 2, k),
-                    cent[vm],
+                    continue
+                plans.append(
+                    ServerPlan(cap_cpu_pct=cap_cpu_pct, cap_mem_pct=cap_mem_pct)
                 )
-                um = dcm * inv_snorm[:, :n_act]
-                um *= vw[vm]
-                dm_ = dcm + dcm
-                dm_ += g[:, :n_act]
-                dm_ += ssum[:, :n_act] * k2[vm]
-                dm_ += a2[vm]
-                np.maximum(dm_, 0.0, out=dm_)
-                np.sqrt(dm_, out=dm_)
-                np.maximum(dm_, _DIST_FLOOR, out=dm_)
-                um /= dm_
-                merit = um[0] + um[1]
-                merit += scoreable
-                j = int(np.argmax(merit))
-                place(vm, j, float(dcm[0, j]), float(dcm[1, j]))
-            else:
-                # The incremental phi/Dist kernel over the gathered set
-                # (idx_eval already lists the scoreable positions in
-                # ascending order, representative empty included):
-                # dot(S, U-mean(U)) feeds the Pearson numerator and the
-                # distance cross term at once.
-                dcm = (
-                    (served_cat[idx_eval].reshape(-1, 2, k) * cent[vm])
-                    .sum(axis=2)
-                    .T
-                )
-                ms = mstate[:, idx_eval]
-                um = dcm * ms[0:2]
-                um *= vw[vm]
-                dm_ = dcm + dcm
-                dm_ += ms[2:4]
-                dm_ += ms[4:6] * k2[vm]
-                dm_ += a2[vm]
-                np.maximum(dm_, 0.0, out=dm_)
-                np.sqrt(dm_, out=dm_)
-                np.maximum(dm_, _DIST_FLOOR, out=dm_)
-                um /= dm_
-                merit = um[0] + um[1]
-                pick = int(np.argmax(merit))
-                j = int(idx_eval[pick])
-                place(vm, j, float(dcm[0, pick]), float(dcm[1, pick]))
-            if not is_mod[j]:
-                is_mod[j] = True
-                modified.append(j)
-        if modified:
-            is_mod[np.array(modified, dtype=np.intp)] = False
+                j = n_act
+                n_act += 1
+                grown = np.zeros((6, n_act))
+                grown[:, :j] = mstate
+                mstate = grown
+                place(vm, j, 0.0, 0.0)
+            if not touched[j]:
+                touched[j] = True
+                touched_l.append(j)
+                pen[i + 1 :, j] = 0.0
+        if touched_l:
+            # Refresh the touched servers' bounds for the next block.
+            ids = np.array(touched_l, dtype=np.intp)
+            rows = served[ids]
+            peaks = rows.max(axis=2).T
+            bounds6[0:2, ids] = peaks
+            bounds6[2:4, ids] = peaks
+            bounds6[4:6, ids] = rows.min(axis=2).T
+            for j in touched_l:
+                touched[j] = False
 
     forced = force_place_remaining(plans, unplaced, pred_cpu)
     # Servers that received no VM stay off; drop their empty plans.

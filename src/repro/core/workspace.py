@@ -18,9 +18,9 @@ the seed plans:
 * ``dot(S - mean(S), x - mean(x)) == dot(S, x - mean(x))``: the centered
   VM pattern sums to ~0, so server aggregates never need re-centering.
 
-The workspace is stateless and read-only after construction; one instance
-can be shared across repeated ``allocate_1d``/``allocate_2d`` calls on the
-same prediction matrices (e.g. the per-slot sizing sweep).
+The workspace is stateless and read-only after construction.  Each
+``allocate_1d``/``allocate_2d`` call builds its own from the predictions
+it packs, so the statistics always describe those predictions.
 """
 
 from __future__ import annotations

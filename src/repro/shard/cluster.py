@@ -96,12 +96,15 @@ def cluster_vms(
 
     # Balanced greedy assignment in FFD order: biggest VMs pick first,
     # each taking its most-correlated shard that still has room.
+    # Every VM's shard preference list comes from one row-wise stable
+    # sort (ties keep the lower shard index first).
     similarity = patterns @ patterns[medoids].T
+    preferences = np.argsort(-similarity, axis=1, kind="stable").tolist()
     capacity = -(-n_vms // k)
     assignment = np.empty(n_vms, dtype=np.int64)
-    counts = np.zeros(k, dtype=np.int64)
-    for vm in ffd_order(pred_cpu):
-        for shard in np.argsort(-similarity[vm], kind="stable"):
+    counts = [0] * k
+    for vm in ffd_order(pred_cpu).tolist():
+        for shard in preferences[vm]:
             if counts[shard] < capacity:
                 assignment[vm] = shard
                 counts[shard] += 1

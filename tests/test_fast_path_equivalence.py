@@ -21,9 +21,10 @@ from repro.core.types import (
     ServerPlan,
     force_place_remaining,
 )
-from repro.core.workspace import AllocationWorkspace, validate_vm_order
+from repro.core.workspace import validate_vm_order
 from repro.dcsim.engine import _count_migrations_reference, count_migrations
 from repro.errors import ConfigurationError, DomainError
+from repro.experiments.hyperscale import synthetic_dataset
 from repro.forecast import DayAheadPredictor
 from repro.forecast.arima import ArimaModel, ArimaOrder
 from repro.forecast.batch import (
@@ -32,6 +33,7 @@ from repro.forecast.batch import (
     batched_decomposed_forecast,
 )
 from repro.forecast.decomposed import DecomposedArimaForecaster
+from repro.shard import cluster_vms
 from repro.traces import default_dataset
 
 
@@ -91,14 +93,11 @@ class TestAllocate1dEquivalence:
         )
         assert plans_equal(fast, ref)
 
-    def test_explicit_order_and_shared_workspace(self):
+    def test_matches_reference_explicit_order(self):
         cpu = make_patterns(30, seed=9)
         mem = make_patterns(30, seed=10, scale=5.0)
         order = list(reversed(range(30)))
-        ws = AllocationWorkspace(cpu, mem)
-        fast, _ = allocate_1d(
-            cpu, mem, 60.0, order=order, workspace=ws, fast=True
-        )
+        fast, _ = allocate_1d(cpu, mem, 60.0, order=order, fast=True)
         ref, _ = allocate_1d(cpu, mem, 60.0, order=order, fast=False)
         assert plans_equal(fast, ref)
 
@@ -160,6 +159,120 @@ class TestAllocate2dEquivalence:
         fast, _ = allocate_2d(cpu, mem, 8, cap_cpu_pct=60.0, fast=True)
         ref, _ = allocate_2d(cpu, mem, 8, cap_cpu_pct=60.0, fast=False)
         assert plans_equal(fast, ref)
+
+
+def assert_alloc2d_matches_reference(cpu, mem, n_servers, *caps, **kwargs):
+    """Fast plans and forced counts equal the seed loop's."""
+    fast, f_forced = allocate_2d(cpu, mem, n_servers, *caps, **kwargs)
+    ref, r_forced = allocate_2d(
+        cpu, mem, n_servers, *caps, fast=False, **kwargs
+    )
+    assert plans_equal(fast, ref)
+    assert f_forced == r_forced
+    return fast, f_forced
+
+
+class TestAllocate2dBlockEquivalence:
+    """The fast path settles feasibility once per block of VMs and
+    re-checks servers touched inside the block lazily; these instances
+    stress that bookkeeping."""
+
+    def test_hyperscale_shard(self):
+        """One shard of a hyperscale region slot: 1,250 VMs on ~176
+        servers, most picks scoring every server with ~19 of them
+        touched in the current block."""
+        dataset = synthetic_dataset(10_000, seed=2018)
+        cpu = dataset.cpu_pct[:, :12]
+        mem = dataset.mem_pct[:, :12]
+        rows = cluster_vms(cpu, 8)[0]
+        assert rows.size == 1250
+        assert_alloc2d_matches_reference(
+            cpu[rows], mem[rows], 172, 54.84, 90.0, max_servers=250
+        )
+
+    def test_touched_server_fails_recheck(self):
+        """Two servers and a 40% cap: a server takes several VMs of one
+        block, keeps winning argmaxes it can no longer take, and the
+        lazy re-check has to reject it."""
+        cpu = make_patterns(96, seed=21, scale=20.0)
+        mem = make_patterns(96, seed=22, scale=5.0)
+        assert_alloc2d_matches_reference(cpu, mem, 2, 40.0, max_servers=40)
+
+    @pytest.mark.parametrize("seed, n_servers", [(0, 8), (1, 3)])
+    def test_signed_patterns_refit_touched_server(self, seed, n_servers):
+        """With negative samples a placement can lower a server's load,
+        so a server that rejected a VM at block entry may fit it once
+        touched: its column must turn unknown, not stay -inf."""
+        rng = np.random.default_rng(seed)
+        cpu = rng.uniform(-15.0, 30.0, size=(96, 12))
+        mem = rng.uniform(-5.0, 20.0, size=(96, 12))
+        assert_alloc2d_matches_reference(
+            cpu, mem, n_servers, 60.0, max_servers=40
+        )
+
+    def test_stacked_flat_vms_stay_shapeless(self):
+        """Two constant VMs share a server; their aggregate is exactly
+        flat, so its Pearson term is 0 and it ties the empty server at
+        merit 0, winning on index.  Summed incrementally, its centered
+        norm cancels to ~1e-6 instead of 0, which turned the tie into a
+        tiny negative merit and sent VM 2 to the empty server."""
+        rng = np.random.default_rng(23813461)
+        cpu = rng.uniform(1.0, 45.0, size=(12, 12))
+        mem = rng.uniform(1.0, 30.0, size=(12, 12))
+        cpu[:2] = cpu[:2, :1]
+        mem[:2] = mem[:2, :1]
+        plans, _ = assert_alloc2d_matches_reference(
+            cpu[:3], mem[:3], 2, 91.0, 67.0
+        )
+        assert [p.vm_ids for p in plans] == [[0, 1, 2]]
+
+    def test_representative_empty_moves_mid_block(self):
+        """Mostly empty fleet: VMs land on the representative empty
+        server inside a block, handing its role to the next empty."""
+        cpu = make_patterns(96, seed=31, scale=20.0)
+        mem = make_patterns(96, seed=32, scale=10.0)
+        assert_alloc2d_matches_reference(cpu, mem, 64, 60.0)
+
+    def test_oversized_vm_opens_server_mid_block(self):
+        """VMs whose own peak exceeds the cap fit nowhere, so each opens
+        a server past the block-entry fleet; later VMs of the block see
+        that server as touched and must re-check it."""
+        cpu = make_patterns(150, seed=23, scale=12.0)
+        mem = make_patterns(150, seed=24, scale=30.0)
+        big = [7, 30, 61, 100]
+        cpu[big] += 60.0
+        plans, forced = assert_alloc2d_matches_reference(
+            cpu, mem, 40, 55.0, 90.0, max_servers=60
+        )
+        assert forced == 0
+        for vm in big:
+            assert [p.vm_ids for p in plans if vm in p.vm_ids] == [[vm]]
+
+    def test_fleet_exhausted_mid_block(self):
+        """The fleet bound is reached inside a block; the rest of the
+        VMs are force-placed."""
+        cpu = make_patterns(150, seed=25, scale=20.0)
+        mem = make_patterns(150, seed=26, scale=5.0)
+        _, forced = assert_alloc2d_matches_reference(
+            cpu, mem, 10, 50.0, max_servers=14
+        )
+        assert forced > 0
+
+    def test_gathered_memory_dominant(self):
+        """The memory-dominant bench shape (~2 VMs per server): few
+        servers fit each VM, so picks score gathered columns only."""
+        cpu = make_patterns(600, seed=2, scale=15.0)
+        mem = make_patterns(600, seed=3, scale=38.0)
+        assert_alloc2d_matches_reference(
+            cpu, mem, 270, 60.0, 90.0, max_servers=420
+        )
+
+    def test_gathered_day_window(self):
+        """288-sample day windows, mixing gathered and full-width
+        picks."""
+        cpu = make_patterns(400, n_samples=288, seed=2)
+        mem = make_patterns(400, n_samples=288, seed=3, scale=5.0)
+        assert_alloc2d_matches_reference(cpu, mem, 80, 60.0, max_servers=160)
 
 
 COAT_POLICIES = {

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.baselines import CoatOptPolicy, CoatPolicy, FfdPolicy
 from repro.baselines.coat import _allocate_reference as _coat_reference
 from repro.core.alloc1d import allocate_1d
+from repro.core.alloc2d import allocate_2d
 from repro.core.governor import DvfsGovernor
 from repro.core.types import AllocationContext
 from repro.dcsim.engine import count_migrations
@@ -170,6 +171,51 @@ class TestAllocationInvariants:
                     assert (
                         mem[plan.vm_ids].sum(axis=0).max()
                         <= plan.cap_mem_pct + 1e-9
+                    )
+
+    @given(
+        st.integers(1, 130),
+        st.sampled_from([1, 12, 288]),
+        st.floats(20.0, 100.0),
+        st.floats(30.0, 100.0),
+        st.integers(1, 40),
+        st.integers(0, 40),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_alloc2d_partition_caps_and_reference(
+        self, n_vms, width, cap_cpu, cap_mem, n_servers, extra, seed
+    ):
+        """Runs cross the fast path's 48-VM blocks; low caps make VMs
+        that fit nowhere, so servers open and fleets run out."""
+        rng = np.random.default_rng(seed)
+        cpu = rng.uniform(1.0, 45.0, size=(n_vms, width))
+        mem = rng.uniform(1.0, 30.0, size=(n_vms, width))
+        flat = rng.random(n_vms) < 0.3
+        cpu[flat] = cpu[flat, :1]
+        mem[flat] = mem[flat, :1]
+        bound = n_servers + extra
+        plans, forced = allocate_2d(
+            cpu, mem, n_servers, cap_cpu, cap_mem, max_servers=bound
+        )
+        reference, ref_forced = allocate_2d(
+            cpu, mem, n_servers, cap_cpu, cap_mem, max_servers=bound,
+            fast=False,
+        )
+        assert [p.vm_ids for p in plans] == [p.vm_ids for p in reference]
+        assert forced == ref_forced
+
+        placed = sorted(v for p in plans for v in p.vm_ids)
+        assert placed == list(range(n_vms))
+        assert len(plans) <= bound
+        if forced == 0:
+            for plan in plans:
+                if len(plan.vm_ids) > 1:
+                    assert cpu[plan.vm_ids].sum(axis=0).max() <= (
+                        cap_cpu + 1e-9
+                    )
+                    assert mem[plan.vm_ids].sum(axis=0).max() <= (
+                        cap_mem + 1e-9
                     )
 
 

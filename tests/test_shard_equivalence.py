@@ -18,9 +18,11 @@ import numpy as np
 import pytest
 
 from repro.core import EpactPolicy
+from repro.core.alloc1d import ffd_order
 from repro.core.workspace import AllocationWorkspace
 from repro.dcsim import DataCenterSimulation, run_policies
 from repro.errors import ConfigurationError, DomainError
+from repro.experiments.hyperscale import synthetic_dataset
 from repro.forecast import DayAheadPredictor
 from repro.shard import (
     ShardedPolicy,
@@ -144,6 +146,62 @@ class TestShardBitIdentity:
         )
         with pytest.raises(DomainError):
             parent.shard(np.array([0, dataset.n_vms]))
+
+
+def cluster_vms_per_vm_sort(pred_cpu, n_shards):
+    """``cluster_vms`` with one preference argsort per visited VM."""
+    n_vms = pred_cpu.shape[0]
+    k = min(n_shards, n_vms)
+    ws = AllocationWorkspace(pred_cpu, pred_cpu)
+    scale = np.where(ws.cpu_cnorm > 1e-12, ws.cpu_cnorm, 1.0)
+    patterns = ws.cpu_centered / scale[:, None]
+    patterns[ws.cpu_cnorm <= 1e-12] = 0.0
+    medoids = [int(np.argmax(ws.cpu_peak))]
+    worst = patterns @ patterns[medoids[0]]
+    worst[medoids[0]] = np.inf
+    for _ in range(k - 1):
+        nxt = int(np.argmin(worst))
+        medoids.append(nxt)
+        np.maximum(worst, patterns @ patterns[nxt], out=worst)
+        worst[nxt] = np.inf
+    similarity = patterns @ patterns[medoids].T
+    capacity = -(-n_vms // k)
+    assignment = np.empty(n_vms, dtype=np.int64)
+    counts = np.zeros(k, dtype=np.int64)
+    for vm in ffd_order(pred_cpu):
+        for shard in np.argsort(-similarity[vm], kind="stable"):
+            if counts[shard] < capacity:
+                assignment[vm] = shard
+                counts[shard] += 1
+                break
+    return [np.flatnonzero(assignment == shard) for shard in range(k)]
+
+
+class TestClusterAssignment:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_matches_per_vm_sort_with_ties(self, seed):
+        """Duplicate rows share a similarity row and constant rows are
+        equally (un)correlated with every medoid, so preferences tie."""
+        rng = np.random.default_rng(seed)
+        n_vms = int(rng.integers(20, 400))
+        n_shards = int(rng.integers(2, 12))
+        pred = rng.uniform(1.0, 40.0, size=(n_vms, 12))
+        dup = rng.choice(n_vms, size=n_vms // 4)
+        pred[dup] = pred[rng.choice(n_vms, size=dup.size)]
+        flat = rng.random(n_vms) < 0.2
+        pred[flat] = pred[flat, :1]
+        got = cluster_vms(pred, n_shards)
+        want = cluster_vms_per_vm_sort(pred, n_shards)
+        assert len(got) == len(want)
+        for rows, expected in zip(got, want):
+            assert np.array_equal(rows, expected)
+
+    def test_matches_per_vm_sort_hyperscale_slot(self):
+        dataset = synthetic_dataset(2_000, seed=2018)
+        pred = dataset.cpu_pct[:, :12]
+        got = cluster_vms(pred, 8)
+        want = cluster_vms_per_vm_sort(pred, 8)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestBudgetSplit:
