@@ -28,6 +28,14 @@ Scenarios (deterministic seeds):
   loop.
 * ``forecast_day_400`` — batched vs scalar day-ahead prediction for
   400 VMs x 2 resources.
+* ``impute_400_slot`` / ``impute_400_week`` — the telemetry gap fill:
+  a ``lossy-10pct`` ingest at 400 VMs, fed through its collectors to
+  day 8, filled over each of the last day's 24 slot windows (12
+  samples each, as the serve loop reads them) and over the 7-day
+  history window a day-8 re-fit reads; the batched
+  ``TelemetryIngest._fill`` vs the kept per-VM ``np.interp`` loop
+  ``_fill_reference``.  Any difference in the filled arrays exits
+  non-zero.
 * ``simulate_week_120`` — the full pipeline (prediction, EPACT
   allocation, power accounting) on reduced-scale traces, plus the
   batched-vs-scalar total-energy relative difference as an equivalence
@@ -111,6 +119,7 @@ from repro.forecast import DayAheadPredictor
 from repro.power.server_power import ntc_server_power_model
 from repro.shard import cluster_vms
 from repro.traces import default_dataset
+from repro.units import SAMPLES_PER_DAY, SAMPLES_PER_SLOT, SLOTS_PER_DAY
 
 
 class ReplayPolicy:
@@ -201,6 +210,21 @@ def same_plans(name):
             fast[1] != seed[1]
         ):
             print(f"BENCH CONTRACT FAILED: {name} plans differ from the seed loop")
+            sys.exit(1)
+
+    return check
+
+
+def same_arrays(name):
+    """A ``best_of_pair`` check: tuples of arrays must agree bit for bit.
+
+    Exits non-zero when any fast-path array differs from the
+    reference's.
+    """
+
+    def check(fast, seed):
+        if any(a.tobytes() != b.tobytes() for a, b in zip(fast, seed)):
+            print(f"BENCH CONTRACT FAILED: {name} differs from the reference")
             sys.exit(1)
 
     return check
@@ -369,6 +393,51 @@ def bench_forecasting(results):
         lambda: run(True), lambda: run(False), 3
     )
     record(results, "forecast_day_400", fast, seed)
+
+
+def bench_imputation(results):
+    """Batched gap fill vs the per-VM ``np.interp`` loop (400 VMs)."""
+    from repro.cloud.telemetry import (
+        TelemetryIngest,
+        TraceCollector,
+        get_telemetry_scenario,
+    )
+
+    day = 8
+    dataset = default_dataset(n_vms=400, n_days=day + 1, seed=2018)
+    schedule = get_telemetry_scenario("lossy-10pct").build(
+        dataset.n_vms, 0, dataset.n_slots, seed=2018
+    )
+    ingest = TelemetryIngest(dataset)
+    collectors = [
+        TraceCollector(c, dataset, schedule)
+        for c in range(schedule.n_collectors)
+    ]
+    for slot in range(day * SLOTS_PER_DAY + 1):
+        for collector in collectors:
+            ingest.ingest(collector.poll(slot))
+
+    hi = day * SAMPLES_PER_DAY
+    slots = range(hi - SAMPLES_PER_DAY, hi, SAMPLES_PER_SLOT)
+
+    def slot_fills(fill):
+        return [a for lo in slots for a in fill(lo, lo + SAMPLES_PER_SLOT)]
+
+    fast, seed = best_of_pair(
+        lambda: slot_fills(ingest._fill),
+        lambda: slot_fills(ingest._fill_reference),
+        5,
+        same_arrays("impute_400_slot"),
+    )
+    record(results, "impute_400_slot", fast, seed)
+    week = hi - 7 * SAMPLES_PER_DAY
+    fast, seed = best_of_pair(
+        lambda: ingest._fill(week, hi),
+        lambda: ingest._fill_reference(week, hi),
+        5,
+        same_arrays("impute_400_week"),
+    )
+    record(results, "impute_400_week", fast, seed)
 
 
 def bench_simulation(results):
@@ -932,6 +1001,8 @@ def main():
     bench_coat(results)
     print("day-ahead forecasting:")
     bench_forecasting(results)
+    print("telemetry imputation (400 VMs):")
+    bench_imputation(results)
     print("full simulation:")
     bench_simulation(results)
     print("scenario layer (three policies):")

@@ -523,7 +523,10 @@ class StreamingCloudSimulation(CloudSimulation):
     def _write_checkpoint(self, state: dict) -> None:
         tmp = f"{self._ckpt_path}.tmp"
         with open(tmp, "wb") as fh:
-            pickle.dump(state, fh)
+            # Protocol 5 pickles the snapshot's NumPy buffers in place
+            # instead of first copying each into a bytes object;
+            # restore()'s pickle.load reads protocol 4 files as well.
+            pickle.dump(state, fh, protocol=5)
         os.replace(tmp, self._ckpt_path)
 
     def _apply_state(self, state: dict) -> None:

@@ -687,13 +687,23 @@ class TelemetryIngest:
     Delivered samples are validated — finite and inside [0, 100];
     NaN/spike corruption fails validation and the sample stays missing
     — into dataset-shaped observation buffers.  Reads fill the gaps:
-    last observation carried forward into a window's leading edge,
-    linear interpolation between observed samples inside, carry-forward
-    past the last observed sample, and the cold-start value for VMs
-    never observed at all.  :meth:`fill_into` additionally materializes
-    the filled window into the shared *imputed* buffers that back the
-    observed :class:`~repro.traces.dataset.TraceDataset` the
+    last observation carried forward into a window's leading edge
+    (backfilled from the window's first observation when the VM has no
+    earlier one), linear interpolation between observed samples inside,
+    carry-forward past the last observed sample, and the cold-start
+    value for VMs never observed at all.  :meth:`fill_into`
+    additionally materializes the filled window into the shared
+    *imputed* buffers that back the observed
+    :class:`~repro.traces.dataset.TraceDataset` the
     :class:`ForecastLadder` fits on.
+
+    Reads are whole-array passes: :meth:`_fill` fills every gap of
+    every VM at once from the window's gap runs, and the carry-forward
+    lookup looks back from the window in doubling blocks instead of
+    rescanning the whole history.  The per-VM ``np.interp`` loop stays
+    callable as :meth:`_fill_reference` (with the prefix-scan carry
+    :meth:`_carry_before_reference`), the oracle the batched fill
+    matches bit for bit.
 
     The all-valid fast path (clean telemetry) is a plain copy, which is
     what makes clean streaming runs bit-identical to the batch engine.
@@ -774,11 +784,39 @@ class TelemetryIngest:
     # -- gap-filling reads ---------------------------------------------
 
     def _carry_before(self, lo: int):
-        """Last valid value (and its existence) before sample ``lo``."""
+        """Last valid value (and its existence) before sample ``lo``.
+
+        Looks back from ``lo`` in blocks that double in width (12, 24,
+        48, ... samples) over only the VMs not resolved yet, so a VM
+        observed during the last slot costs one 12-sample block rather
+        than a scan of its whole history.  VMs with no valid sample
+        before ``lo`` get the cold-start value.
+        """
+        n_vms = self.valid.shape[0]
+        all_rows = np.arange(n_vms)
+        has = np.zeros(n_vms, dtype=bool)
+        last = np.zeros(n_vms, dtype=np.intp)
+        pending = all_rows
+        end, width = lo, SAMPLES_PER_SLOT
+        while pending.size and end > 0:
+            start = max(end - width, 0)
+            block = self.valid[pending, start:end]
+            found = block.any(axis=1)
+            rows = pending[found]
+            has[rows] = True
+            last[rows] = end - 1 - np.argmax(block[found, ::-1], axis=1)
+            pending = pending[~found]
+            end, width = start, 2 * width
+        cpu = np.where(has, self.obs_cpu[all_rows, last], self._cold)
+        mem = np.where(has, self.obs_mem[all_rows, last], self._cold)
+        return has, cpu, mem
+
+    def _carry_before_reference(self, lo: int):
+        """Prefix-scan oracle of :meth:`_carry_before`."""
         n_vms = self.valid.shape[0]
         if lo <= 0:
-            has = np.zeros(n_vms, dtype=bool)
-            return has, np.zeros(n_vms), np.zeros(n_vms)
+            cold = np.full(n_vms, self._cold)
+            return np.zeros(n_vms, dtype=bool), cold, cold.copy()
         prefix = self.valid[:, :lo]
         has = prefix.any(axis=1)
         last = lo - 1 - np.argmax(prefix[:, ::-1], axis=1)
@@ -807,12 +845,69 @@ class TelemetryIngest:
         self.imp_mem[:, lo:hi] = mem
 
     def _fill(self, lo: int, hi: int):
+        """Gap-filled copies of ``[lo, hi)``, every VM in one pass.
+
+        Works on the window's *runs*: maximal stretches of missing
+        samples within one VM's row.  An interior run takes
+        ``np.interp``'s own float64 expression between the observations
+        bounding it, so it reproduces :meth:`_fill_reference` bit for
+        bit.  A leading run takes the VM's carried value, or the
+        window's first observation when the VM has no history; a
+        trailing run takes the last observation; a run spanning the
+        whole row takes the carried or cold-start value.  Observed
+        samples are never rewritten.
+        """
+        valid = self.valid[:, lo:hi]
+        cpu = self.obs_cpu[:, lo:hi].copy()
+        mem = self.obs_mem[:, lo:hi].copy()
+        if valid.all():
+            return cpu, mem  # clean fast path: nothing to fill
+        n = hi - lo
+        # Flat indices of the missing samples, cut into runs.
+        miss = np.flatnonzero(~valid)
+        col = miss % n
+        head = np.empty(miss.size, dtype=bool)
+        head[0] = True
+        head[1:] = (miss[1:] != miss[:-1] + 1) | (col[1:] == 0)
+        run = np.cumsum(head) - 1
+        first = np.flatnonzero(head)
+        last = np.append(first[1:], miss.size) - 1
+        run_row = miss[first] // n
+        # Columns of the observations bounding each run (-1 / n where
+        # there is none) and their flat indices, clipped in bounds: an
+        # edge run reads a neighbour it never uses.
+        before = col[first] - 1
+        after = col[last] + 1
+        at_before = np.maximum(miss[first] - 1, 0)
+        at_after = np.minimum(miss[last] + 1, valid.size - 1)
+        has, carry_cpu, carry_mem = self._carry_before(lo)
+        # A leading run carries history forward, or backfills the
+        # window's first observation when the VM has none.
+        carried = has[run_row] | (after == n)
+        lead = before < 0
+        inner = (~lead & (after < n))[run]
+        step = col - before[run]
+        for out, carry in ((cpu, carry_cpu), (mem, carry_mem)):
+            flat = out.reshape(-1)
+            y_before = flat[at_before]
+            y_after = flat[at_after]
+            edge = np.where(
+                lead, np.where(carried, carry[run_row], y_after), y_before
+            )
+            slope = (y_after - y_before) / (after - before)
+            flat[miss] = np.where(
+                inner, slope[run] * step + y_before[run], edge[run]
+            )
+        return cpu, mem
+
+    def _fill_reference(self, lo: int, hi: int):
+        """Per-VM ``np.interp`` loop: the oracle of :meth:`_fill`."""
         window_valid = self.valid[:, lo:hi]
         cpu = self.obs_cpu[:, lo:hi].copy()
         mem = self.obs_mem[:, lo:hi].copy()
         if window_valid.all():
-            return cpu, mem  # clean fast path: nothing to fill
-        has_carry, carry_cpu, carry_mem = self._carry_before(lo)
+            return cpu, mem
+        has_carry, carry_cpu, carry_mem = self._carry_before_reference(lo)
         n = hi - lo
         grid = np.arange(n)
         for row in np.flatnonzero(~window_valid.all(axis=1)):

@@ -27,6 +27,10 @@ from .seasonal import SeasonalNaiveForecaster
 
 ForecasterFactory = Callable[[], object]
 
+#: Series per :func:`batched_decomposed_forecast` call in the batched
+#: day fit: small enough that its ~25 full-array passes stay in cache.
+_FIT_BLOCK_ROWS = 128
+
 
 def default_forecaster_factory() -> DecomposedArimaForecaster:
     """The evaluation's default model: seasonal profile + ARMA(2,1).
@@ -184,41 +188,49 @@ class DayAheadPredictor:
         season_types: np.ndarray,
         target_type: int,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """One stacked fit for all VMs x both resources of a day.
+        """Stacked fits for all VMs x both resources of a day.
 
-        CPU and memory windows are vstacked into a single ``(2 *
-        n_vms, window)`` batch; rows the batched estimator rejects are
-        re-fitted through the scalar reference path (which itself falls
-        back to seasonal-naive on failure, as in the scalar route).
+        Each resource matrix is fitted in blocks of ``_FIT_BLOCK_ROWS``
+        series, so the batched estimator's full-array passes stay in
+        cache; every step of the batched fit is per row, so the blocks
+        give the bits one whole-stack call would.  Rows the batched
+        estimator rejects are re-fitted through the scalar reference
+        path (which itself falls back to seasonal-naive on failure, as
+        in the scalar route).
         """
         order, period, decay = self._batch_params
         n_vms = self._dataset.n_vms
-        data = np.vstack(
-            [
-                self._dataset.cpu_pct[:, lo:hi],
-                self._dataset.mem_pct[:, lo:hi],
-            ]
+        windows = (
+            self._dataset.cpu_pct[:, lo:hi],
+            self._dataset.mem_pct[:, lo:hi],
         )
+        forecasts = np.empty((2, n_vms, SAMPLES_PER_DAY))
+        ok = np.zeros((2, n_vms), dtype=bool)
         try:
-            forecasts, ok = batched_decomposed_forecast(
-                data,
-                order=order,
-                period=period,
-                decay=decay,
-                horizon=SAMPLES_PER_DAY,
-                season_types=season_types,
-                target_type=target_type,
-            )
+            for window, out, out_ok in zip(windows, forecasts, ok):
+                for start in range(0, n_vms, _FIT_BLOCK_ROWS):
+                    stop = start + _FIT_BLOCK_ROWS
+                    out[start:stop], out_ok[start:stop] = (
+                        batched_decomposed_forecast(
+                            window[start:stop],
+                            order=order,
+                            period=period,
+                            decay=decay,
+                            horizon=SAMPLES_PER_DAY,
+                            season_types=season_types,
+                            target_type=target_type,
+                        )
+                    )
         except ForecastError:
-            # Batch-wide failure (e.g. too-short window): the scalar path
-            # raises per series and falls back to seasonal-naive.
-            forecasts = np.empty((data.shape[0], SAMPLES_PER_DAY))
-            ok = np.zeros(data.shape[0], dtype=bool)
-        for row in np.flatnonzero(~ok):
-            forecasts[row] = self._forecast_series(
-                data[row], season_types, target_type
+            # Batch-wide failure (e.g. too-short window, or a non-finite
+            # series in any block): the scalar path raises per series
+            # and falls back to seasonal-naive.
+            ok[:] = False
+        for resource, row in zip(*np.nonzero(~ok)):
+            forecasts[resource, row] = self._forecast_series(
+                windows[resource][row], season_types, target_type
             )
-        return forecasts[:n_vms], forecasts[n_vms:]
+        return forecasts[0], forecasts[1]
 
     def _forecast_series(
         self,

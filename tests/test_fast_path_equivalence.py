@@ -23,7 +23,7 @@ from repro.core.types import (
 )
 from repro.core.workspace import validate_vm_order
 from repro.dcsim.engine import _count_migrations_reference, count_migrations
-from repro.errors import ConfigurationError, DomainError
+from repro.errors import ConfigurationError, DomainError, ForecastError
 from repro.experiments.hyperscale import synthetic_dataset
 from repro.forecast import DayAheadPredictor
 from repro.forecast.arima import ArimaModel, ArimaOrder
@@ -35,6 +35,8 @@ from repro.forecast.batch import (
 from repro.forecast.decomposed import DecomposedArimaForecaster
 from repro.shard import cluster_vms
 from repro.traces import default_dataset
+from repro.traces.dataset import TraceDataset
+from repro.units import SAMPLES_PER_DAY
 
 
 def make_patterns(n_vms, n_samples=12, seed=0, scale=10.0):
@@ -586,13 +588,86 @@ class TestBatchedForecastEquivalence:
         assert predictor._batch_params is None  # d=1 cannot batch
 
     def test_batched_rejects_differencing(self):
-        from repro.errors import ForecastError
-
         with pytest.raises(ForecastError):
             batched_arma_fit(
                 np.random.default_rng(0).normal(size=(2, 50)),
                 ArimaOrder(p=1, d=1, q=0),
             )
+
+
+def whole_stack_day(predictor, day):
+    """One ``batched_decomposed_forecast`` call over the vstacked
+    ``(2 * n_vms, window)`` matrix, rejected rows re-fitted on the
+    scalar path, then clipped: the day fit before row blocking."""
+    order, period, decay = predictor._batch_params
+    dataset = predictor._dataset
+    days = range(day - predictor.history_days, day)
+    lo, hi = days[0] * SAMPLES_PER_DAY, day * SAMPLES_PER_DAY
+    types = np.array([1 if d % 7 >= 5 else 0 for d in days])
+    target = 1 if day % 7 >= 5 else 0
+    data = np.vstack([dataset.cpu_pct[:, lo:hi], dataset.mem_pct[:, lo:hi]])
+    try:
+        forecasts, ok = batched_decomposed_forecast(
+            data,
+            order=order,
+            period=period,
+            decay=decay,
+            horizon=SAMPLES_PER_DAY,
+            season_types=types,
+            target_type=target,
+        )
+    except ForecastError:
+        forecasts = np.empty((data.shape[0], SAMPLES_PER_DAY))
+        ok = np.zeros(data.shape[0], dtype=bool)
+    for row in np.flatnonzero(~ok):
+        forecasts[row] = predictor._forecast_series(data[row], types, target)
+    np.clip(forecasts, 0.0, 100.0, out=forecasts)
+    n = dataset.n_vms
+    return forecasts[:n], forecasts[n:], ok
+
+
+class TestBlockedDayFitEquivalence:
+    """``DayAheadPredictor`` fits each resource in 128-row blocks; the
+    forecasts and the fallback count must be those of one whole-stack
+    call."""
+
+    @staticmethod
+    def assert_matches_whole_stack(dataset, day, **kwargs):
+        blocked = DayAheadPredictor(dataset, **kwargs)
+        whole = DayAheadPredictor(dataset, **kwargs)
+        cpu, mem = blocked.forecast_day(day)
+        cpu_w, mem_w, ok = whole_stack_day(whole, day)
+        assert cpu.tobytes() == cpu_w.tobytes()
+        assert mem.tobytes() == mem_w.tobytes()
+        assert blocked.fallback_count == whole.fallback_count
+        return ok, blocked.fallback_count
+
+    def test_partial_last_block_constant_and_rejected_rows(self):
+        """150 VMs split 128 + 22 per resource; constant rows take the
+        batch's collapse path and a near-empty row is rejected by the
+        batch and re-fitted on the scalar path."""
+        base = synthetic_dataset(150, n_days=8, seed=3)
+        cpu, mem = base.cpu_pct.copy(), base.mem_pct.copy()
+        cpu[5] = 42.0
+        mem[[7, 140]] = 0.0
+        mem[149] = 0.0
+        mem[149, 2000] = 1.0
+        dataset = TraceDataset(specs=base.specs, cpu_pct=cpu, mem_pct=mem)
+        ok, _ = self.assert_matches_whole_stack(dataset, 7)
+        assert not ok.all()
+
+    def test_non_finite_row_sends_every_row_to_the_scalar_path(self):
+        """A NaN series fails the batch as a whole, also when it sits in
+        a later block than rows that already fitted."""
+        base = synthetic_dataset(130, n_days=3, seed=4)
+        cpu = base.cpu_pct.copy()
+        cpu[129, 10] = np.nan
+        dataset = TraceDataset(specs=base.specs, cpu_pct=cpu, mem_pct=base.mem_pct)
+        ok, fallbacks = self.assert_matches_whole_stack(
+            dataset, 2, history_days=2
+        )
+        assert not ok.any()
+        assert fallbacks >= 1
 
 
 class TestForcePlaceEquivalence:

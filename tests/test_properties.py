@@ -11,13 +11,16 @@ from hypothesis import strategies as st
 
 from repro.baselines import CoatOptPolicy, CoatPolicy, FfdPolicy
 from repro.baselines.coat import _allocate_reference as _coat_reference
+from repro.cloud.telemetry import TelemetryIngest
 from repro.core.alloc1d import allocate_1d
 from repro.core.alloc2d import allocate_2d
 from repro.core.governor import DvfsGovernor
 from repro.core.types import AllocationContext
 from repro.dcsim.engine import count_migrations
+from repro.experiments.hyperscale import synthetic_dataset
 from repro.perf.workload import ALL_MEMORY_CLASSES
 from repro.power.datacenter import DataCenterPowerAnalysis
+from repro.serve.adapters import TelemetryBatch
 from repro.technology.opp import ntc_opp_table
 
 freq_strategy = st.floats(min_value=0.1, max_value=3.1)
@@ -217,6 +220,55 @@ class TestAllocationInvariants:
                     assert mem[plan.vm_ids].sum(axis=0).max() <= (
                         cap_mem + 1e-9
                     )
+
+
+class TestImputationInvariants:
+    """The batched gap fill on arbitrary delivery masks."""
+
+    @given(
+        st.integers(1, 12),
+        st.sampled_from([0.0, 0.05, 0.5, 0.9, 1.0]),
+        st.booleans(),
+        st.sampled_from([1, 12, 288, 2016]),
+        st.floats(0.0, 100.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_fill_matches_loop_keeps_observations_in_range(
+        self, n_vms, density, from_zero, width, cold, seed
+    ):
+        """~30% of the VMs are never observed; the window starts at
+        sample 0 or anywhere, and is clipped to the 8-day horizon."""
+        rng = np.random.default_rng(seed)
+        dataset = synthetic_dataset(n_vms, n_days=8)
+        horizon = dataset.n_samples
+        ingest = TelemetryIngest(dataset, cold_start_util_pct=cold)
+        valid = rng.random((n_vms, horizon)) < density
+        valid[rng.random(n_vms) < 0.3] = False
+        rows, samples = np.nonzero(valid)
+        ingest.ingest(
+            TelemetryBatch(
+                vm_rows=rows,
+                samples=samples,
+                cpu=rng.uniform(0.0, 100.0, rows.size),
+                mem=rng.uniform(0.0, 100.0, rows.size),
+            )
+        )
+        lo = 0 if from_zero else int(rng.integers(0, horizon))
+        hi = min(lo + width, horizon)
+
+        window = ingest.valid[:, lo:hi]
+        filled = ingest._fill(lo, hi)
+        reference = ingest._fill_reference(lo, hi)
+        observed = (ingest.obs_cpu[:, lo:hi], ingest.obs_mem[:, lo:hi])
+        for got, want, obs in zip(filled, reference, observed):
+            assert got.tobytes() == want.tobytes()
+            assert got[window].tobytes() == obs[window].tobytes()
+            assert ((got >= 0.0) & (got <= 100.0)).all()
+        carried = ingest._carry_before(lo)
+        scanned = ingest._carry_before_reference(lo)
+        for got, want in zip(carried, scanned):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestMigrationInvariants:

@@ -16,6 +16,8 @@ The acceptance bar of the telemetry PR:
   serial, and configs are validated with actionable errors.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -410,6 +412,22 @@ class TestImputation:
         np.testing.assert_allclose(cpu[0, :5], ds.cpu_pct[0, 4])
         assert cpu[0, 5] == ds.cpu_pct[0, 15]
 
+    def test_never_observed_vm_is_cold_from_sample_zero(self):
+        """A window starting at sample 0 has no history to carry: a VM
+        with no observation in it gets the cold-start value, as in any
+        later window."""
+        ds = default_dataset(n_vms=2, n_days=1, seed=13)
+        ingest = self._ingest_with(ds, [0], [5])
+        for fill in (ingest.filled_window, ingest._fill_reference):
+            cpu, mem = fill(0, 12)
+            assert (cpu[1] == 37.0).all() and (mem[1] == 37.0).all()
+            assert (cpu[0] == ds.cpu_pct[0, 5]).all()
+        ingest.fill_into(0, 12)
+        assert (ingest.imp_cpu[1, :12] == 37.0).all()
+        assert (ingest.imp_mem[1, :12] == 37.0).all()
+        cpu, mem = ingest.last_values(0)
+        assert (cpu == 37.0).all() and (mem == 37.0).all()
+
     def test_clean_window_is_verbatim(self):
         ds = default_dataset(n_vms=2, n_days=1, seed=13)
         rows = np.repeat([0, 1], 10)
@@ -475,11 +493,19 @@ class TestCheckpointResume:
             checkpoint_path=str(path),
         )
         full = simA.run()
-        assert path.exists()
-        simB = self._sim(ds, fixed, telemetry)
-        simB.restore(str(path))
-        resumed = simB.run()
-        assert records_equal(full.records, resumed.records)
+        # Written in pickle protocol 5; a protocol-4 file (the format
+        # before) still restores.
+        assert path.read_bytes()[:2] == b"\x80\x05"
+        with open(path, "rb") as fh:
+            snapshot = pickle.load(fh)
+        old = tmp_path / "ckpt-protocol4.pkl"
+        with open(old, "wb") as fh:
+            pickle.dump(snapshot, fh, protocol=4)
+        for source in (path, old):
+            simB = self._sim(ds, fixed, telemetry)
+            simB.restore(str(source))
+            resumed = simB.run()
+            assert records_equal(full.records, resumed.records)
 
     def test_restore_rejects_layer_mismatch(self, ds, fixed):
         telemetry = zero_telemetry_faults(ds.n_vms, 0, ds.n_slots)
