@@ -218,6 +218,19 @@ class OnlineBestFitPolicy(OnlinePolicy):
         """Forget every placement (fresh simulation)."""
         self._assign = {}
 
+    def state(self) -> Dict[str, object]:
+        """The placement carried between windows, as ``[vm id, pool,
+        server id]`` rows."""
+        return {
+            "assign": [[g, m, sid] for g, (m, sid) in self._assign.items()]
+        }
+
+    def restore(self, state: Dict[str, object]) -> None:
+        """Load a :meth:`state` snapshot."""
+        self._assign = {
+            int(g): (int(m), int(sid)) for g, m, sid in state["assign"]
+        }
+
     def allocate(self, ctx: AllocationContext) -> Allocation:
         """One online step: prune, place arrivals, optionally rebalance."""
         cloud = self.require_cloud_context(ctx)

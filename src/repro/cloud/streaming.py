@@ -33,12 +33,17 @@ The class runs the engine's single window loop
 fills in its hooks: ingest and the forecast ladder before each
 decision, the blind-freeze allocation, the telemetry record fields
 and **checkpoint/resume** after each window.  Accounting is per slot
-and eager, so at any window boundary the complete run state — the
-loop state (records so far, previous placement), policy, collector
-cursors, ingest buffers, ladder cache — is a picklable snapshot.  A
-run resumed from a snapshot is bit-identical to the uninterrupted run,
-because nothing downstream of the snapshot consults a clock or an
-unseeded RNG.
+and eager, so at any window boundary the state a resume reads — the
+loop state (records so far, previous placement and fault window),
+policy state, collector cursors, observations with bit-packed
+validity, and the ladder decisions from the boundary's day on — is a
+snapshot: a JSON header plus named NumPy arrays, kept in memory for
+the latest boundary only and written as one versioned ``.npz`` that
+loads with ``allow_pickle=False``.  Derived buffers (the imputed
+history) are left out and rebuilt by the next fill.  A run resumed
+from a snapshot is bit-identical to the uninterrupted run, because
+nothing downstream of the snapshot consults a clock or an unseeded
+RNG.
 
 ``collectors=`` accepts any sequence of live
 :class:`~repro.serve.adapters.CollectorAdapter` implementations
@@ -50,15 +55,16 @@ time for operator front ends (``repro.serve.service``).
 
 from __future__ import annotations
 
-import copy
+import json
 import os
-import pickle
+import zipfile
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.types import Allocation, AllocationPolicy, ServerPlan
-from ..errors import ConfigurationError
+from ..errors import CheckpointError, ConfigurationError
+from ..obs.manifest import config_hash
 from ..serve.adapters import CollectorAdapter, poll_with_retry
 from ..traces.dataset import TraceDataset
 from ..traces.lifecycle import LifecycleSchedule
@@ -74,6 +80,88 @@ from .telemetry import (
     TelemetryIngest,
     TraceCollector,
 )
+
+#: Checkpoint format version; a snapshot of any other version is refused.
+CHECKPOINT_VERSION = 1
+
+
+def _split(state: Dict[str, object], prefix: str, arrays: Dict) -> Dict:
+    """Move a component state's arrays into ``arrays`` as
+    ``<prefix>.<key>``; return the rest, its header part."""
+    header = {}
+    for key, value in state.items():
+        if isinstance(value, np.ndarray):
+            arrays[f"{prefix}.{key}"] = value
+        else:
+            header[key] = value
+    return header
+
+
+def _join(header: Dict, prefix: str, arrays: Dict) -> Dict[str, object]:
+    """The inverse of :func:`_split`: a component's state again."""
+    head = prefix + "."
+    state = dict(header)
+    state.update(
+        (name[len(head):], value)
+        for name, value in arrays.items()
+        if name.startswith(head)
+    )
+    return state
+
+
+def _json_scalar(value):
+    """NumPy scalars in a header become their Python values."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON-serializable")
+
+
+def _encode_header(header: Dict) -> str:
+    return json.dumps(header, default=_json_scalar)
+
+
+def _read_checkpoint(path) -> dict:
+    """Load a checkpoint file (see :meth:`StreamingCloudSimulation.restore`).
+
+    Raises:
+        CheckpointError: on any failure to read it.
+    """
+    name = os.fspath(path)
+    unreadable = (
+        f"checkpoint {name} is not a readable checkpoint (truncated, "
+        f"corrupted or not an .npz archive)"
+    )
+    try:
+        with open(name, "rb") as fh:
+            magic = fh.read(4)
+            # Pickle protocol 2+ streams open with the PROTO opcode.
+            if magic[:1] == b"\x80":
+                raise CheckpointError(
+                    f"checkpoint {name} is an old pickle checkpoint; "
+                    f"pickle checkpoints are no longer read — start the "
+                    f"run again to write a .npz checkpoint"
+                )
+            if magic not in (b"PK\x03\x04", b"PK\x05\x06"):
+                raise CheckpointError(unreadable)
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as archive:
+                header = json.loads(archive["header"].tobytes())
+                arrays = {
+                    key: archive[key]
+                    for key in archive.files
+                    if key != "header"
+                }
+    except FileNotFoundError as exc:
+        raise CheckpointError(f"checkpoint {name} does not exist") from exc
+    except (
+        OSError,
+        EOFError,
+        KeyError,
+        ValueError,
+        zipfile.BadZipFile,
+    ) as exc:
+        raise CheckpointError(f"{unreadable}: {exc}") from exc
+    return {"header": header, "arrays": arrays}
 
 
 class _LadderPredictor:
@@ -156,11 +244,15 @@ class StreamingCloudSimulation(CloudSimulation):
         sleep: injectable backoff sleep (tests).
         checkpoint_every_slots: snapshot the run state at the first
             window boundary at or past every multiple of this many
-            slots (``None`` disables checkpointing).  Snapshots are
-            collected on :attr:`checkpoints` and, when
-            ``checkpoint_path`` is set, pickled there atomically
-            (last snapshot wins).
-        checkpoint_path: where to persist the latest snapshot.
+            slots (``None`` disables checkpointing).  Only the latest
+            snapshot is kept, on :attr:`latest_checkpoint` (the
+            previous one is dropped first); a caller that wants an
+            earlier boundary takes it when a yielded decision's
+            ``checkpointed`` is true.
+        checkpoint_path: where to persist the latest snapshot: one
+            uncompressed ``.npz`` (format
+            :data:`CHECKPOINT_VERSION`), written to ``<path>.tmp`` and
+            renamed onto exactly this path.
         collectors: live :class:`~repro.serve.adapters.CollectorAdapter`
             feed — polled with the same once-per-elapsed-slot
             retry/backoff loop the replay collectors use.  Mutually
@@ -224,10 +316,10 @@ class StreamingCloudSimulation(CloudSimulation):
         self._sleep = sleep
         self._ckpt_every = checkpoint_every_slots
         self._ckpt_path = checkpoint_path
-        #: In-memory snapshots collected during :meth:`run` (one per
-        #: checkpoint boundary); pass one to :meth:`restore`.
-        self.checkpoints: List[dict] = []
-        self._resume_state: Optional[dict] = None
+        #: The latest snapshot taken during the run (``None`` before
+        #: the first boundary); pass it to :meth:`restore`.
+        self.latest_checkpoint: Optional[dict] = None
+        self._resume_state: Optional[_LoopState] = None
         self._next_ckpt = 0
 
         self._collectors: List[CollectorAdapter] = []
@@ -457,13 +549,10 @@ class StreamingCloudSimulation(CloudSimulation):
 
     def _begin_run(self) -> _LoopState:
         """A fresh loop state, or the one a :meth:`restore` armed."""
-        resume, self._resume_state = self._resume_state, None
-        self.checkpoints = []
-        if resume is None:
+        state, self._resume_state = self._resume_state, None
+        self.latest_checkpoint = None
+        if state is None:
             state = super()._begin_run()
-        else:
-            self._apply_state(resume)
-            state = resume["loop"].copy()
         if self._ckpt_every is not None:
             self._next_ckpt = self._following_checkpoint(state.slot)
         return state
@@ -472,10 +561,11 @@ class StreamingCloudSimulation(CloudSimulation):
         """Snapshot the run at the first boundary past each cadence."""
         if self._ckpt_every is None or state.slot < self._next_ckpt:
             return False
-        snapshot = self._snapshot(state)
-        self.checkpoints.append(snapshot)
+        # Drop the previous snapshot first, so two never coexist.
+        self.latest_checkpoint = None
+        self.latest_checkpoint = self._snapshot(state)
         if self._ckpt_path is not None:
-            self._write_checkpoint(snapshot)
+            self._write_checkpoint(self.latest_checkpoint)
         if self._tracer.enabled:
             self._tracer.emit(
                 "checkpoint",
@@ -496,55 +586,122 @@ class StreamingCloudSimulation(CloudSimulation):
         )
 
     def restore(self, source) -> None:
-        """Arm the next :meth:`run` to resume from a snapshot.
+        """Load a snapshot and arm the next :meth:`run` to resume from it.
 
         Args:
-            source: a snapshot dict (from :attr:`checkpoints`) or a
-                path to a pickled one (``checkpoint_path``).
+            source: a snapshot (:attr:`latest_checkpoint`, read when a
+                yielded decision's ``checkpointed`` is true for an
+                earlier boundary) or the path of a checkpoint file
+                (``checkpoint_path``).  A file is read with
+                ``np.load(..., allow_pickle=False)``.
+
+        Raises:
+            CheckpointError: if the file is missing, truncated or
+                corrupted, is an old pickle checkpoint, has another
+                format version, or the snapshot was taken under a
+                different engine configuration.
         """
         if isinstance(source, (str, os.PathLike)):
-            with open(source, "rb") as fh:
-                source = pickle.load(fh)
-        self._resume_state = source
+            label = f"checkpoint {os.fspath(source)}"
+            source = _read_checkpoint(source)
+        else:
+            label = "checkpoint"
+        self._resume_state = self._apply_state(source, label)
 
-    def _snapshot(self, state: _LoopState) -> dict:
-        stream = self._ingest is not None
+    def _checkpoint_config(self) -> Dict[str, object]:
+        """The engine configuration a resume depends on."""
         return {
-            "loop": state.copy(),
-            "policy": copy.deepcopy(self._policy),
-            "ingested_until": self._ingested_until,
-            "collectors": (
-                [c.state() for c in self._collectors] if stream else None
-            ),
-            "ingest": self._ingest.state() if stream else None,
-            "ladder": self._ladder.state() if stream else None,
+            "dataset_shape": list(self._dataset.cpu_pct.shape),
+            "start_slot": self._start_slot,
+            "n_slots": self._n_slots,
+            "fleet_servers": self._max_servers,
+            "policy": self._policy.name,
+            "telemetry": self._ingest is not None,
+            "collectors": len(self._collectors),
         }
 
-    def _write_checkpoint(self, state: dict) -> None:
+    def _snapshot(self, state: _LoopState) -> dict:
+        """The run at a window boundary: JSON header plus arrays."""
+        arrays: Dict[str, np.ndarray] = {}
+        config = self._checkpoint_config()
+        header = {
+            "version": CHECKPOINT_VERSION,
+            "config": config,
+            "config_hash": config_hash(config),
+            "loop": _split(state.state(), "loop", arrays),
+            "policy": self._policy.state(),
+            "ingested_until": self._ingested_until,
+        }
+        if self._ingest is not None:
+            header["collectors"] = [c.state() for c in self._collectors]
+            header["ingest"] = _split(self._ingest.state(), "ingest", arrays)
+            header["ladder"] = _split(
+                self._ladder.state(state.slot // SLOTS_PER_DAY),
+                "ladder",
+                arrays,
+            )
+        # The JSON round trip gives the in-memory header exactly the
+        # values a file restore reads.
+        return {"header": json.loads(_encode_header(header)), "arrays": arrays}
+
+    def _write_checkpoint(self, snapshot: dict) -> None:
+        """Write ``snapshot`` as one uncompressed ``.npz``, atomically."""
         tmp = f"{self._ckpt_path}.tmp"
+        # Through a handle: given a name, np.savez appends ".npz".
         with open(tmp, "wb") as fh:
-            # Protocol 5 pickles the snapshot's NumPy buffers in place
-            # instead of first copying each into a bytes object;
-            # restore()'s pickle.load reads protocol 4 files as well.
-            pickle.dump(state, fh, protocol=5)
+            header = _encode_header(snapshot["header"]).encode("utf-8")
+            np.savez(
+                fh,
+                header=np.frombuffer(header, dtype=np.uint8),
+                **snapshot["arrays"],
+            )
         os.replace(tmp, self._ckpt_path)
 
-    def _apply_state(self, state: dict) -> None:
-        stream = self._ingest is not None
-        if stream != (state["collectors"] is not None):
-            raise ConfigurationError(
-                "checkpoint and simulation disagree about the telemetry "
-                "layer (one has it, the other does not)"
+    def _apply_state(self, snapshot: dict, label: str) -> _LoopState:
+        """Validate ``snapshot`` against this simulation and load it.
+
+        Returns the loop state the resumed run continues from.
+        """
+        header = snapshot.get("header")
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{label} has no header")
+        version = header.get("version")
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"{label} has format version {version!r}; this build "
+                f"reads version {CHECKPOINT_VERSION}"
             )
-        self._policy = copy.deepcopy(state["policy"])
-        self._ingested_until = int(state["ingested_until"])
-        if stream:
-            for collector, cstate in zip(
-                self._collectors, state["collectors"]
-            ):
-                collector.restore(cstate)
-            self._ingest.restore(state["ingest"])
-            self._ladder.restore(state["ladder"])
+        config = self._checkpoint_config()
+        if header.get("config_hash") != config_hash(config):
+            theirs = header.get("config") or {}
+            differ = "; ".join(
+                f"{key} {theirs.get(key)!r} in the checkpoint vs "
+                f"{value!r} in this run"
+                for key, value in config.items()
+                if theirs.get(key) != value
+            ) or (
+                f"config hash {header.get('config_hash')!r} in the "
+                f"checkpoint vs {config_hash(config)!r} in this run"
+            )
+            raise CheckpointError(
+                f"{label} was taken under a different configuration "
+                f"({differ}); resume with the configuration that wrote it"
+            )
+        arrays = snapshot["arrays"]
+        try:
+            loop = _LoopState.from_state(_join(header["loop"], "loop", arrays))
+            self._policy.restore(header["policy"])
+            self._ingested_until = int(header["ingested_until"])
+            if self._ingest is not None:
+                for collector, cstate in zip(
+                    self._collectors, header["collectors"]
+                ):
+                    collector.restore(cstate)
+                self._ingest.restore(_join(header["ingest"], "ingest", arrays))
+                self._ladder.restore(_join(header["ladder"], "ladder", arrays))
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{label} is malformed: {exc!r}") from exc
+        return loop
 
 
 def _run_one_streaming_policy(

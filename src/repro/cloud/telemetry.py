@@ -55,7 +55,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import CollectorTimeoutError, ConfigurationError
+from ..errors import (
+    CheckpointError,
+    CollectorTimeoutError,
+    ConfigurationError,
+)
 from ..forecast import DayAheadPredictor
 from ..serve.adapters import TelemetryBatch
 from ..traces.dataset import TraceDataset
@@ -933,24 +937,49 @@ class TelemetryIngest:
     # -- checkpoint ----------------------------------------------------
 
     def state(self) -> Dict[str, object]:
-        """Deep snapshot of every mutable buffer."""
+        """Checkpoint snapshot: observations, validity bit-packed along
+        the sample axis, and the newest delivery slot.
+
+        The imputed buffers are derived, not state: their one reader,
+        the ladder's fresh fit, reads only a range :meth:`fill_into`
+        has just filled.
+        """
         return {
             "obs_cpu": self.obs_cpu.copy(),
             "obs_mem": self.obs_mem.copy(),
-            "valid": self.valid.copy(),
-            "imp_cpu": self.imp_cpu.copy(),
-            "imp_mem": self.imp_mem.copy(),
+            "valid_bits": np.packbits(self.valid, axis=1),
             "newest_delivery_slot": self.newest_delivery_slot,
         }
 
     def restore(self, state: Dict[str, object]) -> None:
-        """Restore a :meth:`state` snapshot (in place, so the observed
-        dataset's array references stay valid)."""
+        """Restore a :meth:`state` snapshot in place (the observed
+        dataset keeps its array references).
+
+        The imputed buffers are reset to NaN, so a read that does not
+        follow a fill shows up in the forecasts instead of passing for
+        data.
+
+        Raises:
+            CheckpointError: if the snapshot's buffers do not match
+                this ingest's shape.
+        """
+        n_samples = self.valid.shape[1]
+        bits = state["valid_bits"]
+        if (
+            state["obs_cpu"].shape != self.obs_cpu.shape
+            or state["obs_mem"].shape != self.obs_mem.shape
+            or bits.shape != (self.valid.shape[0], -(-n_samples // 8))
+        ):
+            raise CheckpointError(
+                f"checkpoint ingest buffers {state['obs_cpu'].shape} / "
+                f"{bits.shape} packed do not fit this ingest's "
+                f"{self.obs_cpu.shape}"
+            )
         self.obs_cpu[:] = state["obs_cpu"]
         self.obs_mem[:] = state["obs_mem"]
-        self.valid[:] = state["valid"]
-        self.imp_cpu[:] = state["imp_cpu"]
-        self.imp_mem[:] = state["imp_mem"]
+        self.valid[:] = np.unpackbits(bits, axis=1, count=n_samples)
+        self.imp_cpu.fill(np.nan)
+        self.imp_mem.fill(np.nan)
         self.newest_delivery_slot = int(state["newest_delivery_slot"])
 
 
@@ -1024,6 +1053,9 @@ class ForecastLadder:
         # day -> (rung, cpu_day, mem_day); arrays are None on the
         # "no usable forecast" rung.
         self._days: Dict[int, Tuple[str, object, object]] = {}
+        # day -> the fresh day whose forecast it plans from (itself
+        # when fresh); persistence days have none.
+        self._sources: Dict[int, int] = {}
         self._last_fresh_day = -1
         #: Optional :class:`~repro.obs.tracer.RunTracer`; when set,
         #: every *new* day decision (a cache miss) emits a
@@ -1044,6 +1076,7 @@ class ForecastLadder:
             cpu, mem = self._predictor.forecast_day(day)
             decision = (RUNG_FRESH, cpu, mem)
             self._last_fresh_day = day
+            self._sources[day] = day
         elif (
             self._last_fresh_day >= 0
             and (day - self._last_fresh_day) * SLOTS_PER_DAY
@@ -1051,6 +1084,7 @@ class ForecastLadder:
         ):
             _, cpu, mem = self._days[self._last_fresh_day]
             decision = (RUNG_STALE, cpu, mem)
+            self._sources[day] = self._last_fresh_day
         else:
             decision = (RUNG_PERSISTENCE, None, None)
         self._days[day] = decision
@@ -1060,12 +1094,33 @@ class ForecastLadder:
 
     # -- checkpoint ----------------------------------------------------
 
-    def state(self) -> Dict[str, object]:
-        """Snapshot of the day-decision cache."""
-        return {
-            "days": dict(self._days),
+    def state(self, from_day: int) -> Dict[str, object]:
+        """Snapshot of the decisions a run resumed at ``from_day`` can
+        consult: days at or after it, plus the last fresh day (the
+        stale rung's source).
+
+        Each kept day is ``[day, rung, source day]``; every source
+        day's forecast is stored once, as ``cpu.<day>`` / ``mem.<day>``
+        arrays.
+        """
+        keep = sorted(
+            day
+            for day in self._days
+            if day >= from_day or day == self._last_fresh_day
+        )
+        state: Dict[str, object] = {
             "last_fresh_day": self._last_fresh_day,
+            "days": [
+                [day, self._days[day][0], self._sources.get(day)]
+                for day in keep
+            ],
         }
+        sources = {self._sources[d] for d in keep if d in self._sources}
+        for source in sorted(sources):
+            _, cpu, mem = self._days[source]
+            state[f"cpu.{source}"] = cpu
+            state[f"mem.{source}"] = mem
+        return state
 
     def restore(self, state: Dict[str, object]) -> None:
         """Restore a :meth:`state` snapshot.
@@ -1074,5 +1129,18 @@ class ForecastLadder:
         the internal predictor is never re-consulted for restored days
         — late backfills cannot rewrite history after a resume.
         """
-        self._days = dict(state["days"])
+        self._days = {}
+        self._sources = {}
+        for day, rung, source in state["days"]:
+            day = int(day)
+            if source is None:
+                self._days[day] = (rung, None, None)
+                continue
+            source = int(source)
+            self._days[day] = (
+                rung,
+                state[f"cpu.{source}"],
+                state[f"mem.{source}"],
+            )
+            self._sources[day] = source
         self._last_fresh_day = int(state["last_fresh_day"])

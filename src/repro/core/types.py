@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import CheckpointError, ConfigurationError
 from ..power.server_power import ServerPowerModel
 from ..technology.opp import OppTable
 
@@ -421,6 +421,30 @@ class AllocationPolicy(ABC):
         caps run out, recorded in ``forced_placements``) so the simulation
         can always account power and violations.
         """
+
+    def state(self) -> Dict[str, object]:
+        """The JSON-able state a resumed run needs (checkpoint/resume).
+
+        A policy that plans each window from its context alone keeps
+        none.  Caches a policy recomputes deterministically from the
+        power model (EPACT's platform F_opt, COAT-OPT's resolved cap)
+        are not state.  Policies that carry decisions across windows
+        override this and :meth:`restore`.
+        """
+        return {}
+
+    def restore(self, state: Dict[str, object]) -> None:
+        """Load a :meth:`state` snapshot.
+
+        Raises:
+            CheckpointError: if the snapshot carries state this policy
+                does not keep.
+        """
+        if state:
+            raise CheckpointError(
+                f"policy {self.name} keeps no checkpoint state, but the "
+                f"snapshot carries {sorted(state)}"
+            )
 
 
 def force_place_remaining(

@@ -45,9 +45,10 @@ preserves the seed's dense pair loop as the equivalence oracle.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import asdict, dataclass, field
+from dataclasses import fields as dc_fields, replace as dc_replace
 from functools import lru_cache
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -59,6 +60,7 @@ from ..core.types import (
     AllocationPolicy,
     FaultWindow,
     FleetSpec,
+    ServerPlan,
 )
 from ..errors import ConfigurationError
 from ..obs.metrics import NULL_METRICS
@@ -200,7 +202,9 @@ class WindowDecision:
         imputed_samples: imputed samples in the last observed slot.
         energy_j: total energy accounted to the window.
         violations: SLA violation count accounted to the window.
-        checkpointed: a run snapshot was taken at this boundary.
+        checkpointed: a run snapshot was taken at this boundary; the
+            streaming engine's ``latest_checkpoint`` holds it until the
+            next one.
     """
 
     slot: int
@@ -257,6 +261,13 @@ def _copy_array(arr: Optional[np.ndarray]) -> Optional[np.ndarray]:
     return None if arr is None else arr.copy()
 
 
+#: The loop state's index arrays (``None`` until a window sets them).
+_LOOP_ARRAYS = ("prev_rows", "prev_map", "prev_pools", "prev_active")
+
+#: A record's field values, in :class:`SlotRecord` order.
+_record_values = attrgetter(*(f.name for f in dc_fields(SlotRecord)))
+
+
 @dataclass
 class _LoopState:
     """What the window loop carries from one window to the next.
@@ -283,17 +294,87 @@ class _LoopState:
     prev_active: Optional[np.ndarray] = None
     prev_alloc: Optional[Allocation] = None
 
-    def copy(self) -> "_LoopState":
-        """An independent copy (records list, arrays, allocation)."""
-        return dc_replace(
-            self,
-            records=list(self.records),
-            prev_rows=_copy_array(self.prev_rows),
-            prev_map=_copy_array(self.prev_map),
-            prev_pools=_copy_array(self.prev_pools),
-            prev_active=_copy_array(self.prev_active),
-            prev_alloc=copy.deepcopy(self.prev_alloc),
+    def state(self) -> Dict[str, object]:
+        """Checkpoint form: JSON-able values plus index arrays.
+
+        Records are field tuples in :class:`SlotRecord` order; the
+        previous allocation's plans are flattened into ``alloc_vm_ids``
+        cut by ``alloc_plan_sizes``.  :meth:`from_state` inverts it.
+        """
+        state: Dict[str, object] = {
+            "slot": self.slot,
+            "records": [_record_values(record) for record in self.records],
+            "prev_fw": None if self.prev_fw is None else asdict(self.prev_fw),
+            "prev_alloc": None,
+        }
+        for name in _LOOP_ARRAYS:
+            value = getattr(self, name)
+            if value is not None:
+                state[name] = value.copy()
+        alloc = self.prev_alloc
+        if alloc is not None:
+            state["prev_alloc"] = {
+                "policy_name": alloc.policy_name,
+                "dynamic_governor": alloc.dynamic_governor,
+                "violation_cap_pct": alloc.violation_cap_pct,
+                "case": alloc.case,
+                "f_opt_ghz": alloc.f_opt_ghz,
+                "forced_placements": alloc.forced_placements,
+                "shed_vm_ids": list(alloc.shed_vm_ids),
+                "plan_caps": [
+                    [plan.cap_cpu_pct, plan.cap_mem_pct, plan.planned_freq_ghz]
+                    for plan in alloc.plans
+                ],
+            }
+            state["alloc_vm_ids"] = np.array(
+                [vm for plan in alloc.plans for vm in plan.vm_ids],
+                dtype=np.int64,
+            )
+            state["alloc_plan_sizes"] = np.array(
+                [len(plan.vm_ids) for plan in alloc.plans], dtype=np.int64
+            )
+            if alloc.server_pools is not None:
+                state["alloc_server_pools"] = np.array(alloc.server_pools)
+        return state
+
+    @classmethod
+    def from_state(cls, state: Dict[str, object]) -> "_LoopState":
+        """The loop state a :meth:`state` snapshot describes."""
+        loop = cls(
+            slot=int(state["slot"]),
+            records=[SlotRecord(*row) for row in state["records"]],
+            prev_fw=(
+                None
+                if state["prev_fw"] is None
+                else FaultWindow(**state["prev_fw"])
+            ),
+            **{
+                name: _copy_array(state.get(name))
+                for name in _LOOP_ARRAYS
+            },
         )
+        meta = state["prev_alloc"]
+        if meta is not None:
+            ids = state["alloc_vm_ids"].tolist()
+            ends = np.cumsum(state["alloc_plan_sizes"]).tolist()
+            starts = [0] + ends[:-1]
+            loop.prev_alloc = Allocation(
+                policy_name=meta["policy_name"],
+                plans=[
+                    ServerPlan(ids[a:b], cap_cpu, cap_mem, freq)
+                    for a, b, (cap_cpu, cap_mem, freq) in zip(
+                        starts, ends, meta["plan_caps"]
+                    )
+                ],
+                dynamic_governor=meta["dynamic_governor"],
+                violation_cap_pct=meta["violation_cap_pct"],
+                case=meta["case"],
+                f_opt_ghz=meta["f_opt_ghz"],
+                forced_placements=meta["forced_placements"],
+                server_pools=_copy_array(state.get("alloc_server_pools")),
+                shed_vm_ids=list(meta["shed_vm_ids"]),
+            )
+        return loop
 
 
 class DataCenterSimulation:

@@ -67,3 +67,15 @@ class CollectorTimeoutError(ReproError):
     and, when the collector stays dark, degrade to stale data instead of
     crashing the run.
     """
+
+
+class CheckpointError(ReproError):
+    """A run checkpoint cannot be read, or does not fit the run resuming it.
+
+    Raised by
+    :meth:`repro.cloud.streaming.StreamingCloudSimulation.restore` for a
+    missing, truncated or corrupted file, an unknown format version, an
+    old pickle checkpoint, or a snapshot taken under a different engine
+    configuration.  The message names the checkpoint's side and the
+    resuming run's side.
+    """

@@ -102,7 +102,7 @@ class CollectorAdapter(Protocol):
         ...
 
     def state(self) -> object:
-        """Picklable cursor snapshot for checkpoint/resume."""
+        """JSON-serializable cursor snapshot for checkpoint/resume."""
         ...
 
     def restore(self, state: object) -> None:

@@ -6,8 +6,8 @@ Usage (run as ``python -m repro.serve.cli``)::
     python -m repro.serve.cli --telemetry lossy-10pct --policy reactive
     python -m repro.serve.cli --out runs/serve       # decision stream
                                                      # to trace.jsonl
-    python -m repro.serve.cli --checkpoint ckpt.pkl --checkpoint-every 12
-    python -m repro.serve.cli --checkpoint ckpt.pkl --resume
+    python -m repro.serve.cli --checkpoint ckpt.npz --checkpoint-every 12
+    python -m repro.serve.cli --checkpoint ckpt.npz --resume
     python -m repro.serve.cli --mode live --demo-feed
     python -m repro.serve.cli --mode live --feed http://host:8931
 
@@ -23,6 +23,11 @@ external infrastructure.
 Every window's decision is printed as one line and, with ``--out``,
 emitted as ``decision_*`` events beside the engine's streaming events
 (one ``trace.jsonl`` per run, schema-validated at emit time).
+
+A checkpoint is one versioned ``.npz`` loaded without pickle; a
+missing, damaged or old pickle checkpoint, or one written under another
+configuration, makes ``--resume`` exit 2 with a one-line
+``repro-serve:`` message.
 """
 
 from __future__ import annotations

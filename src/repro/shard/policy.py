@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from multiprocessing import shared_memory
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -166,6 +166,14 @@ class ShardedPolicy(AllocationPolicy):
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
+
+    def state(self) -> Dict[str, object]:
+        """The wrapped policy's checkpoint state."""
+        return self._inner.state()
+
+    def restore(self, state: Dict[str, object]) -> None:
+        """Restore the wrapped policy's checkpoint state."""
+        self._inner.restore(state)
 
     def _sub_fleets(
         self, fleet: FleetSpec, weights: np.ndarray

@@ -4,24 +4,44 @@ System-level invariants that hold for arbitrary inputs, not just the
 paper's operating points.
 """
 
+import os
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import CoatOptPolicy, CoatPolicy, FfdPolicy
+from repro.baselines import (
+    CoatOptPolicy,
+    CoatPolicy,
+    FfdPolicy,
+    OnlineBestFitPolicy,
+    OnlineReactivePolicy,
+)
 from repro.baselines.coat import _allocate_reference as _coat_reference
-from repro.cloud.telemetry import TelemetryIngest
+from repro.cloud import StreamingCloudSimulation, fixed_schedule
+from repro.cloud.telemetry import (
+    TELEMETRY_SCENARIOS,
+    TelemetryIngest,
+    get_telemetry_scenario,
+)
+from repro.core import EpactPolicy
 from repro.core.alloc1d import allocate_1d
 from repro.core.alloc2d import allocate_2d
 from repro.core.governor import DvfsGovernor
 from repro.core.types import AllocationContext
 from repro.dcsim.engine import count_migrations
 from repro.experiments.hyperscale import synthetic_dataset
+from repro.forecast import DayAheadPredictor
 from repro.perf.workload import ALL_MEMORY_CLASSES
 from repro.power.datacenter import DataCenterPowerAnalysis
 from repro.serve.adapters import TelemetryBatch
 from repro.technology.opp import ntc_opp_table
+from repro.traces import TraceDataset, default_dataset
+from repro.traces.lifecycle import ChurnConfig, generate_lifecycle
+from repro.units import SAMPLES_PER_DAY, SAMPLES_PER_SLOT, SLOTS_PER_DAY
 
 freq_strategy = st.floats(min_value=0.1, max_value=3.1)
 util_strategy = st.floats(min_value=0.0, max_value=100.0)
@@ -269,6 +289,132 @@ class TestImputationInvariants:
         scanned = ingest._carry_before_reference(lo)
         for got, want in zip(carried, scanned):
             assert got.tobytes() == want.tobytes()
+
+
+# A horizon that crosses from day 7 into day 8, so the ladder decides a
+# day inside every run (fresh, stale or persistence).
+_RESUME_START = 8 * SLOTS_PER_DAY - 6
+
+
+@pytest.fixture(scope="module")
+def resume_traces():
+    return default_dataset(n_vms=24, n_days=10, seed=77)
+
+
+_RESUME_POLICIES = {
+    "epact": EpactPolicy,
+    "reactive": OnlineReactivePolicy,
+    "bestfit": OnlineBestFitPolicy,
+}
+
+
+def _resume_sim(dataset, telemetry, schedule, policy, max_imputed, **kwargs):
+    return StreamingCloudSimulation(
+        dataset,
+        DayAheadPredictor(dataset),
+        _RESUME_POLICIES[policy](),
+        schedule,
+        telemetry=telemetry,
+        max_imputed_frac=max_imputed,
+        max_servers=8,
+        start_slot=_RESUME_START,
+        **kwargs,
+    )
+
+
+class TestResumeProperty:
+    """Resuming a streaming run at any checkpoint boundary, from the
+    in-memory snapshot or from the file, gives the uninterrupted run.
+
+    The drawn configurations compose policy, churn, degradation
+    scenario, a strict or default fresh-fit threshold (so fresh, stale
+    and persistence rungs all occur), the checkpoint cadence and a
+    dataset ending ``extra_slots`` past a whole day (a sample count
+    that is not always a multiple of 8, as the bit-packed validity
+    must handle).
+    """
+
+    @given(
+        policy=st.sampled_from(sorted(_RESUME_POLICIES)),
+        churn=st.booleans(),
+        scenario=st.sampled_from(sorted(TELEMETRY_SCENARIOS)),
+        max_imputed=st.sampled_from([0.0, 0.25]),
+        every=st.integers(1, 8),
+        n_slots=st.integers(8, 12),
+        extra_slots=st.integers(0, 3),
+        seed=st.integers(0, 2**16),
+    )
+    # Late delivery under a zero threshold: day 7 fits fresh, day 8 is
+    # stale, and a boundary falls on day 8's first slot, before the
+    # ladder decides it from day 7's forecast.
+    @example(
+        policy="reactive",
+        churn=True,
+        scenario="late-burst",
+        max_imputed=0.0,
+        every=3,
+        n_slots=12,
+        extra_slots=1,
+        seed=5,
+    )
+    # A placement-on-arrival policy over a fixed population: resuming
+    # without its carried placement re-packs every VM.
+    @example(
+        policy="bestfit",
+        churn=False,
+        scenario="collector-outage",
+        max_imputed=0.25,
+        every=2,
+        n_slots=8,
+        extra_slots=0,
+        seed=11,
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_resume_at_every_boundary(
+        self, resume_traces, policy, churn, scenario, max_imputed, every,
+        n_slots, extra_slots, seed,
+    ):
+        width = 9 * SAMPLES_PER_DAY + extra_slots * SAMPLES_PER_SLOT
+        dataset = TraceDataset(
+            specs=resume_traces.specs,
+            cpu_pct=resume_traces.cpu_pct[:, :width],
+            mem_pct=resume_traces.mem_pct[:, :width],
+        )
+        telemetry = get_telemetry_scenario(scenario).build(
+            dataset.n_vms, 0, dataset.n_slots, seed=seed
+        )
+        if churn:
+            schedule = generate_lifecycle(
+                dataset.n_vms,
+                _RESUME_START,
+                _RESUME_START + n_slots,
+                config=ChurnConfig(initial_fraction=0.5),
+                seed=seed,
+            )
+        else:
+            schedule = fixed_schedule(dataset.n_vms, 0, dataset.n_slots)
+        args = (dataset, telemetry, schedule, policy, max_imputed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "ckpt.npz")
+            full = _resume_sim(
+                *args,
+                n_slots=n_slots,
+                checkpoint_every_slots=every,
+                checkpoint_path=path,
+            )
+            boundaries = []
+            for decision in full.windows():
+                if decision.checkpointed:
+                    saved = os.path.join(tmp, f"ckpt-{len(boundaries)}.npz")
+                    shutil.copyfile(path, saved)
+                    boundaries.append((full.latest_checkpoint, saved))
+            assert boundaries
+            expected = full.result.records
+            for snapshot, saved in boundaries:
+                for source in (snapshot, saved):
+                    resumed = _resume_sim(*args, n_slots=n_slots)
+                    resumed.restore(source)
+                    assert resumed.run().records == expected
 
 
 class TestMigrationInvariants:

@@ -15,6 +15,7 @@ timeouts and the HTTP round-trip.
 
 import itertools
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from repro.errors import CollectorTimeoutError, ConfigurationError
 from repro.forecast import DayAheadPredictor
 from repro.obs.tracer import RunTracer, validate_event
 from repro.serve import HttpCollector, PushCollector, TelemetryFeedServer
+from repro.serve.cli import main
 from repro.serve.service import ServeConfig, build_simulation, serve
 from repro.traces import default_dataset
 from repro.traces.lifecycle import fixed_schedule
@@ -274,3 +276,71 @@ class TestStreamingEngineValidation:
                 n_slots=4,
             )
 
+
+
+# -- repro-serve checkpoint handling ----------------------------------------
+
+
+class TestServeCliCheckpoints:
+    """``--resume`` failures exit 2 with one ``repro-serve:`` line."""
+
+    ARGS = [
+        "--workload", "diurnal-burst",
+        "--n-vms", "12",
+        "--n-days", "8",
+        "--n-slots", "4",
+        "--max-servers", "6",
+        "--checkpoint-every", "2",
+        "--quiet",
+    ]
+
+    def _main(self, path, *extra):
+        return main(self.ARGS + ["--checkpoint", os.fspath(path), *extra])
+
+    def _refused(self, capsys, path, *extra):
+        capsys.readouterr()
+        assert self._main(path, "--resume", *extra) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("repro-serve: ")
+        assert captured.out == ""
+        return lines[0]
+
+    def test_missing_file(self, tmp_path, capsys):
+        line = self._refused(capsys, tmp_path / "missing.npz")
+        assert "does not exist" in line
+
+    def test_truncated_file(self, tmp_path, capsys):
+        path = tmp_path / "ck.npz"
+        assert self._main(path) == 0
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 3])
+        line = self._refused(capsys, path)
+        assert "not a readable checkpoint" in line
+
+    def test_old_pickle_file(self, tmp_path, capsys):
+        path = tmp_path / "ck.pkl"
+        path.write_bytes(pickle.dumps({"loop": None}, protocol=4))
+        line = self._refused(capsys, path)
+        assert "pickle checkpoints are no longer read" in line
+
+    def test_other_policy(self, tmp_path, capsys):
+        path = tmp_path / "ck.npz"
+        assert self._main(path, "--policy", "epact") == 0
+        line = self._refused(capsys, path, "--policy", "reactive")
+        assert "policy 'EPACT' in the checkpoint vs 'ONLINE-REACTIVE'" in line
+
+    def test_other_vm_count(self, tmp_path, capsys):
+        path = tmp_path / "ck.npz"
+        assert self._main(path) == 0
+        line = self._refused(capsys, path, "--n-vms", "10")
+        assert "dataset_shape [12, 2304] in the checkpoint vs " in line
+        assert "[10, 2304] in this run" in line
+
+    def test_other_collector_count(self, tmp_path, capsys):
+        path = tmp_path / "ck.npz"
+        assert self._main(path, "--telemetry", "lossy-10pct") == 0
+        line = self._refused(
+            capsys, path, "--telemetry", "collector-outage"
+        )
+        assert "collectors 1 in the checkpoint vs 2 in this run" in line

@@ -16,12 +16,16 @@ The acceptance bar of the telemetry PR:
   serial, and configs are validated with actionable errors.
 """
 
+import copy
+import json
 import pickle
+import struct
+import zipfile
 
 import numpy as np
 import pytest
 
-from repro.baselines import OnlineReactivePolicy
+from repro.baselines import OnlineBestFitPolicy, OnlineReactivePolicy
 from repro.cloud import (
     CloudSimulation,
     StreamingCloudSimulation,
@@ -45,9 +49,20 @@ from repro.cloud.telemetry import (
     zero_telemetry_faults,
 )
 from repro.serve.adapters import TelemetryBatch, poll_with_retry
-from repro.core import EpactPolicy
-from repro.errors import CollectorTimeoutError, ConfigurationError
+from repro.cloud.faults import FaultSchedule
+from repro.core import EpactPolicy, FleetEpactPolicy, FleetSpec, PoolSpec
+from repro.cloud.streaming import CHECKPOINT_VERSION
+from repro.errors import (
+    CheckpointError,
+    CollectorTimeoutError,
+    ConfigurationError,
+)
 from repro.forecast import DayAheadPredictor
+from repro.power.server_power import (
+    conventional_server_power_model,
+    ntc_server_power_model,
+)
+from repro.shard import ShardedPolicy
 from repro.traces import default_dataset
 from repro.traces.lifecycle import ChurnConfig, generate_lifecycle
 from repro.units import SAMPLES_PER_SLOT, SLOTS_PER_DAY
@@ -445,6 +460,16 @@ class TestImputation:
 # -- checkpoint/resume ------------------------------------------------------
 
 
+def _member_span(path, member):
+    """(offset, size) of a stored ``.npz`` member's bytes in the file."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(member + ".npy")
+    with open(path, "rb") as fh:
+        fh.seek(info.header_offset + 26)
+        name_len, extra_len = struct.unpack("<HH", fh.read(4))
+    return info.header_offset + 30 + name_len + extra_len, info.compress_size
+
+
 class TestCheckpointResume:
     def _sim(self, ds, schedule, telemetry, **kwargs):
         return StreamingCloudSimulation(
@@ -472,9 +497,13 @@ class TestCheckpointResume:
         simA = self._sim(
             ds, schedule, telemetry, checkpoint_every_slots=7
         )
-        full = simA.run()
-        assert len(simA.checkpoints) >= 2
-        for snapshot in simA.checkpoints:
+        snapshots = [
+            simA.latest_checkpoint for d in simA.windows() if d.checkpointed
+        ]
+        full = simA.result
+        assert len(snapshots) >= 2
+        assert simA.latest_checkpoint is snapshots[-1]
+        for snapshot in snapshots:
             simB = self._sim(ds, schedule, telemetry)
             simB.restore(snapshot)
             resumed = simB.run()
@@ -484,7 +513,8 @@ class TestCheckpointResume:
         telemetry = get_telemetry_scenario("lossy-1pct").build(
             ds.n_vms, 0, ds.n_slots, seed=4
         )
-        path = tmp_path / "ckpt.pkl"
+        # Written at exactly the given path, whatever its suffix.
+        path = tmp_path / "ckpt.bin"
         simA = self._sim(
             ds,
             fixed,
@@ -493,19 +523,162 @@ class TestCheckpointResume:
             checkpoint_path=str(path),
         )
         full = simA.run()
-        # Written in pickle protocol 5; a protocol-4 file (the format
-        # before) still restores.
-        assert path.read_bytes()[:2] == b"\x80\x05"
-        with open(path, "rb") as fh:
-            snapshot = pickle.load(fh)
-        old = tmp_path / "ckpt-protocol4.pkl"
-        with open(old, "wb") as fh:
-            pickle.dump(snapshot, fh, protocol=4)
-        for source in (path, old):
-            simB = self._sim(ds, fixed, telemetry)
-            simB.restore(str(source))
-            resumed = simB.run()
-            assert records_equal(full.records, resumed.records)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin"]
+        # One pickle-free archive: a JSON header plus plain arrays.
+        with np.load(path, allow_pickle=False) as archive:
+            members = {key: archive[key] for key in archive.files}
+        assert "header" in members
+        assert all(a.dtype != object for a in members.values())
+        header = json.loads(members["header"].tobytes())
+        assert header["version"] == CHECKPOINT_VERSION
+        assert header["loop"]["slot"] == 168 + 20
+        assert "ingest.imp_cpu" not in members  # derived, not state
+        simB = self._sim(ds, fixed, telemetry)
+        simB.restore(str(path))
+        assert records_equal(full.records, simB.run().records)
+
+    def test_restore_refuses_damaged_files(self, ds, fixed, tmp_path):
+        telemetry = get_telemetry_scenario("lossy-1pct").build(
+            ds.n_vms, 0, ds.n_slots, seed=4
+        )
+        path = tmp_path / "ckpt.npz"
+        self._sim(
+            ds,
+            fixed,
+            telemetry,
+            checkpoint_every_slots=10,
+            checkpoint_path=str(path),
+        ).run()
+        data = path.read_bytes()
+        offset, size = _member_span(path, "ingest.obs_cpu")
+        flipped = bytearray(data)
+        flipped[offset + size // 2] ^= 0xFF
+        with np.load(path, allow_pickle=False) as archive:
+            members = {key: archive[key] for key in archive.files}
+        header = json.loads(members.pop("header").tobytes())
+        header["version"] = CHECKPOINT_VERSION + 1
+        bumped = tmp_path / "bumped.npz"
+        with open(bumped, "wb") as fh:
+            np.savez(
+                fh,
+                header=np.frombuffer(json.dumps(header).encode(), np.uint8),
+                **members,
+            )
+        cases = {
+            "flipped.npz": (bytes(flipped), "not a readable checkpoint"),
+            "truncated.npz": (data[: len(data) // 2], "not a readable"),
+            "empty.npz": (b"", "not a readable checkpoint"),
+            "text.npz": (b"not a checkpoint", "not a readable checkpoint"),
+            "old.pkl": (
+                pickle.dumps({"loop": None}, protocol=5),
+                "pickle checkpoints are no longer read",
+            ),
+        }
+        for name, (content, message) in cases.items():
+            (tmp_path / name).write_bytes(content)
+            with pytest.raises(CheckpointError, match=message):
+                self._sim(ds, fixed, telemetry).restore(str(tmp_path / name))
+        with pytest.raises(CheckpointError, match="format version 2; this"):
+            self._sim(ds, fixed, telemetry).restore(str(bumped))
+        with pytest.raises(CheckpointError, match="does not exist"):
+            self._sim(ds, fixed, telemetry).restore(
+                str(tmp_path / "missing.npz")
+            )
+
+    def test_sharded_policy_resumes_its_inner_placement(self, ds, fixed):
+        telemetry = get_telemetry_scenario("lossy-1pct").build(
+            ds.n_vms, 0, ds.n_slots, seed=4
+        )
+
+        def sim(**kwargs):
+            return StreamingCloudSimulation(
+                ds,
+                DayAheadPredictor(ds),
+                ShardedPolicy(OnlineBestFitPolicy()),
+                fixed,
+                telemetry=telemetry,
+                max_servers=20,
+                n_slots=24,
+                **kwargs,
+            )
+
+        full = sim(checkpoint_every_slots=6)
+        snapshots = [
+            full.latest_checkpoint for d in full.windows() if d.checkpointed
+        ]
+        assert snapshots[0]["header"]["policy"]["assign"]
+        for snapshot in snapshots:
+            resumed = sim()
+            resumed.restore(snapshot)
+            assert records_equal(full.result.records, resumed.run().records)
+
+    @pytest.mark.parametrize("case", ["faults", "two-pool fleet"])
+    def test_resume_carries_fault_window_and_pools(self, ds, case):
+        if case == "faults":
+            policy = OnlineReactivePolicy()
+            kwargs = dict(
+                max_servers=20,
+                faults=FaultSchedule(
+                    20,
+                    0,
+                    ds.n_slots,
+                    server_outages=((2, 168, 176), (19, 0, 300)),
+                    cap_windows=((170, 178, 0.05),),
+                ),
+            )
+        else:
+            policy = FleetEpactPolicy()
+            kwargs = dict(
+                fleet=FleetSpec(
+                    pools=(
+                        PoolSpec("ntc", ntc_server_power_model(), 3),
+                        PoolSpec(
+                            "conventional",
+                            conventional_server_power_model(),
+                            30,
+                            perf_platform="x86",
+                        ),
+                    )
+                )
+            )
+        schedule = generate_lifecycle(
+            ds.n_vms,
+            168,
+            168 + 12,
+            config=ChurnConfig(initial_fraction=0.5),
+            seed=9,
+        )
+        # A dark stream freezes placements mid-run: the blind windows
+        # after a boundary re-use the restored allocation.
+        telemetry = TelemetryFaultSchedule(
+            ds.n_vms, 0, ds.n_slots, collector_outages=[(0, 172, 178)]
+        )
+
+        def sim(**extra):
+            return StreamingCloudSimulation(
+                ds,
+                DayAheadPredictor(ds),
+                copy.deepcopy(policy),
+                schedule,
+                telemetry=telemetry,
+                n_slots=12,
+                **kwargs,
+                **extra,
+            )
+
+        full = sim(checkpoint_every_slots=3)
+        snapshots = [
+            full.latest_checkpoint for d in full.windows() if d.checkpointed
+        ]
+        assert full.result.total_blind_windows > 0
+        if case == "faults":
+            assert all(s["header"]["loop"]["prev_fw"] for s in snapshots)
+        else:
+            assert all("loop.prev_pools" in s["arrays"] for s in snapshots)
+        for snapshot in snapshots:
+            resumed = sim()
+            resumed.restore(snapshot)
+            assert records_equal(full.result.records, resumed.run().records)
 
     def test_restore_rejects_layer_mismatch(self, ds, fixed):
         telemetry = zero_telemetry_faults(ds.n_vms, 0, ds.n_slots)
@@ -514,9 +687,59 @@ class TestCheckpointResume:
         )
         simA.run()
         bare = self._sim(ds, fixed, None)
-        bare.restore(simA.checkpoints[0])
-        with pytest.raises(ConfigurationError, match="telemetry layer"):
-            bare.run()
+        with pytest.raises(
+            CheckpointError,
+            match="telemetry True in the checkpoint vs False in this run",
+        ):
+            bare.restore(simA.latest_checkpoint)
+
+    def test_restore_rejects_other_configurations(self, ds, fixed):
+        telemetry = get_telemetry_scenario("lossy-1pct").build(
+            ds.n_vms, 0, ds.n_slots, seed=4
+        )
+        simA = self._sim(ds, fixed, telemetry, checkpoint_every_slots=12)
+        simA.run()
+        snapshot = simA.latest_checkpoint
+        other_policy = StreamingCloudSimulation(
+            ds,
+            DayAheadPredictor(ds),
+            EpactPolicy(),
+            fixed,
+            telemetry=telemetry,
+            max_servers=20,
+            n_slots=24,
+        )
+        with pytest.raises(
+            CheckpointError,
+            match="policy 'ONLINE-REACTIVE' in the checkpoint vs 'EPACT'",
+        ):
+            other_policy.restore(snapshot)
+        small = default_dataset(n_vms=24, n_days=9, seed=11)
+        fewer_vms = self._sim(
+            small,
+            fixed_schedule(small.n_vms, 0, small.n_slots),
+            get_telemetry_scenario("lossy-1pct").build(
+                small.n_vms, 0, small.n_slots, seed=4
+            ),
+        )
+        with pytest.raises(
+            CheckpointError,
+            match=r"dataset_shape \[30, 2592\] in the checkpoint vs "
+            r"\[24, 2592\] in this run",
+        ):
+            fewer_vms.restore(snapshot)
+        two_collectors = self._sim(
+            ds,
+            fixed,
+            generate_telemetry_faults(
+                ds.n_vms, 0, ds.n_slots, seed=4, n_collectors=2
+            ),
+        )
+        with pytest.raises(
+            CheckpointError,
+            match="collectors 1 in the checkpoint vs 2 in this run",
+        ):
+            two_collectors.restore(snapshot)
 
 
 # -- determinism and parallel == serial -------------------------------------
