@@ -1,8 +1,10 @@
-"""Setup shim for environments without the ``wheel`` package.
+"""Bare setuptools stub; it declares no package metadata.
 
-All metadata lives in ``pyproject.toml``; this file only enables the
-legacy editable-install path (``pip install -e . --no-use-pep517``) on
-offline machines where PEP 517 editable wheels cannot be built.
+There is no ``pyproject.toml`` and this ``setup()`` call names no
+package, version or console script (``python setup.py --name`` prints
+``UNKNOWN``).  Run the code from a checkout with ``PYTHONPATH=src``:
+``python -m repro.experiments.runner`` and ``python -m repro.serve.cli``
+are the two command-line programs (see README.md).
 """
 
 from setuptools import setup

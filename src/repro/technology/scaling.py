@@ -5,7 +5,9 @@ production, 20nm at GlobalFoundries, 12nm planned — and its conclusion
 argues EPACT "will be even more effective in future technologies, where
 static power is expected to decrease further".  This module provides
 first-order projections of the 28nm models onto those nodes so that claim
-can be explored quantitatively (see ``benchmarks/bench_ablations.py``).
+can be explored quantitatively (see
+``TestAblations.test_future_node_keeps_the_saving`` in
+``tests/test_experiments.py``).
 
 Scaling model (classic constant-field-flavoured first-order factors per
 full node step; FD-SOI's back-bias keeps leakage in check, which is the

@@ -12,7 +12,13 @@ from repro.anchors import (
     EFFICIENCY_PEAK_FREQ_GHZ,
     QOS_MIN_FREQ_GHZ,
 )
+from repro.baselines import CoatPolicy, FfdPolicy
+from repro.core import EpactPolicy
+from repro.dcsim import run_policies, total_energy_savings_pct
 from repro.experiments import fig1, fig2, fig3, fig456, fig7, table1
+from repro.forecast import DayAheadPredictor
+from repro.technology.scaling import fdsoi12_scaling, scaled_ntc_power_model
+from repro.traces import default_dataset
 
 
 @pytest.fixture(scope="module")
@@ -198,3 +204,107 @@ class TestFig7:
 
     def test_render(self, fig7_result):
         assert "static" in fig7.render(fig7_result).lower()
+
+
+@pytest.fixture(scope="module")
+def week_dataset():
+    """The reduced-scale week of the comparisons below: 120 VMs, 9 days."""
+    return default_dataset(n_vms=120, n_days=9, seed=2018)
+
+
+@pytest.fixture(scope="module")
+def week_predictor(week_dataset):
+    """Day-ahead predictor with the two evaluated days' forecasts fitted."""
+    predictor = DayAheadPredictor(week_dataset)
+    for day in range(7, week_dataset.n_days):
+        predictor.forecast_day(day)
+    return predictor
+
+
+@pytest.fixture(scope="module")
+def compare(week_dataset, week_predictor, perf_sim):
+    """Runs policies over the shared week, 600 servers."""
+
+    def run(policies, n_slots, **kwargs):
+        return run_policies(
+            week_dataset,
+            week_predictor,
+            policies,
+            perf=perf_sim,
+            max_servers=600,
+            n_slots=n_slots,
+            **kwargs,
+        )
+
+    return run
+
+
+class TestAblations:
+    """Where EPACT's advantage comes from, beyond the paper's figures."""
+
+    @pytest.fixture(scope="class")
+    def one_day(self, compare):
+        """EPACT, COAT, COAT with EPACT's governor and two fixed caps."""
+        return compare(
+            [
+                EpactPolicy(),
+                CoatPolicy(),
+                CoatPolicy(dynamic_governor=True, name="COAT-DVFS"),
+                CoatPolicy(cap_cpu_pct=70.0, name="CAP-70"),
+                CoatPolicy(cap_cpu_pct=85.0, name="CAP-85"),
+            ],
+            n_slots=24,
+        )
+
+    @pytest.fixture(scope="class")
+    def two_days(self, compare):
+        """COAT re-packing hourly and daily, and plain FFD."""
+        return compare(
+            [
+                CoatPolicy(),
+                CoatPolicy(name="COAT-DAILY", reallocation_period_slots=24),
+                FfdPolicy(),
+            ],
+            n_slots=48,
+        )
+
+    def test_other_caps_between_optimum_and_coat(self, one_day):
+        """Fig. 6's "other caps" band: a lower fixed cap (a slower fixed
+        frequency) consumes less energy."""
+        energy = {name: run.total_energy_mj for name, run in one_day.items()}
+        assert energy["CAP-70"] < energy["CAP-85"] < energy["COAT"]
+
+    def test_governor_recovers_waste_but_not_the_gap(self, one_day):
+        """COAT with EPACT's per-sample DVFS governor saves energy, yet
+        does not beat EPACT by more than a few percent."""
+        assert (
+            one_day["COAT-DVFS"].total_energy_mj
+            < one_day["COAT"].total_energy_mj
+        )
+        saving = total_energy_savings_pct(one_day["EPACT"], one_day["COAT-DVFS"])
+        assert saving > -10.0
+
+    def test_future_node_keeps_the_saving(self, one_day, compare):
+        """The paper's conclusion: EPACT's edge holds or grows as static
+        power shrinks, here on the 12 nm FD-SOI projection."""
+        scaled = compare(
+            [EpactPolicy(), CoatPolicy()],
+            n_slots=24,
+            power_model=scaled_ntc_power_model(fdsoi12_scaling()),
+        )
+        saving_28 = total_energy_savings_pct(one_day["EPACT"], one_day["COAT"])
+        saving_12 = total_energy_savings_pct(scaled["EPACT"], scaled["COAT"])
+        assert saving_12 > saving_28 - 2.0
+
+    def test_hourly_reallocation_saves_energy(self, two_days):
+        """Re-packing every hour costs no more than day-ahead packing."""
+        assert (
+            two_days["COAT"].total_energy_mj
+            <= two_days["COAT-DAILY"].total_energy_mj
+        )
+
+    def test_correlation_awareness_costs_little_energy(self, two_days):
+        """COAT vs plain first-fit decreasing at the same cadence."""
+        coat = two_days["COAT"].total_energy_mj
+        ffd = two_days["FFD"].total_energy_mj
+        assert abs(coat - ffd) / ffd < 0.15

@@ -22,7 +22,12 @@ from repro.core.types import (
     force_place_remaining,
 )
 from repro.core.workspace import validate_vm_order
-from repro.dcsim.engine import _count_migrations_reference, count_migrations
+from repro.core import EpactPolicy
+from repro.dcsim.engine import (
+    DataCenterSimulation,
+    _count_migrations_reference,
+    count_migrations,
+)
 from repro.errors import ConfigurationError, DomainError, ForecastError
 from repro.experiments.hyperscale import synthetic_dataset
 from repro.forecast import DayAheadPredictor
@@ -53,8 +58,14 @@ def plans_equal(a, b):
     return [p.vm_ids for p in a] == [p.vm_ids for p in b]
 
 
+def nightly(*values):
+    """Parameter values that run only in the nightly step
+    (``pytest -m nightly``): the reference loops take seconds there."""
+    return [pytest.param(value, marks=pytest.mark.nightly) for value in values]
+
+
 class TestAllocate1dEquivalence:
-    @pytest.mark.parametrize("n_vms", [1, 2, 50, 300])
+    @pytest.mark.parametrize("n_vms", [1, 2, 50, 300, 2000, *nightly(5000, 10000)])
     def test_matches_reference_random(self, n_vms):
         cpu = make_patterns(n_vms, seed=n_vms)
         mem = make_patterns(n_vms, seed=n_vms + 100, scale=5.0)
@@ -102,6 +113,16 @@ class TestAllocate1dEquivalence:
         fast, _ = allocate_1d(cpu, mem, 60.0, order=order, fast=True)
         ref, _ = allocate_1d(cpu, mem, 60.0, order=order, fast=False)
         assert plans_equal(fast, ref)
+
+    @pytest.mark.parametrize("n_vms", [60, *nightly(2000)])
+    def test_matches_reference_day_window(self, n_vms):
+        """Day-ahead window width (288 samples per pattern)."""
+        cpu = make_patterns(n_vms, n_samples=288, seed=2)
+        mem = make_patterns(n_vms, n_samples=288, seed=3, scale=5.0)
+        fast, f_forced = allocate_1d(cpu, mem, cap_cpu_pct=60.0, fast=True)
+        ref, r_forced = allocate_1d(cpu, mem, cap_cpu_pct=60.0, fast=False)
+        assert plans_equal(fast, ref)
+        assert f_forced == r_forced
 
 
 class TestAllocate2dEquivalence:
@@ -260,21 +281,25 @@ class TestAllocate2dBlockEquivalence:
         )
         assert forced > 0
 
-    def test_gathered_memory_dominant(self):
-        """The memory-dominant bench shape (~2 VMs per server): few
-        servers fit each VM, so picks score gathered columns only."""
-        cpu = make_patterns(600, seed=2, scale=15.0)
-        mem = make_patterns(600, seed=3, scale=38.0)
+    @pytest.mark.parametrize("n_vms", [600, 2000, *nightly(5000, 10000)])
+    def test_gathered_memory_dominant(self, n_vms):
+        """The memory-dominant shape (~2 VMs per server): few servers
+        fit each VM, so picks score gathered columns only."""
+        cpu = make_patterns(n_vms, seed=2, scale=15.0)
+        mem = make_patterns(n_vms, seed=3, scale=38.0)
         assert_alloc2d_matches_reference(
-            cpu, mem, 270, 60.0, 90.0, max_servers=420
+            cpu, mem, n_vms * 9 // 20, 60.0, 90.0, max_servers=n_vms * 7 // 10
         )
 
-    def test_gathered_day_window(self):
+    @pytest.mark.parametrize("n_vms", [400, *nightly(2000)])
+    def test_gathered_day_window(self, n_vms):
         """288-sample day windows, mixing gathered and full-width
         picks."""
-        cpu = make_patterns(400, n_samples=288, seed=2)
-        mem = make_patterns(400, n_samples=288, seed=3, scale=5.0)
-        assert_alloc2d_matches_reference(cpu, mem, 80, 60.0, max_servers=160)
+        cpu = make_patterns(n_vms, n_samples=288, seed=2)
+        mem = make_patterns(n_vms, n_samples=288, seed=3, scale=5.0)
+        assert_alloc2d_matches_reference(
+            cpu, mem, n_vms // 5, 60.0, max_servers=n_vms * 2 // 5
+        )
 
 
 COAT_POLICIES = {
@@ -391,6 +416,15 @@ class TestCoatEquivalence:
             COAT_POLICIES[policy],
             coat_ctx(ntc_power, cpu.astype(dtype), mem.astype(dtype)),
         )
+
+
+@pytest.mark.parametrize("n_samples", [12, *nightly(288)])
+def test_coat_matches_reference_at_2k_vms(ntc_power, n_samples):
+    """COAT packing 2,000 VMs over one slot window and over a day-ahead
+    window."""
+    cpu = make_patterns(2000, n_samples=n_samples, seed=2)
+    mem = make_patterns(2000, n_samples=n_samples, seed=3, scale=5.0)
+    assert_coat_matches_reference(CoatPolicy, coat_ctx(ntc_power, cpu, mem))
 
 
 class TestOrderValidation:
@@ -575,6 +609,22 @@ class TestBatchedForecastEquivalence:
         cpu_b, mem_b = batched.forecast_day(7)
         np.testing.assert_allclose(cpu_b, cpu_s, rtol=1e-7, atol=1e-8)
         np.testing.assert_allclose(mem_b, mem_s, rtol=1e-7, atol=1e-8)
+
+    @pytest.mark.parametrize("n_vms", [12, *nightly(120)])
+    def test_simulated_days_match_scalar(self, n_vms):
+        """EPACT deciding from batched forecasts produces exactly the
+        records it produces from scalar ones."""
+        dataset = default_dataset(n_vms=n_vms, n_days=9, seed=2018)
+        batched, scalar = (
+            DataCenterSimulation(
+                dataset,
+                DayAheadPredictor(dataset, batch=batch),
+                EpactPolicy(),
+                max_servers=80,
+            ).run().records
+            for batch in (True, False)
+        )
+        assert batched == scalar
 
     def test_custom_factory_disables_batch(self):
         dataset = default_dataset(n_vms=4, n_days=9, seed=12)

@@ -20,6 +20,8 @@ The acceptance bar of the observability PR:
 """
 
 import json
+import statistics
+import time
 
 import numpy as np
 import pytest
@@ -568,3 +570,46 @@ class TestReportRoundTrip:
             metrics=MetricsRegistry(),
         ).run()
         assert records_equal(base.records, traced.records)
+
+
+@pytest.mark.nightly
+def test_tracing_overhead_under_five_percent(tmp_path):
+    """A fully traced 120-VM week (a ``RunTracer`` writing both JSONL
+    channels plus a ``MetricsRegistry`` timing every phase) takes under
+    5% longer than the untraced default: the median traced/untraced
+    ratio over 40 pairs of runs, alternating which side goes first.
+    Adjacent runs see nearly the same host speed, so pair ratios
+    cancel a shared host's drift: on a 2-CPU container whose overhead
+    over 120 pairs was +1.4%, the medians of 10 runs per side read -5%
+    to +12%, and one hiccup moves a best-of-5 past the bound."""
+    dataset = default_dataset(n_vms=120, n_days=9, seed=2018)
+
+    def run(traced):
+        start = time.perf_counter()
+        kwargs = {}
+        if traced:
+            kwargs = {
+                "tracer": RunTracer.for_run_dir(tmp_path),
+                "metrics": MetricsRegistry(),
+            }
+        sim = DataCenterSimulation(
+            dataset, DayAheadPredictor(dataset), EpactPolicy(),
+            max_servers=80, **kwargs,
+        )
+        energy = sum(r.energy_j for r in sim.run().records)
+        if traced:
+            kwargs["tracer"].close()
+        return time.perf_counter() - start, energy
+
+    # The warm-up pair doubles as the bit-identity witness.
+    assert run(True)[1] == run(False)[1]
+    pairs = []
+    for pair in range(40):
+        order = (False, True) if pair % 2 == 0 else (True, False)
+        times = {traced: run(traced)[0] for traced in order}
+        pairs.append((times[False], times[True]))
+    overhead = (statistics.median(t / u for u, t in pairs) - 1.0) * 100.0
+    untraced, traced = (statistics.median(side) for side in zip(*pairs))
+    print(f"medians: untraced {untraced:.3f} s, traced {traced:.3f} s; "
+          f"median pair overhead {overhead:+.1f}%")
+    assert overhead < 5.0

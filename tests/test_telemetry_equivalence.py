@@ -65,7 +65,7 @@ from repro.power.server_power import (
 from repro.shard import ShardedPolicy
 from repro.traces import default_dataset
 from repro.traces.lifecycle import ChurnConfig, generate_lifecycle
-from repro.units import SAMPLES_PER_SLOT, SLOTS_PER_DAY
+from repro.units import SAMPLES_PER_DAY, SAMPLES_PER_SLOT, SLOTS_PER_DAY
 
 
 def records_equal(a, b):
@@ -455,6 +455,39 @@ class TestImputation:
             ingest.sample_quality(10, 20) == QUALITY_OBSERVED
         ).all()
         assert ingest.missing_fraction(10, 20) == 0.0
+
+    @pytest.mark.nightly
+    def test_fill_matches_reference_at_400_vms(self):
+        """A ``lossy-10pct`` feed at 400 VMs, delivered through its
+        collectors up to day 8: the batched fill equals the per-VM loop
+        bit for bit over each of the last day's 24 slot windows and over
+        the 7-day window a day-8 re-fit reads."""
+        day = 8
+        dataset = default_dataset(n_vms=400, n_days=day + 1, seed=2018)
+        schedule = get_telemetry_scenario("lossy-10pct").build(
+            dataset.n_vms, 0, dataset.n_slots, seed=2018
+        )
+        ingest = TelemetryIngest(dataset)
+        collectors = [
+            TraceCollector(c, dataset, schedule)
+            for c in range(schedule.n_collectors)
+        ]
+        for slot in range(day * SLOTS_PER_DAY + 1):
+            for collector in collectors:
+                ingest.ingest(collector.poll(slot))
+
+        hi = day * SAMPLES_PER_DAY
+        windows = [
+            (lo, lo + SAMPLES_PER_SLOT)
+            for lo in range(hi - SAMPLES_PER_DAY, hi, SAMPLES_PER_SLOT)
+        ]
+        windows.append((hi - 7 * SAMPLES_PER_DAY, hi))
+        assert not ingest.valid[:, windows[-1][0]:hi].all()
+        for start, stop in windows:
+            filled = ingest._fill(start, stop)
+            reference = ingest._fill_reference(start, stop)
+            for got, want in zip(filled, reference):
+                assert got.tobytes() == want.tobytes()
 
 
 # -- checkpoint/resume ------------------------------------------------------
