@@ -57,9 +57,7 @@ from .cloud.streaming import StreamingCloudSimulation
 from .dcsim import (
     CloudSimulation,
     DataCenterSimulation,
-    SimulationConfig,
     SimulationResult,
-    StreamingConfig,
     WindowDecision,
     inspect_slot,
     run_cloud_policies,
@@ -131,10 +129,8 @@ __all__ = [
     "ReproError",
     "ServeConfig",
     "ServerPowerModel",
-    "SimulationConfig",
     "SimulationResult",
     "StreamingCloudSimulation",
-    "StreamingConfig",
     "TraceDataset",
     "WindowDecision",
     "conventional_server_power_model",

@@ -70,7 +70,13 @@ from ..traces.dataset import TraceDataset
 from ..traces.lifecycle import LifecycleSchedule
 from ..units import SAMPLES_PER_SLOT, SLOTS_PER_DAY
 from ..dcsim.cloud import CloudSimulation
-from ..dcsim.engine import _LoopState, _Observation
+from ..dcsim.engine import (
+    _fans_out,
+    _LoopState,
+    _Observation,
+    fan_out,
+    shared_predictions,
+)
 from ..dcsim.metrics import SimulationResult
 from .telemetry import (
     RUNG_BLIND,
@@ -705,27 +711,16 @@ class StreamingCloudSimulation(CloudSimulation):
 
 
 def _run_one_streaming_policy(
-    dataset,
+    dataset: TraceDataset,
     predictor,
     policy: AllocationPolicy,
     schedule: LifecycleSchedule,
     telemetry: Optional[TelemetryFaultSchedule],
     kwargs: Dict,
 ) -> SimulationResult:
-    """Worker entry point: one policy's full streaming run (picklable).
-
-    ``dataset`` may be a :class:`~repro.shard.shm.SharedTraces` handle
-    (mapped zero-copy) or a plain :class:`TraceDataset`.
-    """
-    from ..shard.shm import materialize
-
+    """One policy's full streaming run (a picklable task body)."""
     return StreamingCloudSimulation(
-        materialize(dataset),
-        predictor,
-        policy,
-        schedule,
-        telemetry=telemetry,
-        **kwargs,
+        dataset, predictor, policy, schedule, telemetry=telemetry, **kwargs
     ).run()
 
 
@@ -738,21 +733,21 @@ def run_streaming_policies(
     jobs: int = 1,
     tracer=None,
     metrics=None,
-    shared=None,
     **kwargs,
 ) -> Dict[str, SimulationResult]:
     """Run several policies over the same degraded stream.
 
     The streaming counterpart of
     :func:`repro.dcsim.cloud.run_cloud_policies`, sharing the common
-    runner surface (``jobs`` / ``tracer`` / ``metrics`` / ``shared``).
-    With telemetry the workers ship the *configured* predictor — each
-    run re-fits on its own observed stream, deterministically, so
-    parallel equals serial exactly — and only the traces go through a
-    zero-copy shared-memory buffer; without telemetry the day-ahead
-    predictions are frozen into shared memory too, as in the batch
-    runners.  Serial runs thread ``tracer`` / ``metrics`` into every
-    engine; parallel fans drop them (pool task events cover the sweep).
+    runner surface (``jobs`` / ``tracer`` / ``metrics``).  With
+    ``jobs > 1`` the policies fan out over processes
+    (:func:`~repro.dcsim.engine.fan_out`).  With telemetry each worker
+    receives the traces and the *configured* predictor — each run
+    re-fits on its own observed stream, deterministically, so parallel
+    equals serial exactly; without telemetry the day-ahead predictions
+    are frozen once and shared instead, as in the batch runners.
+    Serial runs thread ``tracer`` / ``metrics`` into every engine;
+    parallel fans drop them (pool task events cover the sweep).
     """
     policy_list = list(policies)
     if kwargs.get("collectors") is not None and jobs is not None and jobs > 1:
@@ -760,58 +755,20 @@ def run_streaming_policies(
             "live collectors cannot fan out across processes — a feed "
             "is consumed once; run live policies with jobs=1"
         )
-    if jobs is None or jobs <= 1 or len(policy_list) <= 1:
-        serial_kwargs = dict(kwargs, tracer=tracer, metrics=metrics)
-        results: Dict[str, SimulationResult] = {}
-        for policy in policy_list:
-            results[policy.name] = _run_one_streaming_policy(
-                dataset, predictor, policy, schedule, telemetry,
-                serial_kwargs,
+    if _fans_out(jobs, len(policy_list)):
+        if telemetry is None:
+            predictor = shared_predictions(
+                dataset,
+                predictor,
+                kwargs.get("start_slot"),
+                kwargs.get("n_slots"),
             )
-        return results
-
-    from concurrent.futures import ProcessPoolExecutor
-
-    from ..shard.shm import SharedRunInputs, SharedTraces
-
-    owned = []
-    if shared is not None:
-        traces = shared.traces
-        shipped = shared.predictions if telemetry is None else predictor
-    elif telemetry is None:
-        handle = SharedRunInputs.create(
-            dataset,
-            predictor,
-            start_slot=kwargs.get("start_slot"),
-            n_slots=kwargs.get("n_slots"),
-        )
-        owned.append(handle)
-        traces = handle.traces
-        shipped = handle.predictions
     else:
-        traces = SharedTraces.from_dataset(dataset)
-        owned.append(traces)
-        shipped = predictor
-    try:
-        workers = min(jobs, len(policy_list))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _run_one_streaming_policy,
-                    traces,
-                    shipped,
-                    policy,
-                    schedule,
-                    telemetry,
-                    kwargs,
-                )
-                for policy in policy_list
-            ]
-            return {
-                policy.name: future.result()
-                for policy, future in zip(policy_list, futures)
-            }
-    finally:
-        for handle in owned:
-            handle.close()
-            handle.unlink()
+        kwargs = dict(kwargs, tracer=tracer, metrics=metrics)
+    runs = fan_out(
+        _run_one_streaming_policy,
+        (dataset, predictor),
+        [(policy, schedule, telemetry, kwargs) for policy in policy_list],
+        jobs,
+    )
+    return {policy.name: run for policy, run in zip(policy_list, runs)}

@@ -8,12 +8,13 @@ runners — :func:`run_policies` (fixed population),
 :func:`run_cloud_policies` (churning population),
 :func:`run_streaming_policies` (degraded telemetry streams) and
 :func:`run_geo_policies` (sharded multi-region fleets) — which share
-one keyword surface: ``jobs``, ``tracer``, ``metrics`` and a ``shared``
-zero-copy buffer handle (:class:`~repro.shard.shm.SharedRunInputs`).
+one keyword surface: ``jobs``, ``tracer`` and ``metrics``.  With
+``jobs > 1`` each fans its independent runs out over worker processes
+through :func:`~repro.dcsim.engine.fan_out`, which hands the shared
+traces and forecasts to each worker once.
 """
 
 from .cloud import CloudSimulation, run_cloud_policies
-from .config import SimulationConfig, StreamingConfig
 from .engine import (
     DataCenterSimulation,
     WindowDecision,
@@ -46,9 +47,7 @@ from ..shard.geo import run_geo_policies  # noqa: E402
 __all__ = [
     "CloudSimulation",
     "DataCenterSimulation",
-    "SimulationConfig",
     "SimulationResult",
-    "StreamingConfig",
     "run_cloud_policies",
     "run_geo_policies",
     "run_streaming_policies",

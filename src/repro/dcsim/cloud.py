@@ -34,7 +34,12 @@ from ..core.types import AllocationPolicy
 from ..errors import ConfigurationError
 from ..traces.dataset import TraceDataset
 from ..traces.lifecycle import LifecycleSchedule
-from .engine import DataCenterSimulation
+from .engine import (
+    DataCenterSimulation,
+    _fans_out,
+    fan_out,
+    shared_predictions,
+)
 from .metrics import SimulationResult
 
 
@@ -80,21 +85,15 @@ class CloudSimulation(DataCenterSimulation):
 
 
 def _run_one_cloud_policy(
-    dataset,
+    dataset: TraceDataset,
     predictor,
     policy: AllocationPolicy,
     schedule: LifecycleSchedule,
     kwargs: Dict,
 ) -> SimulationResult:
-    """Worker entry point: one policy's full cloud run (picklable).
-
-    ``dataset`` may be a :class:`~repro.shard.shm.SharedTraces` handle
-    (mapped zero-copy) or a plain :class:`TraceDataset`.
-    """
-    from ..shard.shm import materialize
-
+    """One policy's full cloud run (a picklable task body)."""
     return CloudSimulation(
-        materialize(dataset), predictor, policy, schedule, **kwargs
+        dataset, predictor, policy, schedule, **kwargs
     ).run()
 
 
@@ -106,69 +105,31 @@ def run_cloud_policies(
     jobs: int = 1,
     tracer=None,
     metrics=None,
-    shared=None,
     **kwargs,
 ) -> Dict[str, SimulationResult]:
     """Run several policies over the same churning traces.
 
     The cloud counterpart of :func:`repro.dcsim.engine.run_policies`,
-    with the same runner surface (``jobs`` / ``tracer`` / ``metrics`` /
-    ``shared``): with ``jobs > 1`` the policies fan out over a
-    ``ProcessPoolExecutor`` reading traces and frozen day-ahead
-    predictions from zero-copy shared-memory buffers
-    (:class:`~repro.shard.shm.SharedRunInputs`), so workers re-fit and
-    copy nothing and results equal the serial run exactly (online
-    policies are reset per run).  Serial runs thread ``tracer`` /
-    ``metrics`` into every engine; parallel fans drop them, as in
+    with the same runner surface (``jobs`` / ``tracer`` / ``metrics``):
+    with ``jobs > 1`` the policies fan out over processes
+    (:func:`~repro.dcsim.engine.fan_out`), each worker receiving the
+    traces and the frozen day-ahead predictions once, so workers re-fit
+    nothing and results equal the serial run exactly (online policies
+    are reset per run).  Serial runs thread ``tracer`` / ``metrics``
+    into every engine; parallel fans drop them, as in
     :func:`~repro.dcsim.engine.run_policies`.
     """
     policy_list = list(policies)
-    if jobs is None or jobs <= 1 or len(policy_list) <= 1:
-        results: Dict[str, SimulationResult] = {}
-        for policy in policy_list:
-            sim = CloudSimulation(
-                dataset,
-                predictor,
-                policy,
-                schedule,
-                tracer=tracer,
-                metrics=metrics,
-                **kwargs,
-            )
-            results[policy.name] = sim.run()
-        return results
-
-    from concurrent.futures import ProcessPoolExecutor
-
-    from ..shard.shm import SharedRunInputs
-
-    owned = shared is None
-    if owned:
-        shared = SharedRunInputs.create(
-            dataset,
-            predictor,
-            start_slot=kwargs.get("start_slot"),
-            n_slots=kwargs.get("n_slots"),
+    if _fans_out(jobs, len(policy_list)):
+        predictor = shared_predictions(
+            dataset, predictor, kwargs.get("start_slot"), kwargs.get("n_slots")
         )
-    try:
-        workers = min(jobs, len(policy_list))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _run_one_cloud_policy,
-                    shared.traces,
-                    shared.predictions,
-                    policy,
-                    schedule,
-                    kwargs,
-                )
-                for policy in policy_list
-            ]
-            return {
-                policy.name: future.result()
-                for policy, future in zip(policy_list, futures)
-            }
-    finally:
-        if owned:
-            shared.close()
-            shared.unlink()
+    else:
+        kwargs = dict(kwargs, tracer=tracer, metrics=metrics)
+    runs = fan_out(
+        _run_one_cloud_policy,
+        (dataset, predictor),
+        [(policy, schedule, kwargs) for policy in policy_list],
+        jobs,
+    )
+    return {policy.name: run for policy, run in zip(policy_list, runs)}

@@ -63,6 +63,7 @@ from ..core.types import (
     ServerPlan,
 )
 from ..errors import ConfigurationError
+from ..forecast.predictor import PrecomputedPredictor
 from ..obs.metrics import NULL_METRICS
 from ..obs.tracer import NULL_TRACER
 from ..perf.simulator import PerformanceSimulator, traffic_coefficients
@@ -547,31 +548,6 @@ class DataCenterSimulation:
                 self._stall_tables_for(spec.opps, "ntc"),
                 np.array([coeffs[mc] for mc in ALL_MEMORY_CLASSES]),
             )
-
-    @classmethod
-    def from_config(cls, dataset, predictor, policy, *args, config=None):
-        """Build a simulation from a :class:`SimulationConfig`.
-
-        A thin pass-through — ``cls(dataset, predictor, policy, *args,
-        **config.kwargs())`` — so a config-built simulation is
-        bit-identical to the equivalent keyword call.  Subclasses with
-        extra positional arguments inherit it unchanged
-        (``CloudSimulation.from_config(dataset, predictor, policy,
-        schedule, config=...)``).
-
-        Args:
-            dataset: the VM utilization traces.
-            predictor: shared day-ahead predictor.
-            policy: the allocation policy.
-            *args: extra positional constructor arguments of ``cls``.
-            config: a :class:`~repro.dcsim.config.SimulationConfig`
-                (default: all engine defaults).
-        """
-        from .config import SimulationConfig
-
-        if config is None:
-            config = SimulationConfig()
-        return cls(dataset, predictor, policy, *args, **config.kwargs())
 
     # -- precomputation -----------------------------------------------------
 
@@ -1675,60 +1651,142 @@ def _count_migrations_reference(
     return n_vms - kept
 
 
+def _prediction_days(
+    dataset: TraceDataset,
+    predictor,
+    start_slot: Optional[int],
+    n_slots: Optional[int],
+) -> range:
+    """The day indices a simulation horizon touches.
+
+    Mirrors :class:`DataCenterSimulation`'s horizon derivation, so
+    freezing exactly these days reproduces what the engine would have
+    requested live.
+
+    Raises:
+        ConfigurationError: if the derived horizon is empty.
+    """
+    first = predictor.first_predictable_day * SLOTS_PER_DAY
+    start = start_slot if start_slot is not None else first
+    count = n_slots if n_slots is not None else dataset.n_slots - start
+    if count < 1:
+        raise ConfigurationError("horizon must cover at least one slot")
+    return range(
+        start // SLOTS_PER_DAY, (start + count - 1) // SLOTS_PER_DAY + 1
+    )
+
+
 def shared_predictions(
     dataset: TraceDataset,
     predictor,
     start_slot: Optional[int] = None,
     n_slots: Optional[int] = None,
-    shm: bool = False,
-):
+) -> PrecomputedPredictor:
     """Freeze the predictions a simulation horizon needs into arrays.
 
     Computes (once) every day-ahead forecast the horizon touches.  The
     defaults mirror :class:`DataCenterSimulation`'s horizon derivation.
-
-    With ``shm=False`` (default) the result is a
-    :class:`~repro.forecast.predictor.PrecomputedPredictor`: plain
-    per-day arrays that pickle **by value** into worker processes — one
-    copy per worker, no cleanup, garbage-collected like any object.
-
-    With ``shm=True`` the result is a :class:`~repro.shard.shm
-    .SharedPredictions`: the same forecasts in one
-    ``multiprocessing.shared_memory`` segment that workers map
-    zero-copy.  The segment is a kernel object with an explicit
-    lifetime — the caller owns it and must ``close()`` and ``unlink()``
-    it (or use the ``with`` form) when every consumer is done; see
-    :mod:`repro.shard.shm` for the full protocol.  Both forms expose
-    the same predictor interface and identical values.
+    The result is a :class:`~repro.forecast.predictor.PrecomputedPredictor`
+    of plain per-day arrays, which :func:`fan_out` hands to each worker
+    process once, so no worker re-fits the forecaster.
     """
-    from ..shard.shm import prediction_days
+    return PrecomputedPredictor.from_predictor(
+        predictor, _prediction_days(dataset, predictor, start_slot, n_slots)
+    )
 
-    days = prediction_days(dataset, predictor, start_slot, n_slots)
-    if shm:
-        from ..shard.shm import SharedPredictions
 
-        return SharedPredictions.from_predictor(predictor, days)
-    from ..forecast.predictor import PrecomputedPredictor
+def _fans_out(jobs: Optional[int], n_tasks: int) -> bool:
+    """Whether :func:`fan_out` runs ``n_tasks`` tasks over processes."""
+    return jobs is not None and jobs > 1 and n_tasks > 1
 
-    return PrecomputedPredictor.from_predictor(predictor, days)
+
+#: A :func:`fan_out` worker's ``(fn, shared)``, set by its initializer.
+_WORKER: Tuple = ()
+
+
+def _init_worker(fn, *shared) -> None:
+    """Pool initializer: keep ``fn`` and ``shared`` for every task.
+
+    A worker reuses ``shared`` across its tasks, so the trace matrices
+    and frozen forecasts are made read-only: a stray write raises
+    instead of leaking from one task into the next.  The parent's
+    objects stay writable.
+    """
+    global _WORKER
+    for item in shared:
+        if isinstance(item, TraceDataset):
+            arrays = [item.cpu_pct, item.mem_pct]
+        elif isinstance(item, PrecomputedPredictor):
+            arrays = [a for day in item._days.values() for a in day]
+        else:
+            continue
+        for array in arrays:
+            array.flags.writeable = False
+    _WORKER = (fn, shared)
+
+
+def _run_task(task: Tuple):
+    """Worker entry point: one task against the worker's shared inputs."""
+    fn, shared = _WORKER
+    return fn(*shared, *task)
+
+
+def fan_out(
+    fn, shared: Tuple, tasks: Iterable[Tuple], jobs: Optional[int]
+) -> List:
+    """``[fn(*shared, *task) for task in tasks]``, over processes if asked.
+
+    With ``jobs <= 1`` (or ``None``) or a single task this runs
+    in-process.  Otherwise one ``ProcessPoolExecutor`` of
+    ``min(jobs, len(tasks))`` workers receives ``fn`` and ``shared`` once
+    per worker, through its initializer; only each task's own small
+    arguments travel with the task.  What a worker gets of ``shared``
+    depends on the start method:
+
+    * ``fork`` (the Linux default through Python 3.13): the worker
+      inherits the parent's objects; nothing is copied or pickled.
+    * ``spawn`` (the macOS default) and ``forkserver`` (the Linux
+      default from Python 3.14): ``shared`` is pickled once per worker,
+      not once per task.
+
+    Under ``spawn`` the calling script needs the ``if __name__ ==
+    "__main__":`` guard multiprocessing asks for: a worker that dies
+    while re-importing the main module never reads its copy of
+    ``shared``, and the parent then blocks writing it instead of
+    raising ``BrokenProcessPool``.
+
+    In a worker, a shared :class:`~repro.traces.dataset.TraceDataset`'s
+    matrices and a :class:`~repro.forecast.predictor
+    .PrecomputedPredictor`'s arrays are read-only.  Results come back
+    in task order; the first worker exception propagates.
+
+    Args:
+        fn: a module-level (picklable) function.
+        shared: the arguments every task shares, passed first.
+        tasks: per-task argument tuples, passed after ``shared``.
+        jobs: worker processes.
+    """
+    tasks = list(tasks)
+    if not _fans_out(jobs, len(tasks)):
+        return [fn(*shared, *task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        max_workers=min(jobs, len(tasks)),
+        initializer=_init_worker,
+        initargs=(fn, *shared),
+    ) as pool:
+        return list(pool.map(_run_task, tasks))
 
 
 def _run_one_policy(
-    dataset,
+    dataset: TraceDataset,
     predictor,
     policy: AllocationPolicy,
     kwargs: Dict,
 ) -> SimulationResult:
-    """Worker entry point: one policy's full simulation (picklable).
-
-    ``dataset`` may be a :class:`~repro.shard.shm.SharedTraces` handle
-    (mapped zero-copy) or a plain :class:`TraceDataset`.
-    """
-    from ..shard.shm import materialize
-
-    return DataCenterSimulation(
-        materialize(dataset), predictor, policy, **kwargs
-    ).run()
+    """One policy's full simulation (a picklable task body)."""
+    return DataCenterSimulation(dataset, predictor, policy, **kwargs).run()
 
 
 def run_policies(
@@ -1738,27 +1796,26 @@ def run_policies(
     jobs: int = 1,
     tracer=None,
     metrics=None,
-    shared=None,
     **kwargs,
 ) -> Dict[str, SimulationResult]:
     """Run several policies over the same traces and predictions.
 
     Sharing the predictor across policies both matches the paper's
     protocol and amortizes the ARIMA fitting cost.  This is the common
-    runner surface — :func:`~repro.dcsim.cloud.run_cloud_policies` and
-    :func:`~repro.cloud.streaming.run_streaming_policies` take the same
-    ``jobs`` / ``tracer`` / ``metrics`` / ``shared`` keywords.
+    runner surface — :func:`~repro.dcsim.cloud.run_cloud_policies`,
+    :func:`~repro.cloud.streaming.run_streaming_policies` and
+    :func:`~repro.shard.geo.run_geo_policies` take the same
+    ``jobs`` / ``tracer`` / ``metrics`` keywords.
 
     Args:
         dataset: the VM utilization traces.
         predictor: shared day-ahead predictor.
         policies: the policies to compare.
         jobs: number of worker processes.  With ``jobs > 1`` the
-            policies fan out over a ``ProcessPoolExecutor``; traces and
-            the horizon's day-ahead predictions are written once into
-            shared-memory segments that every worker maps zero-copy
-            (:class:`~repro.shard.shm.SharedRunInputs`), so no worker
-            re-fits the forecaster or receives pickled matrices.
+            policies fan out over processes (:func:`fan_out`): the
+            horizon's day-ahead predictions are frozen once
+            (:func:`shared_predictions`) and handed with the traces to
+            each worker once, so no worker re-fits the forecaster.
             Results are identical to the serial run.
         tracer: optional :class:`~repro.obs.tracer.RunTracer`.  Serial
             runs thread it into every engine; parallel fans drop it
@@ -1766,58 +1823,19 @@ def run_policies(
             sweep-level task events come from the experiments pool
             layer instead.  Same for ``metrics``.
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`.
-        shared: optional caller-owned :class:`~repro.shard.shm
-            .SharedRunInputs` to reuse across several runner calls.
-            When omitted, a parallel run creates (and disposes) its
-            own; the caller-owned handle's ``close()``/``unlink()``
-            stays the caller's job.
         **kwargs: forwarded to :class:`DataCenterSimulation`.
     """
     policy_list = list(policies)
-    if jobs is None or jobs <= 1 or len(policy_list) <= 1:
-        results: Dict[str, SimulationResult] = {}
-        for policy in policy_list:
-            sim = DataCenterSimulation(
-                dataset,
-                predictor,
-                policy,
-                tracer=tracer,
-                metrics=metrics,
-                **kwargs,
-            )
-            results[policy.name] = sim.run()
-        return results
-
-    from concurrent.futures import ProcessPoolExecutor
-
-    from ..shard.shm import SharedRunInputs
-
-    owned = shared is None
-    if owned:
-        shared = SharedRunInputs.create(
-            dataset,
-            predictor,
-            start_slot=kwargs.get("start_slot"),
-            n_slots=kwargs.get("n_slots"),
+    if _fans_out(jobs, len(policy_list)):
+        predictor = shared_predictions(
+            dataset, predictor, kwargs.get("start_slot"), kwargs.get("n_slots")
         )
-    try:
-        workers = min(jobs, len(policy_list))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _run_one_policy,
-                    shared.traces,
-                    shared.predictions,
-                    policy,
-                    kwargs,
-                )
-                for policy in policy_list
-            ]
-            return {
-                policy.name: future.result()
-                for policy, future in zip(policy_list, futures)
-            }
-    finally:
-        if owned:
-            shared.close()
-            shared.unlink()
+    else:
+        kwargs = dict(kwargs, tracer=tracer, metrics=metrics)
+    runs = fan_out(
+        _run_one_policy,
+        (dataset, predictor),
+        [(policy, kwargs) for policy in policy_list],
+        jobs,
+    )
+    return {policy.name: run for policy, run in zip(policy_list, runs)}

@@ -16,6 +16,7 @@ from ..anchors import FIG7_STATIC_POWER_SWEEP_W
 from ..baselines import CoatPolicy
 from ..core import EpactPolicy
 from ..dcsim import run_policies, shared_predictions
+from ..dcsim.engine import fan_out
 from ..dcsim.reporting import format_table
 from ..forecast import DayAheadPredictor
 from ..power.server_power import ntc_server_power_model
@@ -97,9 +98,10 @@ def run_fig7(
 
     The sweep replaces the motherboard/fan/disk component of the server
     power model (default 15 W) with each sweep value; everything else —
-    traces, forecasts, policies — is held fixed.  With ``jobs > 1`` the
-    sweep points fan out over a ``ProcessPoolExecutor``, sharing the
-    day-ahead predictions (computed once) as plain arrays.
+    traces, forecasts, policies — is held fixed.  The day-ahead
+    predictions are computed once and shared by every point; with
+    ``jobs > 1`` the points fan out over worker processes
+    (:func:`~repro.dcsim.engine.fan_out`).
     """
     if quick:
         n_vms, n_days, n_slots = 100, 9, 24
@@ -108,27 +110,16 @@ def run_fig7(
         if dataset is not None
         else default_dataset(n_vms=n_vms, n_days=n_days, seed=seed)
     )
-    predictor = DayAheadPredictor(data)
-    if jobs is None or jobs <= 1 or len(static_sweep_w) <= 1:
-        points = [
-            _run_fig7_point(data, predictor, w, max_servers, n_slots)
-            for w in static_sweep_w
-        ]
-        return Fig7Result(points=points)
-
-    from concurrent.futures import ProcessPoolExecutor
-
-    shared = shared_predictions(data, predictor, n_slots=n_slots)
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(static_sweep_w))
-    ) as pool:
-        futures = [
-            pool.submit(
-                _run_fig7_point, data, shared, w, max_servers, n_slots
-            )
-            for w in static_sweep_w
-        ]
-        return Fig7Result(points=[f.result() for f in futures])
+    predictor = shared_predictions(
+        data, DayAheadPredictor(data), n_slots=n_slots
+    )
+    points = fan_out(
+        _run_fig7_point,
+        (data, predictor),
+        [(w, max_servers, n_slots) for w in static_sweep_w],
+        jobs,
+    )
+    return Fig7Result(points=points)
 
 
 def render(result: Fig7Result) -> str:

@@ -3,9 +3,10 @@
 The paper's consolidation-vs-proportionality question at cloud scale:
 tens of thousands of VMs routed across regional NTC fleets
 (:mod:`repro.shard.geo`), each region allocated shard by shard
-(:mod:`repro.shard.policy`) with the per-shard fan optionally spread
-over a process pool.  The profile ladder follows the energy-audit
-exemplar's ``small_startup`` → ``large_hyperscale`` rungs:
+(:mod:`repro.shard.policy`), with the independent (policy, region) runs
+optionally spread over worker processes.  The profile ladder follows
+the energy-audit exemplar's ``small_startup`` → ``large_hyperscale``
+rungs:
 
 ========  ========  ===========  ==============  ======  =======
 profile   regions   VMs/region   servers/region  shards  slots

@@ -13,8 +13,9 @@ Usage (run as ``python -m repro.serve.cli``)::
 
 Replay mode re-plays a registered degradation scenario over the seeded
 workload; with the ``clean`` scenario the run is bit-identical to the
-batch engine (the equivalence the test-suite and the
-``serve_replay_120`` bench scenario assert).  Live mode polls HTTP
+batch engine (the equivalence
+``tests/test_serve_equivalence.py::TestServeReplayEquivalence::test_clean_replay_bit_identical_to_batch``
+asserts).  Live mode polls HTTP
 collector feeds (one ``--feed`` URL per collector); ``--demo-feed``
 spins up an in-process :class:`~repro.serve.adapters.TelemetryFeedServer`
 over the same seeded traces, so the full HTTP path is exercised without

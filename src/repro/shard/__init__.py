@@ -2,15 +2,14 @@
 
 Opens the hyperscale rung of the roadmap: VM fleets are clustered into
 *shards* by utilization-pattern similarity (:mod:`repro.shard.cluster`),
-each shard is allocated independently — serially or across a process
-pool — and the per-shard plans concatenate exactly like per-pool plans
-already do (:mod:`repro.shard.policy`).  Worker processes read traces
-and day-ahead predictions from zero-copy ``multiprocessing.shared_memory``
-buffers (:mod:`repro.shard.shm`) instead of per-worker pickled arrays.
-On top sits a geo layer (:mod:`repro.shard.geo`): a
-:class:`~repro.shard.geo.GeoFleetSpec` of regional
-:class:`~repro.core.types.FleetSpec`\\ s with a deterministic router
-splitting the VM population across sites — a fleet of fleets.
+each shard is allocated independently and the per-shard plans
+concatenate exactly like per-pool plans already do
+(:mod:`repro.shard.policy`).  On top sits a geo layer
+(:mod:`repro.shard.geo`): a :class:`~repro.shard.geo.GeoFleetSpec` of
+regional :class:`~repro.core.types.FleetSpec`\\ s with a deterministic
+router splitting the VM population across sites — a fleet of fleets.
+Its runner fans independent (policy, region) runs out over worker
+processes through :func:`~repro.dcsim.engine.fan_out`.
 
 House conventions hold throughout: ``shards=1`` is bit-identical to the
 unsharded engine, and ``jobs=N`` equals the serial run exactly.
@@ -25,25 +24,13 @@ from .geo import (
     run_geo_policies,
 )
 from .policy import ShardedPolicy
-from .shm import (
-    SharedPredictions,
-    SharedRunInputs,
-    SharedTraces,
-    materialize,
-    prediction_days,
-)
 
 __all__ = [
     "GeoFleetSpec",
     "GeoRunResult",
     "RegionSpec",
-    "SharedPredictions",
-    "SharedRunInputs",
-    "SharedTraces",
     "ShardedPolicy",
     "cluster_vms",
-    "materialize",
-    "prediction_days",
     "route_vms",
     "run_geo_policies",
     "shard_server_budgets",

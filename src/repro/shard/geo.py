@@ -157,37 +157,23 @@ def _run_one_geo_region(
     policy,
     fleet: FleetSpec,
     shards: int,
-    shard_jobs: int,
     kwargs: Dict,
 ) -> object:
-    """Worker entry point: one (policy, region) run (picklable).
-
-    ``dataset`` may be a :class:`~repro.shard.shm.SharedTraces` handle
-    (mapped zero-copy) or a plain dataset.
-    """
+    """One (policy, region) run (a picklable task body)."""
     from ..dcsim.engine import DataCenterSimulation
-    from .shm import materialize
 
-    sub_dataset = materialize(dataset).subset(rows)
-    predictor = predictor_factory(sub_dataset)
-    run_policy = policy
-    wrapper = None
+    sub_dataset = dataset.subset(rows)
     if shards > 1:
-        wrapper = ShardedPolicy(
-            policy,
-            shards=shards,
-            jobs=shard_jobs,
-            tracer=kwargs.get("tracer"),
+        policy = ShardedPolicy(
+            policy, shards=shards, tracer=kwargs.get("tracer")
         )
-        run_policy = wrapper
-    try:
-        sim = DataCenterSimulation(
-            sub_dataset, predictor, run_policy, fleet=fleet, **kwargs
-        )
-        return sim.run()
-    finally:
-        if wrapper is not None:
-            wrapper.close()
+    return DataCenterSimulation(
+        sub_dataset,
+        predictor_factory(sub_dataset),
+        policy,
+        fleet=fleet,
+        **kwargs,
+    ).run()
 
 
 def run_geo_policies(
@@ -198,23 +184,21 @@ def run_geo_policies(
     seed: int = 2018,
     shards: int = 1,
     jobs: int = 1,
-    shard_jobs: int = 1,
     tracer=None,
     metrics=None,
-    shared=None,
     **kwargs,
 ) -> GeoRunResult:
     """Run several policies over a routed multi-region fleet.
 
     Shares the common runner surface (``jobs`` / ``tracer`` /
-    ``metrics`` / ``shared``) with the other multi-policy runners in
+    ``metrics``) with the other multi-policy runners in
     :mod:`repro.dcsim`: ``jobs`` fans the independent (policy, region)
-    runs over a process pool — regions share only the routed traces, so
-    parallel equals serial exactly — while ``shard_jobs`` keeps the
-    within-region per-shard fan.  Serial runs thread ``tracer`` /
-    ``metrics`` into every engine; parallel fans drop them
-    (``region_route`` events are part of the deterministic preamble and
-    are emitted serially either way).
+    runs over processes (:func:`~repro.dcsim.engine.fan_out`) — each
+    worker receives the traces once and each task carries its region's
+    rows, so parallel equals serial exactly.  Shards within a region run
+    in-process.  Serial runs thread ``tracer`` / ``metrics`` into every
+    engine; parallel fans drop them (``region_route`` events are part of
+    the deterministic preamble and are emitted serially either way).
 
     Args:
         dataset: the full VM population's traces.
@@ -228,18 +212,11 @@ def run_geo_policies(
         seed: routing seed (see :func:`route_vms`).
         shards: per-region shard count (``1`` = unsharded engine).
         jobs: worker processes for the (policy, region) fan.
-        shard_jobs: worker processes for the per-shard fan *within*
-            each region's sharded policy.
         tracer: optional tracer; each region emits a ``region_route``
             event, and (serial) sharded windows emit ``shard_window``
             events.
         metrics: optional metrics registry, forwarded to the engines
             on serial runs.
-        shared: optional zero-copy traces handle
-            (:class:`~repro.shard.shm.SharedTraces` or anything with a
-            ``traces`` attribute, e.g.
-            :class:`~repro.shard.shm.SharedRunInputs`); reused instead
-            of copying the dataset into shared memory per call.
         **kwargs: forwarded to every
             :class:`~repro.dcsim.DataCenterSimulation` (horizon bounds,
             migration energy, ...).
@@ -247,6 +224,8 @@ def run_geo_policies(
     Returns:
         A :class:`GeoRunResult`.
     """
+    from ..dcsim.engine import _fans_out, fan_out
+
     policy_list: List[AllocationPolicy] = list(policies)
     routes = route_vms(dataset.n_vms, geo, seed)
     results: Dict[str, Dict[str, object]] = {
@@ -270,52 +249,17 @@ def run_geo_policies(
         for region, rows in zip(geo.regions, routes)
         for policy in policy_list
     ]
-    if jobs is None or jobs <= 1 or len(pairs) <= 1:
-        serial_kwargs = dict(kwargs, tracer=tracer, metrics=metrics)
-        for region, rows, policy in pairs:
-            results[policy.name][region.name] = _run_one_geo_region(
-                dataset,
-                rows,
-                predictor_factory,
-                policy,
-                region.fleet,
-                shards,
-                shard_jobs,
-                serial_kwargs,
-            )
-        return GeoRunResult(results=results, routes=route_sizes, seed=seed)
-
-    from concurrent.futures import ProcessPoolExecutor
-
-    from .shm import SharedTraces
-
-    owned = []
-    if shared is not None:
-        traces = getattr(shared, "traces", shared)
-    else:
-        traces = SharedTraces.from_dataset(dataset)
-        owned.append(traces)
-    try:
-        workers = min(jobs, len(pairs))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _run_one_geo_region,
-                    traces,
-                    rows,
-                    predictor_factory,
-                    policy,
-                    region.fleet,
-                    shards,
-                    shard_jobs,
-                    kwargs,
-                )
-                for region, rows, policy in pairs
-            ]
-            for (region, _, policy), future in zip(pairs, futures):
-                results[policy.name][region.name] = future.result()
-    finally:
-        for handle in owned:
-            handle.close()
-            handle.unlink()
+    if not _fans_out(jobs, len(pairs)):
+        kwargs = dict(kwargs, tracer=tracer, metrics=metrics)
+    runs = fan_out(
+        _run_one_geo_region,
+        (dataset,),
+        [
+            (rows, predictor_factory, policy, region.fleet, shards, kwargs)
+            for region, rows, policy in pairs
+        ],
+        jobs,
+    )
+    for (region, _, policy), run in zip(pairs, runs):
+        results[policy.name][region.name] = run
     return GeoRunResult(results=results, routes=route_sizes, seed=seed)

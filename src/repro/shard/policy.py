@@ -1,4 +1,4 @@
-"""Sharded allocation: any policy, shard by shard, optionally parallel.
+"""Sharded allocation: any policy, shard by shard.
 
 :class:`ShardedPolicy` wraps an ordinary
 :class:`~repro.core.types.AllocationPolicy` and splits each allocation
@@ -9,26 +9,16 @@ plans shard-major through the same
 :func:`~repro.core.alloc1d.run_allocator_pools` seam the heterogeneous
 fleet layer already uses — shards compose exactly like pools.
 
-Per the house conventions:
-
-* ``shards=1`` bypasses the whole layer (``allocate`` delegates straight
-  to the wrapped policy) and is therefore **bit-identical** to the
-  unsharded engine;
-* ``jobs=N`` fans the per-shard allocations over a persistent process
-  pool but gathers them in shard order, so parallel results equal the
-  serial ones **exactly** — each shard's sub-problem is independent by
-  construction.
-
-Worker processes do not receive pickled prediction matrices: the parent
-writes the window's predictions once into an ephemeral
-``multiprocessing.shared_memory`` segment, each worker maps it, copies
-out only its own shard's rows, and drops the mapping before allocating.
+Shards run in-process, in shard order.  ``shards=1`` bypasses the whole
+layer (``allocate`` delegates straight to the wrapped policy) and is
+therefore **bit-identical** to the unsharded engine.  Process-level
+parallelism lives one level up: :func:`~repro.shard.geo.run_geo_policies`
+fans independent (policy, region) runs out over worker processes.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from multiprocessing import shared_memory
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -48,62 +38,20 @@ _WEIGHT_FLOOR = 1.0e-9
 
 
 def _shard_context(
-    pred_cpu: np.ndarray,
-    pred_mem: np.ndarray,
+    ctx: AllocationContext,
     rows: np.ndarray,
     max_servers: int,
-    qos_floor_ghz: np.ndarray,
-    power_model,
     fleet: Optional[FleetSpec],
 ) -> AllocationContext:
     """The window context restricted to one shard's VMs and budget."""
     return AllocationContext(
-        pred_cpu=np.ascontiguousarray(pred_cpu[rows]),
-        pred_mem=np.ascontiguousarray(pred_mem[rows]),
-        power_model=power_model,
+        pred_cpu=np.ascontiguousarray(ctx.pred_cpu[rows]),
+        pred_mem=np.ascontiguousarray(ctx.pred_mem[rows]),
+        power_model=ctx.power_model,
         max_servers=max_servers,
-        qos_floor_ghz=qos_floor_ghz,
+        qos_floor_ghz=ctx.qos_floor_ghz[rows],
         fleet=fleet,
     )
-
-
-def _allocate_shard(
-    policy: AllocationPolicy,
-    segment_name: str,
-    shape,
-    rows: np.ndarray,
-    max_servers: int,
-    qos_floor_ghz: np.ndarray,
-    power_model,
-    fleet: Optional[FleetSpec],
-) -> Allocation:
-    """Worker entry point: map the window segment, allocate one shard.
-
-    The segment lives only for this window, so it is attached and
-    closed per task (not cached): the worker copies out its shard's
-    rows, drops the views, and closes the mapping before the (much
-    longer) allocation runs.
-    """
-    segment = shared_memory.SharedMemory(name=segment_name)
-    try:
-        arr = np.ndarray(shape, dtype=np.float64, buffer=segment.buf)
-        pred_cpu = np.ascontiguousarray(arr[0, rows])
-        pred_mem = np.ascontiguousarray(arr[1, rows])
-        del arr
-    finally:
-        try:
-            segment.close()
-        except BufferError:  # pragma: no cover - views always dropped
-            pass
-    ctx = AllocationContext(
-        pred_cpu=pred_cpu,
-        pred_mem=pred_mem,
-        power_model=power_model,
-        max_servers=max_servers,
-        qos_floor_ghz=qos_floor_ghz,
-        fleet=fleet,
-    )
-    return policy.allocate(ctx)
 
 
 class ShardedPolicy(AllocationPolicy):
@@ -116,56 +64,32 @@ class ShardedPolicy(AllocationPolicy):
         policy: the policy to run per shard.
         shards: requested shard count (clamped to the window's VM
             count); ``1`` delegates straight to the wrapped policy.
-        jobs: worker processes for the per-shard fan; ``1`` runs the
-            shards serially in-process.  Results are identical either
-            way.
         tracer: optional :class:`~repro.obs.tracer.RunTracer`; when set,
             every sharded window emits a ``shard_window`` event.
 
     Raises:
-        ConfigurationError: for ``shards < 1`` or ``jobs < 1``.
+        ConfigurationError: for ``shards < 1``.
     """
 
     def __init__(
         self,
         policy: AllocationPolicy,
         shards: int = 1,
-        jobs: int = 1,
         tracer=None,
     ):
         if shards < 1:
             raise ConfigurationError("shards must be >= 1")
-        if jobs < 1:
-            raise ConfigurationError("jobs must be >= 1")
         self._inner = policy
         self._shards = int(shards)
-        self._jobs = int(jobs)
         self._tracer = tracer
-        self._pool = None
         self.name = policy.name
         self.reallocation_period_slots = policy.reallocation_period_slots
 
-    # The persistent worker pool and the tracer (open file handles)
-    # never cross a pickle boundary; an unpickled wrapper lazily builds
-    # its own pool on first parallel use.
+    # The tracer (open file handles) never crosses a pickle boundary.
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_pool"] = None
         state["_tracer"] = None
         return state
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._pool = ProcessPoolExecutor(max_workers=self._jobs)
-        return self._pool
-
-    def close(self) -> None:
-        """Shut down the persistent worker pool (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
 
     def state(self) -> Dict[str, object]:
         """The wrapped policy's checkpoint state."""
@@ -244,9 +168,14 @@ class ShardedPolicy(AllocationPolicy):
             budgets = shard_server_budgets(weights, ctx.max_servers)
 
         occupied = [s for s, rows in enumerate(shard_rows) if rows.size]
-        allocations = self._run_shards(
-            ctx, shard_rows, budgets, fleets, occupied
-        )
+        allocations = {
+            s: self._inner.allocate(
+                _shard_context(
+                    ctx, shard_rows[s], int(budgets[s]), fleets[s]
+                )
+            )
+            for s in occupied
+        }
 
         def reuse(m: int, idx: np.ndarray):
             allocation = allocations[m]
@@ -295,59 +224,3 @@ class ShardedPolicy(AllocationPolicy):
             server_pools=server_pools,
             shed_vm_ids=shed,
         )
-
-    def _run_shards(
-        self,
-        ctx: AllocationContext,
-        shard_rows: List[np.ndarray],
-        budgets: np.ndarray,
-        fleets: List[Optional[FleetSpec]],
-        occupied: List[int],
-    ) -> dict:
-        """Allocate every occupied shard, serially or across the pool."""
-        if self._jobs <= 1 or len(occupied) <= 1:
-            return {
-                s: self._inner.allocate(
-                    _shard_context(
-                        ctx.pred_cpu,
-                        ctx.pred_mem,
-                        shard_rows[s],
-                        int(budgets[s]),
-                        ctx.qos_floor_ghz[shard_rows[s]],
-                        ctx.power_model,
-                        fleets[s],
-                    )
-                )
-                for s in occupied
-            }
-        # One ephemeral segment holds the whole window's predictions;
-        # each worker copies out only its shard's rows.
-        shape = (2, ctx.n_vms, ctx.n_samples)
-        segment = shared_memory.SharedMemory(
-            create=True, size=2 * ctx.n_vms * ctx.n_samples * 8
-        )
-        try:
-            arr = np.ndarray(shape, dtype=np.float64, buffer=segment.buf)
-            arr[0] = ctx.pred_cpu
-            arr[1] = ctx.pred_mem
-            del arr
-            pool = self._ensure_pool()
-            futures = {
-                s: pool.submit(
-                    _allocate_shard,
-                    self._inner,
-                    segment.name,
-                    shape,
-                    shard_rows[s],
-                    int(budgets[s]),
-                    ctx.qos_floor_ghz[shard_rows[s]],
-                    ctx.power_model,
-                    fleets[s],
-                )
-                for s in occupied
-            }
-            # Gathered in shard order: jobs=N equals serial exactly.
-            return {s: futures[s].result() for s in occupied}
-        finally:
-            segment.close()
-            segment.unlink()

@@ -1,11 +1,15 @@
 """Tests for the data-center simulation engine."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
 from repro.baselines import CoatOptPolicy, CoatPolicy
 from repro.core import EpactPolicy
 from repro.dcsim import DataCenterSimulation, run_policies, shared_predictions
+from repro.dcsim.engine import fan_out
 from repro.errors import ConfigurationError, DomainError
 from repro.forecast import (
     DayAheadPredictor,
@@ -218,7 +222,66 @@ def eq_predictor(eq_dataset):
     return predictor
 
 
+class _Unpicklable:
+    """A shared input that fails if anything tries to pickle it."""
+
+    def __reduce__(self):
+        raise TypeError("shared inputs must reach the workers unpickled")
+
+
+def _probe(shared, index):
+    """Task body: which task ran where, and what it was shared."""
+    return index, type(shared).__name__, os.getpid()
+
+
+def _write_shared(dataset, predictor, target):
+    """Task body: a stray write into one of the shared inputs."""
+    if target == "traces":
+        dataset.cpu_pct[0, 0] = 1.0
+    else:
+        predictor.forecast_day(predictor.first_predictable_day)[0][0, 0] = 1.0
+
+
 class TestParallelRunPolicies:
+    def test_fan_out_never_pickles_shared_under_fork(self):
+        """Each forked worker inherits the shared inputs once and reuses
+        them across its tasks; only the task arguments are pickled."""
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("only forked workers inherit unpicklable inputs")
+        runs = fan_out(_probe, (_Unpicklable(),), [(0,), (1,), (2,)], 2)
+        assert [run[:2] for run in runs] == [
+            (index, "_Unpicklable") for index in range(3)
+        ]
+        assert len({run[2] for run in runs}) <= 2
+
+    @pytest.mark.parametrize("target", ["traces", "forecasts"])
+    def test_fan_out_workers_get_read_only_inputs(
+        self, eq_dataset, eq_predictor, target
+    ):
+        """A worker's write into a shared input raises in the parent
+        instead of leaking into its next task; the parent's inputs
+        stay writable."""
+        frozen = shared_predictions(eq_dataset, eq_predictor)
+        with pytest.raises(ValueError, match="read-only"):
+            fan_out(
+                _write_shared, (eq_dataset, frozen), [(target,)] * 2, 2
+            )
+        assert eq_dataset.cpu_pct.flags.writeable
+        day = frozen.first_predictable_day
+        assert frozen.forecast_day(day)[0].flags.writeable
+
+    def test_fig7_jobs_match_serial(self):
+        from repro.experiments.fig7 import run_fig7
+        from repro.traces import default_dataset
+
+        kwargs = dict(
+            dataset=default_dataset(n_vms=12, n_days=8, seed=5),
+            static_sweep_w=(5.0, 45.0),
+            max_servers=12,
+            n_slots=2,
+        )
+        assert run_fig7(jobs=2, **kwargs) == run_fig7(jobs=1, **kwargs)
+
     def test_jobs_match_serial(self, eq_dataset, eq_predictor):
         def policies():
             return [EpactPolicy(), CoatPolicy(), CoatOptPolicy()]

@@ -320,6 +320,14 @@ class TestHeteroAccountingOracles:
                 fleet=two_pool_fleet,
                 max_servers=1000,
             )
+        with pytest.raises(ConfigurationError, match="power_model"):
+            DataCenterSimulation(
+                het_dataset,
+                het_predictor,
+                FleetEpactPolicy(),
+                fleet=two_pool_fleet,
+                power_model=ntc_server_power_model(),
+            )
 
 class TestPoolAwareMigrations:
     def test_cross_pool_block_move_counts_as_migrations(self):

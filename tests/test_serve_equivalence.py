@@ -28,7 +28,6 @@ from repro.cloud import (
 )
 from repro.cloud.telemetry import TraceCollector
 from repro.core import EpactPolicy
-from repro.dcsim.config import StreamingConfig
 from repro.errors import CollectorTimeoutError, ConfigurationError
 from repro.forecast import DayAheadPredictor
 from repro.obs.tracer import RunTracer, validate_event
@@ -213,54 +212,16 @@ class TestDecisionEvents:
         )
 
 
-# -- config API -------------------------------------------------------------
+# -- config and engine validation -------------------------------------------
 
 
-class TestStreamingConfig:
-    def test_from_config_bit_identical(self):
-        dataset = default_dataset(n_vms=20, n_days=9, seed=5)
-        schedule = fixed_schedule(dataset.n_vms, 0, dataset.n_slots)
-        telemetry = zero_telemetry_faults(
-            dataset.n_vms, 0, dataset.n_slots
-        )
-        kwargs = dict(max_servers=16, n_slots=12)
-        loose = StreamingCloudSimulation(
-            dataset,
-            DayAheadPredictor(dataset),
-            EpactPolicy(),
-            schedule,
-            telemetry=telemetry,
-            **kwargs,
-        ).run()
-        config = StreamingConfig(telemetry=telemetry, **kwargs)
-        via_config = StreamingCloudSimulation.from_config(
-            dataset,
-            DayAheadPredictor(dataset),
-            EpactPolicy(),
-            schedule,
-            config=config,
-        ).run()
-        assert records_equal(loose.records, via_config.records)
-
-    def test_validation_mirrors_engine(self):
-        with pytest.raises(ConfigurationError, match="blind_after_slots"):
-            StreamingConfig(blind_after_slots=0)
-        with pytest.raises(ConfigurationError, match="mutually exclusive"):
-            StreamingConfig(telemetry=object(), collectors=[object()])
-        with pytest.raises(ConfigurationError, match="staleness"):
-            StreamingConfig(staleness_budget_slots=3)
-
+class TestStreamingEngineValidation:
     def test_serve_config_validation(self):
         with pytest.raises(ConfigurationError, match="unknown policy"):
             ServeConfig(policy="nope")
         with pytest.raises(ConfigurationError, match="n_days"):
             ServeConfig(n_days=1)
 
-
-# -- engine-level validation ------------------------------------------------
-
-
-class TestStreamingEngineValidation:
     def test_telemetry_and_collectors_rejected(self):
         dataset = default_dataset(n_vms=10, n_days=9, seed=5)
         schedule = fixed_schedule(dataset.n_vms, 0, dataset.n_slots)

@@ -1,18 +1,11 @@
-"""Sharded-allocation and zero-copy-buffer equivalence suite.
+"""Sharded-allocation equivalence suite.
 
 The house guarantees for the :mod:`repro.shard` layer:
 
 * ``shards=1`` is **bit-identical** to the unsharded engine;
-* the per-shard process fan is invisible: ``jobs=N`` equals serial
-  exactly, for :class:`ShardedPolicy` and for the runner trio's
-  shared-memory path;
 * the clustering/budget machinery survives its degenerate corners
-  (one-VM shards, more shards than VMs, empty shards);
-* the shared-memory buffers are value-faithful, lifetime-safe and
-  :class:`ResourceWarning`-clean.
+  (one-VM shards, more shards than VMs, empty shards).
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -20,20 +13,11 @@ import pytest
 from repro.core import EpactPolicy
 from repro.core.alloc1d import ffd_order
 from repro.core.workspace import AllocationWorkspace
-from repro.dcsim import DataCenterSimulation, run_policies
+from repro.dcsim import DataCenterSimulation
 from repro.errors import ConfigurationError, DomainError
 from repro.experiments.hyperscale import synthetic_dataset
 from repro.forecast import DayAheadPredictor
-from repro.shard import (
-    ShardedPolicy,
-    SharedPredictions,
-    SharedRunInputs,
-    SharedTraces,
-    cluster_vms,
-    materialize,
-    prediction_days,
-    shard_server_budgets,
-)
+from repro.shard import ShardedPolicy, cluster_vms, shard_server_budgets
 from repro.traces import default_dataset
 
 
@@ -71,18 +55,6 @@ class TestShardBitIdentity:
             dataset, predictor, ShardedPolicy(EpactPolicy(), shards=1)
         )
         assert records_equal(plain.records, sharded.records)
-
-    def test_parallel_shards_match_serial(self, dataset, predictor):
-        """jobs=2 gathers in shard order: equals serial exactly."""
-        serial = run_sim(
-            dataset, predictor, ShardedPolicy(EpactPolicy(), shards=4)
-        )
-        wrapper = ShardedPolicy(EpactPolicy(), shards=4, jobs=2)
-        try:
-            parallel = run_sim(dataset, predictor, wrapper)
-        finally:
-            wrapper.close()
-        assert records_equal(serial.records, parallel.records)
 
     def test_more_shards_than_vms_clamps(self, dataset, predictor):
         """shards > n_vms clamps to one VM per shard and still runs."""
@@ -232,94 +204,3 @@ class TestBudgetSplit:
             cluster_vms(pred, 0)
         with pytest.raises(ConfigurationError):
             cluster_vms(pred[0], 2)
-
-
-class TestSharedBuffers:
-    def test_predictions_match_predictor(self, dataset, predictor):
-        """Values read back from shared memory equal the source."""
-        days = prediction_days(dataset, predictor)
-        with SharedPredictions.from_predictor(predictor, days) as shared:
-            for day in days:
-                src_cpu, src_mem = predictor.forecast_day(day)
-                dst_cpu, dst_mem = shared.forecast_day(day)
-                assert np.array_equal(src_cpu, dst_cpu)
-                assert np.array_equal(src_mem, dst_mem)
-                assert not dst_cpu.flags.writeable
-
-    def test_traces_round_trip_zero_copy(self, dataset):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ResourceWarning)
-            shared = SharedTraces.from_dataset(dataset)
-            try:
-                view = shared.dataset
-                assert np.array_equal(view.cpu_pct, dataset.cpu_pct)
-                assert np.array_equal(view.mem_pct, dataset.mem_pct)
-                assert not view.cpu_pct.flags.writeable
-                assert materialize(shared) is not shared
-                assert materialize(dataset) is dataset
-            finally:
-                shared.close()
-                shared.unlink()
-
-    def test_close_and_unlink_idempotent(self, dataset, predictor):
-        shared = SharedRunInputs.create(dataset, predictor)
-        shared.close()
-        shared.close()
-        shared.unlink()
-        shared.unlink()
-
-    def test_forecast_after_close_raises(self, dataset, predictor):
-        days = prediction_days(dataset, predictor)
-        shared = SharedPredictions.from_predictor(predictor, days)
-        shared.close()
-        shared.unlink()
-        with pytest.raises(DomainError):
-            shared.forecast_day(days[0])
-
-    def test_run_policies_parallel_matches_serial(
-        self, dataset, predictor
-    ):
-        """The zero-copy fan equals serial, ResourceWarning-clean."""
-        policies = [EpactPolicy()]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ResourceWarning)
-            serial = run_policies(
-                dataset, predictor, policies, n_slots=8
-            )
-            parallel = run_policies(
-                dataset, predictor, policies, jobs=2, n_slots=8
-            )
-        assert records_equal(
-            serial["EPACT"].records, parallel["EPACT"].records
-        )
-
-    def test_run_policies_caller_owned_buffers(
-        self, dataset, predictor
-    ):
-        """A caller-owned SharedRunInputs survives the run and can be
-        reused; run_policies must not close what it did not open."""
-        policies = [EpactPolicy()]
-        serial = run_policies(dataset, predictor, policies, n_slots=8)
-        with SharedRunInputs.create(dataset, predictor) as shared:
-            first = run_policies(
-                dataset,
-                predictor,
-                policies,
-                jobs=2,
-                n_slots=8,
-                shared=shared,
-            )
-            second = run_policies(
-                dataset,
-                predictor,
-                policies,
-                jobs=2,
-                n_slots=8,
-                shared=shared,
-            )
-        assert records_equal(
-            serial["EPACT"].records, first["EPACT"].records
-        )
-        assert records_equal(
-            serial["EPACT"].records, second["EPACT"].records
-        )
