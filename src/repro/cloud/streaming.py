@@ -732,22 +732,21 @@ def run_streaming_policies(
     telemetry: Optional[TelemetryFaultSchedule] = None,
     jobs: int = 1,
     tracer=None,
-    metrics=None,
     **kwargs,
 ) -> Dict[str, SimulationResult]:
     """Run several policies over the same degraded stream.
 
     The streaming counterpart of
     :func:`repro.dcsim.cloud.run_cloud_policies`, sharing the common
-    runner surface (``jobs`` / ``tracer`` / ``metrics``).  With
+    runner surface (``jobs`` / ``tracer``).  With
     ``jobs > 1`` the policies fan out over processes
     (:func:`~repro.dcsim.engine.fan_out`).  With telemetry each worker
     receives the traces and the *configured* predictor — each run
     re-fits on its own observed stream, deterministically, so parallel
     equals serial exactly; without telemetry the day-ahead predictions
     are frozen once and shared instead, as in the batch runners.
-    Serial runs thread ``tracer`` / ``metrics`` into every engine;
-    parallel fans drop them (pool task events cover the sweep).
+    Serial runs thread ``tracer`` into every engine; parallel fans
+    drop it (pool task events cover the sweep).
     """
     policy_list = list(policies)
     if kwargs.get("collectors") is not None and jobs is not None and jobs > 1:
@@ -764,7 +763,7 @@ def run_streaming_policies(
                 kwargs.get("n_slots"),
             )
     else:
-        kwargs = dict(kwargs, tracer=tracer, metrics=metrics)
+        kwargs = dict(kwargs, tracer=tracer)
     runs = fan_out(
         _run_one_streaming_policy,
         (dataset, predictor),

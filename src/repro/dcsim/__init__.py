@@ -8,7 +8,7 @@ runners — :func:`run_policies` (fixed population),
 :func:`run_cloud_policies` (churning population),
 :func:`run_streaming_policies` (degraded telemetry streams) and
 :func:`run_geo_policies` (sharded multi-region fleets) — which share
-one keyword surface: ``jobs``, ``tracer`` and ``metrics``.  With
+one keyword surface: ``jobs`` and ``tracer``.  With
 ``jobs > 1`` each fans its independent runs out over worker processes
 through :func:`~repro.dcsim.engine.fan_out`, which hands the shared
 traces and forecasts to each worker once.

@@ -104,19 +104,18 @@ def run_cloud_policies(
     schedule: LifecycleSchedule,
     jobs: int = 1,
     tracer=None,
-    metrics=None,
     **kwargs,
 ) -> Dict[str, SimulationResult]:
     """Run several policies over the same churning traces.
 
     The cloud counterpart of :func:`repro.dcsim.engine.run_policies`,
-    with the same runner surface (``jobs`` / ``tracer`` / ``metrics``):
+    with the same runner surface (``jobs`` / ``tracer``):
     with ``jobs > 1`` the policies fan out over processes
     (:func:`~repro.dcsim.engine.fan_out`), each worker receiving the
     traces and the frozen day-ahead predictions once, so workers re-fit
     nothing and results equal the serial run exactly (online policies
-    are reset per run).  Serial runs thread ``tracer`` / ``metrics``
-    into every engine; parallel fans drop them, as in
+    are reset per run).  Serial runs thread ``tracer`` into every
+    engine; parallel fans drop it, as in
     :func:`~repro.dcsim.engine.run_policies`.
     """
     policy_list = list(policies)
@@ -125,7 +124,7 @@ def run_cloud_policies(
             dataset, predictor, kwargs.get("start_slot"), kwargs.get("n_slots")
         )
     else:
-        kwargs = dict(kwargs, tracer=tracer, metrics=metrics)
+        kwargs = dict(kwargs, tracer=tracer)
     runs = fan_out(
         _run_one_cloud_policy,
         (dataset, predictor),

@@ -64,7 +64,6 @@ from ..core.types import (
 )
 from ..errors import ConfigurationError
 from ..forecast.predictor import PrecomputedPredictor
-from ..obs.metrics import NULL_METRICS
 from ..obs.tracer import NULL_TRACER
 from ..perf.simulator import PerformanceSimulator, traffic_coefficients
 from ..perf.workload import ALL_MEMORY_CLASSES
@@ -422,13 +421,11 @@ class DataCenterSimulation:
             budget.  A zero-event schedule is bit-identical to
             ``faults=None`` (``tests/test_fault_equivalence.py``).
         tracer: optional :class:`~repro.obs.tracer.RunTracer` receiving
-            structured run/window/fault events.  The default is the
-            no-op ``NULL_TRACER``; tracers only observe, so results are
-            bit-identical with tracing on or off
-            (``tests/test_obs_equivalence.py``).
-        metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`
-            accumulating counters plus forecast / policy / allocate /
-            account phase timings.  Same only-observes guarantee.
+            structured run/window/fault events and timing the
+            ``forecast`` / ``policy`` / ``prepare`` / ``account``
+            phases.  The default is the no-op ``NULL_TRACER``; tracers
+            only observe, so results are bit-identical with tracing on
+            or off (``tests/test_obs_equivalence.py``).
     """
 
     def __init__(
@@ -446,10 +443,8 @@ class DataCenterSimulation:
         fleet: Optional[FleetSpec] = None,
         faults=None,
         tracer=None,
-        metrics=None,
     ):
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._metrics = metrics if metrics is not None else NULL_METRICS
         if migration_energy_j < 0.0:
             raise ConfigurationError(
                 "migration_energy_j must be non-negative"
@@ -791,7 +786,7 @@ class DataCenterSimulation:
                 allocation = self._decide(
                     slot, n_window, active, scale, fw, obs, state
                 )
-                with self._metrics.phase("allocate"):
+                with self._tracer.phase("prepare"):
                     acct = self._prepare_allocation(
                         allocation,
                         active,
@@ -810,7 +805,7 @@ class DataCenterSimulation:
                     arrivals=arrivals,
                     departures=departures,
                 )
-                with self._metrics.phase("account"):
+                with self._tracer.phase("account"):
                     records = [
                         self._account_slot(
                             slot + i,
@@ -971,9 +966,6 @@ class DataCenterSimulation:
         self, slot, n_window, allocation, acct, migrations, **extra
     ) -> None:
         tracer = self._tracer
-        if self._metrics.enabled:
-            self._metrics.counter("windows")
-            self._metrics.counter("migrations", migrations)
         if not tracer.enabled:
             return
         fields = dict(
@@ -1102,7 +1094,7 @@ class DataCenterSimulation:
         ``force_place_remaining``) becomes its emergency re-placement:
         VMs of failed servers simply have nowhere else to go.
         """
-        with self._metrics.phase("forecast"):
+        with self._tracer.phase("forecast"):
             pred_cpu, pred_mem = self._window_predictions(
                 slot, slot + n_window, active, scale
             )
@@ -1125,7 +1117,7 @@ class DataCenterSimulation:
             last_mem=last_mem,
             faults=fault,
         )
-        with self._metrics.phase("policy"):
+        with self._tracer.phase("policy"):
             return self._policy.allocate(ctx)
 
     def _last_observed(self, slot: int, active: np.ndarray):
@@ -1795,7 +1787,6 @@ def run_policies(
     policies: Iterable[AllocationPolicy],
     jobs: int = 1,
     tracer=None,
-    metrics=None,
     **kwargs,
 ) -> Dict[str, SimulationResult]:
     """Run several policies over the same traces and predictions.
@@ -1805,7 +1796,7 @@ def run_policies(
     runner surface — :func:`~repro.dcsim.cloud.run_cloud_policies`,
     :func:`~repro.cloud.streaming.run_streaming_policies` and
     :func:`~repro.shard.geo.run_geo_policies` take the same
-    ``jobs`` / ``tracer`` / ``metrics`` keywords.
+    ``jobs`` / ``tracer`` keywords.
 
     Args:
         dataset: the VM utilization traces.
@@ -1821,8 +1812,7 @@ def run_policies(
             runs thread it into every engine; parallel fans drop it
             (open file handles don't cross pickle boundaries) —
             sweep-level task events come from the experiments pool
-            layer instead.  Same for ``metrics``.
-        metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`.
+            layer instead.
         **kwargs: forwarded to :class:`DataCenterSimulation`.
     """
     policy_list = list(policies)
@@ -1831,7 +1821,7 @@ def run_policies(
             dataset, predictor, kwargs.get("start_slot"), kwargs.get("n_slots")
         )
     else:
-        kwargs = dict(kwargs, tracer=tracer, metrics=metrics)
+        kwargs = dict(kwargs, tracer=tracer)
     runs = fan_out(
         _run_one_policy,
         (dataset, predictor),

@@ -5,7 +5,7 @@ Every module exposes ``run_*`` (returns a result object), ``render``
 in :mod:`repro.anchors`.
 """
 
-from . import export, fig1, fig2, fig3, fig456, fig7, runner, table1, thunderx
+from . import export, fig1, fig2, fig3, fig456, fig7, table1, thunderx
 
 __all__ = [
     "export",
@@ -14,7 +14,6 @@ __all__ = [
     "fig3",
     "fig456",
     "fig7",
-    "runner",
     "table1",
     "thunderx",
 ]

@@ -70,7 +70,6 @@ def run_cloud(
     max_servers: int = 600,
     policies: Optional[Sequence[AllocationPolicy]] = None,
     tracer=None,
-    metrics=None,
 ) -> CloudResult:
     """Run the cloud scenario fan (see module docstring).
 
@@ -84,10 +83,10 @@ def run_cloud(
         max_servers: fleet bound.
         policies: policies to compare (fresh instances are required for
             stateful online policies; the defaults are fresh).
-        tracer / metrics: optional observability hooks
-            (:mod:`repro.obs`).  Serial runs trace at engine level;
-            parallel sweeps emit pool task events only (tracers do not
-            cross the pickle boundary).  Results are identical.
+        tracer: optional observability hook (:mod:`repro.obs`).
+            Serial runs trace at engine level; parallel sweeps emit
+            pool task events only (tracers do not cross the pickle
+            boundary).  Results are identical.
     """
     if quick:
         n_vms, n_days, max_servers = 120, 9, 120
@@ -115,7 +114,6 @@ def run_cloud(
                 policy_list,
                 schedule,
                 tracer=tracer,
-                metrics=metrics,
                 **kwargs,
             )
         return CloudResult(results=results)
@@ -131,9 +129,7 @@ def run_cloud(
             )
             for policy in policy_list
         )
-    runs = run_tasks(
-        _run_one_cloud_policy, tasks, jobs, tracer=tracer, metrics=metrics
-    )
+    runs = run_tasks(_run_one_cloud_policy, tasks, jobs, tracer=tracer)
     for name in names:
         results[name] = {
             policy.name: runs[(name, policy.name)]

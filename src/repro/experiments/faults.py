@@ -79,7 +79,6 @@ def run_faults(
     max_servers: int = 120,
     policies: Optional[Sequence[AllocationPolicy]] = None,
     tracer=None,
-    metrics=None,
 ) -> FaultsResult:
     """Run the fault-scenario sweep (see module docstring).
 
@@ -96,11 +95,11 @@ def run_faults(
         max_servers: fleet bound (= the fault schedule's server count).
         policies: policies to compare (fresh instances are required for
             stateful online policies; the defaults are fresh).
-        tracer / metrics: optional observability hooks
-            (:mod:`repro.obs`).  Serial runs trace at engine level
-            (fault preambles, transitions, windows); parallel sweeps
-            emit pool task events only (tracers do not cross the
-            pickle boundary).  Results are identical.
+        tracer: optional observability hook (:mod:`repro.obs`).
+            Serial runs trace at engine level (fault preambles,
+            transitions, windows); parallel sweeps emit pool task
+            events only (tracers do not cross the pickle boundary).
+            Results are identical.
     """
     if quick:
         # A deliberately tight fleet (vs the 120-server cloud quick
@@ -139,7 +138,6 @@ def run_faults(
                 max_servers=max_servers,
                 faults=schedules[name],
                 tracer=tracer,
-                metrics=metrics,
             )
             results[name] = {
                 policy.name: CloudSimulation(
@@ -164,9 +162,7 @@ def run_faults(
             )
             for policy in policy_list
         )
-    runs = run_tasks(
-        _run_one_cloud_policy, tasks, jobs, tracer=tracer, metrics=metrics
-    )
+    runs = run_tasks(_run_one_cloud_policy, tasks, jobs, tracer=tracer)
     for name in names:
         results[name] = {
             policy.name: runs[(name, policy.name)]

@@ -136,7 +136,6 @@ def run_hyperscale(
     jobs: int = 1,
     seed: int = SEED,
     tracer=None,
-    metrics=None,
 ) -> Tuple[HyperscaleProfile, GeoRunResult]:
     """Run the sharded multi-region EPACT comparison for one profile.
 
@@ -161,7 +160,6 @@ def run_hyperscale(
         shards=spec.shards,
         jobs=jobs,
         tracer=tracer,
-        metrics=metrics,
         n_slots=spec.n_slots,
     )
     return spec, result

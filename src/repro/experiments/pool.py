@@ -86,7 +86,6 @@ def run_tasks(
     jobs: int,
     timeout_s: float = 900.0,
     tracer=None,
-    metrics=None,
 ) -> Dict[Hashable, Any]:
     """Run ``fn(*args)`` for every ``(key, args)`` task over a pool.
 
@@ -105,9 +104,6 @@ def run_tasks(
             task lifecycle events in the parent (tracers never cross
             the pickle boundary into workers) plus per-task wall times
             on the timing channel.
-        metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
-            accumulates a ``task_elapsed_s`` histogram and
-            ``tasks`` / ``task_retries`` / ``task_failures`` counters.
 
     Returns:
         ``{key: result-or-FailedRun}`` in task insertion order.
@@ -116,7 +112,6 @@ def run_tasks(
     if len(set(keys)) != len(keys):
         raise ValueError("run_tasks keys must be unique")
     traced = tracer is not None and getattr(tracer, "enabled", False)
-    measured = metrics is not None and getattr(metrics, "enabled", False)
     results: Dict[Hashable, Any] = {}
     elapsed: Dict[Hashable, float] = {}
     retried: set = set()
@@ -152,8 +147,6 @@ def run_tasks(
         retried.add(key)
         if traced:
             tracer.emit("task_retry", key=str(key), error=first_error)
-        if measured:
-            metrics.counter("task_retries")
         attempts = 1
         try:
             solo = ProcessPoolExecutor(max_workers=1)
@@ -178,17 +171,11 @@ def run_tasks(
                 elapsed_s=burn,
             )
 
+    if not traced:
+        return results
     for key, _ in tasks:
         value = results[key]
         failed = isinstance(value, FailedRun)
-        task_s = value.elapsed_s if failed else elapsed[key]
-        if measured:
-            metrics.counter("tasks")
-            metrics.histogram("task_elapsed_s", task_s)
-            if failed:
-                metrics.counter("task_failures")
-        if not traced:
-            continue
         if failed:
             tracer.emit(
                 "task_failed",
@@ -203,7 +190,7 @@ def run_tasks(
         tracer.timing(
             "task_time",
             key=str(key),
-            elapsed_s=task_s,
+            elapsed_s=value.elapsed_s if failed else elapsed[key],
             attempts=(
                 value.attempts
                 if failed

@@ -9,9 +9,10 @@ Usage (installed as the ``repro-experiments`` console script)::
                                      # and sweep points over 4 processes
     repro-experiments cloud --out runs/today
                                      # also write run artifacts: manifest,
-                                     # JSONL trace + timing channels,
-                                     # metrics snapshot, per-experiment
-                                     # text reports, summary.json
+                                     # JSONL trace + timing channels
+                                     # (phase times included),
+                                     # per-experiment text reports,
+                                     # summary.json
     repro-experiments report runs/today
                                      # scored audit report from a run dir
 
@@ -57,7 +58,6 @@ class ObsOptions:
 
     Attributes:
         tracer: optional :class:`~repro.obs.tracer.RunTracer`.
-        metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`.
         scenarios: optional scenario-name subset for the scenario-sweep
             experiments (cloud / faults / telemetry).  Names are
             registry-specific, so this is meant for single-experiment
@@ -65,7 +65,6 @@ class ObsOptions:
     """
 
     tracer: Any = None
-    metrics: Any = None
     scenarios: Optional[List[str]] = None
 
 
@@ -108,7 +107,6 @@ def _run_cloud(full: bool, jobs: int, obs: ObsOptions) -> Tuple[str, int, Any]:
         jobs=jobs,
         scenario_names=obs.scenarios,
         tracer=obs.tracer,
-        metrics=obs.metrics,
     )
     return cloud.render(result), count_failures(result), result
 
@@ -124,7 +122,6 @@ def _run_faults(full: bool, jobs: int, obs: ObsOptions) -> Tuple[str, int, Any]:
         jobs=jobs,
         fault_names=obs.scenarios,
         tracer=obs.tracer,
-        metrics=obs.metrics,
     )
     return faults.render(result), count_failures(result), result
 
@@ -137,7 +134,6 @@ def _run_telemetry(
         jobs=jobs,
         scenario_names=obs.scenarios,
         tracer=obs.tracer,
-        metrics=obs.metrics,
     )
     return telemetry.render(result), count_failures(result), result
 
@@ -160,7 +156,6 @@ def _run_hyperscale(
         profile=profile,
         jobs=jobs,
         tracer=obs.tracer,
-        metrics=obs.metrics,
     )
     return hyperscale.render(result), 0, result[1]
 
@@ -282,8 +277,9 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             "write run artifacts to DIR: manifest.json (seed, config "
             "hash, git rev, versions), trace.jsonl + timing.jsonl "
-            "(structured events; deterministic and wall-clock channels), "
-            "metrics.json, per-experiment text reports and summary.json; "
+            "(structured events; deterministic and wall-clock channels, "
+            "the latter with the forecast/policy/prepare/account phase "
+            "times), per-experiment text reports and summary.json; "
             "render them later with `repro-experiments report DIR`"
         ),
     )
@@ -320,9 +316,8 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     tracer = None
-    metrics = None
     if args.out is not None:
-        from ..obs import MetricsRegistry, RunTracer, write_manifest
+        from ..obs import RunTracer, write_manifest
 
         os.makedirs(args.out, exist_ok=True)
         write_manifest(
@@ -336,8 +331,7 @@ def main(argv: list[str] | None = None) -> int:
             seed=2018,
         )
         tracer = RunTracer.for_run_dir(args.out)
-        metrics = MetricsRegistry()
-    obs = ObsOptions(tracer=tracer, metrics=metrics, scenarios=scenarios)
+    obs = ObsOptions(tracer=tracer, scenarios=scenarios)
 
     failures = 0
     summaries: Dict[str, Any] = {}
@@ -371,8 +365,6 @@ def main(argv: list[str] | None = None) -> int:
                     summaries[name] = summary
     finally:
         if args.out is not None:
-            metrics.emit_timing(tracer)
-            metrics.write(os.path.join(args.out, "metrics.json"))
             tracer.close()
             with open(
                 os.path.join(args.out, "summary.json"),

@@ -76,7 +76,6 @@ def run_telemetry(
     max_servers: int = 120,
     policies: Optional[Sequence[AllocationPolicy]] = None,
     tracer=None,
-    metrics=None,
 ) -> TelemetryResult:
     """Run the telemetry-scenario sweep (see module docstring).
 
@@ -93,11 +92,11 @@ def run_telemetry(
         max_servers: fleet bound.
         policies: policies to compare (fresh instances are required for
             stateful online policies; the defaults are fresh).
-        tracer / metrics: optional observability hooks
-            (:mod:`repro.obs`).  Serial runs trace at engine level
-            (windows, ladder rungs, degradations); parallel sweeps
-            emit pool task events only, because tracers do not cross
-            the pickle boundary.  Results are identical either way.
+        tracer: optional observability hook (:mod:`repro.obs`).
+            Serial runs trace at engine level (windows, ladder rungs,
+            degradations); parallel sweeps emit pool task events only,
+            because tracers do not cross the pickle boundary.  Results
+            are identical either way.
     """
     if quick:
         n_vms, n_days, max_servers = 120, 9, 24
@@ -129,7 +128,7 @@ def run_telemetry(
 
     results: Dict[str, Dict[str, SimulationResult]] = {}
     if jobs is None or jobs <= 1:
-        serial_kwargs = dict(kwargs, tracer=tracer, metrics=metrics)
+        serial_kwargs = dict(kwargs, tracer=tracer)
         for name in names:
             results[name] = {
                 policy.name: _run_one_streaming_policy(
@@ -160,13 +159,7 @@ def run_telemetry(
             )
             for policy in policy_list
         )
-    runs = run_tasks(
-        _run_one_streaming_policy,
-        tasks,
-        jobs,
-        tracer=tracer,
-        metrics=metrics,
-    )
+    runs = run_tasks(_run_one_streaming_policy, tasks, jobs, tracer=tracer)
     for name in names:
         results[name] = {
             policy.name: runs[(name, policy.name)]

@@ -1,18 +1,16 @@
-"""Observability: structured tracing, metrics, manifests, audit reports.
+"""Observability: structured tracing, phase timers, manifests, reports.
 
 The package answers "how did this run get its answer" without ever
-changing the answer: tracers and metric registries only observe, the
-no-op defaults (:data:`NULL_TRACER`, :data:`NULL_METRICS`) cost one
-attribute read per would-be event, and every wall-clock quantity lives
-on a separate timing channel so deterministic event streams stay
-byte-identical across same-seed runs.
+changing the answer: tracers only observe, the no-op default
+(:data:`NULL_TRACER`) costs one attribute read per would-be event, and
+every wall-clock quantity (task times, the named phase timers of
+:meth:`RunTracer.phase`) lives on a separate timing channel so
+deterministic event streams stay byte-identical across same-seed runs.
 
 Submodules:
 
 * :mod:`~repro.obs.tracer` — :class:`RunTracer` / :class:`NullTracer`,
-  JSONL channels, event schemas and validation;
-* :mod:`~repro.obs.metrics` — :class:`MetricsRegistry` /
-  :class:`NullMetrics`, phase timers, tracemalloc peak capture;
+  JSONL channels, phase timers, event schemas and validation;
 * :mod:`~repro.obs.manifest` — run manifests (seed, config hash, git
   rev, library versions);
 * :mod:`~repro.obs.report` — the ``repro-experiments report`` renderer
@@ -26,14 +24,6 @@ from .manifest import (
     config_hash,
     load_manifest,
     write_manifest,
-)
-from .metrics import (
-    METRICS_FILENAME,
-    PHASES,
-    MetricsRegistry,
-    NULL_METRICS,
-    NullMetrics,
-    load_metrics,
 )
 from .tracer import (
     EVENT_SCHEMAS,
@@ -51,14 +41,9 @@ from .tracer import (
 __all__ = [
     "EVENT_SCHEMAS",
     "MANIFEST_FILENAME",
-    "METRICS_FILENAME",
-    "NULL_METRICS",
     "NULL_TRACER",
-    "PHASES",
     "TIMING_FILENAME",
     "TRACE_FILENAME",
-    "MetricsRegistry",
-    "NullMetrics",
     "NullTracer",
     "RunTracer",
     "TraceSchemaError",
@@ -66,7 +51,6 @@ __all__ = [
     "config_hash",
     "iter_trace_file",
     "load_manifest",
-    "load_metrics",
     "validate_event",
     "validate_trace_file",
     "write_manifest",

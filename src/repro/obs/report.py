@@ -1,8 +1,9 @@
 """The ``repro-experiments report <run-dir>`` audit renderer.
 
-Reads a run directory written by ``repro-experiments --out DIR``
-(manifest, metrics snapshot, JSONL trace channels, per-experiment
-summaries) and renders an energy-audit-style scored report:
+Reads a run directory written by ``repro-experiments --out DIR`` or
+``repro-serve --out DIR`` (manifest, JSONL trace channels,
+per-experiment summaries) and renders an energy-audit-style scored
+report:
 
 * a provenance header from the manifest (git rev, config hash, seed,
   library versions) so every number is traceable to an exact run;
@@ -11,10 +12,13 @@ summaries) and renders an energy-audit-style scored report:
   (:func:`repro.dcsim.reporting.score_letter`);
 * degradation tables (imputed samples, stale/blind windows, fault
   migrations) wherever a group actually degraded;
-* a phase-time breakdown (forecast / policy / allocate / account) and
-  counter/histogram summary from the metrics snapshot;
+* the event mix and the migration total of the allocation windows
+  (event channel);
+* a phase-time breakdown (forecast / policy / prepare / account) from
+  the timing channel's ``phase_time`` events;
 * per-pool attribution (mean active servers per fleet pool, from the
-  allocation events) and the slowest sweep tasks (timing channel).
+  allocation events) and the sweep tasks' elapsed-time summary and
+  slowest tasks (timing channel).
 
 Every event in both JSONL channels is validated against
 :data:`repro.obs.tracer.EVENT_SCHEMAS` first; a violation fails the
@@ -30,7 +34,6 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from .manifest import MANIFEST_FILENAME, load_manifest
-from .metrics import METRICS_FILENAME, load_metrics
 from .tracer import (
     TIMING_FILENAME,
     TRACE_FILENAME,
@@ -192,46 +195,30 @@ def _scored_group_tables(label: str, group: Dict[str, dict]) -> List[str]:
     return lines
 
 
-def _phase_section(metrics: dict) -> List[str]:
+def _phase_section(timing: list) -> List[str]:
+    """Phase-time breakdown from the ``phase_time`` timing events."""
     from ..dcsim.reporting import format_table
 
-    lines: List[str] = []
-    phases = metrics.get("phases") or {}
-    if phases:
-        total = sum(p["total_s"] for p in phases.values())
-        rows = [
-            [
-                name,
-                p["calls"],
-                f"{p['total_s']:.3f}",
-                f"{(p['total_s'] / total * 100.0) if total else 0.0:.1f}%",
-                f"{p.get('max_s', 0.0) * 1.0e3:.1f}",
-            ]
-            for name, p in phases.items()
+    phases = [e for e in timing if e["event"] == "phase_time"]
+    if not phases:
+        return []
+    total = sum(p["total_s"] for p in phases)
+    rows = [
+        [
+            p["phase"],
+            p["calls"],
+            f"{p['total_s']:.3f}",
+            f"{(p['total_s'] / total * 100.0) if total else 0.0:.1f}%",
+            f"{p.get('max_s', 0.0) * 1.0e3:.1f}",
         ]
-        lines.append("phase-time breakdown:")
-        lines.append(
-            format_table(
-                ["phase", "calls", "total (s)", "share", "max (ms)"],
-                rows,
-            )
-        )
-    counters = metrics.get("counters") or {}
-    if counters:
-        lines.append(
-            "counters: "
-            + ", ".join(f"{k}={v}" for k, v in counters.items())
-        )
-    for name, hist in (metrics.get("histograms") or {}).items():
-        lines.append(
-            f"histogram {name}: n={hist['count']} "
-            f"mean={hist['mean']:.3f} min={hist['min']:.3f} "
-            f"max={hist['max']:.3f}"
-        )
-    peak = metrics.get("peak_mem_bytes")
-    if peak is not None:
-        lines.append(f"peak traced memory: {peak / 1.0e6:.1f} MB")
-    return lines
+        for p in phases
+    ]
+    return [
+        "phase-time breakdown:",
+        format_table(
+            ["phase", "calls", "total (s)", "share", "max (ms)"], rows
+        ),
+    ]
 
 
 def _pool_attribution(events: list) -> List[str]:
@@ -281,6 +268,12 @@ def _task_section(timing: list, top: int = 15) -> List[str]:
     tasks = [e for e in timing if e["event"] == "task_time"]
     if not tasks:
         return []
+    elapsed = [e["elapsed_s"] for e in tasks]
+    lines = [
+        f"task_elapsed_s: n={len(elapsed)} "
+        f"mean={sum(elapsed) / len(elapsed):.3f} "
+        f"min={min(elapsed):.3f} max={max(elapsed):.3f}"
+    ]
     tasks.sort(key=lambda e: -e["elapsed_s"])
     rows = [
         [
@@ -291,7 +284,7 @@ def _task_section(timing: list, top: int = 15) -> List[str]:
         ]
         for e in tasks[:top]
     ]
-    lines = [f"slowest sweep tasks (top {min(top, len(tasks))}):"]
+    lines.append(f"slowest sweep tasks (top {min(top, len(tasks))}):")
     lines.append(
         format_table(["task", "elapsed (s)", "attempts", "failed"], rows)
     )
@@ -339,6 +332,13 @@ def render_report(run_dir) -> str:
             "  event mix: "
             + ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
         )
+        windows = [e for e in events if e["event"] == "allocation_window"]
+        if windows:
+            lines.append(
+                f"  migrations: "
+                f"{sum(e['migrations'] for e in windows)} over "
+                f"{len(windows)} allocation window(s)"
+            )
 
     summary = _load_summary(run_dir)
     if summary:
@@ -352,12 +352,10 @@ def render_report(run_dir) -> str:
                 label = " / ".join(path) if path else name
                 lines.extend(_scored_group_tables(label, group))
 
-    metrics = load_metrics(os.path.join(run_dir, METRICS_FILENAME))
-    if metrics:
-        section = _phase_section(metrics)
-        if section:
-            lines.append("")
-            lines.extend(section)
+    phase_lines = _phase_section(timing)
+    if phase_lines:
+        lines.append("")
+        lines.extend(phase_lines)
 
     pool_lines = _pool_attribution(events)
     if pool_lines:

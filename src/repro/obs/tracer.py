@@ -11,8 +11,10 @@ JSON event.  Two channels keep the house determinism rule honest:
   streams, which the observability test-suite asserts via
   :meth:`RunTracer.event_bytes`.
 * the **timing channel** (``timing.jsonl``) quarantines everything
-  wall-clock (per-task elapsed seconds, retry delays).  It is excluded
-  from determinism comparisons by construction.
+  wall-clock (per-task elapsed seconds, retry delays, and the named
+  phase timers of :meth:`RunTracer.phase`, written as one
+  ``phase_time`` event per phase on :meth:`RunTracer.close`).  It is
+  excluded from determinism comparisons by construction.
 
 The default tracer everywhere is the no-op :data:`NULL_TRACER`:
 simulations constructed without an explicit tracer pay one attribute
@@ -31,6 +33,8 @@ from __future__ import annotations
 
 import json
 import os
+import time
+from contextlib import nullcontext
 from typing import Dict, Iterator, List
 
 from ..errors import ConfigurationError
@@ -422,6 +426,40 @@ def _coerce(value):
     )
 
 
+#: The shared do-nothing ``with`` block of :meth:`NullTracer.phase`.
+_NULL_PHASE = nullcontext()
+
+
+class _PhaseTimer:
+    """Reusable ``with`` timer accumulating one phase's wall time.
+
+    One instance per phase name, cached by the tracer, so the hot loop
+    pays two ``perf_counter`` calls per window instead of a fresh
+    generator frame.  Not re-entrant with itself (nesting a phase
+    inside the same phase double-counts).
+    """
+
+    __slots__ = ("calls", "total_s", "max_s", "_start")
+
+    def __init__(self) -> None:
+        self.calls = 0
+        self.total_s = 0.0
+        self.max_s = 0.0
+        self._start = 0.0
+
+    def __enter__(self) -> "_PhaseTimer":
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        elapsed = time.perf_counter() - self._start
+        self.calls += 1
+        self.total_s += elapsed
+        if elapsed > self.max_s:
+            self.max_s = elapsed
+        return False
+
+
 class NullTracer:
     """The zero-overhead default: every emit is a no-op.
 
@@ -436,6 +474,10 @@ class NullTracer:
 
     def timing(self, event: str, **fields) -> None:
         """Discard a timing event."""
+
+    def phase(self, name: str) -> nullcontext:
+        """Time nothing."""
+        return _NULL_PHASE
 
     def close(self) -> None:
         """Nothing to flush."""
@@ -457,27 +499,21 @@ class RunTracer:
     Events are kept in memory (:attr:`events` / :attr:`timing_events`)
     and, when paths are given, appended line-by-line to the trace
     files.  Serialization is canonical (sorted keys, no whitespace),
-    so identical event streams are identical bytes.
+    so identical event streams are identical bytes.  Every event is
+    checked against its schema when it is emitted: emitting is rare
+    enough that the check is free insurance against schema drift.
 
     Args:
         trace_path: event-channel JSONL path (``None`` = memory only).
         timing_path: timing-channel JSONL path (``None`` = memory only).
-        validate: check every event against its schema at emit time
-            (on by default — emitting is rare enough that the check is
-            free insurance against schema drift).
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        trace_path=None,
-        timing_path=None,
-        validate: bool = True,
-    ) -> None:
+    def __init__(self, trace_path=None, timing_path=None) -> None:
         self.events: List[dict] = []
         self.timing_events: List[dict] = []
-        self._validate = validate
+        self._phases: Dict[str, _PhaseTimer] = {}
         self._seq = 0
         self._timing_seq = 0
         self._trace_fh = (
@@ -492,13 +528,12 @@ class RunTracer:
         )
 
     @classmethod
-    def for_run_dir(cls, run_dir, validate: bool = True) -> "RunTracer":
+    def for_run_dir(cls, run_dir) -> "RunTracer":
         """A tracer writing ``trace.jsonl`` + ``timing.jsonl`` in a dir."""
         os.makedirs(run_dir, exist_ok=True)
         return cls(
             trace_path=os.path.join(run_dir, TRACE_FILENAME),
             timing_path=os.path.join(run_dir, TIMING_FILENAME),
-            validate=validate,
         )
 
     # -- emission ------------------------------------------------------
@@ -508,8 +543,7 @@ class RunTracer:
         record = {"seq": self._seq, "event": event}
         for name, value in fields.items():
             record[name] = _coerce(value)
-        if self._validate:
-            validate_event(record, channel="event")
+        validate_event(record, channel="event")
         self._seq += 1
         self.events.append(record)
         if self._trace_fh is not None:
@@ -520,12 +554,24 @@ class RunTracer:
         record = {"seq": self._timing_seq, "event": event}
         for name, value in fields.items():
             record[name] = _coerce(value)
-        if self._validate:
-            validate_event(record, channel="timing")
+        validate_event(record, channel="timing")
         self._timing_seq += 1
         self.timing_events.append(record)
         if self._timing_fh is not None:
             self._timing_fh.write(_dumps(record) + "\n")
+
+    def phase(self, name: str) -> _PhaseTimer:
+        """A ``with`` timer for a named phase (``perf_counter``).
+
+        Timers are cached per name, so this is cheap to call per
+        window, and times accumulate across every run sharing the
+        tracer.  Nested different-named phases both count; don't nest
+        a phase inside itself.
+        """
+        timer = self._phases.get(name)
+        if timer is None:
+            timer = self._phases[name] = _PhaseTimer()
+        return timer
 
     # -- inspection ----------------------------------------------------
 
@@ -544,7 +590,21 @@ class RunTracer:
         return [e for e in self.events if e["event"] == event]
 
     def close(self) -> None:
-        """Flush and close the JSONL files (idempotent)."""
+        """Write the phase times, then close the JSONL files.
+
+        Each phase timed so far becomes one ``phase_time`` event on
+        the timing channel, sorted by name; the timers are then
+        dropped, so closing again writes nothing (idempotent).
+        """
+        phases, self._phases = self._phases, {}
+        for name, timer in sorted(phases.items()):
+            self.timing(
+                "phase_time",
+                phase=name,
+                calls=timer.calls,
+                total_s=timer.total_s,
+                max_s=timer.max_s,
+            )
         for fh in (self._trace_fh, self._timing_fh):
             if fh is not None and not fh.closed:
                 fh.close()

@@ -23,7 +23,8 @@ external infrastructure.
 
 Every window's decision is printed as one line and, with ``--out``,
 emitted as ``decision_*`` events beside the engine's streaming events
-(one ``trace.jsonl`` per run, schema-validated at emit time).
+(one ``trace.jsonl`` per run, schema-validated at emit time); the
+engine's phase times land on ``timing.jsonl`` when the run ends.
 
 A checkpoint is one versioned ``.npz`` loaded without pickle; a
 missing, damaged or old pickle checkpoint, or one written under another
@@ -194,7 +195,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help=(
             "write run artifacts to DIR: manifest.json, trace.jsonl "
-            "(engine + decision_* events), timing.jsonl, metrics.json, "
+            "(engine + decision_* events), timing.jsonl (phase times), "
             "summary.json"
         ),
     )
@@ -226,9 +227,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     tracer = None
-    metrics = None
     if args.out is not None:
-        from ..obs import MetricsRegistry, RunTracer, write_manifest
+        from ..obs import RunTracer, write_manifest
 
         os.makedirs(args.out, exist_ok=True)
         write_manifest(
@@ -249,7 +249,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             seed=config.seed,
         )
         tracer = RunTracer.for_run_dir(args.out)
-        metrics = MetricsRegistry()
 
     collectors = None
     feed = None
@@ -265,7 +264,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             config,
             collectors=collectors,
             tracer=tracer,
-            metrics=metrics,
             resume=args.resume,
             on_decision=on_decision,
         )
@@ -276,9 +274,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if feed is not None:
             feed.close()
         if tracer is not None:
-            if metrics is not None:
-                metrics.emit_timing(tracer)
-                metrics.write(os.path.join(args.out, "metrics.json"))
             tracer.close()
 
     from ..cloud.sla import summarize

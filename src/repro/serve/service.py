@@ -116,7 +116,6 @@ def build_simulation(
     config: ServeConfig,
     collectors: Optional[Sequence] = None,
     tracer=None,
-    metrics=None,
 ):
     """The configured streaming engine behind one service run.
 
@@ -144,20 +143,18 @@ def build_simulation(
             seed=config.seed,
         )
     policy = _policy_registry()[config.policy]()
-    kwargs = dict(
+    return StreamingCloudSimulation(
+        dataset,
+        predictor,
+        policy,
+        schedule,
         telemetry=telemetry,
         collectors=collectors,
         checkpoint_every_slots=config.checkpoint_every_slots,
         checkpoint_path=config.checkpoint_path,
         n_slots=config.n_slots,
         max_servers=config.max_servers,
-    )
-    if tracer is not None:
-        kwargs["tracer"] = tracer
-    if metrics is not None:
-        kwargs["metrics"] = metrics
-    return StreamingCloudSimulation(
-        dataset, predictor, policy, schedule, **kwargs
+        tracer=tracer,
     )
 
 
@@ -205,7 +202,6 @@ def serve(
     config: ServeConfig,
     collectors: Optional[Sequence] = None,
     tracer=None,
-    metrics=None,
     resume: bool = False,
     on_decision=None,
 ):
@@ -218,8 +214,7 @@ def serve(
             scenario).
         tracer: optional :class:`~repro.obs.tracer.RunTracer`; receives
             the engine's streaming events *and* the ``decision_*``
-            stream.
-        metrics: optional metrics registry (phase timings).
+            stream, and times the engine's phases.
         resume: restore the latest snapshot from
             ``config.checkpoint_path`` before streaming (bit-identical
             continuation).
@@ -231,9 +226,7 @@ def serve(
         The run's :class:`~repro.dcsim.SimulationResult` — identical to
         :meth:`StreamingCloudSimulation.run` with the same inputs.
     """
-    sim = build_simulation(
-        config, collectors=collectors, tracer=tracer, metrics=metrics
-    )
+    sim = build_simulation(config, collectors=collectors, tracer=tracer)
     if resume:
         if config.checkpoint_path is None:
             raise ConfigurationError(

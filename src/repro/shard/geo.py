@@ -185,20 +185,19 @@ def run_geo_policies(
     shards: int = 1,
     jobs: int = 1,
     tracer=None,
-    metrics=None,
     **kwargs,
 ) -> GeoRunResult:
     """Run several policies over a routed multi-region fleet.
 
-    Shares the common runner surface (``jobs`` / ``tracer`` /
-    ``metrics``) with the other multi-policy runners in
-    :mod:`repro.dcsim`: ``jobs`` fans the independent (policy, region)
+    Shares the common runner surface (``jobs`` / ``tracer``) with the
+    other multi-policy runners in :mod:`repro.dcsim`: ``jobs`` fans the
+    independent (policy, region)
     runs over processes (:func:`~repro.dcsim.engine.fan_out`) — each
     worker receives the traces once and each task carries its region's
     rows, so parallel equals serial exactly.  Shards within a region run
-    in-process.  Serial runs thread ``tracer`` / ``metrics`` into every
-    engine; parallel fans drop them (``region_route`` events are part of
-    the deterministic preamble and are emitted serially either way).
+    in-process.  Serial runs thread ``tracer`` into every engine;
+    parallel fans drop it (``region_route`` events are part of the
+    deterministic preamble and are emitted serially either way).
 
     Args:
         dataset: the full VM population's traces.
@@ -215,8 +214,6 @@ def run_geo_policies(
         tracer: optional tracer; each region emits a ``region_route``
             event, and (serial) sharded windows emit ``shard_window``
             events.
-        metrics: optional metrics registry, forwarded to the engines
-            on serial runs.
         **kwargs: forwarded to every
             :class:`~repro.dcsim.DataCenterSimulation` (horizon bounds,
             migration energy, ...).
@@ -250,7 +247,7 @@ def run_geo_policies(
         for policy in policy_list
     ]
     if not _fans_out(jobs, len(pairs)):
-        kwargs = dict(kwargs, tracer=tracer, metrics=metrics)
+        kwargs = dict(kwargs, tracer=tracer)
     runs = fan_out(
         _run_one_geo_region,
         (dataset,),

@@ -80,16 +80,15 @@ def _double(x):
 
 class TestTaskEvents:
     def test_traced_pool_emits_lifecycle_and_timing(self, tmp_path):
-        from repro.obs import MetricsRegistry, RunTracer
+        from repro.obs import RunTracer
+        from repro.obs.report import render_report
 
         tracer = RunTracer.for_run_dir(tmp_path)
-        metrics = MetricsRegistry()
         results = run_tasks(
             _double,
             [("a", (1,)), ("b", (2,))],
             jobs=1,
             tracer=tracer,
-            metrics=metrics,
         )
         tracer.close()
         assert results == {"a": 2, "b": 4}
@@ -98,10 +97,14 @@ class TestTaskEvents:
         assert [e["key"] for e in starts] == ["a", "b"]
         assert [e["key"] for e in dones] == ["a", "b"]
         assert all(not e["retried"] for e in dones)
-        snap = metrics.snapshot()
-        assert snap["counters"]["tasks"] == 2
-        assert "task_failures" not in snap["counters"]
-        assert snap["histograms"]["task_elapsed_s"]["count"] == 2
+        times = tracer.timing_events
+        assert [e["event"] for e in times] == ["task_time", "task_time"]
+        assert [e["key"] for e in times] == ["a", "b"]
+        assert all(
+            e["elapsed_s"] >= 0.0 and e["attempts"] == 1 and not e["failed"]
+            for e in times
+        )
+        assert "task_elapsed_s: n=2 " in render_report(tmp_path)
 
     def test_untraced_pool_emits_nothing(self, tmp_path):
         results = run_tasks(_double, [("a", (3,))], jobs=1)

@@ -12,7 +12,7 @@ import pytest
 from repro.core import EpactPolicy, FleetSpec, PoolSpec
 from repro.errors import ConfigurationError
 from repro.forecast.predictor import PerfectPredictor
-from repro.obs.tracer import _coerce, validate_event
+from repro.obs import RunTracer
 from repro.power.server_power import ntc_server_power_model
 from repro.shard import GeoFleetSpec, RegionSpec, route_vms, run_geo_policies
 from repro.traces import default_dataset
@@ -94,21 +94,8 @@ class TestGeoRun:
         dataset = default_dataset(n_vms=24, n_days=1, seed=808)
         geo = GeoFleetSpec(regions=(region("eu", 12), region("us", 12)))
 
-        events = []
-
-        class Recorder:
-            enabled = True
-
-            def timing(self, event, **fields):
-                pass
-
-            def emit(self, event, **fields):
-                record = {"seq": len(events), "event": event}
-                for name, value in fields.items():
-                    record[name] = _coerce(value)
-                validate_event(record)
-                events.append(event)
-
+        # RunTracer validates every event against its schema on emit.
+        tracer = RunTracer()
         result = run_geo_policies(
             dataset,
             PerfectPredictor,
@@ -116,14 +103,14 @@ class TestGeoRun:
             geo,
             seed=11,
             shards=2,
-            tracer=Recorder(),
+            tracer=tracer,
             n_slots=2,
         )
         assert set(result.results["EPACT"]) == {"eu", "us"}
         assert sum(result.routes.values()) == 24
         assert result.total_energy_j("EPACT") > 0.0
-        assert events.count("region_route") == 2
-        assert events.count("shard_window") >= 1
+        assert len(tracer.of_type("region_route")) == 2
+        assert tracer.of_type("shard_window")
 
     def test_jobs_fan_equals_serial(self):
         """The (policy, region) process fan reproduces the serial run."""

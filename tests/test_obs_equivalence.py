@@ -4,8 +4,8 @@ The acceptance bar of the observability PR:
 
 * **tracing changes nothing**: every engine (fixed-population batch,
   cloud churn, streaming telemetry, faulted runs) produces
-  bit-identical records with a full :class:`RunTracer` +
-  :class:`MetricsRegistry` attached vs the ``NULL_TRACER`` default;
+  bit-identical records with a :class:`RunTracer` (events plus phase
+  timers) attached vs the ``NULL_TRACER`` default;
 * **event streams are deterministic**: two same-seed traced runs emit
   byte-identical event channels (wall-clock data is quarantined on the
   separate timing channel, which is excluded from the comparison);
@@ -14,7 +14,7 @@ The acceptance bar of the observability PR:
   missing required field, wrong type, enum violation, wrong channel)
   are rejected;
 * **the audit report round-trips**: ``repro-experiments ... --out DIR``
-  writes manifest/trace/timing/metrics/summary artifacts that
+  writes manifest/trace/timing/summary artifacts that
   ``repro-experiments report DIR`` renders, and a corrupted event in
   the artifacts makes the report exit non-zero.
 """
@@ -39,15 +39,12 @@ from repro.dcsim import DataCenterSimulation
 from repro.forecast import DayAheadPredictor
 from repro.obs import (
     EVENT_SCHEMAS,
-    MetricsRegistry,
-    NullMetrics,
     NullTracer,
     RunTracer,
     TraceSchemaError,
     build_manifest,
     config_hash,
     load_manifest,
-    load_metrics,
     validate_event,
     validate_trace_file,
     write_manifest,
@@ -82,10 +79,6 @@ def fixed(ds):
     return fixed_schedule(ds.n_vms, 0, ds.n_slots)
 
 
-def traced_pair():
-    return RunTracer(), MetricsRegistry()
-
-
 # -- tracing on/off bit-identity --------------------------------------------
 
 
@@ -94,14 +87,13 @@ class TestBitIdentity:
         plain = DataCenterSimulation(
             ds, pred, EpactPolicy(), max_servers=12
         ).run()
-        tracer, metrics = traced_pair()
+        tracer = RunTracer()
         traced = DataCenterSimulation(
             ds,
             pred,
             EpactPolicy(),
             max_servers=12,
             tracer=tracer,
-            metrics=metrics,
         ).run()
         assert records_equal(plain.records, traced.records)
         assert tracer.of_type("run_start")
@@ -113,14 +105,13 @@ class TestBitIdentity:
         plain = CloudSimulation(
             ds, pred, OnlineReactivePolicy(), fixed, **kwargs
         ).run()
-        tracer, metrics = traced_pair()
+        tracer = RunTracer()
         traced = CloudSimulation(
             ds,
             pred,
             OnlineReactivePolicy(),
             fixed,
             tracer=tracer,
-            metrics=metrics,
             **kwargs,
         ).run()
         assert records_equal(plain.records, traced.records)
@@ -139,7 +130,7 @@ class TestBitIdentity:
             telemetry=telemetry,
             **kwargs,
         ).run()
-        tracer, metrics = traced_pair()
+        tracer = RunTracer()
         traced = StreamingCloudSimulation(
             ds,
             DayAheadPredictor(ds),
@@ -147,7 +138,6 @@ class TestBitIdentity:
             fixed,
             telemetry=telemetry,
             tracer=tracer,
-            metrics=metrics,
             **kwargs,
         ).run()
         assert records_equal(plain.records, traced.records)
@@ -168,14 +158,13 @@ class TestBitIdentity:
         plain = CloudSimulation(
             ds, pred, EpactPolicy(), fixed, **kwargs
         ).run()
-        tracer, metrics = traced_pair()
+        tracer = RunTracer()
         traced = CloudSimulation(
             ds,
             pred,
             EpactPolicy(),
             fixed,
             tracer=tracer,
-            metrics=metrics,
             **kwargs,
         ).run()
         assert records_equal(plain.records, traced.records)
@@ -184,19 +173,21 @@ class TestBitIdentity:
         assert tracer.of_type("fault_transition")
 
     def test_metrics_phases_accumulate(self, ds, pred):
-        tracer, metrics = traced_pair()
+        tracer = RunTracer()
         DataCenterSimulation(
             ds,
             pred,
             EpactPolicy(),
             max_servers=12,
             tracer=tracer,
-            metrics=metrics,
         ).run()
-        phases = metrics.snapshot()["phases"]
-        for name in ("forecast", "allocate", "account", "policy"):
-            assert phases[name]["calls"] > 0
-            assert phases[name]["total_s"] >= 0.0
+        tracer.close()
+        phases = {e["phase"]: e for e in tracer.timing_events}
+        assert sorted(phases) == ["account", "forecast", "policy", "prepare"]
+        for event in phases.values():
+            assert event["event"] == "phase_time"
+            assert event["calls"] > 0
+            assert event["total_s"] >= 0.0
 
 
 # -- same-seed determinism of the event stream ------------------------------
@@ -240,16 +231,14 @@ class TestDeterministicStreams:
         # event-channel field survives a determinism comparison, while
         # phase/task times go to the timing channel only.
         tracer = RunTracer()
-        metrics = MetricsRegistry()
         DataCenterSimulation(
             ds,
             pred,
             EpactPolicy(),
             max_servers=12,
             tracer=tracer,
-            metrics=metrics,
         ).run()
-        metrics.emit_timing(tracer)
+        tracer.close()
         assert all(
             e["event"] not in TIMING_ONLY_EVENTS for e in tracer.events
         )
@@ -345,7 +334,7 @@ class TestSchemas:
         event = {
             "event": "phase_time",
             "seq": 0,
-            "phase": "allocate",
+            "phase": "prepare",
             "calls": 3,
             "total_s": 0.1,
         }
@@ -392,69 +381,59 @@ class TestNullObjects:
         assert tracer.enabled is False
         tracer.emit("not_even_a_schema", whatever=object())
         tracer.timing("junk")
+        with tracer.phase("prepare"):
+            pass
         tracer.close()
 
     def test_null_metrics_discards_everything(self):
-        metrics = NullMetrics()
-        assert metrics.enabled is False
-        metrics.counter("x")
-        metrics.gauge("y", 1.0)
-        metrics.histogram("z", 2.0)
-        with metrics.phase("allocate"):
-            pass
-        snap = metrics.snapshot()
-        assert snap["counters"] == {}
-        assert snap["phases"] == {}
+        # The null tracer's phase timers measure and keep nothing:
+        # every name shares one do-nothing block and no state is held.
+        tracer = NullTracer()
+        shared = tracer.phase("prepare")
+        for name in ("account", "forecast", "policy", "prepare"):
+            assert tracer.phase(name) is shared
+            with tracer.phase(name) as entered:
+                assert entered is None
+        tracer.close()
+        assert vars(tracer) == {}
 
 
-# -- metrics registry --------------------------------------------------------
+# -- run metrics: the tracer's phase timers ----------------------------------
 
 
 class TestMetricsRegistry:
-    def test_counters_gauges_histograms(self):
-        metrics = MetricsRegistry()
-        metrics.counter("windows")
-        metrics.counter("windows", 4)
-        metrics.gauge("servers", 12.0)
-        for v in (1.0, 3.0, 2.0):
-            metrics.histogram("task_s", v)
-        snap = metrics.snapshot()
-        assert snap["counters"]["windows"] == 5
-        assert snap["gauges"]["servers"] == 12.0
-        hist = snap["histograms"]["task_s"]
-        assert hist["count"] == 3
-        assert hist["min"] == 1.0
-        assert hist["max"] == 3.0
-        assert hist["mean"] == 2.0
-
     def test_phase_timer_accumulates(self):
-        metrics = MetricsRegistry()
-        for _ in range(3):
-            with metrics.phase("allocate"):
-                pass
-        stat = metrics.snapshot()["phases"]["allocate"]
-        assert stat["calls"] == 3
-        assert stat["total_s"] >= 0.0
-        assert stat["max_s"] <= stat["total_s"]
-
-    def test_write_load_round_trip(self, tmp_path):
-        metrics = MetricsRegistry()
-        metrics.counter("c", 2)
-        path = tmp_path / "metrics.json"
-        metrics.write(path)
-        assert load_metrics(path)["counters"]["c"] == 2
-        assert load_metrics(tmp_path / "absent.json") is None
-
-    def test_emit_timing_mirrors_phases(self):
-        metrics = MetricsRegistry()
-        with metrics.phase("forecast"):
-            pass
         tracer = RunTracer()
-        metrics.emit_timing(tracer)
-        (event,) = tracer.timing_events
-        assert event["event"] == "phase_time"
-        assert event["phase"] == "forecast"
-        assert event["calls"] == 1
+        for _ in range(3):
+            with tracer.phase("prepare"):
+                pass
+        timer = tracer.phase("prepare")
+        assert timer.calls == 3
+        assert timer.total_s >= 0.0
+        assert timer.max_s <= timer.total_s
+        assert tracer.timing_events == []
+
+    def test_emit_timing_mirrors_phases(self, tmp_path):
+        tracer = RunTracer.for_run_dir(tmp_path)
+        for _ in range(3):
+            with tracer.phase("prepare"):
+                pass
+        with tracer.phase("forecast"):
+            pass
+        tracer.close()
+        forecast, prepare = tracer.timing_events
+        assert [forecast["phase"], prepare["phase"]] == [
+            "forecast",
+            "prepare",
+        ]
+        assert {forecast["event"], prepare["event"]} == {"phase_time"}
+        assert (forecast["calls"], prepare["calls"]) == (1, 3)
+        assert 0.0 <= prepare["max_s"] <= prepare["total_s"]
+        assert validate_trace_file(
+            tmp_path / "timing.jsonl", channel="timing"
+        ) == 2
+        tracer.close()
+        assert len(tracer.timing_events) == 2
 
 
 # -- manifests ---------------------------------------------------------------
@@ -500,7 +479,6 @@ class TestReportRoundTrip:
     def test_artifacts_written(self, run_dir):
         for name in (
             "manifest.json",
-            "metrics.json",
             "trace.jsonl",
             "timing.jsonl",
             "summary.json",
@@ -535,6 +513,14 @@ class TestReportRoundTrip:
         assert "EPACT" in text
         assert "grade" in text
         assert "phase-time breakdown" in text
+        trace = (run_dir / "trace.jsonl").read_text().splitlines()
+        events = [json.loads(line) for line in trace]
+        windows = [e for e in events if e["event"] == "allocation_window"]
+        total = sum(e["migrations"] for e in windows)
+        assert (
+            f"migrations: {total} over {len(windows)} allocation window(s)"
+            in text
+        )
 
     def test_report_cli_exits_zero(self, run_dir, capsys):
         assert report_main([str(run_dir)]) == 0
@@ -555,9 +541,9 @@ class TestReportRoundTrip:
         capsys.readouterr()
 
     def test_tracing_off_is_default_and_bit_identical(self, ds, pred):
-        # The CLI without --out runs the engines with NULL_TRACER /
-        # NULL_METRICS; a traced engine run equals the default exactly
-        # (the engine-level statement of the house rule).
+        # The CLI without --out runs the engines with NULL_TRACER; a
+        # traced engine run equals the default exactly (the
+        # engine-level statement of the house rule).
         base = DataCenterSimulation(
             ds, pred, EpactPolicy(), max_servers=12
         ).run()
@@ -567,7 +553,6 @@ class TestReportRoundTrip:
             EpactPolicy(),
             max_servers=12,
             tracer=RunTracer(),
-            metrics=MetricsRegistry(),
         ).run()
         assert records_equal(base.records, traced.records)
 
@@ -575,7 +560,7 @@ class TestReportRoundTrip:
 @pytest.mark.nightly
 def test_tracing_overhead_under_five_percent(tmp_path):
     """A fully traced 120-VM week (a ``RunTracer`` writing both JSONL
-    channels plus a ``MetricsRegistry`` timing every phase) takes under
+    channels and timing every phase) takes under
     5% longer than the untraced default: the median traced/untraced
     ratio over 40 pairs of runs, alternating which side goes first.
     Adjacent runs see nearly the same host speed, so pair ratios
@@ -588,10 +573,7 @@ def test_tracing_overhead_under_five_percent(tmp_path):
         start = time.perf_counter()
         kwargs = {}
         if traced:
-            kwargs = {
-                "tracer": RunTracer.for_run_dir(tmp_path),
-                "metrics": MetricsRegistry(),
-            }
+            kwargs = {"tracer": RunTracer.for_run_dir(tmp_path)}
         sim = DataCenterSimulation(
             dataset, DayAheadPredictor(dataset), EpactPolicy(),
             max_servers=80, **kwargs,

@@ -30,7 +30,13 @@ from repro.cloud.telemetry import TraceCollector
 from repro.core import EpactPolicy
 from repro.errors import CollectorTimeoutError, ConfigurationError
 from repro.forecast import DayAheadPredictor
-from repro.obs.tracer import RunTracer, validate_event
+from repro.obs.report import main as report_main
+from repro.obs.tracer import (
+    RunTracer,
+    iter_trace_file,
+    validate_event,
+    validate_trace_file,
+)
 from repro.serve import HttpCollector, PushCollector, TelemetryFeedServer
 from repro.serve.cli import main
 from repro.serve.service import ServeConfig, build_simulation, serve
@@ -305,3 +311,35 @@ class TestServeCliCheckpoints:
             capsys, path, "--telemetry", "collector-outage"
         )
         assert "collectors 1 in the checkpoint vs 2 in this run" in line
+
+
+# -- repro-serve run artifacts ----------------------------------------------
+
+
+class TestServeCliOut:
+    def test_out_writes_artifacts_with_phase_times(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        args = ["--n-vms", "24", "--n-slots", "12", "--quiet"]
+        assert main(args + ["--out", os.fspath(out)]) == 0
+        assert sorted(os.listdir(out)) == [
+            "manifest.json",
+            "summary.json",
+            "timing.jsonl",
+            "trace.jsonl",
+        ]
+        timing = out / "timing.jsonl"
+        validate_trace_file(timing, channel="timing")
+        phases = [
+            (e["phase"], e["calls"])
+            for e in iter_trace_file(timing)
+            if e["event"] == "phase_time"
+        ]
+        assert phases == [
+            ("account", 12),
+            ("forecast", 12),
+            ("policy", 12),
+            ("prepare", 12),
+        ]
+        capsys.readouterr()
+        assert report_main([os.fspath(out)]) == 0
+        assert "phase-time breakdown" in capsys.readouterr().out
