@@ -39,11 +39,12 @@ policy state, collector cursors, observations with bit-packed
 validity, and the ladder decisions from the boundary's day on — is a
 snapshot: a JSON header plus named NumPy arrays, kept in memory for
 the latest boundary only and written as one versioned ``.npz`` that
-loads with ``allow_pickle=False``.  Derived buffers (the imputed
-history) are left out and rebuilt by the next fill.  A run resumed
-from a snapshot is bit-identical to the uninterrupted run, because
-nothing downstream of the snapshot consults a clock or an unseeded
-RNG.
+loads with ``allow_pickle=False``.  Nothing derived is stored: no
+imputed history exists (gap-filled reads are computed from the
+observations), and a replay collector rebuilds its day of deliveries
+from its cursor.  A run resumed from a snapshot is bit-identical to
+the uninterrupted run, because nothing downstream of the snapshot
+consults a clock or an unseeded RNG.
 
 ``collectors=`` accepts any sequence of live
 :class:`~repro.serve.adapters.CollectorAdapter` implementations
@@ -226,9 +227,9 @@ class StreamingCloudSimulation(CloudSimulation):
             the stream the file-replay collectors play back).
         predictor: the batch day-ahead predictor.  With telemetry it
             contributes its configuration (history window, forecaster
-            factory, clip range) to the ladder's internal predictor,
-            which re-fits on *observed* data instead; without telemetry
-            it is used directly.
+            factory, clip range) to the ladder's fit, which runs on
+            *observed* data instead; without telemetry it is used
+            directly.
         policy: as in the batch engine.
         schedule: the VM lifecycle schedule.
         telemetry: the degradation timeline; ``None`` disables the

@@ -59,9 +59,10 @@ from ..errors import (
     CheckpointError,
     CollectorTimeoutError,
     ConfigurationError,
+    DomainError,
 )
-from ..forecast import DayAheadPredictor
-from ..serve.adapters import TelemetryBatch
+from ..forecast.predictor import DayAheadFitter
+from ..serve.adapters import TelemetryBatch, _empty_batch
 from ..traces.dataset import TraceDataset
 from ..units import SAMPLES_PER_DAY, SAMPLES_PER_SLOT, SLOTS_PER_DAY
 
@@ -341,13 +342,14 @@ class TelemetryFaultSchedule:
 
     # -- sample-granular access (collector internals) ------------------
 
-    def _sample_masks(self, vm_rows: np.ndarray):
-        """Per-sample (drop, nan, spike, delay) for a set of VM rows."""
+    def _sample_masks(self, rows: slice, lo: int = 0, hi: Optional[int] = None):
+        """Per-sample (drop, nan, spike, delay) views of a row slice,
+        over horizon samples ``[lo, hi)``."""
         return (
-            self._drop[vm_rows],
-            self._nan[vm_rows],
-            self._spike[vm_rows],
-            self._delay[vm_rows],
+            self._drop[rows, lo:hi],
+            self._nan[rows, lo:hi],
+            self._spike[rows, lo:hi],
+            self._delay[rows, lo:hi],
         )
 
 
@@ -564,16 +566,22 @@ class TraceCollector:
 
     A sample measured during slot ``s`` becomes available at the poll
     of slot ``s + 1`` (monitoring reports trail the interval they
-    cover) plus its scheduled delay; dropped samples never become
-    available.  Deliveries come back sorted by availability, so a
-    delayed sample from slot ``s`` arrives *after* on-time samples
-    from slots ``s+1 .. s+delay`` — genuine out-of-order delivery —
-    and everything that queued up during a dropout window arrives as
-    one burst at the first successful poll after recovery.
+    cover) plus its scheduled delay; dropped samples are never
+    delivered, however late the poll.  Deliveries come back sorted by
+    availability, so a delayed sample from slot ``s`` arrives *after*
+    on-time samples from slots ``s+1 .. s+delay`` — genuine
+    out-of-order delivery — and everything that queued up during a
+    dropout window arrives as one burst at the first successful poll
+    after recovery.
 
-    The cursor (how far the availability stream has been consumed,
-    plus the last successful poll slot) is the only mutable state —
-    exactly what :meth:`state` snapshots for checkpoint/resume.
+    The stream is built a day at a time: the first poll past the built
+    range builds every delivery that becomes available after the last
+    successful poll and by the end of the poll's day (stable-sorted by
+    availability, so ties come in (VM row, sample) order), and polls
+    slice it.  At most one day of deliveries is held.  The state is
+    ``(delivered count, last successful poll)`` — exactly what
+    :meth:`state` snapshots for checkpoint/resume; the built day is
+    derived from it and rebuilt after :meth:`restore`.
 
     Args:
         collector_id: this collector's id within the schedule.
@@ -582,7 +590,8 @@ class TraceCollector:
 
     Raises:
         ConfigurationError: if the schedule's VM pool does not match
-            the dataset.
+            the dataset, the id is not one of the schedule's
+            collectors, or the schedule runs past the dataset.
     """
 
     def __init__(
@@ -596,45 +605,27 @@ class TraceCollector:
                 f"telemetry schedule covers {schedule.n_vms} VMs, "
                 f"dataset has {dataset.n_vms}"
             )
+        if not 0 <= collector_id < schedule.n_collectors:
+            raise ConfigurationError(
+                f"collector id {collector_id} out of range "
+                f"[0, {schedule.n_collectors})"
+            )
+        if schedule.horizon_end * SAMPLES_PER_SLOT > dataset.n_samples:
+            raise ConfigurationError(
+                f"telemetry schedule covers slots [{schedule.horizon_start}, "
+                f"{schedule.horizon_end}), past the dataset's "
+                f"{dataset.n_slots} slots — build the schedule over the "
+                f"dataset's horizon"
+            )
         self._id = int(collector_id)
+        self._dataset = dataset
         self._schedule = schedule
-        vm_rows = schedule.collector_vm_rows(collector_id)
-        drop, nan, spike, delay = schedule._sample_masks(vm_rows)
-        n_local, n_samp = drop.shape
-        first_sample = schedule.horizon_start * SAMPLES_PER_SLOT
-
-        # Availability slot per (local VM, sample): measured during
-        # slot_of + delivered at the next poll + scheduled delay;
-        # dropped samples are pushed past every reachable poll slot.
-        slot_of = (
-            schedule.horizon_start + np.arange(n_samp) // SAMPLES_PER_SLOT
-        )
-        avail = slot_of[None, :] + 1 + delay
-        never = schedule.horizon_end + int(delay.max(initial=0)) + 2
-        avail = np.where(drop, never, avail)
-
-        # Flatten to a single availability-ordered delivery stream
-        # (stable sort: ties deliver in (VM row, sample) order).
-        flat_avail = avail.ravel()
-        order = np.argsort(flat_avail, kind="stable")
-        self._avail = flat_avail[order]
-        local_idx, sample_idx = np.unravel_index(order, (n_local, n_samp))
-        self._vm_rows = vm_rows[local_idx]
-        self._samples = sample_idx + first_sample
-
-        cpu = dataset.cpu_pct[self._vm_rows, self._samples]
-        mem = dataset.mem_pct[self._vm_rows, self._samples]
-        nan_f = nan.ravel()[order]
-        spike_f = spike.ravel()[order] & ~nan_f
-        cpu = np.where(nan_f, np.nan, cpu)
-        mem = np.where(nan_f, np.nan, mem)
-        cpu = np.where(spike_f, schedule.spike_pct, cpu)
-        mem = np.where(spike_f, schedule.spike_pct, mem)
-        self._cpu = cpu
-        self._mem = mem
-
-        self._cursor = 0
+        self._rows = slice(self._id, None, schedule.n_collectors)
+        delay = schedule._sample_masks(self._rows)[3]
+        self._max_delay = int(delay.max(initial=0))
+        self._delivered = 0
         self._last_success = schedule.horizon_start
+        self._clear_day()
 
     @property
     def collector_id(self) -> int:
@@ -658,28 +649,123 @@ class TraceCollector:
                 f"collector {self._id} timed out polling slot {slot} "
                 f"(inside a dropout window)"
             )
-        lo = self._cursor
-        hi = int(np.searchsorted(self._avail, slot, side="right"))
-        self._cursor = max(lo, hi)
-        self._last_success = max(self._last_success, int(slot))
+        slot = int(slot)
+        if slot > self._built_to:
+            self._build_day(slot)
+        lo = self._pos
+        hi = max(lo, int(np.searchsorted(self._avail, slot, side="right")))
+        self._pos = hi
+        self._delivered += hi - lo
+        self._last_success = max(self._last_success, slot)
+        day = self._day
         return TelemetryBatch(
-            vm_rows=self._vm_rows[lo : self._cursor],
-            samples=self._samples[lo : self._cursor],
-            cpu=self._cpu[lo : self._cursor],
-            mem=self._mem[lo : self._cursor],
+            vm_rows=day.vm_rows[lo:hi],
+            samples=day.samples[lo:hi],
+            cpu=day.cpu[lo:hi],
+            mem=day.mem[lo:hi],
+        )
+
+    def _clear_day(self) -> None:
+        """Hold no built deliveries (the next later poll builds)."""
+        self._built_to = self._last_success
+        self._pos = 0
+        self._avail = np.empty(0, dtype=np.int64)
+        self._day = _empty_batch()
+
+    def _build_day(self, slot: int) -> None:
+        """Build the deliveries available after the last successful
+        poll and by the last slot of ``slot``'s day."""
+        schedule = self._schedule
+        after = self._last_success
+        until = (slot // SLOTS_PER_DAY + 1) * SLOTS_PER_DAY - 1
+        # A sample of slot s arrives at s + 1 + delay, so only slots
+        # [after - max_delay, until) can arrive in (after, until].
+        start = schedule.horizon_start
+        lo = max(after - self._max_delay, start) * SAMPLES_PER_SLOT
+        hi = max(min(until, schedule.horizon_end) * SAMPLES_PER_SLOT, lo)
+        offset = start * SAMPLES_PER_SLOT
+        drop, nan, spike, delay = schedule._sample_masks(
+            self._rows, lo - offset, hi - offset
+        )
+        # Entries index the (VM row, sample) block in row-major order.
+        avail = (np.arange(lo, hi) // SAMPLES_PER_SLOT + 1 + delay).ravel()
+        entries = np.flatnonzero(
+            ~drop.ravel() & (avail > after) & (avail <= until)
+        )
+        # Keys this small radix-sort (stable) in linear time.
+        keys = (avail[entries] - after).astype(
+            np.min_scalar_type(until - after)
+        )
+        entries = entries[np.argsort(keys, kind="stable")]
+        local, col = np.divmod(entries, hi - lo)
+        cpu = np.take(self._dataset.cpu_pct[self._rows, lo:hi], entries)
+        mem = np.take(self._dataset.mem_pct[self._rows, lo:hi], entries)
+        nan_f = np.take(nan, entries)
+        spike_f = np.take(spike, entries) & ~nan_f
+        cpu[nan_f] = np.nan
+        mem[nan_f] = np.nan
+        cpu[spike_f] = schedule.spike_pct
+        mem[spike_f] = schedule.spike_pct
+        self._built_to = until
+        self._pos = 0
+        self._avail = avail[entries]
+        self._day = TelemetryBatch(
+            vm_rows=self._id + local * schedule.n_collectors,
+            samples=lo + col,
+            cpu=cpu,
+            mem=mem,
         )
 
     # -- checkpoint ----------------------------------------------------
 
     def state(self) -> Tuple[int, int]:
-        """Cursor snapshot: ``(stream position, last successful poll)``."""
-        return (self._cursor, self._last_success)
+        """Cursor snapshot: ``(delivered count, last successful poll)``."""
+        return (self._delivered, self._last_success)
 
     def restore(self, state: Tuple[int, int]) -> None:
         """Reset the cursor to a :meth:`state` snapshot."""
-        cursor, last_success = state
-        self._cursor = int(cursor)
+        delivered, last_success = state
+        self._delivered = int(delivered)
         self._last_success = int(last_success)
+        self._clear_day()
+
+
+def _replay_stream_reference(
+    collector_id: int,
+    dataset: TraceDataset,
+    schedule: TelemetryFaultSchedule,
+) -> Tuple[np.ndarray, TelemetryBatch]:
+    """One collector's whole-horizon delivery stream at once: the
+    oracle of :class:`TraceCollector`'s day-at-a-time build.
+
+    Returns every delivery's availability slot and the deliveries,
+    stable-sorted by availability with dropped samples left out.  A
+    collector's delivered count is its position in this stream, and
+    a poll returns the entries up to its last successful poll slot.
+    """
+    vm_rows = schedule.collector_vm_rows(collector_id)
+    drop, nan, spike, delay = (
+        mask[vm_rows] for mask in schedule._sample_masks(slice(None))
+    )
+    n_local, n_samp = drop.shape
+    slot_of = schedule.horizon_start + np.arange(n_samp) // SAMPLES_PER_SLOT
+    avail = (slot_of[None, :] + 1 + delay).ravel()
+    order = np.flatnonzero(~drop.ravel())
+    order = order[np.argsort(avail[order], kind="stable")]
+    local_idx, sample_idx = np.unravel_index(order, (n_local, n_samp))
+    rows = vm_rows[local_idx]
+    samples = sample_idx + schedule.horizon_start * SAMPLES_PER_SLOT
+    cpu = dataset.cpu_pct[rows, samples]
+    mem = dataset.mem_pct[rows, samples]
+    nan_f = nan.ravel()[order]
+    spike_f = spike.ravel()[order] & ~nan_f
+    cpu = np.where(nan_f, np.nan, cpu)
+    mem = np.where(nan_f, np.nan, mem)
+    cpu = np.where(spike_f, schedule.spike_pct, cpu)
+    mem = np.where(spike_f, schedule.spike_pct, mem)
+    return avail[order], TelemetryBatch(
+        vm_rows=rows, samples=samples, cpu=cpu, mem=mem
+    )
 
 
 # -- ingestion / imputation -------------------------------------------
@@ -695,11 +781,9 @@ class TelemetryIngest:
     (backfilled from the window's first observation when the VM has no
     earlier one), linear interpolation between observed samples inside,
     carry-forward past the last observed sample, and the cold-start
-    value for VMs never observed at all.  :meth:`fill_into`
-    additionally materializes the filled window into the shared
-    *imputed* buffers that back the observed
-    :class:`~repro.traces.dataset.TraceDataset` the
-    :class:`ForecastLadder` fits on.
+    value for VMs never observed at all.  A read returns a filled copy
+    and never writes the buffers, so no imputed history is kept: the
+    :class:`ForecastLadder` fits on :meth:`filled_window` directly.
 
     Reads are whole-array passes: :meth:`_fill` fills every gap of
     every VM at once from the window's gap runs, and the carry-forward
@@ -726,16 +810,6 @@ class TelemetryIngest:
         self.obs_cpu = np.zeros(shape)
         self.obs_mem = np.zeros(shape)
         self.valid = np.zeros(shape, dtype=bool)
-        # Imputed buffers double as the observed dataset's storage:
-        # TraceDataset is frozen but holds references, so in-place
-        # fills are visible to the predictor without rebuilding it.
-        self.imp_cpu = np.zeros(shape)
-        self.imp_mem = np.zeros(shape)
-        self.observed_dataset = TraceDataset(
-            specs=dataset.specs,
-            cpu_pct=self.imp_cpu,
-            mem_pct=self.imp_mem,
-        )
         #: Newest slot with at least one validly delivered sample
         #: (-1 until first delivery): the blind-window detector.
         self.newest_delivery_slot = -1
@@ -842,12 +916,6 @@ class TelemetryIngest:
         """LOCF/linear-filled copies of ``[lo, hi)`` (buffers untouched)."""
         return self._fill(lo, hi)
 
-    def fill_into(self, lo: int, hi: int) -> None:
-        """Fill ``[lo, hi)`` into the shared imputed buffers."""
-        cpu, mem = self._fill(lo, hi)
-        self.imp_cpu[:, lo:hi] = cpu
-        self.imp_mem[:, lo:hi] = mem
-
     def _fill(self, lo: int, hi: int):
         """Gap-filled copies of ``[lo, hi)``, every VM in one pass.
 
@@ -938,12 +1006,7 @@ class TelemetryIngest:
 
     def state(self) -> Dict[str, object]:
         """Checkpoint snapshot: observations, validity bit-packed along
-        the sample axis, and the newest delivery slot.
-
-        The imputed buffers are derived, not state: their one reader,
-        the ladder's fresh fit, reads only a range :meth:`fill_into`
-        has just filled.
-        """
+        the sample axis, and the newest delivery slot."""
         return {
             "obs_cpu": self.obs_cpu.copy(),
             "obs_mem": self.obs_mem.copy(),
@@ -952,12 +1015,7 @@ class TelemetryIngest:
         }
 
     def restore(self, state: Dict[str, object]) -> None:
-        """Restore a :meth:`state` snapshot in place (the observed
-        dataset keeps its array references).
-
-        The imputed buffers are reset to NaN, so a read that does not
-        follow a fill shows up in the forecasts instead of passing for
-        data.
+        """Restore a :meth:`state` snapshot in place.
 
         Raises:
             CheckpointError: if the snapshot's buffers do not match
@@ -978,8 +1036,6 @@ class TelemetryIngest:
         self.obs_cpu[:] = state["obs_cpu"]
         self.obs_mem[:] = state["obs_mem"]
         self.valid[:] = np.unpackbits(bits, axis=1, count=n_samples)
-        self.imp_cpu.fill(np.nan)
-        self.imp_mem.fill(np.nan)
         self.newest_delivery_slot = int(state["newest_delivery_slot"])
 
 
@@ -1001,9 +1057,16 @@ class ForecastLadder:
     must not retroactively change a forecast that was already used —
     that property is what makes checkpoint/resume bit-exact.
 
+    The ladder holds the fit configuration, not a predictor over a
+    dataset: the fresh rung fits :meth:`TelemetryIngest.filled_window`
+    of the history window, so nothing it holds can read the true
+    traces.  Deciding a new day drops every older one except the last
+    fresh day (the stale rung's source), so the cache holds what
+    :meth:`state` snapshots and no more.
+
     Args:
-        ingest: the ingestion stage whose imputed buffers back the
-            observed dataset.
+        ingest: the ingestion stage whose gap-filled reads the fresh
+            rung fits on.
         history_days: the fit window (mirrors the batch predictor).
         max_imputed_frac: highest imputed fraction of the history
             window that still counts as a fresh fit.
@@ -1011,11 +1074,11 @@ class ForecastLadder:
             be re-used, in slots (day-granular: a day-ahead forecast
             ages in whole days, so the budget must be at least
             ``SLOTS_PER_DAY`` or the stale rung is unreachable).
-        factory: forecaster factory for the internal predictor
-            (``None`` = the house Hannan-Rissanen/companion-matrix
-            default); pass the batch predictor's factory so clean
-            telemetry reproduces its forecasts bit-exactly.
-        clip_range: forecast clip range of the internal predictor.
+        factory: forecaster factory of the fit (``None`` = the house
+            Hannan-Rissanen/companion-matrix default); pass the batch
+            predictor's factory so clean telemetry reproduces its
+            forecasts bit-exactly.
+        clip_range: forecast clip range of the fit.
     """
 
     def __init__(
@@ -1043,12 +1106,8 @@ class ForecastLadder:
         self._ingest = ingest
         self._max_imputed = float(max_imputed_frac)
         self._budget = int(staleness_budget_slots)
-        self._history_days = int(history_days)
-        self._predictor = DayAheadPredictor(
-            ingest.observed_dataset,
-            history_days=history_days,
-            factory=factory,
-            clip_range=clip_range,
+        self._fitter = DayAheadFitter(
+            int(history_days), factory=factory, clip_range=clip_range
         )
         # day -> (rung, cpu_day, mem_day); arrays are None on the
         # "no usable forecast" rung.
@@ -1064,16 +1123,32 @@ class ForecastLadder:
         self.tracer = None
 
     def day_decision(self, day: int) -> Tuple[str, object, object]:
-        """The ladder's (rung, cpu, mem) for one forecast day (cached)."""
+        """The ladder's (rung, cpu, mem) for one forecast day (cached).
+
+        Days must be asked for in non-decreasing order (the engine's
+        windows run forward): a new day's decision evicts the older
+        days no later call can consult.
+
+        Raises:
+            DomainError: for an undecided day older than a decided one
+                (re-deciding it would fit on later observations).
+        """
         cached = self._days.get(day)
         if cached is not None:
             return cached
-        lo = (day - self._history_days) * SAMPLES_PER_DAY
+        newest = max(self._days, default=day)
+        if newest > day:
+            raise DomainError(
+                f"forecast day {day} precedes decided day {newest}: the "
+                f"ladder decides days in order and keeps only the "
+                f"latest and the last fresh one"
+            )
+        lo = max((day - self._fitter.history_days) * SAMPLES_PER_DAY, 0)
         hi = day * SAMPLES_PER_DAY
-        frac = self._ingest.missing_fraction(max(lo, 0), hi)
-        if frac <= self._max_imputed:
-            self._ingest.fill_into(max(lo, 0), hi)
-            cpu, mem = self._predictor.forecast_day(day)
+        if self._ingest.missing_fraction(lo, hi) <= self._max_imputed:
+            cpu, mem = self._fitter.fit_day(
+                day, *self._ingest.filled_window(lo, hi)
+            )
             decision = (RUNG_FRESH, cpu, mem)
             self._last_fresh_day = day
             self._sources[day] = day
@@ -1087,6 +1162,12 @@ class ForecastLadder:
             self._sources[day] = self._last_fresh_day
         else:
             decision = (RUNG_PERSISTENCE, None, None)
+        # Of the older days only the stale rung's source is read again.
+        for old in [
+            d for d in self._days if d < day and d != self._last_fresh_day
+        ]:
+            del self._days[old]
+            self._sources.pop(old, None)
         self._days[day] = decision
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.emit("ladder_rung", day=day, rung=decision[0])
@@ -1126,8 +1207,8 @@ class ForecastLadder:
         """Restore a :meth:`state` snapshot.
 
         The day cache carries the decision-time forecast arrays, so
-        the internal predictor is never re-consulted for restored days
-        — late backfills cannot rewrite history after a resume.
+        restored days are never re-fitted — late backfills cannot
+        rewrite history after a resume.
         """
         self._days = {}
         self._sources = {}

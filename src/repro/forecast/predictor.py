@@ -7,7 +7,9 @@ consume the *same* predictions, so forecast quality is a shared input, not
 a policy differentiator — exactly the paper's setup.
 
 :class:`DayAheadPredictor` implements this protocol over a
-:class:`~repro.traces.dataset.TraceDataset`; :class:`PerfectPredictor`
+:class:`~repro.traces.dataset.TraceDataset`, through the dataset-free
+fit of :class:`DayAheadFitter` (which the streaming engine's fallback
+ladder also calls, on gap-filled observations); :class:`PerfectPredictor`
 is the oracle variant used in ablations and tests.
 """
 
@@ -43,11 +45,17 @@ def default_forecaster_factory() -> DecomposedArimaForecaster:
     )
 
 
-class DayAheadPredictor:
-    """Per-VM day-ahead forecasts over a trace dataset.
+class DayAheadFitter:
+    """Per-VM day-ahead fits from given history matrices.
+
+    The fit configuration on its own, over no dataset: given the
+    ``history_days`` days before a forecast day as ``(n_vms, history)``
+    CPU and memory matrices, :meth:`fit_day` fits every VM's models and
+    forecasts the day.  :class:`DayAheadPredictor` feeds it windows of
+    a trace dataset; the streaming engine's fallback ladder feeds it
+    gap-filled observations.
 
     Args:
-        dataset: the utilization traces.
         history_days: trailing window the models are fitted on (the paper
             uses the previous week).
         factory: builds a fresh forecaster per (VM, resource, day); must
@@ -67,7 +75,6 @@ class DayAheadPredictor:
 
     def __init__(
         self,
-        dataset: TraceDataset,
         history_days: int = 7,
         factory: Optional[ForecasterFactory] = None,
         clip_range: Tuple[float, float] = (0.0, 100.0),
@@ -75,13 +82,11 @@ class DayAheadPredictor:
     ):
         if history_days < 2:
             raise DomainError("history_days must be >= 2 (seasonal fit)")
-        self._dataset = dataset
         self._history_days = history_days
         self._factory = (
             factory if factory is not None else default_forecaster_factory
         )
         self._clip = clip_range
-        self._cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._fallback_count = 0
         self._batch_params = None
         if batch:
@@ -104,39 +109,29 @@ class DayAheadPredictor:
         return self._history_days
 
     @property
-    def first_predictable_day(self) -> int:
-        """First day index with a full training window behind it."""
-        return self._history_days
-
-    @property
     def fallback_count(self) -> int:
         """Number of per-series fits that fell back to seasonal-naive."""
         return self._fallback_count
 
-    # -- forecasting ----------------------------------------------------------
+    # -- fitting --------------------------------------------------------------
 
-    def forecast_day(self, day_index: int) -> Tuple[np.ndarray, np.ndarray]:
+    def fit_day(
+        self, day_index: int, cpu: np.ndarray, mem: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Predicted CPU/memory for a day, shape ``(n_vms, 288)`` each.
 
-        Models are fitted on the ``history_days`` days before
-        ``day_index``; results are cached.
+        ``cpu`` and ``mem`` are the ``(n_vms, history_days * 288)``
+        samples of the ``history_days`` days before ``day_index``.  The
+        forecasts are not cached.
 
         Raises:
-            DomainError: if the day lacks a full training window or is
-                outside the dataset.
+            DomainError: if the day lacks a full training window.
         """
-        if day_index in self._cache:
-            return self._cache[day_index]
         if day_index < self._history_days:
             raise DomainError(
                 f"day {day_index} has no full {self._history_days}-day "
                 f"training window"
             )
-        if day_index >= self._dataset.n_days:
-            raise DomainError(f"day {day_index} outside the dataset")
-
-        lo = (day_index - self._history_days) * SAMPLES_PER_DAY
-        hi = day_index * SAMPLES_PER_DAY
         # Day-type labels (weekday = 0 / weekend = 1) so week-aware
         # forecasters build the profile from comparable days only.
         window_days = range(day_index - self._history_days, day_index)
@@ -145,46 +140,28 @@ class DayAheadPredictor:
         )
         target_type = 1 if day_index % 7 >= 5 else 0
         if self._batch_params is not None:
-            cpu_pred, mem_pred = self._forecast_day_batch(
-                lo, hi, season_types, target_type
+            cpu_pred, mem_pred = self._fit_batch(
+                (cpu, mem), season_types, target_type
             )
         else:
-            cpu_pred = np.empty((self._dataset.n_vms, SAMPLES_PER_DAY))
-            mem_pred = np.empty((self._dataset.n_vms, SAMPLES_PER_DAY))
-            for vm_id in range(self._dataset.n_vms):
+            cpu_pred = np.empty((cpu.shape[0], SAMPLES_PER_DAY))
+            mem_pred = np.empty((mem.shape[0], SAMPLES_PER_DAY))
+            for vm_id in range(cpu.shape[0]):
                 cpu_pred[vm_id] = self._forecast_series(
-                    self._dataset.cpu_pct[vm_id, lo:hi],
-                    season_types,
-                    target_type,
+                    cpu[vm_id], season_types, target_type
                 )
                 mem_pred[vm_id] = self._forecast_series(
-                    self._dataset.mem_pct[vm_id, lo:hi],
-                    season_types,
-                    target_type,
+                    mem[vm_id], season_types, target_type
                 )
         np.clip(cpu_pred, *self._clip, out=cpu_pred)
         np.clip(mem_pred, *self._clip, out=mem_pred)
-        self._cache[day_index] = (cpu_pred, mem_pred)
-        return self._cache[day_index]
-
-    def predicted_slot(
-        self, slot_index: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Predicted CPU/memory for one 1-hour slot, ``(n_vms, 12)`` each."""
-        day_index = slot_index // SLOTS_PER_DAY
-        cpu_day, mem_day = self.forecast_day(day_index)
-        offset = (slot_index % SLOTS_PER_DAY) * SAMPLES_PER_SLOT
-        return (
-            cpu_day[:, offset : offset + SAMPLES_PER_SLOT],
-            mem_day[:, offset : offset + SAMPLES_PER_SLOT],
-        )
+        return cpu_pred, mem_pred
 
     # -- internals --------------------------------------------------------
 
-    def _forecast_day_batch(
+    def _fit_batch(
         self,
-        lo: int,
-        hi: int,
+        windows: Tuple[np.ndarray, np.ndarray],
         season_types: np.ndarray,
         target_type: int,
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -199,11 +176,7 @@ class DayAheadPredictor:
         in the scalar route).
         """
         order, period, decay = self._batch_params
-        n_vms = self._dataset.n_vms
-        windows = (
-            self._dataset.cpu_pct[:, lo:hi],
-            self._dataset.mem_pct[:, lo:hi],
-        )
+        n_vms = windows[0].shape[0]
         forecasts = np.empty((2, n_vms, SAMPLES_PER_DAY))
         ok = np.zeros((2, n_vms), dtype=bool)
         try:
@@ -257,6 +230,74 @@ class DayAheadPredictor:
             fallback = SeasonalNaiveForecaster(period=SAMPLES_PER_DAY)
             fallback.fit(series)
             return fallback.forecast(SAMPLES_PER_DAY)
+
+
+class DayAheadPredictor(DayAheadFitter):
+    """Per-VM day-ahead forecasts over a trace dataset.
+
+    A :class:`DayAheadFitter` fed the dataset's windows: each forecast
+    day is fitted on the ``history_days`` days before it and cached.
+
+    Args:
+        dataset: the utilization traces.
+        history_days, factory, clip_range, batch: the fit
+            configuration, as in :class:`DayAheadFitter`.
+    """
+
+    def __init__(
+        self,
+        dataset: TraceDataset,
+        history_days: int = 7,
+        factory: Optional[ForecasterFactory] = None,
+        clip_range: Tuple[float, float] = (0.0, 100.0),
+        batch: bool = True,
+    ):
+        super().__init__(history_days, factory, clip_range, batch)
+        self._dataset = dataset
+        self._cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+
+    @property
+    def first_predictable_day(self) -> int:
+        """First day index with a full training window behind it."""
+        return self._history_days
+
+    # -- forecasting ----------------------------------------------------------
+
+    def forecast_day(self, day_index: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Predicted CPU/memory for a day, shape ``(n_vms, 288)`` each.
+
+        Models are fitted on the ``history_days`` days before
+        ``day_index`` (:meth:`fit_day` on the dataset's window); results
+        are cached.
+
+        Raises:
+            DomainError: if the day lacks a full training window or is
+                outside the dataset.
+        """
+        if day_index in self._cache:
+            return self._cache[day_index]
+        if day_index >= self._dataset.n_days:
+            raise DomainError(f"day {day_index} outside the dataset")
+        lo = (day_index - self._history_days) * SAMPLES_PER_DAY
+        hi = day_index * SAMPLES_PER_DAY
+        self._cache[day_index] = self.fit_day(
+            day_index,
+            self._dataset.cpu_pct[:, lo:hi],
+            self._dataset.mem_pct[:, lo:hi],
+        )
+        return self._cache[day_index]
+
+    def predicted_slot(
+        self, slot_index: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Predicted CPU/memory for one 1-hour slot, ``(n_vms, 12)`` each."""
+        day_index = slot_index // SLOTS_PER_DAY
+        cpu_day, mem_day = self.forecast_day(day_index)
+        offset = (slot_index % SLOTS_PER_DAY) * SAMPLES_PER_SLOT
+        return (
+            cpu_day[:, offset : offset + SAMPLES_PER_SLOT],
+            mem_day[:, offset : offset + SAMPLES_PER_SLOT],
+        )
 
 
 class PrecomputedPredictor:

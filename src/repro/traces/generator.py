@@ -13,6 +13,11 @@ traces with the statistical features the paper's machinery depends on
 * per-VM and per-group AR(1) noise,
 * abrupt bursts that defeat day-ahead prediction (Fig. 4's violations).
 
+Generation needs only NumPy: every series' AR(1) innovations are drawn
+straight into the output matrices, and each matrix is filtered by one
+time-stepped recursion over all its rows
+(:meth:`ClusterTraceGenerator.generate`).
+
 Two weeks are generated by default: the policies train their forecasters
 on week one and are evaluated on week two, mirroring the paper's protocol
 ("ARIMA considers the CPU and memory utilization from the previous week
@@ -30,7 +35,13 @@ from ..errors import ConfigurationError
 from ..perf.workload import MemoryClass
 from ..units import SAMPLES_PER_DAY
 from .dataset import TraceDataset
-from .patterns import ar1_noise, burst_events, diurnal_profile, weekly_modulation
+from .patterns import (
+    _ar1_filter,
+    _ar1_innovations,
+    _burst_draws,
+    diurnal_profile,
+    weekly_modulation,
+)
 from .vm import VmSpec
 
 _CLASS_ORDER = (MemoryClass.LOW, MemoryClass.MID, MemoryClass.HIGH)
@@ -109,107 +120,130 @@ class ClusterTraceGenerator:
         return self._config
 
     def generate(self) -> TraceDataset:
-        """Generate the dataset (deterministic for a given config)."""
+        """Generate the dataset (deterministic for a given config).
+
+        Every random number is drawn in one fixed order: the group
+        peaks and noise innovations, the VM classes, then per VM its
+        group, shape, CPU innovations, bursts, memory base and memory
+        innovations.  The innovations are drawn straight into the
+        group-noise matrix and the output CPU and memory matrices, each
+        matrix is filtered in place by one AR(1) recursion over all its
+        rows, and each VM row is then rendered in place.  Bursts stay
+        events until their row is rendered, so no transient outgrows
+        the output.  The matrices are separate allocations: as views of
+        one shared buffer they made the day-ahead fits that read them
+        50-60% slower (``paper-week``, 2-CPU Xeon container).
+        """
         cfg = self._config
         rng = np.random.default_rng(cfg.seed)
         n_samples = cfg.n_days * SAMPLES_PER_DAY
+        n_groups, n_vms = cfg.n_groups, cfg.n_vms
 
-        group_phases, group_noises = self._group_signals(rng, n_samples)
-        weekly = weekly_modulation(n_samples, cfg.weekend_factor)
+        group_noise = np.empty((n_groups, n_samples))
+        cpu = np.empty((n_vms, n_samples))
+        mem = np.empty((n_vms, n_samples))
 
-        specs: List[VmSpec] = []
-        cpu = np.empty((cfg.n_vms, n_samples))
-        mem = np.empty((cfg.n_vms, n_samples))
-        class_choices = rng.choice(
-            len(_CLASS_ORDER), size=cfg.n_vms, p=cfg.class_weights
+        # Business-hours biased peaks: most groups peak between samples
+        # 110 (9:10) and 230 (19:10), a few off-peak (batch windows).
+        group_phases = rng.uniform(110, 230, size=n_groups)
+        night_groups = rng.random(n_groups) < 0.2
+        group_phases[night_groups] = rng.uniform(
+            0, 80, size=int(night_groups.sum())
         )
-        for vm_id in range(cfg.n_vms):
+        for row in group_noise:
+            _ar1_innovations(row, rng, cfg.group_noise_sigma_fraction, 0.9)
+
+        class_choices = rng.choice(
+            len(_CLASS_ORDER), size=n_vms, p=cfg.class_weights
+        )
+        specs: List[VmSpec] = []
+        shapes = []
+        for vm_id in range(n_vms):
             mem_class = _CLASS_ORDER[int(class_choices[vm_id])]
-            group = int(rng.integers(0, cfg.n_groups))
-            spec, cpu_row, mem_row = self._one_vm(
-                rng,
-                vm_id,
-                mem_class,
-                group,
-                n_samples,
-                group_phases[group],
-                group_noises[group],
+            group = int(rng.integers(0, n_groups))
+            base = rng.uniform(*cfg.cpu_base_range_pct)
+            gain = rng.uniform(*cfg.cpu_diurnal_gain_range)
+            phase = group_phases[group] + rng.normal(0.0, 8.0)
+            sharpness = rng.uniform(1.5, 3.0)
+            _ar1_innovations(
+                cpu[vm_id], rng, cfg.cpu_noise_sigma_fraction, 0.85
+            )
+            bursts = _burst_draws(n_samples, rng, cfg.burst_rate_per_day)
+            mem_lo, mem_hi = cfg.mem_base_range_by_class[mem_class.label]
+            mem_base = rng.uniform(mem_lo, mem_hi)
+            _ar1_innovations(mem[vm_id], rng, 0.04, 0.95)
+            specs.append(
+                VmSpec(
+                    vm_id=vm_id,
+                    mem_class=mem_class,
+                    cpu_base_pct=base,
+                    mem_base_pct=mem_base,
+                    group=group,
+                )
+            )
+            shapes.append((gain, phase, sharpness, bursts))
+
+        for series, phi in ((group_noise, 0.9), (cpu, 0.85), (mem, 0.95)):
+            _ar1_filter(series, phi)
+        weekly = weekly_modulation(n_samples, cfg.weekend_factor)
+        for spec, shape in zip(specs, shapes):
+            self._render(
+                spec,
+                shape,
+                cpu[spec.vm_id],
+                mem[spec.vm_id],
+                group_noise[spec.group],
                 weekly,
             )
-            specs.append(spec)
-            cpu[vm_id] = cpu_row
-            mem[vm_id] = mem_row
         return TraceDataset(specs=tuple(specs), cpu_pct=cpu, mem_pct=mem)
 
     # -- internals --------------------------------------------------------
 
-    def _group_signals(
-        self, rng: np.random.Generator, n_samples: int
-    ) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """Per-group diurnal peak times and shared noise processes."""
-        cfg = self._config
-        # Business-hours biased peaks: most groups peak between samples
-        # 110 (9:10) and 230 (19:10), a few off-peak (batch windows).
-        phases = rng.uniform(110, 230, size=cfg.n_groups)
-        night_groups = rng.random(cfg.n_groups) < 0.2
-        phases[night_groups] = rng.uniform(0, 80, size=int(night_groups.sum()))
-        noises = [
-            ar1_noise(
-                n_samples, rng, sigma=cfg.group_noise_sigma_fraction, phi=0.9
-            )
-            for _ in range(cfg.n_groups)
-        ]
-        return phases, noises
-
-    def _one_vm(
+    def _render(
         self,
-        rng: np.random.Generator,
-        vm_id: int,
-        mem_class: MemoryClass,
-        group: int,
-        n_samples: int,
-        group_phase: float,
+        spec: VmSpec,
+        shape: Tuple[float, float, float, List[Tuple[int, int, float]]],
+        cpu_row: np.ndarray,
+        mem_row: np.ndarray,
         group_noise: np.ndarray,
         weekly: np.ndarray,
-    ) -> Tuple[VmSpec, np.ndarray, np.ndarray]:
+    ) -> None:
+        """Turn one VM's filtered noise rows into its traces, in place.
+
+        ``shape`` is the VM's diurnal gain, peak phase and sharpness and
+        its burst events.  CPU is ``base * (weekly * (0.55 + gain *
+        diurnal) + own noise + group noise + amplitude * burst mask)``
+        and memory is ``mem_base * (1 + coupling * (diurnal - mean) +
+        memory noise)``, each evaluated in that operation order and
+        clipped.
+        """
         cfg = self._config
-        base = rng.uniform(*cfg.cpu_base_range_pct)
-        gain = rng.uniform(*cfg.cpu_diurnal_gain_range)
-        phase = group_phase + rng.normal(0.0, 8.0)
-        sharpness = rng.uniform(1.5, 3.0)
-
-        diurnal = diurnal_profile(n_samples, phase, sharpness)
-        own_noise = ar1_noise(
-            n_samples, rng, sigma=cfg.cpu_noise_sigma_fraction, phi=0.85
-        )
-        bursts = burst_events(n_samples, rng, cfg.burst_rate_per_day)
-
-        cpu_row = base * (
-            weekly * (0.55 + gain * diurnal)
-            + own_noise
-            + group_noise
-            + cfg.burst_amplitude_fraction * bursts
-        )
+        gain, phase, sharpness, bursts = shape
+        diurnal = diurnal_profile(cpu_row.size, phase, sharpness)
+        level = gain * diurnal
+        level += 0.55
+        level *= weekly
+        level += cpu_row
+        level += group_noise
+        if bursts:
+            # The mask is zero outside its events' span, and adding
+            # zero changes no value there.
+            lo = min(start for start, _, _ in bursts)
+            hi = max(end for _, end, _ in bursts)
+            mask = np.zeros(hi - lo)
+            for start, end, amplitude in bursts:
+                span = mask[start - lo : end - lo]
+                np.maximum(span, amplitude, out=span)
+            level[lo:hi] += cfg.burst_amplitude_fraction * mask
+        np.multiply(spec.cpu_base_pct, level, out=cpu_row)
         np.clip(cpu_row, cfg.cpu_floor_pct, 100.0, out=cpu_row)
 
-        mem_lo, mem_hi = cfg.mem_base_range_by_class[mem_class.label]
-        mem_base = rng.uniform(mem_lo, mem_hi)
-        mem_noise = ar1_noise(n_samples, rng, sigma=0.04, phi=0.95)
-        mem_row = mem_base * (
-            1.0
-            + cfg.mem_cpu_coupling * (diurnal - diurnal.mean())
-            + mem_noise
-        )
+        diurnal -= diurnal.mean()
+        diurnal *= cfg.mem_cpu_coupling
+        diurnal += 1.0
+        diurnal += mem_row
+        np.multiply(spec.mem_base_pct, diurnal, out=mem_row)
         np.clip(mem_row, 0.5, 100.0, out=mem_row)
-
-        spec = VmSpec(
-            vm_id=vm_id,
-            mem_class=mem_class,
-            cpu_base_pct=base,
-            mem_base_pct=mem_base,
-            group=group,
-        )
-        return spec, cpu_row, mem_row
 
 
 def default_dataset(

@@ -16,6 +16,8 @@ composes them.
 
 from __future__ import annotations
 
+from typing import List, Tuple
+
 import numpy as np
 
 from ..errors import ConfigurationError
@@ -77,7 +79,9 @@ def ar1_noise(
     """Zero-mean AR(1) noise with stationary standard deviation ``sigma``.
 
     ``x_t = phi * x_{t-1} + eps_t``; the innovation variance is chosen so
-    the stationary process has the requested ``sigma``.
+    the stationary process has the requested ``sigma``.  The generator
+    draws its series with the same helper and filters them all with the
+    same recursion, so its rows equal this function's output.
     """
     if sigma < 0.0:
         raise ConfigurationError("sigma must be non-negative")
@@ -85,13 +89,45 @@ def ar1_noise(
         raise ConfigurationError("phi must be in (-1, 1) for stationarity")
     if n_samples == 0:
         return np.zeros(0)
-    from scipy.signal import lfilter
+    noise = np.empty((1, n_samples))
+    _ar1_innovations(noise[0], rng, sigma, phi)
+    _ar1_filter(noise, phi)
+    return noise[0]
 
-    innovation_sigma = sigma * np.sqrt(1.0 - phi * phi)
-    eps = rng.normal(0.0, innovation_sigma, size=n_samples)
-    eps[0] = rng.normal(0.0, sigma)
-    # x_t = phi x_{t-1} + eps_t is an IIR filter with a = [1, -phi].
-    return lfilter([1.0], [1.0, -phi], eps)
+
+def _ar1_innovations(
+    out: np.ndarray, rng: np.random.Generator, sigma: float, phi: float
+) -> None:
+    """Draw one series' AR(1) innovations into ``out`` (length >= 1).
+
+    The first entry is drawn from the stationary distribution, so the
+    filtered series starts in steady state.
+    """
+    out[:] = rng.normal(0.0, sigma * np.sqrt(1.0 - phi * phi), size=out.size)
+    out[0] = rng.normal(0.0, sigma)
+
+
+def _ar1_filter(series: np.ndarray, phi: float) -> None:
+    """Filter the rows of ``series`` in place: ``y_t = x_t + phi y_{t-1}``.
+
+    Each step is one float64 multiply and one add, exactly what
+    ``scipy.signal.lfilter([1.0], [1.0, -phi], row)`` computes, so the
+    output is bit-identical to it.  Many rows step through time
+    together, two NumPy calls per step; a single row steps through
+    Python floats (the same IEEE operations, far fewer calls).
+    """
+    phi = float(phi)
+    if series.shape[0] == 1:
+        row = series[0].tolist()
+        for t in range(1, len(row)):
+            row[t] += phi * row[t - 1]
+        series[0] = row
+        return
+    step = np.empty(series.shape[0])
+    columns = series.T  # columns[t]: every row's sample t
+    for t in range(1, len(columns)):
+        np.multiply(columns[t - 1], phi, out=step)
+        columns[t] += step
 
 
 def burst_events(
@@ -114,14 +150,32 @@ def burst_events(
     if not (1 <= min_duration <= max_duration):
         raise ConfigurationError("need 1 <= min_duration <= max_duration")
     mask = np.zeros(n_samples)
+    for start, end, amplitude in _burst_draws(
+        n_samples, rng, rate_per_day, min_duration, max_duration,
+        samples_per_day,
+    ):
+        mask[start:end] = np.maximum(mask[start:end], amplitude)
+    return mask
+
+
+def _burst_draws(
+    n_samples: int,
+    rng: np.random.Generator,
+    rate_per_day: float,
+    min_duration: int = 6,
+    max_duration: int = 36,
+    samples_per_day: int = SAMPLES_PER_DAY,
+) -> List[Tuple[int, int, float]]:
+    """The ``(start, end, amplitude)`` events :func:`burst_events`
+    renders, drawn in its order (arguments validated there)."""
     if n_samples == 0 or rate_per_day == 0.0:
-        return mask
+        return []
     n_days = n_samples / samples_per_day
     n_events = rng.poisson(rate_per_day * n_days)
+    events = []
     for _ in range(n_events):
         start = int(rng.integers(0, n_samples))
         duration = int(rng.integers(min_duration, max_duration + 1))
         amplitude = rng.uniform(0.5, 1.0)
-        end = min(n_samples, start + duration)
-        mask[start:end] = np.maximum(mask[start:end], amplitude)
-    return mask
+        events.append((start, min(n_samples, start + duration), amplitude))
+    return events

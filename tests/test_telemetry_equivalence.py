@@ -20,6 +20,7 @@ import copy
 import json
 import pickle
 import struct
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -44,6 +45,7 @@ from repro.cloud.telemetry import (
     TelemetryFaultSchedule,
     TelemetryIngest,
     TraceCollector,
+    _replay_stream_reference,
     generate_telemetry_faults,
     get_telemetry_scenario,
     zero_telemetry_faults,
@@ -56,8 +58,10 @@ from repro.errors import (
     CheckpointError,
     CollectorTimeoutError,
     ConfigurationError,
+    DomainError,
 )
 from repro.forecast import DayAheadPredictor
+from repro.obs import RunTracer
 from repro.power.server_power import (
     conventional_server_power_model,
     ntc_server_power_model,
@@ -190,6 +194,7 @@ class TestFallbackLadder:
         telemetry = TelemetryFaultSchedule(
             ds.n_vms, 0, ds.n_slots, drop=drop
         )
+        tracer = RunTracer()
         sim = StreamingCloudSimulation(
             ds,
             DayAheadPredictor(ds),
@@ -199,16 +204,25 @@ class TestFallbackLadder:
             max_servers=10,
             n_slots=4 * SLOTS_PER_DAY,
             blind_after_slots=10_000,  # isolate the ladder from blindness
+            tracer=tracer,
         )
         result = sim.run()
-        assert sim._ladder.day_decision(8)[0] == RUNG_FRESH
-        assert sim._ladder.day_decision(9)[0] == RUNG_FRESH
-        assert sim._ladder.day_decision(10)[0] == RUNG_STALE
+        rungs = {e["day"]: e["rung"] for e in tracer.of_type("ladder_rung")}
+        assert rungs == {
+            7: RUNG_FRESH, 8: RUNG_FRESH, 9: RUNG_FRESH, 10: RUNG_STALE
+        }
         assert result.total_stale_forecast_windows > 0
         # The stale rung re-uses the last fresh arrays verbatim.
         _, cpu9, _ = sim._ladder.day_decision(9)
         _, cpu10, _ = sim._ladder.day_decision(10)
         assert cpu10 is cpu9
+        # Each new day evicted the older ones except the stale rung's
+        # source; an evicted day is refused, not re-fitted on later
+        # observations.
+        assert sorted(sim._ladder._days) == [9, 10]
+        assert sim._ladder._sources == {9: 9, 10: 9}
+        with pytest.raises(DomainError, match="precedes decided day 10"):
+            sim._ladder.day_decision(8)
 
     def test_persistence_rung_when_nothing_fits(self, ds, fixed):
         drop = np.ones((ds.n_vms, ds.n_samples), dtype=bool)
@@ -361,6 +375,89 @@ class TestCollectors:
         )
         assert waits == []
 
+    def test_dropped_samples_are_never_delivered(self):
+        """However late the poll, a dropped sample stays lost: every
+        other sample arrives by the poll after its slot, and a poll far
+        past the horizon returns nothing more."""
+        ds = default_dataset(n_vms=6, n_days=2, seed=3)
+        schedule = get_telemetry_scenario("lossy-10pct").build(
+            ds.n_vms, 0, ds.n_slots, seed=3
+        )
+        collector = TraceCollector(0, ds, schedule)
+        delivered = sum(
+            collector.poll(slot).n_samples
+            for slot in range(1, ds.n_slots + 1)
+        )
+        assert delivered == int((~schedule._drop).sum())
+        assert collector.poll(ds.n_slots + 100).n_samples == 0
+        assert collector.state() == (delivered, ds.n_slots + 100)
+
+    def test_schedule_past_the_dataset_is_refused(self):
+        ds = default_dataset(n_vms=6, n_days=2, seed=3)
+        schedule = get_telemetry_scenario("lossy-10pct").build(6, 0, 72)
+        with pytest.raises(ConfigurationError, match=r"\[0, 72\).*48 slots"):
+            TraceCollector(0, ds, schedule)
+
+    def test_construction_holds_nothing_horizon_sized(self):
+        """Under 1 MB for a 400-VM, 16-day ``lossy-10pct`` schedule
+        (its whole-horizon stream takes about 70 MB)."""
+        ds = default_dataset(n_vms=400, n_days=16, seed=2018)
+        schedule = get_telemetry_scenario("lossy-10pct").build(
+            ds.n_vms, 0, ds.n_slots, seed=2018
+        )
+        tracemalloc.start()
+        try:
+            TraceCollector(0, ds, schedule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("name", sorted(TELEMETRY_SCENARIOS))
+    def test_polls_equal_the_whole_horizon_stream(self, name):
+        """Poll for poll, the day-at-a-time build returns the slice of
+        the whole-horizon reference stream between its delivered
+        counts, through random gaps and repeats, dropout windows, a
+        restore mid-run and polls past the horizon."""
+        ds = default_dataset(n_vms=10, n_days=4, seed=21)
+        schedule = TELEMETRY_SCENARIOS[name].build(
+            ds.n_vms, 0, ds.n_slots, seed=6
+        )
+        rng = np.random.default_rng(len(name))
+        polls = timeouts = restores = 0
+        for cid in range(schedule.n_collectors):
+            avail, stream = _replay_stream_reference(cid, ds, schedule)
+            collector = TraceCollector(cid, ds, schedule)
+            slot, saved = 0, None
+            while slot < ds.n_slots + 12:
+                step = int(rng.choice([-2, 0, 1, 1, 1, 2, 3, 9]))
+                slot = max(slot + step, 0)
+                before = collector.state()
+                try:
+                    batch = collector.poll(slot)
+                except CollectorTimeoutError:
+                    assert collector.state() == before
+                    timeouts += 1
+                    continue
+                polls += 1
+                count, last = collector.state()
+                assert count == np.searchsorted(avail, last, side="right")
+                for field in ("vm_rows", "samples", "cpu", "mem"):
+                    np.testing.assert_array_equal(
+                        getattr(batch, field),
+                        getattr(stream, field)[before[0] : count],
+                    )
+                if saved is None and slot > SLOTS_PER_DAY:
+                    saved = (collector.state(), slot)
+                elif saved and slot > 2 * SLOTS_PER_DAY:
+                    collector.restore(saved[0])
+                    slot = saved[1]
+                    saved = False
+                    restores += 1
+        assert polls > 20 and restores == schedule.n_collectors
+        if name == "collector-outage":
+            assert timeouts > 0
+
     def test_corruption_rejected_at_ingest(self):
         ds = default_dataset(n_vms=2, n_days=1, seed=3)
         cfg = TelemetryFaultConfig(nan_prob=0.5, spike_prob=0.5)
@@ -437,9 +534,6 @@ class TestImputation:
             cpu, mem = fill(0, 12)
             assert (cpu[1] == 37.0).all() and (mem[1] == 37.0).all()
             assert (cpu[0] == ds.cpu_pct[0, 5]).all()
-        ingest.fill_into(0, 12)
-        assert (ingest.imp_cpu[1, :12] == 37.0).all()
-        assert (ingest.imp_mem[1, :12] == 37.0).all()
         cpu, mem = ingest.last_values(0)
         assert (cpu == 37.0).all() and (mem == 37.0).all()
 

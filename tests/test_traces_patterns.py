@@ -1,12 +1,16 @@
 """Tests for the temporal pattern primitives."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.traces import default_dataset
 from repro.traces.patterns import (
+    _ar1_filter,
     ar1_noise,
     burst_events,
     diurnal_profile,
@@ -101,6 +105,54 @@ class TestAr1Noise:
             ar1_noise(10, rng, sigma=-1.0)
         with pytest.raises(ConfigurationError):
             ar1_noise(10, rng, sigma=1.0, phi=1.0)
+
+
+class TestAr1Filter:
+    """The in-place recursion the generator and ``ar1_noise`` share."""
+
+    @staticmethod
+    def _python_recursion(row, phi):
+        out = [float(v) for v in row]
+        for t in range(1, len(out)):
+            out[t] = out[t] + phi * out[t - 1]
+        return np.array(out, dtype=float)
+
+    @pytest.mark.parametrize("phi", [0.85, -0.9])
+    @pytest.mark.parametrize("rows", [1, 2, 7, 40])
+    @pytest.mark.parametrize("n", [0, 1, 2, 333])
+    def test_equals_per_series_python_recursion(self, rows, n, phi):
+        x = np.random.default_rng(rows * 1000 + n).normal(size=(rows, n))
+        y = x.copy()
+        _ar1_filter(y, phi)
+        for row, out in zip(x, y):
+            assert np.array_equal(out, self._python_recursion(row, phi))
+
+    @pytest.mark.parametrize("rows", [1, 25])
+    def test_equals_scipy_lfilter(self, rows):
+        signal = pytest.importorskip("scipy.signal")
+        x = np.random.default_rng(rows).normal(size=(rows, 4032))
+        for phi in (0.9, 0.85, 0.95, -0.6):
+            y = x.copy()
+            _ar1_filter(y, phi)
+            for row, out in zip(x, y):
+                expect = signal.lfilter([1.0], [1.0, -phi], row)
+                assert np.array_equal(out, expect)
+
+    def test_generator_output_pinned(self):
+        """SHA-256 of ``default_dataset(24, 9, seed=5)`` as generated
+        through ``scipy.signal.lfilter`` before the NumPy recursion."""
+        ds = default_dataset(24, 9, seed=5)
+        h = hashlib.sha256()
+        h.update(ds.cpu_pct.tobytes())
+        h.update(ds.mem_pct.tobytes())
+        specs = [
+            (s.vm_id, s.mem_class.label, s.cpu_base_pct, s.mem_base_pct, s.group)
+            for s in ds.specs
+        ]
+        h.update(repr(specs).encode())
+        assert h.hexdigest() == (
+            "51f942c09679e7c9e5340e11e509853c6c94290efaabf107546fdb992fc44373"
+        )
 
 
 class TestBursts:

@@ -1,5 +1,11 @@
 """Tests for unit helpers, error hierarchy and the public API surface."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -94,3 +100,39 @@ class TestPublicApi:
         assert main(["table1"]) == 0
         out = capsys.readouterr().out
         assert "Table I" in out
+
+
+class TestNumpyOnly:
+    def test_runs_without_scipy(self):
+        """The library needs only NumPy: in a fresh interpreter where
+        any SciPy import fails, traces, a churn scenario and a lossy
+        serve replay all build and run."""
+        script = textwrap.dedent(
+            """
+            import sys
+            sys.modules["scipy"] = None  # every scipy import now fails
+            from repro.cloud import get_scenario
+            from repro.serve import ServeConfig, serve
+            from repro.traces import default_dataset
+
+            default_dataset(n_vms=12, n_days=2, seed=1)
+            get_scenario("diurnal-burst").build(n_vms=12, n_days=9, seed=1)
+            result = serve(ServeConfig(
+                workload="diurnal-burst", telemetry_scenario="lossy-10pct",
+                n_vms=12, n_days=9, n_slots=6, max_servers=8,
+            ))
+            assert result.total_imputed_samples > 0
+            print("ok")
+            """
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
