@@ -746,8 +746,8 @@ def run_streaming_policies(
     re-fits on its own observed stream, deterministically, so parallel
     equals serial exactly; without telemetry the day-ahead predictions
     are frozen once and shared instead, as in the batch runners.
-    Serial runs thread ``tracer`` into every engine; parallel fans
-    drop it (pool task events cover the sweep).
+    Serial runs thread ``tracer`` into every engine; parallel fans give
+    it to :func:`~repro.dcsim.engine.fan_out` for task events.
     """
     policy_list = list(policies)
     if kwargs.get("collectors") is not None and jobs is not None and jobs > 1:
@@ -765,10 +765,13 @@ def run_streaming_policies(
             )
     else:
         kwargs = dict(kwargs, tracer=tracer)
-    runs = fan_out(
+    return fan_out(
         _run_one_streaming_policy,
         (dataset, predictor),
-        [(policy, schedule, telemetry, kwargs) for policy in policy_list],
+        [
+            (policy.name, (policy, schedule, telemetry, kwargs))
+            for policy in policy_list
+        ],
         jobs,
+        tracer=tracer,
     )
-    return {policy.name: run for policy, run in zip(policy_list, runs)}

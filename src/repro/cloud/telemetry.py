@@ -18,7 +18,7 @@ and go entirely dark while a collector restarts.  This module provides
   dataset played back as a delivery stream) behind the collector
   abstraction: per-poll timeout (a dropout window raises
   :class:`~repro.errors.CollectorTimeoutError`) with the bounded
-  retry/backoff hardening pattern of :mod:`repro.experiments.pool`
+  retry/backoff hardening pattern of :func:`repro.dcsim.engine.fan_out`
   (:func:`repro.serve.adapters.poll_with_retry`).  The protocol it
   pioneered — ``collector_id`` / ``poll`` / ``state`` / ``restore`` —
   is now :class:`repro.serve.adapters.CollectorAdapter`, home of the

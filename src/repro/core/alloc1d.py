@@ -30,11 +30,13 @@ Two implementations share this contract:
   (n_vms, n_samples) GEMV — but the per-pick Python-level work drops
   from ~10 full candidate-matrix passes to O(1) bookkeeping plus that
   single BLAS call (measured 5-8x at fleet scale);
-* the **reference path** (``fast=False``) is the seed's direct loop, kept
-  as the equivalence oracle.  The fast path reproduces its plans exactly
-  on non-degenerate inputs; correlations are accumulated in a different
-  order, so ties broken at float rounding granularity (~1e-15) may
-  differ in principle — see ``tests/test_fast_path_equivalence.py``.
+* the **reference path** (:func:`_allocate_1d_reference`, same
+  arguments as the fast path) is the seed's direct loop, kept as the
+  equivalence oracle the tests call.  The fast path reproduces its
+  plans exactly on non-degenerate inputs; correlations are accumulated
+  in a different order, so ties broken at float rounding granularity
+  (~1e-15) may differ in principle — see
+  ``tests/test_fast_path_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ def allocate_1d(
     cap_mem_pct: float = 100.0,
     max_servers: Optional[int] = None,
     order: Optional[Sequence[int]] = None,
-    fast: bool = True,
 ) -> Tuple[List[ServerPlan], int]:
     """Run Algorithm 1; returns the server plans and forced-placement count.
 
@@ -84,8 +85,6 @@ def allocate_1d(
         max_servers: optional fleet-size bound; exhausted capacity falls
             back to least-loaded force placement.
         order: explicit allocation order (defaults to FFD).
-        fast: use the incremental fast path (default); ``False`` runs the
-            seed reference loop.
     """
     if not (0.0 < cap_cpu_pct <= 100.0 + _EPS):
         raise DomainError(f"cap_cpu_pct must be in (0, 100], got {cap_cpu_pct}")
@@ -99,16 +98,7 @@ def allocate_1d(
         else ffd_order(pred_cpu)
     )
     validate_vm_order(sequence, n_vms)
-    if fast:
-        return _allocate_1d_fast(
-            pred_cpu,
-            pred_mem,
-            cap_cpu_pct,
-            cap_mem_pct,
-            max_servers,
-            sequence,
-        )
-    return _allocate_1d_reference(
+    return _allocate_1d_fast(
         pred_cpu, pred_mem, cap_cpu_pct, cap_mem_pct, max_servers, sequence
     )
 
@@ -408,7 +398,6 @@ def allocate_1d_pools(
     cap_cpu_pct: Sequence[float],
     cap_mem_pct: Sequence[float],
     max_servers: Sequence[Optional[int]],
-    fast: bool = True,
 ) -> Tuple[List[ServerPlan], np.ndarray, int]:
     """Algorithm 1 with a pool dimension: one independent run per pool.
 
@@ -427,7 +416,6 @@ def allocate_1d_pools(
         cap_cpu_pct: per-pool CPU caps.
         cap_mem_pct: per-pool memory caps.
         max_servers: per-pool fleet-size bounds (``None`` = unbounded).
-        fast: forwarded to every per-pool run.
 
     Returns:
         ``(plans, server_pools, forced)``.
@@ -443,7 +431,6 @@ def allocate_1d_pools(
             cap_cpu_pct[m],
             cap_mem_pct[m],
             max_servers=max_servers[m],
-            fast=fast,
         )
 
     return run_allocator_pools(run_pool, pool_vms)

@@ -46,9 +46,10 @@ Two implementations share this contract:
   ones; when fewer than 1/6 of the open servers are scoreable (fitting,
   minus the redundant empties) — tight memory-dominant packing — only
   those columns are gathered and scored;
-* the **reference path** (``fast=False``) is the seed's direct loop, kept
-  as the equivalence oracle.  Merit terms are accumulated in a different
-  order on the fast path (the dot products go through BLAS, whose
+* the **reference path** (:func:`_allocate_2d_reference`, same
+  arguments as the fast path) is the seed's direct loop, kept as the
+  equivalence oracle the tests call.  Merit terms are accumulated in a
+  different order on the fast path (the dot products go through BLAS, whose
   summation order depends on the build), so results can differ at float
   rounding granularity when two servers' merits tie to ~1e-12 — see
   ``tests/test_fast_path_equivalence.py``.
@@ -149,7 +150,6 @@ def allocate_2d(
     cap_mem_pct: float = 100.0,
     max_servers: Optional[int] = None,
     order: Optional[Sequence[int]] = None,
-    fast: bool = True,
 ) -> Tuple[List[ServerPlan], int]:
     """Run Algorithm 2; returns server plans and forced-placement count.
 
@@ -165,8 +165,6 @@ def allocate_2d(
             only happens once the fleet is exhausted.
         order: VM visiting order; the paper visits ``i = 1..N_VM``
             (natural order), which is the default.
-        fast: use the incremental fast path (default); ``False`` runs the
-            seed reference loop.
     """
     if n_servers < 1:
         raise DomainError("n_servers must be >= 1")
@@ -184,17 +182,7 @@ def allocate_2d(
     validate_vm_order(sequence, n_vms)
     fleet_bound = max_servers if max_servers is not None else n_servers
     fleet_bound = max(fleet_bound, n_servers)
-    if fast:
-        return _allocate_2d_fast(
-            pred_cpu,
-            pred_mem,
-            n_servers,
-            cap_cpu_pct,
-            cap_mem_pct,
-            fleet_bound,
-            sequence,
-        )
-    return _allocate_2d_reference(
+    return _allocate_2d_fast(
         pred_cpu,
         pred_mem,
         n_servers,
@@ -552,7 +540,6 @@ def allocate_2d_pools(
     cap_cpu_pct: Sequence[float],
     cap_mem_pct: Sequence[float],
     max_servers: Sequence[Optional[int]],
-    fast: bool = True,
 ) -> Tuple[List[ServerPlan], np.ndarray, int]:
     """Algorithm 2 with a pool dimension: one independent run per pool.
 
@@ -570,7 +557,6 @@ def allocate_2d_pools(
         cap_cpu_pct: per-pool CPU caps.
         cap_mem_pct: per-pool memory caps.
         max_servers: per-pool fleet-size bounds (``None`` = ``n_servers``).
-        fast: forwarded to every per-pool run.
 
     Returns:
         ``(plans, server_pools, forced)``.
@@ -593,7 +579,6 @@ def allocate_2d_pools(
             cap_cpu_pct[m],
             cap_mem_pct[m],
             max_servers=max_servers[m],
-            fast=fast,
         )
 
     return run_allocator_pools(run_pool, pool_vms)

@@ -136,7 +136,6 @@ def allocate_fleet_slot(
     pred_mem: np.ndarray,
     fleet: FleetSpec,
     sizing: FleetSizingResult,
-    fast: bool = True,
 ) -> Tuple[List, np.ndarray, int]:
     """Pack each pool's VM subset with the pool's own EPACT branch.
 
@@ -149,8 +148,7 @@ def allocate_fleet_slot(
     global-id remap and pool-major bookkeeping (one implementation for
     this and the ``allocate_*_pools`` wrappers), and every pool is a
     standalone allocator call — so the result is bit-identical to a
-    per-pool reference by construction (``fast=False`` still reaches
-    the seed allocator loops underneath).
+    per-pool reference by construction.
     """
     def run_pool(m: int, idx: np.ndarray):
         pool_sizing = sizing.pool_sizings[m]
@@ -162,7 +160,6 @@ def allocate_fleet_slot(
                 cap_cpu_pct=pool_sizing.cap_cpu_pct,
                 cap_mem_pct=pool_sizing.cap_mem_pct,
                 max_servers=pool.n_servers,
-                fast=fast,
             )
         else:
             plans, forced = allocate_2d(
@@ -172,7 +169,6 @@ def allocate_fleet_slot(
                 cap_cpu_pct=pool_sizing.cap_cpu_pct,
                 cap_mem_pct=pool_sizing.cap_mem_pct,
                 max_servers=pool.n_servers,
-                fast=fast,
             )
         for plan in plans:
             plan.planned_freq_ghz = pool_sizing.f_opt_ghz
@@ -194,9 +190,6 @@ class FleetEpactPolicy(AllocationPolicy):
             and cached).
         mem_headroom_pct: memory headroom kept per server, as in
             :class:`~repro.core.epact.EpactPolicy`.
-        fast: route the sizing sweep and the per-pool allocators
-            through their fast paths (default); ``False`` is the
-            end-to-end reference oracle.
     """
 
     name = "EPACT-FLEET"
@@ -205,7 +198,6 @@ class FleetEpactPolicy(AllocationPolicy):
         self,
         f_opt_ghz: Optional[Sequence[Optional[float]]] = None,
         mem_headroom_pct: float = 10.0,
-        fast: bool = True,
     ):
         if not (0.0 <= mem_headroom_pct < 100.0):
             raise ConfigurationError(
@@ -215,7 +207,6 @@ class FleetEpactPolicy(AllocationPolicy):
             list(f_opt_ghz) if f_opt_ghz is not None else None
         )
         self._mem_cap_pct = 100.0 - mem_headroom_pct
-        self._fast = fast
         # One-entry cache keyed by the fleet object itself (holding the
         # reference keeps ids stable): F_opt per pool is a ~n_opps-long
         # scalar power sweep, not per-slot work.
@@ -277,10 +268,9 @@ class FleetEpactPolicy(AllocationPolicy):
             assignments,
             f_opt_ghz=f_opts,
             cap_mem_pct=self._mem_cap_pct,
-            fast=self._fast,
         )
         plans, server_pools, forced = allocate_fleet_slot(
-            ctx.pred_cpu, ctx.pred_mem, fleet, sizing, fast=self._fast
+            ctx.pred_cpu, ctx.pred_mem, fleet, sizing
         )
         occupied = [
             s for s in sizing.pool_sizings if s is not None

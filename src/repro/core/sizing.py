@@ -118,7 +118,6 @@ def size_slot(
     max_servers: int,
     f_ntc_opt_ghz: float | None = None,
     cap_mem_pct: float = 100.0,
-    fast: bool = True,
 ) -> SizingResult:
     """Full per-slot sizing: Eq. 1, case split, and the case-1 search.
 
@@ -131,9 +130,6 @@ def size_slot(
             from the power model when omitted.
         cap_mem_pct: memory packing cap (headroom below 100% protects
             against memory mispredictions).
-        fast: evaluate the case-1 sweep against the cached per-OPP
-            tables (default); ``False`` keeps the scalar reference loop
-            as the oracle.
     """
     spec = power_model.spec
     f_max = spec.f_max_ghz
@@ -151,9 +147,7 @@ def size_slot(
     demand_ghz = peak_cpu * f_max / 100.0
 
     if n_cpu > n_mem:
-        n_best, f_best = _search_case1(
-            power_model, demand_ghz, n_mem, n_cpu, fast=fast
-        )
+        n_best, f_best = _search_case1(power_model, demand_ghz, n_mem, n_cpu)
         return SizingResult(
             case="cpu",
             n_servers=n_best,
@@ -188,7 +182,6 @@ def _search_case1(
     demand_ghz: float,
     n_mem: int,
     n_cpu: int,
-    fast: bool = True,
 ) -> tuple[int, float]:
     """Exhaustive (N, F) exploration of case 1 (paper Section V-B-1).
 
@@ -196,18 +189,15 @@ def _search_case1(
     frequency is the smallest OPP covering the spread demand; the pair with
     the lowest worst-case data-center power wins.
 
-    The default fast path evaluates the whole candidate sweep as one
-    array expression against the per-OPP coefficient tables of
+    The whole candidate sweep is one array expression against the
+    per-OPP coefficient tables of
     :class:`~repro.dcsim.power_tables.VectorizedServerPower` (the same
     tables the engine accounts power with) instead of one scalar
-    power-model call per candidate; ``fast=False`` keeps the scalar
-    reference loop.  The epsilon-hysteresis winner selection is shared,
-    so both paths pick the same ``(N, F)`` pair.
+    power-model call per candidate; :func:`_search_case1_reference`
+    (same arguments) keeps the scalar loop as the oracle.  The
+    epsilon-hysteresis winner rule is the same, so both pick the same
+    ``(N, F)`` pair.
     """
-    if not fast:
-        return _search_case1_reference(
-            power_model, demand_ghz, n_mem, n_cpu
-        )
     spec = power_model.spec
     freqs_tab = np.asarray(spec.opps.frequencies_ghz, dtype=float)
     f_max = spec.f_max_ghz
@@ -292,16 +282,13 @@ def size_fleet_slot(
     assignments: Sequence[np.ndarray],
     f_opt_ghz: Optional[Sequence[Optional[float]]] = None,
     cap_mem_pct: float = 100.0,
-    fast: bool = True,
 ) -> FleetSizingResult:
     """Platform-aware sizing: Eq. 1 per pool over a demand split.
 
     Each pool is sized independently — against its *own* power model,
     OPP table and cached :class:`~repro.dcsim.power_tables
     .VectorizedServerPower` coefficients — for the VM subset the split
-    assigned to it.  The per-pool case-1 sweep inherits
-    :func:`_search_case1`'s fast-path/oracle structure; ``fast=False``
-    routes every pool through the scalar reference loop.
+    assigned to it, through :func:`size_slot`.
 
     Args:
         pred_cpu: predicted CPU patterns ``(n_vms, n_samples)``, percent.
@@ -311,7 +298,6 @@ def size_fleet_slot(
             :func:`repro.core.fleet.split_fleet_vms`).
         f_opt_ghz: optional per-pool energy-optimal frequency overrides.
         cap_mem_pct: memory packing cap shared by all pools.
-        fast: forwarded to the per-pool case-1 sweep.
     """
     if len(assignments) != fleet.n_pools:
         raise DomainError(
@@ -332,7 +318,6 @@ def size_fleet_slot(
                 max_servers=pool.n_servers,
                 f_ntc_opt_ghz=f_opt,
                 cap_mem_pct=cap_mem_pct,
-                fast=fast,
             )
         )
     return FleetSizingResult(

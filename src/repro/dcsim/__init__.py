@@ -10,8 +10,10 @@ runners — :func:`run_policies` (fixed population),
 :func:`run_geo_policies` (sharded multi-region fleets) — which share
 one keyword surface: ``jobs`` and ``tracer``.  With
 ``jobs > 1`` each fans its independent runs out over worker processes
-through :func:`~repro.dcsim.engine.fan_out`, which hands the shared
-traces and forecasts to each worker once.
+through :func:`~repro.dcsim.engine.fan_out`, the one process fan (the
+experiment sweeps use it too), which hands the shared traces and
+forecasts to each worker once and retries a failed run once before
+reporting it as a :class:`~repro.dcsim.engine.FailedRun`.
 """
 
 from .cloud import CloudSimulation, run_cloud_policies

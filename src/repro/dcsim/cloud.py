@@ -115,8 +115,8 @@ def run_cloud_policies(
     traces and the frozen day-ahead predictions once, so workers re-fit
     nothing and results equal the serial run exactly (online policies
     are reset per run).  Serial runs thread ``tracer`` into every
-    engine; parallel fans drop it, as in
-    :func:`~repro.dcsim.engine.run_policies`.
+    engine; parallel fans give it to :func:`~repro.dcsim.engine.fan_out`
+    for task events, as in :func:`~repro.dcsim.engine.run_policies`.
     """
     policy_list = list(policies)
     if _fans_out(jobs, len(policy_list)):
@@ -125,10 +125,10 @@ def run_cloud_policies(
         )
     else:
         kwargs = dict(kwargs, tracer=tracer)
-    runs = fan_out(
+    return fan_out(
         _run_one_cloud_policy,
         (dataset, predictor),
-        [(policy, schedule, kwargs) for policy in policy_list],
+        [(policy.name, (policy, schedule, kwargs)) for policy in policy_list],
         jobs,
+        tracer=tracer,
     )
-    return {policy.name: run for policy, run in zip(policy_list, runs)}

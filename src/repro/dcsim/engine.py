@@ -5,8 +5,8 @@ engine.  Per allocation window it
 
 1. cuts the window at the policy's reallocation period (every slot for
    EPACT, every 24 slots for the day-ahead consolidation baselines),
-   at every VM arrival, departure or resize and at every fault-state
-   change;
+   at midnight, at every VM arrival, departure or resize and at every
+   fault-state change;
 2. hands the policy a
    :class:`~repro.core.online.CloudAllocationContext` over the
    window's active VMs (their day-ahead predictions, global ids and
@@ -45,11 +45,12 @@ preserves the seed's dense pair loop as the equivalence oracle.
 
 from __future__ import annotations
 
+import time
 from dataclasses import asdict, dataclass, field
 from dataclasses import fields as dc_fields, replace as dc_replace
 from functools import lru_cache
 from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -1053,13 +1054,18 @@ class DataCenterSimulation:
     def _window_length(self, slot: int, period: int) -> int:
         """Slots in the window starting at ``slot``.
 
-        The policy's reallocation period, cut short at the horizon end
-        and at the next membership, resize or fault-state change.
+        The policy's reallocation period, cut short at the horizon end,
+        at midnight and at the next membership, resize or fault-state
+        change.  The midnight cut keeps every decision causal: a window
+        reaching into day ``d + 1`` would plan those slots from
+        ``forecast_day(d + 1)``, whose fit reads all of day ``d``,
+        including the slots after the decision.
         """
         end = self._start_slot + self._n_slots
         n_window = min(
             period,
             end - slot,
+            SLOTS_PER_DAY - slot % SLOTS_PER_DAY,
             max(1, self._schedule.next_change(slot) - slot),
         )
         if self._faults is not None:
@@ -1692,48 +1698,103 @@ def _fans_out(jobs: Optional[int], n_tasks: int) -> bool:
     return jobs is not None and jobs > 1 and n_tasks > 1
 
 
+#: Seconds :func:`fan_out` waits for a pooled task, and again for its
+#: retry: generous, so that only a wedged worker trips it.
+FAN_WAIT_S = 900.0
+
+
+@dataclass(frozen=True)
+class FailedRun:
+    """What :func:`fan_out` returns for a task that failed twice.
+
+    Attributes:
+        key: the task's key.
+        error: both failures, on one line.
+        attempts: how often the task was tried: 2, or 1 when no retry
+            pool could be started.
+        elapsed_s: wall-clock seconds from the first submission to the
+            final failure, waits included.
+    """
+
+    key: Hashable
+    error: str
+    attempts: int
+    elapsed_s: float = 0.0
+
+
 #: A :func:`fan_out` worker's ``(fn, shared)``, set by its initializer.
 _WORKER: Tuple = ()
+
+
+def _shared_arrays(item) -> Iterator[np.ndarray]:
+    """The trace matrices and frozen forecasts inside a shared input."""
+    if isinstance(item, TraceDataset):
+        yield item.cpu_pct
+        yield item.mem_pct
+    elif isinstance(item, PrecomputedPredictor):
+        for day in item._days.values():
+            yield from day
+    elif isinstance(item, (list, tuple, dict)):
+        values = item.values() if isinstance(item, dict) else item
+        for value in values:
+            yield from _shared_arrays(value)
 
 
 def _init_worker(fn, *shared) -> None:
     """Pool initializer: keep ``fn`` and ``shared`` for every task.
 
     A worker reuses ``shared`` across its tasks, so the trace matrices
-    and frozen forecasts are made read-only: a stray write raises
-    instead of leaking from one task into the next.  The parent's
-    objects stay writable.
+    and frozen forecasts in it (nested in lists, tuples and dicts too)
+    are made read-only: a stray write raises instead of leaking from
+    one task into the next.  The parent's objects stay writable.
     """
     global _WORKER
-    for item in shared:
-        if isinstance(item, TraceDataset):
-            arrays = [item.cpu_pct, item.mem_pct]
-        elif isinstance(item, PrecomputedPredictor):
-            arrays = [a for day in item._days.values() for a in day]
-        else:
-            continue
-        for array in arrays:
-            array.flags.writeable = False
+    for array in _shared_arrays(shared):
+        array.flags.writeable = False
     _WORKER = (fn, shared)
 
 
-def _run_task(task: Tuple):
-    """Worker entry point: one task against the worker's shared inputs."""
+def _run_task(args: Tuple) -> Tuple[float, object]:
+    """Worker entry point: one task's own wall seconds and result."""
     fn, shared = _WORKER
-    return fn(*shared, *task)
+    start = time.perf_counter()
+    result = fn(*shared, *args)
+    return time.perf_counter() - start, result
+
+
+def _pool(fn, shared: Tuple, workers: int):
+    """A process pool whose workers receive ``fn`` and ``shared`` once."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(fn, *shared)
+    )
+
+
+def _failure(exc: BaseException) -> str:
+    """One attempt's failure, on one line."""
+    from concurrent.futures import TimeoutError as WaitTimeout
+
+    if isinstance(exc, WaitTimeout):
+        return f"timed out after {FAN_WAIT_S:g}s"
+    return f"{type(exc).__name__}: {exc}"
 
 
 def fan_out(
-    fn, shared: Tuple, tasks: Iterable[Tuple], jobs: Optional[int]
-) -> List:
-    """``[fn(*shared, *task) for task in tasks]``, over processes if asked.
+    fn,
+    shared: Tuple,
+    tasks: Iterable[Tuple[Hashable, Tuple]],
+    jobs: Optional[int],
+    tracer=None,
+) -> Dict[Hashable, object]:
+    """``{key: fn(*shared, *args)}`` for ``(key, args)`` tasks, in task order.
 
     With ``jobs <= 1`` (or ``None``) or a single task this runs
-    in-process.  Otherwise one ``ProcessPoolExecutor`` of
-    ``min(jobs, len(tasks))`` workers receives ``fn`` and ``shared`` once
-    per worker, through its initializer; only each task's own small
-    arguments travel with the task.  What a worker gets of ``shared``
-    depends on the start method:
+    in-process, and a task's exception propagates.  Otherwise one
+    ``ProcessPoolExecutor`` of ``min(jobs, len(tasks))`` workers
+    receives ``fn`` and ``shared`` once per worker, through its
+    initializer; only each task's own small arguments travel with the
+    task.  What a worker gets of ``shared`` depends on the start method:
 
     * ``fork`` (the Linux default through Python 3.13): the worker
       inherits the parent's objects; nothing is copied or pickled.
@@ -1747,28 +1808,111 @@ def fan_out(
     ``shared``, and the parent then blocks writing it instead of
     raising ``BrokenProcessPool``.
 
-    In a worker, a shared :class:`~repro.traces.dataset.TraceDataset`'s
-    matrices and a :class:`~repro.forecast.predictor
-    .PrecomputedPredictor`'s arrays are read-only.  Results come back
-    in task order; the first worker exception propagates.
+    In a worker, the trace matrices of every shared
+    :class:`~repro.traces.dataset.TraceDataset` and the arrays of every
+    :class:`~repro.forecast.predictor.PrecomputedPredictor` are
+    read-only, also inside lists, tuples and dicts.
+
+    A pooled task that raises, or whose result takes longer than
+    :data:`FAN_WAIT_S`, is retried once in a fresh single-worker pool
+    built the same way; if the retry fails too, its slot holds a
+    :class:`FailedRun` and the other tasks' results are kept.  With a
+    tracer, the pooled path emits ``task_start`` / ``task_retry`` /
+    ``task_done`` / ``task_failed`` events and one ``task_time`` timing
+    per task, all from the parent (tracers never cross into workers).
 
     Args:
         fn: a module-level (picklable) function.
         shared: the arguments every task shares, passed first.
-        tasks: per-task argument tuples, passed after ``shared``.
+        tasks: ``(key, args)`` pairs; ``args`` is passed after
+            ``shared``.
         jobs: worker processes.
+        tracer: optional :class:`~repro.obs.tracer.RunTracer` for the
+            pooled path's task events.
+
+    Raises:
+        ValueError: if two tasks share a key.
     """
     tasks = list(tasks)
+    keys = [key for key, _ in tasks]
+    if len(set(keys)) != len(keys):
+        raise ValueError("fan_out task keys must be unique")
     if not _fans_out(jobs, len(tasks)):
-        return [fn(*shared, *task) for task in tasks]
-    from concurrent.futures import ProcessPoolExecutor
+        return {key: fn(*shared, *args) for key, args in tasks}
+    traced = tracer is not None and tracer.enabled
+    results: Dict[Hashable, object] = {}
+    elapsed: Dict[Hashable, float] = {}
+    first_error: Dict[Hashable, str] = {}
+    submitted: Dict[Hashable, float] = {}
 
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(tasks)),
-        initializer=_init_worker,
-        initargs=(fn, *shared),
-    ) as pool:
-        return list(pool.map(_run_task, tasks))
+    pool = _pool(fn, shared, min(jobs, len(tasks)))
+    try:
+        futures = {}
+        for key, args in tasks:
+            if traced:
+                tracer.emit("task_start", key=str(key))
+            submitted[key] = time.perf_counter()
+            futures[key] = pool.submit(_run_task, args)
+        for key, _ in tasks:
+            results[key] = None  # keeps task order through the retries
+            try:
+                elapsed[key], results[key] = futures[key].result(
+                    timeout=FAN_WAIT_S
+                )
+            except Exception as exc:  # the task raised or its worker died
+                futures[key].cancel()
+                first_error[key] = _failure(exc)
+    finally:
+        # A wedged worker would hang a waiting shutdown; wait only when
+        # every task came back.
+        pool.shutdown(wait=not first_error, cancel_futures=bool(first_error))
+
+    task_args = dict(tasks)
+    for key, error in first_error.items():
+        if traced:
+            tracer.emit("task_retry", key=str(key), error=error)
+        attempts = 1
+        try:
+            solo = _pool(fn, shared, 1)
+            try:
+                attempts = 2
+                elapsed[key], results[key] = solo.submit(
+                    _run_task, task_args[key]
+                ).result(timeout=FAN_WAIT_S)
+            finally:
+                solo.shutdown(wait=False, cancel_futures=True)
+        except Exception as exc:
+            results[key] = FailedRun(
+                key=key,
+                error=f"first attempt: {error}; retry: {_failure(exc)}",
+                attempts=attempts,
+                elapsed_s=time.perf_counter() - submitted[key],
+            )
+
+    if traced:
+        for key in keys:
+            value = results[key]
+            if isinstance(value, FailedRun):
+                tracer.emit(
+                    "task_failed",
+                    key=str(key),
+                    error=value.error,
+                    attempts=value.attempts,
+                )
+                seconds, attempts = value.elapsed_s, value.attempts
+            else:
+                tracer.emit(
+                    "task_done", key=str(key), retried=key in first_error
+                )
+                seconds, attempts = elapsed[key], 1 + (key in first_error)
+            tracer.timing(
+                "task_time",
+                key=str(key),
+                elapsed_s=seconds,
+                attempts=attempts,
+                failed=isinstance(value, FailedRun),
+            )
+    return results
 
 
 def _run_one_policy(
@@ -1807,13 +1951,16 @@ def run_policies(
             horizon's day-ahead predictions are frozen once
             (:func:`shared_predictions`) and handed with the traces to
             each worker once, so no worker re-fits the forecaster.
-            Results are identical to the serial run.
+            Results are identical to the serial run; a policy whose
+            run fails twice gets a :class:`FailedRun`.
         tracer: optional :class:`~repro.obs.tracer.RunTracer`.  Serial
-            runs thread it into every engine; parallel fans drop it
-            (open file handles don't cross pickle boundaries) —
-            sweep-level task events come from the experiments pool
-            layer instead.
+            runs thread it into every engine; parallel fans give it to
+            :func:`fan_out` for task events instead (open file handles
+            don't cross pickle boundaries).
         **kwargs: forwarded to :class:`DataCenterSimulation`.
+
+    Returns:
+        The runs keyed by policy name, in policy order.
     """
     policy_list = list(policies)
     if _fans_out(jobs, len(policy_list)):
@@ -1822,10 +1969,10 @@ def run_policies(
         )
     else:
         kwargs = dict(kwargs, tracer=tracer)
-    runs = fan_out(
+    return fan_out(
         _run_one_policy,
         (dataset, predictor),
-        [(policy, kwargs) for policy in policy_list],
+        [(policy.name, (policy, kwargs)) for policy in policy_list],
         jobs,
+        tracer=tracer,
     )
-    return {policy.name: run for policy, run in zip(policy_list, runs)}

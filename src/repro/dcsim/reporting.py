@@ -34,6 +34,18 @@ def format_table(
     return "\n".join(lines)
 
 
+def failed_line(key: object, failure) -> str:
+    """The report line of one :class:`~repro.dcsim.engine.FailedRun`.
+
+    Every experiment report gives the same facts for a failed run: what
+    failed, how often it was tried, how long it burned and the error.
+    """
+    return (
+        f"  FAILED {key} after {failure.attempts} attempt(s) in "
+        f"{failure.elapsed_s:.1f}s: {failure.error}"
+    )
+
+
 def _fmt(cell: object) -> str:
     if isinstance(cell, float):
         return f"{cell:.3f}"

@@ -6,12 +6,12 @@ the paper's day-ahead EPACT and the online policies (placement-only
 best-fit, reactive threshold consolidation, forecast-assisted reactive),
 and reports the SLA/energy/migration trade-off per scenario.
 
-With ``jobs > 1`` every (scenario, policy) pair fans out over the
-hardened pool runner (:mod:`repro.experiments.pool`): the day-ahead
-predictions are frozen once per scenario and shipped to the workers as
-plain arrays, so results equal the serial run exactly; a pair that
-times out or crashes is retried once and, failing that, reported as a
-failed run in the output instead of aborting the sweep.
+With ``jobs > 1`` every (scenario, policy) pair fans out over
+:func:`~repro.dcsim.engine.fan_out`: the day-ahead predictions are
+frozen once per scenario and handed to each worker once with the
+traces, so results equal the serial run exactly; a pair that times
+out or crashes is retried once and, failing that, reported as a failed
+run in the output instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from ..baselines import OnlineBestFitPolicy, OnlineReactivePolicy
 from ..cloud import get_scenario, sla_table, summarize
 from ..core import EpactPolicy
 from ..core.types import AllocationPolicy
-from ..dcsim import SimulationResult, run_cloud_policies
+from ..dcsim import SimulationResult
 from ..dcsim.cloud import _run_one_cloud_policy
-from ..dcsim.engine import shared_predictions
+from ..dcsim.engine import FailedRun, _fans_out, fan_out, shared_predictions
+from ..dcsim.reporting import failed_line
 from ..forecast import DayAheadPredictor
-from .pool import FailedRun, failed_line, run_tasks
 
 DEFAULT_SCENARIOS = (
     "zero-churn",
@@ -46,6 +46,12 @@ def default_cloud_policies() -> List[AllocationPolicy]:
         OnlineReactivePolicy(),
         OnlineReactivePolicy(signal="forecast", name="ONLINE-REACTIVE-F"),
     ]
+
+
+def _run_pair(prepared: Dict, kwargs: Dict, name: str, policy):
+    """One (scenario, policy) run (a picklable task body)."""
+    dataset, predictor, schedule = prepared[name]
+    return _run_one_cloud_policy(dataset, predictor, policy, schedule, kwargs)
 
 
 @dataclass(frozen=True)
@@ -76,7 +82,7 @@ def run_cloud(
     Args:
         quick: shrink to 120 VMs / 9 days / 2 evaluated days.
         jobs: worker processes; every (scenario, policy) pair is one
-            task in a single shared pool.
+            task of a single :func:`~repro.dcsim.engine.fan_out`.
         scenario_names: subset of the registry (default: all).
         n_vms / n_days / seed: scenario build configuration.
         n_slots: evaluated slots (default: everything after training).
@@ -85,7 +91,7 @@ def run_cloud(
             stateful online policies; the defaults are fresh).
         tracer: optional observability hook (:mod:`repro.obs`).
             Serial runs trace at engine level; parallel sweeps emit
-            pool task events only (tracers do not cross the pickle
+            task events only (tracers do not cross the pickle
             boundary).  Results are identical.
     """
     if quick:
@@ -95,47 +101,35 @@ def run_cloud(
     policy_list = (
         list(policies) if policies is not None else default_cloud_policies()
     )
+    tasks = [
+        ((name, policy.name), (name, policy))
+        for name in names
+        for policy in policy_list
+    ]
+    fans = _fans_out(jobs, len(tasks))
     kwargs = dict(n_slots=n_slots, max_servers=max_servers)
-
+    if not fans:
+        kwargs["tracer"] = tracer
     prepared = {}
     for name in names:
         dataset, schedule = get_scenario(name).build(
             n_vms=n_vms, n_days=n_days, seed=seed, n_slots=n_slots
         )
-        prepared[name] = (dataset, DayAheadPredictor(dataset), schedule)
+        predictor = DayAheadPredictor(dataset)
+        if fans:
+            predictor = shared_predictions(dataset, predictor, n_slots=n_slots)
+        prepared[name] = (dataset, predictor, schedule)
 
-    results: Dict[str, Dict[str, SimulationResult]] = {}
-    if jobs is None or jobs <= 1:
-        for name in names:
-            dataset, predictor, schedule = prepared[name]
-            results[name] = run_cloud_policies(
-                dataset,
-                predictor,
-                policy_list,
-                schedule,
-                tracer=tracer,
-                **kwargs,
-            )
-        return CloudResult(results=results)
-
-    tasks = []
-    for name in names:
-        dataset, predictor, schedule = prepared[name]
-        shared = shared_predictions(dataset, predictor, n_slots=n_slots)
-        tasks.extend(
-            (
-                (name, policy.name),
-                (dataset, shared, policy, schedule, kwargs),
-            )
-            for policy in policy_list
-        )
-    runs = run_tasks(_run_one_cloud_policy, tasks, jobs, tracer=tracer)
-    for name in names:
-        results[name] = {
-            policy.name: runs[(name, policy.name)]
-            for policy in policy_list
+    runs = fan_out(_run_pair, (prepared, kwargs), tasks, jobs, tracer=tracer)
+    return CloudResult(
+        results={
+            name: {
+                policy.name: runs[(name, policy.name)]
+                for policy in policy_list
+            }
+            for name in names
         }
-    return CloudResult(results=results)
+    )
 
 
 def render(result: CloudResult) -> str:

@@ -17,8 +17,9 @@ The report shows, per fault scenario, the SLA table plus the
 degraded-operation table (shed VM-minutes, server downtime, fault
 migrations, cap throttling).
 
-With ``jobs > 1`` every (scenario, policy) pair fans out over the
-hardened pool runner (:mod:`repro.experiments.pool`); failures are
+With ``jobs > 1`` every (scenario, policy) pair fans out over
+:func:`~repro.dcsim.engine.fan_out`, which hands each worker the traces,
+the frozen day-ahead predictions and the schedules once; failures are
 reported per pair instead of aborting the sweep, and results equal the
 serial run exactly.
 """
@@ -34,10 +35,10 @@ from ..cloud.faults import FaultSchedule
 from ..core import EpactPolicy
 from ..core.types import AllocationPolicy
 from ..dcsim import SimulationResult
-from ..dcsim.cloud import CloudSimulation, _run_one_cloud_policy
-from ..dcsim.engine import shared_predictions
+from ..dcsim.cloud import _run_one_cloud_policy
+from ..dcsim.engine import FailedRun, _fans_out, fan_out, shared_predictions
+from ..dcsim.reporting import failed_line
 from ..forecast import DayAheadPredictor
-from .pool import FailedRun, failed_line, run_tasks
 
 DEFAULT_FAULT_SCENARIOS = (
     "none",
@@ -57,6 +58,25 @@ def default_fault_policies() -> List[AllocationPolicy]:
         OnlineReactivePolicy(),
         OnlineReactivePolicy(signal="forecast", name="ONLINE-REACTIVE-F"),
     ]
+
+
+def _run_pair(
+    dataset,
+    predictor,
+    schedule,
+    fault_schedules: Dict,
+    kwargs: Dict,
+    name: str,
+    policy,
+):
+    """One (fault scenario, policy) run (a picklable task body)."""
+    return _run_one_cloud_policy(
+        dataset,
+        predictor,
+        policy,
+        schedule,
+        dict(kwargs, faults=fault_schedules[name]),
+    )
 
 
 @dataclass(frozen=True)
@@ -85,7 +105,7 @@ def run_faults(
     Args:
         quick: shrink to 120 VMs / 9 days / 2 evaluated days.
         jobs: worker processes; every (fault scenario, policy) pair is
-            one task in the hardened pool runner.
+            one task of a single :func:`~repro.dcsim.engine.fan_out`.
         fault_names: subset of the fault registry (default: all).
         workload: the cloud workload scenario the faults hit
             (zero-churn by default so fault effects are isolated from
@@ -97,8 +117,8 @@ def run_faults(
             stateful online policies; the defaults are fresh).
         tracer: optional observability hook (:mod:`repro.obs`).
             Serial runs trace at engine level (fault preambles,
-            transitions, windows); parallel sweeps emit pool task
-            events only (tracers do not cross the pickle boundary).
+            transitions, windows); parallel sweeps emit task events
+            only (tracers do not cross the pickle boundary).
             Results are identical.
     """
     if quick:
@@ -114,10 +134,18 @@ def run_faults(
         list(policies) if policies is not None else default_fault_policies()
     )
 
+    tasks = [
+        ((name, policy.name), (name, policy))
+        for name in names
+        for policy in policy_list
+    ]
+    fans = _fans_out(jobs, len(tasks))
     dataset, schedule = get_scenario(workload).build(
         n_vms=n_vms, n_days=n_days, seed=seed, n_slots=n_slots
     )
     predictor = DayAheadPredictor(dataset)
+    if fans:
+        predictor = shared_predictions(dataset, predictor, n_slots=n_slots)
     # One schedule per fault scenario, covering the whole dataset
     # horizon (the engine checks coverage of the evaluated window).
     schedules = {
@@ -129,45 +157,23 @@ def run_faults(
         )
         for name in names
     }
+    kwargs = dict(n_slots=n_slots, max_servers=max_servers)
+    if not fans:
+        kwargs["tracer"] = tracer
 
-    results: Dict[str, Dict[str, SimulationResult]] = {}
-    if jobs is None or jobs <= 1:
-        for name in names:
-            kwargs = dict(
-                n_slots=n_slots,
-                max_servers=max_servers,
-                faults=schedules[name],
-                tracer=tracer,
-            )
-            results[name] = {
-                policy.name: CloudSimulation(
-                    dataset, predictor, policy, schedule, **kwargs
-                ).run()
-                for policy in policy_list
-            }
-        return FaultsResult(results=results, schedules=schedules)
-
-    shared = shared_predictions(dataset, predictor, n_slots=n_slots)
-    tasks = []
-    for name in names:
-        kwargs = dict(
-            n_slots=n_slots,
-            max_servers=max_servers,
-            faults=schedules[name],
-        )
-        tasks.extend(
-            (
-                (name, policy.name),
-                (dataset, shared, policy, schedule, kwargs),
-            )
-            for policy in policy_list
-        )
-    runs = run_tasks(_run_one_cloud_policy, tasks, jobs, tracer=tracer)
-    for name in names:
-        results[name] = {
-            policy.name: runs[(name, policy.name)]
-            for policy in policy_list
+    runs = fan_out(
+        _run_pair,
+        (dataset, predictor, schedule, schedules, kwargs),
+        tasks,
+        jobs,
+        tracer=tracer,
+    )
+    results = {
+        name: {
+            policy.name: runs[(name, policy.name)] for policy in policy_list
         }
+        for name in names
+    }
     return FaultsResult(results=results, schedules=schedules)
 
 

@@ -30,13 +30,19 @@ from ..dcsim import (
     series_block,
     total_energy_savings_pct,
 )
+from ..dcsim.engine import FailedRun
+from ..dcsim.reporting import failed_line
 from ..forecast import DayAheadPredictor
 from ..traces import TraceDataset, default_dataset
 
 
 @dataclass(frozen=True)
 class Fig456Result:
-    """Policy runs plus the headline comparison statistics."""
+    """Policy runs plus the headline comparison statistics.
+
+    Under ``jobs > 1`` a policy whose run failed twice holds a
+    :class:`~repro.dcsim.engine.FailedRun` instead.
+    """
 
     results: Dict[str, SimulationResult]
 
@@ -130,8 +136,19 @@ def run_fig456(
 
 
 def render(result: Fig456Result) -> str:
-    """Weekly series sparklines plus the headline statistics."""
+    """Weekly series sparklines plus the headline statistics.
+
+    The headlines need every run: if one failed, its ``FAILED`` line
+    stands in place of the figures.
+    """
     lines = ["Figs. 4-6 — one-week policy comparison"]
+    failed = [
+        failed_line(name, run)
+        for name, run in result.results.items()
+        if isinstance(run, FailedRun)
+    ]
+    if failed:
+        return "\n".join(lines + failed)
     lines.append("")
     lines.append(comparison_table(result.results))
     lines.append("\nFig. 4: violations per slot")

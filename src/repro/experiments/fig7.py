@@ -16,8 +16,8 @@ from ..anchors import FIG7_STATIC_POWER_SWEEP_W
 from ..baselines import CoatPolicy
 from ..core import EpactPolicy
 from ..dcsim import run_policies, shared_predictions
-from ..dcsim.engine import fan_out
-from ..dcsim.reporting import format_table
+from ..dcsim.engine import FailedRun, fan_out
+from ..dcsim.reporting import failed_line, format_table
 from ..forecast import DayAheadPredictor
 from ..power.server_power import ntc_server_power_model
 from ..traces import TraceDataset, default_dataset
@@ -44,7 +44,11 @@ class Fig7Point:
 
 @dataclass(frozen=True)
 class Fig7Result:
-    """The full static-power sweep."""
+    """The full static-power sweep.
+
+    Under ``jobs > 1`` a point whose run failed twice is a
+    :class:`~repro.dcsim.engine.FailedRun` instead.
+    """
 
     points: List[Fig7Point]
 
@@ -101,7 +105,7 @@ def run_fig7(
     traces, forecasts, policies — is held fixed.  The day-ahead
     predictions are computed once and shared by every point; with
     ``jobs > 1`` the points fan out over worker processes
-    (:func:`~repro.dcsim.engine.fan_out`).
+    (:func:`~repro.dcsim.engine.fan_out`), keyed by static power.
     """
     if quick:
         n_vms, n_days, n_slots = 100, 9, 24
@@ -116,14 +120,24 @@ def run_fig7(
     points = fan_out(
         _run_fig7_point,
         (data, predictor),
-        [(w, max_servers, n_slots) for w in static_sweep_w],
+        [(w, (w, max_servers, n_slots)) for w in static_sweep_w],
         jobs,
     )
-    return Fig7Result(points=points)
+    return Fig7Result(points=list(points.values()))
 
 
 def render(result: Fig7Result) -> str:
-    """Savings-vs-static-power table."""
+    """Savings-vs-static-power table.
+
+    The trend needs every point: if one failed, its ``FAILED`` line
+    stands in place of the table.
+    """
+    title = "Fig. 7 — EPACT vs COAT under different static power"
+    failed = [
+        failed_line(p.key, p) for p in result.points if isinstance(p, FailedRun)
+    ]
+    if failed:
+        return "\n".join([title, *failed])
     headers = [
         "static (W)",
         "EPACT (MJ)",
@@ -142,7 +156,7 @@ def render(result: Fig7Result) -> str:
         for p in result.points
     ]
     return (
-        "Fig. 7 — EPACT vs COAT under different static power\n"
+        f"{title}\n"
         f"{format_table(headers, body)}\n"
         f"savings decrease with static power: "
         f"{result.is_monotonically_decreasing()} "

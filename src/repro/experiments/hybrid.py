@@ -16,12 +16,11 @@ The output answers the title question *across fleet compositions*:
 energy, SLA violation rate and migrations per mix, plus the headline
 all-NTC vs all-conventional delta.
 
-With ``jobs > 1`` every (mix, protocol, policy) triple fans out over
-the hardened pool runner (:mod:`repro.experiments.pool`); the
-predictions are frozen once and shipped to the workers as plain
-arrays, so results equal the serial run exactly, and a triple that
-times out or crashes is retried once then reported as failed instead
-of aborting the sweep.
+With ``jobs > 1`` each protocol's (mix, policy) runs fan out over
+:func:`~repro.dcsim.engine.fan_out`; the predictions are frozen once
+and handed to each worker once with the traces, so results equal the
+serial run exactly, and a run that times out or crashes is retried
+once then reported as failed instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -34,14 +33,16 @@ from ..cloud import get_fleet, get_scenario, list_fleets, sla_table
 from ..core.fleet import FleetEpactPolicy
 from ..core.types import AllocationPolicy
 from ..dcsim import SimulationResult
-from ..dcsim.cloud import CloudSimulation, _run_one_cloud_policy
+from ..dcsim.cloud import _run_one_cloud_policy
 from ..dcsim.engine import (
-    DataCenterSimulation,
+    FailedRun,
+    _fans_out,
     _run_one_policy,
+    fan_out,
     shared_predictions,
 )
+from ..dcsim.reporting import failed_line
 from ..forecast import DayAheadPredictor
-from .pool import FailedRun, failed_line, run_tasks
 
 DEFAULT_MIXES = (
     "all-ntc",
@@ -55,6 +56,28 @@ DEFAULT_MIXES = (
 def default_hybrid_policies() -> List[AllocationPolicy]:
     """The churn-leg comparison: fleet-aware EPACT vs pool-aware online."""
     return [FleetEpactPolicy(), OnlineReactivePolicy()]
+
+
+def _run_fixed(dataset, predictor, fleets: Dict, kwargs: Dict, name: str):
+    """One mix's fixed-population run (a picklable task body)."""
+    return _run_one_policy(
+        dataset, predictor, FleetEpactPolicy(), {**kwargs, "fleet": fleets[name]}
+    )
+
+
+def _run_churn(
+    dataset,
+    predictor,
+    schedule,
+    fleets: Dict,
+    kwargs: Dict,
+    name: str,
+    policy,
+):
+    """One (mix, policy) run under churn (a picklable task body)."""
+    return _run_one_cloud_policy(
+        dataset, predictor, policy, schedule, {**kwargs, "fleet": fleets[name]}
+    )
 
 
 @dataclass(frozen=True)
@@ -88,8 +111,9 @@ def run_hybrid(
 
     Args:
         quick: shrink to 120 VMs / 9 days / 2 evaluated days.
-        jobs: worker processes; every (mix, protocol, policy) triple is
-            one task in a single shared pool.
+        jobs: worker processes; every (mix, policy) run of a protocol
+            is one task of that protocol's
+            :func:`~repro.dcsim.engine.fan_out`.
         mix_names: subset of the fleet registry (default: all mixes).
         n_vms / n_days / seed: trace configuration.
         n_slots: evaluated slots (default: everything after training).
@@ -114,61 +138,36 @@ def run_hybrid(
         else default_hybrid_policies()
     )
 
+    fixed_tasks = [(name, (name,)) for name in names]
+    churn_tasks = [
+        ((name, policy.name), (name, policy))
+        for name in names
+        for policy in policy_list
+    ]
     dataset, schedule = get_scenario(churn_scenario).build(
         n_vms=n_vms, n_days=n_days, seed=seed, n_slots=n_slots
     )
     predictor = DayAheadPredictor(dataset)
+    if _fans_out(jobs, max(len(fixed_tasks), len(churn_tasks))):
+        predictor = shared_predictions(dataset, predictor, n_slots=n_slots)
     kwargs = dict(n_slots=n_slots)
 
-    fixed: Dict[str, SimulationResult] = {}
-    churn: Dict[str, Dict[str, SimulationResult]] = {}
-    if jobs is None or jobs <= 1:
-        for name in names:
-            fleet = fleets[name]
-            fixed[name] = DataCenterSimulation(
-                dataset,
-                predictor,
-                FleetEpactPolicy(),
-                fleet=fleet,
-                **kwargs,
-            ).run()
-            churn[name] = {}
-            for policy in policy_list:
-                churn[name][policy.name] = CloudSimulation(
-                    dataset,
-                    predictor,
-                    policy,
-                    schedule,
-                    fleet=fleet,
-                    **kwargs,
-                ).run()
-        return HybridResult(
-            fixed=fixed, churn=churn, churn_scenario=churn_scenario
-        )
-
-    shared = shared_predictions(dataset, predictor, n_slots=n_slots)
-    fixed_tasks = []
-    churn_tasks = []
-    for name in names:
-        fleet_kwargs = {**kwargs, "fleet": fleets[name]}
-        fixed_tasks.append(
-            (name, (dataset, shared, FleetEpactPolicy(), fleet_kwargs))
-        )
-        churn_tasks.extend(
-            (
-                (name, policy.name),
-                (dataset, shared, policy, schedule, fleet_kwargs),
-            )
-            for policy in policy_list
-        )
-    fixed_runs = run_tasks(_run_one_policy, fixed_tasks, jobs)
-    churn_runs = run_tasks(_run_one_cloud_policy, churn_tasks, jobs)
-    for name in names:
-        fixed[name] = fixed_runs[name]
-        churn[name] = {
+    fixed = fan_out(
+        _run_fixed, (dataset, predictor, fleets, kwargs), fixed_tasks, jobs
+    )
+    churn_runs = fan_out(
+        _run_churn,
+        (dataset, predictor, schedule, fleets, kwargs),
+        churn_tasks,
+        jobs,
+    )
+    churn = {
+        name: {
             policy.name: churn_runs[(name, policy.name)]
             for policy in policy_list
         }
+        for name in names
+    }
     return HybridResult(
         fixed=fixed, churn=churn, churn_scenario=churn_scenario
     )
@@ -177,8 +176,8 @@ def run_hybrid(
 def render(result: HybridResult) -> str:
     """Per-mix tables plus the headline composition trade-off.
 
-    Triples that failed in a parallel sweep are listed in place of
-    their table rows instead of aborting the report.
+    Runs that failed in a parallel sweep are listed in place of their
+    table rows instead of aborting the report.
     """
     descriptions = list_fleets()
     lines = [

@@ -34,6 +34,7 @@ import numpy as np
 
 from ..core.epact import EpactPolicy
 from ..core.types import FleetSpec, PoolSpec
+from ..dcsim.engine import FailedRun
 from ..errors import ConfigurationError
 from ..forecast.predictor import PerfectPredictor
 from ..perf.workload import ALL_MEMORY_CLASSES
@@ -42,7 +43,7 @@ from ..shard import GeoFleetSpec, GeoRunResult, RegionSpec, run_geo_policies
 from ..traces.dataset import TraceDataset
 from ..traces.vm import VmSpec
 from ..units import SAMPLES_PER_DAY
-from ..dcsim.reporting import format_table
+from ..dcsim.reporting import failed_line, format_table
 
 #: Default routing seed (the repo-wide experiment seed).
 SEED = 2018
@@ -166,15 +167,27 @@ def run_hyperscale(
 
 
 def render(run: Tuple[HyperscaleProfile, GeoRunResult]) -> str:
-    """Per-region energy/server/migration table plus fleet totals."""
+    """Per-region energy/server/migration table plus fleet totals.
+
+    The totals need every region: if a (policy, region) run failed,
+    its ``FAILED`` line stands in place of the table.
+    """
     spec, result = run
     lines: List[str] = [
         f"Hyperscale profile {spec.name!r}: "
         f"{spec.n_regions} regions x {spec.vms_per_region} VMs, "
         f"{spec.servers_per_region} servers/region, "
         f"shards={spec.shards}, n_slots={spec.n_slots}",
-        "",
     ]
+    failed = [
+        failed_line(sim.key, sim)
+        for regions in result.results.values()
+        for sim in regions.values()
+        if isinstance(sim, FailedRun)
+    ]
+    if failed:
+        return "\n".join(lines + failed)
+    lines.append("")
     rows = []
     for policy_name, regions in result.results.items():
         for region_name, sim in regions.items():

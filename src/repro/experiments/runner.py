@@ -16,10 +16,11 @@ Usage (installed as the ``repro-experiments`` console script)::
     repro-experiments report runs/today
                                      # scored audit report from a run dir
 
-The exit code reflects sweep health: any run that the hardened pool
-runner could not complete (a ``FailedRun`` surviving its retry) makes
-the process exit non-zero, so CI catches partial sweeps instead of
-green-lighting a report full of ``FAILED`` lines.
+The exit code reflects sweep health: any run that a ``--jobs N`` fan
+could not complete (a :class:`~repro.dcsim.engine.FailedRun`
+surviving its retry) makes the process exit non-zero, so CI catches
+partial sweeps instead of green-lighting a report full of ``FAILED``
+lines.
 
 Observability (``--out DIR``) never changes results: tracing is
 engine-level for serial runs and task-level for parallel sweeps, and
@@ -37,6 +38,7 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..dcsim.engine import FailedRun
 from . import (
     cloud,
     faults,
@@ -49,7 +51,6 @@ from . import (
     table1,
     telemetry,
 )
-from .pool import FailedRun, count_failures
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,29 @@ class ObsOptions:
 
 
 _NO_OBS = ObsOptions()
+
+
+def count_failures(value: Any) -> int:
+    """Count :class:`~repro.dcsim.engine.FailedRun` markers in a result.
+
+    Experiments return nested containers (dicts of dicts, dataclasses
+    holding result mappings); this walks dicts, lists, tuples and
+    dataclass fields, so the CLI turns "any run failed after retry"
+    into a non-zero exit code without each experiment growing its own
+    traversal.
+    """
+    if isinstance(value, FailedRun):
+        return 1
+    if isinstance(value, dict):
+        return sum(count_failures(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return sum(count_failures(v) for v in value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return sum(
+            count_failures(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        )
+    return 0
 
 #: One wrapper per experiment: (full, jobs, obs) -> (text, n_failed,
 #: result-or-None).  The result feeds the ``--out`` summary walker.
@@ -157,7 +181,7 @@ def _run_hyperscale(
         jobs=jobs,
         tracer=obs.tracer,
     )
-    return hyperscale.render(result), 0, result[1]
+    return hyperscale.render(result), count_failures(result), result[1]
 
 
 def _run_thunderx(full: bool, jobs: int, obs: ObsOptions) -> Tuple[str, int, Any]:
@@ -195,7 +219,7 @@ def collect_summaries(value: Any) -> Any:
     Walks dicts and dataclass fields, turning every
     :class:`~repro.dcsim.SimulationResult` leaf into its
     :func:`~repro.cloud.sla.summarize` dict and every
-    :class:`~repro.experiments.pool.FailedRun` into a failure marker;
+    :class:`~repro.dcsim.engine.FailedRun` into a failure marker;
     everything else (schedules, raw arrays, rendered strings) is
     dropped.  Returns ``None`` when nothing summarizable remains, so
     figure experiments without simulation runs simply don't appear in
@@ -302,9 +326,10 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             "worker processes for the data-center experiments: fig456 "
             "fans its policies, fig7 its sweep points, cloud, faults "
-            "and telemetry their (scenario, policy) pairs and hybrid "
-            "its (mix, protocol, policy) triples over a process pool, "
-            "sharing the day-ahead predictions (default: serial)"
+            "and telemetry their (scenario, policy) pairs, hybrid each "
+            "protocol's (mix, policy) runs and hyperscale its (policy, "
+            "region) runs over a process pool, sharing the day-ahead "
+            "predictions (default: serial)"
         ),
     )
     args = parser.parse_args(arg_list)

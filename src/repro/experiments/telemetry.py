@@ -18,10 +18,11 @@ each degradation regime *costs* (energy, violations, blind windows)
 rather than what the degraded stream claims.  The clean scenario is
 the control: it reproduces the batch engine bit-exactly.
 
-With ``jobs > 1`` every (scenario, policy) pair fans out over the
-hardened pool runner (:mod:`repro.experiments.pool`).  Workers ship
-the configured predictor and re-fit deterministically on their own
-observed stream, so results equal the serial run exactly.
+With ``jobs > 1`` every (scenario, policy) pair fans out over
+:func:`~repro.dcsim.engine.fan_out`, which hands each worker the traces,
+the configured predictor and the schedules once.  No forecast is
+frozen: every run re-fits deterministically on its own observed
+stream, so results equal the serial run exactly.
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ from ..cloud.telemetry import TELEMETRY_SCENARIOS, TelemetryFaultSchedule
 from ..core import EpactPolicy
 from ..core.types import AllocationPolicy
 from ..dcsim import SimulationResult
+from ..dcsim.engine import FailedRun, _fans_out, fan_out
+from ..dcsim.reporting import failed_line
 from ..forecast import DayAheadPredictor
-from .pool import FailedRun, failed_line, run_tasks
 
 DEFAULT_TELEMETRY_SCENARIOS = tuple(TELEMETRY_SCENARIOS)
 
@@ -54,6 +56,26 @@ def default_telemetry_policies() -> List[AllocationPolicy]:
         OnlineReactivePolicy(),
         OnlineReactivePolicy(signal="forecast", name="ONLINE-REACTIVE-F"),
     ]
+
+
+def _run_pair(
+    dataset,
+    predictor,
+    schedule,
+    telemetry_schedules: Dict,
+    kwargs: Dict,
+    name: str,
+    policy,
+):
+    """One (telemetry scenario, policy) run (a picklable task body)."""
+    return _run_one_streaming_policy(
+        dataset,
+        predictor,
+        policy,
+        schedule,
+        telemetry_schedules[name],
+        kwargs,
+    )
 
 
 @dataclass(frozen=True)
@@ -82,7 +104,7 @@ def run_telemetry(
     Args:
         quick: shrink to 120 VMs / 9 days / 2 evaluated days.
         jobs: worker processes; every (telemetry scenario, policy) pair
-            is one task in the hardened pool runner.
+            is one task of a single :func:`~repro.dcsim.engine.fan_out`.
         scenario_names: subset of the telemetry registry (default: all).
         workload: the cloud workload the degraded stream reports on
             (zero-churn by default so telemetry effects are isolated
@@ -94,7 +116,7 @@ def run_telemetry(
             stateful online policies; the defaults are fresh).
         tracer: optional observability hook (:mod:`repro.obs`).
             Serial runs trace at engine level (windows, ladder rungs,
-            degradations); parallel sweeps emit pool task events only,
+            degradations); parallel sweeps emit task events only,
             because tracers do not cross the pickle boundary.  Results
             are identical either way.
     """
@@ -124,47 +146,28 @@ def run_telemetry(
         )
         for name in names
     }
+    tasks = [
+        ((name, policy.name), (name, policy))
+        for name in names
+        for policy in policy_list
+    ]
     kwargs = dict(n_slots=n_slots, max_servers=max_servers)
+    if not _fans_out(jobs, len(tasks)):
+        kwargs["tracer"] = tracer
 
-    results: Dict[str, Dict[str, SimulationResult]] = {}
-    if jobs is None or jobs <= 1:
-        serial_kwargs = dict(kwargs, tracer=tracer)
-        for name in names:
-            results[name] = {
-                policy.name: _run_one_streaming_policy(
-                    dataset,
-                    predictor,
-                    policy,
-                    schedule,
-                    schedules[name],
-                    serial_kwargs,
-                )
-                for policy in policy_list
-            }
-        return TelemetryResult(results=results, schedules=schedules)
-
-    tasks = []
-    for name in names:
-        tasks.extend(
-            (
-                (name, policy.name),
-                (
-                    dataset,
-                    predictor,
-                    policy,
-                    schedule,
-                    schedules[name],
-                    kwargs,
-                ),
-            )
-            for policy in policy_list
-        )
-    runs = run_tasks(_run_one_streaming_policy, tasks, jobs, tracer=tracer)
-    for name in names:
-        results[name] = {
-            policy.name: runs[(name, policy.name)]
-            for policy in policy_list
+    runs = fan_out(
+        _run_pair,
+        (dataset, predictor, schedule, schedules, kwargs),
+        tasks,
+        jobs,
+        tracer=tracer,
+    )
+    results = {
+        name: {
+            policy.name: runs[(name, policy.name)] for policy in policy_list
         }
+        for name in names
+    }
     return TelemetryResult(results=results, schedules=schedules)
 
 

@@ -286,45 +286,32 @@ class ArimaModel:
         self._fit = fit
         return fit
 
-    def forecast(
-        self, horizon: int, method: str = "companion"
-    ) -> np.ndarray:
+    def forecast(self, horizon: int) -> np.ndarray:
         """Mean forecast for the next ``horizon`` steps (original scale).
 
         Future innovations are set to their mean (zero); differencing is
-        inverted against the fit history.
-
-        Args:
-            horizon: number of steps to forecast.
-            method: ``"companion"`` (default) evaluates the recursion
-                through precomputed companion-matrix powers —
-                ``O(log horizon)`` NumPy calls instead of a Python loop
-                over the horizon — falling back to the recursion if the
-                power train goes non-finite; ``"recursion"`` forces the
-                seed per-step loop (the reference oracle).
+        inverted against the fit history.  The recursion is evaluated
+        through precomputed companion-matrix powers — ``O(log horizon)``
+        NumPy calls instead of a Python loop over the horizon — falling
+        back to :meth:`_forecast_recursion`, the seed per-step loop kept
+        as the reference oracle, if the power train goes non-finite.
 
         Raises:
-            ForecastError: if not fitted, the horizon is not positive or
-                the method is unknown.
+            ForecastError: if not fitted or the horizon is not positive.
         """
         if horizon < 1:
             raise ForecastError("forecast horizon must be >= 1")
         fit = self.fitted
-        if method == "recursion":
+        out = _companion_forecast(
+            np.array([fit.const]),
+            fit.ar[None, :],
+            fit.ma[None, :],
+            fit.w_tail[None, :],
+            fit.e_tail[None, :],
+            horizon,
+        )[0]
+        if not np.all(np.isfinite(out)):
             out = self._forecast_recursion(horizon)
-        elif method == "companion":
-            out = _companion_forecast(
-                np.array([fit.const]),
-                fit.ar[None, :],
-                fit.ma[None, :],
-                fit.w_tail[None, :],
-                fit.e_tail[None, :],
-                horizon,
-            )[0]
-            if not np.all(np.isfinite(out)):
-                out = self._forecast_recursion(horizon)
-        else:
-            raise ForecastError(f"unknown forecast method {method!r}")
         return integrate(out, fit.history, fit.order.d)
 
     def _forecast_recursion(self, horizon: int) -> np.ndarray:

@@ -23,8 +23,8 @@ handful of NumPy calls:
    companion-matrix powers — a doubling scan of ``ceil(log2(horizon))``
    batched ``einsum`` contractions for all series at once — with the
    per-step vector recursion kept callable as the reference oracle
-   (``method="recursion"``) and used as the fallback for rows whose
-   power train goes non-finite.
+   (:func:`_batched_arma_recursion`) and used as the fallback for rows
+   whose power train goes non-finite.
 
 The scalar implementation remains the reference oracle: rows whose
 batched solve is (near-)rank-deficient — flagged by the Gram-spectrum
@@ -367,45 +367,43 @@ def batched_arma_fit(w: np.ndarray, order: ArimaOrder) -> BatchArmaFit:
     )
 
 
-def batched_arma_forecast(
-    fit: BatchArmaFit, horizon: int, method: str = "companion"
-) -> np.ndarray:
+def batched_arma_forecast(fit: BatchArmaFit, horizon: int) -> np.ndarray:
     """Mean forecasts for every series, shape ``(batch, horizon)``.
 
-    With ``method="companion"`` (the default) the whole batch's
-    forecasts are evaluated through precomputed companion-matrix powers
+    The whole batch's forecasts are evaluated through precomputed
+    companion-matrix powers
     (:func:`repro.forecast.arima._companion_forecast`): a doubling scan
     of ``ceil(log2(horizon))`` batched ``einsum`` contractions replaces
     the Python loop over the horizon.  Rows whose power train goes
-    non-finite transparently fall back to the recursion, and
-    ``method="recursion"`` forces the seed per-step loop — the kept
-    reference oracle, which matches the scalar
-    :meth:`~repro.forecast.arima.ArimaModel.forecast` step for step
-    (future innovations at their zero mean).
+    non-finite transparently fall back to
+    :func:`_batched_arma_recursion`, the kept reference oracle.
     """
     if horizon < 1:
         raise ForecastError("forecast horizon must be >= 1")
-    if method == "companion":
-        out = _companion_forecast(
-            fit.const, fit.ar, fit.ma, fit.w_tail, fit.e_tail, horizon
+    out = _companion_forecast(
+        fit.const, fit.ar, fit.ma, fit.w_tail, fit.e_tail, horizon
+    )
+    bad = ~np.isfinite(out).all(axis=1)
+    if bad.any():
+        sub = BatchArmaFit(
+            order=fit.order,
+            const=fit.const[bad],
+            ar=fit.ar[bad],
+            ma=fit.ma[bad],
+            w_tail=fit.w_tail[bad],
+            e_tail=fit.e_tail[bad],
+            ok=fit.ok[bad],
         )
-        bad = ~np.isfinite(out).all(axis=1)
-        if bad.any():
-            sub = BatchArmaFit(
-                order=fit.order,
-                const=fit.const[bad],
-                ar=fit.ar[bad],
-                ma=fit.ma[bad],
-                w_tail=fit.w_tail[bad],
-                e_tail=fit.e_tail[bad],
-                ok=fit.ok[bad],
-            )
-            out[bad] = batched_arma_forecast(
-                sub, horizon, method="recursion"
-            )
-        return out
-    if method != "recursion":
-        raise ForecastError(f"unknown forecast method {method!r}")
+        out[bad] = _batched_arma_recursion(sub, horizon)
+    return out
+
+
+def _batched_arma_recursion(fit: BatchArmaFit, horizon: int) -> np.ndarray:
+    """The seed per-step forecast loop over the batch (the oracle).
+
+    Matches the scalar :meth:`~repro.forecast.arima.ArimaModel.forecast`
+    step for step (future innovations at their zero mean).
+    """
     p, q = fit.order.p, fit.order.q
     batch = fit.const.shape[0]
     out = np.empty((batch, horizon))

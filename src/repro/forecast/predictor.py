@@ -62,15 +62,17 @@ class DayAheadFitter:
             expose ``fit(series)`` and ``forecast(horizon)``.
         clip_range: forecasts are clipped into this range (utilization
             percentages cannot leave [0, 100]).
-        batch: fit all VMs' models per day through the stacked
-            least-squares path of :mod:`repro.forecast.batch` (a handful
-            of NumPy calls instead of ``n_vms * 2`` Python-level fits).
-            Only applies when ``factory`` produces a
-            :class:`~repro.forecast.decomposed.DecomposedArimaForecaster`
-            with ``d == 0``; otherwise the scalar path is used.  Rows the
-            batched solver flags as rank-deficient (or non-finite) are
-            transparently re-fitted with the scalar reference path, so
-            forecasts match the scalar route to ~1e-8 relative.
+
+    When ``factory`` produces a
+    :class:`~repro.forecast.decomposed.DecomposedArimaForecaster` with
+    ``d == 0`` (the default does), all VMs' models are fitted per day
+    through the stacked least-squares path of
+    :mod:`repro.forecast.batch`: a handful of NumPy calls instead of
+    ``n_vms * 2`` Python-level fits.  Rows the batched solver flags as
+    rank-deficient (or non-finite) are re-fitted through the scalar
+    route, :meth:`_forecast_series`, so forecasts match the scalar
+    route to ~1e-8 relative.  Any other forecaster takes the scalar
+    route for every row.
     """
 
     def __init__(
@@ -78,7 +80,6 @@ class DayAheadFitter:
         history_days: int = 7,
         factory: Optional[ForecasterFactory] = None,
         clip_range: Tuple[float, float] = (0.0, 100.0),
-        batch: bool = True,
     ):
         if history_days < 2:
             raise DomainError("history_days must be >= 2 (seasonal fit)")
@@ -89,17 +90,9 @@ class DayAheadFitter:
         self._clip = clip_range
         self._fallback_count = 0
         self._batch_params = None
-        if batch:
-            probe = self._factory()
-            if (
-                isinstance(probe, DecomposedArimaForecaster)
-                and probe.order.d == 0
-            ):
-                self._batch_params = (
-                    probe.order,
-                    probe.period,
-                    probe.decay,
-                )
+        probe = self._factory()
+        if isinstance(probe, DecomposedArimaForecaster) and probe.order.d == 0:
+            self._batch_params = (probe.order, probe.period, probe.decay)
 
     # -- properties -----------------------------------------------------------
 
@@ -240,8 +233,8 @@ class DayAheadPredictor(DayAheadFitter):
 
     Args:
         dataset: the utilization traces.
-        history_days, factory, clip_range, batch: the fit
-            configuration, as in :class:`DayAheadFitter`.
+        history_days, factory, clip_range: the fit configuration, as
+            in :class:`DayAheadFitter`.
     """
 
     def __init__(
@@ -250,9 +243,8 @@ class DayAheadPredictor(DayAheadFitter):
         history_days: int = 7,
         factory: Optional[ForecasterFactory] = None,
         clip_range: Tuple[float, float] = (0.0, 100.0),
-        batch: bool = True,
     ):
-        super().__init__(history_days, factory, clip_range, batch)
+        super().__init__(history_days, factory, clip_range)
         self._dataset = dataset
         self._cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 

@@ -120,10 +120,10 @@ def poll_with_retry(
 ) -> Optional[TelemetryBatch]:
     """Poll with bounded retries and exponential backoff.
 
-    The :mod:`repro.experiments.pool` hardening pattern applied to a
-    poll: a :class:`~repro.errors.CollectorTimeoutError` is retried up
-    to ``retries`` times, sleeping ``backoff_s * 2**attempt`` between
-    attempts (``backoff_s=0`` — the default — keeps simulated replay
+    The bounded-retry hardening of :func:`repro.dcsim.engine.fan_out`
+    applied to a poll: a :class:`~repro.errors.CollectorTimeoutError` is
+    retried up to ``retries`` times, sleeping ``backoff_s * 2**attempt``
+    between attempts (``backoff_s=0`` — the default — keeps simulated replay
     instant and deterministic).  ``None`` means the collector stayed
     down through every attempt: the caller records downtime and moves
     on instead of losing the whole run.

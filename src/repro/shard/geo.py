@@ -196,8 +196,9 @@ def run_geo_policies(
     worker receives the traces once and each task carries its region's
     rows, so parallel equals serial exactly.  Shards within a region run
     in-process.  Serial runs thread ``tracer`` into every engine;
-    parallel fans drop it (``region_route`` events are part of the
-    deterministic preamble and are emitted serially either way).
+    parallel fans give it to :func:`~repro.dcsim.engine.fan_out` for
+    task events (``region_route`` events are part of the deterministic
+    preamble and are emitted serially either way).
 
     Args:
         dataset: the full VM population's traces.
@@ -219,7 +220,9 @@ def run_geo_policies(
             migration energy, ...).
 
     Returns:
-        A :class:`GeoRunResult`.
+        A :class:`GeoRunResult`; under ``jobs > 1`` a (policy, region)
+        run that failed twice holds a
+        :class:`~repro.dcsim.engine.FailedRun`.
     """
     from ..dcsim.engine import _fans_out, fan_out
 
@@ -252,11 +255,15 @@ def run_geo_policies(
         _run_one_geo_region,
         (dataset,),
         [
-            (rows, predictor_factory, policy, region.fleet, shards, kwargs)
+            (
+                (policy.name, region.name),
+                (rows, predictor_factory, policy, region.fleet, shards, kwargs),
+            )
             for region, rows, policy in pairs
         ],
         jobs,
+        tracer=tracer,
     )
-    for (region, _, policy), run in zip(pairs, runs):
-        results[policy.name][region.name] = run
+    for (policy, region), run in runs.items():
+        results[policy][region] = run
     return GeoRunResult(results=results, routes=route_sizes, seed=seed)

@@ -6,7 +6,9 @@ The acceptance bar of the online subsystem:
   *exactly* (every seed record field, bit for bit), online policies
   included;
 * ``run_cloud_policies(jobs > 1)`` equals the serial run exactly;
-* repeated runs with fresh (or reset) policy instances are identical.
+* repeated runs with fresh (or reset) policy instances are identical;
+* a window never reaches past midnight, so no decision reads a
+  forecast fitted on slots after it.
 
 Record-level regressions of the churn paths (resizes, PSU, migration
 energy, empty-cloud gaps) are pinned by ``tests/test_engine_golden.py``.
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import (
+    CoatOptPolicy,
     CoatPolicy,
     OnlineBestFitPolicy,
     OnlineReactivePolicy,
@@ -32,7 +35,8 @@ from repro.dcsim import DataCenterSimulation
 from repro.errors import ConfigurationError
 from repro.forecast import DayAheadPredictor
 from repro.power.server_power import ntc_server_power_model
-from repro.traces import LifecycleSchedule, default_dataset
+from repro.traces import LifecycleSchedule, TraceDataset, default_dataset
+from repro.units import SAMPLES_PER_SLOT
 
 SEED_FIELDS = (
     "slot_index",
@@ -210,6 +214,60 @@ class TestCloudRunSemantics:
                 fixed_schedule(small_dataset.n_vms, 168, 170),
                 n_slots=24,
             )
+
+
+class _RecordingCoatOpt(CoatOptPolicy):
+    """COAT-OPT that keeps every decision it makes, in window order."""
+
+    def __init__(self):
+        super().__init__()
+        self.decisions = []
+
+    def allocate(self, ctx):
+        allocation = super().allocate(ctx)
+        self.decisions.append(
+            (
+                [plan.vm_ids for plan in allocation.plans],
+                allocation.f_opt_ghz,
+                allocation.violation_cap_pct,
+            )
+        )
+        return allocation
+
+
+def _window_decisions(dataset, schedule):
+    """``{window start slot: decision}`` of a churn run of COAT-OPT."""
+    policy = _RecordingCoatOpt()
+    sim = CloudSimulation(
+        dataset, DayAheadPredictor(dataset), policy, schedule, max_servers=40
+    )
+    slots = [window.slot for window in sim.windows()]
+    return dict(zip(slots, policy.decisions))
+
+
+class TestCausalWindows:
+    def test_window_plans_only_from_the_past(self):
+        """Without a cut at midnight, the window starting at slot 215
+        (day 8's last slot) runs two slots and plans slot 216 from day
+        9's forecast, fitted on all of day 8: replacing only the truth
+        from slot 215 on changes its plans.  Every window starting at or
+        before the cut must plan the same from both traces."""
+        dataset, schedule = get_scenario("steady").build(
+            n_vms=60, n_days=10, seed=3
+        )
+        cut = 215
+        rng = np.random.default_rng(0)
+        cpu, mem = dataset.cpu_pct.copy(), dataset.mem_pct.copy()
+        for matrix in (cpu, mem):
+            tail = matrix[:, cut * SAMPLES_PER_SLOT :]
+            tail[:] = rng.uniform(0.0, 100.0, tail.shape)
+        altered = TraceDataset(specs=dataset.specs, cpu_pct=cpu, mem_pct=mem)
+        true = _window_decisions(dataset, schedule)
+        future_changed = _window_decisions(altered, schedule)
+        assert cut in true
+        for slot, decision in true.items():
+            if slot <= cut:
+                assert future_changed[slot] == decision, slot
 
 
 class TestParallelCloudRuns:

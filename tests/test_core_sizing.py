@@ -157,7 +157,7 @@ class TestSizingSearchEquivalence:
             n_mem = int(rng.integers(1, 300))
             n_cpu = n_mem + int(rng.integers(0, 300))
             assert _search_case1(
-                model, demand, n_mem, n_cpu, fast=True
+                model, demand, n_mem, n_cpu
             ) == _search_case1_reference(model, demand, n_mem, n_cpu)
 
     def test_saturation_branch(self):
@@ -165,5 +165,5 @@ class TestSizingSearchEquivalence:
         model = ntc_server_power_model()
         f_max = model.spec.f_max_ghz
         demand = 10.0 * f_max  # cannot be served by <= 4 servers
-        assert _search_case1(model, demand, 2, 4, fast=True) == (4, f_max)
+        assert _search_case1(model, demand, 2, 4) == (4, f_max)
         assert _search_case1_reference(model, demand, 2, 4) == (4, f_max)

@@ -9,7 +9,7 @@ import pytest
 from repro.baselines import CoatOptPolicy, CoatPolicy
 from repro.core import EpactPolicy
 from repro.dcsim import DataCenterSimulation, run_policies, shared_predictions
-from repro.dcsim.engine import fan_out
+from repro.dcsim.engine import FailedRun, fan_out
 from repro.errors import ConfigurationError, DomainError
 from repro.forecast import (
     DayAheadPredictor,
@@ -242,33 +242,75 @@ def _write_shared(dataset, predictor, target):
         predictor.forecast_day(predictor.first_predictable_day)[0][0, 0] = 1.0
 
 
+def _write_prepared(prepared, target):
+    """Task body: the same write, into inputs shared as a sweep shares
+    them (per-scenario tuples in a dict)."""
+    dataset, predictor, _ = prepared["steady"]
+    _write_shared(dataset, predictor, target)
+
+
+class _RaisingPolicy(EpactPolicy):
+    """A policy whose every allocation fails."""
+
+    name = "BOOM"
+
+    def allocate(self, ctx):
+        raise RuntimeError("allocator offline")
+
+
 class TestParallelRunPolicies:
     def test_fan_out_never_pickles_shared_under_fork(self):
         """Each forked worker inherits the shared inputs once and reuses
         them across its tasks; only the task arguments are pickled."""
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("only forked workers inherit unpicklable inputs")
-        runs = fan_out(_probe, (_Unpicklable(),), [(0,), (1,), (2,)], 2)
-        assert [run[:2] for run in runs] == [
+        runs = fan_out(
+            _probe, (_Unpicklable(),), [(i, (i,)) for i in range(3)], 2
+        )
+        assert [run[:2] for run in runs.values()] == [
             (index, "_Unpicklable") for index in range(3)
         ]
-        assert len({run[2] for run in runs}) <= 2
+        assert len({run[2] for run in runs.values()}) <= 2
 
     @pytest.mark.parametrize("target", ["traces", "forecasts"])
     def test_fan_out_workers_get_read_only_inputs(
         self, eq_dataset, eq_predictor, target
     ):
-        """A worker's write into a shared input raises in the parent
-        instead of leaking into its next task; the parent's inputs
-        stay writable."""
+        """A worker's write into a shared input fails that task
+        instead of leaking into its next one, whether the runner shares
+        the inputs directly or a sweep nests them per scenario; the
+        parent's inputs stay writable."""
         frozen = shared_predictions(eq_dataset, eq_predictor)
-        with pytest.raises(ValueError, match="read-only"):
-            fan_out(
-                _write_shared, (eq_dataset, frozen), [(target,)] * 2, 2
-            )
+        tasks = [(i, (target,)) for i in range(2)]
+        for fn, shared in (
+            (_write_shared, (eq_dataset, frozen)),
+            (_write_prepared, ({"steady": (eq_dataset, frozen, None)},)),
+        ):
+            runs = fan_out(fn, shared, tasks, 2)
+            for run in runs.values():
+                assert isinstance(run, FailedRun)
+                assert "read-only" in run.error
         assert eq_dataset.cpu_pct.flags.writeable
         day = frozen.first_predictable_day
         assert frozen.forecast_day(day)[0].flags.writeable
+
+    def test_failed_policy_keeps_its_slot(self, eq_dataset, eq_predictor):
+        """A policy that fails twice under ``jobs=2`` holds a
+        :class:`FailedRun` in its slot; the other policies' runs stay."""
+        runs = run_policies(
+            eq_dataset,
+            eq_predictor,
+            [EpactPolicy(), _RaisingPolicy()],
+            jobs=2,
+            max_servers=50,
+            n_slots=2,
+        )
+        assert list(runs) == ["EPACT", "BOOM"]
+        assert len(runs["EPACT"].records) == 2
+        failed = runs["BOOM"]
+        assert isinstance(failed, FailedRun)
+        assert failed.key == "BOOM" and failed.attempts == 2
+        assert "allocator offline" in failed.error
 
     def test_fig7_jobs_match_serial(self):
         from repro.experiments.fig7 import run_fig7

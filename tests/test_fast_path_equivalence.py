@@ -13,8 +13,8 @@ import pytest
 
 from repro.baselines import CoatOptPolicy, CoatPolicy, FfdPolicy
 from repro.baselines.coat import _allocate_reference as _coat_reference
-from repro.core.alloc1d import allocate_1d
-from repro.core.alloc2d import allocate_2d
+from repro.core.alloc1d import _allocate_1d_reference, allocate_1d, ffd_order
+from repro.core.alloc2d import _allocate_2d_reference, allocate_2d
 from repro.core.types import (
     Allocation,
     AllocationContext,
@@ -58,10 +58,46 @@ def plans_equal(a, b):
     return [p.vm_ids for p in a] == [p.vm_ids for p in b]
 
 
+def reference_1d(
+    cpu, mem, cap_cpu_pct, cap_mem_pct=100.0, max_servers=None, order=None
+):
+    """The seed loop of Algorithm 1 in ``allocate_1d``'s default order."""
+    sequence = ffd_order(cpu) if order is None else np.asarray(order)
+    return _allocate_1d_reference(
+        cpu, mem, cap_cpu_pct, cap_mem_pct, max_servers, sequence
+    )
+
+
+def reference_2d(
+    cpu,
+    mem,
+    n_servers,
+    cap_cpu_pct,
+    cap_mem_pct=100.0,
+    max_servers=None,
+    order=None,
+):
+    """The seed loop of Algorithm 2 in ``allocate_2d``'s default order,
+    under its fleet bound (at least ``n_servers``)."""
+    sequence = np.arange(cpu.shape[0]) if order is None else np.asarray(order)
+    bound = max(n_servers if max_servers is None else max_servers, n_servers)
+    return _allocate_2d_reference(
+        cpu, mem, n_servers, cap_cpu_pct, cap_mem_pct, bound, sequence
+    )
+
+
 def nightly(*values):
     """Parameter values that run only in the nightly step
     (``pytest -m nightly``): the reference loops take seconds there."""
     return [pytest.param(value, marks=pytest.mark.nightly) for value in values]
+
+
+def scalar_predictor(dataset):
+    """A predictor fitting every row through the scalar route, the
+    batched day fit's oracle (and its fallback for rejected rows)."""
+    predictor = DayAheadPredictor(dataset)
+    predictor._batch_params = None
+    return predictor
 
 
 class TestAllocate1dEquivalence:
@@ -69,8 +105,8 @@ class TestAllocate1dEquivalence:
     def test_matches_reference_random(self, n_vms):
         cpu = make_patterns(n_vms, seed=n_vms)
         mem = make_patterns(n_vms, seed=n_vms + 100, scale=5.0)
-        fast, f_forced = allocate_1d(cpu, mem, cap_cpu_pct=60.0, fast=True)
-        ref, r_forced = allocate_1d(cpu, mem, cap_cpu_pct=60.0, fast=False)
+        fast, f_forced = allocate_1d(cpu, mem, cap_cpu_pct=60.0)
+        ref, r_forced = reference_1d(cpu, mem, cap_cpu_pct=60.0)
         assert plans_equal(fast, ref)
         assert f_forced == r_forced
 
@@ -79,18 +115,18 @@ class TestAllocate1dEquivalence:
         tie-breaks (first fitting candidate) must match exactly."""
         cpu = np.full((40, 12), 7.0)
         mem = np.full((40, 12), 3.0)
-        fast, _ = allocate_1d(cpu, mem, cap_cpu_pct=60.0, fast=True)
-        ref, _ = allocate_1d(cpu, mem, cap_cpu_pct=60.0, fast=False)
+        fast, _ = allocate_1d(cpu, mem, cap_cpu_pct=60.0)
+        ref, _ = reference_1d(cpu, mem, cap_cpu_pct=60.0)
         assert plans_equal(fast, ref)
 
     def test_matches_reference_max_servers_exhaustion(self):
         cpu = make_patterns(120, seed=5)
         mem = make_patterns(120, seed=6, scale=5.0)
         fast, f_forced = allocate_1d(
-            cpu, mem, cap_cpu_pct=40.0, max_servers=5, fast=True
+            cpu, mem, cap_cpu_pct=40.0, max_servers=5
         )
-        ref, r_forced = allocate_1d(
-            cpu, mem, cap_cpu_pct=40.0, max_servers=5, fast=False
+        ref, r_forced = reference_1d(
+            cpu, mem, cap_cpu_pct=40.0, max_servers=5
         )
         assert plans_equal(fast, ref)
         assert f_forced == r_forced > 0
@@ -99,10 +135,10 @@ class TestAllocate1dEquivalence:
         cpu = make_patterns(60, seed=7, scale=2.0)
         mem = make_patterns(60, seed=8, scale=30.0)
         fast, _ = allocate_1d(
-            cpu, mem, cap_cpu_pct=100.0, cap_mem_pct=80.0, fast=True
+            cpu, mem, cap_cpu_pct=100.0, cap_mem_pct=80.0
         )
-        ref, _ = allocate_1d(
-            cpu, mem, cap_cpu_pct=100.0, cap_mem_pct=80.0, fast=False
+        ref, _ = reference_1d(
+            cpu, mem, cap_cpu_pct=100.0, cap_mem_pct=80.0
         )
         assert plans_equal(fast, ref)
 
@@ -110,8 +146,8 @@ class TestAllocate1dEquivalence:
         cpu = make_patterns(30, seed=9)
         mem = make_patterns(30, seed=10, scale=5.0)
         order = list(reversed(range(30)))
-        fast, _ = allocate_1d(cpu, mem, 60.0, order=order, fast=True)
-        ref, _ = allocate_1d(cpu, mem, 60.0, order=order, fast=False)
+        fast, _ = allocate_1d(cpu, mem, 60.0, order=order)
+        ref, _ = reference_1d(cpu, mem, 60.0, order=order)
         assert plans_equal(fast, ref)
 
     @pytest.mark.parametrize("n_vms", [60, *nightly(2000)])
@@ -119,8 +155,8 @@ class TestAllocate1dEquivalence:
         """Day-ahead window width (288 samples per pattern)."""
         cpu = make_patterns(n_vms, n_samples=288, seed=2)
         mem = make_patterns(n_vms, n_samples=288, seed=3, scale=5.0)
-        fast, f_forced = allocate_1d(cpu, mem, cap_cpu_pct=60.0, fast=True)
-        ref, r_forced = allocate_1d(cpu, mem, cap_cpu_pct=60.0, fast=False)
+        fast, f_forced = allocate_1d(cpu, mem, cap_cpu_pct=60.0)
+        ref, r_forced = reference_1d(cpu, mem, cap_cpu_pct=60.0)
         assert plans_equal(fast, ref)
         assert f_forced == r_forced
 
@@ -132,10 +168,10 @@ class TestAllocate2dEquivalence:
         mem = make_patterns(n_vms, seed=n_vms + 200, scale=5.0)
         n_servers = max(1, n_vms // 8)
         fast, f_forced = allocate_2d(
-            cpu, mem, n_servers, cap_cpu_pct=60.0, fast=True
+            cpu, mem, n_servers, cap_cpu_pct=60.0
         )
-        ref, r_forced = allocate_2d(
-            cpu, mem, n_servers, cap_cpu_pct=60.0, fast=False
+        ref, r_forced = reference_2d(
+            cpu, mem, n_servers, cap_cpu_pct=60.0
         )
         assert plans_equal(fast, ref)
         assert f_forced == r_forced
@@ -144,10 +180,10 @@ class TestAllocate2dEquivalence:
         cpu = np.full((40, 12), 7.0)
         mem = np.full((40, 12), 3.0)
         fast, _ = allocate_2d(
-            cpu, mem, 5, cap_cpu_pct=60.0, max_servers=10, fast=True
+            cpu, mem, 5, cap_cpu_pct=60.0, max_servers=10
         )
-        ref, _ = allocate_2d(
-            cpu, mem, 5, cap_cpu_pct=60.0, max_servers=10, fast=False
+        ref, _ = reference_2d(
+            cpu, mem, 5, cap_cpu_pct=60.0, max_servers=10
         )
         assert plans_equal(fast, ref)
 
@@ -155,10 +191,10 @@ class TestAllocate2dEquivalence:
         cpu = make_patterns(120, seed=11)
         mem = make_patterns(120, seed=12, scale=5.0)
         fast, f_forced = allocate_2d(
-            cpu, mem, 3, cap_cpu_pct=40.0, max_servers=5, fast=True
+            cpu, mem, 3, cap_cpu_pct=40.0, max_servers=5
         )
-        ref, r_forced = allocate_2d(
-            cpu, mem, 3, cap_cpu_pct=40.0, max_servers=5, fast=False
+        ref, r_forced = reference_2d(
+            cpu, mem, 3, cap_cpu_pct=40.0, max_servers=5
         )
         assert plans_equal(fast, ref)
         assert f_forced == r_forced > 0
@@ -168,10 +204,10 @@ class TestAllocate2dEquivalence:
         cpu = make_patterns(200, seed=13, scale=15.0)
         mem = make_patterns(200, seed=14, scale=38.0)
         fast, _ = allocate_2d(
-            cpu, mem, 90, 60.0, cap_mem_pct=90.0, max_servers=150, fast=True
+            cpu, mem, 90, 60.0, cap_mem_pct=90.0, max_servers=150
         )
-        ref, _ = allocate_2d(
-            cpu, mem, 90, 60.0, cap_mem_pct=90.0, max_servers=150, fast=False
+        ref, _ = reference_2d(
+            cpu, mem, 90, 60.0, cap_mem_pct=90.0, max_servers=150
         )
         assert plans_equal(fast, ref)
 
@@ -179,16 +215,16 @@ class TestAllocate2dEquivalence:
         """Day-ahead window width (288 samples per pattern)."""
         cpu = make_patterns(60, n_samples=288, seed=15)
         mem = make_patterns(60, n_samples=288, seed=16, scale=5.0)
-        fast, _ = allocate_2d(cpu, mem, 8, cap_cpu_pct=60.0, fast=True)
-        ref, _ = allocate_2d(cpu, mem, 8, cap_cpu_pct=60.0, fast=False)
+        fast, _ = allocate_2d(cpu, mem, 8, cap_cpu_pct=60.0)
+        ref, _ = reference_2d(cpu, mem, 8, cap_cpu_pct=60.0)
         assert plans_equal(fast, ref)
 
 
 def assert_alloc2d_matches_reference(cpu, mem, n_servers, *caps, **kwargs):
     """Fast plans and forced counts equal the seed loop's."""
     fast, f_forced = allocate_2d(cpu, mem, n_servers, *caps, **kwargs)
-    ref, r_forced = allocate_2d(
-        cpu, mem, n_servers, *caps, fast=False, **kwargs
+    ref, r_forced = reference_2d(
+        cpu, mem, n_servers, *caps, **kwargs
     )
     assert plans_equal(fast, ref)
     assert f_forced == r_forced
@@ -444,14 +480,16 @@ class TestOrderValidation:
         with pytest.raises(DomainError):
             validate_vm_order(np.asarray(order, dtype=int), 3)
 
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_allocators_reject_bad_orders(self, fast):
+    @pytest.mark.parametrize("as_array", [True, False])
+    def test_allocators_reject_bad_orders(self, as_array):
+        """A bad order is refused whether it comes as a list or an array."""
         cpu = make_patterns(4, seed=17)
         mem = make_patterns(4, seed=18, scale=5.0)
+        wrap = np.asarray if as_array else list
         with pytest.raises(DomainError):
-            allocate_1d(cpu, mem, 60.0, order=[0, 1, 2, 2], fast=fast)
+            allocate_1d(cpu, mem, 60.0, order=wrap([0, 1, 2, 2]))
         with pytest.raises(DomainError):
-            allocate_2d(cpu, mem, 2, 60.0, order=[0, 1, 2], fast=fast)
+            allocate_2d(cpu, mem, 2, 60.0, order=wrap([0, 1, 2]))
 
 
 class TestCountMigrationsEquivalence:
@@ -603,8 +641,8 @@ class TestBatchedForecastEquivalence:
 
     def test_day_ahead_predictor_batch_matches_scalar(self):
         dataset = default_dataset(n_vms=12, n_days=9, seed=11)
-        scalar = DayAheadPredictor(dataset, batch=False)
-        batched = DayAheadPredictor(dataset, batch=True)
+        scalar = scalar_predictor(dataset)
+        batched = DayAheadPredictor(dataset)
         cpu_s, mem_s = scalar.forecast_day(7)
         cpu_b, mem_b = batched.forecast_day(7)
         np.testing.assert_allclose(cpu_b, cpu_s, rtol=1e-7, atol=1e-8)
@@ -617,12 +655,12 @@ class TestBatchedForecastEquivalence:
         dataset = default_dataset(n_vms=n_vms, n_days=9, seed=2018)
         batched, scalar = (
             DataCenterSimulation(
-                dataset,
-                DayAheadPredictor(dataset, batch=batch),
-                EpactPolicy(),
-                max_servers=80,
+                dataset, predictor, EpactPolicy(), max_servers=80
             ).run().records
-            for batch in (True, False)
+            for predictor in (
+                DayAheadPredictor(dataset),
+                scalar_predictor(dataset),
+            )
         )
         assert batched == scalar
 
@@ -634,8 +672,9 @@ class TestBatchedForecastEquivalence:
                 order=ArimaOrder(p=1, d=1, q=0), period=288
             )
 
-        predictor = DayAheadPredictor(dataset, factory=factory, batch=True)
+        predictor = DayAheadPredictor(dataset, factory=factory)
         assert predictor._batch_params is None  # d=1 cannot batch
+        assert DayAheadPredictor(dataset)._batch_params is not None
 
     def test_batched_rejects_differencing(self):
         with pytest.raises(ForecastError):

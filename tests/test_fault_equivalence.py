@@ -13,7 +13,7 @@ The acceptance bar of the robustness PR:
   mid-window, rack outages are correlated, and insufficient surviving
   capacity degrades into shedding instead of crashing;
 * the parallel fault sweep equals the serial one exactly, and the
-  hardened pool runner isolates failures instead of aborting.
+  process fan isolates failures instead of aborting.
 """
 
 import time
@@ -35,10 +35,10 @@ from repro.cloud.faults import (
     zero_faults,
 )
 from repro.core import EpactPolicy, FleetEpactPolicy, FleetSpec, PoolSpec
-from repro.dcsim import DataCenterSimulation
+from repro.dcsim import DataCenterSimulation, engine
+from repro.dcsim.engine import FailedRun, fan_out
 from repro.errors import ConfigurationError
 from repro.experiments.faults import run_faults
-from repro.experiments.pool import FailedRun, run_tasks, split_failures
 from repro.forecast import DayAheadPredictor
 from repro.obs import RunTracer
 from repro.power.server_power import (
@@ -458,7 +458,7 @@ class TestSpecValidation:
             ChurnConfig(short_lifetime_mean_slots=0.0)
 
 
-# -- hardened pool runner ---------------------------------------------------
+# -- the process fan's failure handling -------------------------------------
 
 
 def _ok(x):
@@ -469,51 +469,59 @@ def _boom(x):
     raise ValueError(f"boom {x}")
 
 
-def _slow(x):
-    # Long enough to trip a sub-second timeout twice, short enough not
-    # to delay interpreter shutdown (abandoned workers finish the sleep).
-    time.sleep(2.0)
-    return x
+def _sleep(seconds):
+    # Long enough to trip a sub-second wait twice, short enough not to
+    # delay interpreter shutdown (abandoned workers finish the sleep).
+    time.sleep(seconds)
+    return seconds
 
 
 class TestHardenedPoolRunner:
+    """``fan_out`` over two workers: results in task order, failures
+    isolated as :class:`FailedRun` after one retry."""
+
     def test_results_in_order_with_failures_isolated(self):
-        results = run_tasks(
-            _ok,
-            [("a", (1,)), ("b", (2,)), ("c", (3,))],
-            jobs=2,
+        results = fan_out(
+            _ok, (), [("a", (1,)), ("b", (2,)), ("c", (3,))], jobs=2
         )
         assert list(results) == ["a", "b", "c"]
         assert results == {"a": 2, "b": 4, "c": 6}
 
     def test_failure_becomes_failed_run_not_exception(self):
-        results = run_tasks(_boom, [("bad", (7,))], jobs=1)
+        results = fan_out(_boom, (), [("bad", (7,)), ("worse", (8,))], jobs=2)
         failed = results["bad"]
         assert isinstance(failed, FailedRun)
+        assert failed.key == "bad"
         assert failed.attempts == 2
         assert "boom 7" in failed.error
+        assert "boom 8" in results["worse"].error
 
     def test_mixed_batch_keeps_survivors(self):
         # One function, data-dependent failure: exercised through a
         # single pool so the crash happens inside the shared executor.
-        results = run_tasks(
+        results = fan_out(
             _maybe_boom,
+            (),
             [("x", (1,)), ("y", (-1,)), ("z", (3,))],
             jobs=2,
         )
+        assert list(results) == ["x", "y", "z"]
         assert results["x"] == 1 and results["z"] == 9
         assert isinstance(results["y"], FailedRun)
-        ok, failed = split_failures(results)
-        assert set(ok) == {"x", "z"} and set(failed) == {"y"}
 
-    def test_timeout_is_reported(self):
-        results = run_tasks(_slow, [("t", (1,))], jobs=1, timeout_s=0.3)
+    def test_timeout_is_reported(self, monkeypatch):
+        monkeypatch.setattr(engine, "FAN_WAIT_S", 0.3)
+        results = fan_out(
+            _sleep, (), [("t", (2.0,)), ("quick", (0.0,))], jobs=2
+        )
         assert isinstance(results["t"], FailedRun)
         assert "timed out" in results["t"].error
+        assert results["quick"] == 0.0
 
     def test_duplicate_keys_rejected(self):
-        with pytest.raises(ValueError, match="unique"):
-            run_tasks(_ok, [("k", (1,)), ("k", (2,))], jobs=1)
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match="unique"):
+                fan_out(_ok, (), [("k", (1,)), ("k", (2,))], jobs=jobs)
 
 
 def _maybe_boom(x):

@@ -11,6 +11,7 @@ from repro.forecast import DayAheadPredictor
 from repro.forecast.arima import ArimaModel, ArimaOrder
 from repro.forecast.batch import (
     BatchArmaFit,
+    _batched_arma_recursion,
     batched_arma_fit,
     batched_arma_forecast,
 )
@@ -187,6 +188,14 @@ class TestArimaFit:
         assert fit.sigma2 == pytest.approx(4.0, rel=0.1)
 
 
+def recursion_forecast(model, horizon):
+    """The fitted model's seed per-step forecast, on the original scale."""
+    fit = model.fitted
+    return integrate(
+        model._forecast_recursion(horizon), fit.history, fit.order.d
+    )
+
+
 class TestCompanionArmaEquivalence:
     def test_scalar_matches_recursion_on_default_traces(self):
         """ArimaModel on the evaluation's traces: companion vs the kept
@@ -202,7 +211,7 @@ class TestCompanionArmaEquivalence:
                 model.fit(centered)
                 np.testing.assert_allclose(
                     model.forecast(288),
-                    model.forecast(288, method="recursion"),
+                    recursion_forecast(model, 288),
                     atol=1.0e-10,
                 )
 
@@ -224,7 +233,7 @@ class TestCompanionArmaEquivalence:
             model.fit(y)
             np.testing.assert_allclose(
                 model.forecast(100),
-                model.forecast(100, method="recursion"),
+                recursion_forecast(model, 100),
                 atol=1.0e-10,
             )
 
@@ -235,7 +244,7 @@ class TestCompanionArmaEquivalence:
         fit = batched_arma_fit(w, ArimaOrder(2, 0, 1))
         np.testing.assert_allclose(
             batched_arma_forecast(fit, 288),
-            batched_arma_forecast(fit, 288, method="recursion"),
+            _batched_arma_recursion(fit, 288),
             atol=1.0e-10,
         )
 
@@ -245,11 +254,8 @@ class TestCompanionArmaEquivalence:
         1e-10."""
         dataset = default_dataset(n_vms=20, n_days=9, seed=13)
         companion = DayAheadPredictor(dataset).forecast_day(7)
-        orig = batch_mod.batched_arma_forecast
         monkeypatch.setattr(
-            batch_mod,
-            "batched_arma_forecast",
-            lambda fit, horizon: orig(fit, horizon, method="recursion"),
+            batch_mod, "batched_arma_forecast", _batched_arma_recursion
         )
         recursion = DayAheadPredictor(dataset).forecast_day(7)
         for got, want in zip(companion, recursion):
@@ -270,24 +276,10 @@ class TestCompanionArmaEquivalence:
         )
         with np.errstate(over="ignore", invalid="ignore"):
             companion = batched_arma_forecast(fit, 300)
-            recursion = batched_arma_forecast(
-                fit, 300, method="recursion"
-            )
+            recursion = _batched_arma_recursion(fit, 300)
         # Healthy row: tight agreement; explosive row: identical
         # (it *is* the recursion's output, infs and all).
         np.testing.assert_allclose(
             companion[0], recursion[0], atol=1.0e-10
         )
         assert np.array_equal(companion[1], recursion[1])
-
-    def test_unknown_method_raises(self):
-        fit = batched_arma_fit(
-            np.random.default_rng(0).normal(size=(4, 300)),
-            ArimaOrder(2, 0, 1),
-        )
-        with pytest.raises(ForecastError):
-            batched_arma_forecast(fit, 10, method="nope")
-        model = ArimaModel(ArimaOrder(1, 0, 0))
-        model.fit(np.arange(50, dtype=float) % 7)
-        with pytest.raises(ForecastError):
-            model.forecast(10, method="nope")

@@ -30,6 +30,7 @@ from repro.core import (
     size_fleet_slot,
     split_fleet_vms,
 )
+from repro.core import sizing
 from repro.dcsim import CloudSimulation, DataCenterSimulation
 from repro.errors import ConfigurationError
 from repro.forecast import DayAheadPredictor
@@ -458,14 +459,18 @@ class TestSplitAndPoolAllocators:
                 assert plan.vm_ids == [int(idx[v]) for v in ref.vm_ids]
         assert forced == total_forced
 
-    def test_fleet_sizing_fast_matches_reference(self, two_pool_fleet):
+    def test_fleet_sizing_fast_matches_reference(
+        self, two_pool_fleet, monkeypatch
+    ):
         cpu = self._patterns(seed=11) * 2.0
         mem = self._patterns(seed=12)
         parts = split_fleet_vms(cpu, mem, two_pool_fleet)
         fast = size_fleet_slot(cpu, mem, two_pool_fleet, parts)
-        ref = size_fleet_slot(
-            cpu, mem, two_pool_fleet, parts, fast=False
+        # The scalar case-1 loop takes the sweep's arguments.
+        monkeypatch.setattr(
+            sizing, "_search_case1", sizing._search_case1_reference
         )
+        ref = size_fleet_slot(cpu, mem, two_pool_fleet, parts)
         for s_fast, s_ref in zip(fast.pool_sizings, ref.pool_sizings):
             assert (s_fast is None) == (s_ref is None)
             if s_fast is not None:

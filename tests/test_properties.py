@@ -29,7 +29,7 @@ from repro.cloud.telemetry import (
 )
 from repro.core import EpactPolicy
 from repro.core.alloc1d import allocate_1d
-from repro.core.alloc2d import allocate_2d
+from repro.core.alloc2d import _allocate_2d_reference, allocate_2d
 from repro.core.governor import DvfsGovernor
 from repro.core.types import AllocationContext
 from repro.dcsim.engine import count_migrations
@@ -221,9 +221,8 @@ class TestAllocationInvariants:
         plans, forced = allocate_2d(
             cpu, mem, n_servers, cap_cpu, cap_mem, max_servers=bound
         )
-        reference, ref_forced = allocate_2d(
-            cpu, mem, n_servers, cap_cpu, cap_mem, max_servers=bound,
-            fast=False,
+        reference, ref_forced = _allocate_2d_reference(
+            cpu, mem, n_servers, cap_cpu, cap_mem, bound, np.arange(n_vms)
         )
         assert [p.vm_ids for p in plans] == [p.vm_ids for p in reference]
         assert forced == ref_forced
