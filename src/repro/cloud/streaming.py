@@ -33,18 +33,34 @@ The class runs the engine's single window loop
 fills in its hooks: ingest and the forecast ladder before each
 decision, the blind-freeze allocation, the telemetry record fields
 and **checkpoint/resume** after each window.  Accounting is per slot
-and eager, so at any window boundary the state a resume reads — the
-loop state (records so far, previous placement and fault window),
-policy state, collector cursors, observations with bit-packed
-validity, and the ladder decisions from the boundary's day on — is a
-snapshot: a JSON header plus named NumPy arrays, kept in memory for
-the latest boundary only and written as one versioned ``.npz`` that
-loads with ``allow_pickle=False``.  Nothing derived is stored: no
-imputed history exists (gap-filled reads are computed from the
-observations), and a replay collector rebuilds its day of deliveries
-from its cursor.  A run resumed from a snapshot is bit-identical to
-the uninterrupted run, because nothing downstream of the snapshot
-consults a clock or an unseeded RNG.
+and eager, so at any window boundary the state a resume reads is
+small and exact: the loop state (records so far, previous placement
+and fault window), policy state, collector cursors, the observations
+with bit-packed validity, and the ladder decisions from the
+boundary's day on.
+
+The checkpoint is one file, a journal (format
+:data:`CHECKPOINT_VERSION`).  A fixed preamble (magic bytes, version,
+base length) opens it.  One **base** follows: a JSON header plus named
+arrays, written from the live arrays as an uncompressed ``.npz`` and
+read with ``allow_pickle=False``.  Append-only **records** follow the
+base, each length-prefixed and CRC-checked.  A record holds the
+telemetry batches ingested since the previous checkpoint, the run
+header and loop arrays at its boundary, and the ladder forecasts not
+yet in the file; it never repeats the observations.  The first
+checkpoint of a run, and the first one after the log has outgrown the
+base, writes a new base to ``<path>.tmp`` and renames it onto the
+path; every other checkpoint appends one record.  Resume loads the
+base and replays the logged batches through
+:meth:`~repro.cloud.telemetry.TelemetryIngest.ingest`, the code the
+run used.  A last record cut short or failing its CRC (a write torn
+by a crash) is dropped, so the run resumes from the boundary before
+it.  Nothing derived is stored: no imputed history exists (gap-filled
+reads are computed from the observations), and a replay collector
+rebuilds its day of deliveries from its cursor.  A run resumed from
+any boundary is bit-identical to the uninterrupted run, because
+nothing downstream of the checkpoint consults a clock or an unseeded
+RNG.
 
 ``collectors=`` accepts any sequence of live
 :class:`~repro.serve.adapters.CollectorAdapter` implementations
@@ -56,17 +72,25 @@ time for operator front ends (``repro.serve.service``).
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import struct
 import zipfile
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import zlib
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.types import Allocation, AllocationPolicy, ServerPlan
 from ..errors import CheckpointError, ConfigurationError
 from ..obs.manifest import config_hash
-from ..serve.adapters import CollectorAdapter, poll_with_retry
+from ..serve.adapters import (
+    CollectorAdapter,
+    TelemetryBatch,
+    _empty_batch,
+    poll_with_retry,
+)
 from ..traces.dataset import TraceDataset
 from ..traces.lifecycle import LifecycleSchedule
 from ..units import SAMPLES_PER_SLOT, SLOTS_PER_DAY
@@ -88,8 +112,16 @@ from .telemetry import (
     TraceCollector,
 )
 
-#: Checkpoint format version; a snapshot of any other version is refused.
-CHECKPOINT_VERSION = 1
+#: Checkpoint format version; a file of any other version is refused.
+CHECKPOINT_VERSION = 2
+
+#: The file's preamble: magic bytes, format version, base length.
+_PREAMBLE = struct.Struct("<8sIQ")
+_MAGIC = b"REPROCKP"
+#: A record's frame: payload length and the payload's CRC-32.
+_FRAME = struct.Struct("<QI")
+#: The :class:`TelemetryBatch` fields a record logs, as ``batch.<field>``.
+_BATCH_FIELDS = ("vm_rows", "samples", "cpu", "mem")
 
 
 def _split(state: Dict[str, object], prefix: str, arrays: Dict) -> Dict:
@@ -123,52 +155,182 @@ def _json_scalar(value):
     raise TypeError(f"{type(value).__name__} is not JSON-serializable")
 
 
-def _encode_header(header: Dict) -> str:
-    return json.dumps(header, default=_json_scalar)
+def _pack(fh, header: Dict, arrays: Dict[str, np.ndarray]) -> None:
+    """Write ``header`` and ``arrays`` to ``fh`` as one uncompressed
+    ``.npz`` (through a handle: given a name, np.savez appends
+    ``.npz``)."""
+    text = json.dumps(header, default=_json_scalar).encode("utf-8")
+    np.savez(fh, header=np.frombuffer(text, dtype=np.uint8), **arrays)
 
 
-def _read_checkpoint(path) -> dict:
-    """Load a checkpoint file (see :meth:`StreamingCloudSimulation.restore`).
+def _unreadable(name: str, detail) -> str:
+    return (
+        f"checkpoint {name} is not a readable checkpoint (truncated or "
+        f"corrupted): {detail}"
+    )
+
+
+def _unpack(source, name: str) -> Tuple[dict, Dict[str, np.ndarray]]:
+    """Read one :func:`_pack` archive back, without unpickling."""
+    try:
+        with np.load(source, allow_pickle=False) as archive:
+            header = json.loads(archive["header"].tobytes())
+            arrays = {
+                key: archive[key] for key in archive.files if key != "header"
+            }
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(_unreadable(name, exc)) from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(_unreadable(name, "its header is not an object"))
+    return header, arrays
+
+
+class _Bounded:
+    """A checkpoint file seen only up to the end of its base.
+
+    The base is a zip archive written in place after the preamble, so
+    its offsets are file offsets; hiding the records after it lets
+    :func:`numpy.load` find the archive's directory at the end.
+    """
+
+    def __init__(self, fh, end: int) -> None:
+        self._fh = fh
+        self._end = end
+
+    def seekable(self) -> bool:
+        return True
+
+    def tell(self) -> int:
+        return self._fh.tell()
+
+    def seek(self, offset: int, whence: int = os.SEEK_SET) -> int:
+        if whence == os.SEEK_END:
+            return self._fh.seek(self._end + offset)
+        return self._fh.seek(offset, whence)
+
+    def read(self, n: int = -1) -> bytes:
+        left = max(self._end - self._fh.tell(), 0)
+        return self._fh.read(left if n is None or n < 0 else min(n, left))
+
+
+def _base_end(fh, name: str, size: int) -> int:
+    """Check the preamble; return the file offset where the base ends."""
+    head = fh.read(_PREAMBLE.size)
+    # Pickle protocol 2+ streams open with the PROTO opcode.
+    if head[:1] == b"\x80":
+        raise CheckpointError(
+            f"checkpoint {name} is an old pickle checkpoint; pickle "
+            f"checkpoints are no longer read — start the run again to "
+            f"write a new checkpoint"
+        )
+    if head[:4] in (b"PK\x03\x04", b"PK\x05\x06"):
+        raise CheckpointError(
+            f"checkpoint {name} is a format-1 .npz checkpoint; this build "
+            f"reads version {CHECKPOINT_VERSION} — start the run again to "
+            f"write a new checkpoint"
+        )
+    if len(head) < _PREAMBLE.size or not head.startswith(_MAGIC):
+        raise CheckpointError(_unreadable(name, "no checkpoint preamble"))
+    _, version, base_len = _PREAMBLE.unpack(head)
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"checkpoint {name} has format version {version}; this build "
+            f"reads version {CHECKPOINT_VERSION}"
+        )
+    end = _PREAMBLE.size + base_len
+    if end > size:
+        raise CheckpointError(
+            _unreadable(
+                name,
+                f"its base is {base_len} bytes, the file holds "
+                f"{size - _PREAMBLE.size} after the preamble",
+            )
+        )
+    return end
+
+
+def _parts(path) -> Iterator[Tuple[dict, Dict[str, np.ndarray]]]:
+    """A checkpoint file's base, then each intact record, as
+    ``(header, arrays)`` pairs, read one at a time.
+
+    A last record cut short or failing its CRC (a write torn by a
+    crash) is dropped.
 
     Raises:
-        CheckpointError: on any failure to read it.
+        CheckpointError: for a missing or unreadable file, an old pickle
+            or format-1 checkpoint, another format version, a damaged
+            or short base, or a record before the last that fails its
+            CRC.
     """
     name = os.fspath(path)
-    unreadable = (
-        f"checkpoint {name} is not a readable checkpoint (truncated, "
-        f"corrupted or not an .npz archive)"
-    )
     try:
-        with open(name, "rb") as fh:
-            magic = fh.read(4)
-            # Pickle protocol 2+ streams open with the PROTO opcode.
-            if magic[:1] == b"\x80":
-                raise CheckpointError(
-                    f"checkpoint {name} is an old pickle checkpoint; "
-                    f"pickle checkpoints are no longer read — start the "
-                    f"run again to write a .npz checkpoint"
-                )
-            if magic not in (b"PK\x03\x04", b"PK\x05\x06"):
-                raise CheckpointError(unreadable)
-            fh.seek(0)
-            with np.load(fh, allow_pickle=False) as archive:
-                header = json.loads(archive["header"].tobytes())
-                arrays = {
-                    key: archive[key]
-                    for key in archive.files
-                    if key != "header"
-                }
+        fh = open(name, "rb")
     except FileNotFoundError as exc:
         raise CheckpointError(f"checkpoint {name} does not exist") from exc
-    except (
-        OSError,
-        EOFError,
-        KeyError,
-        ValueError,
-        zipfile.BadZipFile,
-    ) as exc:
-        raise CheckpointError(f"{unreadable}: {exc}") from exc
-    return {"header": header, "arrays": arrays}
+    except OSError as exc:
+        raise CheckpointError(_unreadable(name, exc)) from exc
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        pos = _base_end(fh, name, size)
+        yield _unpack(_Bounded(fh, pos), name)
+        while pos + _FRAME.size <= size:
+            fh.seek(pos)
+            length, crc = _FRAME.unpack(fh.read(_FRAME.size))
+            end = pos + _FRAME.size + length
+            if end > size:
+                return  # cut inside the last record
+            payload = fh.read(length)
+            if zlib.crc32(payload) != crc:
+                if end == size:
+                    return  # a torn last record
+                raise CheckpointError(
+                    f"checkpoint {name} has a damaged record at byte {pos} "
+                    f"(CRC mismatch) before its last one"
+                )
+            yield _unpack(io.BytesIO(payload), name)
+            pos = end
+
+
+def read_checkpoint(path) -> List[Tuple[dict, Dict[str, np.ndarray]]]:
+    """Read a checkpoint file: its base, then each intact record.
+
+    Each part is ``(header, arrays)``: the decoded JSON header and the
+    named arrays, loaded with ``allow_pickle=False``.  Every part's
+    arrays hold the loop arrays (``loop.*``) and the ladder forecasts it
+    added to the file (``ladder.cpu.<day>`` / ``ladder.mem.<day>``);
+    the base's also hold the observations (``ingest.*``) and a
+    record's the telemetry batches logged since the previous
+    checkpoint (``batch.vm_rows`` / ``samples`` / ``cpu`` / ``mem``,
+    cut by ``batch.sizes``).  A torn last record is left out.
+
+    Raises:
+        CheckpointError: as :meth:`StreamingCloudSimulation.restore`
+            for an unreadable file.
+    """
+    return list(_parts(path))
+
+
+def _log_arrays(log: List[TelemetryBatch]) -> Dict[str, np.ndarray]:
+    """Logged batches as one array per field plus their sizes."""
+    batches = log or [_empty_batch()]
+    arrays = {
+        f"batch.{field}": np.concatenate([getattr(b, field) for b in batches])
+        for field in _BATCH_FIELDS
+    }
+    arrays["batch.sizes"] = np.array([b.n_samples for b in log], np.int64)
+    return arrays
+
+
+def _logged_batches(arrays: Dict[str, np.ndarray]) -> Iterator[TelemetryBatch]:
+    """The batches :func:`_log_arrays` logged, one at a time."""
+    sizes = arrays.get("batch.sizes")
+    if sizes is None:
+        return
+    ends = np.cumsum(sizes)
+    for lo, hi in zip((ends - sizes).tolist(), ends.tolist()):
+        yield TelemetryBatch(
+            **{field: arrays[f"batch.{field}"][lo:hi] for field in _BATCH_FIELDS}
+        )
 
 
 class _LadderPredictor:
@@ -249,17 +411,16 @@ class StreamingCloudSimulation(CloudSimulation):
         poll_backoff_s: base exponential-backoff delay between retries
             (0 keeps replay instant).
         sleep: injectable backoff sleep (tests).
-        checkpoint_every_slots: snapshot the run state at the first
-            window boundary at or past every multiple of this many
-            slots (``None`` disables checkpointing).  Only the latest
-            snapshot is kept, on :attr:`latest_checkpoint` (the
-            previous one is dropped first); a caller that wants an
-            earlier boundary takes it when a yielded decision's
-            ``checkpointed`` is true.
-        checkpoint_path: where to persist the latest snapshot: one
-            uncompressed ``.npz`` (format
-            :data:`CHECKPOINT_VERSION`), written to ``<path>.tmp`` and
-            renamed onto exactly this path.
+        checkpoint_every_slots: checkpoint the run at the first window
+            boundary at or past every multiple of this many slots
+            (``None`` disables checkpointing; needs
+            ``checkpoint_path``).  A yielded decision's
+            ``checkpointed`` is true at each checkpoint; copy the file
+            then to keep that boundary.
+        checkpoint_path: the checkpoint file (format
+            :data:`CHECKPOINT_VERSION`, see the module docstring): a
+            base, written to ``<path>.tmp`` and renamed onto exactly
+            this path, then records appended to it.
         collectors: live :class:`~repro.serve.adapters.CollectorAdapter`
             feed — polled with the same once-per-elapsed-slot
             retry/backoff loop the replay collectors use.  Mutually
@@ -304,11 +465,17 @@ class StreamingCloudSimulation(CloudSimulation):
             raise ConfigurationError(
                 f"poll_backoff_s must be >= 0, got {poll_backoff_s}"
             )
-        if checkpoint_every_slots is not None and checkpoint_every_slots < 1:
-            raise ConfigurationError(
-                f"checkpoint_every_slots must be >= 1, got "
-                f"{checkpoint_every_slots}"
-            )
+        if checkpoint_every_slots is not None:
+            if checkpoint_every_slots < 1:
+                raise ConfigurationError(
+                    f"checkpoint_every_slots must be >= 1, got "
+                    f"{checkpoint_every_slots}"
+                )
+            if checkpoint_path is None:
+                raise ConfigurationError(
+                    "checkpoint_every_slots needs checkpoint_path: the "
+                    "checkpoint file is the only checkpoint"
+                )
         if telemetry is not None and collectors is not None:
             raise ConfigurationError(
                 "telemetry= and collectors= are mutually exclusive: a "
@@ -323,11 +490,15 @@ class StreamingCloudSimulation(CloudSimulation):
         self._sleep = sleep
         self._ckpt_every = checkpoint_every_slots
         self._ckpt_path = checkpoint_path
-        #: The latest snapshot taken during the run (``None`` before
-        #: the first boundary); pass it to :meth:`restore`.
-        self.latest_checkpoint: Optional[dict] = None
         self._resume_state: Optional[_LoopState] = None
         self._next_ckpt = 0
+        # The journal: batches ingested since the previous checkpoint
+        # (None until this run wrote a base), the base's and the log's
+        # bytes, and the ladder forecast arrays already in the file.
+        self._log: Optional[List[TelemetryBatch]] = None
+        self._base_bytes = 0
+        self._log_bytes = 0
+        self._filed: set = set()
 
         self._collectors: List[CollectorAdapter] = []
         self._ingest: Optional[TelemetryIngest] = None
@@ -397,6 +568,8 @@ class StreamingCloudSimulation(CloudSimulation):
                 )
                 if batch is not None:
                     self._ingest.ingest(batch)
+                    if self._log is not None and batch.n_samples:
+                        self._log.append(batch)
         self._ingested_until = max(self._ingested_until, slot)
 
     def _ladder_begin(self, slot: int) -> None:
@@ -557,7 +730,7 @@ class StreamingCloudSimulation(CloudSimulation):
     def _begin_run(self) -> _LoopState:
         """A fresh loop state, or the one a :meth:`restore` armed."""
         state, self._resume_state = self._resume_state, None
-        self.latest_checkpoint = None
+        self._log = None
         if state is None:
             state = super()._begin_run()
         if self._ckpt_every is not None:
@@ -565,20 +738,22 @@ class StreamingCloudSimulation(CloudSimulation):
         return state
 
     def _after_window(self, state: _LoopState) -> bool:
-        """Snapshot the run at the first boundary past each cadence."""
+        """Checkpoint the run at the first boundary past each cadence."""
         if self._ckpt_every is None or state.slot < self._next_ckpt:
             return False
-        # Drop the previous snapshot first, so two never coexist.
-        self.latest_checkpoint = None
-        self.latest_checkpoint = self._snapshot(state)
-        if self._ckpt_path is not None:
-            self._write_checkpoint(self.latest_checkpoint)
+        with self._tracer.phase("checkpoint"):
+            base = self._log is None or self._log_bytes > self._base_bytes
+            if base:
+                written = self._write_base(state)
+            else:
+                written = self._append_record(state)
         if self._tracer.enabled:
             self._tracer.emit(
                 "checkpoint",
                 slot=state.slot,
                 n_records=len(state.records),
-                persisted=self._ckpt_path is not None,
+                bytes=written,
+                base=base,
             )
         self._next_ckpt = self._following_checkpoint(state.slot)
         return True
@@ -592,29 +767,6 @@ class StreamingCloudSimulation(CloudSimulation):
             (slot - self._start_slot) // every + 1
         )
 
-    def restore(self, source) -> None:
-        """Load a snapshot and arm the next :meth:`run` to resume from it.
-
-        Args:
-            source: a snapshot (:attr:`latest_checkpoint`, read when a
-                yielded decision's ``checkpointed`` is true for an
-                earlier boundary) or the path of a checkpoint file
-                (``checkpoint_path``).  A file is read with
-                ``np.load(..., allow_pickle=False)``.
-
-        Raises:
-            CheckpointError: if the file is missing, truncated or
-                corrupted, is an old pickle checkpoint, has another
-                format version, or the snapshot was taken under a
-                different engine configuration.
-        """
-        if isinstance(source, (str, os.PathLike)):
-            label = f"checkpoint {os.fspath(source)}"
-            source = _read_checkpoint(source)
-        else:
-            label = "checkpoint"
-        self._resume_state = self._apply_state(source, label)
-
     def _checkpoint_config(self) -> Dict[str, object]:
         """The engine configuration a resume depends on."""
         return {
@@ -627,74 +779,143 @@ class StreamingCloudSimulation(CloudSimulation):
             "collectors": len(self._collectors),
         }
 
-    def _snapshot(self, state: _LoopState) -> dict:
-        """The run at a window boundary: JSON header plus arrays."""
-        arrays: Dict[str, np.ndarray] = {}
+    def _run_header(self, state: _LoopState, arrays: Dict):
+        """The header every base and record carries.
+
+        Moves the loop arrays into ``arrays``; returns the header and
+        the ladder's forecast arrays, which the caller files.
+        """
         config = self._checkpoint_config()
         header = {
-            "version": CHECKPOINT_VERSION,
             "config": config,
             "config_hash": config_hash(config),
             "loop": _split(state.state(), "loop", arrays),
             "policy": self._policy.state(),
             "ingested_until": self._ingested_until,
         }
+        forecasts: Dict[str, np.ndarray] = {}
         if self._ingest is not None:
             header["collectors"] = [c.state() for c in self._collectors]
-            header["ingest"] = _split(self._ingest.state(), "ingest", arrays)
             header["ladder"] = _split(
                 self._ladder.state(state.slot // SLOTS_PER_DAY),
                 "ladder",
-                arrays,
+                forecasts,
             )
-        # The JSON round trip gives the in-memory header exactly the
-        # values a file restore reads.
-        return {"header": json.loads(_encode_header(header)), "arrays": arrays}
+        return header, forecasts
 
-    def _write_checkpoint(self, snapshot: dict) -> None:
-        """Write ``snapshot`` as one uncompressed ``.npz``, atomically."""
+    def _write_base(self, state: _LoopState) -> int:
+        """Write a new file of one base, atomically; returns its bytes."""
+        arrays: Dict[str, np.ndarray] = {}
+        header, forecasts = self._run_header(state, arrays)
+        if self._ingest is not None:
+            header["ingest"] = _split(self._ingest.state(), "ingest", arrays)
+        arrays.update(forecasts)
         tmp = f"{self._ckpt_path}.tmp"
-        # Through a handle: given a name, np.savez appends ".npz".
         with open(tmp, "wb") as fh:
-            header = _encode_header(snapshot["header"]).encode("utf-8")
-            np.savez(
-                fh,
-                header=np.frombuffer(header, dtype=np.uint8),
-                **snapshot["arrays"],
+            fh.write(_PREAMBLE.pack(_MAGIC, CHECKPOINT_VERSION, 0))
+            _pack(fh, header, arrays)
+            size = fh.tell()
+            fh.seek(0)
+            fh.write(
+                _PREAMBLE.pack(
+                    _MAGIC, CHECKPOINT_VERSION, size - _PREAMBLE.size
+                )
             )
         os.replace(tmp, self._ckpt_path)
+        self._base_bytes, self._log_bytes = size, 0
+        self._filed = set(forecasts)
+        self._log = []
+        return size
 
-    def _apply_state(self, snapshot: dict, label: str) -> _LoopState:
-        """Validate ``snapshot`` against this simulation and load it.
+    def _append_record(self, state: _LoopState) -> int:
+        """Append one record to the file; returns its bytes."""
+        arrays = _log_arrays(self._log) if self._ingest is not None else {}
+        header, forecasts = self._run_header(state, arrays)
+        new = {k: v for k, v in forecasts.items() if k not in self._filed}
+        arrays.update(new)
+        buf = io.BytesIO()
+        _pack(buf, header, arrays)
+        payload = buf.getbuffer()
+        with open(self._ckpt_path, "ab") as fh:
+            fh.write(_FRAME.pack(len(payload), zlib.crc32(payload)))
+            fh.write(payload)
+        written = _FRAME.size + len(payload)
+        self._log_bytes += written
+        self._filed.update(new)
+        self._log = []
+        return written
+
+    def restore(self, path) -> None:
+        """Load a checkpoint file and arm the next :meth:`run` (or
+        :meth:`windows`) to resume from its last intact boundary.
+
+        The base restores the observations; each record's logged
+        batches are replayed through
+        :meth:`~repro.cloud.telemetry.TelemetryIngest.ingest`; the last
+        part's header restores the loop, policy, collector cursors and
+        ladder.  A failed restore may leave the simulation half
+        loaded: build a new one.
+
+        Raises:
+            CheckpointError: if the file is missing, unreadable, an old
+                pickle or format-1 ``.npz`` checkpoint, of another
+                format version, has a damaged or short base or a
+                damaged record before its last, or was written under a
+                different engine configuration.
+        """
+        label = f"checkpoint {os.fspath(path)}"
+        forecasts: Dict[str, np.ndarray] = {}
+        for i, (header, arrays) in enumerate(_parts(path)):
+            self._check_config(header, label)
+            try:
+                if self._ingest is not None and i == 0:
+                    self._ingest.restore(
+                        _join(header["ingest"], "ingest", arrays)
+                    )
+                for batch in _logged_batches(arrays):
+                    self._ingest.ingest(batch)
+            except (
+                AttributeError, IndexError, KeyError, TypeError, ValueError
+            ) as exc:
+                raise CheckpointError(
+                    f"{label} is malformed: {exc!r}"
+                ) from exc
+            forecasts.update(
+                (key, value)
+                for key, value in arrays.items()
+                if key.startswith("ladder.")
+            )
+        self._resume_state = self._apply_state(
+            header, arrays, forecasts, label
+        )
+
+    def _check_config(self, header: dict, label: str) -> None:
+        """Refuse a part written under another engine configuration."""
+        config = self._checkpoint_config()
+        if header.get("config_hash") == config_hash(config):
+            return
+        theirs = header.get("config") or {}
+        differ = "; ".join(
+            f"{key} {theirs.get(key)!r} in the checkpoint vs "
+            f"{value!r} in this run"
+            for key, value in config.items()
+            if theirs.get(key) != value
+        ) or (
+            f"config hash {header.get('config_hash')!r} in the "
+            f"checkpoint vs {config_hash(config)!r} in this run"
+        )
+        raise CheckpointError(
+            f"{label} was taken under a different configuration "
+            f"({differ}); resume with the configuration that wrote it"
+        )
+
+    def _apply_state(
+        self, header: dict, arrays: Dict, forecasts: Dict, label: str
+    ) -> _LoopState:
+        """Load the last part's header into this simulation.
 
         Returns the loop state the resumed run continues from.
         """
-        header = snapshot.get("header")
-        if not isinstance(header, dict):
-            raise CheckpointError(f"{label} has no header")
-        version = header.get("version")
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"{label} has format version {version!r}; this build "
-                f"reads version {CHECKPOINT_VERSION}"
-            )
-        config = self._checkpoint_config()
-        if header.get("config_hash") != config_hash(config):
-            theirs = header.get("config") or {}
-            differ = "; ".join(
-                f"{key} {theirs.get(key)!r} in the checkpoint vs "
-                f"{value!r} in this run"
-                for key, value in config.items()
-                if theirs.get(key) != value
-            ) or (
-                f"config hash {header.get('config_hash')!r} in the "
-                f"checkpoint vs {config_hash(config)!r} in this run"
-            )
-            raise CheckpointError(
-                f"{label} was taken under a different configuration "
-                f"({differ}); resume with the configuration that wrote it"
-            )
-        arrays = snapshot["arrays"]
         try:
             loop = _LoopState.from_state(_join(header["loop"], "loop", arrays))
             self._policy.restore(header["policy"])
@@ -704,8 +925,9 @@ class StreamingCloudSimulation(CloudSimulation):
                     self._collectors, header["collectors"]
                 ):
                     collector.restore(cstate)
-                self._ingest.restore(_join(header["ingest"], "ingest", arrays))
-                self._ladder.restore(_join(header["ladder"], "ladder", arrays))
+                self._ladder.restore(
+                    _join(header["ladder"], "ladder", forecasts)
+                )
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{label} is malformed: {exc!r}") from exc
         return loop
@@ -754,6 +976,12 @@ def run_streaming_policies(
         raise ConfigurationError(
             "live collectors cannot fan out across processes — a feed "
             "is consumed once; run live policies with jobs=1"
+        )
+    if kwargs.get("checkpoint_path") is not None and len(policy_list) > 1:
+        raise ConfigurationError(
+            f"one checkpoint_path cannot hold {len(policy_list)} "
+            f"policies' runs — each run writes the whole file; run one "
+            f"policy per checkpoint file"
         )
     if _fans_out(jobs, len(policy_list)):
         if telemetry is None:

@@ -1005,11 +1005,13 @@ class TelemetryIngest:
     # -- checkpoint ----------------------------------------------------
 
     def state(self) -> Dict[str, object]:
-        """Checkpoint snapshot: observations, validity bit-packed along
-        the sample axis, and the newest delivery slot."""
+        """Checkpoint state: the live observation buffers (not copies:
+        write them out before the next :meth:`ingest`), validity
+        bit-packed along the sample axis, and the newest delivery
+        slot."""
         return {
-            "obs_cpu": self.obs_cpu.copy(),
-            "obs_mem": self.obs_mem.copy(),
+            "obs_cpu": self.obs_cpu,
+            "obs_mem": self.obs_mem,
             "valid_bits": np.packbits(self.valid, axis=1),
             "newest_delivery_slot": self.newest_delivery_slot,
         }

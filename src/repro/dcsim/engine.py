@@ -203,9 +203,9 @@ class WindowDecision:
         imputed_samples: imputed samples in the last observed slot.
         energy_j: total energy accounted to the window.
         violations: SLA violation count accounted to the window.
-        checkpointed: a run snapshot was taken at this boundary; the
-            streaming engine's ``latest_checkpoint`` holds it until the
-            next one.
+        checkpointed: the streaming engine checkpointed the run at
+            this boundary; its checkpoint file resumes from here until
+            the next one (copy the file now to keep this boundary).
     """
 
     slot: int

@@ -69,9 +69,6 @@ class ObsOptions:
     scenarios: Optional[List[str]] = None
 
 
-_NO_OBS = ObsOptions()
-
-
 def count_failures(value: Any) -> int:
     """Count :class:`~repro.dcsim.engine.FailedRun` markers in a result.
 
@@ -259,6 +256,47 @@ def collect_summaries(value: Any) -> Any:
     return None
 
 
+def _scenario_registries() -> Dict[str, Tuple[str, Dict[str, Any]]]:
+    """The registry each ``--scenarios`` experiment reads names from."""
+    from ..cloud import FAULT_SCENARIOS, SCENARIOS, TELEMETRY_SCENARIOS
+    from .hyperscale import PROFILES
+
+    return {
+        "cloud": ("SCENARIOS", SCENARIOS),
+        "faults": ("FAULT_SCENARIOS", FAULT_SCENARIOS),
+        "telemetry": ("TELEMETRY_SCENARIOS", TELEMETRY_SCENARIOS),
+        "hyperscale": ("PROFILES", PROFILES),
+    }
+
+
+def _unknown_scenario(names: List[str], scenarios: List[str]) -> Optional[str]:
+    """Why a ``--scenarios`` name fails a selected experiment, or
+    ``None`` when every name is in every selected registry."""
+    registries = _scenario_registries()
+    for name in names:
+        if name not in registries:
+            continue
+        label, registry = registries[name]
+        for scenario in scenarios:
+            if scenario in registry:
+                continue
+            holders = [
+                f"{other_label} ({other})"
+                for other, (other_label, other_registry) in registries.items()
+                if scenario in other_registry
+            ]
+            where = (
+                f"it is in {', '.join(holders)}"
+                if holders
+                else "no registry holds it"
+            )
+            return (
+                f"--scenarios name {scenario!r} is not in {label}, the "
+                f"registry of the {name} experiment; {where}"
+            )
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     arg_list = list(sys.argv[1:]) if argv is None else list(argv)
@@ -303,7 +341,8 @@ def main(argv: list[str] | None = None) -> int:
             "hash, git rev, versions), trace.jsonl + timing.jsonl "
             "(structured events; deterministic and wall-clock channels, "
             "the latter with the forecast/policy/prepare/account phase "
-            "times), per-experiment text reports and summary.json; "
+            "times, plus checkpoint for a checkpointing streaming run), "
+            "per-experiment text reports and summary.json; "
             "render them later with `repro-experiments report DIR`"
         ),
     )
@@ -339,6 +378,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.scenarios
         else None
     )
+    if scenarios:
+        problem = _unknown_scenario(names, scenarios)
+        if problem is not None:
+            print(f"repro-experiments: {problem}", file=sys.stderr)
+            return 2
 
     tracer = None
     if args.out is not None:

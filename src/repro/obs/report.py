@@ -14,8 +14,9 @@ report:
   migrations) wherever a group actually degraded;
 * the event mix and the migration total of the allocation windows
   (event channel);
-* a phase-time breakdown (forecast / policy / prepare / account) from
-  the timing channel's ``phase_time`` events;
+* a phase-time breakdown (forecast / policy / prepare / account, and
+  checkpoint for a checkpointing streaming run) from the timing
+  channel's ``phase_time`` events;
 * per-pool attribution (mean active servers per fleet pool, from the
   allocation events) and the sweep tasks' elapsed-time summary and
   slowest tasks (timing channel).

@@ -168,13 +168,18 @@ EVENT_SCHEMAS: Dict[str, dict] = {
         "required": ["collector", "slot", "attempt", "gave_up"],
     },
     "checkpoint": {
-        "doc": "A streaming checkpoint was snapshot (and maybe written).",
+        "doc": "A streaming checkpoint was written: a new base, or one "
+        "record appended to the file (``bytes`` is what it wrote).  "
+        "``persisted`` appears only in traces of format-1 checkpoints, "
+        "which had no ``bytes`` or ``base``.",
         "fields": {
             "slot": _INT,
             "n_records": _INT,
+            "bytes": _INT,
+            "base": _BOOL,
             "persisted": _BOOL,
         },
-        "required": ["slot", "n_records", "persisted"],
+        "required": ["slot", "n_records"],
     },
     # -- operator decision stream (repro.serve) ------------------------
     "decision_placement": {

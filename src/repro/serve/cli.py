@@ -6,8 +6,8 @@ Usage (run as ``python -m repro.serve.cli``)::
     python -m repro.serve.cli --telemetry lossy-10pct --policy reactive
     python -m repro.serve.cli --out runs/serve       # decision stream
                                                      # to trace.jsonl
-    python -m repro.serve.cli --checkpoint ckpt.npz --checkpoint-every 12
-    python -m repro.serve.cli --checkpoint ckpt.npz --resume
+    python -m repro.serve.cli --checkpoint run.ckpt --checkpoint-every 12
+    python -m repro.serve.cli --checkpoint run.ckpt --resume
     python -m repro.serve.cli --mode live --demo-feed
     python -m repro.serve.cli --mode live --feed http://host:8931
 
@@ -26,10 +26,14 @@ emitted as ``decision_*`` events beside the engine's streaming events
 (one ``trace.jsonl`` per run, schema-validated at emit time); the
 engine's phase times land on ``timing.jsonl`` when the run ends.
 
-A checkpoint is one versioned ``.npz`` loaded without pickle; a
-missing, damaged or old pickle checkpoint, or one written under another
-configuration, makes ``--resume`` exit 2 with a one-line
-``repro-serve:`` message.
+A checkpoint is one versioned file: a base (a JSON header plus named
+arrays, loaded without pickle) followed by appended, CRC-checked
+records (see :mod:`repro.cloud.streaming`).  ``--resume`` continues
+from its last intact record; a torn last record is dropped.  A
+missing or damaged file, an old pickle or format-1 ``.npz``
+checkpoint, or one written under another configuration makes
+``--resume`` exit 2 with a one-line ``repro-serve:`` message, as does
+``--checkpoint-every`` without ``--checkpoint``.
 """
 
 from __future__ import annotations
@@ -153,19 +157,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--checkpoint",
         metavar="PATH",
         default=None,
-        help="persist the latest window-boundary snapshot here",
+        help="the checkpoint file, written at window boundaries",
     )
     parser.add_argument(
         "--checkpoint-every",
         type=int,
         default=None,
         metavar="SLOTS",
-        help="snapshot cadence (default: 12 when --checkpoint is set)",
+        help="checkpoint cadence (default: 12 when --checkpoint is set)",
     )
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="restore the --checkpoint snapshot before streaming",
+        help="resume from the --checkpoint file before streaming",
     )
     parser.add_argument(
         "--feed",

@@ -68,10 +68,12 @@ class ServeConfig:
         n_slots: evaluated slots (``None`` = everything after the
             forecaster's training window).
         max_servers: fleet bound.
-        checkpoint_every_slots: window-boundary snapshot cadence
-            (``None`` disables checkpointing).
-        checkpoint_path: where the latest snapshot is persisted; also
-            the source of a ``resume=True`` run.
+        checkpoint_every_slots: window-boundary checkpoint cadence
+            (``None`` disables checkpointing; needs
+            ``checkpoint_path``).
+        checkpoint_path: the checkpoint file (a base plus appended
+            records, :mod:`repro.cloud.streaming`); also the source of
+            a ``resume=True`` run.
     """
 
     workload: str = "zero-churn"
@@ -102,14 +104,18 @@ class ServeConfig:
             raise ConfigurationError("n_slots must be >= 1")
         if self.max_servers < 1:
             raise ConfigurationError("max_servers must be >= 1")
-        if (
-            self.checkpoint_every_slots is not None
-            and self.checkpoint_every_slots < 1
-        ):
-            raise ConfigurationError(
-                f"checkpoint_every_slots must be >= 1, got "
-                f"{self.checkpoint_every_slots}"
-            )
+        if self.checkpoint_every_slots is not None:
+            if self.checkpoint_every_slots < 1:
+                raise ConfigurationError(
+                    f"checkpoint_every_slots must be >= 1, got "
+                    f"{self.checkpoint_every_slots}"
+                )
+            if self.checkpoint_path is None:
+                raise ConfigurationError(
+                    "checkpoint_every_slots needs checkpoint_path "
+                    "(--checkpoint-every needs --checkpoint): the "
+                    "checkpoint file is the only checkpoint"
+                )
 
 
 def build_simulation(
@@ -215,7 +221,7 @@ def serve(
         tracer: optional :class:`~repro.obs.tracer.RunTracer`; receives
             the engine's streaming events *and* the ``decision_*``
             stream, and times the engine's phases.
-        resume: restore the latest snapshot from
+        resume: restore the last intact boundary of
             ``config.checkpoint_path`` before streaming (bit-identical
             continuation).
         on_decision: optional callback invoked with every
@@ -231,7 +237,7 @@ def serve(
         if config.checkpoint_path is None:
             raise ConfigurationError(
                 "resume=True needs checkpoint_path set — there is no "
-                "snapshot to restore"
+                "checkpoint to restore"
             )
         sim.restore(config.checkpoint_path)
     for decision in sim.windows():

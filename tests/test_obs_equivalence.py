@@ -302,7 +302,8 @@ class TestSchemas:
                     "seq": 0,
                     "slot": "one",
                     "n_records": 2,
-                    "persisted": False,
+                    "bytes": 4096,
+                    "base": False,
                 }
             )
 
@@ -325,7 +326,8 @@ class TestSchemas:
                     "seq": 0,
                     "slot": 1,
                     "n_records": 2,
-                    "persisted": True,
+                    "bytes": 4096,
+                    "base": True,
                     "wall_s": 1.5,
                 }
             )
@@ -357,13 +359,15 @@ class TestSchemas:
                 "checkpoint",
                 slot=np.int64(5),
                 n_records=np.int32(2),
-                persisted=bool(np.bool_(True)),
+                bytes=np.int64(4096),
+                base=bool(np.bool_(True)),
             )
         (decoded,) = list(
             json.loads(line) for line in path.read_text().splitlines()
         )
         assert decoded["slot"] == 5
         assert isinstance(decoded["slot"], int)
+        assert isinstance(decoded["bytes"], int)
         assert validate_trace_file(path) == 1
 
     def test_emit_validates_eagerly(self):
@@ -535,6 +539,21 @@ class TestReportRoundTrip:
             fh.write('{"event":"allocation_window","seq":1,"slot":4}\n')
         assert report_main([str(bad)]) == 1
         assert "report failed" in capsys.readouterr().err
+
+    def test_report_reads_format_1_checkpoint_events(
+        self, run_dir, tmp_path, capsys
+    ):
+        import shutil
+
+        old = tmp_path / "old_run"
+        shutil.copytree(run_dir, old)
+        with open(old / "trace.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(
+                '{"event":"checkpoint","n_records":12,"persisted":true,'
+                '"seq":100000,"slot":180}\n'
+            )
+        assert report_main([str(old)]) == 0
+        assert "audit report" in capsys.readouterr().out
 
     def test_missing_dir_fails_report(self, tmp_path, capsys):
         assert report_main([str(tmp_path / "absent")]) == 1

@@ -22,6 +22,7 @@ from repro.baselines import (
 )
 from repro.baselines.coat import _allocate_reference as _coat_reference
 from repro.cloud import StreamingCloudSimulation, fixed_schedule
+from repro.cloud.streaming import _FRAME, _PREAMBLE
 from repro.cloud.telemetry import (
     TELEMETRY_SCENARIOS,
     TelemetryIngest,
@@ -321,9 +322,22 @@ def _resume_sim(dataset, telemetry, schedule, policy, max_imputed, **kwargs):
     )
 
 
+def _last_record(data: bytes):
+    """(offset, length) of a checkpoint file's last record, frame
+    included, or ``None`` for a base alone."""
+    _, _, base_len = _PREAMBLE.unpack_from(data)
+    pos, last = _PREAMBLE.size + base_len, None
+    while pos < len(data):
+        length = _FRAME.size + _FRAME.unpack_from(data, pos)[0]
+        last = (pos, length)
+        pos += length
+    return last
+
+
 class TestResumeProperty:
-    """Resuming a streaming run at any checkpoint boundary, from the
-    in-memory snapshot or from the file, gives the uninterrupted run.
+    """Resuming a streaming run from a copy of its checkpoint file taken
+    at any boundary, or from that copy cut inside its last record (a
+    torn write, dropped on resume), gives the uninterrupted run.
 
     The drawn configurations compose policy, churn, degradation
     scenario, a strict or default fresh-fit threshold (so fresh, stale
@@ -394,26 +408,36 @@ class TestResumeProperty:
             schedule = fixed_schedule(dataset.n_vms, 0, dataset.n_slots)
         args = (dataset, telemetry, schedule, policy, max_imputed)
         with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "ckpt.npz")
+            path = os.path.join(tmp, "ckpt")
             full = _resume_sim(
                 *args,
                 n_slots=n_slots,
                 checkpoint_every_slots=every,
                 checkpoint_path=path,
             )
-            boundaries = []
+            sources = []
             for decision in full.windows():
-                if decision.checkpointed:
-                    saved = os.path.join(tmp, f"ckpt-{len(boundaries)}.npz")
-                    shutil.copyfile(path, saved)
-                    boundaries.append((full.latest_checkpoint, saved))
-            assert boundaries
+                if not decision.checkpointed:
+                    continue
+                saved = os.path.join(tmp, f"ckpt-{len(sources)}")
+                shutil.copyfile(path, saved)
+                sources.append(saved)
+                with open(saved, "rb") as fh:
+                    data = fh.read()
+                last = _last_record(data)
+                if last is not None:
+                    # Cut somewhere inside the last record, frame
+                    # included; the seed picks where.
+                    start, length = last
+                    with open(saved + "-cut", "wb") as fh:
+                        fh.write(data[: start + 1 + seed % (length - 1)])
+                    sources.append(saved + "-cut")
+            assert sources
             expected = full.result.records
-            for snapshot, saved in boundaries:
-                for source in (snapshot, saved):
-                    resumed = _resume_sim(*args, n_slots=n_slots)
-                    resumed.restore(source)
-                    assert resumed.run().records == expected
+            for source in sources:
+                resumed = _resume_sim(*args, n_slots=n_slots)
+                resumed.restore(source)
+                assert resumed.run().records == expected
 
 
 class TestMigrationInvariants:

@@ -14,6 +14,7 @@ timeouts and the HTTP round-trip.
 """
 
 import itertools
+import json
 import os
 import pickle
 
@@ -26,6 +27,7 @@ from repro.cloud import (
     get_scenario,
     zero_telemetry_faults,
 )
+from repro.cloud.streaming import _PREAMBLE, read_checkpoint
 from repro.cloud.telemetry import TraceCollector
 from repro.core import EpactPolicy
 from repro.errors import CollectorTimeoutError, ConfigurationError
@@ -184,6 +186,39 @@ class TestServeReplayEquivalence:
     def test_resume_without_checkpoint_path_fails(self, serve_config):
         with pytest.raises(ConfigurationError, match="resume"):
             serve(serve_config, resume=True)
+        with pytest.raises(ConfigurationError, match="needs checkpoint_path"):
+            ServeConfig(checkpoint_every_slots=8)
+
+    def test_traced_checkpoints_are_timed_and_sized(self, tmp_path):
+        path = tmp_path / "serve.ckpt"
+        config = ServeConfig(
+            workload="diurnal-burst",
+            telemetry_scenario="lossy-10pct",
+            n_vms=24,
+            n_days=9,
+            n_slots=24,
+            checkpoint_every_slots=4,
+            checkpoint_path=os.fspath(path),
+        )
+        untraced = serve(config)
+        untraced_file = path.read_bytes()
+        tracer = RunTracer()
+        traced = serve(config, tracer=tracer)
+        tracer.close()
+        assert records_equal(untraced.records, traced.records)
+        assert path.read_bytes() == untraced_file
+        events = tracer.of_type("checkpoint")
+        assert len(events) == 6 and events[0]["base"]
+        calls = {
+            e["phase"]: e["calls"]
+            for e in tracer.timing_events
+            if e["event"] == "phase_time"
+        }
+        assert calls["checkpoint"] == len(events)
+        last_base = max(i for i, e in enumerate(events) if e["base"])
+        assert sum(e["bytes"] for e in events[last_base:]) == (
+            path.stat().st_size
+        )
 
 
 # -- decision events --------------------------------------------------------
@@ -303,6 +338,64 @@ class TestServeCliCheckpoints:
         line = self._refused(capsys, path, "--n-vms", "10")
         assert "dataset_shape [12, 2304] in the checkpoint vs " in line
         assert "[10, 2304] in this run" in line
+
+    def test_cadence_without_checkpoint(self, capsys):
+        capsys.readouterr()
+        assert main(self.ARGS) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("repro-serve: ")
+        assert "--checkpoint-every needs --checkpoint" in lines[0]
+
+    def test_cut_inside_last_record_resumes(self, tmp_path, capsys):
+        path = tmp_path / "ck"
+        assert self._main(path, "--out", os.fspath(tmp_path / "full")) == 0
+        assert len(read_checkpoint(path)) == 2  # a base and one record
+        path.write_bytes(path.read_bytes()[:-10])
+        assert len(read_checkpoint(path)) == 1
+        out = os.fspath(tmp_path / "resumed")
+        assert self._main(path, "--resume", "--out", out) == 0
+        full, resumed = (
+            json.loads((tmp_path / run / "summary.json").read_text())
+            for run in ("full", "resumed")
+        )
+        assert resumed["total_energy_mj"] == full["total_energy_mj"]
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("record", "damaged record at byte"),
+            ("base", "not a readable checkpoint"),
+            ("empty", "not a readable checkpoint"),
+            ("text", "not a readable checkpoint"),
+            ("format-1", "format-1 .npz checkpoint"),
+            ("version", "format version 3; this build reads version 2"),
+        ],
+    )
+    def test_damaged_file(self, tmp_path, capsys, damage, message):
+        # Six slots at a cadence of two: a base and two records.
+        path = tmp_path / "ck"
+        assert self._main(path, "--n-slots", "6") == 0
+        data = bytearray(path.read_bytes())
+        magic, version, base_len = _PREAMBLE.unpack_from(data)
+        first = _PREAMBLE.size + base_len
+        if damage == "record":
+            assert first + 1000 < len(data) - 1000
+            data[first + 1000] ^= 0xFF
+        elif damage == "base":
+            data[first // 2] ^= 0xFF
+        elif damage == "empty":
+            data = b""
+        elif damage == "text":
+            data = b"not a checkpoint\n"
+        elif damage == "format-1":
+            with open(path, "wb") as fh:
+                np.savez(fh, header=np.frombuffer(b"{}", np.uint8))
+            data = path.read_bytes()
+        else:
+            data[: _PREAMBLE.size] = _PREAMBLE.pack(magic, 3, base_len)
+        path.write_bytes(bytes(data))
+        line = self._refused(capsys, path, "--n-slots", "6")
+        assert message in line
 
     def test_other_collector_count(self, tmp_path, capsys):
         path = tmp_path / "ck.npz"

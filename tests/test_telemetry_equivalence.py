@@ -17,8 +17,8 @@ The acceptance bar of the telemetry PR:
 """
 
 import copy
-import json
 import pickle
+import shutil
 import struct
 import tracemalloc
 import zipfile
@@ -53,7 +53,13 @@ from repro.cloud.telemetry import (
 from repro.serve.adapters import TelemetryBatch, poll_with_retry
 from repro.cloud.faults import FaultSchedule
 from repro.core import EpactPolicy, FleetEpactPolicy, FleetSpec, PoolSpec
-from repro.cloud.streaming import CHECKPOINT_VERSION
+from repro.cloud.streaming import (
+    _FRAME,
+    _PREAMBLE,
+    CHECKPOINT_VERSION,
+    _Bounded,
+    read_checkpoint,
+)
 from repro.errors import (
     CheckpointError,
     CollectorTimeoutError,
@@ -588,13 +594,37 @@ class TestImputation:
 
 
 def _member_span(path, member):
-    """(offset, size) of a stored ``.npz`` member's bytes in the file."""
-    with zipfile.ZipFile(path) as archive:
-        info = archive.getinfo(member + ".npy")
+    """(offset, size) of a base member's stored bytes in the file."""
     with open(path, "rb") as fh:
+        _, _, base_len = _PREAMBLE.unpack(fh.read(_PREAMBLE.size))
+        base = _Bounded(fh, _PREAMBLE.size + base_len)
+        with zipfile.ZipFile(base) as archive:
+            info = archive.getinfo(member + ".npy")
         fh.seek(info.header_offset + 26)
         name_len, extra_len = struct.unpack("<HH", fh.read(4))
     return info.header_offset + 30 + name_len + extra_len, info.compress_size
+
+
+def _record_spans(path):
+    """(offset, length) of every record's frame plus payload."""
+    data = path.read_bytes()
+    _, _, base_len = _PREAMBLE.unpack_from(data)
+    pos, spans = _PREAMBLE.size + base_len, []
+    while pos < len(data):
+        length, _ = _FRAME.unpack_from(data, pos)
+        spans.append((pos, _FRAME.size + length))
+        pos += _FRAME.size + length
+    return spans
+
+
+def _drain_copying(sim, path, directory):
+    """Drain ``sim``; copy its checkpoint file at every boundary."""
+    copies = []
+    for decision in sim.windows():
+        if decision.checkpointed:
+            copies.append(directory / f"boundary-{len(copies)}")
+            shutil.copyfile(path, copies[-1])
+    return copies
 
 
 class TestCheckpointResume:
@@ -610,7 +640,7 @@ class TestCheckpointResume:
             **kwargs,
         )
 
-    def test_resume_equals_uninterrupted(self, ds):
+    def test_resume_equals_uninterrupted(self, ds, tmp_path):
         schedule = generate_lifecycle(
             ds.n_vms,
             168,
@@ -621,18 +651,21 @@ class TestCheckpointResume:
         telemetry = get_telemetry_scenario("lossy-10pct").build(
             ds.n_vms, 0, ds.n_slots, seed=4
         )
+        path = tmp_path / "ckpt"
         simA = self._sim(
-            ds, schedule, telemetry, checkpoint_every_slots=7
+            ds,
+            schedule,
+            telemetry,
+            checkpoint_every_slots=7,
+            checkpoint_path=str(path),
         )
-        snapshots = [
-            simA.latest_checkpoint for d in simA.windows() if d.checkpointed
-        ]
+        copies = _drain_copying(simA, path, tmp_path)
         full = simA.result
-        assert len(snapshots) >= 2
-        assert simA.latest_checkpoint is snapshots[-1]
-        for snapshot in snapshots:
+        assert len(copies) >= 2
+        assert path.read_bytes() == copies[-1].read_bytes()
+        for copied in copies:
             simB = self._sim(ds, schedule, telemetry)
-            simB.restore(snapshot)
+            simB.restore(str(copied))
             resumed = simB.run()
             assert records_equal(full.records, resumed.records)
 
@@ -651,15 +684,20 @@ class TestCheckpointResume:
         )
         full = simA.run()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin"]
-        # One pickle-free archive: a JSON header plus plain arrays.
-        with np.load(path, allow_pickle=False) as archive:
-            members = {key: archive[key] for key in archive.files}
-        assert "header" in members
-        assert all(a.dtype != object for a in members.values())
-        header = json.loads(members["header"].tobytes())
-        assert header["version"] == CHECKPOINT_VERSION
-        assert header["loop"]["slot"] == 168 + 20
-        assert "ingest.imp_cpu" not in members  # derived, not state
+        _, version, _ = _PREAMBLE.unpack_from(path.read_bytes())
+        assert version == CHECKPOINT_VERSION
+        # Pickle-free parts: a JSON header plus plain arrays each.
+        (base, base_arrays), (record, arrays) = read_checkpoint(path)
+        assert all(
+            a.dtype != object
+            for part in (base_arrays, arrays)
+            for a in part.values()
+        )
+        assert base["loop"]["slot"] == 168 + 10
+        assert record["loop"]["slot"] == 168 + 20
+        assert "ingest.obs_cpu" in base_arrays
+        assert "ingest.imp_cpu" not in base_arrays  # derived, not state
+        assert not any(key.startswith("ingest.") for key in arrays)
         simB = self._sim(ds, fixed, telemetry)
         simB.restore(str(path))
         assert records_equal(full.records, simB.run().records)
@@ -668,54 +706,67 @@ class TestCheckpointResume:
         telemetry = get_telemetry_scenario("lossy-1pct").build(
             ds.n_vms, 0, ds.n_slots, seed=4
         )
-        path = tmp_path / "ckpt.npz"
+        path = tmp_path / "ckpt"
         self._sim(
             ds,
             fixed,
             telemetry,
-            checkpoint_every_slots=10,
+            checkpoint_every_slots=6,
             checkpoint_path=str(path),
         ).run()
         data = path.read_bytes()
+        (first, first_len), *_, (last, _) = _record_spans(path)
+        assert first < last
         offset, size = _member_span(path, "ingest.obs_cpu")
-        flipped = bytearray(data)
-        flipped[offset + size // 2] ^= 0xFF
-        with np.load(path, allow_pickle=False) as archive:
-            members = {key: archive[key] for key in archive.files}
-        header = json.loads(members.pop("header").tobytes())
-        header["version"] = CHECKPOINT_VERSION + 1
-        bumped = tmp_path / "bumped.npz"
-        with open(bumped, "wb") as fh:
-            np.savez(
-                fh,
-                header=np.frombuffer(json.dumps(header).encode(), np.uint8),
-                **members,
-            )
+        damaged_base = bytearray(data)
+        damaged_base[offset + size // 2] ^= 0xFF
+        damaged_record = bytearray(data)
+        damaged_record[first + first_len // 2] ^= 0xFF
+        magic, version, base_len = _PREAMBLE.unpack_from(data)
+        bumped = (
+            _PREAMBLE.pack(magic, version + 1, base_len)
+            + data[_PREAMBLE.size:]
+        )
+        npz = tmp_path / "format-1.npz"
+        with open(npz, "wb") as fh:
+            np.savez(fh, header=np.frombuffer(b"{}", np.uint8))
         cases = {
-            "flipped.npz": (bytes(flipped), "not a readable checkpoint"),
-            "truncated.npz": (data[: len(data) // 2], "not a readable"),
-            "empty.npz": (b"", "not a readable checkpoint"),
-            "text.npz": (b"not a checkpoint", "not a readable checkpoint"),
+            "damaged-base": (bytes(damaged_base), "not a readable checkpoint"),
+            "short-base": (data[: first // 2], "not a readable checkpoint"),
+            "damaged-record": (
+                bytes(damaged_record),
+                "damaged record at byte",
+            ),
+            "empty": (b"", "not a readable checkpoint"),
+            "text": (b"not a checkpoint", "not a readable checkpoint"),
             "old.pkl": (
                 pickle.dumps({"loop": None}, protocol=5),
                 "pickle checkpoints are no longer read",
             ),
+            "format-1.npz": (npz.read_bytes(), "format-1 .npz checkpoint"),
+            "bumped": (
+                bumped,
+                f"format version {CHECKPOINT_VERSION + 1}; this build "
+                f"reads version {CHECKPOINT_VERSION}",
+            ),
         }
         for name, (content, message) in cases.items():
             (tmp_path / name).write_bytes(content)
-            with pytest.raises(CheckpointError, match=message):
+            with pytest.raises(CheckpointError, match=message) as info:
                 self._sim(ds, fixed, telemetry).restore(str(tmp_path / name))
-        with pytest.raises(CheckpointError, match="format version 2; this"):
-            self._sim(ds, fixed, telemetry).restore(str(bumped))
+            assert "\n" not in str(info.value)
         with pytest.raises(CheckpointError, match="does not exist"):
             self._sim(ds, fixed, telemetry).restore(
-                str(tmp_path / "missing.npz")
+                str(tmp_path / "missing")
             )
 
-    def test_sharded_policy_resumes_its_inner_placement(self, ds, fixed):
+    def test_sharded_policy_resumes_its_inner_placement(
+        self, ds, fixed, tmp_path
+    ):
         telemetry = get_telemetry_scenario("lossy-1pct").build(
             ds.n_vms, 0, ds.n_slots, seed=4
         )
+        path = tmp_path / "ckpt"
 
         def sim(**kwargs):
             return StreamingCloudSimulation(
@@ -729,18 +780,16 @@ class TestCheckpointResume:
                 **kwargs,
             )
 
-        full = sim(checkpoint_every_slots=6)
-        snapshots = [
-            full.latest_checkpoint for d in full.windows() if d.checkpointed
-        ]
-        assert snapshots[0]["header"]["policy"]["assign"]
-        for snapshot in snapshots:
+        full = sim(checkpoint_every_slots=6, checkpoint_path=str(path))
+        copies = _drain_copying(full, path, tmp_path)
+        assert read_checkpoint(copies[0])[-1][0]["policy"]["assign"]
+        for copied in copies:
             resumed = sim()
-            resumed.restore(snapshot)
+            resumed.restore(str(copied))
             assert records_equal(full.result.records, resumed.run().records)
 
     @pytest.mark.parametrize("case", ["faults", "two-pool fleet"])
-    def test_resume_carries_fault_window_and_pools(self, ds, case):
+    def test_resume_carries_fault_window_and_pools(self, ds, case, tmp_path):
         if case == "faults":
             policy = OnlineReactivePolicy()
             kwargs = dict(
@@ -780,6 +829,7 @@ class TestCheckpointResume:
         telemetry = TelemetryFaultSchedule(
             ds.n_vms, 0, ds.n_slots, collector_outages=[(0, 172, 178)]
         )
+        path = tmp_path / "ckpt"
 
         def sim(**extra):
             return StreamingCloudSimulation(
@@ -793,24 +843,28 @@ class TestCheckpointResume:
                 **extra,
             )
 
-        full = sim(checkpoint_every_slots=3)
-        snapshots = [
-            full.latest_checkpoint for d in full.windows() if d.checkpointed
-        ]
+        full = sim(checkpoint_every_slots=3, checkpoint_path=str(path))
+        copies = _drain_copying(full, path, tmp_path)
         assert full.result.total_blind_windows > 0
+        last_parts = [read_checkpoint(c)[-1] for c in copies]
         if case == "faults":
-            assert all(s["header"]["loop"]["prev_fw"] for s in snapshots)
+            assert all(header["loop"]["prev_fw"] for header, _ in last_parts)
         else:
-            assert all("loop.prev_pools" in s["arrays"] for s in snapshots)
-        for snapshot in snapshots:
+            assert all("loop.prev_pools" in arrays for _, arrays in last_parts)
+        for copied in copies:
             resumed = sim()
-            resumed.restore(snapshot)
+            resumed.restore(str(copied))
             assert records_equal(full.result.records, resumed.run().records)
 
-    def test_restore_rejects_layer_mismatch(self, ds, fixed):
+    def test_restore_rejects_layer_mismatch(self, ds, fixed, tmp_path):
         telemetry = zero_telemetry_faults(ds.n_vms, 0, ds.n_slots)
+        path = tmp_path / "ckpt"
         simA = self._sim(
-            ds, fixed, telemetry, checkpoint_every_slots=24
+            ds,
+            fixed,
+            telemetry,
+            checkpoint_every_slots=24,
+            checkpoint_path=str(path),
         )
         simA.run()
         bare = self._sim(ds, fixed, None)
@@ -818,15 +872,21 @@ class TestCheckpointResume:
             CheckpointError,
             match="telemetry True in the checkpoint vs False in this run",
         ):
-            bare.restore(simA.latest_checkpoint)
+            bare.restore(str(path))
 
-    def test_restore_rejects_other_configurations(self, ds, fixed):
+    def test_restore_rejects_other_configurations(self, ds, fixed, tmp_path):
         telemetry = get_telemetry_scenario("lossy-1pct").build(
             ds.n_vms, 0, ds.n_slots, seed=4
         )
-        simA = self._sim(ds, fixed, telemetry, checkpoint_every_slots=12)
+        path = str(tmp_path / "ckpt")
+        simA = self._sim(
+            ds,
+            fixed,
+            telemetry,
+            checkpoint_every_slots=12,
+            checkpoint_path=path,
+        )
         simA.run()
-        snapshot = simA.latest_checkpoint
         other_policy = StreamingCloudSimulation(
             ds,
             DayAheadPredictor(ds),
@@ -840,7 +900,7 @@ class TestCheckpointResume:
             CheckpointError,
             match="policy 'ONLINE-REACTIVE' in the checkpoint vs 'EPACT'",
         ):
-            other_policy.restore(snapshot)
+            other_policy.restore(path)
         small = default_dataset(n_vms=24, n_days=9, seed=11)
         fewer_vms = self._sim(
             small,
@@ -854,7 +914,7 @@ class TestCheckpointResume:
             match=r"dataset_shape \[30, 2592\] in the checkpoint vs "
             r"\[24, 2592\] in this run",
         ):
-            fewer_vms.restore(snapshot)
+            fewer_vms.restore(path)
         two_collectors = self._sim(
             ds,
             fixed,
@@ -866,7 +926,121 @@ class TestCheckpointResume:
             CheckpointError,
             match="collectors 1 in the checkpoint vs 2 in this run",
         ):
-            two_collectors.restore(snapshot)
+            two_collectors.restore(path)
+
+
+def _assert_compaction_rule(events, path):
+    """A base is written first and then exactly when the log's bytes
+    exceed the base's; the events since the last base add up to the
+    file."""
+    base_bytes = log_bytes = None
+    for event in events:
+        assert event["base"] == (base_bytes is None or log_bytes > base_bytes)
+        if event["base"]:
+            base_bytes, log_bytes = event["bytes"], 0
+        else:
+            log_bytes += event["bytes"]
+    assert base_bytes + log_bytes == path.stat().st_size
+
+
+class TestCheckpointJournal:
+    """What each checkpoint writes: a base, or a record of what changed."""
+
+    #: Logged bytes per delivered sample: an int64 VM row and sample
+    #: index plus the two float64 readings.
+    BYTES_PER_SAMPLE = 32
+
+    def _sim(self, ds, fixed, telemetry, **kwargs):
+        return StreamingCloudSimulation(
+            ds,
+            DayAheadPredictor(ds),
+            OnlineReactivePolicy(),
+            fixed,
+            telemetry=telemetry,
+            max_servers=20,
+            n_slots=48,
+            **kwargs,
+        )
+
+    @pytest.mark.parametrize("every", [6, 12])
+    def test_records_follow_deliveries_not_history(
+        self, ds, fixed, tmp_path, every
+    ):
+        telemetry = get_telemetry_scenario("lossy-10pct").build(
+            ds.n_vms, 0, ds.n_slots, seed=4
+        )
+        path = tmp_path / "ckpt"
+        self._sim(
+            ds,
+            fixed,
+            telemetry,
+            checkpoint_every_slots=every,
+            checkpoint_path=str(path),
+        ).run()
+        parts = read_checkpoint(path)
+        assert len(parts) == 48 // every  # one base, appends after it
+        delivered = [
+            sum(cursor[0] for cursor in header["collectors"])
+            for header, _ in parts
+        ]
+        for (_, arrays), before, after in zip(
+            parts[1:], delivered, delivered[1:]
+        ):
+            batch_bytes = sum(
+                arrays[f"batch.{field}"].nbytes
+                for field in ("vm_rows", "samples", "cpu", "mem")
+            )
+            assert after > before
+            assert batch_bytes == self.BYTES_PER_SAMPLE * (after - before)
+            assert int(arrays["batch.sizes"].sum()) == after - before
+        forecasts = [
+            key
+            for _, arrays in parts
+            for key in arrays
+            if key.startswith("ladder.")
+        ]
+        assert len(forecasts) == len(set(forecasts))
+        # Day 8's forecast is decided after the base and filed once.
+        assert any(
+            key.startswith("ladder.") for _, arrays in parts[1:] for key in arrays
+        )
+
+    def test_new_base_once_the_log_outgrows_it(self, ds, fixed, tmp_path):
+        # Without telemetry a record is as large as the base (the run
+        # header), so the log outgrows it within two appends.
+        path = tmp_path / "ckpt"
+        tracer = RunTracer()
+        self._sim(
+            ds,
+            fixed,
+            None,
+            checkpoint_every_slots=4,
+            checkpoint_path=str(path),
+            tracer=tracer,
+        ).run()
+        events = tracer.of_type("checkpoint")
+        assert len(events) == 12
+        assert 1 < sum(e["base"] for e in events) < len(events)
+        _assert_compaction_rule(events, path)
+
+    def test_cadence_needs_a_path(self, ds, fixed):
+        with pytest.raises(ConfigurationError, match="needs checkpoint_path"):
+            self._sim(ds, fixed, None, checkpoint_every_slots=4)
+
+    def test_one_file_per_policy(self, ds, fixed, tmp_path):
+        with pytest.raises(ConfigurationError, match="one checkpoint_path"):
+            run_streaming_policies(
+                ds,
+                DayAheadPredictor(ds),
+                [EpactPolicy(), OnlineReactivePolicy()],
+                fixed,
+                telemetry=zero_telemetry_faults(ds.n_vms, 0, ds.n_slots),
+                checkpoint_every_slots=8,
+                checkpoint_path=str(tmp_path / "ckpt"),
+                max_servers=20,
+                n_slots=24,
+            )
+        assert not list(tmp_path.iterdir())
 
 
 # -- determinism and parallel == serial -------------------------------------

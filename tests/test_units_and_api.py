@@ -101,6 +101,31 @@ class TestPublicApi:
         out = capsys.readouterr().out
         assert "Table I" in out
 
+    def test_experiments_cli_checks_scenario_names_first(
+        self, capsys, tmp_path
+    ):
+        from repro.experiments.runner import main
+
+        out = tmp_path / "run"
+        argv = ["telemetry", "cloud", "--scenarios", "clean,lossy-10pct,steady"]
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        (line,) = captured.err.strip().splitlines()
+        assert line == (
+            "repro-experiments: --scenarios name 'steady' is not in "
+            "TELEMETRY_SCENARIOS, the registry of the telemetry "
+            "experiment; it is in SCENARIOS (cloud)"
+        )
+        assert main(["faults", "--scenarios", "nope"]) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert "'nope' is not in FAULT_SCENARIOS" in line
+        assert line.endswith("no registry holds it")
+        assert main(["hyperscale", "--scenarios", "steady"]) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert "not in PROFILES" in line
+        assert "it is in SCENARIOS (cloud)" in line
+
 
 class TestNumpyOnly:
     def test_runs_without_scipy(self):
