@@ -12,7 +12,9 @@ fallback ladder (:class:`~repro.cloud.telemetry.ForecastLadder`) the
 degradation leaves reachable:
 
 * **fresh** — the history window is clean enough: a day-ahead
-  Hannan-Rissanen/companion-matrix fit on the imputed observations;
+  Hannan-Rissanen/companion-matrix fit on the imputed observations of
+  the VMs that can still be placed (departed VMs are neither filled
+  nor fitted; their rows of the day are NaN);
 * **stale** — too gappy to re-fit, but a recent fresh forecast exists:
   re-use it while its age stays within the staleness budget;
 * **persistence** — no usable forecast: flat last-observed patterns;
@@ -83,7 +85,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.types import Allocation, AllocationPolicy, ServerPlan
-from ..errors import CheckpointError, ConfigurationError
+from ..errors import CheckpointError, ConfigurationError, DomainError
 from ..obs.manifest import config_hash
 from ..serve.adapters import (
     CollectorAdapter,
@@ -384,6 +386,15 @@ class StreamingCloudSimulation(CloudSimulation):
     unchanged underneath; this class only swaps where the *decision
     inputs* come from and checkpoints between windows.
 
+    Each day's forecasts are decided at its first window with active
+    VMs (inside the ``forecast`` phase), over the VMs whose departure
+    lies after that window's first slot — every VM under a fixed
+    schedule.  Every VM active later that day, or on a day that plans
+    from this one's forecast, is among them; a window whose active VM
+    would read an unfitted (NaN) row raises
+    :class:`~repro.errors.DomainError` instead.  The reactive signal
+    fills only the window's active VMs.
+
     Args:
         dataset: true utilization traces (accounting ground truth, and
             the stream the file-replay collectors play back).
@@ -572,14 +583,22 @@ class StreamingCloudSimulation(CloudSimulation):
                         self._log.append(batch)
         self._ingested_until = max(self._ingested_until, slot)
 
-    def _ladder_begin(self, slot: int) -> None:
-        """Freeze the window's persistence patterns and day rung."""
+    def _ladder_begin(self, slot: int) -> Optional[np.ndarray]:
+        """Freeze the window's persistence patterns and day rung.
+
+        A day is decided at its first window with active VMs, over the
+        VMs that can still be placed that day: those whose departure
+        lies after ``slot``.  Returns the CPU forecast the day plans
+        from (``None`` without one).
+        """
         cpu_vals, mem_vals = self._ingest.last_values(
             slot * SAMPLES_PER_SLOT
         )
         self._predictor.set_persist(cpu_vals, mem_vals)
-        rung, _, _ = self._ladder.day_decision(slot // SLOTS_PER_DAY)
+        rows = np.flatnonzero(self._schedule.departure_slots > slot)
+        rung, cpu, _ = self._ladder.day_decision(slot // SLOTS_PER_DAY, rows)
         self._window_rung = rung
+        return cpu
 
     def _last_observed(self, slot: int, active: np.ndarray):
         """The reactive signal as *delivered*: imputed where degraded."""
@@ -589,9 +608,9 @@ class StreamingCloudSimulation(CloudSimulation):
         if prev < 0:
             return None, None
         lo = prev * SAMPLES_PER_SLOT
-        cpu_f, mem_f = self._ingest.filled_window(lo, lo + SAMPLES_PER_SLOT)
-        last_cpu = cpu_f[active]
-        last_mem = mem_f[active]
+        last_cpu, last_mem = self._ingest.filled_window(
+            lo, lo + SAMPLES_PER_SLOT, active
+        )
         scale_prev = self._schedule.scale_at(prev)
         if scale_prev is not None:
             last_cpu *= scale_prev[0][active][:, None]
@@ -683,7 +702,19 @@ class StreamingCloudSimulation(CloudSimulation):
         )
         if not (stream and active.size):
             return _Observation(down=down)
-        self._ladder_begin(slot)
+        with self._tracer.phase("forecast"):
+            cpu = self._ladder_begin(slot)
+        if cpu is not None:
+            # A forecast row the day did not fit is NaN: refuse to plan
+            # from it rather than hand NaN to the policy.
+            unfitted = active[np.isnan(cpu[active, 0])]
+            if unfitted.size:
+                raise DomainError(
+                    f"VM {int(unfitted[0])} is active at slot {slot}, "
+                    f"but day {slot // SLOTS_PER_DAY}'s forecast did not "
+                    f"fit its row ({unfitted.size} such VM(s)): the day "
+                    f"was decided without it"
+                )
         imputed = 0
         if slot >= 1:
             imputed = self._ingest.missing_count(

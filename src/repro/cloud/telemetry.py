@@ -148,6 +148,9 @@ class TelemetryFaultSchedule:
     masks and delay counts of shape ``(n_vms, horizon_samples)`` plus
     per-collector dropout windows, all fixed at construction so the
     same schedule object always produces the same degraded stream.
+    Only the classes given are held: an absent class reads as zeros,
+    built for the slice a collector asks for, and delays are stored in
+    the smallest unsigned type that holds the largest one.
 
     VM rows are striped across collectors round-robin
     (:meth:`collector_of` — VM ``v`` reports through collector
@@ -211,10 +214,10 @@ class TelemetryFaultSchedule:
         horizon = self._end - self._start
         shape = (self._n_vms, horizon * SAMPLES_PER_SLOT)
 
-        def _mask(value, name: str) -> np.ndarray:
+        def _mask(value, name: str, dtype) -> Optional[np.ndarray]:
             if value is None:
-                return np.zeros(shape, dtype=bool)
-            arr = np.asarray(value, dtype=bool)
+                return None
+            arr = np.asarray(value, dtype=dtype)
             if arr.shape != shape:
                 raise ConfigurationError(
                     f"{name} must have shape {shape} "
@@ -222,23 +225,19 @@ class TelemetryFaultSchedule:
                 )
             return arr
 
-        self._drop = _mask(drop, "drop")
-        self._nan = _mask(corrupt_nan, "corrupt_nan")
-        self._spike = _mask(corrupt_spike, "corrupt_spike")
-        if delay_slots is None:
-            self._delay = np.zeros(shape, dtype=np.int64)
-        else:
-            self._delay = np.asarray(delay_slots, dtype=np.int64)
-            if self._delay.shape != shape:
-                raise ConfigurationError(
-                    f"delay_slots must have shape {shape}, got "
-                    f"{self._delay.shape}"
-                )
+        self._drop = _mask(drop, "drop", bool)
+        self._nan = _mask(corrupt_nan, "corrupt_nan", bool)
+        self._spike = _mask(corrupt_spike, "corrupt_spike", bool)
+        self._delay = _mask(delay_slots, "delay_slots", np.int64)
+        if self._delay is not None:
             if np.any(self._delay < 0):
                 raise ConfigurationError(
                     "delay_slots must be >= 0 (samples cannot arrive "
                     "before they are measured)"
                 )
+            self._delay = self._delay.astype(
+                np.min_scalar_type(int(self._delay.max(initial=0)))
+            )
 
         down = np.zeros((self._n_collectors, horizon), dtype=bool)
         outages: List[CollectorOutage] = []
@@ -263,10 +262,10 @@ class TelemetryFaultSchedule:
         self._collector_outages = tuple(outages)
 
         self._has_degradation = bool(
-            self._drop.any()
-            or self._nan.any()
-            or self._spike.any()
-            or self._delay.any()
+            any(
+                mask is not None and mask.any()
+                for mask in (self._drop, self._nan, self._spike, self._delay)
+            )
             or down.any()
         )
 
@@ -344,13 +343,28 @@ class TelemetryFaultSchedule:
 
     def _sample_masks(self, rows: slice, lo: int = 0, hi: Optional[int] = None):
         """Per-sample (drop, nan, spike, delay) views of a row slice,
-        over horizon samples ``[lo, hi)``."""
-        return (
-            self._drop[rows, lo:hi],
-            self._nan[rows, lo:hi],
-            self._spike[rows, lo:hi],
-            self._delay[rows, lo:hi],
+        over horizon samples ``[lo, hi)``; zeros of the slice's shape
+        for a class the schedule does not hold."""
+        n_samples = (self._end - self._start) * SAMPLES_PER_SLOT
+        shape = (
+            len(range(self._n_vms)[rows]),
+            len(range(n_samples)[lo:hi]),
         )
+        return tuple(
+            np.zeros(shape, dtype) if mask is None else mask[rows, lo:hi]
+            for mask, dtype in (
+                (self._drop, bool),
+                (self._nan, bool),
+                (self._spike, bool),
+                (self._delay, np.uint8),
+            )
+        )
+
+    def _max_delay(self, rows: slice) -> int:
+        """The largest delivery delay of a row slice, in slots."""
+        if self._delay is None:
+            return 0
+        return int(self._delay[rows].max(initial=0))
 
 
 def zero_telemetry_faults(
@@ -621,8 +635,7 @@ class TraceCollector:
         self._dataset = dataset
         self._schedule = schedule
         self._rows = slice(self._id, None, schedule.n_collectors)
-        delay = schedule._sample_masks(self._rows)[3]
-        self._max_delay = int(delay.max(initial=0))
+        self._max_delay = schedule._max_delay(self._rows)
         self._delivered = 0
         self._last_success = schedule.horizon_start
         self._clear_day()
@@ -785,13 +798,17 @@ class TelemetryIngest:
     and never writes the buffers, so no imputed history is kept: the
     :class:`ForecastLadder` fits on :meth:`filled_window` directly.
 
-    Reads are whole-array passes: :meth:`_fill` fills every gap of
-    every VM at once from the window's gap runs, and the carry-forward
+    A read names the VMs it needs (``rows``; every VM when ``None``)
+    and fills only those: the ladder asks for the VMs not yet
+    departed, the reactive signal for the window's active VMs.  Reads
+    are whole-array passes: :meth:`_fill` fills every gap of the asked
+    rows at once from the window's gap runs, and the carry-forward
     lookup looks back from the window in doubling blocks instead of
-    rescanning the whole history.  The per-VM ``np.interp`` loop stays
-    callable as :meth:`_fill_reference` (with the prefix-scan carry
-    :meth:`_carry_before_reference`), the oracle the batched fill
-    matches bit for bit.
+    rescanning the whole history.  Both read each VM's own row only,
+    so a row's fill is the same whichever rows are asked for.  The
+    per-VM ``np.interp`` loop stays callable as :meth:`_fill_reference`
+    (with the prefix-scan carry :meth:`_carry_before_reference`), the
+    oracle the batched fill matches bit for bit.
 
     The all-valid fast path (clean telemetry) is a plain copy, which is
     what makes clean streaming runs bit-identical to the batch engine.
@@ -861,8 +878,15 @@ class TelemetryIngest:
 
     # -- gap-filling reads ---------------------------------------------
 
-    def _carry_before(self, lo: int):
-        """Last valid value (and its existence) before sample ``lo``.
+    def _rows(self, rows: Optional[np.ndarray]) -> np.ndarray:
+        """``rows`` as an index array; every VM when ``None``."""
+        if rows is None:
+            return np.arange(self.valid.shape[0])
+        return np.asarray(rows, dtype=np.intp)
+
+    def _carry_before(self, lo: int, rows: Optional[np.ndarray] = None):
+        """Last valid value (and its existence) before sample ``lo``,
+        for the VMs ``rows`` (sorted; every VM when ``None``).
 
         Looks back from ``lo`` in blocks that double in width (12, 24,
         48, ... samples) over only the VMs not resolved yet, so a VM
@@ -870,27 +894,26 @@ class TelemetryIngest:
         than a scan of its whole history.  VMs with no valid sample
         before ``lo`` get the cold-start value.
         """
-        n_vms = self.valid.shape[0]
-        all_rows = np.arange(n_vms)
-        has = np.zeros(n_vms, dtype=bool)
-        last = np.zeros(n_vms, dtype=np.intp)
-        pending = all_rows
+        rows = self._rows(rows)
+        has = np.zeros(rows.size, dtype=bool)
+        last = np.zeros(rows.size, dtype=np.intp)
+        pending = np.arange(rows.size)
         end, width = lo, SAMPLES_PER_SLOT
         while pending.size and end > 0:
             start = max(end - width, 0)
-            block = self.valid[pending, start:end]
+            block = self.valid[rows[pending], start:end]
             found = block.any(axis=1)
-            rows = pending[found]
-            has[rows] = True
-            last[rows] = end - 1 - np.argmax(block[found, ::-1], axis=1)
+            hit = pending[found]
+            has[hit] = True
+            last[hit] = end - 1 - np.argmax(block[found, ::-1], axis=1)
             pending = pending[~found]
             end, width = start, 2 * width
-        cpu = np.where(has, self.obs_cpu[all_rows, last], self._cold)
-        mem = np.where(has, self.obs_mem[all_rows, last], self._cold)
+        cpu = np.where(has, self.obs_cpu[rows, last], self._cold)
+        mem = np.where(has, self.obs_mem[rows, last], self._cold)
         return has, cpu, mem
 
     def _carry_before_reference(self, lo: int):
-        """Prefix-scan oracle of :meth:`_carry_before`."""
+        """Prefix-scan oracle of :meth:`_carry_before` (every VM)."""
         n_vms = self.valid.shape[0]
         if lo <= 0:
             cold = np.full(n_vms, self._cold)
@@ -912,12 +935,16 @@ class TelemetryIngest:
         _, cpu, mem = self._carry_before(before_sample)
         return cpu, mem
 
-    def filled_window(self, lo: int, hi: int):
-        """LOCF/linear-filled copies of ``[lo, hi)`` (buffers untouched)."""
-        return self._fill(lo, hi)
+    def filled_window(
+        self, lo: int, hi: int, rows: Optional[np.ndarray] = None
+    ):
+        """LOCF/linear-filled copies of ``[lo, hi)`` (buffers untouched),
+        one row per VM of ``rows`` (sorted; every VM when ``None``)."""
+        return self._fill(lo, hi, rows)
 
-    def _fill(self, lo: int, hi: int):
-        """Gap-filled copies of ``[lo, hi)``, every VM in one pass.
+    def _fill(self, lo: int, hi: int, rows: Optional[np.ndarray] = None):
+        """Gap-filled copies of ``[lo, hi)`` for the VMs ``rows``
+        (sorted; every VM when ``None``), all of them in one pass.
 
         Works on the window's *runs*: maximal stretches of missing
         samples within one VM's row.  An interior run takes
@@ -927,11 +954,15 @@ class TelemetryIngest:
         window's first observation when the VM has no history; a
         trailing run takes the last observation; a run spanning the
         whole row takes the carried or cold-start value.  Observed
-        samples are never rewritten.
+        samples are never rewritten.  Every step reads only the VM's
+        own row, so a VM's fill does not depend on which other rows
+        are asked for.
         """
-        valid = self.valid[:, lo:hi]
-        cpu = self.obs_cpu[:, lo:hi].copy()
-        mem = self.obs_mem[:, lo:hi].copy()
+        rows = self._rows(rows)
+        valid = self.valid[rows, lo:hi]
+        # New C-ordered copies: the fill writes through their flat views.
+        cpu = np.ascontiguousarray(self.obs_cpu[rows, lo:hi])
+        mem = np.ascontiguousarray(self.obs_mem[rows, lo:hi])
         if valid.all():
             return cpu, mem  # clean fast path: nothing to fill
         n = hi - lo
@@ -952,7 +983,7 @@ class TelemetryIngest:
         after = col[last] + 1
         at_before = np.maximum(miss[first] - 1, 0)
         at_after = np.minimum(miss[last] + 1, valid.size - 1)
-        has, carry_cpu, carry_mem = self._carry_before(lo)
+        has, carry_cpu, carry_mem = self._carry_before(lo, rows)
         # A leading run carries history forward, or backfills the
         # window's first observation when the VM has none.
         carried = has[run_row] | (after == n)
@@ -972,34 +1003,38 @@ class TelemetryIngest:
             )
         return cpu, mem
 
-    def _fill_reference(self, lo: int, hi: int):
+    def _fill_reference(
+        self, lo: int, hi: int, rows: Optional[np.ndarray] = None
+    ):
         """Per-VM ``np.interp`` loop: the oracle of :meth:`_fill`."""
-        window_valid = self.valid[:, lo:hi]
-        cpu = self.obs_cpu[:, lo:hi].copy()
-        mem = self.obs_mem[:, lo:hi].copy()
+        rows = self._rows(rows)
+        window_valid = self.valid[rows, lo:hi]
+        cpu = self.obs_cpu[rows, lo:hi]
+        mem = self.obs_mem[rows, lo:hi]
         if window_valid.all():
             return cpu, mem
         has_carry, carry_cpu, carry_mem = self._carry_before_reference(lo)
         n = hi - lo
         grid = np.arange(n)
-        for row in np.flatnonzero(~window_valid.all(axis=1)):
-            idx = np.flatnonzero(window_valid[row])
+        for i in np.flatnonzero(~window_valid.all(axis=1)):
+            row = rows[i]
+            idx = np.flatnonzero(window_valid[i])
             if idx.size == 0:
                 # No observation inside the window: carry the last
                 # value across it wholesale (cold start if none ever).
-                cpu[row] = carry_cpu[row]
-                mem[row] = carry_mem[row]
+                cpu[i] = carry_cpu[row]
+                mem[i] = carry_mem[row]
                 continue
             # np.interp: linear inside, edge-value (carry/backfill)
             # outside; exact at the observed nodes.
-            cpu[row] = np.interp(grid, idx, cpu[row, idx])
-            mem[row] = np.interp(grid, idx, mem[row, idx])
+            cpu[i] = np.interp(grid, idx, cpu[i, idx])
+            mem[i] = np.interp(grid, idx, mem[i, idx])
             if idx[0] > 0 and has_carry[row]:
                 # The leading gap has history: carry it forward
                 # instead of backfilling from the window's first
                 # observation.
-                cpu[row, : idx[0]] = carry_cpu[row]
-                mem[row, : idx[0]] = carry_mem[row]
+                cpu[i, : idx[0]] = carry_cpu[row]
+                mem[i, : idx[0]] = carry_mem[row]
         return cpu, mem
 
     # -- checkpoint ----------------------------------------------------
@@ -1062,9 +1097,14 @@ class ForecastLadder:
     The ladder holds the fit configuration, not a predictor over a
     dataset: the fresh rung fits :meth:`TelemetryIngest.filled_window`
     of the history window, so nothing it holds can read the true
-    traces.  Deciding a new day drops every older one except the last
-    fresh day (the stale rung's source), so the cache holds what
-    :meth:`state` snapshots and no more.
+    traces.  The caller deciding a day names the rows that can still
+    be read (the streaming engine: every VM not yet departed); only
+    those are gap-filled and fitted, and the day's arrays are NaN on
+    the others.  Fill and fit are row-local, so a fitted row holds the
+    bits a fit of every VM would give it.  Deciding a new day drops
+    every older one except the last fresh day (the stale rung's
+    source), so the cache holds what :meth:`state` snapshots and no
+    more.
 
     Args:
         ingest: the ingestion stage whose gap-filled reads the fresh
@@ -1124,12 +1164,20 @@ class ForecastLadder:
         #: do not re-emit — they were already traced when made.
         self.tracer = None
 
-    def day_decision(self, day: int) -> Tuple[str, object, object]:
+    def day_decision(
+        self, day: int, rows: Optional[np.ndarray] = None
+    ) -> Tuple[str, object, object]:
         """The ladder's (rung, cpu, mem) for one forecast day (cached).
 
         Days must be asked for in non-decreasing order (the engine's
         windows run forward): a new day's decision evicts the older
         days no later call can consult.
+
+        ``rows`` (sorted VM ids; every VM when ``None``) are the VMs a
+        fresh fit gap-fills and fits; the day's arrays hold NaN on every
+        other row.  It only matters to the call that decides the day: a
+        cached decision is returned as it was made.  Whether the day
+        fits fresh is decided on every VM's history either way.
 
         Raises:
             DomainError: for an undecided day older than a decided one
@@ -1148,8 +1196,11 @@ class ForecastLadder:
         lo = max((day - self._fitter.history_days) * SAMPLES_PER_DAY, 0)
         hi = day * SAMPLES_PER_DAY
         if self._ingest.missing_fraction(lo, hi) <= self._max_imputed:
-            cpu, mem = self._fitter.fit_day(
-                day, *self._ingest.filled_window(lo, hi)
+            cpu, mem = (
+                self._spread(fitted, rows)
+                for fitted in self._fitter.fit_day(
+                    day, *self._ingest.filled_window(lo, hi, rows)
+                )
             )
             decision = (RUNG_FRESH, cpu, mem)
             self._last_fresh_day = day
@@ -1174,6 +1225,17 @@ class ForecastLadder:
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.emit("ladder_rung", day=day, rung=decision[0])
         return decision
+
+    def _spread(
+        self, fitted: np.ndarray, rows: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """A fit of ``rows`` as a day array over every VM, NaN on the
+        rows it did not fit."""
+        if rows is None:
+            return fitted
+        day = np.full((self._ingest.valid.shape[0], fitted.shape[1]), np.nan)
+        day[rows] = fitted
+        return day
 
     # -- checkpoint ----------------------------------------------------
 

@@ -9,6 +9,8 @@ from repro.forecast import (
     SeasonalNaiveForecaster,
     rmse,
 )
+from repro.forecast.predictor import DayAheadFitter
+from repro.traces import default_dataset
 from repro.units import SAMPLES_PER_DAY, SAMPLES_PER_SLOT
 
 
@@ -72,6 +74,25 @@ class TestDayAheadPredictor:
         before = predictor.fallback_count
         predictor.forecast_day(7)
         assert predictor.fallback_count >= before
+
+
+class TestDayAheadFitter:
+    def test_row_subsets_fit_the_bits_of_the_full_fit(self):
+        """Every step of the day fit reads a VM's own row, so fitting a
+        subset of rows gives those rows' bits of the fit over every
+        VM, whichever fit blocks (128 rows) the subset crosses."""
+        dataset = default_dataset(n_vms=260, n_days=8, seed=5)
+        fitter = DayAheadFitter(7)
+        history = slice(0, 7 * SAMPLES_PER_DAY)
+        cpu = dataset.cpu_pct[:, history]
+        mem = dataset.mem_pct[:, history]
+        full = fitter.fit_day(7, cpu, mem)
+        rng = np.random.default_rng(8)
+        for size in (1, 2, 127, 129, dataset.n_vms):
+            rows = np.sort(rng.choice(dataset.n_vms, size, replace=False))
+            subset = fitter.fit_day(7, cpu[rows], mem[rows])
+            for got, want in zip(subset, full):
+                assert got.tobytes() == want[rows].tobytes()
 
 
 class TestPerfectPredictor:

@@ -252,13 +252,16 @@ class TestImputationInvariants:
         st.sampled_from([1, 12, 288, 2016]),
         st.floats(0.0, 100.0),
         st.integers(0, 2**32 - 1),
+        st.sampled_from(["empty", "one", "all", "some"]),
     )
     @settings(max_examples=50, deadline=None)
     def test_fill_matches_loop_keeps_observations_in_range(
-        self, n_vms, density, from_zero, width, cold, seed
+        self, n_vms, density, from_zero, width, cold, seed, subset
     ):
         """~30% of the VMs are never observed; the window starts at
-        sample 0 or anywhere, and is clipped to the 8-day horizon."""
+        sample 0 or anywhere, and is clipped to the 8-day horizon.  A
+        read of a sorted row subset (empty, one row, every row or a
+        random draw) gives those rows of the whole-window read."""
         rng = np.random.default_rng(seed)
         dataset = synthetic_dataset(n_vms, n_days=8)
         horizon = dataset.n_samples
@@ -289,6 +292,23 @@ class TestImputationInvariants:
         scanned = ingest._carry_before_reference(lo)
         for got, want in zip(carried, scanned):
             assert got.tobytes() == want.tobytes()
+
+        rows = {
+            "empty": np.empty(0, dtype=np.intp),
+            "one": rng.integers(0, n_vms, size=1),
+            "all": np.arange(n_vms),
+            "some": np.flatnonzero(rng.random(n_vms) < 0.5),
+        }[subset]
+        for got, want, oracle in zip(
+            ingest._fill(lo, hi, rows),
+            filled,
+            ingest._fill_reference(lo, hi, rows),
+        ):
+            assert got.shape == (rows.size, hi - lo)
+            assert got.tobytes() == want[rows].tobytes()
+            assert got.tobytes() == oracle.tobytes()
+        for got, want in zip(ingest._carry_before(lo, rows), carried):
+            assert got.tobytes() == want[rows].tobytes()
 
 
 # A horizon that crosses from day 7 into day 8, so the ladder decides a
@@ -369,6 +389,19 @@ class TestResumeProperty:
         n_slots=12,
         extra_slots=1,
         seed=5,
+    )
+    # VMs 1 and 6 depart at slots 189 and 191, before day 8's first
+    # slot (192), so day 8 fits fresh without their rows (NaN); the
+    # boundaries at 188 and 190 resume into re-deciding that day.
+    @example(
+        policy="epact",
+        churn=True,
+        scenario="lossy-1pct",
+        max_imputed=0.25,
+        every=2,
+        n_slots=12,
+        extra_slots=2,
+        seed=3,
     )
     # A placement-on-arrival policy over a fixed population: resuming
     # without its carried placement re-packs every VM.

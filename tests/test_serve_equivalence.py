@@ -427,9 +427,11 @@ class TestServeCliOut:
             for e in iter_trace_file(timing)
             if e["event"] == "phase_time"
         ]
+        # Two forecast calls per window: the ladder's day decision and
+        # the window's predictions.
         assert phases == [
             ("account", 12),
-            ("forecast", 12),
+            ("forecast", 24),
             ("policy", 12),
             ("prepare", 12),
         ]

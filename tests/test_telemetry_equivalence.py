@@ -419,6 +419,26 @@ class TestCollectors:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_masks_held_only_for_enabled_classes(self):
+        """``lossy-10pct`` at 400 VMs x 16 days holds its drop and NaN
+        masks, one byte a sample each (3.5 MiB), and neither an
+        all-zero spike mask (1.8 MiB) nor all-zero int64 delays
+        (14.1 MiB)."""
+        schedule = get_telemetry_scenario("lossy-10pct").build(
+            400, 0, 16 * SLOTS_PER_DAY, seed=2018
+        )
+        masks = (schedule._drop, schedule._nan, schedule._spike, schedule._delay)
+        assert schedule._spike is None and schedule._delay is None
+        held = sum(mask.nbytes for mask in masks if mask is not None)
+        assert held == 2 * 400 * 16 * SAMPLES_PER_DAY
+        # An absent class reads as zeros of the slice asked for.
+        _, _, spike, delay = schedule._sample_masks(slice(1, None, 2), 5, 29)
+        assert spike.shape == delay.shape == (200, 24)
+        assert not spike.any() and not delay.any()
+        # Delays take the smallest unsigned type holding the largest.
+        late = get_telemetry_scenario("late-burst").build(10, 0, 48, seed=1)
+        assert late._delay.dtype == np.uint8 and late._delay.max() == 4
+
     @pytest.mark.parametrize("name", sorted(TELEMETRY_SCENARIOS))
     def test_polls_equal_the_whole_horizon_stream(self, name):
         """Poll for poll, the day-at-a-time build returns the slice of
@@ -588,6 +608,104 @@ class TestImputation:
             reference = ingest._fill_reference(start, stop)
             for got, want in zip(filled, reference):
                 assert got.tobytes() == want.tobytes()
+
+
+# -- the day fit over the VMs that can still be placed ----------------------
+
+
+def _churn_sim(ds, **kwargs):
+    """Days 7 and 8 under churn and a 1% lossy feed: six VMs depart
+    before day 8's first slot, and nine never run."""
+    schedule = generate_lifecycle(
+        ds.n_vms,
+        168,
+        168 + 48,
+        config=ChurnConfig(initial_fraction=0.5),
+        seed=9,
+    )
+    telemetry = get_telemetry_scenario("lossy-1pct").build(
+        ds.n_vms, 0, ds.n_slots, seed=9
+    )
+    return schedule, StreamingCloudSimulation(
+        ds,
+        DayAheadPredictor(ds),
+        EpactPolicy(),
+        schedule,
+        telemetry=telemetry,
+        max_servers=20,
+        n_slots=48,
+        **kwargs,
+    )
+
+
+class TestLiveRowFit:
+    def test_fresh_days_fit_only_the_vms_not_departed(self, ds):
+        """Each fresh day is NaN exactly on the rows departed by its
+        deciding slot, and elsewhere equals the fit of every VM's
+        filled window at decision time, bit for bit."""
+        schedule, sim = _churn_sim(ds)
+        ladder, ingest = sim._ladder, sim._ingest
+        decide = ladder.day_decision
+        fits = {}
+
+        def spy(day, rows=None):
+            decision = decide(day, rows)
+            if decision[0] == RUNG_FRESH and day not in fits:
+                lo = (day - 7) * SAMPLES_PER_DAY
+                window = ingest.filled_window(lo, day * SAMPLES_PER_DAY)
+                fits[day] = (decision, ladder._fitter.fit_day(day, *window))
+            return decision
+
+        ladder.day_decision = spy
+        decisions = list(sim.windows())
+        assert sorted(fits) == [7, 8]
+        departures = 0
+        for day, ((_, cpu, mem), full) in fits.items():
+            deciding = min(
+                d.slot
+                for d in decisions
+                if d.slot // SLOTS_PER_DAY == day and d.n_active_vms
+            )
+            departed = schedule.departure_slots <= deciding
+            departures += int(departed.sum())
+            for got, want in zip((cpu, mem), full):
+                assert (np.isnan(got).all(axis=1) == departed).all()
+                assert not np.isnan(got[~departed]).any()
+                assert got[~departed].tobytes() == want[~departed].tobytes()
+        assert departures == 6
+
+    def test_reading_an_unfitted_row_raises(self, ds, fixed):
+        sim = StreamingCloudSimulation(
+            ds,
+            DayAheadPredictor(ds),
+            OnlineReactivePolicy(),
+            fixed,
+            telemetry=zero_telemetry_faults(ds.n_vms, 0, ds.n_slots),
+            max_servers=20,
+            n_slots=48,
+        )
+        windows = sim.windows()
+        while True:
+            decision = next(windows)
+            if decision.slot + decision.n_window == 8 * SLOTS_PER_DAY:
+                break
+        # Decide day 8 ahead of its first window, without VM 0.
+        rung, cpu, _ = sim._ladder.day_decision(8, np.arange(1, ds.n_vms))
+        assert rung == RUNG_FRESH and np.isnan(cpu[0]).all()
+        with pytest.raises(DomainError, match=r"VM 0 is active.*day 8"):
+            next(windows)
+
+    def test_day_fits_run_inside_the_forecast_phase(self, ds):
+        """Two ``forecast`` calls per window: the day decision and the
+        window's predictions; tracing changes no record."""
+        plain = _churn_sim(ds)[1].run()
+        tracer = RunTracer()
+        sim = _churn_sim(ds, tracer=tracer)[1]
+        decisions = list(sim.windows())
+        assert records_equal(sim.result.records, plain.records)
+        assert not any(d.blind for d in decisions)
+        active = sum(1 for d in decisions if d.n_active_vms)
+        assert tracer.phase("forecast").calls == 2 * active
 
 
 # -- checkpoint/resume ------------------------------------------------------
