@@ -63,7 +63,6 @@ from .dcsim import (
     run_cloud_policies,
     run_geo_policies,
     run_policies,
-    run_streaming_policies,
     total_energy_savings_pct,
 )
 from .errors import (
@@ -141,7 +140,6 @@ __all__ = [
     "run_cloud_policies",
     "run_geo_policies",
     "run_policies",
-    "run_streaming_policies",
     "save_dataset",
     "serve",
     "total_energy_savings_pct",

@@ -55,7 +55,6 @@ from .faults import (
     FaultSchedule,
     generate_faults,
     get_fault_scenario,
-    list_fault_scenarios,
     zero_faults,
 )
 from .fleets import FLEETS, FleetMix, get_fleet, list_fleets
@@ -82,10 +81,9 @@ from .telemetry import (
     TraceCollector,
     generate_telemetry_faults,
     get_telemetry_scenario,
-    list_telemetry_scenarios,
     zero_telemetry_faults,
 )
-from .streaming import StreamingCloudSimulation, run_streaming_policies
+from .streaming import StreamingCloudSimulation
 
 __all__ = [
     "FAULT_SCENARIOS",
@@ -122,13 +120,10 @@ __all__ = [
     "get_fleet",
     "get_scenario",
     "get_telemetry_scenario",
-    "list_fault_scenarios",
     "list_fleets",
     "list_scenarios",
-    "list_telemetry_scenarios",
     "poll_with_retry",
     "run_cloud_policies",
-    "run_streaming_policies",
     "sla_table",
     "summarize",
     "telemetry_table",

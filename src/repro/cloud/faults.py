@@ -600,11 +600,3 @@ def get_fault_scenario(name: str) -> FaultScenario:
         raise ConfigurationError(
             f"unknown fault scenario {name!r}; known: {known}"
         ) from None
-
-
-def list_fault_scenarios() -> Dict[str, str]:
-    """Name -> description for every registered fault scenario."""
-    return {
-        name: scenario.description
-        for name, scenario in FAULT_SCENARIOS.items()
-    }

@@ -16,10 +16,11 @@ degradation leaves reachable:
   the VMs that can still be placed (departed VMs are neither filled
   nor fitted; their rows of the day are NaN);
 * **stale** — too gappy to re-fit, but a recent fresh forecast exists:
-  re-use it while its age stays within the staleness budget;
+  re-use it while its age stays within
+  :data:`~repro.cloud.telemetry.STALENESS_BUDGET_SLOTS`;
 * **persistence** — no usable forecast: flat last-observed patterns;
 * **reactive-only** — telemetry entirely dark for longer than
-  ``blind_after_slots``: skip re-planning and *freeze* the previous
+  :data:`BLIND_AFTER_SLOTS`: skip re-planning and *freeze* the previous
   placement (departed VMs dropped, arrivals spread round-robin), the
   engine's blind-window mode.
 
@@ -27,8 +28,7 @@ Degradation touches only the *decision inputs* — accounting always
 runs on the true traces, so the energy/SLA cost of flying blind is
 measured, not assumed.  With lossless telemetry every input is
 bit-identical to the batch engine's, which is the equivalence the
-telemetry test-suite asserts (and a ``telemetry=None`` run uses the
-caller's predictor directly).
+telemetry test-suite asserts.
 
 The class runs the engine's single window loop
 (:meth:`~repro.dcsim.engine.DataCenterSimulation.windows`) and only
@@ -64,12 +64,14 @@ any boundary is bit-identical to the uninterrupted run, because
 nothing downstream of the checkpoint consults a clock or an unseeded
 RNG.
 
-``collectors=`` accepts any sequence of live
-:class:`~repro.serve.adapters.CollectorAdapter` implementations
-(synthetic push, HTTP feed, ...) in place of the replay ``telemetry=``
-schedule; poll/timeout/retry semantics are unchanged.  ``windows()``
-exposes the loop one :class:`~repro.dcsim.engine.WindowDecision` at a
-time for operator front ends (``repro.serve.service``).
+The engine always reads a feed: either a replay ``telemetry=``
+schedule, played back by its own
+:class:`~repro.cloud.telemetry.TraceCollector` set, or ``collectors=``,
+any sequence of live :class:`~repro.serve.adapters.CollectorAdapter`
+implementations (synthetic push, HTTP feed, ...); both are polled with
+the same bounded retry.  ``windows()`` exposes the loop one
+:class:`~repro.dcsim.engine.WindowDecision` at a time for operator
+front ends (``repro.serve.service``).
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ import os
 import struct
 import zipfile
 import zlib
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,14 +99,7 @@ from ..traces.dataset import TraceDataset
 from ..traces.lifecycle import LifecycleSchedule
 from ..units import SAMPLES_PER_SLOT, SLOTS_PER_DAY
 from ..dcsim.cloud import CloudSimulation
-from ..dcsim.engine import (
-    _fans_out,
-    _LoopState,
-    _Observation,
-    fan_out,
-    shared_predictions,
-)
-from ..dcsim.metrics import SimulationResult
+from ..dcsim.engine import _LoopState, _Observation
 from .telemetry import (
     RUNG_BLIND,
     RUNG_STALE,
@@ -116,6 +111,10 @@ from .telemetry import (
 
 #: Checkpoint format version; a file of any other version is refused.
 CHECKPOINT_VERSION = 2
+
+#: A window whose newest delivery is more than this many slots old
+#: takes the reactive-only rung; normal operation has age exactly 1.
+BLIND_AFTER_SLOTS = 2
 
 #: The file's preamble: magic bytes, format version, base length.
 _PREAMBLE = struct.Struct("<8sIQ")
@@ -398,30 +397,20 @@ class StreamingCloudSimulation(CloudSimulation):
     Args:
         dataset: true utilization traces (accounting ground truth, and
             the stream the file-replay collectors play back).
-        predictor: the batch day-ahead predictor.  With telemetry it
-            contributes its configuration (history window, forecaster
-            factory, clip range) to the ladder's fit, which runs on
-            *observed* data instead; without telemetry it is used
-            directly.
+        predictor: the batch day-ahead predictor.  It contributes its
+            configuration (first predictable day, history window,
+            forecaster factory, clip range) to the ladder's fit, which
+            runs on *observed* data instead.
         policy: as in the batch engine.
         schedule: the VM lifecycle schedule.
-        telemetry: the degradation timeline; ``None`` disables the
-            telemetry layer entirely (the windowed driver over perfect
-            observations).
+        telemetry: the replay feed: a degradation timeline over
+            ``dataset``, played back by one
+            :class:`~repro.cloud.telemetry.TraceCollector` per
+            collector.  Pass exactly one of ``telemetry`` and
+            ``collectors``.
         max_imputed_frac: fresh-fit threshold — highest imputed
             fraction of the forecast history window that still earns a
             re-fit (ladder rung 1 vs 2).
-        staleness_budget_slots: how long a last-good forecast may be
-            re-used (>= ``SLOTS_PER_DAY``; day-granular aging).
-        blind_after_slots: windows with no successful delivery for more
-            than this many slots freeze the previous placement
-            (>= 1; normal operation has age exactly 1).
-        cold_start_util_pct: assumed utilization for VMs never observed
-            (imputation cold start and persistence fallback).
-        poll_retries: bounded retries per collector poll.
-        poll_backoff_s: base exponential-backoff delay between retries
-            (0 keeps replay instant).
-        sleep: injectable backoff sleep (tests).
         checkpoint_every_slots: checkpoint the run at the first window
             boundary at or past every multiple of this many slots
             (``None`` disables checkpointing; needs
@@ -432,12 +421,17 @@ class StreamingCloudSimulation(CloudSimulation):
             :data:`CHECKPOINT_VERSION`, see the module docstring): a
             base, written to ``<path>.tmp`` and renamed onto exactly
             this path, then records appended to it.
-        collectors: live :class:`~repro.serve.adapters.CollectorAdapter`
-            feed — polled with the same once-per-elapsed-slot
-            retry/backoff loop the replay collectors use.  Mutually
-            exclusive with ``telemetry`` (replay builds its own
-            :class:`~repro.cloud.telemetry.TraceCollector` set).
+        collectors: the live feed: at least one
+            :class:`~repro.serve.adapters.CollectorAdapter`, polled
+            with the same once-per-elapsed-slot bounded retry the
+            replay collectors get.
         **kwargs: forwarded to the batch engine.
+
+    Raises:
+        ConfigurationError: for neither or both of ``telemetry`` and
+            ``collectors``, a replay schedule that does not cover the
+            dataset's VMs and horizon, an empty collector set, or a
+            bad checkpoint cadence.
     """
 
     _ENGINE_NAME = "streaming"
@@ -450,32 +444,12 @@ class StreamingCloudSimulation(CloudSimulation):
         schedule: LifecycleSchedule,
         telemetry: Optional[TelemetryFaultSchedule] = None,
         max_imputed_frac: float = 0.25,
-        staleness_budget_slots: int = 3 * SLOTS_PER_DAY,
-        blind_after_slots: int = 2,
-        cold_start_util_pct: float = 50.0,
-        poll_retries: int = 2,
-        poll_backoff_s: float = 0.0,
-        sleep=None,
         checkpoint_every_slots: Optional[int] = None,
         checkpoint_path: Optional[str] = None,
         collectors: Optional[Sequence[CollectorAdapter]] = None,
         **kwargs,
     ):
         super().__init__(dataset, predictor, policy, schedule, **kwargs)
-        if blind_after_slots < 1:
-            raise ConfigurationError(
-                f"blind_after_slots must be >= 1, got {blind_after_slots}"
-                " — under normal operation the newest delivery is "
-                "exactly one slot old"
-            )
-        if poll_retries < 0:
-            raise ConfigurationError(
-                f"poll_retries must be >= 0, got {poll_retries}"
-            )
-        if poll_backoff_s < 0:
-            raise ConfigurationError(
-                f"poll_backoff_s must be >= 0, got {poll_backoff_s}"
-            )
         if checkpoint_every_slots is not None:
             if checkpoint_every_slots < 1:
                 raise ConfigurationError(
@@ -487,6 +461,12 @@ class StreamingCloudSimulation(CloudSimulation):
                     "checkpoint_every_slots needs checkpoint_path: the "
                     "checkpoint file is the only checkpoint"
                 )
+        if telemetry is None and collectors is None:
+            raise ConfigurationError(
+                "the streaming engine reads a feed: pass telemetry= (a "
+                "replay degradation schedule) or collectors= (live "
+                "adapters)"
+            )
         if telemetry is not None and collectors is not None:
             raise ConfigurationError(
                 "telemetry= and collectors= are mutually exclusive: a "
@@ -495,10 +475,6 @@ class StreamingCloudSimulation(CloudSimulation):
                 "adapters"
             )
         self._telemetry = telemetry
-        self._blind_after = int(blind_after_slots)
-        self._poll_retries = int(poll_retries)
-        self._poll_backoff_s = float(poll_backoff_s)
-        self._sleep = sleep
         self._ckpt_every = checkpoint_every_slots
         self._ckpt_path = checkpoint_path
         self._resume_state: Optional[_LoopState] = None
@@ -511,14 +487,8 @@ class StreamingCloudSimulation(CloudSimulation):
         self._log_bytes = 0
         self._filed: set = set()
 
-        self._collectors: List[CollectorAdapter] = []
-        self._ingest: Optional[TelemetryIngest] = None
-        self._ladder: Optional[ForecastLadder] = None
         self._window_rung: Optional[str] = None
-        if telemetry is None and collectors is None:
-            self._ingested_until = 0
-            return
-
+        self._ingested_until = 0
         if telemetry is not None:
             end = self._start_slot + self._n_slots
             if telemetry.n_vms != dataset.n_vms:
@@ -533,26 +503,20 @@ class StreamingCloudSimulation(CloudSimulation):
                     f"slot 0 — got [{telemetry.horizon_start}, "
                     f"{telemetry.horizon_end})"
                 )
-            self._collectors = [
+            collectors = [
                 TraceCollector(cid, dataset, telemetry)
                 for cid in range(telemetry.n_collectors)
             ]
-            self._ingested_until = telemetry.horizon_start
-        else:
-            self._collectors = list(collectors)
-            if not self._collectors:
-                raise ConfigurationError(
-                    "collectors= must name at least one adapter"
-                )
-            self._ingested_until = 0
-        self._ingest = TelemetryIngest(
-            dataset, cold_start_util_pct=cold_start_util_pct
-        )
+        self._collectors: List[CollectorAdapter] = list(collectors)
+        if not self._collectors:
+            raise ConfigurationError(
+                "collectors= must name at least one adapter"
+            )
+        self._ingest = TelemetryIngest(dataset)
         self._ladder = ForecastLadder(
             self._ingest,
             history_days=getattr(predictor, "history_days", 7),
             max_imputed_frac=max_imputed_frac,
-            staleness_budget_slots=staleness_budget_slots,
             factory=getattr(predictor, "_factory", None),
             clip_range=getattr(predictor, "_clip", (0.0, 100.0)),
         )
@@ -569,14 +533,7 @@ class StreamingCloudSimulation(CloudSimulation):
         """Poll every collector once per elapsed slot up to ``slot``."""
         for s in range(self._ingested_until + 1, slot + 1):
             for collector in self._collectors:
-                batch = poll_with_retry(
-                    collector,
-                    s,
-                    retries=self._poll_retries,
-                    backoff_s=self._poll_backoff_s,
-                    sleep=self._sleep,
-                    tracer=self._tracer,
-                )
+                batch = poll_with_retry(collector, s, tracer=self._tracer)
                 if batch is not None:
                     self._ingest.ingest(batch)
                     if self._log is not None and batch.n_samples:
@@ -602,8 +559,6 @@ class StreamingCloudSimulation(CloudSimulation):
 
     def _last_observed(self, slot: int, active: np.ndarray):
         """The reactive signal as *delivered*: imputed where degraded."""
-        if self._ingest is None:
-            return super()._last_observed(slot, active)
         prev = slot - 1
         if prev < 0:
             return None, None
@@ -687,9 +642,7 @@ class StreamingCloudSimulation(CloudSimulation):
         self, slot: int, n_window: int, active: np.ndarray, state
     ) -> _Observation:
         """Ingest up to ``slot``, then pick the window's ladder rung."""
-        stream = self._ingest is not None
-        if stream:
-            self._ingest_to(slot)
+        self._ingest_to(slot)
         # A live feed has no fault schedule to consult; dropout shows
         # up as timeouts (poll_retry events), not here.
         down = (
@@ -700,7 +653,7 @@ class StreamingCloudSimulation(CloudSimulation):
             if self._telemetry is not None
             else ()
         )
-        if not (stream and active.size):
+        if not active.size:
             return _Observation(down=down)
         with self._tracer.phase("forecast"):
             cpu = self._ladder_begin(slot)
@@ -723,11 +676,10 @@ class StreamingCloudSimulation(CloudSimulation):
                 slot * SAMPLES_PER_SLOT,
             )
         # Reactive-only rung: the stream has been dark for longer than
-        # the blind budget and there is a placement to freeze.
+        # BLIND_AFTER_SLOTS and there is a placement to freeze.
         blind = (
             state.prev_alloc is not None
-            and slot - self._ingest.newest_delivery_slot
-            > self._blind_after
+            and slot - self._ingest.newest_delivery_slot > BLIND_AFTER_SLOTS
         )
         rung = RUNG_BLIND if blind else self._window_rung
         if self._tracer.enabled:
@@ -806,7 +758,9 @@ class StreamingCloudSimulation(CloudSimulation):
             "n_slots": self._n_slots,
             "fleet_servers": self._max_servers,
             "policy": self._policy.name,
-            "telemetry": self._ingest is not None,
+            # Every run reads a feed; the key stays so the config hash,
+            # and with it every checkpoint already written, is unchanged.
+            "telemetry": True,
             "collectors": len(self._collectors),
         }
 
@@ -817,29 +771,27 @@ class StreamingCloudSimulation(CloudSimulation):
         the ladder's forecast arrays, which the caller files.
         """
         config = self._checkpoint_config()
+        forecasts: Dict[str, np.ndarray] = {}
         header = {
             "config": config,
             "config_hash": config_hash(config),
             "loop": _split(state.state(), "loop", arrays),
             "policy": self._policy.state(),
             "ingested_until": self._ingested_until,
-        }
-        forecasts: Dict[str, np.ndarray] = {}
-        if self._ingest is not None:
-            header["collectors"] = [c.state() for c in self._collectors]
-            header["ladder"] = _split(
+            "collectors": [c.state() for c in self._collectors],
+            "ladder": _split(
                 self._ladder.state(state.slot // SLOTS_PER_DAY),
                 "ladder",
                 forecasts,
-            )
+            ),
+        }
         return header, forecasts
 
     def _write_base(self, state: _LoopState) -> int:
         """Write a new file of one base, atomically; returns its bytes."""
         arrays: Dict[str, np.ndarray] = {}
         header, forecasts = self._run_header(state, arrays)
-        if self._ingest is not None:
-            header["ingest"] = _split(self._ingest.state(), "ingest", arrays)
+        header["ingest"] = _split(self._ingest.state(), "ingest", arrays)
         arrays.update(forecasts)
         tmp = f"{self._ckpt_path}.tmp"
         with open(tmp, "wb") as fh:
@@ -860,7 +812,7 @@ class StreamingCloudSimulation(CloudSimulation):
 
     def _append_record(self, state: _LoopState) -> int:
         """Append one record to the file; returns its bytes."""
-        arrays = _log_arrays(self._log) if self._ingest is not None else {}
+        arrays = _log_arrays(self._log)
         header, forecasts = self._run_header(state, arrays)
         new = {k: v for k, v in forecasts.items() if k not in self._filed}
         arrays.update(new)
@@ -899,7 +851,7 @@ class StreamingCloudSimulation(CloudSimulation):
         for i, (header, arrays) in enumerate(_parts(path)):
             self._check_config(header, label)
             try:
-                if self._ingest is not None and i == 0:
+                if i == 0:
                     self._ingest.restore(
                         _join(header["ingest"], "ingest", arrays)
                     )
@@ -951,86 +903,11 @@ class StreamingCloudSimulation(CloudSimulation):
             loop = _LoopState.from_state(_join(header["loop"], "loop", arrays))
             self._policy.restore(header["policy"])
             self._ingested_until = int(header["ingested_until"])
-            if self._ingest is not None:
-                for collector, cstate in zip(
-                    self._collectors, header["collectors"]
-                ):
-                    collector.restore(cstate)
-                self._ladder.restore(
-                    _join(header["ladder"], "ladder", forecasts)
-                )
+            for collector, cstate in zip(
+                self._collectors, header["collectors"]
+            ):
+                collector.restore(cstate)
+            self._ladder.restore(_join(header["ladder"], "ladder", forecasts))
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{label} is malformed: {exc!r}") from exc
         return loop
-
-
-def _run_one_streaming_policy(
-    dataset: TraceDataset,
-    predictor,
-    policy: AllocationPolicy,
-    schedule: LifecycleSchedule,
-    telemetry: Optional[TelemetryFaultSchedule],
-    kwargs: Dict,
-) -> SimulationResult:
-    """One policy's full streaming run (a picklable task body)."""
-    return StreamingCloudSimulation(
-        dataset, predictor, policy, schedule, telemetry=telemetry, **kwargs
-    ).run()
-
-
-def run_streaming_policies(
-    dataset: TraceDataset,
-    predictor,
-    policies: Iterable[AllocationPolicy],
-    schedule: LifecycleSchedule,
-    telemetry: Optional[TelemetryFaultSchedule] = None,
-    jobs: int = 1,
-    tracer=None,
-    **kwargs,
-) -> Dict[str, SimulationResult]:
-    """Run several policies over the same degraded stream.
-
-    The streaming counterpart of
-    :func:`repro.dcsim.cloud.run_cloud_policies`, sharing the common
-    runner surface (``jobs`` / ``tracer``).  With
-    ``jobs > 1`` the policies fan out over processes
-    (:func:`~repro.dcsim.engine.fan_out`).  With telemetry each worker
-    receives the traces and the *configured* predictor — each run
-    re-fits on its own observed stream, deterministically, so parallel
-    equals serial exactly; without telemetry the day-ahead predictions
-    are frozen once and shared instead, as in the batch runners.
-    Serial runs thread ``tracer`` into every engine; parallel fans give
-    it to :func:`~repro.dcsim.engine.fan_out` for task events.
-    """
-    policy_list = list(policies)
-    if kwargs.get("collectors") is not None and jobs is not None and jobs > 1:
-        raise ConfigurationError(
-            "live collectors cannot fan out across processes — a feed "
-            "is consumed once; run live policies with jobs=1"
-        )
-    if kwargs.get("checkpoint_path") is not None and len(policy_list) > 1:
-        raise ConfigurationError(
-            f"one checkpoint_path cannot hold {len(policy_list)} "
-            f"policies' runs — each run writes the whole file; run one "
-            f"policy per checkpoint file"
-        )
-    if _fans_out(jobs, len(policy_list)):
-        if telemetry is None:
-            predictor = shared_predictions(
-                dataset,
-                predictor,
-                kwargs.get("start_slot"),
-                kwargs.get("n_slots"),
-            )
-    else:
-        kwargs = dict(kwargs, tracer=tracer)
-    return fan_out(
-        _run_one_streaming_policy,
-        (dataset, predictor),
-        [
-            (policy.name, (policy, schedule, telemetry, kwargs))
-            for policy in policy_list
-        ],
-        jobs,
-        tracer=tracer,
-    )

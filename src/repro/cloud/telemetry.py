@@ -36,16 +36,18 @@ and go entirely dark while a collector restarts.  This module provides
         |          on the imputed history (history imputed fraction
         |          <= max_imputed_frac)
       stale        last good day-ahead forecast, re-used while its age
-        |          stays within the staleness budget
+        |          stays within STALENESS_BUDGET_SLOTS
       persistence  flat last-observed-value patterns (no usable fit)
         |
-      reactive-only  telemetry entirely dark: keep the previous
+      reactive-only  telemetry dark for more than BLIND_AFTER_SLOTS
+                     (:mod:`repro.cloud.streaming`): keep the previous
                      placement, no re-planning (the engine's "blind
                      window" freeze)
 
 A zero-degradation schedule is exact: every consumer gates on
 :attr:`TelemetryFaultSchedule.has_degradation`, and the equivalence
-suite asserts bit-identity against runs without the telemetry layer.
+suite asserts that a streaming run over a clean feed is bit-identical
+to the batch engine.
 """
 
 from __future__ import annotations
@@ -560,14 +562,6 @@ def get_telemetry_scenario(name: str) -> TelemetryScenario:
         ) from None
 
 
-def list_telemetry_scenarios() -> Dict[str, str]:
-    """Name -> description for every registered telemetry scenario."""
-    return {
-        name: scenario.description
-        for name, scenario in TELEMETRY_SCENARIOS.items()
-    }
-
-
 # -- collectors --------------------------------------------------------
 
 
@@ -801,14 +795,15 @@ class TelemetryIngest:
     A read names the VMs it needs (``rows``; every VM when ``None``)
     and fills only those: the ladder asks for the VMs not yet
     departed, the reactive signal for the window's active VMs.  Reads
-    are whole-array passes: :meth:`_fill` fills every gap of the asked
-    rows at once from the window's gap runs, and the carry-forward
-    lookup looks back from the window in doubling blocks instead of
-    rescanning the whole history.  Both read each VM's own row only,
-    so a row's fill is the same whichever rows are asked for.  The
-    per-VM ``np.interp`` loop stays callable as :meth:`_fill_reference`
-    (with the prefix-scan carry :meth:`_carry_before_reference`), the
-    oracle the batched fill matches bit for bit.
+    are whole-array passes: :meth:`filled_window` fills every gap of
+    the asked rows at once from the window's gap runs, and the
+    carry-forward lookup looks back from the window in doubling
+    blocks instead of rescanning the whole history.  Both read each
+    VM's own row only, so a row's fill is the same whichever rows are
+    asked for.  The per-VM ``np.interp`` loop stays callable as
+    :meth:`_fill_reference` (with the prefix-scan carry
+    :meth:`_carry_before_reference`), the oracle the batched fill
+    matches bit for bit.
 
     The all-valid fast path (clean telemetry) is a plain copy, which is
     what makes clean streaming runs bit-identical to the batch engine.
@@ -938,13 +933,9 @@ class TelemetryIngest:
     def filled_window(
         self, lo: int, hi: int, rows: Optional[np.ndarray] = None
     ):
-        """LOCF/linear-filled copies of ``[lo, hi)`` (buffers untouched),
-        one row per VM of ``rows`` (sorted; every VM when ``None``)."""
-        return self._fill(lo, hi, rows)
-
-    def _fill(self, lo: int, hi: int, rows: Optional[np.ndarray] = None):
-        """Gap-filled copies of ``[lo, hi)`` for the VMs ``rows``
-        (sorted; every VM when ``None``), all of them in one pass.
+        """Gap-filled copies of ``[lo, hi)`` (buffers untouched), one
+        row per VM of ``rows`` (sorted; every VM when ``None``), all of
+        them in one pass.
 
         Works on the window's *runs*: maximal stretches of missing
         samples within one VM's row.  An interior run takes
@@ -1006,7 +997,7 @@ class TelemetryIngest:
     def _fill_reference(
         self, lo: int, hi: int, rows: Optional[np.ndarray] = None
     ):
-        """Per-VM ``np.interp`` loop: the oracle of :meth:`_fill`."""
+        """Per-VM ``np.interp`` loop: the oracle of :meth:`filled_window`."""
         rows = self._rows(rows)
         window_valid = self.valid[rows, lo:hi]
         cpu = self.obs_cpu[rows, lo:hi]
@@ -1084,10 +1075,15 @@ RUNG_STALE = "stale"
 RUNG_PERSISTENCE = "persistence"
 RUNG_BLIND = "reactive-only"
 
+#: How long the stale rung may re-use the last fresh day forecast, in
+#: slots (a day-ahead forecast ages in whole days).
+STALENESS_BUDGET_SLOTS = 3 * SLOTS_PER_DAY
+
 
 class ForecastLadder:
     """Day-ahead forecasts with staleness-aware fallback (see module
-    docstring for the ladder diagram).
+    docstring for the ladder diagram).  The stale rung re-uses the
+    last fresh day's forecast for up to :data:`STALENESS_BUDGET_SLOTS`.
 
     Day-level decisions (fresh vs stale vs no usable forecast) are
     cached **at decision time**: a later-arriving backfill of history
@@ -1112,10 +1108,6 @@ class ForecastLadder:
         history_days: the fit window (mirrors the batch predictor).
         max_imputed_frac: highest imputed fraction of the history
             window that still counts as a fresh fit.
-        staleness_budget_slots: how long a last-good day forecast may
-            be re-used, in slots (day-granular: a day-ahead forecast
-            ages in whole days, so the budget must be at least
-            ``SLOTS_PER_DAY`` or the stale rung is unreachable).
         factory: forecaster factory of the fit (``None`` = the house
             Hannan-Rissanen/companion-matrix default); pass the batch
             predictor's factory so clean telemetry reproduces its
@@ -1128,7 +1120,6 @@ class ForecastLadder:
         ingest: TelemetryIngest,
         history_days: int = 7,
         max_imputed_frac: float = 0.25,
-        staleness_budget_slots: int = 3 * SLOTS_PER_DAY,
         factory=None,
         clip_range: Tuple[float, float] = (0.0, 100.0),
     ) -> None:
@@ -1137,17 +1128,8 @@ class ForecastLadder:
                 f"max_imputed_frac must be in [0, 1], got "
                 f"{max_imputed_frac}"
             )
-        if staleness_budget_slots < SLOTS_PER_DAY:
-            raise ConfigurationError(
-                f"staleness_budget_slots must be >= {SLOTS_PER_DAY} "
-                f"(one day): a day-ahead forecast ages in whole days, "
-                f"so a budget of {staleness_budget_slots} slots makes "
-                f"the stale rung unreachable — raise the budget or "
-                f"drop straight to persistence"
-            )
         self._ingest = ingest
         self._max_imputed = float(max_imputed_frac)
-        self._budget = int(staleness_budget_slots)
         self._fitter = DayAheadFitter(
             int(history_days), factory=factory, clip_range=clip_range
         )
@@ -1208,7 +1190,7 @@ class ForecastLadder:
         elif (
             self._last_fresh_day >= 0
             and (day - self._last_fresh_day) * SLOTS_PER_DAY
-            <= self._budget
+            <= STALENESS_BUDGET_SLOTS
         ):
             _, cpu, mem = self._days[self._last_fresh_day]
             decision = (RUNG_STALE, cpu, mem)

@@ -5,8 +5,7 @@ forecast, policy and power substrates.
 
 This package is also the single entry point for the multi-policy
 runners — :func:`run_policies` (fixed population),
-:func:`run_cloud_policies` (churning population),
-:func:`run_streaming_policies` (degraded telemetry streams) and
+:func:`run_cloud_policies` (churning population) and
 :func:`run_geo_policies` (sharded multi-region fleets) — which share
 one keyword surface: ``jobs`` and ``tracer``.  With
 ``jobs > 1`` each fans its independent runs out over worker processes
@@ -40,10 +39,9 @@ from .reporting import (
     sparkline,
 )
 
-# Imported last: repro.cloud.streaming and repro.shard.geo themselves
-# import the engine and cloud submodules above, which are complete by
-# this point even while this package module is still initializing.
-from ..cloud.streaming import run_streaming_policies  # noqa: E402
+# Imported last: repro.shard.geo itself imports the engine and cloud
+# submodules above, which are complete by this point even while this
+# package module is still initializing.
 from ..shard.geo import run_geo_policies  # noqa: E402
 
 __all__ = [
@@ -52,7 +50,6 @@ __all__ = [
     "SimulationResult",
     "run_cloud_policies",
     "run_geo_policies",
-    "run_streaming_policies",
     "SlotDetail",
     "SlotRecord",
     "VectorizedServerPower",

@@ -1937,8 +1937,7 @@ def run_policies(
 
     Sharing the predictor across policies both matches the paper's
     protocol and amortizes the ARIMA fitting cost.  This is the common
-    runner surface — :func:`~repro.dcsim.cloud.run_cloud_policies`,
-    :func:`~repro.cloud.streaming.run_streaming_policies` and
+    runner surface — :func:`~repro.dcsim.cloud.run_cloud_policies` and
     :func:`~repro.shard.geo.run_geo_policies` take the same
     ``jobs`` / ``tracer`` keywords.
 

@@ -37,7 +37,7 @@ from ..cloud import (
     sla_table,
     telemetry_table,
 )
-from ..cloud.streaming import _run_one_streaming_policy
+from ..cloud.streaming import StreamingCloudSimulation
 from ..cloud.telemetry import TELEMETRY_SCENARIOS, TelemetryFaultSchedule
 from ..core import EpactPolicy
 from ..core.types import AllocationPolicy
@@ -68,14 +68,14 @@ def _run_pair(
     policy,
 ):
     """One (telemetry scenario, policy) run (a picklable task body)."""
-    return _run_one_streaming_policy(
+    return StreamingCloudSimulation(
         dataset,
         predictor,
         policy,
         schedule,
-        telemetry_schedules[name],
-        kwargs,
-    )
+        telemetry=telemetry_schedules[name],
+        **kwargs,
+    ).run()
 
 
 @dataclass(frozen=True)

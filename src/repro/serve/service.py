@@ -13,7 +13,7 @@ events on the run tracer (schemas in
   servers, churn, blind/checkpoint flags), once per window;
 * ``decision_migration`` — only when the window moved VMs;
 * ``decision_rung`` — the forecast-ladder rung planned from, with the
-  degradation context (only when a telemetry stream is attached);
+  degradation context (not for a window without active VMs);
 * ``decision_sla`` — the window's accounted energy and SLA debt.
 
 Replay mode re-plays a registered degradation scenario over the seeded
@@ -95,10 +95,11 @@ class ServeConfig:
             )
         if self.n_vms < 1:
             raise ConfigurationError("n_vms must be >= 1")
-        if self.n_days < 2:
+        if self.n_days < 8:
             raise ConfigurationError(
-                "n_days must be >= 2 (a forecast history plus at "
-                "least one evaluated day)"
+                f"n_days must be >= 8, got {self.n_days}: the day-ahead "
+                f"forecaster's 7-day history plus at least one "
+                f"evaluated day"
             )
         if self.n_slots is not None and self.n_slots < 1:
             raise ConfigurationError("n_slots must be >= 1")

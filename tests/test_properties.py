@@ -281,7 +281,7 @@ class TestImputationInvariants:
         hi = min(lo + width, horizon)
 
         window = ingest.valid[:, lo:hi]
-        filled = ingest._fill(lo, hi)
+        filled = ingest.filled_window(lo, hi)
         reference = ingest._fill_reference(lo, hi)
         observed = (ingest.obs_cpu[:, lo:hi], ingest.obs_mem[:, lo:hi])
         for got, want, obs in zip(filled, reference, observed):
@@ -300,7 +300,7 @@ class TestImputationInvariants:
             "some": np.flatnonzero(rng.random(n_vms) < 0.5),
         }[subset]
         for got, want, oracle in zip(
-            ingest._fill(lo, hi, rows),
+            ingest.filled_window(lo, hi, rows),
             filled,
             ingest._fill_reference(lo, hi, rows),
         ):

@@ -262,6 +262,13 @@ class TestStreamingEngineValidation:
             ServeConfig(policy="nope")
         with pytest.raises(ConfigurationError, match="n_days"):
             ServeConfig(n_days=1)
+        # A day-ahead forecast needs 7 history days before the first
+        # evaluated one.
+        with pytest.raises(
+            ConfigurationError, match=r"n_days must be >= 8, got 7.*history"
+        ):
+            ServeConfig(n_days=7)
+        ServeConfig(n_days=8)
 
     def test_telemetry_and_collectors_rejected(self):
         dataset = default_dataset(n_vms=10, n_days=9, seed=5)

@@ -3,17 +3,16 @@
 The acceptance bar of the telemetry PR:
 
 * **clean-telemetry** streaming runs are bit-identical to the batch
-  :class:`CloudSimulation` (fixed population and churn), and a
-  zero-degradation schedule is bit-identical to running without the
-  telemetry layer at all;
+  :class:`CloudSimulation` (fixed population and churn), and the
+  engine refuses to run without a feed;
 * every rung of the forecast-staleness fallback ladder is reachable —
   fresh fit, aged (stale) forecast, persistence, and the blind
   (reactive-only) frozen placement under a collector outage;
 * delivery is late/out-of-order capable and backfills the observation
   buffers; corruption is rejected at ingest and imputed on read;
 * a checkpoint/resume run equals an uninterrupted run exactly;
-* the degradation model is seeded and deterministic, parallel equals
-  serial, and configs are validated with actionable errors.
+* the degradation model is seeded and deterministic, and configs are
+  validated with actionable errors.
 """
 
 import copy
@@ -31,7 +30,6 @@ from repro.cloud import (
     CloudSimulation,
     StreamingCloudSimulation,
     fixed_schedule,
-    run_streaming_policies,
     summarize,
 )
 from repro.cloud.telemetry import (
@@ -142,31 +140,6 @@ class TestCleanBitIdentity:
         ).run()
         assert records_equal(batch.records, streaming.records)
 
-    def test_zero_schedule_equals_no_layer(self, ds, pred, fixed):
-        kwargs = dict(max_servers=20, n_slots=24)
-        bare = StreamingCloudSimulation(
-            ds, pred, OnlineReactivePolicy(), fixed, **kwargs
-        ).run()
-        layered = StreamingCloudSimulation(
-            ds,
-            DayAheadPredictor(ds),
-            OnlineReactivePolicy(),
-            fixed,
-            telemetry=zero_telemetry_faults(ds.n_vms, 0, ds.n_slots),
-            **kwargs,
-        ).run()
-        assert records_equal(bare.records, layered.records)
-
-    def test_no_layer_equals_batch(self, ds, pred, fixed):
-        kwargs = dict(max_servers=20, n_slots=24)
-        batch = CloudSimulation(
-            ds, pred, EpactPolicy(), fixed, **kwargs
-        ).run()
-        streaming = StreamingCloudSimulation(
-            ds, pred, EpactPolicy(), fixed, **kwargs
-        ).run()
-        assert records_equal(batch.records, streaming.records)
-
 
 # -- the fallback ladder ----------------------------------------------------
 
@@ -189,14 +162,15 @@ class TestFallbackLadder:
         assert result.total_imputed_samples == 0
 
     def test_stale_then_behind_budget(self):
-        # Clean history for 8 days, then the stream drops everything:
-        # day 9 still fits fresh (1/7 of its history imputed), day 10
-        # crosses max_imputed_frac (2/7) and re-uses day 9's forecast
-        # (stale rung).
+        # Clean history for 8 days, then the stream drops every VM but
+        # VM 0: day 9 still fits fresh (11/84 of its history imputed),
+        # day 10 crosses max_imputed_frac (22/84) and re-uses day 9's
+        # forecast (stale rung).  VM 0 keeps reporting, so the feed
+        # never goes dark and no window goes blind.
         ds = default_dataset(n_vms=12, n_days=11, seed=5)
         shape = (ds.n_vms, ds.n_samples)
         drop = np.zeros(shape, dtype=bool)
-        drop[:, 8 * SLOTS_PER_DAY * SAMPLES_PER_SLOT :] = True
+        drop[1:, 8 * SLOTS_PER_DAY * SAMPLES_PER_SLOT :] = True
         telemetry = TelemetryFaultSchedule(
             ds.n_vms, 0, ds.n_slots, drop=drop
         )
@@ -209,7 +183,6 @@ class TestFallbackLadder:
             telemetry=telemetry,
             max_servers=10,
             n_slots=4 * SLOTS_PER_DAY,
-            blind_after_slots=10_000,  # isolate the ladder from blindness
             tracer=tracer,
         )
         result = sim.run()
@@ -218,6 +191,7 @@ class TestFallbackLadder:
             7: RUNG_FRESH, 8: RUNG_FRESH, 9: RUNG_FRESH, 10: RUNG_STALE
         }
         assert result.total_stale_forecast_windows > 0
+        assert result.total_blind_windows == 0
         # The stale rung re-uses the last fresh arrays verbatim.
         _, cpu9, _ = sim._ladder.day_decision(9)
         _, cpu10, _ = sim._ladder.day_decision(10)
@@ -243,14 +217,14 @@ class TestFallbackLadder:
             telemetry=telemetry,
             max_servers=20,
             n_slots=24,
-            blind_after_slots=10_000,
         )
         result = sim.run()
         rung, cpu, mem = sim._ladder.day_decision(7)
         assert rung == RUNG_PERSISTENCE
         assert cpu is None and mem is None
-        # Decisions fall back to cold-start persistence, accounting
-        # still runs on the true traces.
+        # The first window plans from cold-start persistence (the dark
+        # feed freezes that placement after it); accounting still runs
+        # on the true traces.
         assert result.total_energy_mj > 0.0
         assert result.total_imputed_samples > 0
         assert result.total_stale_forecast_windows == 0
@@ -273,7 +247,7 @@ class TestFallbackLadder:
         )
         result = sim.run()
         blind = [r for r in result.records if r.blind_window]
-        assert blind, "outage long past blind_after_slots must go blind"
+        assert blind, "outage long past BLIND_AFTER_SLOTS must go blind"
         assert all(r.case == "blind-freeze" for r in blind)
         # The frozen placement neither migrates nor re-plans.
         assert all(r.migrations == 0 for r in blind)
@@ -604,7 +578,7 @@ class TestImputation:
         windows.append((hi - 7 * SAMPLES_PER_DAY, hi))
         assert not ingest.valid[:, windows[-1][0]:hi].all()
         for start, stop in windows:
-            filled = ingest._fill(start, stop)
+            filled = ingest.filled_window(start, stop)
             reference = ingest._fill_reference(start, stop)
             for got, want in zip(filled, reference):
                 assert got.tobytes() == want.tobytes()
@@ -974,24 +948,6 @@ class TestCheckpointResume:
             resumed.restore(str(copied))
             assert records_equal(full.result.records, resumed.run().records)
 
-    def test_restore_rejects_layer_mismatch(self, ds, fixed, tmp_path):
-        telemetry = zero_telemetry_faults(ds.n_vms, 0, ds.n_slots)
-        path = tmp_path / "ckpt"
-        simA = self._sim(
-            ds,
-            fixed,
-            telemetry,
-            checkpoint_every_slots=24,
-            checkpoint_path=str(path),
-        )
-        simA.run()
-        bare = self._sim(ds, fixed, None)
-        with pytest.raises(
-            CheckpointError,
-            match="telemetry True in the checkpoint vs False in this run",
-        ):
-            bare.restore(str(path))
-
     def test_restore_rejects_other_configurations(self, ds, fixed, tmp_path):
         telemetry = get_telemetry_scenario("lossy-1pct").build(
             ds.n_vms, 0, ds.n_slots, seed=4
@@ -1123,45 +1079,37 @@ class TestCheckpointJournal:
             key.startswith("ladder.") for _, arrays in parts[1:] for key in arrays
         )
 
-    def test_new_base_once_the_log_outgrows_it(self, ds, fixed, tmp_path):
-        # Without telemetry a record is as large as the base (the run
-        # header), so the log outgrows it within two appends.
+    def test_new_base_once_the_log_outgrows_it(self, tmp_path):
+        # Nine evaluated days of a clean 4-VM feed, checkpointed every
+        # 12 slots: each record logs 12 slots of deliveries and every
+        # other one a new ladder day, so the log outgrows the base
+        # mid-run.
+        small = default_dataset(n_vms=4, n_days=16, seed=77)
         path = tmp_path / "ckpt"
         tracer = RunTracer()
-        self._sim(
-            ds,
-            fixed,
-            None,
-            checkpoint_every_slots=4,
+        StreamingCloudSimulation(
+            small,
+            DayAheadPredictor(small),
+            OnlineReactivePolicy(),
+            fixed_schedule(small.n_vms, 0, small.n_slots),
+            telemetry=zero_telemetry_faults(small.n_vms, 0, small.n_slots),
+            max_servers=4,
+            checkpoint_every_slots=12,
             checkpoint_path=str(path),
             tracer=tracer,
         ).run()
         events = tracer.of_type("checkpoint")
-        assert len(events) == 12
+        assert len(events) == 9 * SLOTS_PER_DAY // 12
         assert 1 < sum(e["base"] for e in events) < len(events)
         _assert_compaction_rule(events, path)
 
     def test_cadence_needs_a_path(self, ds, fixed):
+        telemetry = zero_telemetry_faults(ds.n_vms, 0, ds.n_slots)
         with pytest.raises(ConfigurationError, match="needs checkpoint_path"):
-            self._sim(ds, fixed, None, checkpoint_every_slots=4)
-
-    def test_one_file_per_policy(self, ds, fixed, tmp_path):
-        with pytest.raises(ConfigurationError, match="one checkpoint_path"):
-            run_streaming_policies(
-                ds,
-                DayAheadPredictor(ds),
-                [EpactPolicy(), OnlineReactivePolicy()],
-                fixed,
-                telemetry=zero_telemetry_faults(ds.n_vms, 0, ds.n_slots),
-                checkpoint_every_slots=8,
-                checkpoint_path=str(tmp_path / "ckpt"),
-                max_servers=20,
-                n_slots=24,
-            )
-        assert not list(tmp_path.iterdir())
+            self._sim(ds, fixed, telemetry, checkpoint_every_slots=4)
 
 
-# -- determinism and parallel == serial -------------------------------------
+# -- determinism -----------------------------------------------------------
 
 
 class TestDeterminism:
@@ -1204,47 +1152,6 @@ class TestDeterminism:
         with pytest.raises(ConfigurationError, match="known:"):
             get_telemetry_scenario("nope")
 
-    def test_parallel_equals_serial(self, ds, fixed):
-        telemetry = get_telemetry_scenario("lossy-1pct").build(
-            ds.n_vms, 0, ds.n_slots, seed=4
-        )
-        policies = [
-            OnlineReactivePolicy(),
-            OnlineReactivePolicy(
-                signal="forecast", name="ONLINE-REACTIVE-F"
-            ),
-        ]
-        kwargs = dict(max_servers=20, n_slots=24)
-        serial = run_streaming_policies(
-            ds,
-            DayAheadPredictor(ds),
-            policies,
-            fixed,
-            telemetry=telemetry,
-            jobs=1,
-            **kwargs,
-        )
-        fresh = [
-            OnlineReactivePolicy(),
-            OnlineReactivePolicy(
-                signal="forecast", name="ONLINE-REACTIVE-F"
-            ),
-        ]
-        parallel = run_streaming_policies(
-            ds,
-            DayAheadPredictor(ds),
-            fresh,
-            fixed,
-            telemetry=telemetry,
-            jobs=2,
-            **kwargs,
-        )
-        assert set(serial) == set(parallel)
-        for name in serial:
-            assert records_equal(
-                serial[name].records, parallel[name].records
-            )
-
 
 # -- validation -------------------------------------------------------------
 
@@ -1286,20 +1193,31 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="outside"):
             schedule.down_collectors(5)
 
+    def test_streaming_needs_a_feed(self, ds, pred, fixed):
+        with pytest.raises(ConfigurationError, match="reads a feed"):
+            StreamingCloudSimulation(
+                ds, pred, EpactPolicy(), fixed, max_servers=20, n_slots=24
+            )
+
+    def test_ingest_cold_start_range(self, ds):
+        for cold in (-0.5, 100.5):
+            with pytest.raises(ConfigurationError, match="cold_start"):
+                TelemetryIngest(ds, cold_start_util_pct=cold)
+
+    def test_poll_with_retry_arguments(self, ds):
+        collector = TraceCollector(
+            0, ds, zero_telemetry_faults(ds.n_vms, 0, ds.n_slots)
+        )
+        with pytest.raises(ConfigurationError, match="retries must be"):
+            poll_with_retry(collector, 1, retries=-1)
+        with pytest.raises(ConfigurationError, match="backoff_s must be"):
+            poll_with_retry(collector, 1, backoff_s=-0.5)
+        assert collector.state() == (0, 0)  # refused before polling
+
     def test_streaming_validation(self, ds, pred, fixed):
         telemetry = zero_telemetry_faults(ds.n_vms, 0, ds.n_slots)
         common = dict(max_servers=20, n_slots=24)
 
-        with pytest.raises(ConfigurationError, match="stale rung"):
-            StreamingCloudSimulation(
-                ds,
-                pred,
-                EpactPolicy(),
-                fixed,
-                telemetry=telemetry,
-                staleness_budget_slots=SLOTS_PER_DAY - 1,
-                **common,
-            )
         with pytest.raises(ConfigurationError, match="max_imputed_frac"):
             StreamingCloudSimulation(
                 ds,
@@ -1308,16 +1226,6 @@ class TestValidation:
                 fixed,
                 telemetry=telemetry,
                 max_imputed_frac=1.5,
-                **common,
-            )
-        with pytest.raises(ConfigurationError, match="blind_after"):
-            StreamingCloudSimulation(
-                ds,
-                pred,
-                EpactPolicy(),
-                fixed,
-                telemetry=telemetry,
-                blind_after_slots=0,
                 **common,
             )
         with pytest.raises(ConfigurationError, match="full trace horizon"):
@@ -1338,26 +1246,6 @@ class TestValidation:
                 telemetry=zero_telemetry_faults(
                     ds.n_vms + 1, 0, ds.n_slots
                 ),
-                **common,
-            )
-        with pytest.raises(ConfigurationError, match="cold_start"):
-            StreamingCloudSimulation(
-                ds,
-                pred,
-                EpactPolicy(),
-                fixed,
-                telemetry=telemetry,
-                cold_start_util_pct=120.0,
-                **common,
-            )
-        with pytest.raises(ConfigurationError, match="poll_retries"):
-            StreamingCloudSimulation(
-                ds,
-                pred,
-                EpactPolicy(),
-                fixed,
-                telemetry=telemetry,
-                poll_retries=-1,
                 **common,
             )
         with pytest.raises(
