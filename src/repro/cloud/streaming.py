@@ -18,7 +18,8 @@ degradation leaves reachable:
 * **stale** — too gappy to re-fit, but a recent fresh forecast exists:
   re-use it while its age stays within
   :data:`~repro.cloud.telemetry.STALENESS_BUDGET_SLOTS`;
-* **persistence** — no usable forecast: flat last-observed patterns;
+* **persistence** — no usable forecast: flat last-observed patterns,
+  built only for a window whose day has no forecast;
 * **reactive-only** — telemetry entirely dark for longer than
   :data:`BLIND_AFTER_SLOTS`: skip re-planning and *freeze* the previous
   placement (departed VMs dropped, arrivals spread round-robin), the
@@ -37,7 +38,7 @@ decision, the blind-freeze allocation, the telemetry record fields
 and **checkpoint/resume** after each window.  Accounting is per slot
 and eager, so at any window boundary the state a resume reads is
 small and exact: the loop state (records so far, previous placement
-and fault window), policy state, collector cursors, the observations
+and fault window), policy state, collector cursors, the observed days
 with bit-packed validity, and the ladder decisions from the
 boundary's day on.
 
@@ -45,7 +46,12 @@ The checkpoint is one file, a journal (format
 :data:`CHECKPOINT_VERSION`).  A fixed preamble (magic bytes, version,
 base length) opens it.  One **base** follows: a JSON header plus named
 arrays, written from the live arrays as an uncompressed ``.npz`` and
-read with ``allow_pickle=False``.  Append-only **records** follow the
+read with ``allow_pickle=False``.  The base stores the observation
+days up to the newest delivery's day, one array per day
+(``ingest.obs_cpu.<day>`` / ``ingest.obs_mem.<day>``, so ``np.savez``
+copies one day at a time), with validity bit-packed over the same
+days; no later day holds a stored reading, so restore zero-fills the
+rest.  Append-only **records** follow the
 base, each length-prefixed and CRC-checked.  A record holds the
 telemetry batches ingested since the previous checkpoint, the run
 header and loop arrays at its boundary, and the ladder forecasts not
@@ -110,7 +116,7 @@ from .telemetry import (
 )
 
 #: Checkpoint format version; a file of any other version is refused.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 #: A window whose newest delivery is more than this many slots old
 #: takes the reactive-only rung; normal operation has age exactly 1.
@@ -299,7 +305,9 @@ def read_checkpoint(path) -> List[Tuple[dict, Dict[str, np.ndarray]]]:
     named arrays, loaded with ``allow_pickle=False``.  Every part's
     arrays hold the loop arrays (``loop.*``) and the ladder forecasts it
     added to the file (``ladder.cpu.<day>`` / ``ladder.mem.<day>``);
-    the base's also hold the observations (``ingest.*``) and a
+    the base's also hold the observed days (``ingest.obs_cpu.<day>`` /
+    ``ingest.obs_mem.<day>`` up to the newest delivery's day, and
+    ``ingest.valid_bits`` over them) and a
     record's the telemetry batches logged since the previous
     checkpoint (``batch.vm_rows`` / ``samples`` / ``cpu`` / ``mem``,
     cut by ``batch.sizes``).  A torn last record is left out.
@@ -341,8 +349,10 @@ class _LadderPredictor:
     engine's ``_window_predictions`` loop: day-rung forecasts come from
     the ladder's decision cache; slots whose day has no usable forecast
     fall back to the window's frozen persistence patterns (flat
-    last-observed values, set once per window by
-    :meth:`StreamingCloudSimulation._ladder_begin`).
+    last-observed values).
+    :meth:`StreamingCloudSimulation._ladder_begin` sets them only for a
+    window whose day has no forecast and clears them otherwise, so
+    reading them from a window that did not set them raises.
     """
 
     def __init__(self, ladder: ForecastLadder, first_day: int) -> None:
@@ -362,6 +372,11 @@ class _LadderPredictor:
             np.repeat(cpu_vals[:, None], SAMPLES_PER_SLOT, axis=1),
             np.repeat(mem_vals[:, None], SAMPLES_PER_SLOT, axis=1),
         )
+
+    def clear_persist(self) -> None:
+        """Drop the persistence patterns (the window's day has a
+        forecast)."""
+        self._persist = None
 
     def predicted_slot(self, slot: int):
         _, cpu, mem = self._ladder.day_decision(slot // SLOTS_PER_DAY)
@@ -541,20 +556,25 @@ class StreamingCloudSimulation(CloudSimulation):
         self._ingested_until = max(self._ingested_until, slot)
 
     def _ladder_begin(self, slot: int) -> Optional[np.ndarray]:
-        """Freeze the window's persistence patterns and day rung.
+        """Freeze the window's day rung, and its persistence patterns
+        when the day has no forecast.
 
         A day is decided at its first window with active VMs, over the
         VMs that can still be placed that day: those whose departure
-        lies after ``slot``.  Returns the CPU forecast the day plans
+        lies after ``slot``.  A window never crosses midnight, so the
+        day's rung settles whether any of its slots reads the
+        persistence patterns.  Returns the CPU forecast the day plans
         from (``None`` without one).
         """
-        cpu_vals, mem_vals = self._ingest.last_values(
-            slot * SAMPLES_PER_SLOT
-        )
-        self._predictor.set_persist(cpu_vals, mem_vals)
         rows = np.flatnonzero(self._schedule.departure_slots > slot)
         rung, cpu, _ = self._ladder.day_decision(slot // SLOTS_PER_DAY, rows)
         self._window_rung = rung
+        if cpu is None:
+            self._predictor.set_persist(
+                *self._ingest.last_values(slot * SAMPLES_PER_SLOT)
+            )
+        else:
+            self._predictor.clear_persist()
         return cpu
 
     def _last_observed(self, slot: int, active: np.ndarray):
@@ -832,7 +852,7 @@ class StreamingCloudSimulation(CloudSimulation):
         """Load a checkpoint file and arm the next :meth:`run` (or
         :meth:`windows`) to resume from its last intact boundary.
 
-        The base restores the observations; each record's logged
+        The base restores the observed days; each record's logged
         batches are replayed through
         :meth:`~repro.cloud.telemetry.TelemetryIngest.ingest`; the last
         part's header restores the loop, policy, collector cursors and

@@ -25,10 +25,11 @@ and go entirely dark while a collector restarts.  This module provides
   live (non-replay) adapters and of ``TelemetryBatch`` /
   ``poll_with_retry``;
 * :class:`TelemetryIngest` — the imputation/quality stage: delivered
-  samples are validated (finite, within [0, 100]) into observation
-  buffers; reads fill gaps by last-observation-carried-forward at
-  window edges and linear interpolation inside, and every sample
-  carries a :meth:`~TelemetryIngest.sample_quality` mark;
+  samples are validated (finite, within [0, 100], indices inside the
+  buffers) into observation buffers; reads fill gaps by
+  last-observation-carried-forward at window edges and linear
+  interpolation inside, and every sample carries a
+  :meth:`~TelemetryIngest.sample_quality` mark;
 * :class:`ForecastLadder` — the forecast-staleness fallback ladder the
   streaming engine plans from::
 
@@ -781,9 +782,15 @@ def _replay_stream_reference(
 class TelemetryIngest:
     """Observation buffers with gap-filling reads and quality marks.
 
-    Delivered samples are validated — finite and inside [0, 100];
-    NaN/spike corruption fails validation and the sample stays missing
-    — into dataset-shaped observation buffers.  Reads fill the gaps:
+    Delivered samples are validated — both readings inside [0, 100],
+    which NaN, ±inf and spike corruption all fail, so the sample stays
+    missing — into dataset-shaped observation buffers.  A batch's
+    indices are checked too: a reading whose VM row or sample index
+    lies outside the buffers is dropped like an invalid one, and a
+    batch with arrays of unequal shape or non-integer indices raises
+    :class:`~repro.errors.DomainError`.  The valid readings are stored
+    through one flat index, ``row * n_samples + sample``, into all
+    three buffers.  Reads fill the gaps:
     last observation carried forward into a window's leading edge
     (backfilled from the window's first observation when the VM has no
     earlier one), linear interpolation between observed samples inside,
@@ -796,8 +803,9 @@ class TelemetryIngest:
     and fills only those: the ladder asks for the VMs not yet
     departed, the reactive signal for the window's active VMs.  Reads
     are whole-array passes: :meth:`filled_window` fills every gap of
-    the asked rows at once from the window's gap runs, and the
-    carry-forward lookup looks back from the window in doubling
+    the asked rows at once from the window's gap runs, and looks up
+    the carried value only for the rows whose window opens with a gap
+    (no other row reads it), looking back from the window in doubling
     blocks instead of rescanning the whole history.  Both read each
     VM's own row only, so a row's fill is the same whichever rows are
     asked for.  The per-VM ``np.interp`` loop stays callable as
@@ -827,25 +835,52 @@ class TelemetryIngest:
         self.newest_delivery_slot = -1
 
     def ingest(self, batch: TelemetryBatch) -> None:
-        """Validate and store one poll's deliveries."""
-        if batch.n_samples == 0:
-            return
-        with np.errstate(invalid="ignore"):
-            ok = (
-                np.isfinite(batch.cpu)
-                & np.isfinite(batch.mem)
-                & (batch.cpu >= 0.0)
-                & (batch.cpu <= 100.0)
-                & (batch.mem >= 0.0)
-                & (batch.mem <= 100.0)
+        """Validate and store one poll's deliveries.
+
+        A reading is stored when both values lie in [0, 100] (NaN and
+        ±inf fail the range test) and its VM row and sample index name
+        a cell of the buffers; every other reading is dropped.
+
+        Raises:
+            DomainError: for a batch whose four arrays differ in shape,
+                or whose VM rows or sample indices are not integers.
+        """
+        rows, samples, cpu, mem = (
+            batch.vm_rows, batch.samples, batch.cpu, batch.mem
+        )
+        if not rows.shape == samples.shape == cpu.shape == mem.shape:
+            raise DomainError(
+                f"telemetry batch arrays differ in shape: vm_rows "
+                f"{rows.shape}, samples {samples.shape}, cpu {cpu.shape}, "
+                f"mem {mem.shape}"
             )
-        if not ok.any():
+        if rows.dtype.kind not in "iu" or samples.dtype.kind not in "iu":
+            raise DomainError(
+                f"telemetry batch indices must be integers, got vm_rows "
+                f"{rows.dtype} and samples {samples.dtype}"
+            )
+        if rows.size == 0:
             return
-        rows = batch.vm_rows[ok]
-        samples = batch.samples[ok]
-        self.obs_cpu[rows, samples] = batch.cpu[ok]
-        self.obs_mem[rows, samples] = batch.mem[ok]
-        self.valid[rows, samples] = True
+        n_vms, n_samples = self.valid.shape
+        ok = (cpu >= 0.0) & (cpu <= 100.0) & (mem >= 0.0) & (mem <= 100.0)
+        if (
+            rows.min() < 0
+            or rows.max() >= n_vms
+            or samples.min() < 0
+            or samples.max() >= n_samples
+        ):
+            ok &= (rows >= 0) & (rows < n_vms)
+            ok &= (samples >= 0) & (samples < n_samples)
+        if not ok.all():
+            if not ok.any():
+                return
+            rows, samples, cpu, mem = rows[ok], samples[ok], cpu[ok], mem[ok]
+        # One flat index into the C-ordered buffers for all three stores.
+        flat = rows.astype(np.intp, copy=False) * n_samples
+        flat += samples.astype(np.intp, copy=False)
+        self.obs_cpu.reshape(-1)[flat] = cpu
+        self.obs_mem.reshape(-1)[flat] = mem
+        self.valid.reshape(-1)[flat] = True
         newest = int(samples.max()) // SAMPLES_PER_SLOT
         if newest > self.newest_delivery_slot:
             self.newest_delivery_slot = newest
@@ -974,20 +1009,26 @@ class TelemetryIngest:
         after = col[last] + 1
         at_before = np.maximum(miss[first] - 1, 0)
         at_after = np.minimum(miss[last] + 1, valid.size - 1)
-        has, carry_cpu, carry_mem = self._carry_before(lo, rows)
-        # A leading run carries history forward, or backfills the
-        # window's first observation when the VM has none.
-        carried = has[run_row] | (after == n)
         lead = before < 0
+        # Only a leading run reads the carried value: look it up for
+        # the rows whose window opens with a gap.  A leading run carries
+        # history forward, or backfills the window's first observation
+        # when the VM has none; one spanning the whole row takes the
+        # carried or cold-start value.
+        lead_runs = np.flatnonzero(lead)
+        has, carry_cpu, carry_mem = self._carry_before(
+            lo, rows[run_row[lead_runs]]
+        )
+        carried = has | (after[lead_runs] == n)
+        carried_runs = lead_runs[carried]
         inner = (~lead & (after < n))[run]
         step = col - before[run]
         for out, carry in ((cpu, carry_cpu), (mem, carry_mem)):
             flat = out.reshape(-1)
             y_before = flat[at_before]
             y_after = flat[at_after]
-            edge = np.where(
-                lead, np.where(carried, carry[run_row], y_after), y_before
-            )
+            edge = np.where(lead, y_after, y_before)
+            edge[carried_runs] = carry[carried]
             slope = (y_after - y_before) / (after - before)
             flat[miss] = np.where(
                 inner, slope[run] * step + y_before[run], edge[run]
@@ -1030,41 +1071,76 @@ class TelemetryIngest:
 
     # -- checkpoint ----------------------------------------------------
 
+    @staticmethod
+    def _observed_days(newest_delivery_slot: int) -> range:
+        """The days up to ``newest_delivery_slot``'s: the only ones a
+        stored reading can lie in."""
+        return range(newest_delivery_slot // SLOTS_PER_DAY + 1)
+
     def state(self) -> Dict[str, object]:
-        """Checkpoint state: the live observation buffers (not copies:
-        write them out before the next :meth:`ingest`), validity
-        bit-packed along the sample axis, and the newest delivery
-        slot."""
-        return {
-            "obs_cpu": self.obs_cpu,
-            "obs_mem": self.obs_mem,
-            "valid_bits": np.packbits(self.valid, axis=1),
+        """Checkpoint state: the newest delivery slot, and the
+        observation days up to its day, one ``obs_cpu.<day>`` /
+        ``obs_mem.<day>`` array per day (views of the live buffers:
+        write them out before the next :meth:`ingest`) with validity
+        bit-packed over the same prefix.  No later day holds a stored
+        reading."""
+        days = self._observed_days(self.newest_delivery_slot)
+        state: Dict[str, object] = {
             "newest_delivery_slot": self.newest_delivery_slot,
+            "valid_bits": np.packbits(
+                self.valid[:, : len(days) * SAMPLES_PER_DAY], axis=1
+            ),
         }
+        for day in days:
+            cols = slice(day * SAMPLES_PER_DAY, (day + 1) * SAMPLES_PER_DAY)
+            state[f"obs_cpu.{day}"] = self.obs_cpu[:, cols]
+            state[f"obs_mem.{day}"] = self.obs_mem[:, cols]
+        return state
 
     def restore(self, state: Dict[str, object]) -> None:
-        """Restore a :meth:`state` snapshot in place.
+        """Restore a :meth:`state` snapshot in place; the days after
+        its newest delivery day come back empty.
 
         Raises:
-            CheckpointError: if the snapshot's buffers do not match
-                this ingest's shape.
+            CheckpointError: if the snapshot's days or buffers do not
+                match its newest delivery slot or this ingest's shape.
         """
-        n_samples = self.valid.shape[1]
-        bits = state["valid_bits"]
-        if (
-            state["obs_cpu"].shape != self.obs_cpu.shape
-            or state["obs_mem"].shape != self.obs_mem.shape
-            or bits.shape != (self.valid.shape[0], -(-n_samples // 8))
-        ):
+        n_vms, n_samples = self.valid.shape
+        newest = int(state["newest_delivery_slot"])
+        if not -1 <= newest < -(-n_samples // SAMPLES_PER_SLOT):
             raise CheckpointError(
-                f"checkpoint ingest buffers {state['obs_cpu'].shape} / "
-                f"{bits.shape} packed do not fit this ingest's "
+                f"checkpoint newest delivery slot {newest} lies outside "
+                f"this ingest's {n_samples} samples"
+            )
+        days = self._observed_days(newest)
+        hi = min(len(days) * SAMPLES_PER_DAY, n_samples)
+        bits = state["valid_bits"]
+        stored = sum(key.startswith("obs_") for key in state)
+        if bits.shape != (n_vms, -(-hi // 8)) or stored != 2 * len(days):
+            raise CheckpointError(
+                f"checkpoint ingest state ({stored} observation arrays, "
+                f"validity {bits.shape} packed) does not fit "
+                f"{len(days)} observed days of this ingest's "
                 f"{self.obs_cpu.shape}"
             )
-        self.obs_cpu[:] = state["obs_cpu"]
-        self.obs_mem[:] = state["obs_mem"]
-        self.valid[:] = np.unpackbits(bits, axis=1, count=n_samples)
-        self.newest_delivery_slot = int(state["newest_delivery_slot"])
+        for day in days:
+            cols = slice(day * SAMPLES_PER_DAY, (day + 1) * SAMPLES_PER_DAY)
+            for name, buffer in (
+                ("obs_cpu", self.obs_cpu),
+                ("obs_mem", self.obs_mem),
+            ):
+                part = state.get(f"{name}.{day}")
+                if part is None or part.shape != buffer[:, cols].shape:
+                    raise CheckpointError(
+                        f"checkpoint ingest state has no {name}.{day} "
+                        f"array of shape {buffer[:, cols].shape}"
+                    )
+                buffer[:, cols] = part
+        self.obs_cpu[:, hi:] = 0.0
+        self.obs_mem[:, hi:] = 0.0
+        self.valid[:, :hi] = np.unpackbits(bits, axis=1, count=hi)
+        self.valid[:, hi:] = False
+        self.newest_delivery_slot = newest
 
 
 # -- the fallback ladder ----------------------------------------------

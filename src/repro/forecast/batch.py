@@ -280,14 +280,17 @@ def batched_arma_fit(w: np.ndarray, order: ArimaOrder) -> BatchArmaFit:
 
     # Degenerate (constant) rows: the model collapses to the constant.
     # Same rule as the scalar path's np.allclose check — |w - w0| <=
-    # atol + rtol |w0| with numpy's default rtol=1e-5, atol=1e-8 — spelt
-    # out to skip np.isclose's generic dispatch on the big matrix.
-    first = w[:, :1]
-    constant = (
-        np.abs(w - first) <= 1.0e-8 + 1.0e-5 * np.abs(first)
-    ).all(axis=1)
+    # atol + rtol |w0| with numpy's default rtol=1e-5, atol=1e-8.  The
+    # rounded difference fl(w_i - w0) is monotone in w_i, so its largest
+    # magnitude lies at the row's max or min: testing those two gives
+    # the elementwise verdict without a matrix-sized temporary.
+    first = w[:, 0]
+    tol = 1.0e-8 + 1.0e-5 * np.abs(first)
+    constant = (np.abs(w.max(axis=1) - first) <= tol) & (
+        np.abs(w.min(axis=1) - first) <= tol
+    )
 
-    const = np.where(constant, first[:, 0], 0.0)
+    const = np.where(constant, first, 0.0)
     ar = np.zeros((batch, p))
     ma = np.zeros((batch, q))
     e_tail = np.zeros((batch, max(q, 1)))
@@ -295,7 +298,7 @@ def batched_arma_fit(w: np.ndarray, order: ArimaOrder) -> BatchArmaFit:
 
     active_rows = np.flatnonzero(~constant)
     if active_rows.size:
-        wa = w[active_rows]
+        wa = w if active_rows.size == batch else w[active_rows]
         ok_a = np.ones(active_rows.size, dtype=bool)
         residuals: Optional[np.ndarray] = None
         # Whole-series autocorrelations and prefix sums shared by both
@@ -314,7 +317,6 @@ def batched_arma_fit(w: np.ndarray, order: ArimaOrder) -> BatchArmaFit:
             )
             coef1, ok1 = _solve_normal(gram1, rhs1)
             ok_a &= ok1
-            residuals = np.zeros_like(wa)
             # One einsum over a strided lag view: window t covers
             # wa[t .. t+m-1], so column m - l is lag l of target t + m.
             lag_view = sliding_window_view(wa, m, axis=1)[:, : n - m, :]
@@ -322,7 +324,9 @@ def batched_arma_fit(w: np.ndarray, order: ArimaOrder) -> BatchArmaFit:
                 "btk,bk->bt", lag_view, coef1[:, 1:][:, ::-1]
             )
             fitted += coef1[:, :1]
-            residuals[:, m:] = wa[:, m:] - fitted
+            residuals = np.empty_like(wa)
+            residuals[:, :m] = 0.0
+            np.subtract(wa[:, m:], fitted, out=residuals[:, m:])
 
         # ARMA stage: w_t ~ [1, w-lags, innovation-lags].
         gram2, rhs2 = _ar_normal_equations(
@@ -494,16 +498,15 @@ def batched_decomposed_forecast(
         profile = profiles.get(int(target_type))
         if profile is None:
             profile = weighted(None)
-        season_profiles = np.stack(
-            [profiles[int(t)] for t in types], axis=1
-        )
+        # Each season minus its type's profile, written in place.
+        remainder = np.empty(seasons.shape)
+        for s, t in enumerate(types):
+            np.subtract(seasons[:, s], profiles[int(t)], out=remainder[:, s])
+        remainder = remainder.reshape(batch, -1)
     else:
         profile = weighted(None)
-        season_profiles = np.broadcast_to(
-            profile[:, None, :], seasons.shape
-        )
+        remainder = (seasons - profile[:, None, :]).reshape(batch, -1)
 
-    remainder = (seasons - season_profiles).reshape(batch, -1)
     fit = batched_arma_fit(remainder, order)
     rem_fc = batched_arma_forecast(fit, horizon)
 

@@ -45,7 +45,7 @@ import sys
 from typing import List, Optional
 
 from ..errors import ConfigurationError, ReproError
-from .service import POLICIES, ServeConfig, serve
+from .service import POLICIES, ServeConfig, _build_workload, serve
 
 
 def _decision_line(decision) -> str:
@@ -69,20 +69,18 @@ def _decision_line(decision) -> str:
 
 
 def _build_live_collectors(args, config: ServeConfig):
-    """The live-mode collector set (and the demo feed to close)."""
-    from ..cloud import get_scenario, zero_telemetry_faults
+    """The live-mode collector set, the demo feed to close, and the
+    workload the demo feed built (``None`` for external feeds)."""
+    from ..cloud import zero_telemetry_faults
     from ..cloud.telemetry import TraceCollector
     from .adapters import HttpCollector, TelemetryFeedServer
 
     if args.demo_feed:
-        # Same seeded build the simulation uses, so the demo feed
-        # reports the true traces over a real HTTP round-trip.
-        dataset, _ = get_scenario(config.workload).build(
-            n_vms=config.n_vms,
-            n_days=config.n_days,
-            seed=config.seed,
-            n_slots=config.n_slots,
-        )
+        # The seeded build the simulation accounts on, handed to it, so
+        # the demo feed reports the true traces over a real HTTP
+        # round-trip.
+        workload = _build_workload(config)
+        dataset = workload[0]
         schedule = zero_telemetry_faults(
             dataset.n_vms, 0, dataset.n_slots, n_collectors=args.collectors
         )
@@ -95,7 +93,7 @@ def _build_live_collectors(args, config: ServeConfig):
         collectors = [
             HttpCollector(cid, feed.url) for cid in range(args.collectors)
         ]
-        return collectors, feed
+        return collectors, feed, workload
     if not args.feed:
         raise ConfigurationError(
             "live mode needs a feed: pass --feed URL (one per "
@@ -103,6 +101,7 @@ def _build_live_collectors(args, config: ServeConfig):
         )
     return (
         [HttpCollector(cid, url) for cid, url in enumerate(args.feed)],
+        None,
         None,
     )
 
@@ -256,6 +255,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     collectors = None
     feed = None
+    workload = None
     on_decision = None
     if not args.quiet:
         def on_decision(decision):
@@ -263,13 +263,16 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         if args.mode == "live":
-            collectors, feed = _build_live_collectors(args, config)
+            collectors, feed, workload = _build_live_collectors(
+                args, config
+            )
         result = serve(
             config,
             collectors=collectors,
             tracer=tracer,
             resume=args.resume,
             on_decision=on_decision,
+            workload=workload,
         )
     except ReproError as exc:
         print(f"repro-serve: {exc}", file=sys.stderr)

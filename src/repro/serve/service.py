@@ -119,26 +119,39 @@ class ServeConfig:
                 )
 
 
+def _build_workload(config: ServeConfig):
+    """The seeded workload of ``config``: its ``(dataset, schedule)``."""
+    from ..cloud import get_scenario
+
+    return get_scenario(config.workload).build(
+        n_vms=config.n_vms,
+        n_days=config.n_days,
+        seed=config.seed,
+        n_slots=config.n_slots,
+    )
+
+
 def build_simulation(
     config: ServeConfig,
     collectors: Optional[Sequence] = None,
     tracer=None,
+    workload=None,
 ):
     """The configured streaming engine behind one service run.
 
     With ``collectors`` the engine polls the live adapters; without
     them the configured degradation scenario is replayed over the
-    seeded workload's file collectors.
+    seeded workload's file collectors.  ``workload`` is the
+    :func:`_build_workload` result for ``config`` when the caller built
+    it already (the demo feed serves the same traces); ``None`` builds
+    it here.
     """
-    from ..cloud import get_scenario, get_telemetry_scenario
+    from ..cloud import get_telemetry_scenario
     from ..cloud.streaming import StreamingCloudSimulation
     from ..forecast import DayAheadPredictor
 
-    dataset, schedule = get_scenario(config.workload).build(
-        n_vms=config.n_vms,
-        n_days=config.n_days,
-        seed=config.seed,
-        n_slots=config.n_slots,
+    dataset, schedule = (
+        _build_workload(config) if workload is None else workload
     )
     predictor = DayAheadPredictor(dataset)
     telemetry = None
@@ -211,6 +224,7 @@ def serve(
     tracer=None,
     resume: bool = False,
     on_decision=None,
+    workload=None,
 ):
     """Run the service loop to the end of the horizon.
 
@@ -228,12 +242,16 @@ def serve(
         on_decision: optional callback invoked with every
             :class:`~repro.dcsim.WindowDecision` after its
             events are emitted (operator hooks, progress displays).
+        workload: the already built ``(dataset, schedule)`` of
+            ``config`` (:func:`_build_workload`); ``None`` builds it.
 
     Returns:
         The run's :class:`~repro.dcsim.SimulationResult` — identical to
         :meth:`StreamingCloudSimulation.run` with the same inputs.
     """
-    sim = build_simulation(config, collectors=collectors, tracer=tracer)
+    sim = build_simulation(
+        config, collectors=collectors, tracer=tracer, workload=workload
+    )
     if resume:
         if config.checkpoint_path is None:
             raise ConfigurationError(

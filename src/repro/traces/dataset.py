@@ -127,8 +127,9 @@ class TraceDataset:
             )
         return TraceDataset(
             specs=tuple(specs),
-            cpu_pct=self.cpu_pct[ids].copy(),
-            mem_pct=self.mem_pct[ids].copy(),
+            # Fancy indexing already gathers a new array.
+            cpu_pct=self.cpu_pct[ids],
+            mem_pct=self.mem_pct[ids],
         )
 
     # -- statistics -------------------------------------------------------------

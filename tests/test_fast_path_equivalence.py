@@ -613,6 +613,33 @@ class TestBatchedForecastEquivalence:
         fc = batched_arma_forecast(fit, 10)
         np.testing.assert_allclose(fc[0], np.full(10, 3.5))
 
+    def test_constant_verdict_at_the_tolerance_edge(self):
+        # Rows whose spread sits on either side of the allclose
+        # tolerance, above and below their first value: the batched
+        # fit collapses exactly the rows the elementwise rule calls
+        # constant.
+        rng = np.random.default_rng(8)
+        rows = []
+        for first in (3.5, 0.0, 1e-4, 97.25, 1e3):
+            tol = 1.0e-8 + 1.0e-5 * abs(first)
+            for sign in (1.0, -1.0):
+                for scale in (0.5, 1.0, 1.0 + 1e-9, 2.0):
+                    row = first + sign * scale * tol * rng.random(60)
+                    row[0] = first
+                    row[17] = first + sign * scale * tol
+                    rows.append(row)
+        series = np.array(rows)
+        first = series[:, :1]
+        expected = (
+            np.abs(series - first) <= 1.0e-8 + 1.0e-5 * np.abs(first)
+        ).all(axis=1)
+        assert expected.any() and (~expected).any()
+        fit = batched_arma_fit(series, ArimaOrder(p=2, d=0, q=1))
+        collapsed = (fit.const == series[:, 0]) & (fit.ar == 0).all(axis=1)
+        collapsed &= fit.ok
+        np.testing.assert_array_equal(collapsed[expected], True)
+        assert not collapsed[~expected & (series[:, 0] != 0)].any()
+
     def test_batched_decomposed_matches_scalar(self):
         rng = np.random.default_rng(6)
         period, days = 48, 7

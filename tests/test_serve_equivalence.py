@@ -375,7 +375,7 @@ class TestServeCliCheckpoints:
             ("empty", "not a readable checkpoint"),
             ("text", "not a readable checkpoint"),
             ("format-1", "format-1 .npz checkpoint"),
-            ("version", "format version 3; this build reads version 2"),
+            ("version", "format version 2; this build reads version 3"),
         ],
     )
     def test_damaged_file(self, tmp_path, capsys, damage, message):
@@ -399,7 +399,8 @@ class TestServeCliCheckpoints:
                 np.savez(fh, header=np.frombuffer(b"{}", np.uint8))
             data = path.read_bytes()
         else:
-            data[: _PREAMBLE.size] = _PREAMBLE.pack(magic, 3, base_len)
+            # A format-2 file: the base held every observation day.
+            data[: _PREAMBLE.size] = _PREAMBLE.pack(magic, 2, base_len)
         path.write_bytes(bytes(data))
         line = self._refused(capsys, path, "--n-slots", "6")
         assert message in line
@@ -411,6 +412,33 @@ class TestServeCliCheckpoints:
             capsys, path, "--telemetry", "collector-outage"
         )
         assert "collectors 1 in the checkpoint vs 2 in this run" in line
+
+
+class TestServeCliLive:
+    def test_demo_feed_builds_the_workload_once(self, monkeypatch, capsys):
+        # The demo feed and the simulation share one seeded build.
+        scenario = type(get_scenario("diurnal-burst"))
+        builds = []
+        real_build = scenario.build
+
+        def counting_build(self, *args, **kwargs):
+            builds.append(kwargs)
+            return real_build(self, *args, **kwargs)
+
+        monkeypatch.setattr(scenario, "build", counting_build)
+        args = [
+            "--workload", "diurnal-burst",
+            "--n-vms", "12",
+            "--n-days", "8",
+            "--n-slots", "4",
+            "--max-servers", "6",
+            "--quiet",
+        ]
+        assert main(["--mode", "live", "--demo-feed", *args]) == 0
+        live = capsys.readouterr().out
+        assert len(builds) == 1
+        assert main(args) == 0
+        assert capsys.readouterr().out == live
 
 
 # -- repro-serve run artifacts ----------------------------------------------

@@ -479,6 +479,103 @@ class TestCollectors:
         assert (quality == QUALITY_OBSERVED).any()
 
 
+# -- the ingest's trust boundary -------------------------------------------
+
+
+class TestIngestIndices:
+    """A batch's VM rows and sample indices are checked, not trusted."""
+
+    @pytest.fixture(scope="class")
+    def tiny(self):
+        return default_dataset(n_vms=3, n_days=1, seed=3)
+
+    @staticmethod
+    def _batch(rows, samples, cpu=None, mem=None):
+        rows = np.asarray(rows)
+        n = rows.size
+        return TelemetryBatch(
+            vm_rows=rows,
+            samples=np.asarray(samples),
+            cpu=np.full(n, 40.0) if cpu is None else np.asarray(cpu),
+            mem=np.full(n, 20.0) if mem is None else np.asarray(mem),
+        )
+
+    @staticmethod
+    def _state(ingest):
+        return (
+            ingest.obs_cpu.copy(),
+            ingest.obs_mem.copy(),
+            ingest.valid.copy(),
+            ingest.newest_delivery_slot,
+        )
+
+    def _assert_same(self, a, b):
+        for x, y in zip(self._state(a), self._state(b)):
+            np.testing.assert_array_equal(x, y)
+
+    def test_negative_indices_are_dropped(self, tiny):
+        # Once stored as VM 2's last sample of the horizon.
+        ingest = TelemetryIngest(tiny)
+        ingest.ingest(self._batch([-1], [-1]))
+        assert not ingest.valid.any()
+        assert ingest.newest_delivery_slot == -1
+        self._assert_same(ingest, TelemetryIngest(tiny))
+
+    def test_out_of_range_indices_are_dropped(self, tiny):
+        # A row past the fleet once raised a bare IndexError.
+        ingest = TelemetryIngest(tiny)
+        ingest.ingest(self._batch([5], [0]))
+        ingest.ingest(self._batch([0], [tiny.n_samples]))
+        assert not ingest.valid.any()
+        assert ingest.newest_delivery_slot == -1
+
+    def test_ragged_batch_is_refused(self, tiny):
+        ingest = TelemetryIngest(tiny)
+        for batch in (
+            self._batch([0, 1], [0]),
+            self._batch([0, 1], [0, 1], cpu=[40.0]),
+            self._batch([0], [0], mem=[20.0, 20.0]),
+        ):
+            with pytest.raises(DomainError, match="differ in shape"):
+                ingest.ingest(batch)
+        assert not ingest.valid.any()
+
+    def test_float_indices_are_refused(self, tiny):
+        ingest = TelemetryIngest(tiny)
+        for rows, samples in (([0.0], [0]), ([0], [1.5]), ([True], [0])):
+            with pytest.raises(DomainError, match="must be integers"):
+                ingest.ingest(self._batch(rows, samples))
+        assert not ingest.valid.any()
+
+    def test_mixed_batch_stores_exactly_its_valid_part(self, tiny):
+        n = tiny.n_samples
+        rows = np.array([0, -1, 1, 3, 2, 2, 0, 1, 2], dtype=np.int64)
+        samples = np.array([5, 7, 30, 4, -2, n, 40, 41, n - 1])
+        cpu = np.array([10.0, 50, np.nan, 60, 70, 80, 101.0, 30, 45])
+        mem = np.array([11.0, 51, 20, 61, 71, 81, 20.0, -np.inf, 46])
+        mixed = TelemetryIngest(tiny)
+        mixed.ingest(self._batch(rows, samples, cpu, mem))
+        keep = np.array([0, 8])  # in range, both readings in [0, 100]
+        clean = TelemetryIngest(tiny)
+        clean.ingest(
+            self._batch(rows[keep], samples[keep], cpu[keep], mem[keep])
+        )
+        self._assert_same(mixed, clean)
+        assert mixed.valid.sum() == 2
+        assert mixed.newest_delivery_slot == (n - 1) // SAMPLES_PER_SLOT
+        # Unsigned and narrow integer indices store the same cells.
+        narrow = TelemetryIngest(tiny)
+        narrow.ingest(
+            self._batch(
+                rows[keep].astype(np.uint8),
+                samples[keep].astype(np.uint16),
+                cpu[keep],
+                mem[keep],
+            )
+        )
+        self._assert_same(narrow, clean)
+
+
 # -- imputation -------------------------------------------------------------
 
 
@@ -787,7 +884,18 @@ class TestCheckpointResume:
         )
         assert base["loop"]["slot"] == 168 + 10
         assert record["loop"]["slot"] == 168 + 20
-        assert "ingest.obs_cpu" in base_arrays
+        # One array per observed day, up to the newest delivery's day.
+        assert base["ingest"]["newest_delivery_slot"] // SLOTS_PER_DAY == 7
+        for name in ("obs_cpu", "obs_mem"):
+            assert {
+                key for key in base_arrays if key.startswith(f"ingest.{name}")
+            } == {f"ingest.{name}.{day}" for day in range(8)}
+        assert base_arrays["ingest.obs_cpu.7"].shape == (
+            ds.n_vms, SAMPLES_PER_DAY
+        )
+        assert base_arrays["ingest.valid_bits"].shape == (
+            ds.n_vms, 8 * SAMPLES_PER_DAY // 8
+        )
         assert "ingest.imp_cpu" not in base_arrays  # derived, not state
         assert not any(key.startswith("ingest.") for key in arrays)
         simB = self._sim(ds, fixed, telemetry)
@@ -809,7 +917,7 @@ class TestCheckpointResume:
         data = path.read_bytes()
         (first, first_len), *_, (last, _) = _record_spans(path)
         assert first < last
-        offset, size = _member_span(path, "ingest.obs_cpu")
+        offset, size = _member_span(path, "ingest.obs_cpu.3")
         damaged_base = bytearray(data)
         damaged_base[offset + size // 2] ^= 0xFF
         damaged_record = bytearray(data)
@@ -851,6 +959,80 @@ class TestCheckpointResume:
             self._sim(ds, fixed, telemetry).restore(
                 str(tmp_path / "missing")
             )
+
+    def test_base_holds_no_day_after_the_newest_delivery(self, tmp_path):
+        # Nine evaluated days of a 4-VM late-delivery feed, checkpointed
+        # every 12 slots, write several bases: each stores the days up
+        # to its newest delivery's day and none after, and every stored
+        # reading lies in those days.
+        small = default_dataset(n_vms=4, n_days=16, seed=77)
+        path = tmp_path / "ckpt"
+        sim = StreamingCloudSimulation(
+            small,
+            DayAheadPredictor(small),
+            OnlineReactivePolicy(),
+            fixed_schedule(small.n_vms, 0, small.n_slots),
+            telemetry=get_telemetry_scenario("late-burst").build(
+                small.n_vms, 0, small.n_slots, seed=4
+            ),
+            max_servers=4,
+            checkpoint_every_slots=12,
+            checkpoint_path=str(path),
+        )
+        base_days = []
+        for decision in sim.windows():
+            parts = read_checkpoint(path) if decision.checkpointed else ()
+            if len(parts) != 1:
+                continue  # no checkpoint, or records after the base
+            (header, arrays), = parts
+            newest = header["ingest"]["newest_delivery_slot"]
+            assert newest < decision.slot + decision.n_window
+            days = {
+                int(key.rsplit(".", 1)[1])
+                for key in arrays
+                if key.startswith("ingest.obs_cpu.")
+            }
+            assert days == set(range(newest // SLOTS_PER_DAY + 1))
+            stored = sim._ingest.valid.nonzero()[1]
+            assert stored.max() // SAMPLES_PER_DAY == max(days)
+            base_days.append(max(days))
+        assert len(base_days) > 1
+        assert base_days[0] == 7 and base_days[-1] < small.n_days - 1
+
+    def test_restore_zero_fills_the_days_after_the_base(
+        self, ds, fixed, tmp_path
+    ):
+        telemetry = get_telemetry_scenario("lossy-10pct").build(
+            ds.n_vms, 0, ds.n_slots, seed=4
+        )
+        path = tmp_path / "ckpt"
+        self._sim(
+            ds,
+            fixed,
+            telemetry,
+            checkpoint_every_slots=4,
+            checkpoint_path=str(path),
+        ).run()
+        # Restored over stale buffers, the ingest equals a fresh one fed
+        # the same deliveries: the days the base does not hold come
+        # back empty before the records replay into them.
+        resumed = self._sim(ds, fixed, telemetry)
+        resumed._ingest.obs_cpu[:] = 7.0
+        resumed._ingest.obs_mem[:] = 7.0
+        resumed._ingest.valid[:] = True
+        resumed.restore(str(path))
+        fed = TelemetryIngest(ds)
+        collector = TraceCollector(0, ds, telemetry)
+        last, _ = read_checkpoint(path)[-1]
+        for slot in range(1, last["ingested_until"] + 1):
+            fed.ingest(collector.poll(slot))
+        for name in ("obs_cpu", "obs_mem", "valid"):
+            np.testing.assert_array_equal(
+                getattr(resumed._ingest, name), getattr(fed, name)
+            )
+        assert (
+            resumed._ingest.newest_delivery_slot == fed.newest_delivery_slot
+        )
 
     def test_sharded_policy_resumes_its_inner_placement(
         self, ds, fixed, tmp_path
