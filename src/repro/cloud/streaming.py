@@ -38,37 +38,35 @@ decision, the blind-freeze allocation, the telemetry record fields
 and **checkpoint/resume** after each window.  Accounting is per slot
 and eager, so at any window boundary the state a resume reads is
 small and exact: the loop state (records so far, previous placement
-and fault window), policy state, collector cursors, the observed days
-with bit-packed validity, and the ladder decisions from the
+and fault window), policy state, collector cursors, the observation
+columns with bit-packed validity, and the ladder decisions from the
 boundary's day on.
 
-The checkpoint is one file, a journal (format
-:data:`CHECKPOINT_VERSION`).  A fixed preamble (magic bytes, version,
-base length) opens it.  One **base** follows: a JSON header plus named
-arrays, written from the live arrays as an uncompressed ``.npz`` and
-read with ``allow_pickle=False``.  The base stores the observation
-days up to the newest delivery's day, one array per day
-(``ingest.obs_cpu.<day>`` / ``ingest.obs_mem.<day>``, so ``np.savez``
-copies one day at a time), with validity bit-packed over the same
-days; no later day holds a stored reading, so restore zero-fills the
-rest.  Append-only **records** follow the
-base, each length-prefixed and CRC-checked.  A record holds the
-telemetry batches ingested since the previous checkpoint, the run
-header and loop arrays at its boundary, and the ladder forecasts not
-yet in the file; it never repeats the observations.  The first
-checkpoint of a run, and the first one after the log has outgrown the
-base, writes a new base to ``<path>.tmp`` and renames it onto the
-path; every other checkpoint appends one record.  Resume loads the
-base and replays the logged batches through
-:meth:`~repro.cloud.telemetry.TelemetryIngest.ingest`, the code the
-run used.  A last record cut short or failing its CRC (a write torn
-by a crash) is dropped, so the run resumes from the boundary before
-it.  Nothing derived is stored: no imputed history exists (gap-filled
-reads are computed from the observations), and a replay collector
-rebuilds its day of deliveries from its cursor.  A run resumed from
-any boundary is bit-identical to the uninterrupted run, because
-nothing downstream of the checkpoint consults a clock or an unseeded
-RNG.
+The checkpoint is one file (format :data:`CHECKPOINT_VERSION`).  A
+fixed preamble (magic bytes, version, base length) opens it.  One
+**base** follows, then append-only **records**, each length-prefixed
+and CRC-checked.  Every part is a JSON header plus named arrays,
+written from the live arrays as an uncompressed ``.npz`` and read with
+``allow_pickle=False``: the run header and loop arrays at its
+boundary, the ladder forecasts not yet in the file, and the ingest's
+state, never its inputs.  That state is a range of observation
+columns ending at the end of the newest delivered slot (no later
+column holds a stored reading): from column 0 in a base, and from the
+lowest sample stored since the previous checkpoint in a record.  The
+columns are cut into one array per day (``ingest.obs_cpu.<day>`` /
+``ingest.obs_mem.<day>``, so ``np.savez`` copies one day at a time),
+with validity bit-packed over the same columns.  The first checkpoint
+of a run, and the first one after the records have outgrown the base,
+writes a new base to ``<path>.tmp`` and renames it onto the path;
+every other checkpoint appends one record.  Resume empties the
+ingest's buffers and writes each part's columns in order.  A last
+record cut short or failing its CRC (a write torn by a crash) is
+dropped, so the run resumes from the boundary before it.  Nothing
+derived is stored: no imputed history exists (gap-filled reads are
+computed from the observations), and a replay collector rebuilds its
+day of deliveries from its cursor.  A run resumed from any boundary is
+bit-identical to the uninterrupted run, because nothing downstream of
+the checkpoint consults a clock or an unseeded RNG.
 
 The engine always reads a feed: either a replay ``telemetry=``
 schedule, played back by its own
@@ -95,12 +93,7 @@ import numpy as np
 from ..core.types import Allocation, AllocationPolicy, ServerPlan
 from ..errors import CheckpointError, ConfigurationError, DomainError
 from ..obs.manifest import config_hash
-from ..serve.adapters import (
-    CollectorAdapter,
-    TelemetryBatch,
-    _empty_batch,
-    poll_with_retry,
-)
+from ..serve.adapters import CollectorAdapter, poll_with_retry
 from ..traces.dataset import TraceDataset
 from ..traces.lifecycle import LifecycleSchedule
 from ..units import SAMPLES_PER_SLOT, SLOTS_PER_DAY
@@ -116,7 +109,7 @@ from .telemetry import (
 )
 
 #: Checkpoint format version; a file of any other version is refused.
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 #: A window whose newest delivery is more than this many slots old
 #: takes the reactive-only rung; normal operation has age exactly 1.
@@ -127,8 +120,6 @@ _PREAMBLE = struct.Struct("<8sIQ")
 _MAGIC = b"REPROCKP"
 #: A record's frame: payload length and the payload's CRC-32.
 _FRAME = struct.Struct("<QI")
-#: The :class:`TelemetryBatch` fields a record logs, as ``batch.<field>``.
-_BATCH_FIELDS = ("vm_rows", "samples", "cpu", "mem")
 
 
 def _split(state: Dict[str, object], prefix: str, arrays: Dict) -> Dict:
@@ -303,43 +294,19 @@ def read_checkpoint(path) -> List[Tuple[dict, Dict[str, np.ndarray]]]:
 
     Each part is ``(header, arrays)``: the decoded JSON header and the
     named arrays, loaded with ``allow_pickle=False``.  Every part's
-    arrays hold the loop arrays (``loop.*``) and the ladder forecasts it
-    added to the file (``ladder.cpu.<day>`` / ``ladder.mem.<day>``);
-    the base's also hold the observed days (``ingest.obs_cpu.<day>`` /
-    ``ingest.obs_mem.<day>`` up to the newest delivery's day, and
-    ``ingest.valid_bits`` over them) and a
-    record's the telemetry batches logged since the previous
-    checkpoint (``batch.vm_rows`` / ``samples`` / ``cpu`` / ``mem``,
-    cut by ``batch.sizes``).  A torn last record is left out.
+    arrays hold the loop arrays (``loop.*``), the ladder forecasts it
+    added to the file (``ladder.cpu.<day>`` / ``ladder.mem.<day>``) and
+    the observation columns from ``header["ingest"]["from_sample"]``
+    (0 in the base) to the end of its newest delivered slot, one
+    ``ingest.obs_cpu.<day>`` / ``ingest.obs_mem.<day>`` array per day
+    they touch, with ``ingest.valid_bits`` packed over the same
+    columns.  A torn last record is left out.
 
     Raises:
         CheckpointError: as :meth:`StreamingCloudSimulation.restore`
             for an unreadable file.
     """
     return list(_parts(path))
-
-
-def _log_arrays(log: List[TelemetryBatch]) -> Dict[str, np.ndarray]:
-    """Logged batches as one array per field plus their sizes."""
-    batches = log or [_empty_batch()]
-    arrays = {
-        f"batch.{field}": np.concatenate([getattr(b, field) for b in batches])
-        for field in _BATCH_FIELDS
-    }
-    arrays["batch.sizes"] = np.array([b.n_samples for b in log], np.int64)
-    return arrays
-
-
-def _logged_batches(arrays: Dict[str, np.ndarray]) -> Iterator[TelemetryBatch]:
-    """The batches :func:`_log_arrays` logged, one at a time."""
-    sizes = arrays.get("batch.sizes")
-    if sizes is None:
-        return
-    ends = np.cumsum(sizes)
-    for lo, hi in zip((ends - sizes).tolist(), ends.tolist()):
-        yield TelemetryBatch(
-            **{field: arrays[f"batch.{field}"][lo:hi] for field in _BATCH_FIELDS}
-        )
 
 
 class _LadderPredictor:
@@ -494,13 +461,14 @@ class StreamingCloudSimulation(CloudSimulation):
         self._ckpt_path = checkpoint_path
         self._resume_state: Optional[_LoopState] = None
         self._next_ckpt = 0
-        # The journal: batches ingested since the previous checkpoint
-        # (None until this run wrote a base), the base's and the log's
-        # bytes, and the ladder forecast arrays already in the file.
-        self._log: Optional[List[TelemetryBatch]] = None
+        # The file: its base's bytes (0 until this run wrote a base),
+        # the bytes appended after it, and the ladder forecast arrays
+        # already in it.
         self._base_bytes = 0
-        self._log_bytes = 0
+        self._appended_bytes = 0
         self._filed: set = set()
+        # Readings the ingest dropped since the last telemetry_window.
+        self._rejected = 0
 
         self._window_rung: Optional[str] = None
         self._ingested_until = 0
@@ -550,9 +518,7 @@ class StreamingCloudSimulation(CloudSimulation):
             for collector in self._collectors:
                 batch = poll_with_retry(collector, s, tracer=self._tracer)
                 if batch is not None:
-                    self._ingest.ingest(batch)
-                    if self._log is not None and batch.n_samples:
-                        self._log.append(batch)
+                    self._rejected += self._ingest.ingest(batch, s)
         self._ingested_until = max(self._ingested_until, slot)
 
     def _ladder_begin(self, slot: int) -> Optional[np.ndarray]:
@@ -702,12 +668,14 @@ class StreamingCloudSimulation(CloudSimulation):
             and slot - self._ingest.newest_delivery_slot > BLIND_AFTER_SLOTS
         )
         rung = RUNG_BLIND if blind else self._window_rung
+        rejected, self._rejected = self._rejected, 0
         if self._tracer.enabled:
             self._tracer.emit(
                 "telemetry_window",
                 slot=slot,
                 rung=rung,
                 imputed_samples=imputed,
+                rejected_readings=rejected,
                 collectors_down=down[0] if down else 0,
                 blind=blind,
             )
@@ -733,7 +701,7 @@ class StreamingCloudSimulation(CloudSimulation):
     def _begin_run(self) -> _LoopState:
         """A fresh loop state, or the one a :meth:`restore` armed."""
         state, self._resume_state = self._resume_state, None
-        self._log = None
+        self._base_bytes = self._rejected = 0
         if state is None:
             state = super()._begin_run()
         if self._ckpt_every is not None:
@@ -745,11 +713,11 @@ class StreamingCloudSimulation(CloudSimulation):
         if self._ckpt_every is None or state.slot < self._next_ckpt:
             return False
         with self._tracer.phase("checkpoint"):
-            base = self._log is None or self._log_bytes > self._base_bytes
-            if base:
-                written = self._write_base(state)
-            else:
-                written = self._append_record(state)
+            base = (
+                not self._base_bytes
+                or self._appended_bytes > self._base_bytes
+            )
+            written = self._write_part(state, base)
         if self._tracer.enabled:
             self._tracer.emit(
                 "checkpoint",
@@ -784,14 +752,20 @@ class StreamingCloudSimulation(CloudSimulation):
             "collectors": len(self._collectors),
         }
 
-    def _run_header(self, state: _LoopState, arrays: Dict):
-        """The header every base and record carries.
+    def _write_part(self, state: _LoopState, base: bool) -> int:
+        """Write one checkpoint part; returns its bytes.
 
-        Moves the loop arrays into ``arrays``; returns the header and
-        the ladder's forecast arrays, which the caller files.
+        A base goes to a new file renamed onto the path; a record is
+        appended to the file in one CRC frame.  Either holds the run
+        header, the loop arrays, the ingest's state (every observation
+        column for a base, the columns changed since the previous part
+        for a record) and the ladder forecasts not yet in the file.
         """
-        config = self._checkpoint_config()
+        if base:
+            self._filed = set()
+        arrays: Dict[str, np.ndarray] = {}
         forecasts: Dict[str, np.ndarray] = {}
+        config = self._checkpoint_config()
         header = {
             "config": config,
             "config_hash": config_hash(config),
@@ -804,60 +778,45 @@ class StreamingCloudSimulation(CloudSimulation):
                 "ladder",
                 forecasts,
             ),
+            "ingest": _split(self._ingest.state(full=base), "ingest", arrays),
         }
-        return header, forecasts
-
-    def _write_base(self, state: _LoopState) -> int:
-        """Write a new file of one base, atomically; returns its bytes."""
-        arrays: Dict[str, np.ndarray] = {}
-        header, forecasts = self._run_header(state, arrays)
-        header["ingest"] = _split(self._ingest.state(), "ingest", arrays)
-        arrays.update(forecasts)
-        tmp = f"{self._ckpt_path}.tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(_PREAMBLE.pack(_MAGIC, CHECKPOINT_VERSION, 0))
-            _pack(fh, header, arrays)
-            size = fh.tell()
-            fh.seek(0)
-            fh.write(
-                _PREAMBLE.pack(
-                    _MAGIC, CHECKPOINT_VERSION, size - _PREAMBLE.size
-                )
-            )
-        os.replace(tmp, self._ckpt_path)
-        self._base_bytes, self._log_bytes = size, 0
-        self._filed = set(forecasts)
-        self._log = []
-        return size
-
-    def _append_record(self, state: _LoopState) -> int:
-        """Append one record to the file; returns its bytes."""
-        arrays = _log_arrays(self._log)
-        header, forecasts = self._run_header(state, arrays)
         new = {k: v for k, v in forecasts.items() if k not in self._filed}
         arrays.update(new)
-        buf = io.BytesIO()
-        _pack(buf, header, arrays)
-        payload = buf.getbuffer()
-        with open(self._ckpt_path, "ab") as fh:
-            fh.write(_FRAME.pack(len(payload), zlib.crc32(payload)))
-            fh.write(payload)
-        written = _FRAME.size + len(payload)
-        self._log_bytes += written
+        if base:
+            tmp = f"{self._ckpt_path}.tmp"
+            with open(tmp, "wb") as fh:
+                fh.write(_PREAMBLE.pack(_MAGIC, CHECKPOINT_VERSION, 0))
+                _pack(fh, header, arrays)
+                written = fh.tell()
+                fh.seek(0)
+                fh.write(
+                    _PREAMBLE.pack(
+                        _MAGIC, CHECKPOINT_VERSION, written - _PREAMBLE.size
+                    )
+                )
+            os.replace(tmp, self._ckpt_path)
+            self._base_bytes, self._appended_bytes = written, 0
+        else:
+            buf = io.BytesIO()
+            _pack(buf, header, arrays)
+            payload = buf.getbuffer()
+            with open(self._ckpt_path, "ab") as fh:
+                fh.write(_FRAME.pack(len(payload), zlib.crc32(payload)))
+                fh.write(payload)
+            written = _FRAME.size + len(payload)
+            self._appended_bytes += written
         self._filed.update(new)
-        self._log = []
         return written
 
     def restore(self, path) -> None:
         """Load a checkpoint file and arm the next :meth:`run` (or
         :meth:`windows`) to resume from its last intact boundary.
 
-        The base restores the observed days; each record's logged
-        batches are replayed through
-        :meth:`~repro.cloud.telemetry.TelemetryIngest.ingest`; the last
-        part's header restores the loop, policy, collector cursors and
-        ladder.  A failed restore may leave the simulation half
-        loaded: build a new one.
+        The base's observation columns replace the ingest's buffers and
+        each record's are written over them, in order; the last part's
+        header restores the loop, policy, collector cursors and ladder.
+        A failed restore may leave the simulation half loaded: build a
+        new one.
 
         Raises:
             CheckpointError: if the file is missing, unreadable, an old
@@ -871,12 +830,9 @@ class StreamingCloudSimulation(CloudSimulation):
         for i, (header, arrays) in enumerate(_parts(path)):
             self._check_config(header, label)
             try:
-                if i == 0:
-                    self._ingest.restore(
-                        _join(header["ingest"], "ingest", arrays)
-                    )
-                for batch in _logged_batches(arrays):
-                    self._ingest.ingest(batch)
+                self._ingest.restore(
+                    _join(header["ingest"], "ingest", arrays), full=i == 0
+                )
             except (
                 AttributeError, IndexError, KeyError, TypeError, ValueError
             ) as exc:

@@ -26,7 +26,8 @@ and go entirely dark while a collector restarts.  This module provides
   ``poll_with_retry``;
 * :class:`TelemetryIngest` — the imputation/quality stage: delivered
   samples are validated (finite, within [0, 100], indices inside the
-  buffers) into observation buffers; reads fill gaps by
+  buffers, taken before the poll that delivered them) into observation
+  buffers; reads fill gaps by
   last-observation-carried-forward at window edges and linear
   interpolation inside, and every sample carries a
   :meth:`~TelemetryIngest.sample_quality` mark;
@@ -786,11 +787,14 @@ class TelemetryIngest:
     which NaN, ±inf and spike corruption all fail, so the sample stays
     missing — into dataset-shaped observation buffers.  A batch's
     indices are checked too: a reading whose VM row or sample index
-    lies outside the buffers is dropped like an invalid one, and a
-    batch with arrays of unequal shape or non-integer indices raises
-    :class:`~repro.errors.DomainError`.  The valid readings are stored
-    through one flat index, ``row * n_samples + sample``, into all
-    three buffers.  Reads fill the gaps:
+    lies outside the buffers, or that is stamped at or after the start
+    of the slot whose poll delivered it (a poll at slot ``s`` can only
+    deliver samples taken before ``s``), is dropped like an invalid
+    one, and a batch with arrays of unequal shape or non-integer
+    indices raises :class:`~repro.errors.DomainError`.  The valid
+    readings are stored through one flat index,
+    ``row * n_samples + sample``, into all three buffers.  Reads fill
+    the gaps:
     last observation carried forward into a window's leading edge
     (backfilled from the window's first observation when the VM has no
     earlier one), linear interpolation between observed samples inside,
@@ -833,13 +837,19 @@ class TelemetryIngest:
         #: Newest slot with at least one validly delivered sample
         #: (-1 until first delivery): the blind-window detector.
         self.newest_delivery_slot = -1
+        # Lowest sample stored since the previous state() (the sample
+        # count when none was).
+        self._changed_from = shape[1]
 
-    def ingest(self, batch: TelemetryBatch) -> None:
-        """Validate and store one poll's deliveries.
+    def ingest(self, batch: TelemetryBatch, slot: Optional[int] = None) -> int:
+        """Validate and store one poll's deliveries; returns how many
+        readings were dropped.
 
         A reading is stored when both values lie in [0, 100] (NaN and
-        ±inf fail the range test) and its VM row and sample index name
-        a cell of the buffers; every other reading is dropped.
+        ±inf fail the range test), its VM row and sample index name a
+        cell of the buffers and, given the polled ``slot``, it was
+        taken before that slot began; every other reading is dropped.
+        Without ``slot`` only the buffers bound the sample index.
 
         Raises:
             DomainError: for a batch whose four arrays differ in shape,
@@ -859,31 +869,34 @@ class TelemetryIngest:
                 f"telemetry batch indices must be integers, got vm_rows "
                 f"{rows.dtype} and samples {samples.dtype}"
             )
-        if rows.size == 0:
-            return
+        delivered = rows.size
+        if delivered == 0:
+            return 0
         n_vms, n_samples = self.valid.shape
+        end = n_samples
+        if slot is not None:
+            end = min(end, int(slot) * SAMPLES_PER_SLOT)
         ok = (cpu >= 0.0) & (cpu <= 100.0) & (mem >= 0.0) & (mem <= 100.0)
-        if (
-            rows.min() < 0
-            or rows.max() >= n_vms
-            or samples.min() < 0
-            or samples.max() >= n_samples
-        ):
+        first, last = int(samples.min()), int(samples.max())
+        if rows.min() < 0 or rows.max() >= n_vms or first < 0 or last >= end:
             ok &= (rows >= 0) & (rows < n_vms)
-            ok &= (samples >= 0) & (samples < n_samples)
+            ok &= (samples >= 0) & (samples < end)
         if not ok.all():
             if not ok.any():
-                return
+                return delivered
             rows, samples, cpu, mem = rows[ok], samples[ok], cpu[ok], mem[ok]
+            first, last = int(samples.min()), int(samples.max())
         # One flat index into the C-ordered buffers for all three stores.
         flat = rows.astype(np.intp, copy=False) * n_samples
         flat += samples.astype(np.intp, copy=False)
         self.obs_cpu.reshape(-1)[flat] = cpu
         self.obs_mem.reshape(-1)[flat] = mem
         self.valid.reshape(-1)[flat] = True
-        newest = int(samples.max()) // SAMPLES_PER_SLOT
+        self._changed_from = min(self._changed_from, first)
+        newest = last // SAMPLES_PER_SLOT
         if newest > self.newest_delivery_slot:
             self.newest_delivery_slot = newest
+        return delivered - rows.size
 
     # -- quality -------------------------------------------------------
 
@@ -1071,39 +1084,62 @@ class TelemetryIngest:
 
     # -- checkpoint ----------------------------------------------------
 
-    @staticmethod
-    def _observed_days(newest_delivery_slot: int) -> range:
-        """The days up to ``newest_delivery_slot``'s: the only ones a
-        stored reading can lie in."""
-        return range(newest_delivery_slot // SLOTS_PER_DAY + 1)
+    def _stored_end(self, newest_delivery_slot: int) -> int:
+        """The column after ``newest_delivery_slot``: no stored reading
+        lies at or past it."""
+        return min(
+            (newest_delivery_slot + 1) * SAMPLES_PER_SLOT, self.valid.shape[1]
+        )
 
-    def state(self) -> Dict[str, object]:
-        """Checkpoint state: the newest delivery slot, and the
-        observation days up to its day, one ``obs_cpu.<day>`` /
-        ``obs_mem.<day>`` array per day (views of the live buffers:
-        write them out before the next :meth:`ingest`) with validity
-        bit-packed over the same prefix.  No later day holds a stored
-        reading."""
-        days = self._observed_days(self.newest_delivery_slot)
+    @staticmethod
+    def _day_columns(lo: int, hi: int) -> List[Tuple[int, slice]]:
+        """Columns ``[lo, hi)`` cut at midnights: ``(day, columns)`` for
+        each day they touch."""
+        spans = []
+        while lo < hi:
+            day = lo // SAMPLES_PER_DAY
+            end = min(hi, (day + 1) * SAMPLES_PER_DAY)
+            spans.append((day, slice(lo, end)))
+            lo = end
+        return spans
+
+    def state(self, full: bool) -> Dict[str, object]:
+        """Checkpoint state; starts a new change period.
+
+        The observation columns from ``from_sample`` to the end of the
+        newest delivery slot (no later column holds a stored reading):
+        from column 0 when ``full``, otherwise from the lowest sample
+        stored since the previous call (none when nothing was).  They
+        are cut at midnights into one ``obs_cpu.<day>`` /
+        ``obs_mem.<day>`` array per day they touch (views of the live
+        buffers: write them out before the next :meth:`ingest`), with
+        validity bit-packed over the same columns.
+        """
+        hi = self._stored_end(self.newest_delivery_slot)
+        lo = 0 if full else min(self._changed_from, hi)
+        self._changed_from = self.valid.shape[1]
         state: Dict[str, object] = {
             "newest_delivery_slot": self.newest_delivery_slot,
-            "valid_bits": np.packbits(
-                self.valid[:, : len(days) * SAMPLES_PER_DAY], axis=1
-            ),
+            "from_sample": lo,
+            "valid_bits": np.packbits(self.valid[:, lo:hi], axis=1),
         }
-        for day in days:
-            cols = slice(day * SAMPLES_PER_DAY, (day + 1) * SAMPLES_PER_DAY)
+        for day, cols in self._day_columns(lo, hi):
             state[f"obs_cpu.{day}"] = self.obs_cpu[:, cols]
             state[f"obs_mem.{day}"] = self.obs_mem[:, cols]
         return state
 
-    def restore(self, state: Dict[str, object]) -> None:
-        """Restore a :meth:`state` snapshot in place; the days after
-        its newest delivery day come back empty.
+    def restore(self, state: Dict[str, object], full: bool) -> None:
+        """Write a :meth:`state` snapshot's columns into the buffers.
+
+        A ``full`` snapshot replaces the buffers: the columns after it
+        come back empty.  Any other is written over them, so a full
+        snapshot and then each later one, in order, restore the ingest
+        that took the last.
 
         Raises:
-            CheckpointError: if the snapshot's days or buffers do not
-                match its newest delivery slot or this ingest's shape.
+            CheckpointError: if the snapshot's columns or buffers do not
+                match its newest delivery slot or this ingest's shape,
+                or a ``full`` one does not start at column 0.
         """
         n_vms, n_samples = self.valid.shape
         newest = int(state["newest_delivery_slot"])
@@ -1112,19 +1148,23 @@ class TelemetryIngest:
                 f"checkpoint newest delivery slot {newest} lies outside "
                 f"this ingest's {n_samples} samples"
             )
-        days = self._observed_days(newest)
-        hi = min(len(days) * SAMPLES_PER_DAY, n_samples)
+        hi = self._stored_end(newest)
+        lo = int(state["from_sample"])
+        days = self._day_columns(max(lo, 0), hi)  # a negative lo fails below
         bits = state["valid_bits"]
         stored = sum(key.startswith("obs_") for key in state)
-        if bits.shape != (n_vms, -(-hi // 8)) or stored != 2 * len(days):
+        if (
+            not 0 <= lo <= (0 if full else hi)
+            or bits.shape != (n_vms, -(-(hi - lo) // 8))
+            or stored != 2 * len(days)
+        ):
             raise CheckpointError(
-                f"checkpoint ingest state ({stored} observation arrays, "
-                f"validity {bits.shape} packed) does not fit "
-                f"{len(days)} observed days of this ingest's "
+                f"checkpoint ingest state ({stored} observation arrays "
+                f"from column {lo}, validity {bits.shape} packed) does not "
+                f"fit {len(days)} observed days of this ingest's "
                 f"{self.obs_cpu.shape}"
             )
-        for day in days:
-            cols = slice(day * SAMPLES_PER_DAY, (day + 1) * SAMPLES_PER_DAY)
+        for day, cols in days:
             for name, buffer in (
                 ("obs_cpu", self.obs_cpu),
                 ("obs_mem", self.obs_mem),
@@ -1136,11 +1176,13 @@ class TelemetryIngest:
                         f"array of shape {buffer[:, cols].shape}"
                     )
                 buffer[:, cols] = part
-        self.obs_cpu[:, hi:] = 0.0
-        self.obs_mem[:, hi:] = 0.0
-        self.valid[:, :hi] = np.unpackbits(bits, axis=1, count=hi)
-        self.valid[:, hi:] = False
+        self.valid[:, lo:hi] = np.unpackbits(bits, axis=1, count=hi - lo)
+        if full:
+            self.obs_cpu[:, hi:] = 0.0
+            self.obs_mem[:, hi:] = 0.0
+            self.valid[:, hi:] = False
         self.newest_delivery_slot = newest
+        self._changed_from = n_samples
 
 
 # -- the fallback ladder ----------------------------------------------

@@ -128,7 +128,11 @@ EVENT_SCHEMAS: Dict[str, dict] = {
         "required": ["slot", "n_failed", "cap_frac"],
     },
     "telemetry_window": {
-        "doc": "Degraded-telemetry state behind one window decision.",
+        "doc": "Degraded-telemetry state behind one window decision.  "
+        "``rejected_readings`` counts the delivered readings the ingest "
+        "dropped (invalid values, indices outside its buffers, samples "
+        "stamped at or after their poll's slot) since the previous "
+        "``telemetry_window``.",
         "fields": {
             "slot": _INT,
             "rung": {
@@ -141,6 +145,7 @@ EVENT_SCHEMAS: Dict[str, dict] = {
                 ],
             },
             "imputed_samples": _INT,
+            "rejected_readings": _INT,
             "collectors_down": _INT,
             "blind": _BOOL,
         },

@@ -25,9 +25,9 @@ split of energy_audit's ``pro/collectors`` (in-process vs network):
   on a feed service speaking the tiny JSON protocol of
   :class:`TelemetryFeedServer` (also here, so the live quickstart and
   the tests exercise a real socket round-trip without extra
-  dependencies).  HTTP 503 and transport errors map to
-  :class:`~repro.errors.CollectorTimeoutError` — a dead network leg
-  *is* a dropout window.
+  dependencies).  HTTP 503, transport errors and a malformed body map
+  to :class:`~repro.errors.CollectorTimeoutError` — a dead network leg
+  *is* a dropout window, and a garbled delivery is a failed poll.
 """
 
 from __future__ import annotations
@@ -293,6 +293,44 @@ class PushCollector:
 # -- HTTP feed ---------------------------------------------------------
 
 
+#: A feed body's lists and the NumPy kinds each may hold: integer
+#: indices, integer or float readings.
+_BODY_FIELDS = (
+    ("vm_rows", "iu"),
+    ("samples", "iu"),
+    ("cpu", "iuf"),
+    ("mem", "iuf"),
+)
+
+
+def _batch_from_body(payload) -> TelemetryBatch:
+    """A feed body's batch.
+
+    Raises:
+        ValueError: naming the defect, for a body that is not an
+            object, lacks a list, or holds a ragged, nested or
+            non-numeric list, non-integer indices or lists of unequal
+            length.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError("the body is not a JSON object")
+    arrays = {}
+    for name, kinds in _BODY_FIELDS:
+        if name not in payload:
+            raise ValueError(f"the body has no {name!r} list")
+        try:
+            values = np.asarray(payload[name])
+        except ValueError as exc:  # a ragged nesting
+            raise ValueError(f"{name!r} is ragged") from exc
+        if values.ndim != 1 or (values.size and values.dtype.kind not in kinds):
+            what = "integers" if kinds == "iu" else "numbers"
+            raise ValueError(f"{name!r} is not a flat list of {what}")
+        arrays[name] = values.astype(np.intp if kinds == "iu" else float)
+    if len({values.size for values in arrays.values()}) > 1:
+        raise ValueError("the body's lists differ in length")
+    return TelemetryBatch(**arrays)
+
+
 class HttpCollector:
     """Network adapter: polls a feed service over HTTP.
 
@@ -302,7 +340,10 @@ class HttpCollector:
     inside a dropout window, and any transport failure (refused
     connection, socket timeout) is treated the same way — from the
     engine's side a dead network leg *is* a down collector, and
-    :func:`poll_with_retry` applies its usual bounded backoff.
+    :func:`poll_with_retry` applies its usual bounded backoff.  So is
+    a malformed body: one that does not parse, is not an object, lacks
+    a list, or holds ragged or non-numeric lists, non-integer indices
+    or lists of unequal length.
 
     The cursor lives server-side (the feed knows what it has already
     delivered), so :meth:`state` only snapshots the last successful
@@ -338,13 +379,13 @@ class HttpCollector:
         """One HTTP round-trip; see the class docstring for the protocol.
 
         Raises:
-            CollectorTimeoutError: on HTTP 503 (feed-declared dropout)
-                or any transport failure.
+            CollectorTimeoutError: on HTTP 503 (feed-declared dropout),
+                any transport failure or a malformed body.
         """
         url = f"{self._base}/poll?collector={self._id}&slot={int(slot)}"
         try:
             with urlopen(url, timeout=self._timeout) as response:
-                payload = json.load(response)
+                body = response.read()
         except HTTPError as exc:
             raise CollectorTimeoutError(
                 f"collector {self._id} timed out polling slot {slot} "
@@ -355,13 +396,15 @@ class HttpCollector:
                 f"collector {self._id} timed out polling slot {slot} "
                 f"({exc})"
             ) from exc
+        try:
+            batch = _batch_from_body(json.loads(body))
+        except ValueError as exc:  # JSONDecodeError included
+            raise CollectorTimeoutError(
+                f"collector {self._id} got a malformed body polling slot "
+                f"{slot} ({exc})"
+            ) from exc
         self._last_success = max(self._last_success, int(slot))
-        return TelemetryBatch(
-            vm_rows=np.asarray(payload["vm_rows"], dtype=np.intp),
-            samples=np.asarray(payload["samples"], dtype=np.intp),
-            cpu=np.asarray(payload["cpu"], dtype=float),
-            mem=np.asarray(payload["mem"], dtype=float),
-        )
+        return batch
 
     # -- checkpoint ----------------------------------------------------
 

@@ -34,6 +34,7 @@ from repro.core.alloc2d import _allocate_2d_reference, allocate_2d
 from repro.core.governor import DvfsGovernor
 from repro.core.types import AllocationContext
 from repro.dcsim.engine import count_migrations
+from repro.errors import ReproError
 from repro.experiments.hyperscale import synthetic_dataset
 from repro.forecast import DayAheadPredictor
 from repro.perf.workload import ALL_MEMORY_CLASSES
@@ -309,6 +310,104 @@ class TestImputationInvariants:
             assert got.tobytes() == oracle.tobytes()
         for got, want in zip(ingest._carry_before(lo, rows), carried):
             assert got.tobytes() == want[rows].tobytes()
+
+
+#: A reading's values: valid ones, and the ones the ingest must drop.
+_READING = st.one_of(
+    st.floats(0.0, 100.0),
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.5, 100.5, 400.0]),
+)
+
+
+class TestIngestInvariants:
+    """The ingest's trust boundary on arbitrary batches."""
+
+    N_VMS = 3
+
+    @staticmethod
+    def _ingest():
+        """A one-day ingest holding three readings, all of them already
+        checkpointed: only the batch moves its change mark."""
+        ingest = TelemetryIngest(synthetic_dataset(TestIngestInvariants.N_VMS))
+        ingest.ingest(
+            TelemetryBatch(
+                vm_rows=np.arange(3),
+                samples=np.array([5, 6, 7]),
+                cpu=np.full(3, 30.0),
+                mem=np.full(3, 40.0),
+            )
+        )
+        ingest.state(full=False)
+        return ingest
+
+    @given(
+        readings=st.lists(
+            st.tuples(
+                st.integers(-2, N_VMS + 1),
+                st.integers(-3, SAMPLES_PER_DAY + 2),
+                _READING,
+                _READING,
+            ),
+            max_size=12,
+        ),
+        slot=st.integers(-1, SLOTS_PER_DAY + 1),
+        defect=st.sampled_from(
+            ["none", "ragged", "float rows", "float samples"]
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_raises_unchanged_or_stores_the_valid_part(
+        self, readings, slot, defect
+    ):
+        """Out-of-range rows and samples, stamps at or after the polled
+        slot, NaN, ±inf and out-of-range values are dropped: the batch
+        stores what a batch of its valid part stores.  A ragged batch or
+        float indices raise and store nothing."""
+        rows, samples = (
+            np.array([r[i] for r in readings], dtype=np.int64) for i in (0, 1)
+        )
+        cpu, mem = (np.array([r[i] for r in readings], float) for i in (2, 3))
+        if defect == "ragged":
+            mem = np.append(mem, 50.0)
+        elif defect == "float rows":
+            rows = rows.astype(float)
+        elif defect == "float samples":
+            samples = samples + 0.5
+        batch = TelemetryBatch(vm_rows=rows, samples=samples, cpu=cpu, mem=mem)
+        ingest, twin = self._ingest(), self._ingest()
+        if defect != "none":
+            with pytest.raises(ReproError):
+                ingest.ingest(batch, slot)
+        else:
+            n_samples = ingest.valid.shape[1]
+            keep = (
+                (rows >= 0)
+                & (rows < self.N_VMS)
+                & (samples >= 0)
+                & (samples < min(slot * SAMPLES_PER_SLOT, n_samples))
+                & (cpu >= 0.0)
+                & (cpu <= 100.0)
+                & (mem >= 0.0)
+                & (mem <= 100.0)
+            )
+            assert ingest.ingest(batch, slot) == rows.size - keep.sum()
+            valid_part = TelemetryBatch(
+                vm_rows=rows[keep],
+                samples=samples[keep],
+                cpu=cpu[keep],
+                mem=mem[keep],
+            )
+            assert twin.ingest(valid_part, slot) == 0
+        for name in ("obs_cpu", "obs_mem", "valid"):
+            assert getattr(ingest, name).tobytes() == (
+                getattr(twin, name).tobytes()
+            )
+        assert ingest.newest_delivery_slot == twin.newest_delivery_slot
+        # The columns a checkpoint record would hold agree too.
+        ours, theirs = ingest.state(full=False), twin.state(full=False)
+        assert ours.keys() == theirs.keys()
+        for key, value in ours.items():
+            assert np.array_equal(value, theirs[key])
 
 
 # A horizon that crosses from day 7 into day 8, so the ladder decides a

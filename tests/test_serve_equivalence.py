@@ -13,6 +13,7 @@ Plus the collector adapters themselves: push semantics, dropout
 timeouts and the HTTP round-trip.
 """
 
+import io
 import itertools
 import json
 import os
@@ -40,6 +41,8 @@ from repro.obs.tracer import (
     validate_trace_file,
 )
 from repro.serve import HttpCollector, PushCollector, TelemetryFeedServer
+from repro.serve import adapters
+from repro.serve.adapters import TelemetryBatch
 from repro.serve.cli import main
 from repro.serve.service import ServeConfig, build_simulation, serve
 from repro.traces import default_dataset
@@ -116,6 +119,87 @@ class TestHttpFeed:
         http = HttpCollector(0, "http://127.0.0.1:9", timeout_s=0.2)
         with pytest.raises(CollectorTimeoutError):
             http.poll(1)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"not json",
+            b"[0, 1]",
+            b'{"vm_rows": [0], "samples": [0], "cpu": [1.0]}',
+            b'{"vm_rows": [[0], [1, 2]], "samples": [0], "cpu": [1.0],'
+            b' "mem": [1.0]}',
+            b'{"vm_rows": [[0]], "samples": [0], "cpu": [1.0], "mem": [1.0]}',
+            b'{"vm_rows": ["0"], "samples": [0], "cpu": [1.0], "mem": [1.0]}',
+            b'{"vm_rows": [0], "samples": [0], "cpu": [null], "mem": [1.0]}',
+            b'{"vm_rows": [1, 2], "samples": [1.5, 2.9], "cpu": [1.0, 2.0],'
+            b' "mem": [1.0, 2.0]}',
+            b'{"vm_rows": [true], "samples": [0], "cpu": [1.0], "mem": [1.0]}',
+            b'{"vm_rows": [0, 1], "samples": [0], "cpu": [1.0], "mem": [1.0]}',
+        ],
+        ids=[
+            "not-json",
+            "not-an-object",
+            "missing-field",
+            "ragged",
+            "nested",
+            "non-numeric",
+            "null-reading",
+            "float-indices",
+            "bool-indices",
+            "unequal-lengths",
+        ],
+    )
+    def test_malformed_body_is_a_timeout(self, monkeypatch, body):
+        # Float indices were once truncated to integers without a word,
+        # and a body that did not parse escaped as a ValueError.
+        monkeypatch.setattr(
+            adapters, "urlopen", lambda url, timeout: io.BytesIO(body)
+        )
+        with pytest.raises(CollectorTimeoutError, match="malformed body"):
+            HttpCollector(0, "http://feed").poll(1)
+
+    def test_malformed_body_is_retried(self, serve_config):
+        # The feed serves float sample indices once: the poll fails,
+        # poll_with_retry polls again, and the run equals the replay.
+        replay = serve(serve_config)
+        dataset, _ = get_scenario(serve_config.workload).build(
+            n_vms=serve_config.n_vms,
+            n_days=serve_config.n_days,
+            seed=serve_config.seed,
+            n_slots=serve_config.n_slots,
+        )
+        backing = TraceCollector(
+            0, dataset, zero_telemetry_faults(dataset.n_vms, 0, dataset.n_slots)
+        )
+        garbled = TelemetryBatch(
+            vm_rows=np.array([0]),
+            samples=np.array([1.5]),
+            cpu=np.array([40.0]),
+            mem=np.array([20.0]),
+        )
+
+        class FloatOnce:
+            collector_id = 0
+
+            def __init__(self):
+                self.served = False
+
+            def poll(self, slot):
+                if self.served:
+                    return backing.poll(slot)
+                self.served = True
+                return garbled
+
+        tracer = RunTracer()
+        with TelemetryFeedServer([FloatOnce()]) as feed:
+            live = serve(
+                serve_config,
+                collectors=[HttpCollector(0, feed.url)],
+                tracer=tracer,
+            )
+        retries = tracer.of_type("poll_retry")
+        assert [(e["attempt"], e["gave_up"]) for e in retries] == [(0, False)]
+        assert records_equal(live.records, replay.records)
 
 
 # -- serve replay vs the batch engine ---------------------------------------
@@ -375,7 +459,7 @@ class TestServeCliCheckpoints:
             ("empty", "not a readable checkpoint"),
             ("text", "not a readable checkpoint"),
             ("format-1", "format-1 .npz checkpoint"),
-            ("version", "format version 2; this build reads version 3"),
+            ("version", "format version 3; this build reads version 4"),
         ],
     )
     def test_damaged_file(self, tmp_path, capsys, damage, message):
@@ -399,8 +483,8 @@ class TestServeCliCheckpoints:
                 np.savez(fh, header=np.frombuffer(b"{}", np.uint8))
             data = path.read_bytes()
         else:
-            # A format-2 file: the base held every observation day.
-            data[: _PREAMBLE.size] = _PREAMBLE.pack(magic, 2, base_len)
+            # A format-3 file: its records held the delivered batches.
+            data[: _PREAMBLE.size] = _PREAMBLE.pack(magic, 3, base_len)
         path.write_bytes(bytes(data))
         line = self._refused(capsys, path, "--n-slots", "6")
         assert message in line

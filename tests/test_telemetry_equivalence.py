@@ -48,12 +48,13 @@ from repro.cloud.telemetry import (
     get_telemetry_scenario,
     zero_telemetry_faults,
 )
-from repro.serve.adapters import TelemetryBatch, poll_with_retry
+from repro.serve.adapters import PushCollector, TelemetryBatch, poll_with_retry
 from repro.cloud.faults import FaultSchedule
 from repro.core import EpactPolicy, FleetEpactPolicy, FleetSpec, PoolSpec
 from repro.cloud.streaming import (
     _FRAME,
     _PREAMBLE,
+    BLIND_AFTER_SLOTS,
     CHECKPOINT_VERSION,
     _Bounded,
     read_checkpoint,
@@ -66,6 +67,7 @@ from repro.errors import (
 )
 from repro.forecast import DayAheadPredictor
 from repro.obs import RunTracer
+from repro.obs.tracer import validate_event
 from repro.power.server_power import (
     conventional_server_power_model,
     ntc_server_power_model,
@@ -97,6 +99,26 @@ def pred(ds):
 @pytest.fixture(scope="module")
 def fixed(ds):
     return fixed_schedule(ds.n_vms, 0, ds.n_slots)
+
+
+def _push_trace(push, dataset, slots, hold=()):
+    """Push every true sample of ``slots``, each slot's pollable at the
+    next slot (on time), except the ``(row, sample)`` cells in
+    ``hold``."""
+    rows = np.repeat(np.arange(dataset.n_vms), SAMPLES_PER_SLOT)
+    for slot in slots:
+        lo = slot * SAMPLES_PER_SLOT
+        samples = lo + np.tile(np.arange(SAMPLES_PER_SLOT), dataset.n_vms)
+        keep = np.ones(rows.size, dtype=bool)
+        for row, sample in hold:
+            keep &= (rows != row) | (samples != sample)
+        push.push(
+            rows[keep],
+            samples[keep],
+            dataset.cpu_pct[:, lo:lo + SAMPLES_PER_SLOT].ravel()[keep],
+            dataset.mem_pct[:, lo:lo + SAMPLES_PER_SLOT].ravel()[keep],
+            available_at=slot + 1,
+        )
 
 
 # -- clean-telemetry bit-identity -------------------------------------------
@@ -258,6 +280,38 @@ class TestFallbackLadder:
         )
         down = [r.collectors_down for r in result.records]
         assert sum(down) == 16
+
+    def test_future_stamp_does_not_hold_off_the_blind_rung(self, ds, fixed):
+        # A push feed delivers every sample on time up to slot 171 and
+        # one reading stamped at the horizon's last sample, then goes
+        # dark.  The future stamp is dropped at the poll that delivers
+        # it (it once set the newest delivery slot to the horizon's
+        # last, and no later window could go blind), so the run goes
+        # blind once the feed has been dark for BLIND_AFTER_SLOTS.
+        push = PushCollector(0)
+        _push_trace(push, ds, range(172))
+        push.push([0], [ds.n_samples - 1], [40.0], [20.0], available_at=170)
+        tracer = RunTracer()
+        sim = StreamingCloudSimulation(
+            ds,
+            DayAheadPredictor(ds),
+            OnlineReactivePolicy(),
+            fixed,
+            collectors=[push],
+            max_servers=20,
+            n_slots=24,
+            tracer=tracer,
+        )
+        result = sim.run()
+        assert sim._ingest.newest_delivery_slot == 171
+        blind = [r.slot_index for r in result.records if r.blind_window]
+        assert blind == list(range(171 + BLIND_AFTER_SLOTS + 1, 168 + 24))
+        rejected = {
+            e["slot"]: e["rejected_readings"]
+            for e in tracer.of_type("telemetry_window")
+            if e["rejected_readings"]
+        }
+        assert rejected == {170: 1}
 
     def test_blind_recovers_after_backlog_burst(self, ds, fixed):
         telemetry = TelemetryFaultSchedule(
@@ -458,6 +512,33 @@ class TestCollectors:
         if name == "collector-outage":
             assert timeouts > 0
 
+    @pytest.mark.parametrize("name", ["clean", "corrupt-spikes"])
+    def test_telemetry_windows_count_rejected_readings(self, ds, fixed, name):
+        telemetry = get_telemetry_scenario(name).build(
+            ds.n_vms, 0, ds.n_slots, seed=4
+        )
+        tracer = RunTracer()
+        sim = StreamingCloudSimulation(
+            ds,
+            DayAheadPredictor(ds),
+            OnlineReactivePolicy(),
+            fixed,
+            telemetry=telemetry,
+            max_servers=20,
+            n_slots=24,
+            tracer=tracer,
+        )
+        sim.run()
+        events = tracer.of_type("telemetry_window")
+        for event in events:
+            validate_event(event)
+        rejected = sum(e["rejected_readings"] for e in events)
+        # A replay feed delivers each sample at most once, so the
+        # readings stored are the valid cells.
+        delivered = sum(c.state()[0] for c in sim._collectors)
+        assert rejected == delivered - int(sim._ingest.valid.sum())
+        assert (rejected > 0) == (name == "corrupt-spikes")
+
     def test_corruption_rejected_at_ingest(self):
         ds = default_dataset(n_vms=2, n_days=1, seed=3)
         cfg = TelemetryFaultConfig(nan_prob=0.5, spike_prob=0.5)
@@ -528,6 +609,22 @@ class TestIngestIndices:
         ingest.ingest(self._batch([0], [tiny.n_samples]))
         assert not ingest.valid.any()
         assert ingest.newest_delivery_slot == -1
+
+    def test_future_stamps_are_dropped(self):
+        # A reading stamped at the last sample of an 8-day horizon once
+        # set the newest delivery slot to 191 of 192, and no later
+        # window could take the reactive-only rung.
+        week = default_dataset(n_vms=3, n_days=8, seed=3)
+        ingest = TelemetryIngest(week)
+        assert ingest.ingest(self._batch([0], [week.n_samples - 1]), 10) == 1
+        assert not ingest.valid.any()
+        assert ingest.newest_delivery_slot == -1
+        # A poll at slot s stores only the samples taken before s.
+        edge = 10 * SAMPLES_PER_SLOT
+        batch = self._batch([1, 1, 2], [edge - 1, edge, 0])
+        assert ingest.ingest(batch, 10) == 1
+        assert ingest.valid.sum() == 2 and ingest.valid[1, edge - 1]
+        assert ingest.newest_delivery_slot == 9
 
     def test_ragged_batch_is_refused(self, tiny):
         ingest = TelemetryIngest(tiny)
@@ -794,6 +891,36 @@ def _member_span(path, member):
     return info.header_offset + 30 + name_len + extra_len, info.compress_size
 
 
+def _days(arrays, name):
+    """The days of a checkpoint part's ``ingest.<name>.<day>`` arrays."""
+    prefix = f"ingest.{name}."
+    return sorted(
+        int(key[len(prefix):]) for key in arrays if key.startswith(prefix)
+    )
+
+
+def _joined(arrays, name):
+    """A checkpoint part's ``ingest.<name>.<day>`` arrays, joined."""
+    return np.concatenate(
+        [arrays[f"ingest.{name}.{day}"] for day in _days(arrays, name)],
+        axis=1,
+    )
+
+
+def _ingest_columns(header, arrays):
+    """The observation columns ``(lo, hi)`` a checkpoint part holds:
+    its day arrays, checked to run on from its first column, with the
+    validity packed over the same columns."""
+    lo = hi = header["ingest"]["from_sample"]
+    for day in _days(arrays, "obs_cpu"):
+        assert day == hi // SAMPLES_PER_DAY
+        cpu = arrays[f"ingest.obs_cpu.{day}"]
+        assert arrays[f"ingest.obs_mem.{day}"].shape == cpu.shape
+        hi += cpu.shape[1]
+    assert arrays["ingest.valid_bits"].shape[1] == -(-(hi - lo) // 8)
+    return lo, hi
+
+
 def _record_spans(path):
     """(offset, length) of every record's frame plus payload."""
     data = path.read_bytes()
@@ -884,20 +1011,26 @@ class TestCheckpointResume:
         )
         assert base["loop"]["slot"] == 168 + 10
         assert record["loop"]["slot"] == 168 + 20
-        # One array per observed day, up to the newest delivery's day.
-        assert base["ingest"]["newest_delivery_slot"] // SLOTS_PER_DAY == 7
+        # One array per observed day, from column 0 to the end of the
+        # newest delivered slot.
+        newest = base["ingest"]["newest_delivery_slot"]
+        assert newest // SLOTS_PER_DAY == 7
+        base_end = (newest + 1) * SAMPLES_PER_SLOT
         for name in ("obs_cpu", "obs_mem"):
             assert {
                 key for key in base_arrays if key.startswith(f"ingest.{name}")
             } == {f"ingest.{name}.{day}" for day in range(8)}
+        assert _ingest_columns(base, base_arrays) == (0, base_end)
         assert base_arrays["ingest.obs_cpu.7"].shape == (
-            ds.n_vms, SAMPLES_PER_DAY
-        )
-        assert base_arrays["ingest.valid_bits"].shape == (
-            ds.n_vms, 8 * SAMPLES_PER_DAY // 8
+            ds.n_vms, base_end - 7 * SAMPLES_PER_DAY
         )
         assert "ingest.imp_cpu" not in base_arrays  # derived, not state
-        assert not any(key.startswith("ingest.") for key in arrays)
+        # The record: on-time deliveries since the base, from where the
+        # base ended to the end of the record's newest delivered slot.
+        newest = record["ingest"]["newest_delivery_slot"]
+        assert _ingest_columns(record, arrays) == (
+            base_end, (newest + 1) * SAMPLES_PER_SLOT
+        )
         simB = self._sim(ds, fixed, telemetry)
         simB.restore(str(path))
         assert records_equal(full.records, simB.run().records)
@@ -1033,6 +1166,35 @@ class TestCheckpointResume:
         assert (
             resumed._ingest.newest_delivery_slot == fed.newest_delivery_slot
         )
+
+    def test_ingest_restore_refuses_columns_out_of_place(self, ds):
+        ingest = TelemetryIngest(ds)
+        ingest.ingest(
+            TelemetryBatch(
+                vm_rows=np.array([0, 1]),
+                samples=np.array([3, 40]),
+                cpu=np.full(2, 30.0),
+                mem=np.full(2, 40.0),
+            )
+        )
+        full = ingest.state(full=True)
+        changed = ingest.state(full=False)  # nothing stored since
+        # A full state starts at column 0; any other at or before the
+        # end of its newest delivered slot.
+        for state, is_full, start in (
+            (full, True, 12),
+            (full, True, -(10**12)),
+            (changed, False, -1),
+            (changed, False, 10**12),
+        ):
+            with pytest.raises(CheckpointError, match="does not fit"):
+                TelemetryIngest(ds).restore(
+                    dict(state, from_sample=start), full=is_full
+                )
+        restored = TelemetryIngest(ds)
+        restored.restore(full, full=True)
+        restored.restore(changed, full=False)
+        np.testing.assert_array_equal(restored.valid, ingest.valid)
 
     def test_sharded_policy_resumes_its_inner_placement(
         self, ds, fixed, tmp_path
@@ -1202,10 +1364,6 @@ def _assert_compaction_rule(events, path):
 class TestCheckpointJournal:
     """What each checkpoint writes: a base, or a record of what changed."""
 
-    #: Logged bytes per delivered sample: an int64 VM row and sample
-    #: index plus the two float64 readings.
-    BYTES_PER_SAMPLE = 32
-
     def _sim(self, ds, fixed, telemetry, **kwargs):
         return StreamingCloudSimulation(
             ds,
@@ -1226,29 +1384,45 @@ class TestCheckpointJournal:
             ds.n_vms, 0, ds.n_slots, seed=4
         )
         path = tmp_path / "ckpt"
-        self._sim(
+        sim = self._sim(
             ds,
             fixed,
             telemetry,
             checkpoint_every_slots=every,
             checkpoint_path=str(path),
-        ).run()
-        parts = read_checkpoint(path)
-        assert len(parts) == 48 // every  # one base, appends after it
-        delivered = [
-            sum(cursor[0] for cursor in header["collectors"])
-            for header, _ in parts
+        )
+        ingest = sim._ingest
+        buffers = [
+            (ingest.obs_cpu.copy(), ingest.obs_mem.copy(), ingest.valid.copy())
+            for decision in sim.windows()
+            if decision.checkpointed
         ]
-        for (_, arrays), before, after in zip(
-            parts[1:], delivered, delivered[1:]
+        parts = read_checkpoint(path)
+        assert len(parts) == len(buffers) == 48 // every  # one base
+        for (header, arrays), (cpu, mem, valid), (_, _, before) in zip(
+            parts[1:], buffers[1:], buffers
         ):
-            batch_bytes = sum(
-                arrays[f"batch.{field}"].nbytes
-                for field in ("vm_rows", "samples", "cpu", "mem")
+            # A replay feed delivers a sample once, so the cells written
+            # since the previous checkpoint are the ones that turned
+            # valid; the record holds every column from the first of
+            # them to the end of the newest delivered slot, as the run
+            # left them.
+            written = np.flatnonzero((valid & ~before).any(axis=0))
+            newest = header["ingest"]["newest_delivery_slot"]
+            lo, hi = _ingest_columns(header, arrays)
+            assert written.size and lo == written[0]
+            assert hi == (newest + 1) * SAMPLES_PER_SLOT
+            assert newest == written[-1] // SAMPLES_PER_SLOT
+            for name, buffer in (("obs_cpu", cpu), ("obs_mem", mem)):
+                np.testing.assert_array_equal(
+                    _joined(arrays, name), buffer[:, lo:hi]
+                )
+            np.testing.assert_array_equal(
+                np.unpackbits(
+                    arrays["ingest.valid_bits"], axis=1, count=hi - lo
+                ).astype(bool),
+                valid[:, lo:hi],
             )
-            assert after > before
-            assert batch_bytes == self.BYTES_PER_SAMPLE * (after - before)
-            assert int(arrays["batch.sizes"].sum()) == after - before
         forecasts = [
             key
             for _, arrays in parts
@@ -1260,6 +1434,58 @@ class TestCheckpointJournal:
         assert any(
             key.startswith("ladder.") for _, arrays in parts[1:] for key in arrays
         )
+
+    def test_record_reaches_back_for_a_late_delivery(
+        self, ds, fixed, tmp_path
+    ):
+        # Every sample arrives on time but VM 3's first of slot 170,
+        # held back to the poll at slot 177: after the checkpoint at
+        # boundary 174, so the record at 180 starts at that sample's
+        # column, before the previous boundary.
+        late = 170 * SAMPLES_PER_SLOT
+
+        def sim(**kwargs):
+            push = PushCollector(0)
+            _push_trace(push, ds, range(ds.n_slots), hold=[(3, late)])
+            push.push(
+                [3],
+                [late],
+                [ds.cpu_pct[3, late]],
+                [ds.mem_pct[3, late]],
+                available_at=177,
+            )
+            return StreamingCloudSimulation(
+                ds,
+                DayAheadPredictor(ds),
+                OnlineReactivePolicy(),
+                fixed,
+                collectors=[push],
+                max_servers=20,
+                n_slots=24,
+                **kwargs,
+            )
+
+        path = tmp_path / "ckpt"
+        full = sim(checkpoint_every_slots=6, checkpoint_path=str(path))
+        names = ("obs_cpu", "obs_mem", "valid")
+        copies, buffers = [], []
+        for decision in full.windows():
+            if decision.checkpointed:
+                copies.append(tmp_path / f"boundary-{len(copies)}")
+                shutil.copyfile(path, copies[-1])
+                buffers.append([getattr(full._ingest, n).copy() for n in names])
+        header, arrays = read_checkpoint(copies[1])[-1]
+        assert header["loop"]["slot"] == 180
+        assert _ingest_columns(header, arrays)[0] == late
+        assert late < 174 * SAMPLES_PER_SLOT
+        for copied, want in zip(copies, buffers):
+            resumed = sim()
+            resumed.restore(str(copied))
+            for name, buffer in zip(names, want):
+                np.testing.assert_array_equal(
+                    getattr(resumed._ingest, name), buffer
+                )
+            assert records_equal(full.result.records, resumed.run().records)
 
     def test_new_base_once_the_log_outgrows_it(self, tmp_path):
         # Nine evaluated days of a clean 4-VM feed, checkpointed every
