@@ -11,8 +11,9 @@ Run with:  PYTHONPATH=src python examples/cloud_churn.py
 """
 
 from repro.baselines import OnlineBestFitPolicy, OnlineReactivePolicy
-from repro.cloud import get_scenario, list_scenarios, run_cloud_policies, sla_table
+from repro.cloud import get_scenario, list_scenarios, sla_table
 from repro.core import EpactPolicy
+from repro.dcsim import run_policies
 from repro.forecast import DayAheadPredictor
 
 
@@ -34,14 +35,16 @@ def main() -> None:
         f"{arrivals} arrivals / {departures} departures over two days"
     )
 
-    # Day-ahead EPACT vs online placement-only vs online reactive.
-    # (Pass jobs=N to fan the policies over a process pool.)
+    # Day-ahead EPACT vs online placement-only vs online reactive over
+    # the churning population: the schedule is the runner's
+    # schedule= argument.  (Pass jobs=N to fan the policies over a
+    # process pool.)
     predictor = DayAheadPredictor(dataset)
-    results = run_cloud_policies(
+    results = run_policies(
         dataset,
         predictor,
         [EpactPolicy(), OnlineBestFitPolicy(), OnlineReactivePolicy()],
-        schedule,
+        schedule=schedule,
         max_servers=120,
         n_slots=48,
     )

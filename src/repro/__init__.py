@@ -55,12 +55,10 @@ from .core import (
 )
 from .cloud.streaming import StreamingCloudSimulation
 from .dcsim import (
-    CloudSimulation,
     DataCenterSimulation,
     SimulationResult,
     WindowDecision,
     inspect_slot,
-    run_cloud_policies,
     run_geo_policies,
     run_policies,
     total_energy_savings_pct,
@@ -102,7 +100,6 @@ __all__ = [
     "ArimaModel",
     "ArimaOrder",
     "CalibrationError",
-    "CloudSimulation",
     "ClusterTraceGenerator",
     "CoatOptPolicy",
     "CoatPolicy",
@@ -137,7 +134,6 @@ __all__ = [
     "load_dataset",
     "ntc_psu",
     "ntc_server_power_model",
-    "run_cloud_policies",
     "run_geo_policies",
     "run_policies",
     "save_dataset",

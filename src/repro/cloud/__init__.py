@@ -7,8 +7,9 @@ decisions are made online under SLA pressure.  It ties together
 
 * the lifecycle substrate (:mod:`repro.traces.lifecycle`) — seeded
   Poisson/heavy-tailed arrival, departure and resize schedules;
-* the churn-aware engine (:mod:`repro.dcsim.cloud`) — the engine's
-  window loop over time-varying active sets;
+* the churn-aware engine — the one engine,
+  :class:`~repro.dcsim.engine.DataCenterSimulation`, given a
+  ``schedule=``: its window loop over time-varying active sets;
 * the online policies (:mod:`repro.baselines.online`) — placement on
   arrival plus threshold-/forecast-driven reactive consolidation,
   comparable head-to-head with the paper's day-ahead EPACT;
@@ -22,24 +23,24 @@ decisions are made online under SLA pressure.  It ties together
 
 Quick start::
 
-    from repro.cloud import get_scenario, run_cloud_policies, sla_table
+    from repro.cloud import get_scenario, sla_table
     from repro.baselines import OnlineReactivePolicy
     from repro.core import EpactPolicy
+    from repro.dcsim import run_policies
     from repro.forecast import DayAheadPredictor
 
     dataset, schedule = get_scenario("diurnal-burst").build(n_vms=120,
                                                            n_days=9,
                                                            n_slots=48)
     predictor = DayAheadPredictor(dataset)
-    results = run_cloud_policies(
+    results = run_policies(
         dataset, predictor, [EpactPolicy(), OnlineReactivePolicy()],
-        schedule, n_slots=48)
+        schedule=schedule, n_slots=48)
     print(sla_table(results))
 """
 
 from ..baselines.online import OnlineBestFitPolicy, OnlineReactivePolicy
 from ..core.online import CloudAllocationContext, OnlinePolicy
-from ..dcsim.cloud import CloudSimulation, run_cloud_policies
 from ..dcsim.engine import WindowDecision
 from ..serve.adapters import poll_with_retry
 from ..traces.lifecycle import (
@@ -98,7 +99,6 @@ __all__ = [
     "ChurnConfig",
     "CloudAllocationContext",
     "CloudScenario",
-    "CloudSimulation",
     "LifecycleSchedule",
     "OnlineBestFitPolicy",
     "OnlinePolicy",
@@ -123,7 +123,6 @@ __all__ = [
     "list_fleets",
     "list_scenarios",
     "poll_with_retry",
-    "run_cloud_policies",
     "sla_table",
     "summarize",
     "telemetry_table",

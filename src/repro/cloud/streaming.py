@@ -1,8 +1,8 @@
 """Streaming cloud simulation: windowed decisions from degraded telemetry.
 
 :class:`StreamingCloudSimulation` turns the batch
-:class:`~repro.dcsim.cloud.CloudSimulation` into the windowed driver
-of an operator: instead of planning from the pre-known trace week,
+:class:`~repro.dcsim.engine.DataCenterSimulation` into the windowed
+driver of an operator: instead of planning from the pre-known trace week,
 every allocation window first *ingests* — each collector is polled
 once per elapsed slot (bounded retry/backoff,
 :func:`~repro.serve.adapters.poll_with_retry`), deliveries pass the
@@ -97,8 +97,7 @@ from ..serve.adapters import CollectorAdapter, poll_with_retry
 from ..traces.dataset import TraceDataset
 from ..traces.lifecycle import LifecycleSchedule
 from ..units import SAMPLES_PER_SLOT, SLOTS_PER_DAY
-from ..dcsim.cloud import CloudSimulation
-from ..dcsim.engine import _LoopState, _Observation
+from ..dcsim.engine import DataCenterSimulation, _LoopState, _Observation
 from .telemetry import (
     RUNG_BLIND,
     RUNG_STALE,
@@ -358,12 +357,12 @@ class _LadderPredictor:
         return self._persist
 
 
-class StreamingCloudSimulation(CloudSimulation):
+class StreamingCloudSimulation(DataCenterSimulation):
     """Windowed cloud simulation fed by (possibly degraded) telemetry.
 
     See the module docstring for the decision ladder.  Everything the
-    batch :class:`~repro.dcsim.cloud.CloudSimulation` supports — churn,
-    resizes, heterogeneous fleets, infrastructure faults — runs
+    batch :class:`~repro.dcsim.engine.DataCenterSimulation` supports —
+    churn, resizes, heterogeneous fleets, infrastructure faults — runs
     unchanged underneath; this class only swaps where the *decision
     inputs* come from and checkpoints between windows.
 
@@ -384,7 +383,9 @@ class StreamingCloudSimulation(CloudSimulation):
             forecaster factory, clip range) to the ladder's fit, which
             runs on *observed* data instead.
         policy: as in the batch engine.
-        schedule: the VM lifecycle schedule.
+        schedule: the VM lifecycle schedule (required here; pass
+            :func:`~repro.traces.lifecycle.fixed_schedule` for a fixed
+            population).
         telemetry: the replay feed: a degradation timeline over
             ``dataset``, played back by one
             :class:`~repro.cloud.telemetry.TraceCollector` per
@@ -416,8 +417,6 @@ class StreamingCloudSimulation(CloudSimulation):
             bad checkpoint cadence.
     """
 
-    _ENGINE_NAME = "streaming"
-
     def __init__(
         self,
         dataset: TraceDataset,
@@ -431,7 +430,10 @@ class StreamingCloudSimulation(CloudSimulation):
         collectors: Optional[Sequence[CollectorAdapter]] = None,
         **kwargs,
     ):
-        super().__init__(dataset, predictor, policy, schedule, **kwargs)
+        super().__init__(
+            dataset, predictor, policy, schedule=schedule, **kwargs
+        )
+        self._engine_name = "streaming"
         if checkpoint_every_slots is not None:
             if checkpoint_every_slots < 1:
                 raise ConfigurationError(

@@ -5,8 +5,8 @@ sizing step, Algorithms 1 and 2, the per-sample DVFS governor, and the
 :class:`EpactPolicy` that ties them together.
 """
 
-from .alloc1d import allocate_1d, allocate_1d_pools, ffd_order
-from .alloc2d import allocate_2d, allocate_2d_pools, merit_scores
+from .alloc1d import allocate_1d, ffd_order
+from .alloc2d import allocate_2d, merit_scores
 from .correlation import (
     complementary_pattern,
     euclidean_distance_many,
@@ -58,9 +58,7 @@ __all__ = [
     "ServerPlan",
     "SizingResult",
     "allocate_1d",
-    "allocate_1d_pools",
     "allocate_2d",
-    "allocate_2d_pools",
     "allocate_fleet_slot",
     "complementary_pattern",
     "euclidean_distance_many",

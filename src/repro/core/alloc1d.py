@@ -364,13 +364,14 @@ def run_allocator_pools(
     run_pool,
     pool_vms: Sequence[np.ndarray],
 ) -> Tuple[List[ServerPlan], np.ndarray, int]:
-    """Shared pool-dimension loop of the ``allocate_*_pools`` wrappers.
+    """Shared pool-dimension loop of the pool-aware allocators.
 
     Runs ``run_pool(m, idx)`` — which must return ``(plans, forced)``
     with *local* VM ids over ``idx`` — once per non-empty pool, remaps
     plan ids to the global ``idx`` values, and concatenates pool-major.
-    One implementation of the remap/concat/forced bookkeeping keeps the
-    1-D and 2-D wrappers (and any future allocator) from diverging.
+    One implementation of the remap/concat/forced bookkeeping serves
+    :func:`~repro.core.fleet.allocate_fleet_slot` (pools) and
+    :class:`~repro.shard.policy.ShardedPolicy` (shards).
 
     Returns:
         ``(plans, server_pools, forced)``.
@@ -389,48 +390,3 @@ def run_allocator_pools(
         pools_of.extend([m] * len(plans))
         forced_total += forced
     return plans_all, np.asarray(pools_of, dtype=int), forced_total
-
-
-def allocate_1d_pools(
-    pred_cpu: np.ndarray,
-    pred_mem: np.ndarray,
-    pool_vms: Sequence[np.ndarray],
-    cap_cpu_pct: Sequence[float],
-    cap_mem_pct: Sequence[float],
-    max_servers: Sequence[Optional[int]],
-) -> Tuple[List[ServerPlan], np.ndarray, int]:
-    """Algorithm 1 with a pool dimension: one independent run per pool.
-
-    Each pool packs only its assigned VM subset under its own caps and
-    server bound; plans come back concatenated pool-major with *global*
-    VM ids and a parallel per-plan pool index array.  Because each pool
-    is literally a standalone :func:`allocate_1d` call (fast path,
-    penalty vectors and all), the result is bit-identical to running
-    the pools separately — the contract the heterogeneous engine's
-    accounting relies on.
-
-    Args:
-        pred_cpu: predicted CPU patterns ``(n_vms, n_samples)``, percent.
-        pred_mem: predicted memory patterns, same shape.
-        pool_vms: per-pool global VM index arrays (disjoint).
-        cap_cpu_pct: per-pool CPU caps.
-        cap_mem_pct: per-pool memory caps.
-        max_servers: per-pool fleet-size bounds (``None`` = unbounded).
-
-    Returns:
-        ``(plans, server_pools, forced)``.
-    """
-    n_pools = len(pool_vms)
-    if not (len(cap_cpu_pct) == len(cap_mem_pct) == len(max_servers) == n_pools):
-        raise DomainError("per-pool parameters must align with pool_vms")
-
-    def run_pool(m: int, idx: np.ndarray):
-        return allocate_1d(
-            pred_cpu[idx],
-            pred_mem[idx],
-            cap_cpu_pct[m],
-            cap_mem_pct[m],
-            max_servers=max_servers[m],
-        )
-
-    return run_allocator_pools(run_pool, pool_vms)

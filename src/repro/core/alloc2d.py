@@ -63,7 +63,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import DomainError
-from .alloc1d import run_allocator_pools
 from .correlation import euclidean_distance_many, pearson_many
 from .types import ServerPlan, force_place_remaining
 from .workspace import AllocationWorkspace, validate_vm_order
@@ -530,55 +529,3 @@ def _allocate_2d_reference(
     forced = force_place_remaining(plans, unplaced, pred_cpu)
     plans = [plan for plan in plans if plan.vm_ids]
     return plans, forced
-
-
-def allocate_2d_pools(
-    pred_cpu: np.ndarray,
-    pred_mem: np.ndarray,
-    pool_vms: Sequence[np.ndarray],
-    n_servers: Sequence[int],
-    cap_cpu_pct: Sequence[float],
-    cap_mem_pct: Sequence[float],
-    max_servers: Sequence[Optional[int]],
-) -> Tuple[List[ServerPlan], np.ndarray, int]:
-    """Algorithm 2 with a pool dimension: one independent run per pool.
-
-    The 2-D counterpart of
-    :func:`~repro.core.alloc1d.allocate_1d_pools`: each pool's VM
-    subset is packed by a standalone :func:`allocate_2d` call under the
-    pool's own server count, caps and bound, so the concatenated
-    pool-major result is bit-identical to running the pools separately.
-
-    Args:
-        pred_cpu: predicted CPU patterns ``(n_vms, n_samples)``, percent.
-        pred_mem: predicted memory patterns, same shape.
-        pool_vms: per-pool global VM index arrays (disjoint).
-        n_servers: per-pool initial turned-on server counts (``N_mem``).
-        cap_cpu_pct: per-pool CPU caps.
-        cap_mem_pct: per-pool memory caps.
-        max_servers: per-pool fleet-size bounds (``None`` = ``n_servers``).
-
-    Returns:
-        ``(plans, server_pools, forced)``.
-    """
-    n_pools = len(pool_vms)
-    if not (
-        len(n_servers)
-        == len(cap_cpu_pct)
-        == len(cap_mem_pct)
-        == len(max_servers)
-        == n_pools
-    ):
-        raise DomainError("per-pool parameters must align with pool_vms")
-
-    def run_pool(m: int, idx: np.ndarray):
-        return allocate_2d(
-            pred_cpu[idx],
-            pred_mem[idx],
-            n_servers[m],
-            cap_cpu_pct[m],
-            cap_mem_pct[m],
-            max_servers=max_servers[m],
-        )
-
-    return run_allocator_pools(run_pool, pool_vms)

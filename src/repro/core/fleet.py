@@ -145,8 +145,7 @@ def allocate_fleet_slot(
     planned frequency.  Returns ``(plans, server_pools, forced)`` with
     plans concatenated pool-major.  The shared
     :func:`~repro.core.alloc1d.run_allocator_pools` loop owns the
-    global-id remap and pool-major bookkeeping (one implementation for
-    this and the ``allocate_*_pools`` wrappers), and every pool is a
+    global-id remap and pool-major bookkeeping, and every pool is a
     standalone allocator call — so the result is bit-identical to a
     per-pool reference by construction.
     """

@@ -3,19 +3,22 @@
 Implements the paper's Section VI-C evaluation protocol over the trace,
 forecast, policy and power substrates.
 
+One engine, :class:`DataCenterSimulation`, runs every population and
+fleet: a churning population is its ``schedule=`` argument and a
+homogeneous data center is accounted as the one-pool fleet of its
+power model.
+
 This package is also the single entry point for the multi-policy
-runners — :func:`run_policies` (fixed population),
-:func:`run_cloud_policies` (churning population) and
-:func:`run_geo_policies` (sharded multi-region fleets) — which share
-one keyword surface: ``jobs`` and ``tracer``.  With
-``jobs > 1`` each fans its independent runs out over worker processes
-through :func:`~repro.dcsim.engine.fan_out`, the one process fan (the
-experiment sweeps use it too), which hands the shared traces and
-forecasts to each worker once and retries a failed run once before
-reporting it as a :class:`~repro.dcsim.engine.FailedRun`.
+runners — :func:`run_policies` (fixed or churning population, the
+latter with ``schedule=``) and :func:`run_geo_policies` (sharded
+multi-region fleets) — which share one keyword surface: ``jobs`` and
+``tracer``.  With ``jobs > 1`` each fans its independent runs out over
+worker processes through :func:`~repro.dcsim.engine.fan_out`, the one
+process fan (the experiment sweeps use it too), which hands the shared
+traces and forecasts to each worker once and retries a failed run once
+before reporting it as a :class:`~repro.dcsim.engine.FailedRun`.
 """
 
-from .cloud import CloudSimulation, run_cloud_policies
 from .engine import (
     DataCenterSimulation,
     WindowDecision,
@@ -39,16 +42,14 @@ from .reporting import (
     sparkline,
 )
 
-# Imported last: repro.shard.geo itself imports the engine and cloud
-# submodules above, which are complete by this point even while this
-# package module is still initializing.
+# Imported last: repro.shard.geo itself imports the engine submodule
+# above, which is complete by this point even while this package
+# module is still initializing.
 from ..shard.geo import run_geo_policies  # noqa: E402
 
 __all__ = [
-    "CloudSimulation",
     "DataCenterSimulation",
     "SimulationResult",
-    "run_cloud_policies",
     "run_geo_policies",
     "SlotDetail",
     "SlotRecord",

@@ -22,12 +22,17 @@ engine.  Per allocation window it
    or whose memory exceeds physical capacity).
 
 A fixed population is the zero-churn
-:func:`~repro.traces.lifecycle.fixed_schedule`; the churn engine
-(:class:`~repro.dcsim.cloud.CloudSimulation`) supplies a real lifecycle
-schedule and the streaming engine
+:func:`~repro.traces.lifecycle.fixed_schedule`; a churning population
+is the same engine given a real lifecycle ``schedule=``, and the
+streaming engine
 (:class:`~repro.cloud.streaming.StreamingCloudSimulation`) hooks
 telemetry ingest, the forecast ladder, blind-window freezes and
 checkpoints into the same loop.
+
+Accounting has one path for every data center: a homogeneous one is
+priced as the one-pool :class:`~repro.core.types.FleetSpec` of its
+power model and ``max_servers``.  Policies still see ``fleet=None``
+there.
 
 Servers hosting no VM are powered off (0 W) — the server turn-off
 assumption shared by all compared policies.
@@ -61,6 +66,7 @@ from ..core.types import (
     AllocationPolicy,
     FaultWindow,
     FleetSpec,
+    PoolSpec,
     ServerPlan,
 )
 from ..errors import ConfigurationError
@@ -70,7 +76,7 @@ from ..perf.simulator import PerformanceSimulator, traffic_coefficients
 from ..perf.workload import ALL_MEMORY_CLASSES
 from ..power.server_power import ServerPowerModel, ntc_server_power_model
 from ..traces.dataset import TraceDataset
-from ..traces.lifecycle import fixed_schedule
+from ..traces.lifecycle import LifecycleSchedule, fixed_schedule
 from ..units import SAMPLE_PERIOD_S, SAMPLES_PER_SLOT, SLOTS_PER_DAY
 from .metrics import SimulationResult, SlotRecord
 from .power_tables import VectorizedServerPower, cached_tables
@@ -119,11 +125,11 @@ class _AllocationAccounting:
             per (VM, sample) cell, for the per-class scatter.
         vm_rows: global dataset row per covered VM; all accounting
             reads/aggregates only those trace rows.
+        pool_idx: per-server pool index (all zeros on a homogeneous
+            data center, the one-pool fleet).
         scale_cpu: per-covered-VM CPU utilization factor (resizes), or
             ``None`` for unscaled traces.
         scale_mem: per-covered-VM memory utilization factor, or ``None``.
-        pool_idx: per-server fleet pool index (heterogeneous engines
-            only), or ``None`` for the homogeneous protocol.
         n_failed: servers down during this window (fault layer).
         cap_frac: fleet power budget fraction for this window (1.0 =
             uncapped; accounting throttles samples whose fleet power
@@ -142,9 +148,9 @@ class _AllocationAccounting:
     flat_idx: np.ndarray
     class_idx: np.ndarray
     vm_rows: np.ndarray
+    pool_idx: np.ndarray
     scale_cpu: Optional[np.ndarray] = None
     scale_mem: Optional[np.ndarray] = None
-    pool_idx: Optional[np.ndarray] = None
     n_failed: int = 0
     cap_frac: float = 1.0
     shed_vms: int = 0
@@ -279,7 +285,8 @@ class _LoopState:
         prev_rows: dataset rows placed by the previous window (shed VMs
             excluded; empty after an empty-cloud window).
         prev_map: their server indices.
-        prev_pools: per-server pool indices of the previous allocation.
+        prev_pools: per-server pool indices of the previous allocation
+            (``None`` unless the caller passed a fleet).
         prev_fw: the previous window's fault state.
         prev_active: VMs active in the previous window.
         prev_alloc: the previous window's allocation (``None`` after an
@@ -389,9 +396,10 @@ class DataCenterSimulation:
         power_model: per-server power model; defaults to the NTC server.
         perf: performance simulator supplying per-class stall curves,
             QoS floors and DRAM traffic coefficients.
-        max_servers: fleet size (default 600, the paper's data center);
-            mutually exclusive with ``fleet``, whose pool sizes define
-            the total.
+        max_servers: fleet size (default 600, the paper's data center),
+            validated as the one pool's server count (an integer of at
+            least 1); mutually exclusive with ``fleet``, whose pool
+            sizes define the total.
         start_slot: first simulated slot; defaults to the first slot with
             a full prediction window.
         n_slots: number of slots to simulate; defaults to the rest of the
@@ -410,8 +418,10 @@ class DataCenterSimulation:
             (model) index, and accounting evaluates each pool through
             its own cached :class:`VectorizedServerPower` tables,
             governor, QoS floors and stall/traffic curves — one
-            evaluation per (slot, model).  A single-pool fleet
-            reproduces the homogeneous engine bit-identically
+            evaluation per (slot, model).  Without it the data center
+            is accounted as the one-pool fleet of ``power_model`` and
+            ``max_servers``, so a single-pool fleet reproduces the
+            homogeneous engine bit-identically
             (``tests/test_hetero_equivalence.py``).
         faults: optional :class:`~repro.cloud.faults.FaultSchedule`
             covering the simulated horizon.  Allocation windows are cut
@@ -421,6 +431,17 @@ class DataCenterSimulation:
             and accounting throttles fleet power to the active cap
             budget.  A zero-event schedule is bit-identical to
             ``faults=None`` (``tests/test_fault_equivalence.py``).
+        schedule: the VM lifecycle
+            (:class:`~repro.traces.lifecycle.LifecycleSchedule`:
+            arrivals, departures, resizes); ``None`` is the fixed
+            population.  It must cover the dataset's VMs and the
+            simulated horizon.  Windows are cut at every membership or
+            resize change, the policy sees only the window's active
+            VMs, accounting reads only their rows, and migrations are
+            counted over the VMs placed on both sides of a boundary
+            (arrivals and departures are not migrations).  A zero-churn
+            :func:`~repro.traces.lifecycle.fixed_schedule` is
+            bit-identical to ``None``.
         tracer: optional :class:`~repro.obs.tracer.RunTracer` receiving
             structured run/window/fault events and timing the
             ``forecast`` / ``policy`` / ``prepare`` / ``account``
@@ -443,6 +464,7 @@ class DataCenterSimulation:
         psu=None,
         fleet: Optional[FleetSpec] = None,
         faults=None,
+        schedule: Optional[LifecycleSchedule] = None,
         tracer=None,
     ):
         self._tracer = tracer if tracer is not None else NULL_TRACER
@@ -467,20 +489,29 @@ class DataCenterSimulation:
                     "max_servers is derived from the fleet's pool "
                     "sizes; size the pools instead of passing it"
                 )
-            self._power = fleet.pools[0].power_model
-            max_servers = fleet.total_servers
+            self._servers = fleet
         else:
-            self._power = (
+            # A homogeneous data center is accounted as the one-pool
+            # fleet of its power model (policies still see fleet=None).
+            power = (
                 power_model
                 if power_model is not None
                 else ntc_server_power_model()
             )
-            if max_servers is None:
-                max_servers = 600
+            self._servers = FleetSpec(
+                pools=(
+                    PoolSpec(
+                        power.spec.name,
+                        power,
+                        600 if max_servers is None else max_servers,
+                    ),
+                )
+            )
+        self._power = self._servers.pools[0].power_model
+        self._max_servers = self._servers.total_servers
         self._perf = perf if perf is not None else _default_perf()
-        self._max_servers = max_servers
 
-        first =predictor.first_predictable_day * SLOTS_PER_DAY
+        first = predictor.first_predictable_day * SLOTS_PER_DAY
         self._start_slot = start_slot if start_slot is not None else first
         if self._start_slot < first:
             raise ConfigurationError(
@@ -493,11 +524,22 @@ class DataCenterSimulation:
             raise ConfigurationError(
                 f"n_slots must be in [1, {available}], got {self._n_slots}"
             )
-        # A fixed population is the zero-churn lifecycle; the churn
-        # engine replaces it with its own schedule.
-        self._schedule = fixed_schedule(
-            dataset.n_vms, self._start_slot, self._start_slot + self._n_slots
-        )
+        self._engine_name = "fixed" if schedule is None else "cloud"
+        if schedule is None:
+            # A fixed population is the zero-churn lifecycle.
+            schedule = fixed_schedule(
+                dataset.n_vms,
+                self._start_slot,
+                self._start_slot + self._n_slots,
+            )
+        else:
+            if schedule.n_vms != dataset.n_vms:
+                raise ConfigurationError(
+                    f"lifecycle schedule covers {schedule.n_vms} VMs, "
+                    f"dataset has {dataset.n_vms}"
+                )
+            self._check_covers("lifecycle schedule", schedule)
+        self._schedule = schedule
 
         self._faults = faults
         self._reduced_fleets: Dict[tuple, FleetSpec] = {}
@@ -508,17 +550,7 @@ class DataCenterSimulation:
                     f"fault schedule covers {faults.n_servers} servers "
                     f"but the fleet has {self._max_servers}"
                 )
-            horizon_end = self._start_slot + self._n_slots
-            if (
-                faults.horizon_start > self._start_slot
-                or faults.horizon_end < horizon_end
-            ):
-                raise ConfigurationError(
-                    f"fault schedule covers "
-                    f"[{faults.horizon_start}, {faults.horizon_end}) but "
-                    f"the simulation runs "
-                    f"[{self._start_slot}, {horizon_end})"
-                )
+            self._check_covers("fault schedule", faults)
             if fleet is not None and not fleet.single_pool:
                 expected = tuple(p.n_servers for p in fleet.pools)
                 if faults.pool_sizes != expected:
@@ -531,18 +563,17 @@ class DataCenterSimulation:
             self._nominal_power_w = self._compute_nominal_power()
 
         self._vm_class = self._build_vm_classes()
-        if fleet is not None:
-            self._build_pool_models(fleet)
-        else:
-            spec = self._power.spec
-            self._vm_floor_ghz = self._vm_floors_for(spec.opps, None)
-            coeffs = traffic_coefficients(self._perf)
-            self._platform = _Platform(
-                DvfsGovernor(spec.opps, spec.f_max_ghz),
-                cached_tables(self._power),
-                spec.f_max_ghz,
-                self._stall_tables_for(spec.opps, "ntc"),
-                np.array([coeffs[mc] for mc in ALL_MEMORY_CLASSES]),
+        self._build_pool_models()
+
+    def _check_covers(self, what: str, schedule) -> None:
+        """Refuse a schedule whose horizon misses a simulated slot."""
+        start = self._start_slot
+        end = start + self._n_slots
+        if schedule.horizon_start > start or schedule.horizon_end < end:
+            raise ConfigurationError(
+                f"{what} covers [{schedule.horizon_start}, "
+                f"{schedule.horizon_end}) but the simulation runs "
+                f"[{start}, {end})"
             )
 
     # -- precomputation -----------------------------------------------------
@@ -573,16 +604,17 @@ class DataCenterSimulation:
                 table[ci, fi] = timing.stall_fraction(freq)
         return table
 
-    def _build_pool_models(self, fleet: FleetSpec) -> None:
+    def _build_pool_models(self) -> None:
         """Per-pool platforms, floors and pinning policy.
 
         Every pool gets its own cached :class:`VectorizedServerPower`
         coefficients, :class:`DvfsGovernor` and stall/traffic curves;
         the reference per-VM floors (``self._vm_floor_ghz``, what the
-        allocation context reports) are pool 0's row so a single-pool
-        fleet presents policies the exact arrays the homogeneous engine
-        would.
+        allocation context reports) are pool 0's row, so a single-pool
+        fleet presents policies the arrays a homogeneous data center
+        of its model does.
         """
+        fleet = self._servers
         self._pool_platforms = []
         for pool in fleet.pools:
             coeffs = traffic_coefficients(self._perf, pool.perf_platform)
@@ -628,17 +660,9 @@ class DataCenterSimulation:
         per-server arithmetic accounting applies, so a cap of 1.0 can
         never throttle a physically realizable fleet.
         """
-        if self._fleet is not None:
-            pools = [
-                (pool.n_servers, pool.power_model, pool.f_max_ghz)
-                for pool in self._fleet.pools
-            ]
-        else:
-            f_max = self._power.spec.f_max_ghz
-            pools = [(self._max_servers, self._power, f_max)]
         total = 0.0
-        for count, model, f_max in pools:
-            p = model.full_load_power_w(f_max)
+        for pool in self._servers.pools:
+            p = pool.power_model.full_load_power_w(pool.f_max_ghz)
             if self._psu is not None:
                 p = (
                     p
@@ -646,7 +670,7 @@ class DataCenterSimulation:
                     + self._psu.loss_prop * p
                     + self._psu.loss_sq_per_w * p**2
                 )
-            total += count * p
+            total += pool.n_servers * p
         return total
 
     def _fault_window(self, slot: int) -> Optional[FaultWindow]:
@@ -819,7 +843,8 @@ class DataCenterSimulation:
                     ]
                 state.prev_rows = acct.vm_rows
                 state.prev_map = acct.vm2srv
-                state.prev_pools = acct.pool_idx
+                if self._fleet is not None:
+                    state.prev_pools = acct.pool_idx
                 state.prev_alloc = allocation
             else:
                 # Empty cloud: every server off, nothing to place.
@@ -941,9 +966,6 @@ class DataCenterSimulation:
     # tracing on or off, and same-seed event streams are byte-identical
     # (asserted by tests/test_obs_equivalence.py).
 
-    #: Tag carried by ``run_start`` events; subclasses override.
-    _ENGINE_NAME = "fixed"
-
     def _trace_run_start(self) -> None:
         tracer = self._tracer
         if not tracer.enabled:
@@ -951,14 +973,12 @@ class DataCenterSimulation:
         tracer.emit(
             "run_start",
             policy=self._policy.name,
-            engine=self._ENGINE_NAME,
+            engine=self._engine_name,
             start_slot=self._start_slot,
             n_slots=self._n_slots,
             n_servers=self._max_servers,
             n_vms=self._dataset.n_vms,
-            n_pools=(
-                self._fleet.n_pools if self._fleet is not None else 1
-            ),
+            n_pools=self._servers.n_pools,
         )
         if self._faults is not None:
             self._faults.trace_events(tracer)
@@ -984,10 +1004,9 @@ class DataCenterSimulation:
                 migrations if acct.fault_boundary else 0
             )
             fields["shed_vms"] = acct.shed_vms
-        if acct.pool_idx is not None:
-            n_pools = self._fleet.n_pools if self._fleet is not None else 1
+        if self._fleet is not None:
             fields["pool_active"] = np.bincount(
-                acct.pool_idx[acct.active], minlength=n_pools
+                acct.pool_idx[acct.active], minlength=self._fleet.n_pools
             )
         tracer.emit("allocation_window", **fields)
 
@@ -1212,74 +1231,56 @@ class DataCenterSimulation:
             [plan.planned_freq_ghz for plan in allocation.plans]
         )
 
-        pool_idx = fixed_opp = None
-        if self._fleet is None:
-            # Per-server QoS frequency floor = max floor of hosted VMs.
-            floors = np.full(n_srv, self._power.spec.opps.f_min_ghz)
+        pool_idx = self._resolve_pool_idx(allocation, n_srv)
+        # Per-server QoS floor = max floor of hosted VMs, against the
+        # *host pool's* table: each VM's floor is looked up in its
+        # server's pool row.
+        floors = self._pool_fmin[pool_idx].copy()
+        if n_vms:
             np.maximum.at(
-                floors, vm2srv, _take_rows(self._vm_floor_ghz, vm_rows)
+                floors,
+                vm2srv,
+                self._vm_floor_by_pool[pool_idx[vm2srv], vm_rows],
             )
-            if not allocation.dynamic_governor:
-                freqs = self._platform.governor.frequencies_ghz
-                fixed_opp = np.clip(
-                    np.searchsorted(freqs, planned - _EPS, side="left"),
-                    0,
-                    len(freqs) - 1,
-                )
-        else:
-            pool_idx = self._resolve_pool_idx(allocation, n_srv)
-            # Per-server QoS floor against the *host pool's* table: each
-            # VM's floor is looked up in its server's pool row.
-            floors = self._pool_fmin[pool_idx].copy()
-            if n_vms:
-                np.maximum.at(
-                    floors,
-                    vm2srv,
-                    self._vm_floor_by_pool[pool_idx[vm2srv], vm_rows],
-                )
-            # Servers pinned to a fixed frequency: fixed-cap allocations
-            # pin every server, "fixed-opt" pools pin theirs even under
-            # dynamic-governor policies.  Indices are quantized against
-            # each server's own pool table.  Fixed-cap allocations keep
-            # the homogeneous semantics exactly (plan frequency, no
-            # floor — COAT-style policies own their caps); pool-policy
-            # pins fall back to the pool's F_opt when the policy left
-            # no planned frequency (online policies) and are raised to
-            # the server's QoS floor — the pin is the *pool's* choice,
-            # so it must not undercut the hosted workloads.
-            pinned = (
-                np.ones(n_srv, dtype=bool)
-                if not allocation.dynamic_governor
-                else self._pool_fixed_policy[pool_idx]
-            )
-            if pinned.any():
-                fixed_opp = np.full(n_srv, -1, dtype=int)
-                for m, platform in enumerate(self._pool_platforms):
-                    rows = np.flatnonzero((pool_idx == m) & pinned)
-                    if rows.size:
-                        freqs_m = platform.governor.frequencies_ghz
-                        pin_freq = planned[rows]
-                        if allocation.dynamic_governor:
-                            pin_freq = np.where(
-                                pin_freq > 0.0,
-                                pin_freq,
-                                self._pool_f_opt[m],
-                            )
-                        idx = np.clip(
-                            np.searchsorted(
-                                freqs_m, pin_freq - _EPS, side="left"
-                            ),
-                            0,
-                            len(freqs_m) - 1,
+        # Servers pinned to a fixed frequency: fixed-cap allocations pin
+        # every server, "fixed-opt" pools pin theirs even under
+        # dynamic-governor policies.  Indices are quantized against each
+        # server's own pool table.  Fixed-cap allocations pin the plan
+        # frequency with no floor (COAT-style policies own their caps);
+        # pool-policy pins fall back to the pool's F_opt when the policy
+        # left no planned frequency (online policies) and are raised to
+        # the server's QoS floor — the pin is the *pool's* choice, so it
+        # must not undercut the hosted workloads.
+        pinned = (
+            np.ones(n_srv, dtype=bool)
+            if not allocation.dynamic_governor
+            else self._pool_fixed_policy[pool_idx]
+        )
+        fixed_opp = None
+        if pinned.any():
+            fixed_opp = np.full(n_srv, -1, dtype=int)
+            for m, platform in enumerate(self._pool_platforms):
+                rows = np.flatnonzero((pool_idx == m) & pinned)
+                if rows.size:
+                    freqs_m = platform.governor.frequencies_ghz
+                    pin_freq = planned[rows]
+                    if allocation.dynamic_governor:
+                        pin_freq = np.where(
+                            pin_freq > 0.0, pin_freq, self._pool_f_opt[m]
                         )
-                        if allocation.dynamic_governor:
-                            idx = np.maximum(
-                                idx,
-                                platform.governor.floor_indices(
-                                    floors[rows]
-                                ),
-                            )
-                        fixed_opp[rows] = idx
+                    idx = np.clip(
+                        np.searchsorted(
+                            freqs_m, pin_freq - _EPS, side="left"
+                        ),
+                        0,
+                        len(freqs_m) - 1,
+                    )
+                    if allocation.dynamic_governor:
+                        idx = np.maximum(
+                            idx,
+                            platform.governor.floor_indices(floors[rows]),
+                        )
+                    fixed_opp[rows] = idx
 
         # Flattened (server, sample) bin per (VM, sample) cell: one
         # np.bincount scatter per slot replaces the much slower
@@ -1305,9 +1306,9 @@ class DataCenterSimulation:
             flat_idx=flat_idx,
             class_idx=class_idx,
             vm_rows=vm_rows,
+            pool_idx=pool_idx,
             scale_cpu=scale_cpu,
             scale_mem=scale_mem,
-            pool_idx=pool_idx,
             n_failed=fault.n_failed if fault is not None else 0,
             cap_frac=fault.cap_frac if fault is not None else 1.0,
             shed_vms=shed_vms,
@@ -1317,8 +1318,8 @@ class DataCenterSimulation:
     def _resolve_pool_idx(
         self, allocation: Allocation, n_srv: int
     ) -> np.ndarray:
-        """Validated per-server pool indices of a fleet allocation."""
-        fleet = self._fleet
+        """Validated per-server pool indices of an allocation."""
+        fleet = self._servers
         if allocation.server_pools is not None:
             pool_idx = np.asarray(allocation.server_pools, dtype=int)
             if pool_idx.shape != (n_srv,):
@@ -1360,9 +1361,9 @@ class DataCenterSimulation:
         ``pool_map``/``floors``/``fixed_opp`` are per server.  Each
         fleet pool's rows run through *that pool's* platform in one
         call — one evaluation per (slot, model), never per server.  A
-        fleet whose servers all sit in one pool evaluates the whole
-        matrix without the boolean-index copies, so a single-pool fleet
-        runs exactly the homogeneous arithmetic.
+        slot whose servers all sit in one pool — every slot of a
+        homogeneous data center — evaluates the whole matrix without
+        the boolean-index copies.
 
         Returns:
             ``(freqs_ghz, power_w)`` arrays shaped like ``util``.
@@ -1460,14 +1461,9 @@ class DataCenterSimulation:
         ).reshape(n_classes, n_srv, n_samples)
 
         active = acct.active
-        if acct.pool_idx is not None:
-            freqs, power = self._eval_pools(
-                util, util_by_class, acct.floors, acct.pool_idx, acct.fixed_opp
-            )
-        else:
-            freqs, power = self._eval_platform(
-                self._platform, util, acct.floors, acct.fixed_opp, util_by_class
-            )
+        freqs, power = self._eval_pools(
+            util, util_by_class, acct.floors, acct.pool_idx, acct.fixed_opp
+        )
         power = power * active[:, None]
         if self._psu is not None:
             # Vectorized quadratic PSU loss; fixed loss only for servers
@@ -1936,9 +1932,10 @@ def run_policies(
     """Run several policies over the same traces and predictions.
 
     Sharing the predictor across policies both matches the paper's
-    protocol and amortizes the ARIMA fitting cost.  This is the common
-    runner surface — :func:`~repro.dcsim.cloud.run_cloud_policies` and
-    :func:`~repro.shard.geo.run_geo_policies` take the same
+    protocol and amortizes the ARIMA fitting cost.  A churning
+    population is ``schedule=`` in ``kwargs``: every policy runs over
+    the same lifecycle.  This is the common runner surface —
+    :func:`~repro.shard.geo.run_geo_policies` takes the same
     ``jobs`` / ``tracer`` keywords.
 
     Args:
@@ -1950,8 +1947,9 @@ def run_policies(
             horizon's day-ahead predictions are frozen once
             (:func:`shared_predictions`) and handed with the traces to
             each worker once, so no worker re-fits the forecaster.
-            Results are identical to the serial run; a policy whose
-            run fails twice gets a :class:`FailedRun`.
+            Results are identical to the serial run (online policies
+            are reset per run); a policy whose run fails twice gets a
+            :class:`FailedRun`.
         tracer: optional :class:`~repro.obs.tracer.RunTracer`.  Serial
             runs thread it into every engine; parallel fans give it to
             :func:`fan_out` for task events instead (open file handles

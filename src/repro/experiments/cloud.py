@@ -24,8 +24,13 @@ from ..cloud import get_scenario, sla_table, summarize
 from ..core import EpactPolicy
 from ..core.types import AllocationPolicy
 from ..dcsim import SimulationResult
-from ..dcsim.cloud import _run_one_cloud_policy
-from ..dcsim.engine import FailedRun, _fans_out, fan_out, shared_predictions
+from ..dcsim.engine import (
+    FailedRun,
+    _fans_out,
+    _run_one_policy,
+    fan_out,
+    shared_predictions,
+)
 from ..dcsim.reporting import failed_line
 from ..forecast import DayAheadPredictor
 
@@ -51,7 +56,9 @@ def default_cloud_policies() -> List[AllocationPolicy]:
 def _run_pair(prepared: Dict, kwargs: Dict, name: str, policy):
     """One (scenario, policy) run (a picklable task body)."""
     dataset, predictor, schedule = prepared[name]
-    return _run_one_cloud_policy(dataset, predictor, policy, schedule, kwargs)
+    return _run_one_policy(
+        dataset, predictor, policy, dict(kwargs, schedule=schedule)
+    )
 
 
 @dataclass(frozen=True)

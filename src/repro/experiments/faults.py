@@ -35,8 +35,13 @@ from ..cloud.faults import FaultSchedule
 from ..core import EpactPolicy
 from ..core.types import AllocationPolicy
 from ..dcsim import SimulationResult
-from ..dcsim.cloud import _run_one_cloud_policy
-from ..dcsim.engine import FailedRun, _fans_out, fan_out, shared_predictions
+from ..dcsim.engine import (
+    FailedRun,
+    _fans_out,
+    _run_one_policy,
+    fan_out,
+    shared_predictions,
+)
 from ..dcsim.reporting import failed_line
 from ..forecast import DayAheadPredictor
 
@@ -63,19 +68,14 @@ def default_fault_policies() -> List[AllocationPolicy]:
 def _run_pair(
     dataset,
     predictor,
-    schedule,
     fault_schedules: Dict,
     kwargs: Dict,
     name: str,
     policy,
 ):
     """One (fault scenario, policy) run (a picklable task body)."""
-    return _run_one_cloud_policy(
-        dataset,
-        predictor,
-        policy,
-        schedule,
-        dict(kwargs, faults=fault_schedules[name]),
+    return _run_one_policy(
+        dataset, predictor, policy, dict(kwargs, faults=fault_schedules[name])
     )
 
 
@@ -157,13 +157,13 @@ def run_faults(
         )
         for name in names
     }
-    kwargs = dict(n_slots=n_slots, max_servers=max_servers)
+    kwargs = dict(n_slots=n_slots, max_servers=max_servers, schedule=schedule)
     if not fans:
         kwargs["tracer"] = tracer
 
     runs = fan_out(
         _run_pair,
-        (dataset, predictor, schedule, schedules, kwargs),
+        (dataset, predictor, schedules, kwargs),
         tasks,
         jobs,
         tracer=tracer,

@@ -93,6 +93,7 @@ def run_fig456(
     quick: bool = False,
     extra_policies: Optional[List[AllocationPolicy]] = None,
     jobs: int = 1,
+    tracer=None,
 ) -> Fig456Result:
     """Run the three-policy comparison.
 
@@ -107,6 +108,9 @@ def run_fig456(
             three (e.g. fixed-cap variants for the Fig. 6 "other caps").
         jobs: worker processes for the policy runs (see
             :func:`repro.dcsim.run_policies`); 1 keeps the serial path.
+        tracer: optional observability hook (:mod:`repro.obs`), as in
+            :func:`repro.dcsim.run_policies`: serial runs trace at
+            engine level, parallel runs emit task events only.
     """
     if quick:
         n_vms, n_days = 120, 9
@@ -129,6 +133,7 @@ def run_fig456(
         predictor,
         policies,
         jobs=jobs,
+        tracer=tracer,
         max_servers=max_servers,
         n_slots=n_slots,
     )

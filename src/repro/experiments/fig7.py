@@ -16,7 +16,7 @@ from ..anchors import FIG7_STATIC_POWER_SWEEP_W
 from ..baselines import CoatPolicy
 from ..core import EpactPolicy
 from ..dcsim import run_policies, shared_predictions
-from ..dcsim.engine import FailedRun, fan_out
+from ..dcsim.engine import FailedRun, _fans_out, fan_out
 from ..dcsim.reporting import failed_line, format_table
 from ..forecast import DayAheadPredictor
 from ..power.server_power import ntc_server_power_model
@@ -68,6 +68,7 @@ def _run_fig7_point(
     static_w: float,
     max_servers: int,
     n_slots: Optional[int],
+    tracer=None,
 ) -> Fig7Point:
     """One static-power point of the sweep (picklable worker body)."""
     power = ntc_server_power_model().with_motherboard(float(static_w))
@@ -75,6 +76,7 @@ def _run_fig7_point(
         data,
         predictor,
         [EpactPolicy(), CoatPolicy()],
+        tracer=tracer,
         power_model=power,
         max_servers=max_servers,
         n_slots=n_slots,
@@ -97,6 +99,7 @@ def run_fig7(
     n_slots: Optional[int] = 48,
     quick: bool = False,
     jobs: int = 1,
+    tracer=None,
 ) -> Fig7Result:
     """Run EPACT and COAT at each static-power point.
 
@@ -106,6 +109,8 @@ def run_fig7(
     predictions are computed once and shared by every point; with
     ``jobs > 1`` the points fan out over worker processes
     (:func:`~repro.dcsim.engine.fan_out`), keyed by static power.
+    ``tracer`` traces the engines of a serial sweep; a parallel sweep
+    emits task events only (tracers do not cross the pickle boundary).
     """
     if quick:
         n_vms, n_days, n_slots = 100, 9, 24
@@ -117,11 +122,16 @@ def run_fig7(
     predictor = shared_predictions(
         data, DayAheadPredictor(data), n_slots=n_slots
     )
+    engine_tracer = None if _fans_out(jobs, len(static_sweep_w)) else tracer
     points = fan_out(
         _run_fig7_point,
         (data, predictor),
-        [(w, (w, max_servers, n_slots)) for w in static_sweep_w],
+        [
+            (w, (w, max_servers, n_slots, engine_tracer))
+            for w in static_sweep_w
+        ],
         jobs,
+        tracer=tracer,
     )
     return Fig7Result(points=list(points.values()))
 

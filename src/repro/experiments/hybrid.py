@@ -33,7 +33,6 @@ from ..cloud import get_fleet, get_scenario, list_fleets, sla_table
 from ..core.fleet import FleetEpactPolicy
 from ..core.types import AllocationPolicy
 from ..dcsim import SimulationResult
-from ..dcsim.cloud import _run_one_cloud_policy
 from ..dcsim.engine import (
     FailedRun,
     _fans_out,
@@ -58,25 +57,12 @@ def default_hybrid_policies() -> List[AllocationPolicy]:
     return [FleetEpactPolicy(), OnlineReactivePolicy()]
 
 
-def _run_fixed(dataset, predictor, fleets: Dict, kwargs: Dict, name: str):
-    """One mix's fixed-population run (a picklable task body)."""
-    return _run_one_policy(
-        dataset, predictor, FleetEpactPolicy(), {**kwargs, "fleet": fleets[name]}
-    )
-
-
-def _run_churn(
-    dataset,
-    predictor,
-    schedule,
-    fleets: Dict,
-    kwargs: Dict,
-    name: str,
-    policy,
+def _run_mix(
+    dataset, predictor, fleets: Dict, kwargs: Dict, name: str, policy
 ):
-    """One (mix, policy) run under churn (a picklable task body)."""
-    return _run_one_cloud_policy(
-        dataset, predictor, policy, schedule, {**kwargs, "fleet": fleets[name]}
+    """One (mix, policy) run of either protocol (a picklable task body)."""
+    return _run_one_policy(
+        dataset, predictor, policy, {**kwargs, "fleet": fleets[name]}
     )
 
 
@@ -106,6 +92,7 @@ def run_hybrid(
     total_servers: int = 600,
     churn_scenario: str = "diurnal-burst",
     policies: Optional[Sequence[AllocationPolicy]] = None,
+    tracer=None,
 ) -> HybridResult:
     """Run the fleet-composition sweep (see module docstring).
 
@@ -121,6 +108,11 @@ def run_hybrid(
         churn_scenario: the cloud scenario of the churn leg.
         policies: churn-leg policies (fresh instances are required for
             stateful online policies; the defaults are fresh).
+        tracer: optional observability hook (:mod:`repro.obs`).  A
+            protocol whose runs are serial traces at engine level; a
+            protocol fanned over processes emits task events only
+            (tracers do not cross the pickle boundary).  Results are
+            identical.
     """
     if quick:
         # A deliberately tight fleet (vs the 120-server cloud quick
@@ -138,7 +130,7 @@ def run_hybrid(
         else default_hybrid_policies()
     )
 
-    fixed_tasks = [(name, (name,)) for name in names]
+    fixed_tasks = [(name, (name, FleetEpactPolicy())) for name in names]
     churn_tasks = [
         ((name, policy.name), (name, policy))
         for name in names
@@ -150,17 +142,20 @@ def run_hybrid(
     predictor = DayAheadPredictor(dataset)
     if _fans_out(jobs, max(len(fixed_tasks), len(churn_tasks))):
         predictor = shared_predictions(dataset, predictor, n_slots=n_slots)
-    kwargs = dict(n_slots=n_slots)
 
-    fixed = fan_out(
-        _run_fixed, (dataset, predictor, fleets, kwargs), fixed_tasks, jobs
-    )
-    churn_runs = fan_out(
-        _run_churn,
-        (dataset, predictor, schedule, fleets, kwargs),
-        churn_tasks,
-        jobs,
-    )
+    def leg(tasks, kwargs):
+        if not _fans_out(jobs, len(tasks)):
+            kwargs = dict(kwargs, tracer=tracer)
+        return fan_out(
+            _run_mix,
+            (dataset, predictor, fleets, kwargs),
+            tasks,
+            jobs,
+            tracer=tracer,
+        )
+
+    fixed = leg(fixed_tasks, dict(n_slots=n_slots))
+    churn_runs = leg(churn_tasks, dict(n_slots=n_slots, schedule=schedule))
     churn = {
         name: {
             policy.name: churn_runs[(name, policy.name)]

@@ -113,12 +113,12 @@ def _run_fig3(full: bool, jobs: int, obs: ObsOptions) -> Tuple[str, int, Any]:
 
 
 def _run_fig456(full: bool, jobs: int, obs: ObsOptions) -> Tuple[str, int, Any]:
-    result = fig456.run_fig456(quick=not full, jobs=jobs)
+    result = fig456.run_fig456(quick=not full, jobs=jobs, tracer=obs.tracer)
     return fig456.render(result), count_failures(result), result
 
 
 def _run_fig7(full: bool, jobs: int, obs: ObsOptions) -> Tuple[str, int, Any]:
-    result = fig7.run_fig7(quick=not full, jobs=jobs)
+    result = fig7.run_fig7(quick=not full, jobs=jobs, tracer=obs.tracer)
     return fig7.render(result), count_failures(result), result
 
 
@@ -133,7 +133,7 @@ def _run_cloud(full: bool, jobs: int, obs: ObsOptions) -> Tuple[str, int, Any]:
 
 
 def _run_hybrid(full: bool, jobs: int, obs: ObsOptions) -> Tuple[str, int, Any]:
-    result = hybrid.run_hybrid(quick=not full, jobs=jobs)
+    result = hybrid.run_hybrid(quick=not full, jobs=jobs, tracer=obs.tracer)
     return hybrid.render(result), count_failures(result), result
 
 

@@ -5,7 +5,8 @@ The acceptance bar of the online subsystem:
 * a zero-churn cloud run reproduces the fixed-population engine
   *exactly* (every seed record field, bit for bit), online policies
   included;
-* ``run_cloud_policies(jobs > 1)`` equals the serial run exactly;
+* ``run_policies(..., schedule=..., jobs > 1)`` equals the serial run
+  exactly;
 * repeated runs with fresh (or reset) policy instances are identical;
 * a window never reaches past midnight, so no decision reads a
   forecast fitted on slots after it.
@@ -24,14 +25,12 @@ from repro.baselines import (
     OnlineReactivePolicy,
 )
 from repro.cloud import (
-    CloudSimulation,
     fixed_schedule,
     get_scenario,
-    run_cloud_policies,
     summarize,
 )
 from repro.core import AllocationContext, EpactPolicy
-from repro.dcsim import DataCenterSimulation
+from repro.dcsim import DataCenterSimulation, run_policies
 from repro.errors import ConfigurationError
 from repro.forecast import DayAheadPredictor
 from repro.power.server_power import ntc_server_power_model
@@ -86,11 +85,11 @@ class TestZeroChurnEquivalence:
             max_servers=40,
             n_slots=n_slots,
         ).run()
-        cloud = CloudSimulation(
+        cloud = DataCenterSimulation(
             small_dataset,
             arima_predictor,
             policy_cls(),
-            schedule,
+            schedule=schedule,
             max_servers=40,
             n_slots=n_slots,
         ).run()
@@ -115,11 +114,11 @@ class TestCloudRunSemantics:
             horizon_start=168,
             horizon_end=192,
         )
-        result = CloudSimulation(
+        result = DataCenterSimulation(
             dataset,
             predictor,
             OnlineBestFitPolicy(),
-            schedule,
+            schedule=schedule,
             max_servers=20,
             n_slots=24,
         ).run()
@@ -139,11 +138,11 @@ class TestCloudRunSemantics:
             horizon_start=168,
             horizon_end=192,
         )
-        result = CloudSimulation(
+        result = DataCenterSimulation(
             dataset,
             predictor,
             OnlineBestFitPolicy(),
-            schedule,
+            schedule=schedule,
             max_servers=8,
             n_slots=24,
         ).run()
@@ -157,11 +156,11 @@ class TestCloudRunSemantics:
     def test_determinism_across_runs(self, churn_setup):
         dataset, predictor, schedule = churn_setup
         runs = [
-            CloudSimulation(
+            DataCenterSimulation(
                 dataset,
                 predictor,
                 OnlineReactivePolicy(),
-                schedule,
+                schedule=schedule,
                 max_servers=50,
                 n_slots=30,
             ).run()
@@ -173,11 +172,12 @@ class TestCloudRunSemantics:
         """The same stateful policy object yields identical runs."""
         dataset, predictor, schedule = churn_setup
         policy = OnlineReactivePolicy()
-        first = CloudSimulation(
-            dataset, predictor, policy, schedule, max_servers=50, n_slots=30
+        kwargs = dict(schedule=schedule, max_servers=50, n_slots=30)
+        first = DataCenterSimulation(
+            dataset, predictor, policy, **kwargs
         ).run()
-        second = CloudSimulation(
-            dataset, predictor, policy, schedule, max_servers=50, n_slots=30
+        second = DataCenterSimulation(
+            dataset, predictor, policy, **kwargs
         ).run()
         assert records_equal(first.records, second.records)
 
@@ -198,20 +198,24 @@ class TestCloudRunSemantics:
             OnlineReactivePolicy().allocate(ctx)
 
     def test_schedule_validation(self, small_dataset, arima_predictor):
-        with pytest.raises(ConfigurationError):
-            CloudSimulation(
+        with pytest.raises(ConfigurationError, match="VMs"):
+            DataCenterSimulation(
                 small_dataset,
                 arima_predictor,
                 EpactPolicy(),
-                fixed_schedule(small_dataset.n_vms + 1, 168, 200),
+                schedule=fixed_schedule(small_dataset.n_vms + 1, 168, 200),
                 n_slots=24,
             )
-        with pytest.raises(ConfigurationError):
-            CloudSimulation(
+        # The message names both ranges, as the fault check's does.
+        with pytest.raises(
+            ConfigurationError,
+            match=r"covers \[168, 170\) but the simulation runs \[168, 192\)",
+        ):
+            DataCenterSimulation(
                 small_dataset,
                 arima_predictor,
                 EpactPolicy(),
-                fixed_schedule(small_dataset.n_vms, 168, 170),
+                schedule=fixed_schedule(small_dataset.n_vms, 168, 170),
                 n_slots=24,
             )
 
@@ -238,8 +242,12 @@ class _RecordingCoatOpt(CoatOptPolicy):
 def _window_decisions(dataset, schedule):
     """``{window start slot: decision}`` of a churn run of COAT-OPT."""
     policy = _RecordingCoatOpt()
-    sim = CloudSimulation(
-        dataset, DayAheadPredictor(dataset), policy, schedule, max_servers=40
+    sim = DataCenterSimulation(
+        dataset,
+        DayAheadPredictor(dataset),
+        policy,
+        schedule=schedule,
+        max_servers=40,
     )
     slots = [window.slot for window in sim.windows()]
     return dict(zip(slots, policy.decisions))
@@ -279,20 +287,20 @@ class TestParallelCloudRuns:
                 OnlineBestFitPolicy(),
                 OnlineReactivePolicy(),
             ]
-        serial = run_cloud_policies(
+        serial = run_policies(
             dataset,
             predictor,
             policies(),
-            schedule,
+            schedule=schedule,
             max_servers=50,
             n_slots=30,
         )
-        parallel = run_cloud_policies(
+        parallel = run_policies(
             dataset,
             predictor,
             policies(),
-            schedule,
             jobs=2,
+            schedule=schedule,
             max_servers=50,
             n_slots=30,
         )
@@ -321,11 +329,11 @@ class TestCloudExperiment:
 class TestSlaSummary:
     def test_summary_rates(self, churn_setup):
         dataset, predictor, schedule = churn_setup
-        result = CloudSimulation(
+        result = DataCenterSimulation(
             dataset,
             predictor,
             OnlineReactivePolicy(),
-            schedule,
+            schedule=schedule,
             max_servers=50,
             n_slots=30,
         ).run()
@@ -349,11 +357,11 @@ class TestSlaSummary:
             ).run()
         )
         cloud = summarize(
-            CloudSimulation(
+            DataCenterSimulation(
                 small_dataset,
                 arima_predictor,
                 EpactPolicy(),
-                fixed_schedule(small_dataset.n_vms, 168, 170),
+                schedule=fixed_schedule(small_dataset.n_vms, 168, 170),
                 **kwargs,
             ).run()
         )

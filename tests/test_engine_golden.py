@@ -37,7 +37,6 @@ from repro.baselines import (
     OnlineReactivePolicy,
 )
 from repro.cloud import (
-    CloudSimulation,
     StreamingCloudSimulation,
     fixed_schedule,
     get_scenario,
@@ -214,8 +213,13 @@ def diurnal():
 )
 def test_diurnal_burst_with_empty_gap(diurnal, name, policy_factory):
     dataset, predictor, schedule = diurnal
-    result = CloudSimulation(
-        dataset, predictor, policy_factory(), schedule, max_servers=40, n_slots=30
+    result = DataCenterSimulation(
+        dataset,
+        predictor,
+        policy_factory(),
+        schedule=schedule,
+        max_servers=40,
+        n_slots=30,
     ).run()
     gap = [r for r in result.records if 180 <= r.slot_index < 184]
     assert gap and all(r.n_active_vms == 0 and r.energy_j == 0.0 for r in gap)
@@ -231,11 +235,11 @@ def test_batch_latency_resizes_psu_migration_energy(name, policy_factory):
         n_vms=40, n_days=9, seed=21, n_slots=24
     )
     assert schedule.has_resizes
-    result = CloudSimulation(
+    result = DataCenterSimulation(
         dataset,
         DayAheadPredictor(dataset),
         policy_factory(),
-        schedule,
+        schedule=schedule,
         max_servers=40,
         n_slots=24,
         psu=ntc_psu(),
@@ -254,11 +258,11 @@ def test_batch_latency_resizes_psu_migration_energy(name, policy_factory):
     ],
 )
 def test_hetero_churn(ds, pred, name, opp_policy, policy_factory):
-    result = CloudSimulation(
+    result = DataCenterSimulation(
         ds,
         pred,
         policy_factory(),
-        _churn(ds),
+        schedule=_churn(ds),
         fleet=_two_pool(opp_policy, n_ntc=1),
         n_slots=24,
     ).run()
@@ -270,11 +274,11 @@ def test_hetero_churn(ds, pred, name, opp_policy, policy_factory):
     [("faults-epact", EpactPolicy), ("faults-reactive", OnlineReactivePolicy)],
 )
 def test_outage_and_power_cap(ds, pred, name, policy_factory):
-    result = CloudSimulation(
+    result = DataCenterSimulation(
         ds,
         pred,
         policy_factory(),
-        fixed_schedule(ds.n_vms, START, START + 24),
+        schedule=fixed_schedule(ds.n_vms, START, START + 24),
         max_servers=20,
         n_slots=24,
         faults=_faults(ds),

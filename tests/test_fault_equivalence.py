@@ -22,7 +22,6 @@ import pytest
 
 from repro.baselines import OnlineReactivePolicy
 from repro.cloud import (
-    CloudSimulation,
     fixed_schedule,
     summarize,
 )
@@ -105,14 +104,14 @@ class TestZeroEventBitIdentity:
             seed=9,
         )
         kwargs = dict(max_servers=20, n_slots=24)
-        base = CloudSimulation(
-            ds, pred, OnlineReactivePolicy(), schedule, **kwargs
+        base = DataCenterSimulation(
+            ds, pred, OnlineReactivePolicy(), schedule=schedule, **kwargs
         ).run()
-        faulty = CloudSimulation(
+        faulty = DataCenterSimulation(
             ds,
             pred,
             OnlineReactivePolicy(),
-            schedule,
+            schedule=schedule,
             faults=zero_faults(20, 0, ds.n_slots),
             **kwargs,
         ).run()
@@ -157,8 +156,8 @@ class TestFaultTraceOrder:
                 config=ChurnConfig(initial_fraction=0.5),
                 seed=9,
             )
-            CloudSimulation(
-                ds, pred, OnlineReactivePolicy(), schedule, **kwargs
+            DataCenterSimulation(
+                ds, pred, OnlineReactivePolicy(), schedule=schedule, **kwargs
             ).run()
         events = [
             e
@@ -277,11 +276,11 @@ class TestFaultSemantics:
             ),
         )
         sched = fixed_schedule(ds.n_vms, 168, 168 + 12)
-        result = CloudSimulation(
+        result = DataCenterSimulation(
             ds,
             pred,
             OnlineReactivePolicy(),
-            sched,
+            schedule=sched,
             max_servers=6,
             n_slots=12,
             faults=fs,

@@ -8,9 +8,10 @@ Two families of guarantees:
   the fleet-aware day-ahead policy and the pool-aware online policies
   under churn;
 * **oracles** — on genuinely mixed fleets ``inspect_slot`` must add up
-  to the engine's record, the pool-dimension allocators must equal
-  running each pool separately, and the fleet sizing's fast case-1
-  sweep must equal the scalar reference.  Mixed-fleet records
+  to the engine's record, each pool of ``allocate_fleet_slot`` must
+  equal running that pool's allocator separately, and the fleet
+  sizing's fast case-1 sweep must equal the scalar reference.
+  Mixed-fleet records
   themselves are pinned by ``tests/test_engine_golden.py``.
 """
 
@@ -24,14 +25,13 @@ from repro.core import (
     FleetSpec,
     PoolSpec,
     allocate_1d,
-    allocate_1d_pools,
     allocate_2d,
-    allocate_2d_pools,
+    allocate_fleet_slot,
     size_fleet_slot,
     split_fleet_vms,
 )
 from repro.core import sizing
-from repro.dcsim import CloudSimulation, DataCenterSimulation
+from repro.dcsim import DataCenterSimulation
 from repro.errors import ConfigurationError
 from repro.forecast import DayAheadPredictor
 from repro.power.server_power import (
@@ -191,19 +191,19 @@ class TestSinglePoolBitIdentity:
         single_pool_fleet,
     ):
         """Single-pool cloud runs reproduce the homogeneous engine."""
-        homogeneous = CloudSimulation(
+        homogeneous = DataCenterSimulation(
             het_dataset,
             het_predictor,
             EpactPolicy(),
-            het_schedule,
+            schedule=het_schedule,
             max_servers=40,
             n_slots=24,
         ).run()
-        fleet_run = CloudSimulation(
+        fleet_run = DataCenterSimulation(
             het_dataset,
             het_predictor,
             FleetEpactPolicy(),
-            het_schedule,
+            schedule=het_schedule,
             fleet=single_pool_fleet,
             n_slots=24,
         ).run()
@@ -221,19 +221,19 @@ class TestSinglePoolBitIdentity:
         policy_cls,
     ):
         """The pool dimension is invisible on a single-pool fleet."""
-        homogeneous = CloudSimulation(
+        homogeneous = DataCenterSimulation(
             het_dataset,
             het_predictor,
             policy_cls(),
-            het_schedule,
+            schedule=het_schedule,
             max_servers=40,
             n_slots=24,
         ).run()
-        fleet_run = CloudSimulation(
+        fleet_run = DataCenterSimulation(
             het_dataset,
             het_predictor,
             policy_cls(),
-            het_schedule,
+            schedule=het_schedule,
             fleet=single_pool_fleet,
             n_slots=24,
         ).run()
@@ -394,70 +394,63 @@ class TestSplitAndPoolAllocators:
         assert len(parts) == 1
         assert np.array_equal(parts[0], np.arange(30))
 
-    def test_allocate_1d_pools_equals_per_pool_runs(self):
-        cpu = self._patterns(seed=7)
-        mem = self._patterns(seed=8)
-        pool_vms = [np.arange(0, 17), np.arange(17, 30)]
-        caps_cpu = [60.0, 80.0]
-        caps_mem = [90.0, 100.0]
-        bounds = [10, 20]
-        plans, pools, forced = allocate_1d_pools(
-            cpu, mem, pool_vms, caps_cpu, caps_mem, bounds
-        )
-        offset = 0
-        total_forced = 0
-        for m, idx in enumerate(pool_vms):
-            ref_plans, ref_forced = allocate_1d(
-                cpu[idx],
-                mem[idx],
-                caps_cpu[m],
-                caps_mem[m],
-                max_servers=bounds[m],
+    def _assert_fleet_slot_pool(self, fleet, m, case):
+        """Pool ``m`` of :func:`allocate_fleet_slot` is a standalone
+        allocator call (Algorithm 1 for ``case`` ``"cpu"``, 2 for
+        ``"mem"``) under the pool's sizing, remapped to global ids;
+        the slot's forced placements sum over the pools."""
+        for seed in range(6):
+            cpu = self._patterns(seed=seed)
+            mem = self._patterns(seed=seed + 1)
+            sizing = size_fleet_slot(
+                cpu, mem, fleet, split_fleet_vms(cpu, mem, fleet)
             )
-            total_forced += ref_forced
-            mine = [
-                plan
-                for plan, pool in zip(plans, pools)
-                if pool == m
-            ]
-            assert len(mine) == len(ref_plans)
-            for plan, ref in zip(mine, ref_plans):
-                assert plan.vm_ids == [int(idx[v]) for v in ref.vm_ids]
-            offset += len(ref_plans)
-        assert forced == total_forced
-        assert len(plans) == offset
+            assert sizing.pool_sizings[m].case == case
+            plans, pools, forced = allocate_fleet_slot(
+                cpu, mem, fleet, sizing
+            )
+            assert np.array_equal(pools, np.sort(pools))  # pool-major
+            ref_forced = 0
+            for n, idx in enumerate(sizing.assignments):
+                pool_sizing = sizing.pool_sizings[n]
+                bound = fleet.pools[n].n_servers
+                if pool_sizing.case == "cpu":
+                    ref_plans, forced_n = allocate_1d(
+                        cpu[idx],
+                        mem[idx],
+                        pool_sizing.cap_cpu_pct,
+                        pool_sizing.cap_mem_pct,
+                        max_servers=bound,
+                    )
+                else:
+                    ref_plans, forced_n = allocate_2d(
+                        cpu[idx],
+                        mem[idx],
+                        pool_sizing.n_servers,
+                        pool_sizing.cap_cpu_pct,
+                        pool_sizing.cap_mem_pct,
+                        max_servers=bound,
+                    )
+                ref_forced += forced_n
+                if n != m:
+                    continue
+                mine = [plan for plan, p in zip(plans, pools) if p == m]
+                assert [plan.vm_ids for plan in mine] == [
+                    [int(idx[v]) for v in ref.vm_ids] for ref in ref_plans
+                ]
+                assert all(
+                    plan.planned_freq_ghz == pool_sizing.f_opt_ghz
+                    for plan in mine
+                )
+            assert forced == ref_forced
 
-    def test_allocate_2d_pools_equals_per_pool_runs(self):
-        cpu = self._patterns(seed=9)
-        mem = self._patterns(seed=10) * 3.0
-        pool_vms = [np.arange(0, 15), np.arange(15, 30)]
-        n_servers = [4, 5]
-        caps_cpu = [70.0, 90.0]
-        caps_mem = [95.0, 100.0]
-        bounds = [12, 14]
-        plans, pools, forced = allocate_2d_pools(
-            cpu, mem, pool_vms, n_servers, caps_cpu, caps_mem, bounds
-        )
-        total_forced = 0
-        for m, idx in enumerate(pool_vms):
-            ref_plans, ref_forced = allocate_2d(
-                cpu[idx],
-                mem[idx],
-                n_servers[m],
-                caps_cpu[m],
-                caps_mem[m],
-                max_servers=bounds[m],
-            )
-            total_forced += ref_forced
-            mine = [
-                plan
-                for plan, pool in zip(plans, pools)
-                if pool == m
-            ]
-            assert len(mine) == len(ref_plans)
-            for plan, ref in zip(mine, ref_plans):
-                assert plan.vm_ids == [int(idx[v]) for v in ref.vm_ids]
-        assert forced == total_forced
+    def test_fleet_slot_pool_equals_allocate_1d(self, two_pool_fleet):
+        """The NTC pool packs its VMs with Algorithm 1."""
+        self._assert_fleet_slot_pool(two_pool_fleet, 0, "cpu")
+
+    def test_fleet_slot_pool_equals_allocate_2d(self, two_pool_fleet):
+        """The conventional pool packs its VMs with Algorithm 2."""
+        self._assert_fleet_slot_pool(two_pool_fleet, 1, "mem")
 
     def test_fleet_sizing_fast_matches_reference(
         self, two_pool_fleet, monkeypatch
@@ -535,6 +528,45 @@ class TestFleetValidation:
         )
         with pytest.raises(ConfigurationError, match="capacity"):
             sim._prepare_allocation(overfull)
+
+    def test_homogeneous_plan_count_enforced(
+        self, het_dataset, het_predictor
+    ):
+        """A homogeneous data center is its one-pool fleet: an
+        allocation with more plans than ``max_servers`` is refused."""
+        from repro.core.types import Allocation, AllocationPolicy, ServerPlan
+
+        class OneVmPerServer(AllocationPolicy):
+            name = "ONE-PER-SERVER"
+
+            def allocate(self, ctx):
+                return Allocation(
+                    policy_name=self.name,
+                    plans=[ServerPlan(vm_ids=[v]) for v in range(ctx.n_vms)],
+                    dynamic_governor=True,
+                    violation_cap_pct=100.0,
+                )
+
+        sim = DataCenterSimulation(
+            het_dataset,
+            het_predictor,
+            OneVmPerServer(),
+            max_servers=het_dataset.n_vms - 1,
+            n_slots=1,
+        )
+        with pytest.raises(ConfigurationError, match="capacity"):
+            sim.run()
+
+    @pytest.mark.parametrize("bad", [0, 2.5])
+    def test_homogeneous_max_servers_validated(
+        self, het_dataset, het_predictor, bad
+    ):
+        """``max_servers`` sizes the one pool, so the pool's checks
+        apply: an integer of at least 1."""
+        with pytest.raises(ConfigurationError, match="n_servers"):
+            DataCenterSimulation(
+                het_dataset, het_predictor, EpactPolicy(), max_servers=bad
+            )
 
     def test_pool_spec_validation(self):
         with pytest.raises(ConfigurationError):

@@ -28,7 +28,6 @@ import pytest
 
 from repro.baselines import OnlineReactivePolicy
 from repro.cloud import (
-    CloudSimulation,
     StreamingCloudSimulation,
     fixed_schedule,
 )
@@ -102,15 +101,15 @@ class TestBitIdentity:
 
     def test_cloud_engine(self, ds, pred, fixed):
         kwargs = dict(max_servers=12, n_slots=24)
-        plain = CloudSimulation(
-            ds, pred, OnlineReactivePolicy(), fixed, **kwargs
+        plain = DataCenterSimulation(
+            ds, pred, OnlineReactivePolicy(), schedule=fixed, **kwargs
         ).run()
         tracer = RunTracer()
-        traced = CloudSimulation(
+        traced = DataCenterSimulation(
             ds,
             pred,
             OnlineReactivePolicy(),
-            fixed,
+            schedule=fixed,
             tracer=tracer,
             **kwargs,
         ).run()
@@ -155,15 +154,15 @@ class TestBitIdentity:
             cap_windows=[(first + 12, first + 20, 0.8)],
         )
         kwargs = dict(max_servers=12, n_slots=24, faults=faults)
-        plain = CloudSimulation(
-            ds, pred, EpactPolicy(), fixed, **kwargs
+        plain = DataCenterSimulation(
+            ds, pred, EpactPolicy(), schedule=fixed, **kwargs
         ).run()
         tracer = RunTracer()
-        traced = CloudSimulation(
+        traced = DataCenterSimulation(
             ds,
             pred,
             EpactPolicy(),
-            fixed,
+            schedule=fixed,
             tracer=tracer,
             **kwargs,
         ).run()
@@ -438,6 +437,80 @@ class TestMetricsRegistry:
         ) == 2
         tracer.close()
         assert len(tracer.timing_events) == 2
+
+
+# -- the paper's experiments, traced ----------------------------------------
+
+
+PHASES = ["account", "forecast", "policy", "prepare"]
+
+
+def _traced(run, **kwargs):
+    """``run(**kwargs)`` untraced and traced: both results, the traced
+    run's ``run_start`` policies and its closed phase names."""
+    plain = run(**kwargs)
+    tracer = RunTracer()
+    traced = run(tracer=tracer, **kwargs)
+    tracer.close()
+    starts = [e["policy"] for e in tracer.of_type("run_start")]
+    phases = [
+        e["phase"]
+        for e in tracer.timing_events
+        if e["event"] == "phase_time"
+    ]
+    return plain, traced, starts, phases
+
+
+class TestTracedExperiments:
+    """A serial sweep traces every engine run and every phase."""
+
+    def test_fig456(self, ds):
+        from repro.experiments.fig456 import run_fig456
+
+        plain, traced, starts, phases = _traced(
+            run_fig456, dataset=ds, max_servers=12, n_slots=2
+        )
+        assert starts == ["EPACT", "COAT", "COAT-OPT"]
+        assert phases == PHASES
+        for name, result in plain.results.items():
+            assert records_equal(result.records, traced.results[name].records)
+
+    def test_fig7(self, ds):
+        from repro.experiments.fig7 import run_fig7
+
+        plain, traced, starts, phases = _traced(
+            run_fig7,
+            dataset=ds,
+            static_sweep_w=(5.0, 45.0),
+            max_servers=12,
+            n_slots=2,
+        )
+        assert starts == ["EPACT", "COAT"] * 2
+        assert phases == PHASES
+        assert traced.points == plain.points
+
+    def test_hybrid(self):
+        from repro.experiments.hybrid import run_hybrid
+
+        plain, traced, starts, phases = _traced(
+            run_hybrid,
+            mix_names=["all-ntc", "hybrid-50/50"],
+            n_vms=20,
+            n_days=8,
+            n_slots=2,
+            total_servers=12,
+        )
+        assert starts == ["EPACT-FLEET"] * 2 + [
+            "EPACT-FLEET",
+            "ONLINE-REACTIVE",
+        ] * 2
+        assert phases == PHASES
+        for name, result in plain.fixed.items():
+            assert records_equal(result.records, traced.fixed[name].records)
+            for policy, run in plain.churn[name].items():
+                assert records_equal(
+                    run.records, traced.churn[name][policy].records
+                )
 
 
 # -- manifests ---------------------------------------------------------------

@@ -22,6 +22,7 @@ from repro.baselines import (
 )
 from repro.baselines.coat import _allocate_reference as _coat_reference
 from repro.cloud import StreamingCloudSimulation, fixed_schedule
+from repro.cloud.faults import zero_faults
 from repro.cloud.streaming import _FRAME, _PREAMBLE
 from repro.cloud.telemetry import (
     TELEMETRY_SCENARIOS,
@@ -33,10 +34,11 @@ from repro.core.alloc1d import allocate_1d
 from repro.core.alloc2d import _allocate_2d_reference, allocate_2d
 from repro.core.governor import DvfsGovernor
 from repro.core.types import AllocationContext
-from repro.dcsim.engine import count_migrations
+from repro.dcsim.engine import DataCenterSimulation, count_migrations
 from repro.errors import ReproError
 from repro.experiments.hyperscale import synthetic_dataset
 from repro.forecast import DayAheadPredictor
+from repro.forecast.predictor import PerfectPredictor
 from repro.perf.workload import ALL_MEMORY_CLASSES
 from repro.power.datacenter import DataCenterPowerAnalysis
 from repro.serve.adapters import TelemetryBatch
@@ -570,6 +572,71 @@ class TestResumeProperty:
                 resumed = _resume_sim(*args, n_slots=n_slots)
                 resumed.restore(source)
                 assert resumed.run().records == expected
+
+
+_ENGINE_POLICIES = {
+    "EPACT": EpactPolicy,
+    "COAT": CoatPolicy,
+    "COAT-OPT": CoatOptPolicy,
+    "ONLINE-BF": OnlineBestFitPolicy,
+    "ONLINE-REACTIVE": OnlineReactivePolicy,
+}
+
+
+class TestEngineSpecialCases:
+    """The engine's special cases are its general case with neutral
+    arguments: a zero-churn ``schedule=`` is the fixed population, and
+    a zero-event fault schedule is no fault layer, with or without
+    churn.  Two-day traces under the oracle predictor keep each example
+    to a few milliseconds."""
+
+    @given(
+        policy=st.sampled_from(sorted(_ENGINE_POLICIES)),
+        seed=st.integers(0, 2**16),
+        n_vms=st.integers(2, 12),
+        start=st.integers(1, 30),
+        n_slots=st.integers(1, 17),
+        tail=st.integers(0, 1),
+    )
+    # COAT-OPT is the one drawn policy that plans multi-slot (day-ahead)
+    # windows, so only it shows a wrongly cut window.
+    @example(
+        policy="COAT-OPT", seed=0, n_vms=8, start=24, n_slots=17, tail=1
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_neutral_schedules_change_nothing(
+        self, policy, seed, n_vms, start, n_slots, tail
+    ):
+        dataset = default_dataset(n_vms=n_vms, n_days=2, seed=seed)
+        end = start + n_slots
+        # A schedule may outlast the simulated horizon.
+        horizon_end = end + tail * (dataset.n_slots - end)
+
+        def run(**kwargs):
+            return DataCenterSimulation(
+                dataset,
+                PerfectPredictor(dataset),
+                _ENGINE_POLICIES[policy](),
+                max_servers=n_vms,
+                start_slot=start,
+                n_slots=n_slots,
+                **kwargs,
+            ).run().records
+
+        fixed = run()
+        assert run(
+            schedule=fixed_schedule(n_vms, start, horizon_end)
+        ) == fixed
+        no_faults = zero_faults(n_vms, 0, dataset.n_slots)
+        assert run(faults=no_faults) == fixed
+        churn = generate_lifecycle(
+            n_vms,
+            start,
+            horizon_end,
+            config=ChurnConfig(initial_fraction=0.5),
+            seed=seed,
+        )
+        assert run(schedule=churn, faults=no_faults) == run(schedule=churn)
 
 
 class TestMigrationInvariants:

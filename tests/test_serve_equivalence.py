@@ -3,7 +3,7 @@
 Three guarantees:
 
 * a clean replay feed driven through the ``repro-serve`` loop is
-  bit-identical to the batch :class:`~repro.dcsim.CloudSimulation`;
+  bit-identical to the batch :class:`~repro.dcsim.DataCenterSimulation`;
 * a run resumed from a mid-serve checkpoint equals the uninterrupted
   run;
 * every ``decision_*`` event the service emits validates against
@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from repro.cloud import (
-    CloudSimulation,
     StreamingCloudSimulation,
     get_scenario,
     zero_telemetry_faults,
@@ -31,6 +30,7 @@ from repro.cloud import (
 from repro.cloud.streaming import _PREAMBLE, read_checkpoint
 from repro.cloud.telemetry import TraceCollector
 from repro.core import EpactPolicy
+from repro.dcsim import DataCenterSimulation
 from repro.errors import CollectorTimeoutError, ConfigurationError
 from repro.forecast import DayAheadPredictor
 from repro.obs.report import main as report_main
@@ -214,11 +214,11 @@ class TestServeReplayEquivalence:
             seed=serve_config.seed,
             n_slots=serve_config.n_slots,
         )
-        batch = CloudSimulation(
+        batch = DataCenterSimulation(
             dataset,
             DayAheadPredictor(dataset),
             EpactPolicy(),
-            schedule,
+            schedule=schedule,
             n_slots=serve_config.n_slots,
             max_servers=serve_config.max_servers,
         ).run()

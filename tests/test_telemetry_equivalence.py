@@ -3,7 +3,8 @@
 The acceptance bar of the telemetry PR:
 
 * **clean-telemetry** streaming runs are bit-identical to the batch
-  :class:`CloudSimulation` (fixed population and churn), and the
+  :class:`~repro.dcsim.DataCenterSimulation` (fixed population and
+  churn), and the
   engine refuses to run without a feed;
 * every rung of the forecast-staleness fallback ladder is reachable —
   fresh fit, aged (stale) forecast, persistence, and the blind
@@ -27,7 +28,6 @@ import pytest
 
 from repro.baselines import OnlineBestFitPolicy, OnlineReactivePolicy
 from repro.cloud import (
-    CloudSimulation,
     StreamingCloudSimulation,
     fixed_schedule,
     summarize,
@@ -59,6 +59,7 @@ from repro.cloud.streaming import (
     _Bounded,
     read_checkpoint,
 )
+from repro.dcsim import DataCenterSimulation
 from repro.errors import (
     CheckpointError,
     CollectorTimeoutError,
@@ -127,8 +128,8 @@ def _push_trace(push, dataset, slots, hold=()):
 class TestCleanBitIdentity:
     def test_fixed_population(self, ds, pred, fixed):
         kwargs = dict(max_servers=20, n_slots=24)
-        batch = CloudSimulation(
-            ds, pred, EpactPolicy(), fixed, **kwargs
+        batch = DataCenterSimulation(
+            ds, pred, EpactPolicy(), schedule=fixed, **kwargs
         ).run()
         streaming = StreamingCloudSimulation(
             ds,
@@ -149,8 +150,8 @@ class TestCleanBitIdentity:
             seed=9,
         )
         kwargs = dict(max_servers=20, n_slots=24)
-        batch = CloudSimulation(
-            ds, pred, OnlineReactivePolicy(), schedule, **kwargs
+        batch = DataCenterSimulation(
+            ds, pred, OnlineReactivePolicy(), schedule=schedule, **kwargs
         ).run()
         streaming = StreamingCloudSimulation(
             ds,
