@@ -14,33 +14,29 @@ stays above EPACT (Fig. 6).
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..core.types import Allocation, AllocationContext
-from ..power.server_power import ServerPowerModel
+from ..core.types import AllocationContext
 from .coat import CoatPolicy
 
 
 class CoatOptPolicy(CoatPolicy):
     """COAT with the cap fixed at the platform's optimal frequency.
 
+    The cap follows the power model of each context it packs, so one
+    instance serves any platform.
+
     Args:
-        power_model: used to locate the optimal frequency once; when
-            omitted, the frequency is derived from the allocation
-            context's power model on first use.
         correlation_aware: as for :class:`CoatPolicy`.
+        reallocation_period_slots: as for :class:`CoatPolicy`; the
+            day-ahead cadence by default.
     """
 
     name = "COAT-OPT"
 
     def __init__(
         self,
-        power_model: Optional[ServerPowerModel] = None,
         correlation_aware: bool = True,
         reallocation_period_slots: int = 24,
     ):
-        # Cap percent is resolved lazily (needs the platform); start with a
-        # placeholder that allocate() replaces before first packing.
         # The optimal *fixed* cap is an offline configuration, so COAT-OPT
         # follows the day-ahead cadence of its consolidation lineage.
         super().__init__(
@@ -51,25 +47,13 @@ class CoatOptPolicy(CoatPolicy):
             name=self.name,
             reallocation_period_slots=reallocation_period_slots,
         )
-        self._resolved = False
-        if power_model is not None:
-            self._resolve(power_model)
-
-    def _resolve(self, power_model: ServerPowerModel) -> None:
-        f_opt = power_model.optimal_frequency_ghz()
-        f_max = power_model.spec.f_max_ghz
-        self._cap_cpu = 100.0 * f_opt / f_max
-        self._fixed_freq = f_opt
-        self._resolved = True
 
     def cap_frequency_ghz(self, ctx: AllocationContext) -> float:
-        """The offline optimal frequency (fixed for the whole horizon)."""
-        if not self._resolved:
-            self._resolve(ctx.power_model)
-        return self._fixed_freq
+        """The platform's optimal frequency, fixed for the whole horizon.
 
-    def allocate(self, ctx: AllocationContext) -> Allocation:
-        """Resolve the optimal cap on first use, then pack like COAT."""
-        if not self._resolved:
-            self._resolve(ctx.power_model)
-        return super().allocate(ctx)
+        Sets the CPU cap to ``100 * F_opt / Fmax`` of ``ctx``'s power
+        model; the packing loops call this before they read the cap.
+        """
+        f_opt = ctx.power_model.optimal_frequency_ghz()
+        self._cap_cpu = 100.0 * f_opt / ctx.f_max_ghz
+        return f_opt

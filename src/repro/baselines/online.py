@@ -24,16 +24,15 @@ the shared day-ahead predictions (forecast-assisted operation),
 previous slot, falling back to the forecast for VMs without history
 (fresh arrivals).
 
-Both policies carry a **pool dimension** for heterogeneous fleets
-(:class:`~repro.core.types.FleetSpec` on the context): placement state
-is one server table *per pool*, arrivals try pools in platform-
-efficiency order (fit into an existing server, else open one, before
-falling through to the next pool), and reactive re-consolidation stays
-*within* a pool — heterogeneous platforms (ARM NTC vs x86) cannot
-live-migrate a VM across ISAs, so cross-pool moves are not offered.
-With no fleet (or a single pool) the policies behave exactly as
-before; the equivalence suite asserts the single-pool run is
-bit-identical to the homogeneous one.
+Both policies carry a **pool dimension**
+(:class:`~repro.core.types.FleetSpec`, which every context carries):
+placement state is one server table *per pool*, arrivals try pools in
+platform-efficiency order (fit into an existing server, else open one,
+before falling through to the next pool), and reactive
+re-consolidation stays *within* a pool — heterogeneous platforms (ARM
+NTC vs x86) cannot live-migrate a VM across ISAs, so cross-pool moves
+are not offered.  The paper's homogeneous data center is the one-pool
+fleet, whose allocations leave ``server_pools`` unset.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.online import CloudAllocationContext, OnlinePolicy
+from ..core.online import OnlinePolicy
 from ..core.types import Allocation, AllocationContext, ServerPlan
 from ..errors import ConfigurationError
 
@@ -233,22 +232,16 @@ class OnlineBestFitPolicy(OnlinePolicy):
 
     def allocate(self, ctx: AllocationContext) -> Allocation:
         """One online step: prune, place arrivals, optionally rebalance."""
-        cloud = self.require_cloud_context(ctx)
-        fleet = cloud.fleet
-        ids = cloud.vm_ids
+        fleet = ctx.fleet
+        ids = ctx.vm_ids
         id_set = {int(g) for g in ids}
         pos_of = {int(g): i for i, g in enumerate(ids)}
-        sig_cpu, sig_mem = self._signal(cloud)
+        sig_cpu, sig_mem = self._signal(ctx)
 
         # The pool dimension: per-pool capacities and the order pools
-        # are offered demand in (most efficient platform first).  A
-        # fleet-less run is the degenerate single pool.
-        if fleet is not None:
-            pool_caps = [pool.n_servers for pool in fleet.pools]
-            order = fleet.efficiency_order()
-        else:
-            pool_caps = [cloud.max_servers]
-            order = [0]
+        # are offered demand in (most efficient platform first).
+        pool_caps = [pool.n_servers for pool in fleet.pools]
+        order = fleet.efficiency_order()
         n_pools = len(pool_caps)
 
         # Departures: drop state for VMs no longer in the population.
@@ -301,7 +294,7 @@ class OnlineBestFitPolicy(OnlinePolicy):
         # physically host.
         forced = 0
         shed_global: List[int] = []
-        faults = cloud.faults
+        faults = ctx.faults
         shed_allowed = False
         budget_caps = pool_caps
         if faults is not None:
@@ -386,17 +379,17 @@ class OnlineBestFitPolicy(OnlinePolicy):
     # -- internals ----------------------------------------------------------
 
     def _signal(
-        self, cloud: CloudAllocationContext
+        self, ctx: AllocationContext
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The (n_vms, n_samples) detection/placement patterns."""
-        if self._signal_kind == "forecast" or cloud.last_cpu is None:
-            return cloud.pred_cpu, cloud.pred_mem
-        have = ~np.isnan(cloud.last_cpu).any(axis=1)
+        if self._signal_kind == "forecast" or ctx.last_cpu is None:
+            return ctx.pred_cpu, ctx.pred_mem
+        have = ~np.isnan(ctx.last_cpu).any(axis=1)
         sig_cpu = np.where(
-            have[:, None], np.nan_to_num(cloud.last_cpu), cloud.pred_cpu
+            have[:, None], np.nan_to_num(ctx.last_cpu), ctx.pred_cpu
         )
         sig_mem = np.where(
-            have[:, None], np.nan_to_num(cloud.last_mem), cloud.pred_mem
+            have[:, None], np.nan_to_num(ctx.last_mem), ctx.pred_mem
         )
         return sig_cpu, sig_mem
 
@@ -525,7 +518,7 @@ class OnlineBestFitPolicy(OnlinePolicy):
             forced_placements=forced,
             server_pools=(
                 np.asarray(pools_of, dtype=int)
-                if fleet is not None
+                if fleet.n_pools > 1
                 else None
             ),
             shed_vm_ids=(

@@ -40,7 +40,7 @@ Quick start::
 """
 
 from ..baselines.online import OnlineBestFitPolicy, OnlineReactivePolicy
-from ..core.online import CloudAllocationContext, OnlinePolicy
+from ..core.online import OnlinePolicy
 from ..dcsim.engine import WindowDecision
 from ..serve.adapters import poll_with_retry
 from ..traces.lifecycle import (
@@ -97,7 +97,6 @@ __all__ = [
     "SCENARIOS",
     "TELEMETRY_SCENARIOS",
     "ChurnConfig",
-    "CloudAllocationContext",
     "CloudScenario",
     "LifecycleSchedule",
     "OnlineBestFitPolicy",

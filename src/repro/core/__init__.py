@@ -1,8 +1,10 @@
 """The paper's primary contribution: the EPACT allocation framework.
 
-Contains the shared policy types, the correlation machinery, the Eq. 1
-sizing step, Algorithms 1 and 2, the per-sample DVFS governor, and the
-:class:`EpactPolicy` that ties them together.
+Contains the shared policy types (one :class:`AllocationContext`, which
+always carries a fleet), the correlation machinery, the Eq. 1 sizing
+step, Algorithms 1 and 2, the fleet demand split, the per-sample DVFS
+governor, and the :class:`EpactPolicy` that ties them together on any
+fleet.
 """
 
 from .alloc1d import allocate_1d, ffd_order
@@ -14,20 +16,14 @@ from .correlation import (
     pearson_many,
 )
 from .epact import EpactPolicy
-from .fleet import (
-    FleetEpactPolicy,
-    allocate_fleet_slot,
-    split_fleet_vms,
-)
+from .fleet import split_fleet_vms
 from .governor import DvfsGovernor
-from .online import CloudAllocationContext, OnlinePolicy
+from .online import OnlinePolicy
 from .sizing import (
-    FleetSizingResult,
     SizingResult,
     n_servers_cpu,
     n_servers_mem,
     peak_aggregate_pct,
-    size_fleet_slot,
     size_slot,
 )
 from .types import (
@@ -47,11 +43,8 @@ __all__ = [
     "AllocationPolicy",
     "AllocationWorkspace",
     "validate_vm_order",
-    "CloudAllocationContext",
     "DvfsGovernor",
     "EpactPolicy",
-    "FleetEpactPolicy",
-    "FleetSizingResult",
     "FleetSpec",
     "OnlinePolicy",
     "PoolSpec",
@@ -59,7 +52,6 @@ __all__ = [
     "SizingResult",
     "allocate_1d",
     "allocate_2d",
-    "allocate_fleet_slot",
     "complementary_pattern",
     "euclidean_distance_many",
     "ffd_order",
@@ -70,7 +62,6 @@ __all__ = [
     "pearson",
     "pearson_many",
     "peak_aggregate_pct",
-    "size_fleet_slot",
     "size_slot",
     "split_fleet_vms",
 ]

@@ -370,7 +370,7 @@ def run_allocator_pools(
     with *local* VM ids over ``idx`` — once per non-empty pool, remaps
     plan ids to the global ``idx`` values, and concatenates pool-major.
     One implementation of the remap/concat/forced bookkeeping serves
-    :func:`~repro.core.fleet.allocate_fleet_slot` (pools) and
+    :meth:`~repro.core.epact.EpactPolicy.allocate` (pools) and
     :class:`~repro.shard.policy.ShardedPolicy` (shards).
 
     Returns:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -239,93 +238,6 @@ def _select_case1_winner(powers: np.ndarray) -> int:
         if powers[j] < powers[best] - _EPS:
             best = j
     return best
-
-
-@dataclass(frozen=True)
-class FleetSizingResult:
-    """Per-pool sizing of one slot over a heterogeneous fleet.
-
-    Attributes:
-        pool_sizings: one :class:`SizingResult` per pool, ``None`` for
-            pools the slot's demand split left empty.
-        assignments: per-pool VM index arrays (ascending, disjoint,
-            covering every VM) — the demand split the sizings were
-            computed against.
-    """
-
-    pool_sizings: Tuple[Optional[SizingResult], ...]
-    assignments: Tuple[np.ndarray, ...]
-
-    @property
-    def total_servers(self) -> int:
-        """Servers turned on across all pools."""
-        return sum(
-            sizing.n_servers
-            for sizing in self.pool_sizings
-            if sizing is not None
-        )
-
-    @property
-    def case(self) -> str:
-        """The per-pool case branches joined pool-major (``cpu+mem``)."""
-        return "+".join(
-            sizing.case
-            for sizing in self.pool_sizings
-            if sizing is not None
-        )
-
-
-def size_fleet_slot(
-    pred_cpu: np.ndarray,
-    pred_mem: np.ndarray,
-    fleet,
-    assignments: Sequence[np.ndarray],
-    f_opt_ghz: Optional[Sequence[Optional[float]]] = None,
-    cap_mem_pct: float = 100.0,
-) -> FleetSizingResult:
-    """Platform-aware sizing: Eq. 1 per pool over a demand split.
-
-    Each pool is sized independently — against its *own* power model,
-    OPP table and cached :class:`~repro.dcsim.power_tables
-    .VectorizedServerPower` coefficients — for the VM subset the split
-    assigned to it, through :func:`size_slot`.
-
-    Args:
-        pred_cpu: predicted CPU patterns ``(n_vms, n_samples)``, percent.
-        pred_mem: predicted memory patterns, same shape.
-        fleet: the :class:`~repro.core.types.FleetSpec`.
-        assignments: per-pool VM index arrays (e.g. from
-            :func:`repro.core.fleet.split_fleet_vms`).
-        f_opt_ghz: optional per-pool energy-optimal frequency overrides.
-        cap_mem_pct: memory packing cap shared by all pools.
-    """
-    if len(assignments) != fleet.n_pools:
-        raise DomainError(
-            f"assignments must cover all {fleet.n_pools} pools"
-        )
-    sizings: list[Optional[SizingResult]] = []
-    for m, pool in enumerate(fleet.pools):
-        idx = np.asarray(assignments[m], dtype=int)
-        if idx.size == 0:
-            sizings.append(None)
-            continue
-        f_opt = f_opt_ghz[m] if f_opt_ghz is not None else None
-        sizings.append(
-            size_slot(
-                pred_cpu[idx],
-                pred_mem[idx],
-                pool.power_model,
-                max_servers=pool.n_servers,
-                f_ntc_opt_ghz=f_opt,
-                cap_mem_pct=cap_mem_pct,
-            )
-        )
-    return FleetSizingResult(
-        pool_sizings=tuple(sizings),
-        assignments=tuple(
-            np.asarray(idx, dtype=int) for idx in assignments
-        ),
-    )
 
 
 def _search_case1_reference(

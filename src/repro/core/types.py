@@ -191,6 +191,21 @@ class FleetSpec:
         return list(cached)
 
 
+def homogeneous_fleet(
+    power_model: ServerPowerModel, n_servers: int
+) -> FleetSpec:
+    """The paper's homogeneous data center as a one-pool fleet.
+
+    The pool is named after the platform.  The engine accounts a
+    data center built from ``power_model``/``max_servers`` as this
+    fleet, and an :class:`AllocationContext` without a fleet carries
+    it.
+    """
+    return FleetSpec(
+        pools=(PoolSpec(power_model.spec.name, power_model, n_servers),)
+    )
+
+
 @dataclass(frozen=True)
 class FaultWindow:
     """Fault state the fleet is in for one allocation window.
@@ -236,7 +251,12 @@ class FaultWindow:
 
 @dataclass(frozen=True)
 class AllocationContext:
-    """Inputs a policy sees at the beginning of a slot.
+    """Inputs a policy sees at the beginning of an allocation window.
+
+    The prediction matrices cover only the VMs active during the
+    window, row-aligned with ``vm_ids``.  An :class:`Allocation`
+    produced from this context uses *local* row indices (``0 ..
+    n_vms - 1``); the engine maps them back to global ids.
 
     Attributes:
         pred_cpu: predicted CPU utilization, shape ``(n_vms, n_samples)``,
@@ -250,17 +270,27 @@ class AllocationContext:
             workload class), length ``n_vms``.  For heterogeneous fleets
             these are the reference pool's floors; pool-aware policies
             and the engine derive the per-pool floors from ``fleet``.
-        fleet: the heterogeneous fleet, or ``None`` for the paper's
-            homogeneous protocol.  When set, ``power_model`` is the
-            fleet's reference (first) pool model and ``max_servers`` its
-            total server count; fleet-aware policies must respect the
-            per-pool capacities and tag their allocation with
+        fleet: the server pools.  ``None`` stands for the paper's
+            homogeneous data center, the one-pool :class:`FleetSpec` of
+            ``power_model`` and ``max_servers``, which is stored here in
+            its place.  On a fleet ``power_model`` is the reference
+            (first) pool's model and ``max_servers`` the total server
+            count; policies must respect the per-pool capacities and,
+            on two or more pools, tag their allocation with
             :attr:`Allocation.server_pools`.
         faults: the fault state for this window, or ``None`` when no
-            fault layer is active.  ``max_servers`` (and ``fleet``, when
-            set) are already reduced to the available capacity; policies
-            that want to react beyond capacity reduction (power-cap
+            fault layer is active.  ``max_servers`` and ``fleet`` are
+            already reduced to the available capacity; policies that
+            want to react beyond capacity reduction (power-cap
             consolidation, shedding) read the details here.
+        vm_ids: sorted global dataset ids of the active VMs (the
+            identity online policies key their placement on);
+            ``arange(n_vms)`` when omitted.
+        last_cpu: CPU utilization observed during the previous slot
+            (``(n_vms, 12)``), rows ``NaN`` for VMs without history
+            (fresh arrivals, or the first simulated slot); ``None`` when
+            no history is supplied at all.
+        last_mem: memory counterpart of ``last_cpu``.
     """
 
     pred_cpu: np.ndarray
@@ -270,6 +300,9 @@ class AllocationContext:
     qos_floor_ghz: np.ndarray
     fleet: Optional[FleetSpec] = None
     faults: Optional[FaultWindow] = None
+    vm_ids: Optional[np.ndarray] = None
+    last_cpu: Optional[np.ndarray] = None
+    last_mem: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         if self.pred_cpu.ndim != 2 or self.pred_cpu.shape != self.pred_mem.shape:
@@ -282,6 +315,20 @@ class AllocationContext:
             )
         if self.max_servers < 1:
             raise ConfigurationError("max_servers must be >= 1")
+        if self.vm_ids is None:
+            object.__setattr__(
+                self, "vm_ids", np.arange(self.pred_cpu.shape[0])
+            )
+        elif self.vm_ids.shape != (self.pred_cpu.shape[0],):
+            raise ConfigurationError(
+                "vm_ids must carry one global id per context row"
+            )
+        if self.fleet is None:
+            object.__setattr__(
+                self,
+                "fleet",
+                homogeneous_fleet(self.power_model, self.max_servers),
+            )
 
     @property
     def n_vms(self) -> int:
@@ -336,15 +383,16 @@ class Allocation:
             overutilized for SLA accounting (the policy's effective cap:
             100 for policies that can compensate up to ``Fmax``, the fixed
             cap for fixed-frequency policies).
-        case: EPACT's branch for the slot (``"cpu"`` or ``"mem"``), empty
-            for other policies.
+        case: EPACT's branch for the slot (``"cpu"`` or ``"mem"``; on a
+            multi-pool fleet the occupied pools' branches joined
+            pool-major, e.g. ``"cpu+mem"``), empty for other policies.
         f_opt_ghz: the slot-optimal frequency chosen by the policy, if any.
         forced_placements: VMs that did not fit under the policy's caps and
             were force-placed on the least-loaded server.
         server_pools: per-plan fleet pool index (``plans[i]`` is a server
-            of pool ``server_pools[i]``), or ``None`` for homogeneous
-            allocations.  Heterogeneous engines require it whenever the
-            fleet has more than one pool.
+            of pool ``server_pools[i]``), or ``None`` on a one-pool
+            fleet.  The engine requires it whenever the fleet has more
+            than one pool.
         shed_vm_ids: context-row indices of VMs the policy shed for this
             window (degraded operation under faults: no surviving server
             could physically host them).  Shed VMs appear in no plan;
@@ -422,14 +470,21 @@ class AllocationPolicy(ABC):
         can always account power and violations.
         """
 
+    def reset(self) -> None:
+        """Drop the state of a previous run (the engine calls this at
+        the start of every run).
+
+        A policy that plans each window from its context alone keeps
+        none; policies that carry decisions across windows override
+        this, and wrappers delegate it.
+        """
+
     def state(self) -> Dict[str, object]:
         """The JSON-able state a resumed run needs (checkpoint/resume).
 
         A policy that plans each window from its context alone keeps
-        none.  Caches a policy recomputes deterministically from the
-        power model (EPACT's platform F_opt, COAT-OPT's resolved cap)
-        are not state.  Policies that carry decisions across windows
-        override this and :meth:`restore`.
+        none.  Policies that carry decisions across windows override
+        this and :meth:`restore`.
         """
         return {}
 

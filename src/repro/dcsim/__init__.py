@@ -5,8 +5,8 @@ forecast, policy and power substrates.
 
 One engine, :class:`DataCenterSimulation`, runs every population and
 fleet: a churning population is its ``schedule=`` argument and a
-homogeneous data center is accounted as the one-pool fleet of its
-power model.
+homogeneous data center is the one-pool fleet of its power model, for
+accounting and for the policies' context alike.
 
 This package is also the single entry point for the multi-policy
 runners — :func:`run_policies` (fixed or churning population, the

@@ -7,10 +7,10 @@ engine.  Per allocation window it
    EPACT, every 24 slots for the day-ahead consolidation baselines),
    at midnight, at every VM arrival, departure or resize and at every
    fault-state change;
-2. hands the policy a
-   :class:`~repro.core.online.CloudAllocationContext` over the
-   window's active VMs (their day-ahead predictions, global ids and
-   the previous slot's observed utilization) and takes its allocation;
+2. hands the policy an :class:`~repro.core.types.AllocationContext`
+   over the window's active VMs (their day-ahead predictions, global
+   ids and the previous slot's observed utilization) and the fleet,
+   and takes its allocation;
 3. counts migrations over the VMs placed on both sides of the window
    boundary;
 4. accounts each of the window's slots: for every 5-minute sample it
@@ -29,10 +29,10 @@ streaming engine
 telemetry ingest, the forecast ladder, blind-window freezes and
 checkpoints into the same loop.
 
-Accounting has one path for every data center: a homogeneous one is
-priced as the one-pool :class:`~repro.core.types.FleetSpec` of its
-power model and ``max_servers``.  Policies still see ``fleet=None``
-there.
+A homogeneous data center is the one-pool
+:class:`~repro.core.types.FleetSpec` of its power model and
+``max_servers``: accounting prices it on the one fleet path, and its
+policies read that fleet on their context.
 
 Servers hosting no VM are powered off (0 W) — the server turn-off
 assumption shared by all compared policies.
@@ -60,14 +60,14 @@ from typing import Dict, Hashable, Iterable, Iterator, List, NamedTuple, Optiona
 import numpy as np
 
 from ..core.governor import DvfsGovernor
-from ..core.online import CloudAllocationContext, OnlinePolicy
 from ..core.types import (
     Allocation,
+    AllocationContext,
     AllocationPolicy,
     FaultWindow,
     FleetSpec,
-    PoolSpec,
     ServerPlan,
+    homogeneous_fleet,
 )
 from ..errors import ConfigurationError
 from ..forecast.predictor import PrecomputedPredictor
@@ -419,10 +419,10 @@ class DataCenterSimulation:
             its own cached :class:`VectorizedServerPower` tables,
             governor, QoS floors and stall/traffic curves — one
             evaluation per (slot, model).  Without it the data center
-            is accounted as the one-pool fleet of ``power_model`` and
-            ``max_servers``, so a single-pool fleet reproduces the
-            homogeneous engine bit-identically
-            (``tests/test_hetero_equivalence.py``).
+            is the one-pool fleet of ``power_model`` and
+            ``max_servers``, for accounting and for the policy's
+            context, so a single-pool fleet reproduces the homogeneous
+            engine bit-identically (``tests/test_hetero_equivalence.py``).
         faults: optional :class:`~repro.cloud.faults.FaultSchedule`
             covering the simulated horizon.  Allocation windows are cut
             at every fault-state change, policies see the reduced
@@ -491,21 +491,13 @@ class DataCenterSimulation:
                 )
             self._servers = fleet
         else:
-            # A homogeneous data center is accounted as the one-pool
-            # fleet of its power model (policies still see fleet=None).
-            power = (
+            # A homogeneous data center is the one-pool fleet of its
+            # power model, for accounting and policies alike.
+            self._servers = homogeneous_fleet(
                 power_model
                 if power_model is not None
-                else ntc_server_power_model()
-            )
-            self._servers = FleetSpec(
-                pools=(
-                    PoolSpec(
-                        power.spec.name,
-                        power,
-                        600 if max_servers is None else max_servers,
-                    ),
-                )
+                else ntc_server_power_model(),
+                600 if max_servers is None else max_servers,
             )
         self._power = self._servers.pools[0].power_model
         self._max_servers = self._servers.total_servers
@@ -700,25 +692,28 @@ class DataCenterSimulation:
             pool_available=pool_available,
         )
 
-    def _reduced_fleet(self, pool_available: tuple) -> FleetSpec:
+    def _reduced_fleet(self, fault: FaultWindow) -> FleetSpec:
         """The fleet with per-pool capacity reduced to the up servers.
 
-        Cached per availability tuple so repeated windows of one
-        outage hand policies the *same* fleet object —
-        :class:`~repro.core.fleet.FleetEpactPolicy`'s one-entry
-        ``F_opt`` cache keys on fleet identity.
+        A homogeneous data center's window carries no per-pool counts;
+        its one pool keeps ``available_servers``.  Cached per
+        availability tuple so repeated windows of one outage hand
+        policies the *same* fleet object, whose
+        :meth:`~repro.core.types.FleetSpec.efficiency_order` is then
+        computed once.
         """
-        cached = self._reduced_fleets.get(pool_available)
+        up = fault.pool_available
+        if up is None:
+            up = (fault.available_servers,)
+        cached = self._reduced_fleets.get(up)
         if cached is None:
             cached = FleetSpec(
                 pools=tuple(
-                    dc_replace(pool, n_servers=int(up))
-                    for pool, up in zip(
-                        self._fleet.pools, pool_available
-                    )
+                    dc_replace(pool, n_servers=int(n))
+                    for pool, n in zip(self._servers.pools, up)
                 )
             )
-            self._reduced_fleets[pool_available] = cached
+            self._reduced_fleets[up] = cached
         return cached
 
     # -- public API ---------------------------------------------------------
@@ -939,8 +934,7 @@ class DataCenterSimulation:
 
     def _begin_run(self) -> _LoopState:
         """The loop state a run starts from."""
-        if isinstance(self._policy, OnlinePolicy):
-            self._policy.reset()
+        self._policy.reset()
         return _LoopState(slot=self._start_slot)
 
     def _observe(
@@ -1125,12 +1119,11 @@ class DataCenterSimulation:
             )
         last_cpu, last_mem = self._last_observed(slot, active)
         max_servers = self._max_servers
-        fleet = self._fleet
+        fleet = self._servers
         if fault is not None:
             max_servers = fault.available_servers
-            if fleet is not None:
-                fleet = self._reduced_fleet(fault.pool_available)
-        ctx = CloudAllocationContext(
+            fleet = self._reduced_fleet(fault)
+        ctx = AllocationContext(
             pred_cpu=pred_cpu,
             pred_mem=pred_mem,
             power_model=self._power,

@@ -5,8 +5,8 @@ Sweeps the registered NTC/conventional fleet compositions
 predictions, twice:
 
 * **fixed population** — the paper's Section VI-C protocol with
-  :class:`~repro.core.fleet.FleetEpactPolicy` splitting the demand
-  across pools (spread on NTC, consolidate the spill on conventional
+  :class:`~repro.core.epact.EpactPolicy` splitting the demand across
+  pools (spread on NTC, consolidate the spill on conventional
   servers);
 * **under churn** — the online-cloud protocol on a churning scenario,
   comparing the fleet-aware day-ahead EPACT against the pool-aware
@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..baselines import OnlineReactivePolicy
 from ..cloud import get_fleet, get_scenario, list_fleets, sla_table
-from ..core.fleet import FleetEpactPolicy
+from ..core.epact import EpactPolicy
 from ..core.types import AllocationPolicy
 from ..dcsim import SimulationResult
 from ..dcsim.engine import (
@@ -54,7 +54,7 @@ DEFAULT_MIXES = (
 
 def default_hybrid_policies() -> List[AllocationPolicy]:
     """The churn-leg comparison: fleet-aware EPACT vs pool-aware online."""
-    return [FleetEpactPolicy(), OnlineReactivePolicy()]
+    return [EpactPolicy(), OnlineReactivePolicy()]
 
 
 def _run_mix(
@@ -130,7 +130,7 @@ def run_hybrid(
         else default_hybrid_policies()
     )
 
-    fixed_tasks = [(name, (name, FleetEpactPolicy())) for name in names]
+    fixed_tasks = [(name, (name, EpactPolicy())) for name in names]
     churn_tasks = [
         ((name, policy.name), (name, policy))
         for name in names

@@ -215,9 +215,17 @@ class ServerPowerModel:
 
         For the NTC server this should land at the paper's ≈1.9 GHz; for
         the conventional server it lands at ``Fmax`` (consolidation wins).
+        The sweep is a pure function of the immutable model, and EPACT's
+        sizing, COAT-OPT's cap and the fleet split ask for it every
+        slot, so it runs once and is cached on the instance
+        (``object.__setattr__`` around the frozen dataclass).
         """
-        freqs = self.spec.opps.frequencies_ghz
-        return min(freqs, key=self.power_per_ghz)
+        cached = self.__dict__.get("_optimal_frequency_ghz")
+        if cached is None:
+            freqs = self.spec.opps.frequencies_ghz
+            cached = min(freqs, key=self.power_per_ghz)
+            object.__setattr__(self, "_optimal_frequency_ghz", cached)
+        return cached
 
     # -- variants -------------------------------------------------------------
 

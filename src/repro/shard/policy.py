@@ -4,10 +4,10 @@
 :class:`~repro.core.types.AllocationPolicy` and splits each allocation
 window into pattern-similar VM shards (:func:`repro.shard.cluster
 .cluster_vms`), runs the wrapped policy on each shard against a
-proportional slice of the server budget, and concatenates the per-shard
-plans shard-major through the same
-:func:`~repro.core.alloc1d.run_allocator_pools` seam the heterogeneous
-fleet layer already uses — shards compose exactly like pools.
+sub-fleet (every pool of the window's fleet split by the shard loads),
+and concatenates the per-shard plans shard-major through the same
+:func:`~repro.core.alloc1d.run_allocator_pools` seam EPACT's pool loop
+uses — shards compose exactly like pools.
 
 Shards run in-process, in shard order.  ``shards=1`` bypasses the whole
 layer (``allocate`` delegates straight to the wrapped policy) and is
@@ -19,11 +19,12 @@ fans independent (policy, region) runs out over worker processes.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from ..core.alloc1d import run_allocator_pools
+from ..core.online import OnlinePolicy
 from ..core.types import (
     Allocation,
     AllocationContext,
@@ -38,17 +39,21 @@ _WEIGHT_FLOOR = 1.0e-9
 
 
 def _shard_context(
-    ctx: AllocationContext,
-    rows: np.ndarray,
-    max_servers: int,
-    fleet: Optional[FleetSpec],
+    ctx: AllocationContext, rows: np.ndarray, pool_servers: np.ndarray
 ) -> AllocationContext:
-    """The window context restricted to one shard's VMs and budget."""
+    """The window context restricted to one shard's VMs and its share
+    (``pool_servers[p]`` servers) of every pool of the fleet."""
+    fleet = FleetSpec(
+        pools=tuple(
+            replace(pool, n_servers=int(n))
+            for pool, n in zip(ctx.fleet.pools, pool_servers)
+        )
+    )
     return AllocationContext(
         pred_cpu=np.ascontiguousarray(ctx.pred_cpu[rows]),
         pred_mem=np.ascontiguousarray(ctx.pred_mem[rows]),
         power_model=ctx.power_model,
-        max_servers=max_servers,
+        max_servers=fleet.total_servers,
         qos_floor_ghz=ctx.qos_floor_ghz[rows],
         fleet=fleet,
     )
@@ -68,7 +73,9 @@ class ShardedPolicy(AllocationPolicy):
             every sharded window emits a ``shard_window`` event.
 
     Raises:
-        ConfigurationError: for ``shards < 1``.
+        ConfigurationError: for ``shards < 1``, or an
+            :class:`~repro.core.online.OnlinePolicy` with ``shards > 1``
+            (its placement state spans the whole population).
     """
 
     def __init__(
@@ -79,6 +86,12 @@ class ShardedPolicy(AllocationPolicy):
     ):
         if shards < 1:
             raise ConfigurationError("shards must be >= 1")
+        if shards > 1 and isinstance(policy, OnlinePolicy):
+            raise ConfigurationError(
+                f"online policy {policy.name!r} keeps its placement "
+                "across windows by VM id over the whole population, so "
+                "it cannot run shard by shard — use shards=1"
+            )
         self._inner = policy
         self._shards = int(shards)
         self._tracer = tracer
@@ -91,6 +104,10 @@ class ShardedPolicy(AllocationPolicy):
         state["_tracer"] = None
         return state
 
+    def reset(self) -> None:
+        """Reset the wrapped policy (start of a fresh run)."""
+        self._inner.reset()
+
     def state(self) -> Dict[str, object]:
         """The wrapped policy's checkpoint state."""
         return self._inner.state()
@@ -98,35 +115,6 @@ class ShardedPolicy(AllocationPolicy):
     def restore(self, state: Dict[str, object]) -> None:
         """Restore the wrapped policy's checkpoint state."""
         self._inner.restore(state)
-
-    def _sub_fleets(
-        self, fleet: FleetSpec, weights: np.ndarray
-    ) -> List[Optional[FleetSpec]]:
-        """Per-shard sub-fleets: every pool split by the shard weights.
-
-        Pool order is preserved and every positive-weight shard gets at
-        least one server of every pool, so a shard allocation's
-        ``server_pools`` indices are valid parent-fleet pool indices and
-        concatenate directly.
-        """
-        budgets = np.stack(
-            [
-                shard_server_budgets(weights, pool.n_servers)
-                for pool in fleet.pools
-            ],
-            axis=1,
-        )
-        return [
-            FleetSpec(
-                pools=tuple(
-                    replace(pool, n_servers=int(budgets[s, p]))
-                    for p, pool in enumerate(fleet.pools)
-                )
-            )
-            if weights[s] > 0.0
-            else None
-            for s in range(weights.shape[0])
-        ]
 
     def allocate(self, ctx: AllocationContext) -> Allocation:
         """Cluster, split the budget, allocate per shard, concatenate."""
@@ -154,25 +142,21 @@ class ShardedPolicy(AllocationPolicy):
                 for rows in shard_rows
             ]
         )
-        if ctx.fleet is not None:
-            fleets = self._sub_fleets(ctx.fleet, weights)
-            budgets = np.array(
-                [
-                    fleet.total_servers if fleet is not None else 0
-                    for fleet in fleets
-                ],
-                dtype=np.int64,
-            )
-        else:
-            fleets = [None] * len(shard_rows)
-            budgets = shard_server_budgets(weights, ctx.max_servers)
-
+        # Every pool is split by the shard weights: pool order is
+        # preserved and every positive-weight shard gets at least one
+        # server of every pool, so a shard allocation's server_pools
+        # indices are parent-fleet pool indices.
+        budgets = np.stack(
+            [
+                shard_server_budgets(weights, pool.n_servers)
+                for pool in ctx.fleet.pools
+            ],
+            axis=1,
+        )
         occupied = [s for s, rows in enumerate(shard_rows) if rows.size]
         allocations = {
             s: self._inner.allocate(
-                _shard_context(
-                    ctx, shard_rows[s], int(budgets[s]), fleets[s]
-                )
+                _shard_context(ctx, shard_rows[s], budgets[s])
             )
             for s in occupied
         }
@@ -183,19 +167,15 @@ class ShardedPolicy(AllocationPolicy):
 
         plans, _, forced = run_allocator_pools(reuse, shard_rows)
         server_pools = None
-        if ctx.fleet is not None:
+        if ctx.fleet.n_pools > 1:
             parts = [allocations[s].server_pools for s in occupied]
-            if all(part is not None for part in parts):
-                # Sub-fleets preserve the parent's pool order, so shard
-                # pool indices are parent pool indices and concatenate
-                # directly alongside the plans.
-                server_pools = np.concatenate(parts)
-            elif ctx.fleet.n_pools > 1:
+            if any(part is None for part in parts):
                 raise ConfigurationError(
                     f"policy {self._inner.name!r} left server_pools "
                     "unset on a multi-pool fleet — wrap a fleet-aware "
-                    "policy (e.g. FleetEpactPolicy) instead"
+                    "policy (e.g. EpactPolicy) instead"
                 )
+            server_pools = np.concatenate(parts)
         shed: List[int] = []
         for s in occupied:
             shed.extend(
@@ -210,7 +190,7 @@ class ShardedPolicy(AllocationPolicy):
                 n_shards=len(shard_rows),
                 n_vms=ctx.n_vms,
                 shard_sizes=[int(rows.size) for rows in shard_rows],
-                server_budgets=[int(b) for b in budgets],
+                server_budgets=[int(b) for b in budgets.sum(axis=1)],
                 forced=int(forced),
             )
         return Allocation(

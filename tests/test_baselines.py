@@ -137,13 +137,6 @@ class TestCoatOpt:
             100.0 * f_opt / 3.1
         )
 
-    def test_eager_resolution_with_power_model(self, ntc_power):
-        policy = CoatOptPolicy(power_model=ntc_power)
-        cpu = make_patterns(10, seed=17)
-        mem = make_patterns(10, seed=18, scale=2.0)
-        allocation = policy.allocate(make_ctx(ntc_power, cpu, mem))
-        assert allocation.f_opt_ghz == pytest.approx(1.9)
-
     def test_uses_more_servers_than_coat(self, ntc_power):
         cpu = make_patterns(40, seed=19, scale=12.0)
         mem = make_patterns(40, seed=20, scale=2.0)

@@ -29,11 +29,10 @@ from repro.cloud import (
     get_scenario,
     summarize,
 )
-from repro.core import AllocationContext, EpactPolicy
+from repro.core import EpactPolicy
 from repro.dcsim import DataCenterSimulation, run_policies
 from repro.errors import ConfigurationError
 from repro.forecast import DayAheadPredictor
-from repro.power.server_power import ntc_server_power_model
 from repro.traces import LifecycleSchedule, TraceDataset, default_dataset
 from repro.units import SAMPLES_PER_SLOT
 
@@ -180,22 +179,6 @@ class TestCloudRunSemantics:
             dataset, predictor, policy, **kwargs
         ).run()
         assert records_equal(first.records, second.records)
-
-    def test_online_policy_rejects_plain_context(self, small_dataset):
-        """Every engine hands policies a cloud context; only a direct
-        caller can pass a plain one, and gets a clear error."""
-        n = small_dataset.n_vms
-        ctx = AllocationContext(
-            pred_cpu=small_dataset.cpu_pct[:, :12],
-            pred_mem=small_dataset.mem_pct[:, :12],
-            power_model=ntc_server_power_model(),
-            max_servers=n,
-            qos_floor_ghz=np.zeros(n),
-        )
-        with pytest.raises(
-            ConfigurationError, match="CloudAllocationContext"
-        ):
-            OnlineReactivePolicy().allocate(ctx)
 
     def test_schedule_validation(self, small_dataset, arima_predictor):
         with pytest.raises(ConfigurationError, match="VMs"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import OnlineBestFitPolicy, OnlineReactivePolicy
-from repro.core.online import CloudAllocationContext
+from repro.core.types import AllocationContext
 from repro.errors import ConfigurationError
 from repro.power import ntc_server_power_model
 
@@ -21,7 +21,7 @@ def make_ctx(
     if pred_mem is None:
         pred_mem = np.full_like(pred_cpu, 5.0)
     n = pred_cpu.shape[0]
-    return CloudAllocationContext(
+    return AllocationContext(
         pred_cpu=pred_cpu,
         pred_mem=np.asarray(pred_mem, dtype=float),
         power_model=ntc_server_power_model(),
@@ -100,20 +100,6 @@ class TestOnlineBestFit:
             make_ctx(np.stack([pattern(20)]), vm_ids=[4])
         )
         assert allocation.vm_to_server(1).shape == (1,)
-
-    def test_requires_cloud_context(self):
-        from repro.core.types import AllocationContext
-
-        policy = OnlineBestFitPolicy()
-        ctx = AllocationContext(
-            pred_cpu=np.ones((2, 12)),
-            pred_mem=np.ones((2, 12)),
-            power_model=ntc_server_power_model(),
-            max_servers=4,
-            qos_floor_ghz=np.full(2, 0.5),
-        )
-        with pytest.raises(ConfigurationError):
-            policy.allocate(ctx)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

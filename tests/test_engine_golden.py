@@ -43,7 +43,7 @@ from repro.cloud import (
 )
 from repro.cloud.faults import FaultSchedule
 from repro.cloud.telemetry import get_telemetry_scenario
-from repro.core import EpactPolicy, FleetEpactPolicy, FleetSpec, PoolSpec
+from repro.core import EpactPolicy, FleetSpec, PoolSpec
 from repro.dcsim import DataCenterSimulation, SlotRecord
 from repro.forecast import DayAheadPredictor
 from repro.power import ntc_psu
@@ -180,7 +180,7 @@ def test_hetero_fixed_population(ds, pred, name, opp_policy):
     result = DataCenterSimulation(
         ds,
         pred,
-        FleetEpactPolicy(),
+        EpactPolicy(),
         fleet=_two_pool(opp_policy, n_ntc=1),
         n_slots=13,
     ).run()
@@ -252,9 +252,9 @@ def test_batch_latency_resizes_psu_migration_energy(name, policy_factory):
 @pytest.mark.parametrize(
     "name, opp_policy, policy_factory",
     [
-        ("hetero-churn-two-pool-epact", "governor", FleetEpactPolicy),
+        ("hetero-churn-two-pool-epact", "governor", EpactPolicy),
         ("hetero-churn-two-pool-reactive", "governor", OnlineReactivePolicy),
-        ("hetero-churn-fixed-opt-epact", "fixed-opt", FleetEpactPolicy),
+        ("hetero-churn-fixed-opt-epact", "fixed-opt", EpactPolicy),
     ],
 )
 def test_hetero_churn(ds, pred, name, opp_policy, policy_factory):

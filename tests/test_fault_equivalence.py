@@ -33,7 +33,7 @@ from repro.cloud.faults import (
     get_fault_scenario,
     zero_faults,
 )
-from repro.core import EpactPolicy, FleetEpactPolicy, FleetSpec, PoolSpec
+from repro.core import EpactPolicy, FleetSpec, PoolSpec
 from repro.dcsim import DataCenterSimulation, engine
 from repro.dcsim.engine import FailedRun, fan_out
 from repro.errors import ConfigurationError
@@ -120,11 +120,11 @@ class TestZeroEventBitIdentity:
     def test_hetero_fleet(self, ds, pred, two_pool_fleet):
         kwargs = dict(fleet=two_pool_fleet, n_slots=24)
         base = DataCenterSimulation(
-            ds, pred, FleetEpactPolicy(), **kwargs
+            ds, pred, EpactPolicy(), **kwargs
         ).run()
         zf = zero_faults(16, 0, ds.n_slots, pool_sizes=(8, 8))
         faulty = DataCenterSimulation(
-            ds, pred, FleetEpactPolicy(), faults=zf, **kwargs
+            ds, pred, EpactPolicy(), faults=zf, **kwargs
         ).run()
         assert records_equal(base.records, faulty.records)
 

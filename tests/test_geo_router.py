@@ -9,11 +9,15 @@ events must validate against the observability schemas.
 import numpy as np
 import pytest
 
+from repro.baselines import CoatOptPolicy
 from repro.core import EpactPolicy, FleetSpec, PoolSpec
 from repro.errors import ConfigurationError
 from repro.forecast.predictor import PerfectPredictor
 from repro.obs import RunTracer
-from repro.power.server_power import ntc_server_power_model
+from repro.power.server_power import (
+    conventional_server_power_model,
+    ntc_server_power_model,
+)
 from repro.shard import GeoFleetSpec, RegionSpec, route_vms, run_geo_policies
 from repro.traces import default_dataset
 
@@ -130,3 +134,40 @@ class TestGeoRun:
                 fanned.results["EPACT"][name].records
                 == serial.results["EPACT"][name].records
             )
+
+    def test_mixed_platform_jobs_equal_serial(self):
+        """A serial run reuses each policy instance across regions, so
+        every region's F_opt must come from its own platform: an NTC
+        and a conventional site give the same records serially and in
+        separate worker processes."""
+        dataset = default_dataset(n_vms=40, n_days=2, seed=5)
+        conventional = FleetSpec(
+            pools=(
+                PoolSpec(
+                    "conventional",
+                    conventional_server_power_model(),
+                    20,
+                    perf_platform="x86",
+                ),
+            )
+        )
+        geo = GeoFleetSpec(
+            regions=(region("eu", 20), RegionSpec("us", conventional))
+        )
+        serial, fanned = (
+            run_geo_policies(
+                dataset,
+                PerfectPredictor,
+                [EpactPolicy(), CoatOptPolicy()],
+                geo,
+                n_slots=24,
+                jobs=jobs,
+            )
+            for jobs in (1, 2)
+        )
+        for policy in ("EPACT", "COAT-OPT"):
+            for name in ("eu", "us"):
+                assert (
+                    fanned.results[policy][name].records
+                    == serial.results[policy][name].records
+                ), (policy, name)

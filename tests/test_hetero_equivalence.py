@@ -3,14 +3,15 @@
 Two families of guarantees:
 
 * **degeneracy** — a single-pool :class:`FleetSpec` must reproduce the
-  homogeneous engine *bit-identically*: :class:`FleetEpactPolicy`
-  against :class:`EpactPolicy` on the fixed-population engine, and both
-  the fleet-aware day-ahead policy and the pool-aware online policies
-  under churn;
+  homogeneous engine *bit-identically*: :class:`EpactPolicy` on the
+  explicit fleet against the homogeneous data center on the
+  fixed-population engine, and both EPACT and the pool-aware online
+  policies under churn;
 * **oracles** — on genuinely mixed fleets ``inspect_slot`` must add up
-  to the engine's record, each pool of ``allocate_fleet_slot`` must
-  equal running that pool's allocator separately, and the fleet
-  sizing's fast case-1 sweep must equal the scalar reference.
+  to the engine's record, each pool of an :class:`EpactPolicy`
+  allocation must equal running that pool's sizing and allocator
+  separately, and each pool's fast case-1 sweep must equal the scalar
+  reference.
   Mixed-fleet records
   themselves are pinned by ``tests/test_engine_golden.py``.
 """
@@ -20,14 +21,12 @@ import pytest
 
 from repro.baselines import OnlineBestFitPolicy, OnlineReactivePolicy
 from repro.core import (
+    AllocationContext,
     EpactPolicy,
-    FleetEpactPolicy,
     FleetSpec,
     PoolSpec,
     allocate_1d,
     allocate_2d,
-    allocate_fleet_slot,
-    size_fleet_slot,
     split_fleet_vms,
 )
 from repro.core import sizing
@@ -121,7 +120,7 @@ class TestSinglePoolBitIdentity:
     def test_fixed_population_matches_homogeneous(
         self, het_dataset, het_predictor, single_pool_fleet
     ):
-        """FleetEpact on a single-pool fleet == EpactPolicy, exactly."""
+        """EPACT on a single-pool fleet == the homogeneous run, exactly."""
         homogeneous = DataCenterSimulation(
             het_dataset,
             het_predictor,
@@ -132,7 +131,7 @@ class TestSinglePoolBitIdentity:
         fleet_run = DataCenterSimulation(
             het_dataset,
             het_predictor,
-            FleetEpactPolicy(),
+            EpactPolicy(),
             fleet=single_pool_fleet,
             n_slots=16,
         ).run()
@@ -153,7 +152,7 @@ class TestSinglePoolBitIdentity:
         fleet_run = DataCenterSimulation(
             het_dataset,
             het_predictor,
-            FleetEpactPolicy(),
+            EpactPolicy(),
             fleet=single_pool_fleet,
             n_slots=8,
         ).run()
@@ -202,7 +201,7 @@ class TestSinglePoolBitIdentity:
         fleet_run = DataCenterSimulation(
             het_dataset,
             het_predictor,
-            FleetEpactPolicy(),
+            EpactPolicy(),
             schedule=het_schedule,
             fleet=single_pool_fleet,
             n_slots=24,
@@ -248,7 +247,7 @@ class TestHeteroAccountingOracles:
         sim = DataCenterSimulation(
             het_dataset,
             het_predictor,
-            FleetEpactPolicy(),
+            EpactPolicy(),
             fleet=two_pool_fleet,
             n_slots=1,
         )
@@ -268,7 +267,7 @@ class TestHeteroAccountingOracles:
         sim = DataCenterSimulation(
             het_dataset,
             het_predictor,
-            FleetEpactPolicy(),
+            EpactPolicy(),
             fleet=two_pool_fleet,
             n_slots=1,
         )
@@ -289,7 +288,7 @@ class TestHeteroAccountingOracles:
         sim = DataCenterSimulation(
             het_dataset,
             het_predictor,
-            FleetEpactPolicy(),
+            EpactPolicy(),
             fleet=fixed_opt_fleet,
             n_slots=1,
         )
@@ -317,7 +316,7 @@ class TestHeteroAccountingOracles:
             DataCenterSimulation(
                 het_dataset,
                 het_predictor,
-                FleetEpactPolicy(),
+                EpactPolicy(),
                 fleet=two_pool_fleet,
                 max_servers=1000,
             )
@@ -325,7 +324,7 @@ class TestHeteroAccountingOracles:
             DataCenterSimulation(
                 het_dataset,
                 het_predictor,
-                FleetEpactPolicy(),
+                EpactPolicy(),
                 fleet=two_pool_fleet,
                 power_model=ntc_server_power_model(),
             )
@@ -395,25 +394,43 @@ class TestSplitAndPoolAllocators:
         assert np.array_equal(parts[0], np.arange(30))
 
     def _assert_fleet_slot_pool(self, fleet, m, case):
-        """Pool ``m`` of :func:`allocate_fleet_slot` is a standalone
-        allocator call (Algorithm 1 for ``case`` ``"cpu"``, 2 for
-        ``"mem"``) under the pool's sizing, remapped to global ids;
-        the slot's forced placements sum over the pools."""
+        """Pool ``m`` of an :class:`EpactPolicy` allocation on ``fleet``
+        is a standalone :func:`size_slot` plus allocator call
+        (Algorithm 1 for ``case`` ``"cpu"``, 2 for ``"mem"``) on the
+        split's assignment, remapped to global ids; the slot's forced
+        placements sum over the pools."""
         for seed in range(6):
             cpu = self._patterns(seed=seed)
             mem = self._patterns(seed=seed + 1)
-            sizing = size_fleet_slot(
-                cpu, mem, fleet, split_fleet_vms(cpu, mem, fleet)
+            allocation = EpactPolicy(mem_headroom_pct=0.0).allocate(
+                AllocationContext(
+                    pred_cpu=cpu,
+                    pred_mem=mem,
+                    power_model=fleet.pools[0].power_model,
+                    max_servers=fleet.total_servers,
+                    qos_floor_ghz=np.zeros(cpu.shape[0]),
+                    fleet=fleet,
+                )
             )
-            assert sizing.pool_sizings[m].case == case
-            plans, pools, forced = allocate_fleet_slot(
-                cpu, mem, fleet, sizing
-            )
+            plans, pools = allocation.plans, allocation.server_pools
             assert np.array_equal(pools, np.sort(pools))  # pool-major
+            parts = split_fleet_vms(cpu, mem, fleet)
+            assert parts[m].size
             ref_forced = 0
-            for n, idx in enumerate(sizing.assignments):
-                pool_sizing = sizing.pool_sizings[n]
+            ref_cases = []
+            for n, idx in enumerate(parts):
+                if idx.size == 0:
+                    continue
                 bound = fleet.pools[n].n_servers
+                pool_sizing = sizing.size_slot(
+                    cpu[idx],
+                    mem[idx],
+                    fleet.pools[n].power_model,
+                    max_servers=bound,
+                )
+                ref_cases.append(pool_sizing.case)
+                if n == m:
+                    assert pool_sizing.case == case
                 if pool_sizing.case == "cpu":
                     ref_plans, forced_n = allocate_1d(
                         cpu[idx],
@@ -442,7 +459,8 @@ class TestSplitAndPoolAllocators:
                     plan.planned_freq_ghz == pool_sizing.f_opt_ghz
                     for plan in mine
                 )
-            assert forced == ref_forced
+            assert allocation.forced_placements == ref_forced
+            assert allocation.case == "+".join(ref_cases)
 
     def test_fleet_slot_pool_equals_allocate_1d(self, two_pool_fleet):
         """The NTC pool packs its VMs with Algorithm 1."""
@@ -458,18 +476,30 @@ class TestSplitAndPoolAllocators:
         cpu = self._patterns(seed=11) * 2.0
         mem = self._patterns(seed=12)
         parts = split_fleet_vms(cpu, mem, two_pool_fleet)
-        fast = size_fleet_slot(cpu, mem, two_pool_fleet, parts)
+
+        def pool_sizings():
+            return [
+                sizing.size_slot(
+                    cpu[idx],
+                    mem[idx],
+                    pool.power_model,
+                    max_servers=pool.n_servers,
+                )
+                for pool, idx in zip(two_pool_fleet.pools, parts)
+                if idx.size
+            ]
+
+        fast = pool_sizings()
         # The scalar case-1 loop takes the sweep's arguments.
         monkeypatch.setattr(
             sizing, "_search_case1", sizing._search_case1_reference
         )
-        ref = size_fleet_slot(cpu, mem, two_pool_fleet, parts)
-        for s_fast, s_ref in zip(fast.pool_sizings, ref.pool_sizings):
-            assert (s_fast is None) == (s_ref is None)
-            if s_fast is not None:
-                assert s_fast.n_servers == s_ref.n_servers
-                assert s_fast.f_opt_ghz == s_ref.f_opt_ghz
-                assert s_fast.case == s_ref.case
+        ref = pool_sizings()
+        assert len(fast) == len(ref) == 2
+        for s_fast, s_ref in zip(fast, ref):
+            assert s_fast.n_servers == s_ref.n_servers
+            assert s_fast.f_opt_ghz == s_ref.f_opt_ghz
+            assert s_fast.case == s_ref.case
 
 
 class TestFleetValidation:
@@ -480,7 +510,7 @@ class TestFleetValidation:
             DataCenterSimulation(
                 het_dataset,
                 het_predictor,
-                FleetEpactPolicy(),
+                EpactPolicy(),
                 power_model=ntc_server_power_model(),
                 fleet=single_pool_fleet,
             )
@@ -489,15 +519,31 @@ class TestFleetValidation:
         self, het_dataset, het_predictor, two_pool_fleet
     ):
         """Homogeneous policies cannot run untagged on a mixed fleet."""
+        from repro.baselines import CoatPolicy
+
         sim = DataCenterSimulation(
             het_dataset,
             het_predictor,
-            EpactPolicy(),
+            CoatPolicy(),
             fleet=two_pool_fleet,
             n_slots=1,
         )
         with pytest.raises(ConfigurationError, match="server_pools"):
             sim.run()
+
+    def test_platform_f_opt_override_needs_one_pool(self, two_pool_fleet):
+        """Each pool of a mixed fleet sizes at its own platform's F_opt."""
+        cpu = np.full((4, 12), 10.0)
+        ctx = AllocationContext(
+            pred_cpu=cpu,
+            pred_mem=cpu,
+            power_model=two_pool_fleet.pools[0].power_model,
+            max_servers=two_pool_fleet.total_servers,
+            qos_floor_ghz=np.zeros(4),
+            fleet=two_pool_fleet,
+        )
+        with pytest.raises(ConfigurationError, match="one-pool fleet"):
+            EpactPolicy(f_ntc_opt_ghz=1.9).allocate(ctx)
 
     def test_pool_capacity_enforced(
         self, het_dataset, het_predictor

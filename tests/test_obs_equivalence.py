@@ -500,8 +500,8 @@ class TestTracedExperiments:
             n_slots=2,
             total_servers=12,
         )
-        assert starts == ["EPACT-FLEET"] * 2 + [
-            "EPACT-FLEET",
+        assert starts == ["EPACT"] * 2 + [
+            "EPACT",
             "ONLINE-REACTIVE",
         ] * 2
         assert phases == PHASES

@@ -7,6 +7,7 @@ paper's operating points.
 import os
 import shutil
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,15 +34,21 @@ from repro.core import EpactPolicy
 from repro.core.alloc1d import allocate_1d
 from repro.core.alloc2d import _allocate_2d_reference, allocate_2d
 from repro.core.governor import DvfsGovernor
-from repro.core.types import AllocationContext
+from repro.core.types import (
+    AllocationContext,
+    FaultWindow,
+    FleetSpec,
+    PoolSpec,
+)
 from repro.dcsim.engine import DataCenterSimulation, count_migrations
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.experiments.hyperscale import synthetic_dataset
 from repro.forecast import DayAheadPredictor
 from repro.forecast.predictor import PerfectPredictor
 from repro.perf.workload import ALL_MEMORY_CLASSES
 from repro.power.datacenter import DataCenterPowerAnalysis
 from repro.serve.adapters import TelemetryBatch
+from repro.shard import ShardedPolicy, shard_server_budgets
 from repro.technology.opp import ntc_opp_table
 from repro.traces import TraceDataset, default_dataset
 from repro.traces.lifecycle import ChurnConfig, generate_lifecycle
@@ -637,6 +644,148 @@ class TestEngineSpecialCases:
             seed=seed,
         )
         assert run(schedule=churn, faults=no_faults) == run(schedule=churn)
+
+
+_CONTRACT_POLICIES = {
+    "EPACT": EpactPolicy,
+    "COAT": CoatPolicy,
+    "COAT-OPT": CoatOptPolicy,
+    "FFD": FfdPolicy,
+    "ONLINE-BF": OnlineBestFitPolicy,
+    "ONLINE-REACTIVE": OnlineReactivePolicy,
+    "SHARDED-EPACT": lambda: ShardedPolicy(EpactPolicy(), 2),
+}
+#: Single-pool policies: the engine refuses them on a mixed fleet.
+_ONE_POOL_ONLY = {"COAT", "COAT-OPT", "FFD"}
+
+
+class TestAllocationContract:
+    """What every policy owes the engine, on any fleet and fault state:
+    each VM placed once or shed, shedding only under faults, no more
+    plans than servers, and pool tags that respect every pool's
+    capacity.  Packing caps are not asserted: an allocator opens a
+    server for a VM whose own peak exceeds the cap without counting a
+    forced placement."""
+
+    @given(
+        policy=st.sampled_from(sorted(_CONTRACT_POLICIES)),
+        seed=st.integers(0, 2**32 - 1),
+        n_vms=st.integers(1, 30),
+        cpu_scale=st.floats(1.0, 60.0),
+        mem_scale=st.floats(1.0, 40.0),
+        n_ntc=st.integers(2, 12),
+        n_conv=st.integers(2, 12),
+        two_pools=st.booleans(),
+        faulted=st.booleans(),
+    )
+    # Demand spills from the NTC pool onto the conventional one, so
+    # both pools' plans must carry global VM ids.
+    @example(
+        policy="EPACT",
+        seed=1,
+        n_vms=30,
+        cpu_scale=40.0,
+        mem_scale=10.0,
+        n_ntc=2,
+        n_conv=6,
+        two_pools=True,
+        faulted=False,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_vm_placed_once_within_capacity(
+        self,
+        ntc_power,
+        conv_power,
+        policy,
+        seed,
+        n_vms,
+        cpu_scale,
+        mem_scale,
+        n_ntc,
+        n_conv,
+        two_pools,
+        faulted,
+    ):
+        two_pools = two_pools and policy not in _ONE_POOL_ONLY
+        faulted = faulted and policy != "SHARDED-EPACT"
+        rng = np.random.default_rng(seed)
+        cpu = rng.uniform(0.0, cpu_scale, size=(n_vms, SAMPLES_PER_SLOT))
+        mem = rng.uniform(0.0, mem_scale, size=(n_vms, SAMPLES_PER_SLOT))
+        if two_pools:
+            pools = (
+                PoolSpec("ntc", ntc_power, n_ntc),
+                PoolSpec(
+                    "conventional", conv_power, n_conv, perf_platform="x86"
+                ),
+            )
+        else:
+            pools = (PoolSpec("ntc", ntc_power, n_ntc + n_conv),)
+        fault = None
+        if faulted:
+            # One server of every pool is down.
+            pools = tuple(
+                replace(pool, n_servers=pool.n_servers - 1) for pool in pools
+            )
+            fault = FaultWindow(
+                available_servers=sum(pool.n_servers for pool in pools),
+                n_failed=len(pools),
+                pool_available=(
+                    tuple(pool.n_servers for pool in pools)
+                    if two_pools
+                    else None
+                ),
+            )
+        fleet = FleetSpec(pools=pools)
+        ctx = AllocationContext(
+            pred_cpu=cpu,
+            pred_mem=mem,
+            power_model=ntc_power,
+            max_servers=fleet.total_servers,
+            qos_floor_ghz=np.full(n_vms, 0.5),
+            fleet=fleet,
+            faults=fault,
+        )
+        allocation = _CONTRACT_POLICIES[policy]().allocate(ctx)
+
+        placed = [vm for plan in allocation.plans for vm in plan.vm_ids]
+        assert sorted(placed + list(allocation.shed_vm_ids)) == list(
+            range(n_vms)
+        )
+        if fault is None:
+            assert not allocation.shed_vm_ids
+        assert len(allocation.plans) <= ctx.max_servers
+        if two_pools:
+            tags = np.asarray(allocation.server_pools)
+            assert tags.shape == (len(allocation.plans),)
+            counts = np.bincount(tags, minlength=fleet.n_pools)
+            assert counts.size == fleet.n_pools
+            for m, pool in enumerate(fleet.pools):
+                assert counts[m] <= pool.n_servers
+        else:
+            assert allocation.server_pools is None
+
+    @given(
+        weights=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-9, 1e3)),
+            min_size=1,
+            max_size=8,
+        ),
+        total=st.integers(1, 40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_shard_server_budgets_cover_positive_shards(
+        self, weights, total
+    ):
+        weights = np.asarray(weights)
+        positive = weights > 0.0
+        if total < positive.sum():
+            with pytest.raises(ConfigurationError, match="fewer shards"):
+                shard_server_budgets(weights, total)
+            return
+        budgets = shard_server_budgets(weights, total)
+        assert budgets.sum() == (total if positive.any() else 0)
+        assert np.all(budgets[positive] >= 1)
+        assert np.all(budgets[~positive] == 0)
 
 
 class TestMigrationInvariants:

@@ -4,12 +4,16 @@ The house guarantees for the :mod:`repro.shard` layer:
 
 * ``shards=1`` is **bit-identical** to the unsharded engine;
 * the clustering/budget machinery survives its degenerate corners
-  (one-VM shards, more shards than VMs, empty shards).
+  (one-VM shards, more shards than VMs, empty shards);
+* a wrapped online policy is reset between runs, and refused with
+  ``shards > 1``.
 """
 
 import numpy as np
 import pytest
 
+from repro.baselines import OnlineBestFitPolicy, OnlineReactivePolicy
+from repro.cloud import get_scenario
 from repro.core import EpactPolicy
 from repro.core.alloc1d import ffd_order
 from repro.core.workspace import AllocationWorkspace
@@ -147,6 +151,30 @@ def cluster_vms_per_vm_sort(pred_cpu, n_shards):
                 counts[shard] += 1
                 break
     return [np.flatnonzero(assignment == shard) for shard in range(k)]
+
+
+class TestWrappedOnlinePolicy:
+    def test_reused_instance_starts_each_run_fresh(self):
+        """The engine resets every policy at the start of a run, and the
+        wrapper resets the policy it wraps: a second run of the same
+        instance repeats the first."""
+        dataset, schedule = get_scenario("diurnal-burst").build(
+            n_vms=40, n_days=9, seed=13, n_slots=30
+        )
+        predictor = DayAheadPredictor(dataset)
+        policy = ShardedPolicy(OnlineReactivePolicy())
+        first, second = (
+            run_sim(
+                dataset, predictor, policy, schedule=schedule, n_slots=30
+            )
+            for _ in range(2)
+        )
+        assert records_equal(first.records, second.records)
+
+    def test_online_policy_refused_with_shards(self):
+        """Online placement state spans the whole population."""
+        with pytest.raises(ConfigurationError, match="shards=1"):
+            ShardedPolicy(OnlineBestFitPolicy(), shards=2)
 
 
 class TestClusterAssignment:

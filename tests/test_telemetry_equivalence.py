@@ -50,7 +50,7 @@ from repro.cloud.telemetry import (
 )
 from repro.serve.adapters import PushCollector, TelemetryBatch, poll_with_retry
 from repro.cloud.faults import FaultSchedule
-from repro.core import EpactPolicy, FleetEpactPolicy, FleetSpec, PoolSpec
+from repro.core import EpactPolicy, FleetSpec, PoolSpec
 from repro.cloud.streaming import (
     _FRAME,
     _PREAMBLE,
@@ -1240,7 +1240,7 @@ class TestCheckpointResume:
                 ),
             )
         else:
-            policy = FleetEpactPolicy()
+            policy = EpactPolicy()
             kwargs = dict(
                 fleet=FleetSpec(
                     pools=(
