@@ -1,5 +1,12 @@
-"""Paper-scale run for EXPERIMENTS.md (600 VMs, one evaluated week)."""
+"""Paper-scale run of the paper's tables and figures (600 VMs, one
+evaluated week), written to ``full_run.json`` beside this script.
+
+Compare with the paper's numbers in :mod:`repro.anchors` and README's
+"Reproduction vs the paper" table.  Run from the repository root with
+``PYTHONPATH=src python results/full_run.py``.
+"""
 import json
+import os
 import time
 from repro.experiments.fig456 import run_fig456
 from repro.experiments.fig7 import run_fig7
@@ -57,6 +64,6 @@ f7 = run_fig7(n_vms=600, n_days=14, seed=2018, n_slots=96)
 out['fig7'] = {'points': [(p.static_w, p.saving_pct, p.epact_optimal_freq_ghz) for p in f7.points]}
 
 out['runtime_s'] = time.time() - t0
-with open('/root/repo/results/full_run.json', 'w') as fh:
+with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), 'full_run.json'), 'w') as fh:
     json.dump(out, fh, indent=1)
 print('DONE in %.0fs' % out['runtime_s'])

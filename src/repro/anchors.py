@@ -1,9 +1,10 @@
 """Every published number from the paper used for calibration/validation.
 
 Centralizing the paper's figures here keeps calibration
-(:mod:`repro.perf.calibration`) and validation (tests, EXPERIMENTS.md)
-honest: models are tuned against *these* values and nothing else, and every
-test that checks a reproduced trend cites the anchor it validates.
+(:mod:`repro.perf.calibration`) and validation (the tests, and README's
+"Reproduction vs the paper" table) honest: models are tuned against
+*these* values and nothing else, and every test that checks a reproduced
+trend cites the anchor it validates.
 
 All execution times are in seconds, frequencies in GHz, powers in watts.
 """

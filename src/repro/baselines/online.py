@@ -204,6 +204,8 @@ class OnlineBestFitPolicy(OnlinePolicy):
         self._cap_mem = cap_mem_pct
         self._placement = placement
         self._signal_kind = signal
+        # Only the reactive signal reads the previous slot's utilization.
+        self.reads_last_observed = signal == "reactive"
         self._shed_on_insufficient = shed_on_insufficient
         if name is not None:
             self.name = name

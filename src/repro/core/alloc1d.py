@@ -178,6 +178,9 @@ def _allocate_1d_fast(
     probe = np.empty(2 * n_samples)
     probe2 = probe.reshape(2, n_samples)
     phi_buf = np.empty(n_vms)
+    # The caps as one row over ``cat``'s columns, for the fallback scan.
+    cap_row = np.repeat((cap_cpu_pct + _EPS, cap_mem_pct + _EPS), n_samples)
+    peak = np.maximum.reduce  # ndarray.max without its Python wrapper
 
     def place(pos: int) -> None:
         nonlocal patt_norm2, n_left, agg_cent, patt_cat
@@ -236,7 +239,7 @@ def _allocate_1d_fast(
                 continue
             vm = int(sequence[j])
             np.add(patt_cat, cat[vm], out=probe)
-            peaks = probe2.max(axis=1)
+            peaks = peak(probe2, axis=1)
             if (
                 peaks[0] <= cap_cpu_pct + _EPS
                 and peaks[1] <= cap_mem_pct + _EPS
@@ -262,13 +265,10 @@ def _allocate_1d_fast(
             open_mask &= cpu_min_seq <= cpu_room
             open_mask &= mem_min_seq <= mem_room
             if open_mask.any():
-                cand = sequence[open_mask]
-                fits = (
-                    np.max(patt_cpu[None, :] + cpu[cand], axis=1)
-                    <= cap_cpu_pct + _EPS
-                ) & (
-                    np.max(patt_mem[None, :] + mem[cand], axis=1)
-                    <= cap_mem_pct + _EPS
+                # Both resources in one pass: every sample of the sum
+                # within the cap row exactly when both peaks are.
+                fits = np.logical_and.reduce(
+                    cat[sequence[open_mask]] + patt_cat <= cap_row, axis=1
                 )
                 if fits.any():
                     refresh_peaks = True

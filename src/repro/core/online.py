@@ -11,7 +11,9 @@ policies additionally read two fields of the one
 * **history** — ``last_cpu``/``last_mem``, the utilization actually
   observed during the previous slot, the signal reactive threshold
   detectors trigger on (day-ahead forecasts remain available for
-  forecast-assisted detection).
+  forecast-assisted detection).  The engine builds it only for a policy
+  that declares ``reads_last_observed``: every online policy, except a
+  best-fit one that plans from forecasts (``signal="forecast"``).
 
 Day-ahead policies ignore both and keep working unchanged — that is
 what makes the paper's EPACT directly comparable with the online
@@ -38,6 +40,8 @@ class OnlinePolicy(AllocationPolicy):
     The engine calls :meth:`reset` at the start of every simulation so a
     policy instance can be reused across runs deterministically.
     """
+
+    reads_last_observed = True
 
     @abstractmethod
     def reset(self) -> None:

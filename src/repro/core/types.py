@@ -289,7 +289,9 @@ class AllocationContext:
         last_cpu: CPU utilization observed during the previous slot
             (``(n_vms, 12)``), rows ``NaN`` for VMs without history
             (fresh arrivals, or the first simulated slot); ``None`` when
-            no history is supplied at all.
+            no history is supplied at all, as for every policy that
+            does not declare
+            :attr:`AllocationPolicy.reads_last_observed`.
         last_mem: memory counterpart of ``last_cpu``.
     """
 
@@ -458,6 +460,12 @@ class AllocationPolicy(ABC):
     #: follow their original papers' day-ahead protocol (24 slots) —
     #: consolidation implies migration, which is not an hourly operation.
     reallocation_period_slots: int = 1
+
+    #: Whether :meth:`allocate` reads ``ctx.last_cpu``/``ctx.last_mem``,
+    #: the utilization observed during the previous slot.  The engine
+    #: builds that signal only for a policy that reads it; every other
+    #: policy gets ``None``.
+    reads_last_observed: bool = False
 
     @abstractmethod
     def allocate(self, ctx: AllocationContext) -> Allocation:

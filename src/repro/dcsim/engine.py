@@ -1106,18 +1106,21 @@ class DataCenterSimulation:
         """Ask the policy to pack the window's active VMs.
 
         The context covers only ``active`` (global ids kept, previous
-        slot's observed utilization attached).  Under a fault window
-        the policy sees the *available* capacity — reduced
-        ``max_servers`` and, on heterogeneous fleets, a reduced
-        per-pool fleet — so every policy's existing packing (including
-        ``force_place_remaining``) becomes its emergency re-placement:
-        VMs of failed servers simply have nowhere else to go.
+        slot's observed utilization attached for a policy that reads
+        it).  Under a fault window the policy sees the *available*
+        capacity — reduced ``max_servers`` and, on heterogeneous
+        fleets, a reduced per-pool fleet — so every policy's existing
+        packing (including ``force_place_remaining``) becomes its
+        emergency re-placement: VMs of failed servers simply have
+        nowhere else to go.
         """
         with self._tracer.phase("forecast"):
             pred_cpu, pred_mem = self._window_predictions(
                 slot, slot + n_window, active, scale
             )
-        last_cpu, last_mem = self._last_observed(slot, active)
+        last_cpu = last_mem = None
+        if self._policy.reads_last_observed:
+            last_cpu, last_mem = self._last_observed(slot, active)
         max_servers = self._max_servers
         fleet = self._servers
         if fault is not None:

@@ -63,7 +63,8 @@ class ShardedPolicy(AllocationPolicy):
     """Run a wrapped policy shard by shard (see module docstring).
 
     The wrapper is transparent in reports and records: it advertises the
-    wrapped policy's ``name`` and ``reallocation_period_slots``.
+    wrapped policy's ``name``, ``reallocation_period_slots`` and
+    ``reads_last_observed`` (``shards=1`` hands it the context as is).
 
     Args:
         policy: the policy to run per shard.
@@ -97,6 +98,7 @@ class ShardedPolicy(AllocationPolicy):
         self._tracer = tracer
         self.name = policy.name
         self.reallocation_period_slots = policy.reallocation_period_slots
+        self.reads_last_observed = policy.reads_last_observed
 
     # The tracer (open file handles) never crosses a pickle boundary.
     def __getstate__(self):

@@ -2,8 +2,9 @@
 published shape.
 
 These are the repository's headline validation tests: each asserts the
-qualitative claim of the corresponding paper table/figure (see
-EXPERIMENTS.md for the quantitative paper-vs-measured record).
+qualitative claim of the corresponding paper table/figure against the
+paper's numbers in :mod:`repro.anchors` (README's "Reproduction vs the
+paper" table gives the quantitative paper-vs-measured record).
 """
 
 import pytest
@@ -127,7 +128,8 @@ class TestFig3:
         )
 
     def test_low_mid_peaks_near_papers_range(self, fig3_result):
-        """Paper: ~1.5 GHz; our model lands 1.5-1.8 (see EXPERIMENTS.md)."""
+        """Paper: ~1.5 GHz (``EFFICIENCY_PEAK_FREQ_GHZ``); the model lands
+        in 1.5-1.8."""
         for label in ("low-mem", "mid-mem"):
             assert 1.4 <= fig3_result.peak(label).freq_ghz <= 1.8
 

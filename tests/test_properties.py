@@ -21,6 +21,7 @@ from repro.baselines import (
     OnlineBestFitPolicy,
     OnlineReactivePolicy,
 )
+from repro.baselines.coat import _EPS as _COAT_EPS
 from repro.baselines.coat import _allocate_reference as _coat_reference
 from repro.cloud import StreamingCloudSimulation, fixed_schedule
 from repro.cloud.faults import zero_faults
@@ -31,8 +32,15 @@ from repro.cloud.telemetry import (
     get_telemetry_scenario,
 )
 from repro.core import EpactPolicy
-from repro.core.alloc1d import allocate_1d
+from repro.core.alloc1d import _EPS as _ALG1_EPS
+from repro.core.alloc1d import (
+    _LAZY_TRIES,
+    _allocate_1d_reference,
+    allocate_1d,
+    ffd_order,
+)
 from repro.core.alloc2d import _allocate_2d_reference, allocate_2d
+from repro.core.correlation import pearson_many
 from repro.core.governor import DvfsGovernor
 from repro.core.types import (
     AllocationContext,
@@ -137,6 +145,21 @@ class TestGovernorInvariants:
                 )
 
 
+_COAT_POLICIES = {
+    "COAT": CoatPolicy,
+    "COAT-OPT": CoatOptPolicy,
+    "FFD": FfdPolicy,
+    "COAT-55/70": lambda: CoatPolicy(cap_cpu_pct=55.0, cap_mem_pct=70.0),
+}
+
+
+def _same_allocation(got, want):
+    assert [p.vm_ids for p in got.plans] == [p.vm_ids for p in want.plans]
+    assert got.forced_placements == want.forced_placements
+    assert got.f_opt_ghz == want.f_opt_ghz
+    assert got.violation_cap_pct == want.violation_cap_pct
+
+
 class TestAllocationInvariants:
     @given(st.integers(2, 25), st.integers(0, 1000))
     @settings(max_examples=15)
@@ -167,31 +190,39 @@ class TestAllocationInvariants:
         assert len(plans) >= lower
 
     @given(
-        st.integers(1, 40),
-        st.sampled_from([1, 12, 288]),
-        st.integers(1, 6),
-        st.sampled_from([CoatPolicy, CoatOptPolicy, FfdPolicy]),
-        st.integers(0, 2**32 - 1),
+        name=st.sampled_from(sorted(_COAT_POLICIES)),
+        n_vms=st.integers(1, 40),
+        width=st.sampled_from([1, 12, 48, 96, 288]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        mem_scale=st.floats(5.0, 60.0),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_coat_partition_caps_and_reference(
-        self, ntc_power, n_vms, width, max_servers, make, seed
+        self, ntc_power, name, n_vms, width, dtype, mem_scale, data, seed
     ):
+        """Every ``CoatPolicy`` equals its seed oracle on windows on both
+        sides of the one-pass width rule: constant rows, rows of one
+        shared shape (Pearson near-ties) and fleets smaller than the VM
+        count (forced placements)."""
+        max_servers = data.draw(st.integers(1, n_vms), label="max_servers")
         rng = np.random.default_rng(seed)
         cpu = rng.uniform(1.0, 45.0, size=(n_vms, width))
-        mem = rng.uniform(1.0, 30.0, size=(n_vms, width))
-        flat = rng.random(n_vms) < 0.3
+        mem = rng.uniform(1.0, mem_scale, size=(n_vms, width))
+        flat = rng.random(n_vms) < 0.25
         cpu[flat] = cpu[flat, :1]
         mem[flat] = mem[flat, :1]
+        shared = rng.random(n_vms) < 0.3
+        shape = rng.uniform(0.2, 1.0, size=width)
+        cpu[shared] = shape * rng.uniform(5.0, 45.0, size=(shared.sum(), 1))
+        cpu, mem = cpu.astype(dtype), mem.astype(dtype)
         ctx = AllocationContext(
             cpu, mem, ntc_power, max_servers, np.full(n_vms, 1.2)
         )
-        allocation = make().allocate(ctx)
-        reference = _coat_reference(make(), ctx)
-        assert [p.vm_ids for p in allocation.plans] == [
-            p.vm_ids for p in reference.plans
-        ]
-        assert allocation.forced_placements == reference.forced_placements
+        policy = _COAT_POLICIES[name]()
+        allocation = policy.allocate(ctx)
+        _same_allocation(allocation, _coat_reference(policy, ctx))
 
         placed = sorted(v for p in allocation.plans for v in p.vm_ids)
         assert placed == list(range(n_vms))
@@ -199,13 +230,77 @@ class TestAllocationInvariants:
             for plan in allocation.plans:
                 if len(plan.vm_ids) > 1:
                     assert (
-                        cpu[plan.vm_ids].sum(axis=0).max()
+                        cpu[plan.vm_ids].astype(float).sum(axis=0).max()
                         <= plan.cap_cpu_pct + 1e-9
                     )
                     assert (
-                        mem[plan.vm_ids].sum(axis=0).max()
+                        mem[plan.vm_ids].astype(float).sum(axis=0).max()
                         <= plan.cap_mem_pct + 1e-9
                     )
+
+    @pytest.mark.parametrize("width", [12, 288])
+    @pytest.mark.parametrize("resource", ["cpu", "mem"])
+    def test_coat_aggregate_on_the_cap_fits_one_ulp_above_does_not(
+        self, ntc_power, width, resource
+    ):
+        policy = CoatPolicy(cap_cpu_pct=55.0, cap_mem_pct=70.0)
+        cap, first = (55.0, 30.0) if resource == "cpu" else (70.0, 40.0)
+        cap += _COAT_EPS
+        for target, n_plans in ((cap, 1), (np.nextafter(cap, np.inf), 2)):
+            cpu = np.full((2, width), 5.0)
+            mem = np.full((2, width), 5.0)
+            load = cpu if resource == "cpu" else mem
+            load[0, 1] = first
+            load[1, 1] = target - first
+            assert load[0, 1] + load[1, 1] == target  # exact
+            ctx = AllocationContext(cpu, mem, ntc_power, 2, np.full(2, 1.2))
+            allocation = policy.allocate(ctx)
+            assert len(allocation.plans) == n_plans
+            assert allocation.forced_placements == 0
+            _same_allocation(allocation, _coat_reference(policy, ctx))
+
+    def test_alloc1d_fallback_scan_equals_its_oracle(self):
+        """The first server's top-ranked candidates all collide with it
+        at its peak sample but pass the cheap minimum bound, so more
+        than ``_LAZY_TRIES`` probes fail and the stacked scan decides.
+        Left for the scan: a candidate that fits the CPU cap but not the
+        memory cap, ranked above the one that fits both, whose CPU
+        aggregate lands exactly on the cap."""
+        rng = np.random.default_rng(5)
+        cap = 100.0
+        first = np.array([60.0] + [50.0] * 5 + [0.0] * 6)
+        bad = np.tile([45.0] + [0.0] * 5 + [45.0] * 6, (_LAZY_TRIES + 3, 1))
+        bad *= rng.uniform(0.97, 1.0, size=bad.shape)
+        mem_heavy = np.array([20.0] + [10.0] * 5 + [14.0] * 6)
+        fitting = np.array([cap + _ALG1_EPS - 60.0] + [6.0, 5.0] * 5 + [6.0])
+        cpu = np.vstack([first, bad, mem_heavy, fitting])
+        mem = np.full(cpu.shape, 2.0)
+        mem[-2] = [99.0] + [50.0] * 11
+
+        # The premise: the first VM opens the first server; its top
+        # _LAZY_TRIES + 1 candidates pass the bound but do not fit, and
+        # the memory-heavy one outranks the one that fits.
+        assert ffd_order(cpu)[0] == 0
+        rest_cpu, rest_mem = cpu[1:], mem[1:]
+        assert (first + fitting).max() == cap + _ALG1_EPS
+        cpu_fits = (first + rest_cpu).max(axis=1) <= cap + _ALG1_EPS
+        fits = cpu_fits & ((mem[0] + rest_mem).max(axis=1) <= cap + _ALG1_EPS)
+        assert np.flatnonzero(fits).tolist() == [len(rest_cpu) - 1]
+        assert cpu_fits[-2]
+        ranked = np.argsort(pearson_many(rest_cpu, first), kind="stable")
+        assert not cpu_fits[ranked[: _LAZY_TRIES + 1]].any()
+        order = ranked.tolist()
+        assert order.index(len(rest_cpu) - 2) < order.index(len(rest_cpu) - 1)
+        assert (rest_cpu.min(axis=1) <= cap - first.max()).all()
+        assert (rest_mem.min(axis=1) <= cap - mem[0].max()).all()
+
+        plans, forced = allocate_1d(cpu, mem, cap)
+        want, want_forced = _allocate_1d_reference(
+            cpu, mem, cap, 100.0, None, ffd_order(cpu)
+        )
+        assert [p.vm_ids for p in plans] == [p.vm_ids for p in want]
+        assert forced == want_forced
+        assert len(cpu) - 1 in plans[0].vm_ids
 
     @given(
         st.integers(1, 130),

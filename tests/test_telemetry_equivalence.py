@@ -877,6 +877,75 @@ class TestLiveRowFit:
         assert tracer.phase("forecast").calls == 2 * active
 
 
+# -- the reactive signal, built only for a policy that reads it -------------
+
+
+class TestReactiveSignal:
+    @staticmethod
+    def _run(ds, policy, monkeypatch):
+        """A lossy churn run of ``policy``; returns its records, the
+        one-slot ``filled_window`` reads and, per window handed to an
+        online policy's signal, whether it carried ``last_cpu``."""
+        reads, signals = [], []
+        fill = TelemetryIngest.filled_window
+        signal = OnlineBestFitPolicy._signal
+
+        def spy_fill(self, lo, hi, rows=None):
+            if hi - lo == SAMPLES_PER_SLOT:
+                reads.append(lo)
+            return fill(self, lo, hi, rows)
+
+        def spy_signal(self, ctx):
+            signals.append(ctx.last_cpu is not None)
+            return signal(self, ctx)
+
+        monkeypatch.setattr(TelemetryIngest, "filled_window", spy_fill)
+        monkeypatch.setattr(OnlineBestFitPolicy, "_signal", spy_signal)
+        schedule = generate_lifecycle(
+            ds.n_vms,
+            168,
+            168 + 48,
+            config=ChurnConfig(initial_fraction=0.5),
+            seed=9,
+        )
+        telemetry = get_telemetry_scenario("lossy-10pct").build(
+            ds.n_vms, 0, ds.n_slots, seed=9
+        )
+        result = StreamingCloudSimulation(
+            ds,
+            DayAheadPredictor(ds),
+            policy,
+            schedule,
+            telemetry=telemetry,
+            max_servers=20,
+            n_slots=48,
+        ).run()
+        monkeypatch.undo()
+        return result.records, reads, signals
+
+    @pytest.mark.parametrize("make", [EpactPolicy, OnlineBestFitPolicy])
+    def test_forecast_policies_never_read_it(self, ds, make, monkeypatch):
+        """EPACT and ONLINE-BF (forecast signal) plan from forecasts."""
+        _, reads, signals = self._run(ds, make(), monkeypatch)
+        assert reads == []
+        assert not any(signals)
+
+    def test_online_reactive_reads_it_plain_and_sharded(self, ds, monkeypatch):
+        """ONLINE-REACTIVE gets its signal every window, also through
+        ``ShardedPolicy(..., shards=1)``, which declares what it wraps."""
+        runs = []
+        for policy in (
+            OnlineReactivePolicy(),
+            ShardedPolicy(OnlineReactivePolicy(), shards=1),
+        ):
+            assert policy.reads_last_observed
+            records, reads, signals = self._run(ds, policy, monkeypatch)
+            assert reads and signals and all(signals)
+            runs.append((records, reads))
+        assert records_equal(runs[0][0], runs[1][0])
+        assert runs[0][1] == runs[1][1]
+
+
 # -- checkpoint/resume ------------------------------------------------------
 
 
