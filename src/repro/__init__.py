@@ -2,7 +2,7 @@
 Computing Servers and Cloud Data Centers: Consolidating or Not?"
 (Pahlevan et al., DATE 2018).
 
-The package is organized by substrate (see DESIGN.md):
+The package is organized by substrate:
 
 * :mod:`repro.technology` — FD-SOI / bulk voltage-frequency and leakage
 * :mod:`repro.arch` — server platforms (NTC, ThunderX, Intel references)
@@ -82,13 +82,7 @@ from .power import (
     ntc_server_power_model,
 )
 from .serve.service import ServeConfig, serve
-from .traces import (
-    ClusterTraceGenerator,
-    GeneratorConfig,
-    TraceDataset,
-    load_dataset,
-    save_dataset,
-)
+from .traces import ClusterTraceGenerator, GeneratorConfig, TraceDataset
 from .validation import validate_reproduction
 
 __version__ = "1.0.0"
@@ -131,12 +125,10 @@ __all__ = [
     "WindowDecision",
     "conventional_server_power_model",
     "inspect_slot",
-    "load_dataset",
     "ntc_psu",
     "ntc_server_power_model",
     "run_geo_policies",
     "run_policies",
-    "save_dataset",
     "serve",
     "total_energy_savings_pct",
     "validate_reproduction",

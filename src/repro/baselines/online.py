@@ -4,8 +4,9 @@ The taxonomy of Beloglazov et al. (and the revisited evaluations that
 followed) splits online consolidation into three mechanisms:
 
 1. **placement on arrival** — each arriving VM is packed against the
-   *current* load (best-fit or first-fit decreasing), instead of
-   re-packing the whole fleet;
+   *current* load, instead of re-packing the whole fleet.  Arrivals go
+   in decreasing-peak order, each to the fitting server left with the
+   highest peak (best fit; reactive moves pick targets the same way);
 2. **overload detection** — servers whose (predicted or observed)
    aggregate exceeds an upper threshold shed their largest VMs;
 3. **underload detection** — servers riding below a lower threshold are
@@ -161,16 +162,9 @@ class OnlineBestFitPolicy(OnlinePolicy):
         cap_cpu_pct: per-server CPU packing cap (percent of ``Fmax``
             capacity); kept below 100 to leave reaction headroom.
         cap_mem_pct: per-server memory packing cap.
-        placement: ``"best-fit"`` (tightest fitting server) or
-            ``"first-fit"`` (lowest server id that fits).
         signal: ``"forecast"`` (day-ahead predictions) or ``"reactive"``
             (previous slot's observed utilization, forecast fallback).
         name: report-name override.
-        shed_on_insufficient: under an active fault window, shed VMs
-            that no surviving server can physically host (the
-            least-loaded fallback target would exceed 100% CPU) into
-            SLA debt instead of force-placing them.  Off by default —
-            the reactive policy turns it on.
     """
 
     name = "ONLINE-BF"
@@ -178,35 +172,32 @@ class OnlineBestFitPolicy(OnlinePolicy):
     #: Under a fleet power cap, consolidate onto a proportionally
     #: reduced server budget (reactive subclass behaviour).
     _cap_consolidate = False
+    #: Under an active fault window, shed VMs that no surviving server
+    #: can physically host (the least-loaded fallback target would
+    #: exceed 100% CPU) into SLA debt instead of force-placing them
+    #: (reactive subclass behaviour).
+    _shed_on_insufficient = False
 
     def __init__(
         self,
         cap_cpu_pct: float = 90.0,
         cap_mem_pct: float = 90.0,
-        placement: str = "best-fit",
         signal: str = "forecast",
         name: Optional[str] = None,
-        shed_on_insufficient: bool = False,
     ):
         if not (0.0 < cap_cpu_pct <= 100.0):
             raise ConfigurationError("cap_cpu_pct must be in (0, 100]")
         if not (0.0 < cap_mem_pct <= 100.0):
             raise ConfigurationError("cap_mem_pct must be in (0, 100]")
-        if placement not in ("best-fit", "first-fit"):
-            raise ConfigurationError(
-                "placement must be 'best-fit' or 'first-fit'"
-            )
         if signal not in ("forecast", "reactive"):
             raise ConfigurationError(
                 "signal must be 'forecast' or 'reactive'"
             )
         self._cap_cpu = cap_cpu_pct
         self._cap_mem = cap_mem_pct
-        self._placement = placement
         self._signal_kind = signal
         # Only the reactive signal reads the previous slot's utilization.
         self.reads_last_observed = signal == "reactive"
-        self._shed_on_insufficient = shed_on_insufficient
         if name is not None:
             self.name = name
         # global vm id -> (pool index, server id); pool is always 0
@@ -253,9 +244,10 @@ class OnlineBestFitPolicy(OnlinePolicy):
 
         # Seed carried-over servers per pool in ascending sid order so
         # table position order equals server-id order (newly opened
-        # servers always take higher sids), keeping "first-fit = lowest
-        # server id" true as a position argmin.  Aggregates are rebuilt
-        # in one scatter per pool; per-bin accumulation order
+        # servers always take higher sids): best fit's argmax and the
+        # force-place argmin take the lowest position among equal
+        # values, so ties go to the lowest server id.  Aggregates are
+        # rebuilt in one scatter per pool; per-bin accumulation order
         # (ascending global id) matches the per-VM loop it replaces.
         tables = [_ServerTable(sig_cpu.shape[1]) for _ in range(n_pools)]
         pos_of_sid: List[Dict[int, int]] = []
@@ -415,10 +407,9 @@ class OnlineBestFitPolicy(OnlinePolicy):
         cand = np.flatnonzero(fits)
         return cand, peaks_cpu[cand]
 
-    def _choose(self, cand: np.ndarray, peaks: np.ndarray) -> int:
-        """Best-fit = tightest resulting peak; first-fit = lowest pos."""
-        if self._placement == "first-fit":
-            return int(cand[0])
+    @staticmethod
+    def _choose(cand: np.ndarray, peaks: np.ndarray) -> int:
+        """Best fit: the candidate left with the tightest peak."""
         return int(cand[int(np.argmax(peaks))])
 
     def _place(
@@ -540,17 +531,18 @@ class OnlineReactivePolicy(OnlineBestFitPolicy):
         max_migrations_per_slot: optional budget bounding reactive moves
             per slot (arrival placements are not migrations and are
             never limited).
-        shed_on_insufficient: under faults, shed unplaceable VMs into
-            SLA debt instead of force-packing them onto overloaded
-            survivors (defaults on: the reactive policy is the degraded
-            -operation baseline).
         Other arguments as in :class:`OnlineBestFitPolicy`.
+
+    Under faults it sheds unplaceable VMs into SLA debt instead of
+    force-packing them onto overloaded survivors: the reactive policy is
+    the degraded-operation baseline.
     """
 
     name = "ONLINE-REACTIVE"
     # Under a power-cap window the reactive policy runs forced
     # consolidation: the per-pool server budget shrinks with cap_frac.
     _cap_consolidate = True
+    _shed_on_insufficient = True
 
     def __init__(
         self,
@@ -559,18 +551,14 @@ class OnlineReactivePolicy(OnlineBestFitPolicy):
         overload_pct: float = 90.0,
         underload_pct: float = 25.0,
         max_migrations_per_slot: Optional[int] = None,
-        placement: str = "best-fit",
         signal: str = "reactive",
         name: Optional[str] = None,
-        shed_on_insufficient: bool = True,
     ):
         super().__init__(
             cap_cpu_pct=cap_cpu_pct,
             cap_mem_pct=cap_mem_pct,
-            placement=placement,
             signal=signal,
             name=name,
-            shed_on_insufficient=shed_on_insufficient,
         )
         if not (0.0 < overload_pct <= 100.0):
             raise ConfigurationError("overload_pct must be in (0, 100]")

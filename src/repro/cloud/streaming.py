@@ -379,9 +379,8 @@ class StreamingCloudSimulation(DataCenterSimulation):
         dataset: true utilization traces (accounting ground truth, and
             the stream the file-replay collectors play back).
         predictor: the batch day-ahead predictor.  It contributes its
-            configuration (first predictable day, history window,
-            forecaster factory, clip range) to the ladder's fit, which
-            runs on *observed* data instead.
+            configuration (first predictable day, history window) to
+            the ladder's fit, which runs on *observed* data instead.
         policy: as in the batch engine.
         schedule: the VM lifecycle schedule (required here; pass
             :func:`~repro.traces.lifecycle.fixed_schedule` for a fixed
@@ -502,8 +501,6 @@ class StreamingCloudSimulation(DataCenterSimulation):
             self._ingest,
             history_days=getattr(predictor, "history_days", 7),
             max_imputed_frac=max_imputed_frac,
-            factory=getattr(predictor, "_factory", None),
-            clip_range=getattr(predictor, "_clip", (0.0, 100.0)),
         )
         self._ladder.tracer = self._tracer
         # The engine plans through the ladder from here on; the user's

@@ -1226,11 +1226,6 @@ class ForecastLadder:
         history_days: the fit window (mirrors the batch predictor).
         max_imputed_frac: highest imputed fraction of the history
             window that still counts as a fresh fit.
-        factory: forecaster factory of the fit (``None`` = the house
-            Hannan-Rissanen/companion-matrix default); pass the batch
-            predictor's factory so clean telemetry reproduces its
-            forecasts bit-exactly.
-        clip_range: forecast clip range of the fit.
     """
 
     def __init__(
@@ -1238,8 +1233,6 @@ class ForecastLadder:
         ingest: TelemetryIngest,
         history_days: int = 7,
         max_imputed_frac: float = 0.25,
-        factory=None,
-        clip_range: Tuple[float, float] = (0.0, 100.0),
     ) -> None:
         if not 0.0 <= max_imputed_frac <= 1.0:
             raise ConfigurationError(
@@ -1248,9 +1241,7 @@ class ForecastLadder:
             )
         self._ingest = ingest
         self._max_imputed = float(max_imputed_frac)
-        self._fitter = DayAheadFitter(
-            int(history_days), factory=factory, clip_range=clip_range
-        )
+        self._fitter = DayAheadFitter(int(history_days))
         # day -> (rung, cpu_day, mem_day); arrays are None on the
         # "no usable forecast" rung.
         self._days: Dict[int, Tuple[str, object, object]] = {}

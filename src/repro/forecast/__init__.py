@@ -1,8 +1,11 @@
 """Forecasting substrate: from-scratch ARIMA and day-ahead prediction.
 
-Implements the paper's Section V-B prediction step: seasonal ARIMA models
-fitted per VM on the trailing week, forecasting the next day's CPU and
-memory utilization.
+Implements the paper's Section V-B prediction step with one model: per
+VM and resource, a seasonal profile plus an ARMA(2, 1) remainder
+(:class:`DecomposedArimaForecaster`), fitted on the trailing week and
+forecasting the next day's CPU and memory utilization.  Repeating the
+last day (:class:`SeasonalNaiveForecaster`) is the fit's fallback and
+the accuracy baseline.
 """
 
 from .arima import ArimaFit, ArimaModel, ArimaOrder
@@ -13,21 +16,14 @@ from .batch import (
     batched_decomposed_forecast,
 )
 from .decomposed import DecomposedArimaForecaster
-from .holtwinters import HoltWintersForecaster
-from .differencing import (
-    difference,
-    integrate,
-    seasonal_difference,
-    seasonal_integrate,
-)
-from .metrics import bias, mae, mape, rmse, smape
+from .differencing import difference, integrate
+from .metrics import mae, rmse
 from .predictor import (
     DayAheadPredictor,
     PerfectPredictor,
     PrecomputedPredictor,
-    default_forecaster_factory,
 )
-from .seasonal import SeasonalArimaForecaster, SeasonalNaiveForecaster
+from .seasonal import SeasonalNaiveForecaster
 
 __all__ = [
     "ArimaFit",
@@ -39,19 +35,11 @@ __all__ = [
     "batched_decomposed_forecast",
     "DayAheadPredictor",
     "DecomposedArimaForecaster",
-    "HoltWintersForecaster",
     "PerfectPredictor",
     "PrecomputedPredictor",
-    "SeasonalArimaForecaster",
     "SeasonalNaiveForecaster",
-    "bias",
-    "default_forecaster_factory",
     "difference",
     "integrate",
     "mae",
-    "mape",
     "rmse",
-    "seasonal_difference",
-    "seasonal_integrate",
-    "smape",
 ]

@@ -35,8 +35,8 @@ scalar SVD-based ``lstsq`` route to ~1e-8 relative on the forecasts
 (tolerances asserted in ``tests/test_fast_path_equivalence.py``).
 
 Only ``d == 0`` models batch (the decomposed forecaster's remainder is
-detrended by construction, so the evaluation default is ARMA(2, 1));
-``d > 0`` callers stay on the scalar path.
+detrended by construction, so the day fit's model is ARMA(2, 1)); a
+``d > 0`` order is refused.
 """
 
 from __future__ import annotations

@@ -13,8 +13,9 @@ remedy — and what this module implements — is decomposition:
 3. forecast = profile + ARMA forecast of the remainder (which decays to
    zero within a few samples, as it should for short-memory noise).
 
-This is the default day-ahead model of the data-center evaluation; tests
-assert it beats seasonal-naive on the synthetic traces.
+This is the day-ahead model of the data-center evaluation
+(:class:`~repro.forecast.predictor.DayAheadFitter` fits it per VM);
+tests assert it beats seasonal-naive on the synthetic traces.
 """
 
 from __future__ import annotations

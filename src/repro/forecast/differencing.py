@@ -1,10 +1,9 @@
-"""Ordinary and seasonal differencing with exact inversion.
+"""Ordinary differencing with exact inversion.
 
-ARIMA handles trends by differencing the series ``d`` times and daily
-periodicity by differencing at the seasonal lag (period 288 for 5-minute
-samples).  Forecasts are produced on the differenced scale and must be
-*integrated* back; the inversion helpers here are exact (they reconstruct
-the original series when fed its own differences).
+ARIMA handles trends by differencing the series ``d`` times.  Forecasts
+are produced on the differenced scale and must be *integrated* back; the
+inversion helper here is exact (it reconstructs the original series when
+fed its own differences).
 """
 
 from __future__ import annotations
@@ -58,64 +57,4 @@ def integrate(
     out = np.asarray(forecasts, dtype=float).copy()
     for level in reversed(range(d)):
         out = np.cumsum(out) + tails[level][-1]
-    return out
-
-
-def seasonal_difference(
-    series: np.ndarray, period: int, big_d: int = 1
-) -> np.ndarray:
-    """Apply ``big_d`` rounds of seasonal differencing at lag ``period``.
-
-    Raises:
-        ForecastError: if the series is shorter than the seasonal lag.
-    """
-    if period < 1:
-        raise ForecastError("seasonal period must be >= 1")
-    if big_d < 0:
-        raise ForecastError("seasonal differencing order must be >= 0")
-    out = np.asarray(series, dtype=float)
-    for _ in range(big_d):
-        if out.shape[0] <= period:
-            raise ForecastError(
-                f"series of length {out.shape[0]} too short for seasonal "
-                f"differencing at period {period}"
-            )
-        out = out[period:] - out[:-period]
-    return out
-
-
-def seasonal_integrate(
-    forecasts: np.ndarray,
-    history: np.ndarray,
-    period: int,
-    big_d: int = 1,
-) -> np.ndarray:
-    """Invert seasonal differencing for a forecast block.
-
-    Args:
-        forecasts: forecasts on the seasonally differenced scale.
-        history: original series (its last ``big_d * period`` values feed
-            the inversion).
-        period: seasonal lag.
-        big_d: seasonal differencing order used at fit time.
-    """
-    if big_d < 0:
-        raise ForecastError("seasonal differencing order must be >= 0")
-    if big_d == 0:
-        return np.asarray(forecasts, dtype=float).copy()
-    hist = np.asarray(history, dtype=float)
-    if hist.shape[0] < big_d * period:
-        raise ForecastError("history too short for seasonal integration")
-    # Tails at each seasonal-differencing level.
-    tails = [hist]
-    for _ in range(big_d - 1):
-        tails.append(tails[-1][period:] - tails[-1][:-period])
-    out = np.asarray(forecasts, dtype=float).copy()
-    for level in reversed(range(big_d)):
-        tail = tails[level][-period:]
-        restored = np.empty_like(out)
-        for i in range(out.shape[0]):
-            base = tail[i] if i < period else restored[i - period]
-            restored[i] = out[i] + base
-        out = restored
     return out

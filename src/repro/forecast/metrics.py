@@ -1,7 +1,7 @@
 """Forecast accuracy metrics.
 
-Small, dependency-free implementations of the standard point-forecast
-error measures, used by the forecast-accuracy experiment and by tests that
+Small, dependency-free implementations of the two point-forecast error
+measures the forecast-accuracy example prints, also used by tests that
 assert ARIMA beats the seasonal-naive baseline on the synthetic traces.
 """
 
@@ -36,35 +36,3 @@ def rmse(actual: np.ndarray, predicted: np.ndarray) -> float:
     p = np.asarray(predicted, dtype=float)
     _validate(a, p)
     return float(np.sqrt(np.mean((a - p) ** 2)))
-
-
-def mape(
-    actual: np.ndarray, predicted: np.ndarray, epsilon: float = 1.0e-6
-) -> float:
-    """Mean absolute percentage error (percent).
-
-    ``epsilon`` guards against division by zero on idle samples.
-    """
-    a = np.asarray(actual, dtype=float)
-    p = np.asarray(predicted, dtype=float)
-    _validate(a, p)
-    denom = np.maximum(np.abs(a), epsilon)
-    return float(np.mean(np.abs(a - p) / denom) * 100.0)
-
-
-def smape(actual: np.ndarray, predicted: np.ndarray) -> float:
-    """Symmetric mean absolute percentage error (percent, 0-200)."""
-    a = np.asarray(actual, dtype=float)
-    p = np.asarray(predicted, dtype=float)
-    _validate(a, p)
-    denom = (np.abs(a) + np.abs(p)) / 2.0
-    denom = np.where(denom == 0.0, 1.0, denom)
-    return float(np.mean(np.abs(a - p) / denom) * 100.0)
-
-
-def bias(actual: np.ndarray, predicted: np.ndarray) -> float:
-    """Mean signed error (positive = under-prediction)."""
-    a = np.asarray(actual, dtype=float)
-    p = np.asarray(predicted, dtype=float)
-    _validate(a, p)
-    return float(np.mean(a - p))

@@ -15,7 +15,7 @@ is the oracle variant used in ablations and tests.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -27,22 +27,20 @@ from .batch import batched_decomposed_forecast
 from .decomposed import DecomposedArimaForecaster
 from .seasonal import SeasonalNaiveForecaster
 
-ForecasterFactory = Callable[[], object]
+#: The day fit's one model, read by the batched and the scalar route:
+#: a one-day seasonal profile plus ARMA(2, 1) on the remainder (see
+#: :mod:`repro.forecast.decomposed` for why decomposition beats plain
+#: seasonal differencing at day-ahead horizons).  Its forecasts are
+#: clipped to [0, 100], the range of a utilization percentage.
+_MODEL = {
+    "order": ArimaOrder(p=2, d=0, q=1),
+    "period": SAMPLES_PER_DAY,
+    "decay": 0.6,
+}
 
 #: Series per :func:`batched_decomposed_forecast` call in the batched
 #: day fit: small enough that its ~25 full-array passes stay in cache.
 _FIT_BLOCK_ROWS = 128
-
-
-def default_forecaster_factory() -> DecomposedArimaForecaster:
-    """The evaluation's default model: seasonal profile + ARMA(2,1).
-
-    See :mod:`repro.forecast.decomposed` for why decomposition beats plain
-    seasonal differencing at day-ahead horizons.
-    """
-    return DecomposedArimaForecaster(
-        order=ArimaOrder(p=2, d=0, q=1), period=SAMPLES_PER_DAY
-    )
 
 
 class DayAheadFitter:
@@ -58,41 +56,20 @@ class DayAheadFitter:
     Args:
         history_days: trailing window the models are fitted on (the paper
             uses the previous week).
-        factory: builds a fresh forecaster per (VM, resource, day); must
-            expose ``fit(series)`` and ``forecast(horizon)``.
-        clip_range: forecasts are clipped into this range (utilization
-            percentages cannot leave [0, 100]).
 
-    When ``factory`` produces a
-    :class:`~repro.forecast.decomposed.DecomposedArimaForecaster` with
-    ``d == 0`` (the default does), all VMs' models are fitted per day
-    through the stacked least-squares path of
-    :mod:`repro.forecast.batch`: a handful of NumPy calls instead of
-    ``n_vms * 2`` Python-level fits.  Rows the batched solver flags as
-    rank-deficient (or non-finite) are re-fitted through the scalar
-    route, :meth:`_forecast_series`, so forecasts match the scalar
-    route to ~1e-8 relative.  Any other forecaster takes the scalar
-    route for every row.
+    All VMs' models are fitted per day through the stacked
+    least-squares path of :mod:`repro.forecast.batch`: a handful of
+    NumPy calls instead of ``n_vms * 2`` Python-level fits.  Rows the
+    batched solver flags as rank-deficient (or non-finite) are re-fitted
+    through the scalar route, :meth:`_forecast_series`, so forecasts
+    match the scalar route to ~1e-8 relative.
     """
 
-    def __init__(
-        self,
-        history_days: int = 7,
-        factory: Optional[ForecasterFactory] = None,
-        clip_range: Tuple[float, float] = (0.0, 100.0),
-    ):
+    def __init__(self, history_days: int = 7):
         if history_days < 2:
             raise DomainError("history_days must be >= 2 (seasonal fit)")
         self._history_days = history_days
-        self._factory = (
-            factory if factory is not None else default_forecaster_factory
-        )
-        self._clip = clip_range
         self._fallback_count = 0
-        self._batch_params = None
-        probe = self._factory()
-        if isinstance(probe, DecomposedArimaForecaster) and probe.order.d == 0:
-            self._batch_params = (probe.order, probe.period, probe.decay)
 
     # -- properties -----------------------------------------------------------
 
@@ -125,29 +102,18 @@ class DayAheadFitter:
                 f"day {day_index} has no full {self._history_days}-day "
                 f"training window"
             )
-        # Day-type labels (weekday = 0 / weekend = 1) so week-aware
-        # forecasters build the profile from comparable days only.
+        # Day-type labels (weekday = 0 / weekend = 1) so the seasonal
+        # profile is built from comparable days only.
         window_days = range(day_index - self._history_days, day_index)
         season_types = np.array(
             [1 if day % 7 >= 5 else 0 for day in window_days], dtype=int
         )
         target_type = 1 if day_index % 7 >= 5 else 0
-        if self._batch_params is not None:
-            cpu_pred, mem_pred = self._fit_batch(
-                (cpu, mem), season_types, target_type
-            )
-        else:
-            cpu_pred = np.empty((cpu.shape[0], SAMPLES_PER_DAY))
-            mem_pred = np.empty((mem.shape[0], SAMPLES_PER_DAY))
-            for vm_id in range(cpu.shape[0]):
-                cpu_pred[vm_id] = self._forecast_series(
-                    cpu[vm_id], season_types, target_type
-                )
-                mem_pred[vm_id] = self._forecast_series(
-                    mem[vm_id], season_types, target_type
-                )
-        np.clip(cpu_pred, *self._clip, out=cpu_pred)
-        np.clip(mem_pred, *self._clip, out=mem_pred)
+        cpu_pred, mem_pred = self._fit_batch(
+            (cpu, mem), season_types, target_type
+        )
+        np.clip(cpu_pred, 0.0, 100.0, out=cpu_pred)
+        np.clip(mem_pred, 0.0, 100.0, out=mem_pred)
         return cpu_pred, mem_pred
 
     # -- internals --------------------------------------------------------
@@ -168,7 +134,6 @@ class DayAheadFitter:
         path (which itself falls back to seasonal-naive on failure, as
         in the scalar route).
         """
-        order, period, decay = self._batch_params
         n_vms = windows[0].shape[0]
         forecasts = np.empty((2, n_vms, SAMPLES_PER_DAY))
         ok = np.zeros((2, n_vms), dtype=bool)
@@ -179,9 +144,7 @@ class DayAheadFitter:
                     out[start:stop], out_ok[start:stop] = (
                         batched_decomposed_forecast(
                             window[start:stop],
-                            order=order,
-                            period=period,
-                            decay=decay,
+                            **_MODEL,
                             horizon=SAMPLES_PER_DAY,
                             season_types=season_types,
                             target_type=target_type,
@@ -205,16 +168,11 @@ class DayAheadFitter:
         target_type: int,
     ) -> np.ndarray:
         try:
-            model = self._factory()
-            if isinstance(model, DecomposedArimaForecaster):
-                model.fit(
-                    series,
-                    season_types=season_types,
-                    target_type=target_type,
-                )
-            else:
-                model.fit(series)
-            prediction = np.asarray(model.forecast(SAMPLES_PER_DAY))
+            model = DecomposedArimaForecaster(**_MODEL)
+            model.fit(
+                series, season_types=season_types, target_type=target_type
+            )
+            prediction = model.forecast(SAMPLES_PER_DAY)
             if not np.all(np.isfinite(prediction)):
                 raise ForecastError("non-finite forecast")
             return prediction
@@ -233,18 +191,11 @@ class DayAheadPredictor(DayAheadFitter):
 
     Args:
         dataset: the utilization traces.
-        history_days, factory, clip_range: the fit configuration, as
-            in :class:`DayAheadFitter`.
+        history_days: the fit window, as in :class:`DayAheadFitter`.
     """
 
-    def __init__(
-        self,
-        dataset: TraceDataset,
-        history_days: int = 7,
-        factory: Optional[ForecasterFactory] = None,
-        clip_range: Tuple[float, float] = (0.0, 100.0),
-    ):
-        super().__init__(history_days, factory, clip_range)
+    def __init__(self, dataset: TraceDataset, history_days: int = 7):
+        super().__init__(history_days)
         self._dataset = dataset
         self._cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 

@@ -1,10 +1,8 @@
-"""Seasonal forecasters: SARIMA wrapper and the seasonal-naive baseline.
+"""The seasonal-naive forecaster: repeat the last observed season.
 
 The utilization traces have a strong daily period (288 five-minute
-samples).  :class:`SeasonalArimaForecaster` removes it by seasonal
-differencing and models the remainder with the ARMA machinery of
-:mod:`repro.forecast.arima`; :class:`SeasonalNaiveForecaster` simply
-repeats the last observed day and serves both as a fallback (degenerate
+samples).  :class:`SeasonalNaiveForecaster` simply repeats the last
+observed day and serves both as the day fit's fallback (degenerate
 fits) and as the accuracy baseline ARIMA must beat.
 """
 
@@ -16,8 +14,6 @@ import numpy as np
 
 from ..errors import ForecastError
 from ..units import SAMPLES_PER_DAY
-from .arima import ArimaModel, ArimaOrder
-from .differencing import seasonal_difference, seasonal_integrate
 
 
 class SeasonalNaiveForecaster:
@@ -53,68 +49,3 @@ class SeasonalNaiveForecaster:
         last_season = self._history[-self._period:]
         reps = int(np.ceil(horizon / self._period))
         return np.tile(last_season, reps)[:horizon]
-
-
-class SeasonalArimaForecaster:
-    """SARIMA(p, d, q)(0, D, 0)_period via seasonal differencing + ARMA.
-
-    This is the model the paper's evaluation needs: daily periodicity is
-    removed exactly (D=1 seasonal differencing at period 288) and the
-    residual short-term dynamics are captured by a small ARMA.
-
-    Args:
-        order: the non-seasonal ARIMA order.
-        period: seasonal lag in samples (288 = one day).
-        seasonal_d: seasonal differencing order ``D``.
-    """
-
-    def __init__(
-        self,
-        order: ArimaOrder | None = None,
-        period: int = SAMPLES_PER_DAY,
-        seasonal_d: int = 1,
-    ):
-        if period < 1:
-            raise ForecastError("period must be >= 1")
-        if seasonal_d < 0:
-            raise ForecastError("seasonal differencing must be >= 0")
-        self._order = order if order is not None else ArimaOrder(p=2, d=0, q=1)
-        self._period = period
-        self._seasonal_d = seasonal_d
-        self._model: Optional[ArimaModel] = None
-        self._history: Optional[np.ndarray] = None
-
-    @property
-    def order(self) -> ArimaOrder:
-        """The non-seasonal order."""
-        return self._order
-
-    @property
-    def period(self) -> int:
-        """Seasonal period in samples."""
-        return self._period
-
-    def fit(self, series: np.ndarray) -> "SeasonalArimaForecaster":
-        """Fit on a series covering at least ``D + 1`` seasons."""
-        y = np.asarray(series, dtype=float)
-        needed = (self._seasonal_d + 1) * self._period
-        if y.shape[0] < needed:
-            raise ForecastError(
-                f"need >= {needed} samples for seasonal fitting, "
-                f"got {y.shape[0]}"
-            )
-        w = seasonal_difference(y, self._period, self._seasonal_d)
-        model = ArimaModel(self._order)
-        model.fit(w)
-        self._model = model
-        self._history = y.copy()
-        return self
-
-    def forecast(self, horizon: int) -> np.ndarray:
-        """Mean forecast on the original scale."""
-        if self._model is None or self._history is None:
-            raise ForecastError("forecaster has not been fitted")
-        inner = self._model.forecast(horizon)
-        return seasonal_integrate(
-            inner, self._history, self._period, self._seasonal_d
-        )

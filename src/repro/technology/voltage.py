@@ -142,7 +142,7 @@ class VoltageFrequencyModel:
 def fdsoi28() -> VoltageFrequencyModel:
     """28nm UTBB FD-SOI voltage/frequency model (the paper's NTC process).
 
-    Calibration choices (see DESIGN.md section 5):
+    Calibration choices:
 
     * ``v_max = 1.30 V`` reaching ``3.1 GHz``, the ``Fmax`` of the paper's
       Fig. 1(a) data-center analysis;

@@ -12,7 +12,6 @@ from .generator import (
     default_dataset,
     memory_heavy_dataset,
 )
-from .io import load_dataset, save_dataset
 from .lifecycle import (
     ChurnConfig,
     LifecycleSchedule,
@@ -36,8 +35,6 @@ __all__ = [
     "diurnal_profile",
     "fixed_schedule",
     "generate_lifecycle",
-    "load_dataset",
     "memory_heavy_dataset",
-    "save_dataset",
     "weekly_modulation",
 ]

@@ -3,8 +3,7 @@
 The paper drives its evaluation with one week of Google Cluster traces
 (600+ VMs, 5-minute samples, per-VM memory utilization between 2% and
 32%).  Those traces are not redistributable, so this generator synthesizes
-traces with the statistical features the paper's machinery depends on
-(see DESIGN.md section 2):
+traces with the statistical features the paper's machinery depends on:
 
 * daily periodicity with per-VM phase and amplitude (ARIMA's signal),
 * correlation groups — VMs sharing a group peak together (the structure

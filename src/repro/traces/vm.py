@@ -5,9 +5,9 @@ sampled every 5 minutes from the Google Cluster traces (Section III-B).
 A :class:`VmSpec` describes one VM's static properties; a :class:`VmTrace`
 couples a spec with its utilization time series.
 
-Utilization units follow DESIGN.md: CPU percent is relative to one server's
-full capacity at ``Fmax``; memory percent is relative to one server's DRAM
-capacity.
+Utilization units follow :mod:`repro.units`: CPU percent is relative to
+one server's full capacity at ``Fmax``; memory percent is relative to one
+server's DRAM capacity.
 """
 
 from __future__ import annotations

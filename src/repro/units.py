@@ -22,71 +22,16 @@ one-week horizon.
 
 from __future__ import annotations
 
-from .errors import DomainError
-
-# --------------------------------------------------------------------------
-# Frequency conversions
-# --------------------------------------------------------------------------
-
-MHZ_PER_GHZ = 1000.0
-HZ_PER_GHZ = 1.0e9
-
-
-def ghz_to_mhz(freq_ghz: float) -> float:
-    """Convert a frequency from GHz to MHz."""
-    return freq_ghz * MHZ_PER_GHZ
-
-
-def mhz_to_ghz(freq_mhz: float) -> float:
-    """Convert a frequency from MHz to GHz."""
-    return freq_mhz / MHZ_PER_GHZ
-
-
-def ghz_to_hz(freq_ghz: float) -> float:
-    """Convert a frequency from GHz to Hz."""
-    return freq_ghz * HZ_PER_GHZ
-
-
 # --------------------------------------------------------------------------
 # Energy conversions
 # --------------------------------------------------------------------------
 
 JOULES_PER_MEGAJOULE = 1.0e6
-PICOJOULES_PER_JOULE = 1.0e12
 
 
 def joules_to_megajoules(energy_j: float) -> float:
     """Convert joules to megajoules (the unit of the paper's Fig. 6)."""
     return energy_j / JOULES_PER_MEGAJOULE
-
-
-def picojoules_to_joules(energy_pj: float) -> float:
-    """Convert picojoules (per-access energies) to joules."""
-    return energy_pj / PICOJOULES_PER_JOULE
-
-
-def watt_hours_to_joules(energy_wh: float) -> float:
-    """Convert watt-hours to joules."""
-    return energy_wh * 3600.0
-
-
-# --------------------------------------------------------------------------
-# Memory conversions
-# --------------------------------------------------------------------------
-
-MB_PER_GB = 1024.0
-BYTES_PER_GB = 1024.0**3
-MILLIWATTS_PER_WATT = 1000.0
-
-
-def mb_to_gb(size_mb: float) -> float:
-    """Convert mebibytes to gibibytes."""
-    return size_mb / MB_PER_GB
-
-
-def mw_to_w(power_mw: float) -> float:
-    """Convert milliwatts to watts."""
-    return power_mw / MILLIWATTS_PER_WATT
 
 
 # --------------------------------------------------------------------------
@@ -113,52 +58,3 @@ SLOTS_PER_WEEK = SLOTS_PER_DAY * 7
 
 SAMPLES_PER_WEEK = SAMPLES_PER_DAY * 7
 """Utilization samples per week (2016)."""
-
-
-# --------------------------------------------------------------------------
-# Percentage helpers
-# --------------------------------------------------------------------------
-
-FULL_UTILIZATION_PCT = 100.0
-"""Aggregate utilization of a fully loaded server, in percent."""
-
-
-def check_percentage(value: float, name: str = "value") -> float:
-    """Validate that ``value`` is a percentage in ``[0, 100]``.
-
-    Returns the value unchanged so the function can be used inline.
-
-    Raises:
-        DomainError: if the value is outside ``[0, 100]`` or not finite.
-    """
-    if not (0.0 <= value <= FULL_UTILIZATION_PCT):
-        raise DomainError(
-            f"{name} must be a percentage in [0, 100], got {value!r}"
-        )
-    return value
-
-
-def check_positive(value: float, name: str = "value") -> float:
-    """Validate that ``value`` is strictly positive.
-
-    Returns the value unchanged so the function can be used inline.
-
-    Raises:
-        DomainError: if the value is not strictly positive.
-    """
-    if not value > 0.0:
-        raise DomainError(f"{name} must be strictly positive, got {value!r}")
-    return value
-
-
-def check_non_negative(value: float, name: str = "value") -> float:
-    """Validate that ``value`` is zero or positive.
-
-    Returns the value unchanged so the function can be used inline.
-
-    Raises:
-        DomainError: if the value is negative.
-    """
-    if value < 0.0:
-        raise DomainError(f"{name} must be non-negative, got {value!r}")
-    return value

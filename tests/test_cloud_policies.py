@@ -105,8 +105,6 @@ class TestOnlineBestFit:
         with pytest.raises(ConfigurationError):
             OnlineBestFitPolicy(cap_cpu_pct=0.0)
         with pytest.raises(ConfigurationError):
-            OnlineBestFitPolicy(placement="worst-fit")
-        with pytest.raises(ConfigurationError):
             OnlineBestFitPolicy(signal="psychic")
 
 

@@ -1,12 +1,11 @@
-"""Tests for the extension modules: migrations, PSU, Holt-Winters,
-CSV export, and the ThunderX motivation experiment."""
+"""Tests for the extension modules: migrations, PSU, CSV export, and
+the ThunderX motivation experiment."""
 
 import numpy as np
 import pytest
 
 from repro.dcsim.engine import count_migrations
-from repro.errors import ConfigurationError, DomainError, ForecastError
-from repro.forecast.holtwinters import HoltWintersForecaster
+from repro.errors import ConfigurationError, DomainError
 from repro.power.psu import PsuModel, conventional_psu, ntc_psu
 
 
@@ -147,83 +146,6 @@ class TestPsu:
         psu = PsuModel(rated_w=100.0, loss_sq_per_w=0.0)
         assert psu.peak_efficiency_load_w() == pytest.approx(100.0)
         assert psu.efficiency(90.0) > psu.efficiency(10.0)
-
-
-class TestHoltWinters:
-    @staticmethod
-    def seasonal_series(n_periods=6, period=24, noise=0.0, seed=0):
-        rng = np.random.default_rng(seed)
-        season = 10 + 5 * np.sin(2 * np.pi * np.arange(period) / period)
-        series = np.tile(season, n_periods)
-        if noise:
-            series = series + rng.normal(0, noise, series.shape)
-        return series, season
-
-    def test_tracks_pure_seasonal(self):
-        series, season = self.seasonal_series(n_periods=10)
-        model = HoltWintersForecaster(period=24, damping=1.0)
-        model.fit(series)
-        forecast = model.forecast(24)
-        np.testing.assert_allclose(forecast, season, atol=0.5)
-
-    def test_tracks_level_shifts(self):
-        series, _ = self.seasonal_series(n_periods=10)
-        shifted = series + np.linspace(0, 5, series.shape[0])
-        model = HoltWintersForecaster(period=24, beta=0.05)
-        model.fit(shifted)
-        forecast = model.forecast(24)
-        # Forecast stays near the *recent* (shifted-up) level.
-        assert forecast.mean() > series[:24].mean() + 3.0
-
-    def test_non_multiple_length_phase(self):
-        series, season = self.seasonal_series(n_periods=10)
-        truncated = series[:-6]  # ends mid-season
-        model = HoltWintersForecaster(period=24, damping=1.0)
-        model.fit(truncated)
-        forecast = model.forecast(6)
-        np.testing.assert_allclose(forecast, season[-6:], atol=0.7)
-
-    def test_fit_optimized_improves_or_matches_sse(self):
-        series, _ = self.seasonal_series(n_periods=8, noise=1.0, seed=3)
-        default = HoltWintersForecaster(period=24).fit(series)
-        tuned = HoltWintersForecaster(period=24).fit_optimized(series)
-        assert tuned.sse <= default.sse + 1e-9
-
-    def test_validation(self):
-        with pytest.raises(ForecastError):
-            HoltWintersForecaster(period=0)
-        with pytest.raises(ForecastError):
-            HoltWintersForecaster(alpha=0.0)
-        with pytest.raises(ForecastError):
-            HoltWintersForecaster(damping=0.0)
-        model = HoltWintersForecaster(period=24)
-        with pytest.raises(ForecastError):
-            model.forecast(5)
-        with pytest.raises(ForecastError):
-            model.fit(np.arange(10.0))
-
-    def test_competitive_with_naive_on_traces(self, small_dataset):
-        from repro.forecast import SeasonalNaiveForecaster, rmse
-        from repro.units import SAMPLES_PER_DAY
-
-        day = 8
-        lo = (day - 7) * SAMPLES_PER_DAY
-        hi = day * SAMPLES_PER_DAY
-        actual, _ = small_dataset.day_slice(day)
-        hw_err, naive_err = [], []
-        for vm in range(0, small_dataset.n_vms, 4):
-            series = small_dataset.cpu_pct[vm, lo:hi]
-            hw = HoltWintersForecaster().fit(series).forecast(
-                SAMPLES_PER_DAY
-            )
-            naive = (
-                SeasonalNaiveForecaster()
-                .fit(series)
-                .forecast(SAMPLES_PER_DAY)
-            )
-            hw_err.append(rmse(actual[vm], hw))
-            naive_err.append(rmse(actual[vm], naive))
-        assert np.mean(hw_err) < np.mean(naive_err)
 
 
 class TestThunderxExperiment:

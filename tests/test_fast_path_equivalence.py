@@ -38,6 +38,7 @@ from repro.forecast.batch import (
     batched_decomposed_forecast,
 )
 from repro.forecast.decomposed import DecomposedArimaForecaster
+from repro.forecast.predictor import _MODEL
 from repro.shard import cluster_vms
 from repro.traces import default_dataset
 from repro.traces.dataset import TraceDataset
@@ -92,12 +93,20 @@ def nightly(*values):
     return [pytest.param(value, marks=pytest.mark.nightly) for value in values]
 
 
-def scalar_predictor(dataset):
+class ScalarPredictor(DayAheadPredictor):
     """A predictor fitting every row through the scalar route, the
     batched day fit's oracle (and its fallback for rejected rows)."""
-    predictor = DayAheadPredictor(dataset)
-    predictor._batch_params = None
-    return predictor
+
+    def _fit_batch(self, windows, season_types, target_type):
+        return tuple(
+            np.array(
+                [
+                    self._forecast_series(row, season_types, target_type)
+                    for row in window
+                ]
+            )
+            for window in windows
+        )
 
 
 class TestAllocate1dEquivalence:
@@ -668,7 +677,7 @@ class TestBatchedForecastEquivalence:
 
     def test_day_ahead_predictor_batch_matches_scalar(self):
         dataset = default_dataset(n_vms=12, n_days=9, seed=11)
-        scalar = scalar_predictor(dataset)
+        scalar = ScalarPredictor(dataset)
         batched = DayAheadPredictor(dataset)
         cpu_s, mem_s = scalar.forecast_day(7)
         cpu_b, mem_b = batched.forecast_day(7)
@@ -686,22 +695,10 @@ class TestBatchedForecastEquivalence:
             ).run().records
             for predictor in (
                 DayAheadPredictor(dataset),
-                scalar_predictor(dataset),
+                ScalarPredictor(dataset),
             )
         )
         assert batched == scalar
-
-    def test_custom_factory_disables_batch(self):
-        dataset = default_dataset(n_vms=4, n_days=9, seed=12)
-
-        def factory():
-            return DecomposedArimaForecaster(
-                order=ArimaOrder(p=1, d=1, q=0), period=288
-            )
-
-        predictor = DayAheadPredictor(dataset, factory=factory)
-        assert predictor._batch_params is None  # d=1 cannot batch
-        assert DayAheadPredictor(dataset)._batch_params is not None
 
     def test_batched_rejects_differencing(self):
         with pytest.raises(ForecastError):
@@ -715,7 +712,6 @@ def whole_stack_day(predictor, day):
     """One ``batched_decomposed_forecast`` call over the vstacked
     ``(2 * n_vms, window)`` matrix, rejected rows re-fitted on the
     scalar path, then clipped: the day fit before row blocking."""
-    order, period, decay = predictor._batch_params
     dataset = predictor._dataset
     days = range(day - predictor.history_days, day)
     lo, hi = days[0] * SAMPLES_PER_DAY, day * SAMPLES_PER_DAY
@@ -725,9 +721,7 @@ def whole_stack_day(predictor, day):
     try:
         forecasts, ok = batched_decomposed_forecast(
             data,
-            order=order,
-            period=period,
-            decay=decay,
+            **_MODEL,
             horizon=SAMPLES_PER_DAY,
             season_types=types,
             target_type=target,

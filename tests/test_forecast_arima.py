@@ -16,12 +16,7 @@ from repro.forecast.batch import (
     batched_arma_forecast,
 )
 from repro.traces import default_dataset
-from repro.forecast.differencing import (
-    difference,
-    integrate,
-    seasonal_difference,
-    seasonal_integrate,
-)
+from repro.forecast.differencing import difference, integrate
 
 
 class TestDifferencing:
@@ -68,22 +63,6 @@ class TestDifferencing:
     def test_too_short_raises(self):
         with pytest.raises(ForecastError):
             difference(np.array([1.0]), 1)
-
-    def test_seasonal_roundtrip(self):
-        rng = np.random.default_rng(0)
-        series = rng.normal(size=40)
-        diffed = seasonal_difference(series, period=7, big_d=1)
-        restored = seasonal_integrate(diffed, series[:7], period=7, big_d=1)
-        np.testing.assert_allclose(restored, series[7:])
-
-    def test_seasonal_difference_removes_pure_season(self):
-        season = np.tile(np.array([1.0, 5.0, 2.0]), 6)
-        out = seasonal_difference(season, period=3)
-        np.testing.assert_allclose(out, 0.0)
-
-    def test_seasonal_too_short_raises(self):
-        with pytest.raises(ForecastError):
-            seasonal_difference(np.arange(5.0), period=10)
 
 
 class TestArimaOrder:

@@ -1,4 +1,4 @@
-"""Tests for slot inspection, trace I/O and the self-validation module."""
+"""Tests for slot inspection and the self-validation module."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,9 @@ import pytest
 from repro.cloud.faults import FaultSchedule
 from repro.core import EpactPolicy
 from repro.dcsim import DataCenterSimulation, inspect_slot
-from repro.errors import ConfigurationError
 from repro.forecast import PerfectPredictor
 from repro.power import ntc_psu
-from repro.traces import default_dataset, load_dataset, save_dataset
+from repro.traces import default_dataset
 from repro.units import SAMPLE_PERIOD_S
 
 
@@ -102,35 +101,6 @@ class TestInspectSlot:
         assert detail.energy_j == pytest.approx(
             detail.power_w.sum() * SAMPLE_PERIOD_S
         )
-
-
-class TestTraceIo:
-    def test_roundtrip_exact(self, tmp_path):
-        original = default_dataset(n_vms=12, n_days=2, seed=9)
-        path = save_dataset(original, tmp_path / "traces")
-        assert path.suffix == ".npz"
-        restored = load_dataset(path)
-        np.testing.assert_array_equal(restored.cpu_pct, original.cpu_pct)
-        np.testing.assert_array_equal(restored.mem_pct, original.mem_pct)
-        for a, b in zip(restored.specs, original.specs):
-            assert a.vm_id == b.vm_id
-            assert a.mem_class is b.mem_class
-            assert a.group == b.group
-            assert a.cpu_base_pct == pytest.approx(b.cpu_base_pct)
-
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            load_dataset(tmp_path / "nope.npz")
-
-    def test_roundtripped_dataset_usable(self, tmp_path):
-        original = default_dataset(n_vms=8, n_days=8, seed=10)
-        path = save_dataset(original, tmp_path / "t.npz")
-        restored = load_dataset(path)
-        predictor = PerfectPredictor(restored)
-        result = DataCenterSimulation(
-            restored, predictor, EpactPolicy(), start_slot=24, n_slots=2
-        ).run()
-        assert result.n_slots == 2
 
 
 class TestValidation:

@@ -30,6 +30,7 @@ from repro.cloud.telemetry import (
     TELEMETRY_SCENARIOS,
     TelemetryIngest,
     get_telemetry_scenario,
+    zero_telemetry_faults,
 )
 from repro.core import EpactPolicy
 from repro.core.alloc1d import _EPS as _ALG1_EPS
@@ -674,6 +675,97 @@ class TestResumeProperty:
                 resumed = _resume_sim(*args, n_slots=n_slots)
                 resumed.restore(source)
                 assert resumed.run().records == expected
+
+
+_CLEAN_FEED_POLICIES = {
+    "EPACT": EpactPolicy,
+    "COAT": CoatPolicy,
+    "ONLINE-BF": OnlineBestFitPolicy,
+    "ONLINE-REACTIVE": OnlineReactivePolicy,
+}
+
+
+class TestCleanFeedProperty:
+    """A clean feed is the batch engine: the streaming engine over
+    ``zero_telemetry_faults`` gives the records of
+    ``DataCenterSimulation`` planning from ``DayAheadPredictor(ds,
+    history_days=h)``.  The draws compose the policy, churn, the
+    forecaster's history window (so the ladder must fit on the
+    predictor's window, not a default one), the horizon and one or two
+    pools (COAT is a one-pool policy and always runs one).  Each run
+    starts six slots before the second predictable day, so a horizon
+    longer than six slots decides two forecast days."""
+
+    @given(
+        policy=st.sampled_from(sorted(_CLEAN_FEED_POLICIES)),
+        churn=st.booleans(),
+        history_days=st.sampled_from([2, 7]),
+        n_slots=st.integers(4, 12),
+        seed=st.integers(0, 2**16),
+        two_pools=st.booleans(),
+    )
+    # A two-day window: a ladder fitting on seven days has no full
+    # training window for day 2, the run's first day.
+    @example(
+        policy="ONLINE-REACTIVE",
+        churn=True,
+        history_days=2,
+        n_slots=12,
+        seed=3,
+        two_pools=True,
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_clean_feed_equals_batch(
+        self, ntc_power, conv_power, policy, churn, history_days, n_slots,
+        seed, two_pools,
+    ):
+        dataset = default_dataset(
+            n_vms=12, n_days=history_days + 2, seed=seed
+        )
+        start = (history_days + 1) * SLOTS_PER_DAY - 6
+        if churn:
+            schedule = generate_lifecycle(
+                dataset.n_vms,
+                start,
+                start + n_slots,
+                config=ChurnConfig(initial_fraction=0.5),
+                seed=seed,
+            )
+        else:
+            schedule = fixed_schedule(dataset.n_vms, 0, dataset.n_slots)
+        if two_pools and policy != "COAT":
+            servers = dict(
+                fleet=FleetSpec(
+                    pools=(
+                        PoolSpec("ntc", ntc_power, 3),
+                        PoolSpec(
+                            "conventional",
+                            conv_power,
+                            12,
+                            perf_platform="x86",
+                        ),
+                    )
+                )
+            )
+        else:
+            servers = dict(max_servers=12)
+        kwargs = dict(start_slot=start, n_slots=n_slots, **servers)
+        batch = DataCenterSimulation(
+            dataset,
+            DayAheadPredictor(dataset, history_days=history_days),
+            _CLEAN_FEED_POLICIES[policy](),
+            schedule=schedule,
+            **kwargs,
+        ).run()
+        streaming = StreamingCloudSimulation(
+            dataset,
+            DayAheadPredictor(dataset, history_days=history_days),
+            _CLEAN_FEED_POLICIES[policy](),
+            schedule,
+            telemetry=zero_telemetry_faults(dataset.n_vms, 0, dataset.n_slots),
+            **kwargs,
+        ).run()
+        assert streaming.records == batch.records
 
 
 _ENGINE_POLICIES = {

@@ -52,7 +52,8 @@ class TestLeakageModel:
 
 class TestNtcLeakage:
     def test_core_region_anchor(self):
-        """~14 W for 16 cores at the 1.30 V corner (DESIGN.md)."""
+        """~14 W for 16 cores at the 1.30 V corner, the calibration
+        anchor ``fdsoi28_core_leakage`` documents."""
         model = fdsoi28_core_leakage(cores=16)
         assert model.power_w(1.30) == pytest.approx(14.0, rel=1e-6)
 

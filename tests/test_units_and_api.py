@@ -1,6 +1,7 @@
-"""Tests for unit helpers, error hierarchy and the public API surface."""
+"""Tests for the units module, error hierarchy and the public API surface."""
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -13,19 +14,8 @@ from repro import errors, units
 
 
 class TestUnits:
-    def test_frequency_conversions(self):
-        assert units.ghz_to_mhz(1.9) == pytest.approx(1900.0)
-        assert units.mhz_to_ghz(3100.0) == pytest.approx(3.1)
-        assert units.ghz_to_hz(2.0) == pytest.approx(2.0e9)
-
     def test_energy_conversions(self):
         assert units.joules_to_megajoules(3.0e6) == pytest.approx(3.0)
-        assert units.picojoules_to_joules(800.0) == pytest.approx(8.0e-10)
-        assert units.watt_hours_to_joules(1.0) == pytest.approx(3600.0)
-
-    def test_memory_conversions(self):
-        assert units.mb_to_gb(1024.0) == pytest.approx(1.0)
-        assert units.mw_to_w(15.5) == pytest.approx(0.0155)
 
     def test_time_grid_matches_paper(self):
         """5-min samples, 1 h slots, 168 slots/week (Section V-B)."""
@@ -35,21 +25,6 @@ class TestUnits:
         assert units.SAMPLES_PER_DAY == 288
         assert units.SLOTS_PER_WEEK == 168
         assert units.SAMPLES_PER_WEEK == 2016
-
-    def test_check_percentage(self):
-        assert units.check_percentage(50.0) == 50.0
-        with pytest.raises(errors.DomainError):
-            units.check_percentage(101.0)
-        with pytest.raises(errors.DomainError):
-            units.check_percentage(-1.0)
-
-    def test_check_positive_and_non_negative(self):
-        assert units.check_positive(0.1) == 0.1
-        with pytest.raises(errors.DomainError):
-            units.check_positive(0.0)
-        assert units.check_non_negative(0.0) == 0.0
-        with pytest.raises(errors.DomainError):
-            units.check_non_negative(-0.1)
 
 
 class TestErrors:
@@ -72,6 +47,15 @@ class TestPublicApi:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    def test_readme_documents_every_export(self):
+        """Every name ``from repro import`` exports appears in backticks
+        in README's "Public API" section."""
+        readme = Path(repro.__file__).resolve().parents[2] / "README.md"
+        section = readme.read_text().split("### Public API\n", 1)[1]
+        section = re.split(r"^#", section, maxsplit=1, flags=re.M)[0]
+        documented = set(re.findall(r"`([^`]+)`", section))
+        assert sorted(set(repro.__all__) - documented) == []
 
     def test_version(self):
         assert repro.__version__ == "1.0.0"
